@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
 use asl_runtime::clock::{nanosleep_ns, now_ns};
-use asl_runtime::Executor;
+use asl_runtime::{ExecStats, Executor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -79,6 +79,8 @@ pub struct OpenLoopReport {
     pub throughput: f64,
     /// Per-request latency: completion − scheduled arrival.
     pub latencies_ns: Vec<u64>,
+    /// What the run cost the executor in wake-ups and registrations.
+    pub exec: ExecStats,
 }
 
 /// A one-shot start gate: the client task parks on it until the pacer
@@ -209,6 +211,7 @@ pub fn run_open_loop(kv: Arc<ShardedKv>, cfg: &OpenLoopConfig) -> OpenLoopReport
         nanosleep_ns(200_000);
     }
     let elapsed_ns = now_ns().saturating_sub(base);
+    let stats = exec.stats();
     drop(exec);
 
     let latencies_ns: Vec<u64> = latencies
@@ -221,6 +224,7 @@ pub fn run_open_loop(kv: Arc<ShardedKv>, cfg: &OpenLoopConfig) -> OpenLoopReport
         elapsed_ns,
         throughput: clients as f64 / (elapsed_ns.max(1) as f64 / 1e9),
         latencies_ns,
+        exec: stats,
     }
 }
 

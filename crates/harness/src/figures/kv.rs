@@ -113,7 +113,25 @@ const COLS: [&str; 8] = [
     "lock", "shards", "rate", "clients", "thpt", "p50_us", "p99_us", "p999_us",
 ];
 
-fn push_cell(t: &mut Table, spec: &LockSpec, shards: usize, rate: f64, cfg: &OpenLoopConfig) {
+/// Counters of the executor behind each cell (`--profile`).
+const EXEC_COLS: [&str; 7] = [
+    "cell",
+    "spawned",
+    "polls",
+    "wakeups",
+    "elided",
+    "parked",
+    "peak_queue",
+];
+
+fn push_cell(
+    t: &mut Table,
+    exec: &mut Table,
+    spec: &LockSpec,
+    shards: usize,
+    rate: f64,
+    cfg: &OpenLoopConfig,
+) {
     let (report, hist) = run_cell(spec, shards, cfg);
     let arrival_tag = match cfg.process {
         ArrivalProcess::Poisson => String::new(),
@@ -143,12 +161,29 @@ fn push_cell(t: &mut Table, spec: &LockSpec, shards: usize, rate: f64, cfg: &Ope
         fmt_us(hist.p99()),
         fmt_us(hist.p999()),
     ]);
+    let e = report.exec;
+    let counts = [
+        e.spawned,
+        e.polls,
+        e.wakeups_sent,
+        e.wakeups_elided,
+        e.registered,
+        e.peak_queue_depth,
+    ];
+    let mut row = vec![label];
+    row.extend(counts.map(|count| count.to_string()));
+    exec.push_row(row);
 }
 
 /// `kv` — throughput and tail latency of the sharded KV service under
 /// open-loop Poisson (and bursty) traffic, per shard-lock policy.
 pub fn kv(profile: &Profile) -> Vec<Table> {
     let n = clients(profile);
+    let mut exec = Table::new(
+        "kv-exec",
+        "executor counters per cell: what the tasks cost in wake-ups and registry entries",
+        &EXEC_COLS,
+    );
     let mut rates = Table::new(
         "kv-rates",
         &format!(
@@ -162,7 +197,7 @@ pub fn kv(profile: &Profile) -> Vec<Table> {
                 rate_per_sec: rate,
                 ..base_cfg(profile, (i * RATES.len() + j) as u64)
             };
-            push_cell(&mut rates, spec, BASE_SHARDS, rate, &cfg);
+            push_cell(&mut rates, &mut exec, spec, BASE_SHARDS, rate, &cfg);
         }
     }
     note_common(&mut rates);
@@ -178,7 +213,7 @@ pub fn kv(profile: &Profile) -> Vec<Table> {
     for (i, spec) in lineup().iter().enumerate() {
         for (j, &s) in SHARDS.iter().enumerate() {
             let cfg = base_cfg(profile, 0x100 + (i * SHARDS.len() + j) as u64);
-            push_cell(&mut shards, spec, s, MID_RATE, &cfg);
+            push_cell(&mut shards, &mut exec, spec, s, MID_RATE, &cfg);
         }
     }
     shards.note("fewer shards = hotter shard locks; the policy gap widens as shards shrink");
@@ -200,11 +235,17 @@ pub fn kv(profile: &Profile) -> Vec<Table> {
             process: ArrivalProcess::Burst { burst: 64 },
             ..base_cfg(profile, 0x200 + i as u64)
         };
-        push_cell(&mut burst, spec, BASE_SHARDS, MID_RATE, &cfg);
+        push_cell(&mut burst, &mut exec, spec, BASE_SHARDS, MID_RATE, &cfg);
     }
     burst.note("bursts fill the wait queues at one instant, so wake policy (not arrival order) sets the tail");
 
-    vec![rates, shards, burst]
+    exec.note("wakeups: enqueues that signalled a sleeping worker (one futex call each); elided: every worker was awake");
+    exec.note("parked: tasks that returned Pending (every client parks on its start gate) and entered the shutdown registry");
+    let mut tables = vec![rates, shards, burst];
+    if asl_locks::telemetry::profiling() {
+        tables.push(exec);
+    }
+    tables
 }
 
 fn note_common(t: &mut Table) {

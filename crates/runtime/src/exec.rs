@@ -4,25 +4,34 @@
 //! connection-per-task: 10⁵–10⁶ concurrent clients on a handful of
 //! cores, where parking a *task* (a queued [`Waker`]) beats parking a
 //! *thread* by three orders of magnitude in memory and context-switch
-//! cost. This module is the substrate for that regime:
+//! cost. [`Executor::new`] starts a fixed pool of workers draining one
+//! shared run queue (`Mutex<VecDeque>` + `Condvar`); [`Executor::spawn`]
+//! returns a [`JoinHandle`] to `.await` or [`JoinHandle::join`];
+//! [`block_on`] drives a future on the calling thread by park/unpark.
 //!
-//! * [`Executor::new(workers)`](Executor::new) starts a fixed pool of
-//!   worker threads draining one shared injector run queue (a
-//!   `Mutex<VecDeque>` + `Condvar` — contention on it is cold next to
-//!   the lock handoffs under study).
-//! * [`Executor::spawn`] boxes a future as a heap task and returns a
-//!   [`JoinHandle`] that can be either `.await`ed from another task or
-//!   synchronously [`JoinHandle::join`]ed from a plain thread.
-//! * [`block_on`] drives any future to completion on the calling
-//!   thread with a park/unpark waker — the bridge from synchronous
-//!   `main`/tests into async code.
+//! Under a 1.5 µs critical section (the benchmark's `host-kv`) this
+//! layer, not any lock, was most of a request, so it is held to the
+//! locks' own bar: a task that finds a worker awake and completes on
+//! its first poll costs **one allocation, no system call and no
+//! registry access**; [`Executor::stats`] counts each.
 //!
-//! Wakeups go through a per-task state machine (idle / scheduled /
-//! running / notified) so a wake that races with a poll neither gets
-//! lost nor double-enqueues the task — the standard executor
-//! construction, kept deliberately small. There is no I/O reactor and
-//! no timer wheel here: those live with the workloads that need them
-//! (`asl-dbsim`'s open-loop pacer brings its own).
+//! * State word, future and join slot share one `Arc`, held by the run
+//!   queue, the task's [`Waker`]s and the [`JoinHandle`]. The state
+//!   machine (idle / scheduled / running / notified / complete) gives
+//!   the poller the future to itself, and no lock guards it.
+//! * Workers count themselves asleep under the queue mutex; an enqueue
+//!   signals the condition variable (always a `futex` system call)
+//!   only if one is. A worker that is awake checks the queue, under
+//!   that mutex, before it sleeps: no wake-up is lost.
+//! * `join` is `block_on(handle)`, parked on the waker slot `.await`
+//!   uses, with a per-thread waker made once: completion enters the
+//!   kernel only if a joiner is parked.
+//! * Dropping the executor cancels tasks parked on external primitives
+//!   (an async-mutex wait queue), found in a registry a task joins
+//!   when a poll first returns `Pending`, and tasks still in the queue.
+//!
+//! A task's panic is caught and raised again from its handle. No I/O
+//! reactor, no timer wheel: they live with the workloads that need them.
 //!
 //! ```
 //! use asl_runtime::exec::{block_on, Executor};
@@ -32,12 +41,17 @@
 //! assert_eq!(block_on(handle), 42);
 //! ```
 
+use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::future::Future;
+use std::mem::{replace, take, ManuallyDrop};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU8};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread;
 
 /// Task is not queued and not running; a wake must enqueue it.
 const IDLE: u8 = 0;
@@ -47,145 +61,232 @@ const SCHEDULED: u8 = 1;
 const RUNNING: u8 = 2;
 /// A wake arrived mid-poll; the worker re-enqueues after polling.
 const NOTIFIED: u8 = 3;
-/// The future returned `Ready`; all further wakes are no-ops.
+/// The future is gone: finished, panicked or cancelled. Final.
 const COMPLETE: u8 = 4;
 
-type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
-
-struct Task {
-    state: AtomicU8,
-    /// The future, consumed (set to `None`) on completion. A `Mutex`
-    /// rather than an `UnsafeCell`: the state machine already
-    /// guarantees exclusive polling, but the lock makes that guarantee
-    /// locally checkable and costs nothing off the hot paths measured
-    /// here.
-    future: Mutex<Option<BoxFuture>>,
-    exec: Weak<Inner>,
+/// No user code runs under a mutex of this module (futures are polled
+/// and dropped, and wakers called, outside them): none gets poisoned.
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("executor mutex poisoned")
 }
 
-impl Task {
-    /// Transition for an incoming wake; enqueue when it wins.
-    fn wake_task(self: &Arc<Self>) {
-        loop {
-            let cur = self.state.load(Ordering::Acquire);
-            let next = match cur {
-                IDLE => SCHEDULED,
-                RUNNING => NOTIFIED,
-                SCHEDULED | NOTIFIED | COMPLETE => return,
-                _ => unreachable!("task state {cur}"),
-            };
-            if self
-                .state
-                .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                if next == SCHEDULED {
-                    if let Some(inner) = self.exec.upgrade() {
-                        inner.enqueue(self.clone());
-                    }
-                }
-                return;
+/// One spawned future with output `T`, in a single allocation.
+struct Task<T, F> {
+    state: AtomicU8,
+    exec: Weak<Inner>,
+    /// Dropped in place when the task completes. Owned by the thread
+    /// that last moved `state`: the worker that took it from `SCHEDULED`
+    /// to `RUNNING`, or a canceller from a resting state to `COMPLETE`.
+    future: UnsafeCell<Option<F>>,
+    /// Whether the task is in the shutdown registry (the poller's).
+    registered: AtomicBool,
+    join: Mutex<Join<T>>,
+}
+
+enum Join<T> {
+    Waiting(Option<Waker>),
+    Done(thread::Result<T>),
+    Taken,
+}
+
+// SAFETY: the other fields are `Sync` by themselves, given `T: Send`.
+// `future` is reached only by the one thread that owns it under the
+// rule on the field, so a shared `&Task` never gives two threads
+// access to it; `F: Send` lets that thread be any thread.
+unsafe impl<T: Send, F: Send> Sync for Task<T, F> {}
+
+/// A task as the run queue and the shutdown registry see it.
+trait Runnable: Send + Sync {
+    /// Poll the task once, on a worker of `inner`.
+    fn run(self: Arc<Self>, inner: &Inner);
+    /// Drop the future, unless a worker is polling it.
+    fn cancel(&self);
+}
+
+impl<T: Send + 'static, F: Future<Output = T> + Send + 'static> Wake for Task<T, F> {
+    /// Enqueue an idle task; leave a wake during a poll to the poller.
+    fn wake(self: Arc<Self>) {
+        let wake = |state| match state {
+            IDLE => Some(SCHEDULED),
+            RUNNING => Some(NOTIFIED),
+            _ => None,
+        };
+        if self.state.fetch_update(AcqRel, Acquire, wake) == Ok(IDLE) {
+            if let Some(inner) = self.exec.upgrade() {
+                inner.enqueue(self, false);
             }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Waker vtable over Arc<Task>
-// ---------------------------------------------------------------------------
+impl<T: Send + 'static, F: Future<Output = T> + Send + 'static> Runnable for Task<T, F> {
+    fn run(self: Arc<Self>, inner: &Inner) {
+        // A task cancelled while it sat in the queue is skipped.
+        let state = &self.state;
+        if state.compare_exchange(SCHEDULED, RUNNING, AcqRel, Acquire) != Ok(SCHEDULED) {
+            return;
+        }
+        // SAFETY: `as_ptr` gives the pointer `into_raw` would. The
+        // count this second `Arc` never took is never given back, it is
+        // not used once `self` is gone, and clones take their own.
+        let borrowed = unsafe { Arc::from_raw(Arc::as_ptr(&self)) };
+        let waker = ManuallyDrop::new(Waker::from(borrowed));
+        // SAFETY: the transition above made this thread the owner of
+        // `future`, until `state` next moves below.
+        let slot = unsafe { &mut *self.future.get() };
+        let future = slot.as_mut().expect("a queued task has a future");
+        // SAFETY: the future lives in the `Arc`'s allocation and is
+        // never moved out of it, only dropped in place.
+        let future = unsafe { Pin::new_unchecked(future) };
+        let mut cx = Context::from_waker(&waker);
+        let result = match catch_unwind(AssertUnwindSafe(|| future.poll(&mut cx))) {
+            Ok(Poll::Ready(value)) => Ok(value),
+            Err(panic) => Err(panic),
+            // The executor is being dropped — by this very task, if
+            // its worker was detached: cancelled here and now.
+            Ok(Poll::Pending) if inner.shutdown.load(Acquire) => {
+                *slot = None;
+                self.state.store(COMPLETE, Release);
+                return;
+            }
+            Ok(Poll::Pending) => {
+                if !self.registered.swap(true, Relaxed) {
+                    inner.register(Arc::<Self>::downgrade(&self));
+                }
+                // RUNNING -> IDLE gives `future` up; if a wake slipped
+                // in (NOTIFIED), re-enqueue so it is not lost. Nothing
+                // else may move the state of a task during its poll.
+                let parked = self.state.compare_exchange(RUNNING, IDLE, AcqRel, Acquire);
+                debug_assert!(matches!(parked, Ok(RUNNING) | Err(NOTIFIED)));
+                if parked.is_err() {
+                    self.state.store(SCHEDULED, Release);
+                    inner.enqueue(self, false);
+                }
+                return;
+            }
+        };
+        // Publish the result; wake the joiner, if one waits, unlocked.
+        *slot = None;
+        self.state.store(COMPLETE, Release);
+        let waiting = replace(&mut *locked(&self.join), Join::Done(result));
+        if let Join::Waiting(Some(waker)) = waiting {
+            waker.wake();
+        }
+    }
 
-fn task_raw_waker(task: Arc<Task>) -> RawWaker {
-    RawWaker::new(Arc::into_raw(task) as *const (), &TASK_VTABLE)
+    fn cancel(&self) {
+        let rest = |state| matches!(state, IDLE | SCHEDULED).then_some(COMPLETE);
+        if self.state.fetch_update(AcqRel, Acquire, rest).is_ok() {
+            // SAFETY: no worker was polling, and none will: `COMPLETE`
+            // is final. That makes this thread the owner of `future`.
+            unsafe { *self.future.get() = None };
+        }
+    }
 }
 
-static TASK_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    |ptr| {
-        // SAFETY: `ptr` came from `Arc::into_raw` in `task_raw_waker`;
-        // reconstruct without consuming to clone the refcount.
-        let task = unsafe { Arc::from_raw(ptr as *const Task) };
-        let cloned = task.clone();
-        std::mem::forget(task);
-        task_raw_waker(cloned)
-    },
-    |ptr| {
-        // wake (consumes the reference).
-        let task = unsafe { Arc::from_raw(ptr as *const Task) };
-        task.wake_task();
-    },
-    |ptr| {
-        // wake_by_ref.
-        let task = unsafe { Arc::from_raw(ptr as *const Task) };
-        task.wake_task();
-        std::mem::forget(task);
-    },
-    |ptr| {
-        // drop.
-        drop(unsafe { Arc::from_raw(ptr as *const Task) });
-    },
-);
-
-fn task_waker(task: Arc<Task>) -> Waker {
-    // SAFETY: the vtable upholds the RawWaker contract over Arc<Task>
-    // reference counts (clone bumps, wake/drop consume).
-    unsafe { Waker::from_raw(task_raw_waker(task)) }
+/// A task as its [`JoinHandle`] sees it.
+impl<T, F> AsRef<Mutex<Join<T>>> for Task<T, F> {
+    fn as_ref(&self) -> &Mutex<Join<T>> {
+        &self.join
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Executor
-// ---------------------------------------------------------------------------
+/// Counters of an executor since it started ([`Executor::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Tasks spawned.
+    pub spawned: u64,
+    /// Tasks handed to a worker to poll.
+    pub polls: u64,
+    /// Enqueues that signalled a sleeping worker: one system call each.
+    pub wakeups_sent: u64,
+    /// Enqueues that found every worker awake and signalled nobody.
+    pub wakeups_elided: u64,
+    /// Tasks that returned `Pending` and entered the shutdown registry.
+    pub registered: u64,
+    /// Longest the run queue has been.
+    pub peak_queue_depth: u64,
+}
 
+#[derive(Default)]
+struct RunQueue {
+    tasks: VecDeque<Arc<dyn Runnable>>,
+    /// Workers waiting on `available` that no enqueue has signalled.
+    sleeping: usize,
+    /// All but `registered`, which `Registry` counts.
+    stats: ExecStats,
+}
+
+/// Tasks that have returned `Pending` and so may be parked on an
+/// external primitive — e.g. an async-mutex wait queue — that only
+/// dropping their future unlinks them from. Pruned amortized-O(1).
+#[derive(Default)]
+struct Registry {
+    list: Vec<Weak<dyn Runnable>>,
+    prune_at: usize,
+    registered: u64,
+}
+
+#[derive(Default)]
 struct Inner {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<RunQueue>,
     available: Condvar,
     /// Set (under the queue mutex, so the check-then-wait in
     /// `worker_loop` cannot miss it) when the executor drops.
-    shutdown: std::sync::atomic::AtomicBool,
-    /// Every spawned task, so shutdown can *cancel* (drop the future
-    /// of) tasks that are parked on external primitives — e.g. an
-    /// async-mutex wait queue — and would otherwise leak their wait
-    /// slot or a granted lock. Pruned amortized-O(1) per spawn.
-    tasks: Mutex<TaskRegistry>,
-}
-
-struct TaskRegistry {
-    list: Vec<Weak<Task>>,
-    prune_at: usize,
+    shutdown: AtomicBool,
+    parked: Mutex<Registry>,
 }
 
 impl Inner {
-    fn enqueue(&self, task: Arc<Task>) {
-        self.queue.lock().unwrap().push_back(task);
-        self.available.notify_one();
+    fn enqueue(&self, task: Arc<dyn Runnable>, spawned: bool) {
+        let mut q = locked(&self.queue);
+        q.tasks.push_back(task);
+        q.stats.spawned += u64::from(spawned);
+        q.stats.peak_queue_depth = q.stats.peak_queue_depth.max(q.tasks.len() as u64);
+        // A sleeper is claimed under the mutex it counted itself in
+        // under; a worker that is awake looks at the queue, under this
+        // mutex, before it sleeps, and needs no signal.
+        let wake = q.sleeping > 0;
+        q.sleeping -= usize::from(wake);
+        q.stats.wakeups_sent += u64::from(wake);
+        q.stats.wakeups_elided += u64::from(!wake);
+        drop(q);
+        if wake {
+            self.available.notify_one();
+        }
+    }
+
+    fn register(&self, task: Weak<dyn Runnable>) {
+        let mut reg = locked(&self.parked);
+        if reg.list.len() >= reg.prune_at {
+            reg.list.retain(|task| task.strong_count() > 0);
+            reg.prune_at = (reg.list.len() * 2).max(64);
+        }
+        reg.list.push(task);
+        reg.registered += 1;
     }
 }
 
 /// A fixed pool of worker threads draining a shared run queue.
 ///
 /// Dropping the executor signals shutdown and joins the workers;
-/// tasks still queued are dropped (their futures run destructors, so
-/// cancel-safe primitives — e.g. `asl_locks`' async mutex wait nodes
-/// — unlink themselves).
+/// tasks still queued or parked are cancelled (their futures run
+/// destructors, so cancel-safe primitives — e.g. `asl_locks`' async
+/// mutex wait nodes — unlink themselves). A task may drop the last
+/// handle to its own executor.
 pub struct Executor {
     inner: Arc<Inner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl Executor {
     /// Start `workers` worker threads (at least one).
     pub fn new(workers: usize) -> Self {
-        let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: std::sync::atomic::AtomicBool::new(false),
-            tasks: Mutex::new(TaskRegistry {
-                list: Vec::new(),
-                prune_at: 64,
-            }),
-        });
+        let inner = Arc::<Inner>::default();
         let workers = (0..workers.max(1))
             .map(|i| {
                 let inner = inner.clone();
-                std::thread::Builder::new()
+                thread::Builder::new()
                     .name(format!("asl-exec-{i}"))
                     .spawn(move || worker_loop(&inner))
                     .expect("spawn executor worker")
@@ -201,171 +302,94 @@ impl Executor {
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
-        let slot = Arc::new(JoinSlot {
-            state: Mutex::new(JoinState {
-                value: None,
-                waker: None,
-                done: false,
-            }),
-            ready: Condvar::new(),
-        });
-        let out = slot.clone();
         let task = Arc::new(Task {
             state: AtomicU8::new(SCHEDULED),
-            future: Mutex::new(Some(Box::pin(async move {
-                let value = future.await;
-                let mut st = out.state.lock().unwrap();
-                st.value = Some(value);
-                st.done = true;
-                if let Some(w) = st.waker.take() {
-                    drop(st);
-                    w.wake();
-                } else {
-                    out.ready.notify_all();
-                }
-            }))),
             exec: Arc::downgrade(&self.inner),
+            future: UnsafeCell::new(Some(future)),
+            registered: AtomicBool::new(false),
+            join: Mutex::new(Join::Waiting(None)),
         });
-        {
-            let mut reg = self.inner.tasks.lock().unwrap();
-            if reg.list.len() >= reg.prune_at {
-                reg.list.retain(|w| {
-                    w.upgrade()
-                        .is_some_and(|t| t.state.load(Ordering::Acquire) != COMPLETE)
-                });
-                reg.prune_at = (reg.list.len() * 2).max(64);
-            }
-            reg.list.push(Arc::downgrade(&task));
-        }
-        self.inner.enqueue(task);
-        JoinHandle { slot }
+        self.inner.enqueue(task.clone(), true);
+        JoinHandle { task }
     }
 
     /// Number of tasks currently sitting in the run queue (racy
     /// diagnostic; excludes tasks being polled).
     pub fn queued(&self) -> usize {
-        self.inner.queue.lock().unwrap().len()
+        locked(&self.inner.queue).tasks.len()
+    }
+
+    /// What the tasks so far cost in wake-up system calls and registry
+    /// entries, as exact counts.
+    pub fn stats(&self) -> ExecStats {
+        let mut stats = locked(&self.inner.queue).stats;
+        stats.registered = locked(&self.inner.parked).registered;
+        stats
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        {
-            let _q = self.inner.queue.lock().unwrap();
-            self.inner.shutdown.store(true, Ordering::Release);
-        }
+        let q = locked(&self.inner.queue);
+        self.inner.shutdown.store(true, Release);
+        drop(q);
         self.inner.available.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        for worker in self.workers.drain(..) {
+            // Dropped by a task on this worker: it cannot join itself.
+            // Detached, it exits when the poll it is in returns.
+            if worker.thread().id() != thread::current().id() {
+                let _ = worker.join();
+            }
         }
         // Cancel every unfinished task: drop its future so cancel-safe
         // primitives (async-mutex wait nodes, held guards) unlink and
-        // release. Futures are dropped outside the task's own lock; a
-        // destructor that cascades (guard drop → handoff → wake) only
-        // touches other tasks' state and the run queue, never this
-        // future slot.
-        let list = std::mem::take(&mut self.inner.tasks.lock().unwrap().list);
-        for weak in list {
-            let Some(task) = weak.upgrade() else { continue };
-            let fut = task.future.lock().unwrap().take();
-            drop(fut);
-            task.state.store(COMPLETE, Ordering::Release);
-        }
-        // Drain the run queue (cancelled shells plus anything wakes
-        // re-enqueued during cancellation); swap out under the lock so
-        // no destructor runs while it is held.
-        let drained = std::mem::take(&mut *self.inner.queue.lock().unwrap());
-        drop(drained);
+        // release. No lock is held over a destructor: one that cascades
+        // (guard drop → handoff → wake) touches other tasks' state and
+        // the run queue. Parked tasks first: what they wake is queued.
+        let parked = take(&mut locked(&self.inner.parked).list);
+        let parked = parked.iter().filter_map(Weak::upgrade);
+        parked.for_each(|task| task.cancel());
+        let queued = take(&mut locked(&self.inner.queue).tasks);
+        queued.iter().for_each(|task| task.cancel());
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>) {
+fn worker_loop(inner: &Inner) {
+    let mut q = locked(&inner.queue);
     loop {
-        let task = {
-            let mut q = inner.queue.lock().unwrap();
-            loop {
-                if let Some(t) = q.pop_front() {
-                    break t;
-                }
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                q = inner.available.wait(q).unwrap();
-            }
-        };
-        poll_task(&task);
-    }
-}
-
-fn poll_task(task: &Arc<Task>) {
-    task.state.store(RUNNING, Ordering::Release);
-    let waker = task_waker(task.clone());
-    let mut cx = Context::from_waker(&waker);
-    let mut slot = task.future.lock().unwrap();
-    let Some(fut) = slot.as_mut() else {
-        task.state.store(COMPLETE, Ordering::Release);
-        return;
-    };
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(()) => {
-            *slot = None;
-            task.state.store(COMPLETE, Ordering::Release);
-        }
-        Poll::Pending => {
-            drop(slot);
-            // RUNNING -> IDLE; if a wake slipped in (NOTIFIED),
-            // re-enqueue so it is not lost.
-            if task
-                .state
-                .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                task.state.store(SCHEDULED, Ordering::Release);
-                if let Some(inner) = task.exec.upgrade() {
-                    inner.enqueue(task.clone());
-                }
-            }
+        if let Some(task) = q.tasks.pop_front() {
+            q.stats.polls += 1;
+            drop(q);
+            task.run(inner);
+            q = locked(&inner.queue);
+        } else if inner.shutdown.load(Acquire) {
+            return;
+        } else {
+            q.sleeping += 1;
+            q = inner.available.wait(q).expect("executor mutex poisoned");
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// JoinHandle
-// ---------------------------------------------------------------------------
-
-struct JoinState<T> {
-    value: Option<T>,
-    waker: Option<Waker>,
-    done: bool,
-}
-
-struct JoinSlot<T> {
-    state: Mutex<JoinState<T>>,
-    ready: Condvar,
-}
-
-/// Completion handle for a spawned task: a [`Future`] yielding the
-/// task's output, or a blocking [`JoinHandle::join`] from sync code.
+/// Completion handle for a spawned task: `.await` it, or
+/// [`JoinHandle::join`] it from sync code, for the task's output — or its
+/// panic, resumed as unwrapping [`std::thread::JoinHandle::join`] would.
 pub struct JoinHandle<T> {
-    slot: Arc<JoinSlot<T>>,
+    task: Arc<dyn AsRef<Mutex<Join<T>>> + Send + Sync>,
 }
 
 impl<T> JoinHandle<T> {
     /// Block the calling thread until the task completes.
     ///
     /// # Panics
-    /// Panics if the output was already taken by an earlier poll.
+    /// If the task panicked, or an earlier poll already took the output.
     pub fn join(self) -> T {
-        let mut st = self.slot.state.lock().unwrap();
-        while !st.done {
-            st = self.slot.ready.wait(st).unwrap();
-        }
-        st.value.take().expect("join output already taken")
+        block_on(self)
     }
 
     /// Whether the task has completed (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.slot.state.lock().unwrap().done
+        !matches!(*locked((*self.task).as_ref()), Join::Waiting(_))
     }
 }
 
@@ -373,70 +397,46 @@ impl<T> Future for JoinHandle<T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut st = self.slot.state.lock().unwrap();
-        if st.done {
-            Poll::Ready(st.value.take().expect("JoinHandle polled after Ready"))
-        } else {
-            st.waker = Some(cx.waker().clone());
-            Poll::Pending
+        let mut join = locked((*self.task).as_ref());
+        if let Join::Waiting(waker) = &mut *join {
+            *waker = Some(cx.waker().clone());
+            return Poll::Pending;
         }
+        let Join::Done(result) = replace(&mut *join, Join::Taken) else {
+            panic!("JoinHandle polled after Ready");
+        };
+        drop(join);
+        Poll::Ready(result.unwrap_or_else(|panic| resume_unwind(panic)))
     }
 }
 
-// ---------------------------------------------------------------------------
-// block_on
-// ---------------------------------------------------------------------------
+struct Unparker(thread::Thread);
 
-struct ThreadUnparker {
-    thread: std::thread::Thread,
+impl Wake for Unparker {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
 }
 
-fn unparker_raw_waker(u: Arc<ThreadUnparker>) -> RawWaker {
-    RawWaker::new(Arc::into_raw(u) as *const (), &UNPARK_VTABLE)
+thread_local! {
+    /// This thread's `block_on` waker, made once: `join` never allocates.
+    static UNPARKER: Waker = Waker::from(Arc::new(Unparker(thread::current())));
 }
-
-static UNPARK_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    |ptr| {
-        let u = unsafe { Arc::from_raw(ptr as *const ThreadUnparker) };
-        let cloned = u.clone();
-        std::mem::forget(u);
-        unparker_raw_waker(cloned)
-    },
-    |ptr| {
-        let u = unsafe { Arc::from_raw(ptr as *const ThreadUnparker) };
-        u.thread.unpark();
-    },
-    |ptr| {
-        let u = unsafe { Arc::from_raw(ptr as *const ThreadUnparker) };
-        u.thread.unpark();
-        std::mem::forget(u);
-    },
-    |ptr| {
-        drop(unsafe { Arc::from_raw(ptr as *const ThreadUnparker) });
-    },
-);
 
 /// Drive `future` to completion on the calling thread.
 ///
-/// Uses `thread::park` between polls; `park` may also return
-/// spuriously, which just costs one extra poll. Re-entrant use (a
-/// `block_on` inside a future already being `block_on`-driven on the
-/// same thread) is fine: each call has its own waker.
+/// Uses `thread::park` between polls (`unpark` enters the kernel only
+/// if the thread is parked); `park` may also return spuriously, which
+/// just costs one extra poll. A `block_on` nested in a future that is
+/// `block_on`-driven on the same thread shares its waker and park token.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = std::pin::pin!(future);
-    let unparker = Arc::new(ThreadUnparker {
-        thread: std::thread::current(),
-    });
-    // SAFETY: the vtable upholds the RawWaker contract over
-    // Arc<ThreadUnparker> reference counts.
-    let waker = unsafe { Waker::from_raw(unparker_raw_waker(unparker)) };
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match future.as_mut().poll(&mut cx) {
-            Poll::Ready(v) => return v,
-            Poll::Pending => std::thread::park(),
+    UNPARKER.with(|waker| loop {
+        if let Poll::Ready(v) = future.as_mut().poll(&mut Context::from_waker(waker)) {
+            return v;
         }
-    }
+        thread::park();
+    })
 }
 
 /// A future that yields to the run queue once, then completes — the
@@ -469,7 +469,19 @@ impl Future for YieldNow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Run `body` on a thread of its own and fail, instead of stalling
+    /// the suite, if it has not returned within ten seconds.
+    fn within_deadline<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = mpsc::channel();
+        thread::spawn(move || done.send(body()));
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("hung, or panicked")
+    }
 
     #[test]
     fn block_on_ready() {
@@ -611,5 +623,108 @@ mod tests {
     fn zero_workers_clamped_to_one() {
         let exec = Executor::new(0);
         assert_eq!(exec.spawn(async { 5 }).join(), 5);
+    }
+
+    #[test]
+    fn task_panic_is_raised_by_join_and_spares_the_worker() {
+        within_deadline(|| {
+            let exec = Executor::new(1);
+            let joined = exec.spawn(async { panic!("boom") });
+            let awaited = exec.spawn(async {
+                yield_now().await;
+                panic!("boom")
+            });
+            for raised in [
+                catch_unwind(AssertUnwindSafe(|| joined.join())),
+                catch_unwind(AssertUnwindSafe(|| block_on(awaited))),
+            ] {
+                let payload = raised.expect_err("the task's panic must reach its handle");
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+            }
+            // The one worker is still there to run this.
+            assert_eq!(exec.spawn(async { 5 }).join(), 5);
+        });
+    }
+
+    #[test]
+    fn task_may_drop_the_last_handle_to_its_executor() {
+        within_deadline(|| {
+            // Alive for as long as a task's future holds a clone.
+            let futures = Arc::new(());
+            for park_afterwards in [false, true] {
+                let exec = Arc::new(Executor::new(1));
+                let last = exec.clone();
+                let (release, released) = mpsc::channel::<()>();
+                let held = futures.clone();
+                let task = exec.spawn(async move {
+                    let _held = held;
+                    released.recv().expect("test thread alive");
+                    drop(last);
+                    if park_afterwards {
+                        std::future::pending::<()>().await;
+                    }
+                    7
+                });
+                drop(exec);
+                release.send(()).expect("task alive");
+                if !park_afterwards {
+                    assert_eq!(task.join(), 7);
+                }
+            }
+            // The task that parked after the drop is cancelled by its
+            // own (detached) worker when the poll returns.
+            while Arc::strong_count(&futures) > 1 {
+                thread::yield_now();
+            }
+        });
+    }
+
+    #[test]
+    fn burst_behind_a_busy_worker_sends_no_wakeup_and_registers_nothing() {
+        within_deadline(|| {
+            const BURST: u64 = 2_000;
+            let exec = Executor::new(1);
+            // Hold the worker in a task that blocks its thread.
+            let (running, is_running) = mpsc::channel();
+            let (release, released) = mpsc::channel::<()>();
+            let holder = exec.spawn(async move {
+                running.send(()).expect("test thread alive");
+                released.recv().expect("test thread alive");
+            });
+            is_running.recv().expect("holder runs");
+            let before = exec.stats();
+            let handles: Vec<_> = (0..BURST).map(|i| exec.spawn(async move { i })).collect();
+            let after = exec.stats();
+            assert_eq!(after.wakeups_sent, before.wakeups_sent);
+            assert_eq!(after.wakeups_elided, before.wakeups_elided + BURST);
+            assert_eq!(after.spawned, before.spawned + BURST);
+            assert_eq!(after.peak_queue_depth, BURST);
+            release.send(()).expect("holder alive");
+            holder.join();
+            assert_eq!(
+                handles.into_iter().map(JoinHandle::join).sum::<u64>(),
+                BURST * (BURST - 1) / 2
+            );
+            let drained = exec.stats();
+            assert_eq!(drained.wakeups_sent, before.wakeups_sent);
+            assert_eq!(drained.polls, BURST + 1);
+            assert_eq!(drained.registered, 0);
+        });
+    }
+
+    #[test]
+    fn parked_tasks_register_once() {
+        let exec = Executor::new(1);
+        let handles: Vec<_> = (0..10)
+            .map(|_| {
+                exec.spawn(async {
+                    yield_now().await;
+                    yield_now().await;
+                })
+            })
+            .collect();
+        handles.into_iter().for_each(JoinHandle::join);
+        let stats = exec.stats();
+        assert_eq!((stats.registered, stats.polls), (10, 30));
     }
 }
