@@ -23,9 +23,14 @@
 //!
 //! Everything here is thread-local: no synchronization on the epoch
 //! path. The paper measures ~93 cycles for the pair of epoch calls;
-//! ours is two `clock_gettime`-class reads plus arithmetic.
+//! ours is two [`now_ns`] reads (one cycle-counter read each where the
+//! host has a trusted one — see [`asl_runtime::clock`]) plus a handful
+//! of plain thread-local loads and stores: the open epoch's id,
+//! window, start and unit sit in const-initialised `Cell`s, and the
+//! 128-entry table and the nesting stack behind them are touched only
+//! when a thread changes epoch id or nests.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use asl_runtime::clock::now_ns;
 use asl_runtime::registry::is_big_core;
@@ -60,26 +65,130 @@ impl EpochMeta {
     }
 }
 
-struct EpochTls {
-    epochs: Box<[EpochMeta; MAX_EPOCHS]>,
+/// The hot side of a thread's epoch state: what one un-nested
+/// `epoch_start` / lock / `epoch_end` round on a repeating id reads
+/// and writes. No lazy initialisation, no destructor, no borrow flag.
+///
+/// `slot` names the table entry whose metadata currently lives in
+/// `meta` instead of in [`Cold::table`] (a one-entry write-back
+/// cache; -1 = none). Invariant: while an epoch is open (`cur >= 0`)
+/// it is the cached one (`slot == cur`).
+struct Hot {
     /// Currently open epoch id, or -1 (paper's `cur_epoch_id`).
-    cur: i32,
-    /// Stack of outer epochs (paper's `epoch_stack`).
+    cur: Cell<i32>,
+    /// Length of [`Cold::stack`], so an un-nested `epoch_end` need not
+    /// look.
+    depth: Cell<u32>,
+    slot: Cell<i32>,
+    meta: Cell<EpochMeta>,
+}
+
+/// The cold side: every epoch id's metadata but the cached one, and
+/// the stack of outer epochs (paper's `epoch_stack`).
+struct Cold {
+    table: Box<[EpochMeta; MAX_EPOCHS]>,
     stack: Vec<i32>,
 }
 
-impl EpochTls {
+impl Cold {
     fn new() -> Self {
-        EpochTls {
-            epochs: Box::new([EpochMeta::fresh(); MAX_EPOCHS]),
-            cur: -1,
+        Cold {
+            table: Box::new([EpochMeta::fresh(); MAX_EPOCHS]),
             stack: Vec::with_capacity(8),
         }
     }
 }
 
 thread_local! {
-    static TLS: RefCell<EpochTls> = RefCell::new(EpochTls::new());
+    static HOT: Hot = const {
+        Hot {
+            cur: Cell::new(-1),
+            depth: Cell::new(0),
+            slot: Cell::new(-1),
+            meta: Cell::new(EpochMeta { window: 0, start: 0, unit: 0, used: false }),
+        }
+    };
+    static COLD: RefCell<Cold> = RefCell::new(Cold::new());
+}
+
+// The bodies of `epoch_start` / `epoch_end` are methods, not closures
+// handed to `LocalKey::with`: a closure this size keeps `with` from
+// being inlined, and the un-inlined `with` reaches the thread-local
+// through an indirect call.
+impl Hot {
+    #[inline(never)]
+    fn start(&self, id: usize) {
+        if self.cur.get() >= 0 {
+            self.push_outer(self.cur.get());
+        }
+        self.cur.set(id as i32);
+        let mut m = self.load(id);
+        m.start = now_ns();
+        m.used = true;
+        self.meta.set(m);
+    }
+
+    #[inline(never)]
+    fn end(&self, id: usize, slo_ns: u64, end: u64) -> u64 {
+        let mut m = self.load(id);
+        let latency = end.saturating_sub(m.start);
+        if !is_big_core() {
+            if latency > slo_ns {
+                m.window >>= 1;
+                m.unit = config::unit_for_window(m.window, config::pct());
+            } else {
+                m.window = (m.window + m.unit).min(config::max_window_ns());
+            }
+            self.meta.set(m);
+        }
+        if self.depth.get() == 0 {
+            self.cur.set(-1);
+        } else {
+            self.pop_outer();
+        }
+        latency
+    }
+
+    /// Metadata of epoch `id`, through the cache.
+    #[inline]
+    fn load(&self, id: usize) -> EpochMeta {
+        if self.slot.get() != id as i32 {
+            self.switch_slot(id as i32);
+        }
+        self.meta.get()
+    }
+
+    /// Write the cached entry back and cache entry `id` (-1: none).
+    #[cold]
+    fn switch_slot(&self, id: i32) {
+        COLD.with(|c| {
+            let mut c = c.borrow_mut();
+            if let Ok(old) = usize::try_from(self.slot.get()) {
+                c.table[old] = self.meta.get();
+            }
+            if let Ok(new) = usize::try_from(id) {
+                self.meta.set(c.table[new]);
+            }
+        });
+        self.slot.set(id);
+    }
+
+    #[cold]
+    fn push_outer(&self, outer: i32) {
+        COLD.with(|c| c.borrow_mut().stack.push(outer));
+        self.depth.set(self.depth.get() + 1);
+    }
+
+    /// Back to the enclosing epoch, which becomes the cached one.
+    #[cold]
+    fn pop_outer(&self) {
+        let outer = COLD.with(|c| c.borrow_mut().stack.pop()).unwrap_or(-1);
+        self.depth.set(self.depth.get() - 1);
+        self.cur.set(outer);
+        if outer >= 0 {
+            self.switch_slot(outer);
+        }
+    }
 }
 
 /// Begin epoch `id` on this thread (paper `epoch_start`).
@@ -90,16 +199,7 @@ thread_local! {
 /// Panics if `id >= MAX_EPOCHS`.
 pub fn epoch_start(id: usize) {
     assert!(id < MAX_EPOCHS, "epoch id {id} out of range");
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.cur >= 0 {
-            let cur = t.cur;
-            t.stack.push(cur);
-        }
-        t.cur = id as i32;
-        t.epochs[id].start = now_ns();
-        t.epochs[id].used = true;
-    });
+    HOT.with(|h| h.start(id));
 }
 
 /// End epoch `id` with the given latency SLO in nanoseconds (paper
@@ -113,67 +213,61 @@ pub fn epoch_start(id: usize) {
 pub fn epoch_end(id: usize, slo_ns: u64) -> u64 {
     assert!(id < MAX_EPOCHS, "epoch id {id} out of range");
     let end = now_ns();
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        let latency = end.saturating_sub(t.epochs[id].start);
-        if !is_big_core() {
-            let cfg = config::current();
-            let e = &mut t.epochs[id];
-            if latency > slo_ns {
-                e.window >>= 1;
-                e.unit = config::unit_for_window(e.window, cfg.pct);
-            } else {
-                e.window = (e.window + e.unit).min(cfg.max_window_ns);
-            }
-        }
-        t.cur = t.stack.pop().unwrap_or(-1);
-        latency
-    })
+    HOT.with(|h| h.end(id, slo_ns, end))
 }
 
 /// Reorder window of the currently open epoch, if any (used by the
 /// dispatch layer, paper Algorithm 3 lines 4–8).
 #[inline]
 pub fn current_window() -> Option<u64> {
-    TLS.with(|t| {
-        let t = t.borrow();
-        if t.cur < 0 {
-            None
-        } else {
-            Some(t.epochs[t.cur as usize].window)
-        }
-    })
+    HOT.with(|h| (h.cur.get() >= 0).then(|| h.meta.get().window))
 }
 
 /// Id of the currently open epoch, if any.
 pub fn current_epoch_id() -> Option<usize> {
-    TLS.with(|t| {
-        let c = t.borrow().cur;
-        (c >= 0).then_some(c as usize)
-    })
+    usize::try_from(HOT.with(|h| h.cur.get())).ok()
 }
 
 /// Current metadata for epoch `id` on this thread.
 pub fn epoch_meta(id: usize) -> EpochMeta {
     assert!(id < MAX_EPOCHS);
-    TLS.with(|t| t.borrow().epochs[id])
+    HOT.with(|h| {
+        if h.slot.get() == id as i32 {
+            h.meta.get()
+        } else {
+            COLD.with(|c| c.borrow().table[id])
+        }
+    })
 }
 
 /// Overwrite the reorder window of epoch `id` (used by LibASL-OPT
 /// experiments that pin a static window, and by tests).
 pub fn set_epoch_window(id: usize, window_ns: u64) {
     assert!(id < MAX_EPOCHS);
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        t.epochs[id].window = window_ns;
-        t.epochs[id].used = true;
+    let set = |m: &mut EpochMeta| {
+        m.window = window_ns;
+        m.used = true;
+    };
+    HOT.with(|h| {
+        if h.slot.get() == id as i32 {
+            let mut m = h.meta.get();
+            set(&mut m);
+            h.meta.set(m);
+        } else {
+            COLD.with(|c| set(&mut c.borrow_mut().table[id]));
+        }
     });
 }
 
 /// Reset all of this thread's epoch state to defaults (tests and
 /// between-experiment hygiene).
 pub fn reset_thread_epochs() {
-    TLS.with(|t| *t.borrow_mut() = EpochTls::new());
+    COLD.with(|c| *c.borrow_mut() = Cold::new());
+    HOT.with(|h| {
+        h.cur.set(-1);
+        h.depth.set(0);
+        h.slot.set(-1);
+    });
 }
 
 /// Scoped helper: run `f` inside epoch `id` with the given SLO.

@@ -21,6 +21,7 @@
 //! standby competitor whose window expired still races normally inside
 //! the underlying lock, and the underlying unlock path is untouched.
 
+use asl_locks::telemetry::holder_add;
 use asl_locks::RawLock;
 use asl_runtime::clock::now_ns;
 
@@ -75,9 +76,6 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
     /// Acquire without standing by (paper `lock_immediately`).
     #[inline]
     pub fn lock_immediately(&self) -> L::Token {
-        self.stats
-            .immediate
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let contended = self.inner.is_locked();
         let t0 = if self.stats.telemetry.sampling() && contended {
             now_ns()
@@ -85,12 +83,16 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
             0
         };
         let token = self.inner.lock();
+        // Holder from here on: the path counter and the acquisition
+        // count are holder-owned (see `TelemetryCell`), bumped without
+        // an RMW now that the lock serialises their writers.
+        holder_add(&self.stats.immediate, 1);
         if t0 != 0 {
             self.stats
                 .telemetry
                 .add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.stats.telemetry.record_acquisition(contended);
+        self.stats.telemetry.record_acquisition_exclusive(contended);
         self.stats.telemetry.note_hold_start();
         token
     }
@@ -99,7 +101,10 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
     /// in nanoseconds (paper `lock_reorder`).
     ///
     /// Clock budget (the paper allots ~45 cycles per `clock_gettime`
-    /// and spends them sparingly): with sampling off — the production
+    /// and spends them sparingly; a precise read here is one
+    /// cycle-counter read, ~30 cycles, where the host has a trusted
+    /// counter and a `clock_gettime` where not — see
+    /// [`asl_runtime::clock`]): with sampling off — the production
     /// configuration — this path reads the precise clock **at most
     /// once per acquisition**: the timestamp anchoring the
     /// reorder-window deadline, taken only when there is a window to
@@ -117,24 +122,26 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
         let window = window_ns.min(self.max_window_ns);
         let sampling = self.stats.telemetry.sampling();
         if !self.inner.is_locked() {
-            self.stats.standby_free_entry.fetch_add(1, Relaxed);
             // Sampling-gated wait measurement: another thread can take
             // the lock between the free check and inner.lock(), so
             // even this path can queue. With sampling off (the
             // production gear) it reads no clock.
             let t0 = if sampling { now_ns() } else { 0 };
             let token = self.inner.lock();
+            holder_add(&self.stats.standby_free_entry, 1);
             if t0 != 0 {
                 self.stats
                     .telemetry
                     .add_wait_ns(now_ns().saturating_sub(t0));
             }
-            self.stats.telemetry.record_acquisition(false);
+            self.stats.telemetry.record_acquisition_exclusive(false);
             self.stats.telemetry.note_hold_start();
             return token;
         }
         // Held on entry: a contended acquisition whichever way the
-        // window plays out. Observations are visible before blocking.
+        // window plays out. Observations are visible before blocking
+        // — so these writers do not hold the lock, and `contended` and
+        // the two standby counters below keep their RMWs.
         self.stats.telemetry.record_contended();
         // The single precise clock read of this acquisition.
         let t0 = if window > 0 || sampling { now_ns() } else { 0 };
@@ -164,7 +171,7 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
                 .telemetry
                 .add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.stats.telemetry.record_acquired();
+        self.stats.telemetry.record_acquired_exclusive();
         self.stats.telemetry.note_hold_start();
         token
     }

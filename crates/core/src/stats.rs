@@ -22,10 +22,13 @@ use asl_locks::telemetry::{TelemetryCell, TelemetrySnapshot};
 /// Atomic-ordering audit: like [`TelemetryCell`], every counter here
 /// is a pure statistic — incremented on the acquire path, read only
 /// by [`LockStats::snapshot`] for reporting/tests, never consulted by
-/// lock-protocol control flow. `Relaxed` suffices throughout: each
-/// counter's own modification order keeps its count exact, and tests
-/// that compare counters across threads first join those threads
-/// (which supplies the cross-counter happens-before).
+/// lock-protocol control flow. `Relaxed` suffices throughout, and
+/// tests that compare counters across threads first join those
+/// threads (which supplies the cross-counter happens-before).
+/// `immediate` and `standby_free_entry` are holder-owned in the sense
+/// of [`TelemetryCell`]'s rule — the reorderable lock bumps them with
+/// a load and a store once it holds the inner lock; the other two are
+/// bumped before the inner lock is taken and keep their `fetch_add`.
 #[derive(Debug, Default)]
 pub struct LockStats {
     /// Generic acquisition telemetry (shared format with every

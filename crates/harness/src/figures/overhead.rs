@@ -35,13 +35,13 @@ use asl_locks::{
     FlatCombiner, MalthusianLock, McsLock, McsStpLock, ProportionalLock, PthreadMutex, RawLock,
     RawRwLock, RclLock, RwTicketLock, TasLock, TicketLock,
 };
-use asl_runtime::clock::now_ns;
+use asl_runtime::clock::{self, now_ns};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use super::Profile;
 use crate::locks::{registry, AslSubstrate, BravoInner, LockSpec, StaticWindowLock};
-use crate::report::Table;
+use crate::report::{host_clock_note, Table};
 
 /// The access layers measured, in column order (also the `@layer=`
 /// suffixes in `BENCH_overhead.json`).
@@ -252,9 +252,16 @@ fn static_leg(spec: &LockSpec, m: &Meter, instr: bool) -> Leg {
 /// Build the overhead table for an explicit spec list (unit tests use
 /// a short list; the figure driver passes the whole registry).
 pub(crate) fn overhead_table(m: &Meter, specs: &[LockSpec]) -> Table {
+    // The instr-on, `gcr-` and `libasl-` cells contain clock reads, and
+    // a young process serves them from the fallback clock at twice the
+    // price: every row is measured on the clock the header names.
+    clock::settle();
     let mut t = Table::new(
         "overhead",
-        "uncontended acquire+release latency (ns/op, 1 thread) per access layer",
+        &format!(
+            "uncontended acquire+release latency (ns/op, 1 thread) per access layer; {}",
+            host_clock_note()
+        ),
         &[
             "lock",
             "static_ns",

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use asl_core::AslSpinLock;
 use asl_runtime::atomic_model::AtomicAffinity;
 use asl_runtime::topology::Topology;
-use asl_sim::exec::{run_lock, ZooConfig, ZooResult};
+use asl_sim::exec::{ZooConfig, ZooResult};
 
 use super::Profile;
 use crate::locks::LockSpec;
@@ -43,6 +43,13 @@ fn cfg(profile: &Profile, topology: Topology, threads: usize) -> ZooConfig {
     c.cs_units = 600;
     c.ncs_units = 600;
     c
+}
+
+/// One simulated cell, on a helper thread pinned to one CPU (see
+/// [`asl_runtime::affinity::pinned`]); the lock is built by the
+/// caller, outside the pin.
+fn run_lock(cfg: &ZooConfig, lock: Arc<dyn asl_locks::plain::PlainLock>) -> ZooResult {
+    asl_runtime::affinity::pinned(0, || asl_sim::exec::run_lock(cfg, lock))
 }
 
 fn spec_lock(spec: &LockSpec) -> Arc<dyn asl_locks::plain::PlainLock> {

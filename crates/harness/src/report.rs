@@ -214,7 +214,18 @@ pub fn telemetry_table(figure_id: &str) -> Table {
         t.push_row(telemetry_row(&label, &snap));
     }
     t.note("telemetry sampled via Instrumented wrappers (--profile or instrumented-* specs)");
+    t.note(host_clock_note());
     t
+}
+
+/// Which host clock this process's `now_ns()` is reading — printed
+/// with every table whose cells contain (or are made of) clock reads,
+/// so a BENCH file or a surprising cell says which clock produced it.
+pub fn host_clock_note() -> String {
+    match asl_runtime::clock::ticks_per_ns() {
+        Some(rate) => format!("host clock: tsc ({rate:.4} ticks/ns)"),
+        None => format!("host clock: {}", asl_runtime::clock::source()),
+    }
 }
 
 fn telemetry_row(label: &str, s: &TelemetrySnapshot) -> Vec<String> {

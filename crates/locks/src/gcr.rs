@@ -218,7 +218,11 @@ impl Gate {
 
     #[inline]
     fn note_peak(&self, n: u32) {
-        self.peak.fetch_max(n, Ordering::Relaxed);
+        // Load-before-RMW: the peak only ever rises, so an admission
+        // that does not raise it (all but a handful) skips the RMW.
+        if self.peak.load(Ordering::Relaxed) < n {
+            self.peak.fetch_max(n, Ordering::Relaxed);
+        }
     }
 
     /// One CAS attempt loop below the limit. Every successful
@@ -846,7 +850,7 @@ impl<L: RawLock> RawLock for Gcr<L> {
         if t0 != 0 {
             self.cell.add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.cell.record_acquisition(contended);
+        self.cell.record_acquisition_exclusive(contended);
         self.cell.note_hold_start();
         token
     }
@@ -857,7 +861,7 @@ impl<L: RawLock> RawLock for Gcr<L> {
         }
         match self.inner.try_lock() {
             Some(token) => {
-                self.cell.record_acquisition(false);
+                self.cell.record_acquisition_exclusive(false);
                 self.cell.note_hold_start();
                 Some(token)
             }
@@ -905,7 +909,7 @@ impl<L: crate::timed::RawTimedLock> crate::timed::RawTimedLock for Gcr<L> {
                 if t0 != 0 {
                     self.cell.add_wait_ns(now_ns().saturating_sub(t0));
                 }
-                self.cell.record_acquisition(contended);
+                self.cell.record_acquisition_exclusive(contended);
                 self.cell.note_hold_start();
                 Some(token)
             }
@@ -999,7 +1003,7 @@ impl PlainLock for GcrPlain {
         if t0 != 0 {
             self.cell.add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.cell.record_acquisition(contended);
+        self.cell.record_acquisition_exclusive(contended);
         self.cell.note_hold_start();
         token
     }
@@ -1010,7 +1014,7 @@ impl PlainLock for GcrPlain {
         }
         match self.inner.try_acquire() {
             Some(token) => {
-                self.cell.record_acquisition(false);
+                self.cell.record_acquisition_exclusive(false);
                 self.cell.note_hold_start();
                 Some(token)
             }
@@ -1167,14 +1171,23 @@ mod tests {
         ));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let phase = Arc::new(AtomicU64::new(0));
+        // The bound as the first holder after a shrink found it. Read
+        // under the lock, where no controller tick can intervene (ticks
+        // run on the release path); from outside, the controller may
+        // have grown back by the time anyone looks.
+        let limit_after_shrink = Arc::new(AtomicU32::new(u32::MAX));
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let lock = lock.clone();
                 let stop = stop.clone();
                 let phase = phase.clone();
+                let limit_after_shrink = limit_after_shrink.clone();
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         let t = lock.lock();
+                        if lock.shrinks() > 0 {
+                            limit_after_shrink.fetch_min(lock.limit(), Ordering::Relaxed);
+                        }
                         // Phase 0: short holds (establish baseline).
                         // Phase 1: 20x longer holds (inflation).
                         let ns = if phase.load(Ordering::Relaxed) == 0 {
@@ -1191,7 +1204,9 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(100));
         phase.store(1, Ordering::Relaxed);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while lock.shrinks() == 0 && std::time::Instant::now() < deadline {
+        while limit_after_shrink.load(Ordering::Relaxed) == u32::MAX
+            && std::time::Instant::now() < deadline
+        {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
         stop.store(true, Ordering::Relaxed);
@@ -1205,7 +1220,7 @@ mod tests {
             lock.limit(),
             lock.telemetry().snapshot()
         );
-        assert!(lock.limit() < 4);
+        assert!(limit_after_shrink.load(Ordering::Relaxed) < 4);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   acquisitions, contended acquisitions, spin iterations, and
 //!   (when sampling is enabled) cumulative hold and wait time in
 //!   nanoseconds via `asl_runtime::clock`. Count recording is a
-//!   single relaxed `fetch_add`; the clock is only read when
-//!   [`TelemetryCell::set_sampling`] has turned timing on, so an
+//!   single relaxed `fetch_add` — or, for a counter only the lock's
+//!   exclusive holder ever writes, a load and a store (the
+//!   holder-owned rule on [`TelemetryCell`]); the clock is only read
+//!   when [`TelemetryCell::set_sampling`] has turned timing on, so an
 //!   instrumented lock with sampling off costs near zero.
 //! * [`Instrumented`] — wraps any [`RawLock`] and records into a
 //!   cell on every acquisition/release; [`InstrumentedRw`] is the
@@ -38,7 +40,8 @@
 //!    predictable branch over the raw lock (single-digit ns).
 //! 2. **Recording** ([`set_recording`], implied by [`set_profiling`]):
 //!    acquisition/contention counts are recorded as relaxed
-//!    `fetch_add`s — wait-free, no clock reads.
+//!    `fetch_add`s (plain load+store where the recorder holds the
+//!    lock exclusively) — wait-free, no clock reads.
 //! 3. **Sampling** ([`TelemetryCell::set_sampling`], enabled on
 //!    registry cells while profiling is on): hold/wait timing is
 //!    recorded too, which costs up to two monotonic-clock reads per
@@ -86,14 +89,68 @@ use crate::{RawLock, RawRwLock};
 ///
 /// Atomic-ordering audit: every counter here is a pure statistic —
 /// no control flow, lock-word, or memory-safety decision reads one
-/// (the sole reader is [`TelemetryCell::snapshot`], which tolerates
-/// torn cross-counter views by design). `Relaxed` therefore suffices
-/// on every site: per-location modification order still makes each
-/// individual counter's `fetch_add`s exact, and the lock's own
-/// acquire/release fences already order anything the *holder* writes.
-/// The one stateful slot, `hold_start_ns`, is only written by the
-/// lock holder between acquire and release, so the lock provides the
-/// happens-before edge `Relaxed` does not.
+/// (the readers are [`TelemetryCell::snapshot`], which tolerates torn
+/// cross-counter views by design, and the GCR controller, which runs
+/// under the lock). `Relaxed` therefore suffices on every site, and
+/// the lock's own acquire/release fences already order anything the
+/// *holder* writes.
+///
+/// # The holder-owned rule
+///
+/// A `lock`-prefixed RMW costs 5–10 ns even uncontended, and an
+/// acquisition used to pay up to four of them for bookkeeping. A
+/// counter needs one only if two threads can write it at once:
+///
+/// > A counter of a given cell is **holder-owned** when *every* write
+/// > to it, on every path of the lock that owns the cell, is made by
+/// > the thread that holds that lock *exclusively*. A holder-owned
+/// > counter is bumped with a relaxed load and a relaxed store, after
+/// > the inner acquire and before the inner release: the lock
+/// > serialises the writers and its release→acquire edge carries the
+/// > last value to the next one, so no update can be lost. Any counter
+/// > with a writer outside the lock keeps its `fetch_add`.
+///
+/// Per counter:
+///
+/// * `acquisitions` — holder-owned **on exclusive locks that record
+///   through [`record_acquisition_exclusive`] /
+///   [`record_acquired_exclusive`]** (the reorderable lock,
+///   `Instrumented*`' exclusive side, `Gcr*`: all record after the
+///   inner acquire). *Not* holder-owned on a shared-read cell
+///   (`InstrumentedRw::read`: readers overlap), on the delegation
+///   locks' cells (clients record, the combiner holds) or on
+///   `Adaptive`; those call the RMW [`record_acquisition`] /
+///   [`record_acquired`]. A cell is used one way or the other, never
+///   both — mixing a plain store with a concurrent `fetch_add` would
+///   lose updates — which is why the exclusive variants are separate
+///   methods with the requirement in their name.
+/// * `contended` — **RMW always**: [`record_contended`] is called
+///   *before* blocking (waiters must be visible while they wait), i.e.
+///   by threads that do not hold the lock, so even a holder's
+///   increment can race one.
+/// * `contended_streak` — written only by `record_acquisition*`, so
+///   it follows `acquisitions`: load+store in the exclusive variant,
+///   RMW in the shared one.
+/// * `wait_ns`, `spin_iters` — **RMW**: delegation clients and
+///   overlapping readers add to them without holding anything
+///   exclusively (and they are off the uncontended path anyway).
+/// * `hold_ns`, `hold_start_ns` — holder-owned everywhere: only the
+///   exclusive side of any wrapper calls [`note_hold_start`] /
+///   [`note_hold_end`] (shared holds overlap, so a single in-flight
+///   slot could not represent them). The swap and the add on the
+///   release path are a load and two stores.
+///
+/// `tests/acquire_hygiene.rs` holds the rule to account: four threads
+/// hammering each exclusive recorder must leave `acquisitions` equal
+/// to the exact total.
+///
+/// [`record_acquisition`]: TelemetryCell::record_acquisition
+/// [`record_acquired`]: TelemetryCell::record_acquired
+/// [`record_contended`]: TelemetryCell::record_contended
+/// [`record_acquisition_exclusive`]: TelemetryCell::record_acquisition_exclusive
+/// [`record_acquired_exclusive`]: TelemetryCell::record_acquired_exclusive
+/// [`note_hold_start`]: TelemetryCell::note_hold_start
+/// [`note_hold_end`]: TelemetryCell::note_hold_end
 #[repr(align(128))]
 #[derive(Debug, Default)]
 pub struct TelemetryCell {
@@ -122,6 +179,17 @@ pub struct TelemetryCell {
     contended_streak: AtomicU64,
     /// Whether hold/wait timing is recorded.
     sampling: AtomicBool,
+}
+
+/// `counter += n` as a relaxed load and a relaxed store. Exact only
+/// for a holder-owned counter (see [`TelemetryCell`]): the caller
+/// holds, exclusively, the lock every other writer of `counter` holds.
+#[inline]
+pub fn holder_add(counter: &AtomicU64, n: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
 }
 
 impl TelemetryCell {
@@ -161,13 +229,29 @@ impl TelemetryCell {
 
     /// Record one successful acquisition (`contended` = the lock was
     /// observed held or queued on entry). Also advances (or resets)
-    /// the consecutive-contended streak.
+    /// the consecutive-contended streak. Safe from any thread: every
+    /// write is an RMW.
     #[inline]
     pub fn record_acquisition(&self, contended: bool) {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         if contended {
             self.contended.fetch_add(1, Ordering::Relaxed);
             self.contended_streak.fetch_add(1, Ordering::Relaxed);
+        } else if self.contended_streak.load(Ordering::Relaxed) != 0 {
+            self.contended_streak.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// [`TelemetryCell::record_acquisition`] for a caller that *holds
+    /// the cell's lock exclusively* and whose lock records every
+    /// acquisition that way (the holder-owned rule on the type): no
+    /// RMW unless `contended`.
+    #[inline]
+    pub fn record_acquisition_exclusive(&self, contended: bool) {
+        holder_add(&self.acquisitions, 1);
+        if contended {
+            self.contended.fetch_add(1, Ordering::Relaxed);
+            holder_add(&self.contended_streak, 1);
         } else if self.contended_streak.load(Ordering::Relaxed) != 0 {
             self.contended_streak.store(0, Ordering::Relaxed);
         }
@@ -197,6 +281,13 @@ impl TelemetryCell {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// [`TelemetryCell::record_acquired`] under the same condition as
+    /// [`TelemetryCell::record_acquisition_exclusive`].
+    #[inline]
+    pub fn record_acquired_exclusive(&self) {
+        holder_add(&self.acquisitions, 1);
+    }
+
     /// Add spin-loop iterations observed while waiting.
     #[inline]
     pub fn add_spins(&self, n: u64) {
@@ -221,19 +312,14 @@ impl TelemetryCell {
     }
 
     /// Close the exclusive hold opened by
-    /// [`TelemetryCell::note_hold_start`] (call before releasing).
+    /// [`TelemetryCell::note_hold_start`] (call before releasing, as
+    /// the holder: slot and total are holder-owned).
     #[inline]
     pub fn note_hold_end(&self) {
-        // Load-before-RMW: with sampling off there is no in-flight
-        // hold, and the release path must not pay an unconditional
-        // atomic swap just to find that out.
-        if self.hold_start_ns.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let start = self.hold_start_ns.swap(0, Ordering::Relaxed);
+        let start = self.hold_start_ns.load(Ordering::Relaxed);
         if start != 0 {
-            self.hold_ns
-                .fetch_add(now_ns().saturating_sub(start), Ordering::Relaxed);
+            self.hold_start_ns.store(0, Ordering::Relaxed);
+            holder_add(&self.hold_ns, now_ns().saturating_sub(start));
         }
     }
 
@@ -391,7 +477,7 @@ impl<L: RawLock> Instrumented<L> {
         if t0 != 0 {
             self.cell.add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.cell.record_acquisition(contended);
+        self.cell.record_acquisition_exclusive(contended);
         self.cell.note_hold_start();
         token
     }
@@ -423,7 +509,7 @@ impl<L: RawLock> RawLock for Instrumented<L> {
     fn try_lock(&self) -> Option<L::Token> {
         let token = self.inner.try_lock()?;
         if self.cell.armed() {
-            self.cell.record_acquisition(false);
+            self.cell.record_acquisition_exclusive(false);
             self.cell.note_hold_start();
         }
         Some(token)
@@ -550,7 +636,7 @@ impl<L: RawRwLock> RawRwLock for InstrumentedRw<L> {
         if t0 != 0 {
             self.write.add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.write.record_acquisition(contended);
+        self.write.record_acquisition_exclusive(contended);
         self.write.note_hold_start();
         token
     }
@@ -559,7 +645,7 @@ impl<L: RawRwLock> RawRwLock for InstrumentedRw<L> {
     fn try_write(&self) -> Option<L::WriteToken> {
         let token = self.inner.try_write()?;
         if self.write.armed() {
-            self.write.record_acquisition(false);
+            self.write.record_acquisition_exclusive(false);
             self.write.note_hold_start();
         }
         Some(token)
@@ -601,7 +687,11 @@ pub struct InstrumentedPlain {
 }
 
 impl InstrumentedPlain {
-    /// Wrap `inner`, recording into `cell`.
+    /// Wrap `inner`, recording into `cell`. The cell must be this
+    /// lock's alone: its holder-owned counters (see [`TelemetryCell`])
+    /// are exact because `inner` serialises their writers, which a
+    /// second lock recording into the same cell would not be part of.
+    /// (Several locks under one *label* is what the registry is for.)
     pub fn new(inner: Arc<dyn PlainLock>, cell: Arc<TelemetryCell>) -> Self {
         InstrumentedPlain { inner, cell }
     }
@@ -626,7 +716,7 @@ impl PlainLock for InstrumentedPlain {
         if t0 != 0 {
             self.cell.add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.cell.record_acquisition(contended);
+        self.cell.record_acquisition_exclusive(contended);
         self.cell.note_hold_start();
         token
     }
@@ -635,7 +725,7 @@ impl PlainLock for InstrumentedPlain {
     fn try_acquire(&self) -> Option<PlainToken> {
         let token = self.inner.try_acquire()?;
         if self.cell.armed() {
-            self.cell.record_acquisition(false);
+            self.cell.record_acquisition_exclusive(false);
             self.cell.note_hold_start();
         }
         Some(token)
@@ -667,7 +757,8 @@ pub struct InstrumentedPlainRw {
 }
 
 impl InstrumentedPlainRw {
-    /// Wrap `inner`, recording into the given cells.
+    /// Wrap `inner`, recording into the given cells (this lock's
+    /// alone, as for [`InstrumentedPlain::new`]).
     pub fn new(
         inner: Arc<dyn PlainRwLock>,
         read: Arc<TelemetryCell>,
@@ -720,7 +811,7 @@ impl PlainRwLock for InstrumentedPlainRw {
         if t0 != 0 {
             self.write.add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.write.record_acquisition(contended);
+        self.write.record_acquisition_exclusive(contended);
         self.write.note_hold_start();
         token
     }
@@ -729,7 +820,7 @@ impl PlainRwLock for InstrumentedPlainRw {
     fn try_acquire_write(&self) -> Option<PlainRwToken> {
         let token = self.inner.try_acquire_write()?;
         if self.write.armed() {
-            self.write.record_acquisition(false);
+            self.write.record_acquisition_exclusive(false);
             self.write.note_hold_start();
         }
         Some(token)

@@ -29,6 +29,36 @@ pub fn pin_to_cpu(os_cpu: usize) -> bool {
     }
 }
 
+/// Run `f` on a helper thread pinned to the `nth` CPU this process may
+/// use (0 = first) and return its result. Threads that `f` spawns
+/// inherit the pin; the caller's own affinity is untouched. With fewer
+/// CPUs it pins to the last one there is, and where pinning is refused
+/// `f` runs unpinned: placement only steadies host-time numbers, it
+/// never changes a result.
+///
+/// This is how the simulator should be run. Its engine steps exactly
+/// one virtual thread at a time, so a second CPU adds nothing but a
+/// cross-CPU wake-up to every baton pass — the same cell takes 0.9 s
+/// pinned and 0.9–5 s unpinned on the 2-CPU reference host.
+pub fn pinned<R: Send>(nth: usize, f: impl FnOnce() -> R + Send) -> R {
+    // Process-wide decisions that are taken once, from the affinity
+    // mask of whichever thread asks first, are taken here from the
+    // caller's mask — not later from the helper's one-CPU mask.
+    let _ = crate::relax::yields_every_poll();
+    std::thread::scope(|s| {
+        let helper = s.spawn(|| {
+            // Walk the CPU ids, pinning to each that accepts, and stop
+            // at the nth success.
+            let _ = (0..64).filter(|&cpu| pin_to_cpu(cpu)).nth(nth);
+            f()
+        });
+        match helper.join() {
+            Ok(result) => result,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
 /// Number of CPUs visible to this process.
 pub fn online_cpus() -> usize {
     std::thread::available_parallelism()
@@ -59,6 +89,36 @@ mod tests {
         // CPU 0 exists almost everywhere; tolerate failure in odd
         // sandboxes but exercise the call.
         let _ = pin_to_cpu(0);
+    }
+
+    #[test]
+    fn pinned_runs_on_one_cpu_and_leaves_the_caller_alone() {
+        let before = online_cpus();
+        let (inside, spawned_inside) = pinned(0, || {
+            let here = online_cpus();
+            let child = std::thread::spawn(online_cpus).join().unwrap();
+            (here, child)
+        });
+        if pin_to_cpu_supported() {
+            assert_eq!(inside, 1, "the helper is pinned");
+            assert_eq!(spawned_inside, 1, "its threads inherit the pin");
+        }
+        assert_eq!(online_cpus(), before, "the caller is not");
+    }
+
+    /// Whether this sandbox lets a thread pin itself at all (probed on
+    /// a throwaway thread).
+    fn pin_to_cpu_supported() -> bool {
+        std::thread::spawn(|| (0..64).any(pin_to_cpu))
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn pinned_passes_a_panic_on() {
+        let caught = std::panic::catch_unwind(|| pinned(0, || panic!("from the helper")));
+        let payload = caught.expect_err("the panic crosses the helper thread");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"from the helper"));
     }
 
     #[test]

@@ -186,6 +186,7 @@ pub use asl_locks::{
     RclServer, SlotsExhausted,
 };
 pub use asl_locks::{Gate, Gcr, GcrConfig, GcrPlain};
+pub use asl_runtime::clock;
 pub use asl_runtime::{block_on, CoreKind, ExecStats, Executor, JoinHandle, Topology};
 
 /// The recommended application-facing mutex: LibASL dispatch over a
