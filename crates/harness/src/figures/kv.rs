@@ -22,10 +22,17 @@
 //! is largest.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use asl_dbsim::arrival::ArrivalProcess;
-use asl_dbsim::kv::{KvConfig, ShardedKv};
+use asl_dbsim::kv::{draw_request, KvConfig, ShardedKv};
 use asl_dbsim::openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport};
+use asl_dbsim::workload::{KeyDist, Mix, Zipfian, YCSB_THETA};
+use asl_runtime::affinity::{online_cpus, pinned};
+use asl_runtime::clock::now_ns;
+use asl_runtime::{wait_stats, Executor, JoinHandle};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use super::Profile;
 use crate::hist::Hist;
@@ -123,6 +130,75 @@ const EXEC_COLS: [&str; 7] = [
     "parked",
     "peak_queue",
 ];
+
+/// Requests spawned, then joined in spawn order, per closed burst.
+const JOIN_BURST: u64 = 2_000;
+
+/// One `kv-join` row: closed bursts from a generator on the first CPU
+/// against one worker on the `worker_cpu`-th, and how the joins waited.
+fn push_join_row(t: &mut Table, profile: &Profile, placement: &str, worker_cpu: usize) {
+    let kv = Arc::new(ShardedKv::new(KvConfig {
+        shards: BASE_SHARDS,
+        policy: LockSpec::asl(Some(SLO_NS)).async_policy(),
+        cs_units: asl_runtime::work::units_for_ns(CS_NS),
+        ..KvConfig::default()
+    }));
+    kv.prefill(1);
+    let exec = pinned(worker_cpu, || Executor::new(1));
+    // The counters are the joining thread's own: read them on it.
+    let (mut burst_ns, parks, spin_hits) = pinned(0, || {
+        let mut rng = SmallRng::seed_from_u64(0x0A51_0300);
+        let dist = KeyDist::Zipfian(Zipfian::new(kv.keyspace(), YCSB_THETA));
+        let mix = Mix::ycsb_a();
+        let mut burst_ns = Vec::new();
+        let before = wait_stats();
+        let started = Instant::now();
+        let window = Duration::from_millis(profile.duration_ms);
+        while burst_ns.len() < 3 || started.elapsed() < window {
+            let t0 = now_ns();
+            let handles: Vec<_> = (0..JOIN_BURST)
+                .map(|_| {
+                    let (req, kv) = (draw_request(&dist, &mix, &mut rng), kv.clone());
+                    exec.spawn(async move { kv.request(req.op, req.key, None).await })
+                })
+                .collect();
+            let hits = handles.into_iter().map(JoinHandle::join).filter(|&hit| hit);
+            assert_eq!(hits.count() as u64, JOIN_BURST, "every key is prefilled");
+            burst_ns.push(now_ns() - t0);
+        }
+        let after = wait_stats();
+        let parks = after.parks - before.parks;
+        (burst_ns, parks, after.spin_hits - before.spin_hits)
+    });
+    burst_ns.sort_unstable();
+    let joins = burst_ns.len() as u64 * JOIN_BURST;
+    let per_join = |count: u64| format!("{:.4}", count as f64 / joins as f64);
+    t.push_row(vec![
+        placement.into(),
+        burst_ns.len().to_string(),
+        (burst_ns[burst_ns.len() / 2] / JOIN_BURST).to_string(),
+        per_join(parks),
+        per_join(spin_hits),
+    ]);
+}
+
+/// `kv-join` (`--profile`): the one path of the service that blocks a
+/// thread on a future — a client joining its requests in order.
+fn join_table(profile: &Profile) -> Table {
+    let mut t = Table::new(
+        "kv-join",
+        &format!("closed bursts of {JOIN_BURST} requests joined in spawn order (1 worker, {BASE_SHARDS} shards)"),
+        &["placement", "bursts", "ns_per_req", "parks_per_join", "spin_hits_per_join"],
+    );
+    push_join_row(&mut t, profile, "one-cpu", 0);
+    if online_cpus() >= 2 {
+        push_join_row(&mut t, profile, "two-cpus", 1);
+    }
+    t.note("ns_per_req: median burst, first spawn to last join; the generator is in lock-step with the worker");
+    t.note("parks: joins that slept in the kernel (a futex wake on the worker); spin_hits: joins answered while block_on still spun");
+    t.note("on one CPU no spin can be answered, so the spin budget decays to a probe; across CPUs nearly every join is a spin hit");
+    t
+}
 
 fn push_cell(
     t: &mut Table,
@@ -244,6 +320,7 @@ pub fn kv(profile: &Profile) -> Vec<Table> {
     let mut tables = vec![rates, shards, burst];
     if asl_locks::telemetry::profiling() {
         tables.push(exec);
+        tables.push(join_table(profile));
     }
     tables
 }
@@ -299,6 +376,18 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), n, "duplicate sample labels");
+    }
+
+    #[test]
+    fn join_table_counts_how_the_joins_waited() {
+        let t = join_table(&tiny());
+        assert_eq!(t.rows.len(), online_cpus().min(2));
+        for row in &t.rows {
+            assert!(
+                row[2].parse::<u64>().unwrap() > 0,
+                "{row:?}: no time per request"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! cost. [`Executor::new`] starts a fixed pool of workers draining one
 //! shared run queue (`Mutex<VecDeque>` + `Condvar`); [`Executor::spawn`]
 //! returns a [`JoinHandle`] to `.await` or [`JoinHandle::join`];
-//! [`block_on`] drives a future on the calling thread by park/unpark.
+//! [`block_on`] drives a future on the calling thread by spin-then-park.
 //!
 //! Under a 1.5 µs critical section (the benchmark's `host-kv`) this
 //! layer, not any lock, was most of a request, so it is held to the
@@ -23,9 +23,25 @@
 //!   signals the condition variable (always a `futex` system call)
 //!   only if one is. A worker that is awake checks the queue, under
 //!   that mutex, before it sleeps: no wake-up is lost.
-//! * `join` is `block_on(handle)`, parked on the waker slot `.await`
-//!   uses, with a per-thread waker made once: completion enters the
-//!   kernel only if a joiner is parked.
+//! * `join` is `block_on(handle)`, waiting on the waker slot `.await`
+//!   uses, with a per-thread waker made once. A wake is one store to
+//!   that thread's wait word, and `block_on` spins on the word before
+//!   it parks: a joiner in lock-step with its worker is not parked, so
+//!   a completion enters the kernel only for a joiner that really
+//!   sleeps ([`wait_stats`] counts polls, spin hits and parks).
+//! * The spin budget tunes itself, per thread, from nothing but its own
+//!   hits and misses (not `relax::yields_every_poll()`, which answers
+//!   for whichever thread asked first). An answered spin sets it to
+//!   `SPIN_CAP` = 2 048 rounds: one cross-CPU park/unpark pair on the
+//!   2-CPU reference host (20 µs, `unpark` alone 9.5 µs; a round is
+//!   11 ns). A spin that runs out halves it, so joiner and worker on
+//!   one CPU, where no spin can be answered, stop spinning within a
+//!   dozen joins, while one answer undoes any run of misses: a few
+//!   stalls of the worker in a row cannot strand the budget below a
+//!   task's length. At zero, every `PROBE_EVERY` = 32nd park is
+//!   preceded by a 64-round probe — 2 rounds a park — which brought a
+//!   budget of zero back after 32–64 parks of a 2 000-join burst
+//!   across CPUs.
 //! * Dropping the executor cancels tasks parked on external primitives
 //!   (an async-mutex wait queue), found in a registry a task joins
 //!   when a poll first returns `Pending`, and tasks still in the queue.
@@ -41,7 +57,7 @@
 //! assert_eq!(block_on(handle), 42);
 //! ```
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::mem::{replace, take, ManuallyDrop};
@@ -410,32 +426,125 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-struct Unparker(thread::Thread);
+/// `block_on`'s wait word: no wake since the last poll began.
+const AWAKE: u8 = 0;
+/// The thread sleeps in `park`; a wake must `unpark` it.
+const ASLEEP: u8 = 1;
+/// A wake arrived: poll again.
+const WOKEN: u8 = 2;
+
+/// Most `spin_loop` rounds a `Pending` poll watches the wait word for
+/// before the thread parks: one cross-CPU park/unpark pair (module docs).
+const SPIN_CAP: u32 = 2_048;
+/// With the budget at zero, every this-many-th park is preceded by a
+/// probe of `SPIN_CAP / PROBE_EVERY` rounds.
+const PROBE_EVERY: u32 = 32;
+
+struct Unparker {
+    thread: thread::Thread,
+    word: AtomicU8,
+}
 
 impl Wake for Unparker {
+    /// One write to the waiter's line; the kernel only if it sleeps.
     fn wake(self: Arc<Self>) {
-        self.0.unpark();
+        if self.word.swap(WOKEN, AcqRel) == ASLEEP {
+            self.thread.unpark();
+        }
     }
+}
+
+/// Leaves the wait word `WOKEN` when a `block_on` returns or unwinds: a
+/// nested one shares the outer one's word and may have consumed its
+/// wake, so the outer loop polls once more instead of sleeping on it.
+struct Renotify<'a>(&'a AtomicU8);
+
+impl Drop for Renotify<'_> {
+    fn drop(&mut self) {
+        self.0.store(WOKEN, Release);
+    }
+}
+
+/// What the calling thread's [`block_on`]s, so also its
+/// [`JoinHandle::join`]s, have done so far ([`wait_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WaitStats {
+    /// Polls of a `block_on` future.
+    pub polls: u64,
+    /// `Pending` polls answered inside the spin: no system call.
+    pub spin_hits: u64,
+    /// `Pending` polls that put the thread to sleep in the kernel.
+    pub parks: u64,
+    /// `spin_loop` rounds spent watching the wait word.
+    pub spins: u64,
 }
 
 thread_local! {
     /// This thread's `block_on` waker, made once: `join` never allocates.
-    static UNPARKER: Waker = Waker::from(Arc::new(Unparker(thread::current())));
+    static UNPARKER: (Arc<Unparker>, Waker) = {
+        let (thread, word) = (thread::current(), AtomicU8::new(AWAKE));
+        let unparker = Arc::new(Unparker { thread, word });
+        (unparker.clone(), Waker::from(unparker))
+    };
+    /// Spin rounds this thread's next `Pending` poll may spend.
+    static BUDGET: Cell<u32> = const { Cell::new(SPIN_CAP) };
+    static STATS: Cell<WaitStats> =
+        const { Cell::new(WaitStats { polls: 0, spin_hits: 0, parks: 0, spins: 0 }) };
+}
+
+/// The calling thread's [`WaitStats`] so far.
+pub fn wait_stats() -> WaitStats {
+    STATS.get()
+}
+
+/// After a `Pending` poll: watch `word` for this thread's spin budget,
+/// then park until a wake. A spin that is answered restores the budget
+/// to `SPIN_CAP`; one that runs out halves it.
+fn await_wake(word: &AtomicU8) {
+    let mut stats = STATS.get();
+    let mut budget = BUDGET.get();
+    if budget == 0 && stats.parks % u64::from(PROBE_EVERY) == 0 {
+        budget = SPIN_CAP / PROBE_EVERY;
+    }
+    let mut spun = 0;
+    while spun < budget && word.load(Acquire) != WOKEN {
+        std::hint::spin_loop();
+        spun += 1;
+    }
+    let hit = spun < budget;
+    BUDGET.set(if hit { SPIN_CAP } else { BUDGET.get() / 2 });
+    let park = !hit && word.compare_exchange(AWAKE, ASLEEP, AcqRel, Acquire) == Ok(AWAKE);
+    stats.spins += u64::from(spun);
+    stats.spin_hits += u64::from(hit);
+    stats.parks += u64::from(park);
+    STATS.set(stats);
+    // `park` may return early, or on a token some other `unpark` left.
+    while park && word.load(Acquire) == ASLEEP {
+        thread::park();
+    }
 }
 
 /// Drive `future` to completion on the calling thread.
 ///
-/// Uses `thread::park` between polls (`unpark` enters the kernel only
-/// if the thread is parked); `park` may also return spuriously, which
-/// just costs one extra poll. A `block_on` nested in a future that is
-/// `block_on`-driven on the same thread shares its waker and park token.
+/// A wake stores to the thread's wait word, which is cleared before
+/// each poll; after a `Pending` poll the thread spins on it for a
+/// self-tuning budget and only then parks (module docs). A `block_on`
+/// nested in a future that is `block_on`-driven on the same thread
+/// shares its waker and word, and costs that future one spurious poll.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = std::pin::pin!(future);
-    UNPARKER.with(|waker| loop {
-        if let Poll::Ready(v) = future.as_mut().poll(&mut Context::from_waker(waker)) {
-            return v;
+    UNPARKER.with(|(unparker, waker)| {
+        let _renotify = Renotify(&unparker.word);
+        loop {
+            unparker.word.store(AWAKE, Relaxed);
+            let mut stats = STATS.get();
+            stats.polls += 1;
+            STATS.set(stats);
+            if let Poll::Ready(v) = future.as_mut().poll(&mut Context::from_waker(waker)) {
+                return v;
+            }
+            await_wake(&unparker.word);
         }
-        thread::park();
     })
 }
 
@@ -486,6 +595,32 @@ mod tests {
     #[test]
     fn block_on_ready() {
         assert_eq!(block_on(async { 7 }), 7);
+    }
+
+    #[test]
+    fn nested_block_on_keeps_the_outer_wake() {
+        within_deadline(|| {
+            let exec = Executor::new(1);
+            let ready = Arc::new(AtomicBool::new(false));
+            // The first poll hands its waker to a thread that fires it
+            // after 10 ms, waits 60 ms in a nested `block_on` (which
+            // shares the wait word, and so sees that wake) and returns
+            // `Pending`: the outer loop must poll again, not sleep.
+            block_on(std::future::poll_fn(|cx| {
+                if ready.load(Acquire) {
+                    return Poll::Ready(());
+                }
+                let (ready, waker) = (ready.clone(), cx.waker().clone());
+                thread::spawn(move || {
+                    thread::sleep(Duration::from_millis(10));
+                    ready.store(true, Release);
+                    waker.wake();
+                });
+                let slow = exec.spawn(async { thread::sleep(Duration::from_millis(60)) });
+                slow.join();
+                Poll::Pending
+            }));
+        });
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! * [`affinity`] optionally pins threads to distinct physical CPUs for
 //!   stable measurements (the paper pins threads too).
 //! * [`exec`] is a minimal no-dependency async executor (multi-worker
-//!   run queue, `block_on`, one allocation and no system call per
-//!   task that never waits) — the task substrate for
+//!   run queue, spin-then-park `block_on`, one allocation and no
+//!   system call per task that never waits) — the task substrate for
 //!   connection-per-task serving workloads, where `asl-locks`' async
 //!   mutexes park waiters as queued wakers instead of blocked threads.
 //! * [`substrate`] is the pluggable execution backend behind every
@@ -61,7 +61,7 @@ pub mod work;
 pub use atomic_model::AtomicAffinity;
 pub use cacheline::CacheLineArena;
 pub use clock::{coarse_now_ns, now_ns};
-pub use exec::{block_on, ExecStats, Executor, JoinHandle};
+pub use exec::{block_on, wait_stats, ExecStats, Executor, JoinHandle, WaitStats};
 pub use fault::{FaultInjector, FaultPlan, FaultState, FaultStats};
 pub use registry::{current_core, is_big_core, register_on_core, CoreAssignment};
 pub use relax::Spin;

@@ -187,7 +187,9 @@ pub use asl_locks::{
 };
 pub use asl_locks::{Gate, Gcr, GcrConfig, GcrPlain};
 pub use asl_runtime::clock;
-pub use asl_runtime::{block_on, CoreKind, ExecStats, Executor, JoinHandle, Topology};
+pub use asl_runtime::{
+    block_on, wait_stats, CoreKind, ExecStats, Executor, JoinHandle, Topology, WaitStats,
+};
 
 /// The recommended application-facing mutex: LibASL dispatch over a
 /// reorderable MCS lock.

@@ -14,9 +14,13 @@ use std::path::{Path, PathBuf};
 /// * `relax.rs` *is* the Spin implementation;
 /// * `blocking.rs` uses bounded pre-park spin phases (fixed iteration
 ///   counts before a futex wait, not open-ended waits);
+/// * `exec.rs` likewise: `block_on`'s pre-park spin, bounded by a
+///   budget that halves each time it runs out (and `Spin` would route
+///   an executor wait to the simulator substrate);
 /// * this audit names the pattern it greps for.
 const ALLOWED: &[&str] = &[
     "crates/runtime/src/relax.rs",
+    "crates/runtime/src/exec.rs",
     "crates/locks/src/blocking.rs",
     "tests/spin_hygiene.rs",
 ];
