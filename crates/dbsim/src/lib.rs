@@ -111,7 +111,7 @@ where
 /// The label ("sqlite.table", ...) is what per-engine lock stats
 /// report contention under when profiling is on.
 pub fn guarded_slot<T>(factory: &dyn LockFactory, label: &'static str, value: T) -> DynMutex<T> {
-    DynMutex::new(factory.make_labeled(label), value)
+    DynMutex::with_lock(value, DynLock::new(factory.make_labeled(label)))
 }
 
 /// A named, data-free lock from `factory` (pure ordering points like
@@ -133,7 +133,7 @@ pub fn guarded_rw_slot<T>(
     label: &'static str,
     value: T,
 ) -> DynRwMutex<T> {
-    DynRwMutex::new(factory.make_rw_labeled(label), value)
+    DynRwMutex::with_lock(value, DynRwLock::new(factory.make_rw_labeled(label)))
 }
 
 /// A named, data-free reader-writer lock from `factory`

@@ -25,22 +25,14 @@
 //! `DIR/BENCH_overhead.json` with one `lock@layer=<layer>` record per
 //! cell, giving CI a machine-readable per-PR latency baseline.
 
-use asl_core::{AslBlockingLock, AslClhLock, AslRwLock, AslShflLock, AslSpinLock, AslTicketLock};
 use asl_locks::api::{Guard, WriteGuard};
-use asl_locks::plain::PlainLock;
-use asl_locks::shuffle::{ClassLocalPolicy, ShuffleLock};
+use asl_locks::plain::{PlainLock, RwTokenWords, TokenWords};
 use asl_locks::telemetry::{self, Instrumented, InstrumentedRw};
-use asl_locks::{
-    bridge_apply, Adaptive, Bravo, CcSynch, ClhLock, CnaLock, CohortLock, DelegatedMutex, FcBan,
-    FlatCombiner, MalthusianLock, McsLock, McsStpLock, ProportionalLock, PthreadMutex, RawLock,
-    RawRwLock, RclLock, RwTicketLock, TasLock, TicketLock,
-};
+use asl_locks::{RawLock, RawRwLock};
 use asl_runtime::clock::{self, now_ns};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 use super::Profile;
-use crate::locks::{registry, AslSubstrate, BravoInner, LockSpec, StaticWindowLock};
+use crate::locks::{registry, LockSink, LockSpec};
 use crate::report::{host_clock_note, Table};
 
 /// The access layers measured, in column order (also the `@layer=`
@@ -170,83 +162,58 @@ impl Meter {
     }
 }
 
-/// Prepare `spec`'s statically dispatched leg: a match mirroring
-/// [`LockSpec::make_lock_raw`], but monomorphized per concrete lock
-/// type. `instr` wraps the concrete type in a static
-/// [`Instrumented`]/[`InstrumentedRw`] (how `instrumented-<name>`
-/// registry entries are measured at this layer; nesting beyond one
-/// wrap measures as one).
-fn static_leg(spec: &LockSpec, m: &Meter, instr: bool) -> Leg {
-    match spec {
-        LockSpec::Instrumented(inner) => static_leg(inner, m, true),
-        LockSpec::Pthread => m.raw(PthreadMutex::new(), instr),
-        LockSpec::Tas(aff) => m.raw(TasLock::with_affinity(*aff), instr),
-        LockSpec::Ticket => m.raw(TicketLock::new(), instr),
-        LockSpec::Mcs => m.raw(McsLock::new(), instr),
-        LockSpec::McsStp => m.raw(McsStpLock::new(), instr),
-        LockSpec::ShflPb(n) => m.raw(ProportionalLock::new(*n), instr),
-        LockSpec::Cna => m.raw(CnaLock::new(), instr),
-        LockSpec::Cohort => m.raw(CohortLock::new(), instr),
-        LockSpec::Malthusian(None) => m.raw(MalthusianLock::new(), instr),
-        LockSpec::Malthusian(Some(p)) => m.raw(MalthusianLock::with_period(*p), instr),
-        // The GCR wrapper is generic over its inner lock, so the
-        // "static" layer here is the concrete GcrPlain facade over
-        // the inner spec's plain lock (the gate cost is identical;
-        // only the inner dispatch differs, measured by dyn_ns).
-        LockSpec::Gcr(inner) => m.plain(asl_locks::GcrPlain::new(inner.make_lock_raw())),
-        LockSpec::ShuffleClassLocal { max_skips } => {
-            m.raw(ShuffleLock::new(ClassLocalPolicy::new(*max_skips)), instr)
-        }
-        LockSpec::Asl { substrate, .. } => match substrate {
-            AslSubstrate::Mcs => m.raw(AslSpinLock::default(), instr),
-            AslSubstrate::Clh => m.raw(AslClhLock::new(ClhLock::new()), instr),
-            AslSubstrate::Ticket => m.raw(AslTicketLock::new(TicketLock::new()), instr),
-            AslSubstrate::ShflFifo => m.raw(
-                AslShflLock::new(ShuffleLock::new(asl_locks::shuffle::FifoPolicy)),
-                instr,
-            ),
-        },
-        // LibASL-OPT only exists behind the plain facade; its static
-        // layer is the concrete (non-virtual) PlainLock impl. The
-        // registry carries no instrumented-libasl-opt entry, so the
-        // static-instrumented combination cannot be requested.
-        LockSpec::AslOpt { window_ns } => m.plain(StaticWindowLock::new(*window_ns)),
-        LockSpec::AslBlocking { .. } => m.raw(AslBlockingLock::new_blocking(), instr),
-        LockSpec::Adaptive => m.raw(Adaptive::new(), instr),
-        LockSpec::RwTicket => m.rw(RwTicketLock::new(), instr),
-        LockSpec::BravoRw(inner) => match inner {
-            BravoInner::Tas => m.rw(Bravo::new(TasLock::new()), instr),
-            BravoInner::Ticket => m.rw(Bravo::new(TicketLock::new()), instr),
-            BravoInner::Mcs => m.rw(Bravo::new(McsLock::new()), instr),
-            BravoInner::Clh => m.rw(Bravo::new(ClhLock::new()), instr),
-            BravoInner::Asl => m.rw(Bravo::new(AslSpinLock::default()), instr),
-        },
-        LockSpec::AslRw { .. } => m.rw(AslRwLock::default(), instr),
-        // Delegation locks exist only behind the plain facade (the
-        // baton bridge is itself the concrete PlainLock impl); like
-        // LibASL-OPT they have no static-instrumented combination.
-        LockSpec::Flatcomb => {
-            let mirror = Arc::new(AtomicBool::new(false));
-            let inner = FlatCombiner::new(0u64, bridge_apply(mirror.clone()));
-            m.plain(DelegatedMutex::new("flatcomb", inner, mirror))
-        }
-        LockSpec::CcSynch => {
-            let mirror = Arc::new(AtomicBool::new(false));
-            let inner = CcSynch::new(0u64, bridge_apply(mirror.clone()));
-            m.plain(DelegatedMutex::new("ccsynch", inner, mirror))
-        }
-        LockSpec::Rcl => {
-            let mirror = Arc::new(AtomicBool::new(false));
-            let inner = RclLock::new(0u64, bridge_apply(mirror.clone()));
-            let server = inner.start();
-            m.plain(DelegatedMutex::new("rcl", inner, mirror).keep_alive(server))
-        }
-        LockSpec::FcBan => {
-            let mirror = Arc::new(AtomicBool::new(false));
-            let inner = FcBan::new(0u64, bridge_apply(mirror.clone()));
-            m.plain(DelegatedMutex::new("fc-ban", inner, mirror))
-        }
+/// The statically dispatched leg as a sink of the registry's
+/// constructor walk ([`LockSpec::build`]): whatever concrete lock a
+/// spec builds is measured monomorphized, with no vtable. `instr`
+/// wraps it in a static [`Instrumented`]/[`InstrumentedRw`] (how
+/// `instrumented-<name>` registry entries are measured at this layer;
+/// nesting beyond one wrap measures as one). Locks that exist only
+/// behind the plain facade (LibASL-OPT, the delegation bridge) are
+/// measured through their concrete, non-virtual `PlainLock` impl and
+/// have no static-instrumented combination; a `gcr-<name>` entry's
+/// static layer is the concrete `Gcr` over the erased inner lock (the
+/// gate cost is what it adds; the inner dispatch is what `dyn_ns`
+/// measures).
+struct StaticLeg<'a> {
+    m: &'a Meter,
+    instr: bool,
+}
+
+impl LockSink for StaticLeg<'_> {
+    type Out = Leg;
+
+    fn raw<L>(self, lock: L) -> Leg
+    where
+        L: RawLock + 'static,
+        L::Token: TokenWords,
+    {
+        self.m.raw(lock, self.instr)
     }
+
+    fn rw<L>(self, lock: L) -> Leg
+    where
+        L: RawRwLock + 'static,
+        L::ReadToken: RwTokenWords,
+        L::WriteToken: TokenWords,
+    {
+        self.m.rw(lock, self.instr)
+    }
+
+    fn plain<P: PlainLock + 'static>(self, lock: P) -> Leg {
+        self.m.plain(lock)
+    }
+
+    fn instrumented(self, _label: &str, inner: &LockSpec) -> Leg {
+        inner.build(StaticLeg {
+            instr: true,
+            ..self
+        })
+    }
+}
+
+/// Prepare `spec`'s statically dispatched leg.
+fn static_leg(spec: &LockSpec, m: &Meter) -> Leg {
+    spec.build(StaticLeg { m, instr: false })
 }
 
 /// Build the overhead table for an explicit spec list (unit tests use
@@ -279,7 +246,7 @@ pub(crate) fn overhead_table(m: &Meter, specs: &[LockSpec]) -> Table {
     let registry_mark = telemetry::registered_len();
     for spec in specs {
         telemetry::set_profiling(false);
-        let mut stat_leg = static_leg(spec, m, false);
+        let mut stat_leg = static_leg(spec, m);
         let mut dyn_leg = m.dyn_spec(spec);
         // Already-instrumented registry entries are measured as
         // themselves, not re-wrapped — a nested
@@ -398,11 +365,11 @@ mod tests {
 
     #[test]
     fn static_layer_handles_every_registry_family() {
-        // The static dispatch match must not panic for any catalogued
-        // spec (a gap here silently drops a lock from the baseline).
+        // The static sink must measure every catalogued spec (a gap
+        // here silently drops a lock from the baseline).
         let m = tiny();
         for entry in registry() {
-            let ns = static_leg(&entry.spec, &m, false)();
+            let ns = static_leg(&entry.spec, &m)();
             assert!(
                 ns.is_finite() && ns > 0.0,
                 "{}: bad static ns {ns}",

@@ -38,13 +38,15 @@ use std::sync::Arc;
 
 use asl_core::{AslBlockingLock, AslLock, AslRwLock, AslSpinLock, ReorderableLock, SpinWait};
 use asl_locks::api::{DynLock, DynRwLock};
-use asl_locks::plain::{ExclusiveRw, PlainLock, PlainRwLock, PlainToken, WriteHalf};
+use asl_locks::plain::{
+    ExclusiveRw, PlainLock, PlainRwLock, PlainToken, RwTokenWords, TokenWords, WriteHalf,
+};
 use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, ShuffleLock};
 use asl_locks::telemetry;
 use asl_locks::{
     bridge_apply, Adaptive, AsyncPolicy, Bravo, CcSynch, ClhLock, CnaLock, CohortLock,
-    DelegatedMutex, FcBan, FlatCombiner, GcrPlain, MalthusianLock, McsLock, McsStpLock,
-    ProportionalLock, PthreadMutex, RclLock, RwTicketLock, TasLock, TicketLock,
+    DelegatedMutex, FcBan, FlatCombiner, Gcr, MalthusianLock, McsLock, McsStpLock,
+    ProportionalLock, PthreadMutex, RawLock, RawRwLock, RclLock, RwTicketLock, TasLock, TicketLock,
 };
 use asl_runtime::registry::is_big_core;
 use asl_runtime::AtomicAffinity;
@@ -244,7 +246,6 @@ impl LockSpec {
             // admission gate serializes entries, so shared overlap
             // behind it would be misleading — and the write-half
             // degeneration is exactly the collapse case GCR targets.
-            LockSpec::Gcr(_) => false,
             _ => false,
         }
     }
@@ -281,37 +282,48 @@ impl LockSpec {
 
     /// [`LockSpec::make_lock`] without any telemetry wrapping.
     pub fn make_lock_raw(&self) -> Arc<dyn PlainLock> {
+        self.build(Erase { rw_site: false }).into_lock()
+    }
+
+    /// The one constructor walk: build this spec's concrete lock and
+    /// hand it, still statically typed, to `sink`. Everything that
+    /// materializes a spec derives from this match — the erased
+    /// factories below and the overhead figure's monomorphised static
+    /// leg — so a new registry row is one arm here.
+    pub(crate) fn build<S: LockSink>(&self, sink: S) -> S::Out {
         match self {
-            LockSpec::Pthread => Arc::new(PthreadMutex::new()),
-            LockSpec::Tas(aff) => Arc::new(TasLock::with_affinity(*aff)),
-            LockSpec::Ticket => Arc::new(TicketLock::new()),
-            LockSpec::Mcs => Arc::new(McsLock::new()),
-            LockSpec::McsStp => Arc::new(McsStpLock::new()),
-            LockSpec::ShflPb(n) => Arc::new(ProportionalLock::new(*n)),
-            LockSpec::Cna => Arc::new(CnaLock::new()),
-            LockSpec::Cohort => Arc::new(CohortLock::new()),
-            LockSpec::Malthusian(None) => Arc::new(MalthusianLock::new()),
-            LockSpec::Malthusian(Some(p)) => Arc::new(MalthusianLock::with_period(*p)),
+            LockSpec::Pthread => sink.raw(PthreadMutex::new()),
+            LockSpec::Tas(aff) => sink.raw(TasLock::with_affinity(*aff)),
+            LockSpec::Ticket => sink.raw(TicketLock::new()),
+            LockSpec::Mcs => sink.raw(McsLock::new()),
+            LockSpec::McsStp => sink.raw(McsStpLock::new()),
+            LockSpec::ShflPb(n) => sink.raw(ProportionalLock::new(*n)),
+            LockSpec::Cna => sink.raw(CnaLock::new()),
+            LockSpec::Cohort => sink.raw(CohortLock::new()),
+            LockSpec::Malthusian(None) => sink.raw(MalthusianLock::new()),
+            LockSpec::Malthusian(Some(p)) => sink.raw(MalthusianLock::with_period(*p)),
             LockSpec::ShuffleClassLocal { max_skips } => {
-                Arc::new(ShuffleLock::new(ClassLocalPolicy::new(*max_skips)))
+                sink.raw(ShuffleLock::new(ClassLocalPolicy::new(*max_skips)))
             }
             LockSpec::Asl { substrate, .. } => match substrate {
-                AslSubstrate::Mcs => Arc::new(AslSpinLock::default()),
-                AslSubstrate::Clh => Arc::new(AslLock::new(ClhLock::new())),
-                AslSubstrate::Ticket => Arc::new(AslLock::new(TicketLock::new())),
-                AslSubstrate::ShflFifo => Arc::new(AslLock::new(ShuffleLock::new(FifoPolicy))),
+                AslSubstrate::Mcs => sink.raw(AslSpinLock::default()),
+                AslSubstrate::Clh => sink.raw(AslLock::new(ClhLock::new())),
+                AslSubstrate::Ticket => sink.raw(AslLock::new(TicketLock::new())),
+                AslSubstrate::ShflFifo => sink.raw(AslLock::new(ShuffleLock::new(FifoPolicy))),
             },
-            LockSpec::AslOpt { window_ns } => Arc::new(StaticWindowLock::new(*window_ns)),
-            LockSpec::AslBlocking { .. } => Arc::new(AslBlockingLock::new_blocking()),
-            LockSpec::Adaptive => Arc::new(Adaptive::new()),
+            // LibASL-OPT exists only behind the plain facade.
+            LockSpec::AslOpt { window_ns } => sink.plain(StaticWindowLock::new(*window_ns)),
+            LockSpec::AslBlocking { .. } => sink.raw(AslBlockingLock::new_blocking()),
+            LockSpec::Adaptive => sink.raw(Adaptive::new()),
             // Delegation locks behind the generic baton bridge: the
             // protected state is the baton word, ops are Lock/Unlock
-            // transfers. Under --profile the native constructors also
-            // register `<label>.combine` (and `.ban`) wait cells.
+            // transfers, and the bridge is itself the concrete
+            // PlainLock impl. Under --profile the native constructors
+            // also register `<label>.combine` (and `.ban`) wait cells.
             LockSpec::Flatcomb => {
                 let mirror = Arc::new(AtomicBool::new(false));
                 let inner = FlatCombiner::new(0u64, bridge_apply(mirror.clone()));
-                Arc::new(DelegatedMutex::new("flatcomb", inner, mirror))
+                sink.plain(DelegatedMutex::new("flatcomb", inner, mirror))
             }
             LockSpec::CcSynch => {
                 let mirror = Arc::new(AtomicBool::new(false));
@@ -320,7 +332,7 @@ impl LockSpec {
                 } else {
                     CcSynch::new(0u64, bridge_apply(mirror.clone()))
                 };
-                Arc::new(DelegatedMutex::new("ccsynch", inner, mirror))
+                sink.plain(DelegatedMutex::new("ccsynch", inner, mirror))
             }
             LockSpec::Rcl => {
                 let mirror = Arc::new(AtomicBool::new(false));
@@ -330,7 +342,7 @@ impl LockSpec {
                     RclLock::new(0u64, bridge_apply(mirror.clone()))
                 };
                 let server = inner.start();
-                Arc::new(DelegatedMutex::new("rcl", inner, mirror).keep_alive(server))
+                sink.plain(DelegatedMutex::new("rcl", inner, mirror).keep_alive(server))
             }
             LockSpec::FcBan => {
                 let mirror = Arc::new(AtomicBool::new(false));
@@ -339,20 +351,22 @@ impl LockSpec {
                 } else {
                     FcBan::new(0u64, bridge_apply(mirror.clone()))
                 };
-                Arc::new(DelegatedMutex::new("fc-ban", inner, mirror))
+                sink.plain(DelegatedMutex::new("fc-ban", inner, mirror))
             }
-            LockSpec::Instrumented(inner) => {
-                telemetry::instrument(&self.label(), inner.make_lock_raw())
-            }
+            LockSpec::Instrumented(inner) => sink.instrumented(&self.label(), inner),
             // The inner spec keeps its own telemetry/profiling
             // wrapping (under its own label); the gate goes outside
             // so passive parking is invisible to the inner lock.
-            LockSpec::Gcr(inner) => Arc::new(GcrPlain::new(inner.make_lock())),
-            // rw specs at exclusive call sites: every acquisition
-            // takes the write side.
-            LockSpec::RwTicket | LockSpec::BravoRw(_) | LockSpec::AslRw { .. } => {
-                Arc::new(WriteHalf::new(self.make_rw_lock_raw()))
-            }
+            LockSpec::Gcr(inner) => sink.raw(Gcr::new(inner.make_dyn())),
+            LockSpec::RwTicket => sink.rw(RwTicketLock::new()),
+            LockSpec::BravoRw(inner) => match inner {
+                BravoInner::Tas => sink.rw(Bravo::new(TasLock::new())),
+                BravoInner::Ticket => sink.rw(Bravo::new(TicketLock::new())),
+                BravoInner::Mcs => sink.rw(Bravo::new(McsLock::new())),
+                BravoInner::Clh => sink.rw(Bravo::new(ClhLock::new())),
+                BravoInner::Asl => sink.rw(Bravo::new(AslSpinLock::default())),
+            },
+            LockSpec::AslRw { .. } => sink.rw(AslRwLock::default()),
         }
     }
 
@@ -377,20 +391,102 @@ impl LockSpec {
 
     /// [`LockSpec::make_rw_lock`] without any telemetry wrapping.
     pub fn make_rw_lock_raw(&self) -> Arc<dyn PlainRwLock> {
+        self.build(Erase { rw_site: true }).into_rw()
+    }
+}
+
+/// What [`LockSpec::build`] hands each concrete lock to, by the
+/// interface the lock has.
+pub(crate) trait LockSink: Sized {
+    /// What the sink makes of a lock.
+    type Out;
+
+    /// An exclusive lock with the token interface.
+    fn raw<L>(self, lock: L) -> Self::Out
+    where
+        L: RawLock + 'static,
+        L::Token: TokenWords;
+
+    /// A reader-writer lock.
+    fn rw<L>(self, lock: L) -> Self::Out
+    where
+        L: RawRwLock + 'static,
+        L::ReadToken: RwTokenWords,
+        L::WriteToken: TokenWords;
+
+    /// An exclusive lock that exists only behind the object-safe
+    /// facade.
+    fn plain<P: PlainLock + 'static>(self, lock: P) -> Self::Out;
+
+    /// The `instrumented-<inner>` wrapper labelled `label`: the sink
+    /// decides at which layer the recording goes, then walks `inner`.
+    fn instrumented(self, label: &str, inner: &LockSpec) -> Self::Out;
+}
+
+/// The erasing sink behind [`LockSpec::make_lock_raw`] and
+/// [`LockSpec::make_rw_lock_raw`]: every lock goes behind the facade
+/// its own interface maps to, and the factory converts to the one its
+/// call site wants. `rw_site` is that call site, which only an
+/// `instrumented-` wrapper needs to know: it records both sides of a
+/// reader-writer lock at an rw call site, and one exclusive cell
+/// everywhere else.
+#[derive(Clone, Copy)]
+struct Erase {
+    rw_site: bool,
+}
+
+enum Erased {
+    Lock(Arc<dyn PlainLock>),
+    Rw(Arc<dyn PlainRwLock>),
+}
+
+impl Erased {
+    /// At an exclusive call site an rwlock hands out its write side.
+    fn into_lock(self) -> Arc<dyn PlainLock> {
         match self {
-            LockSpec::RwTicket => Arc::new(RwTicketLock::new()),
-            LockSpec::BravoRw(inner) => match inner {
-                BravoInner::Tas => Arc::new(Bravo::new(TasLock::new())),
-                BravoInner::Ticket => Arc::new(Bravo::new(TicketLock::new())),
-                BravoInner::Mcs => Arc::new(Bravo::new(McsLock::new())),
-                BravoInner::Clh => Arc::new(Bravo::new(ClhLock::new())),
-                BravoInner::Asl => Arc::new(Bravo::new(AslSpinLock::default())),
-            },
-            LockSpec::AslRw { .. } => Arc::new(AslRwLock::default()),
-            LockSpec::Instrumented(inner) if inner.is_rw() => {
-                telemetry::instrument_rw(&self.label(), inner.make_rw_lock_raw())
-            }
-            _ => Arc::new(ExclusiveRw::new(self.make_lock_raw())),
+            Erased::Lock(lock) => lock,
+            Erased::Rw(lock) => Arc::new(WriteHalf::new(lock)),
+        }
+    }
+
+    /// At an rw call site an exclusive lock degenerates shared mode
+    /// to an exclusive acquisition.
+    fn into_rw(self) -> Arc<dyn PlainRwLock> {
+        match self {
+            Erased::Lock(lock) => Arc::new(ExclusiveRw::new(lock)),
+            Erased::Rw(lock) => lock,
+        }
+    }
+}
+
+impl LockSink for Erase {
+    type Out = Erased;
+
+    fn raw<L>(self, lock: L) -> Erased
+    where
+        L: RawLock + 'static,
+        L::Token: TokenWords,
+    {
+        Erased::Lock(Arc::new(lock))
+    }
+
+    fn rw<L>(self, lock: L) -> Erased
+    where
+        L: RawRwLock + 'static,
+        L::ReadToken: RwTokenWords,
+        L::WriteToken: TokenWords,
+    {
+        Erased::Rw(Arc::new(lock))
+    }
+
+    fn plain<P: PlainLock + 'static>(self, lock: P) -> Erased {
+        Erased::Lock(Arc::new(lock))
+    }
+
+    fn instrumented(self, label: &str, inner: &LockSpec) -> Erased {
+        match inner.build(self) {
+            Erased::Rw(lock) if self.rw_site => Erased::Rw(telemetry::instrument_rw(label, lock)),
+            built => Erased::Lock(telemetry::instrument(label, built.into_lock())),
         }
     }
 }

@@ -46,9 +46,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use asl_locks::ccsynch::CcSynch;
-use asl_locks::gcr::{GcrConfig, GcrPlain};
+use asl_locks::gcr::{Gcr, GcrConfig};
 use asl_locks::watchdog::{StallWatchdog, WatchSample, WatchdogConfig};
-use asl_locks::PlainLock;
+use asl_locks::{DynLock, PlainLock};
 use asl_runtime::clock::{self, ms};
 use asl_runtime::fault::{FaultInjector, FaultPlan, FaultState};
 use asl_runtime::topology::Topology;
@@ -515,9 +515,8 @@ pub fn schedule_holder_preemption(seed: u64) -> BoutReport {
 /// back — the admission bound must hold (modulo the force-admits)
 /// and nobody may be lost.
 pub fn schedule_gcr_spurious(seed: u64) -> BoutReport {
-    let inner: Arc<dyn PlainLock> = lock_for("mcs");
-    let gcr = Arc::new(GcrPlain::with_config(
-        inner,
+    let gcr = Arc::new(Gcr::with_config(
+        DynLock::new(lock_for("mcs")),
         GcrConfig {
             initial_limit: 2,
             min_limit: 2,

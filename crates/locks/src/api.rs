@@ -13,18 +13,20 @@
 //! * [`Mutex`] — a data-carrying mutex generic over its lock
 //!   implementation (`Mutex<T, L: RawLock>`, MCS by default); `lock`
 //!   and `try_lock` return a [`MutexGuard`] that derefs to the data.
-//! * [`DynLock`] / [`DynGuard`] — the same drop-safety for
-//!   runtime-chosen locks (`Arc<dyn PlainLock>`), used wherever the
-//!   paper's evaluation swaps lock implementations by name.
-//! * [`DynMutex`] — a data-carrying mutex over a runtime-chosen lock;
-//!   the building block of the database engines' guarded slots.
+//! * [`DynLock`] — an owned `Arc<dyn PlainLock>`, used wherever the
+//!   paper's evaluation swaps lock implementations by name. It is
+//!   itself a [`RawLock`], so it is *one more lock type parameter* of
+//!   the two shapes above, not a second family: [`DynGuard`] is
+//!   `Guard<'_, DynLock>` and [`DynMutex<T>`](DynMutex) is
+//!   `Mutex<T, DynLock>` (the building block of the database engines'
+//!   guarded slots).
 //!
 //! Every shape has a reader-writer counterpart with the same
 //! discipline: [`ReadGuard`]/[`WriteGuard`] over a borrowed
-//! [`RawRwLock`], the data-carrying [`RwLock`], and
-//! [`DynRwLock`]/[`DynRwMutex`] over `Arc<dyn PlainRwLock>` for
-//! runtime-chosen rwlocks (shared guards overlap; exclusive guards
-//! exclude everyone).
+//! [`RawRwLock`], the data-carrying [`RwLock`], and [`DynRwLock`]
+//! (an owned `Arc<dyn PlainRwLock>`, itself a [`RawRwLock`];
+//! [`DynRwMutex<T>`](DynRwMutex) is `RwLock<T, DynRwLock>`). Shared
+//! guards overlap; exclusive guards exclude everyone.
 //!
 //! ```
 //! use asl_locks::api::{DynLock, Mutex};
@@ -339,23 +341,14 @@ impl DynLock {
     /// Acquire, blocking until granted; released when the guard drops.
     #[inline]
     pub fn lock(&self) -> DynGuard<'_> {
-        let token = self.inner.acquire();
-        DynGuard {
-            lock: &*self.inner,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
+        Guard::new(self)
     }
 
     /// Try to acquire without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
     pub fn try_lock(&self) -> Option<DynGuard<'_>> {
-        self.inner.try_acquire().map(|token| DynGuard {
-            lock: &*self.inner,
-            token: Some(token),
-            _not_send: PhantomData,
-        })
+        Guard::try_new(self)
     }
 
     /// Heuristic held/queued check.
@@ -375,11 +368,49 @@ impl DynLock {
     }
 }
 
-impl From<Arc<dyn PlainLock>> for DynLock {
-    fn from(inner: Arc<dyn PlainLock>) -> Self {
-        DynLock::new(inner)
+/// The erased handle is a lock like any other: its token is the
+/// [`PlainToken`] the object behind it issued, handed through
+/// untouched. Every layer written once over [`RawLock`] — [`Guard`],
+/// [`Mutex`], [`crate::Gcr`], [`crate::telemetry::Instrumented`] —
+/// therefore also covers runtime-chosen locks, and a wrapper over a
+/// `DynLock` is itself a [`PlainLock`] again
+/// ([`crate::plain::TokenWords`], the pass-through rule).
+impl RawLock for DynLock {
+    type Token = PlainToken;
+
+    #[inline]
+    fn lock(&self) -> PlainToken {
+        self.inner.acquire()
     }
+
+    #[inline]
+    fn try_lock(&self) -> Option<PlainToken> {
+        self.inner.try_acquire()
+    }
+
+    #[inline]
+    fn unlock(&self, token: PlainToken) {
+        self.inner.release(token);
+    }
+
+    #[inline]
+    fn is_locked(&self) -> bool {
+        self.inner.held()
+    }
+
+    const NAME: &'static str = "dyn";
 }
+
+/// RAII acquisition of a [`DynLock`], released on drop.
+pub type DynGuard<'a> = Guard<'a, DynLock>;
+
+/// A mutual-exclusion container over a runtime-chosen lock: the lock
+/// is an `Arc<dyn PlainLock>` picked at construction (typically from
+/// a `LockSpec` registry name) and handed to [`Mutex::with_lock`].
+pub type DynMutex<T> = Mutex<T, DynLock>;
+
+/// RAII guard for [`DynMutex`]: derefs to the protected data.
+pub type DynMutexGuard<'a, T> = MutexGuard<'a, T, DynLock>;
 
 impl fmt::Debug for DynLock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -387,152 +418,6 @@ impl fmt::Debug for DynLock {
             .field("name", &self.name())
             .field("held", &self.is_locked())
             .finish()
-    }
-}
-
-/// RAII acquisition of a [`DynLock`], released on drop.
-///
-/// `!Send` like every guard — release must happen on the acquiring
-/// thread:
-///
-/// ```compile_fail
-/// fn assert_send<T: Send>(_: T) {}
-/// let lock = asl_locks::api::DynLock::of(asl_locks::McsLock::new());
-/// assert_send(lock.lock()); // must not compile
-/// ```
-#[must_use = "a dropped guard releases the lock immediately"]
-pub struct DynGuard<'a> {
-    lock: &'a dyn PlainLock,
-    token: Option<PlainToken>,
-    _not_send: NotSend,
-}
-
-// SAFETY: a shared &DynGuard exposes nothing thread-unsafe; only Send
-// must stay suppressed (release must happen on the acquiring thread).
-unsafe impl Sync for DynGuard<'_> {}
-
-impl DynGuard<'_> {
-    /// Release now (equivalent to `drop`; reads better at call sites).
-    #[inline]
-    pub fn unlock(self) {}
-}
-
-impl Drop for DynGuard<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.lock.release(token);
-        }
-    }
-}
-
-/// A mutual-exclusion container over a runtime-chosen lock.
-///
-/// The dynamic counterpart of [`Mutex`]: the lock implementation is an
-/// `Arc<dyn PlainLock>` picked at construction (typically from a
-/// `LockSpec` registry name), the data lives inside, and `lock`
-/// returns a guard that derefs to it.
-pub struct DynMutex<T> {
-    lock: DynLock,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: standard mutex reasoning — the lock serializes access.
-unsafe impl<T: Send> Send for DynMutex<T> {}
-unsafe impl<T: Send> Sync for DynMutex<T> {}
-
-impl<T> DynMutex<T> {
-    /// New mutex protecting `value` with `lock`.
-    pub fn new(lock: impl Into<DynLock>, value: T) -> Self {
-        DynMutex {
-            lock: lock.into(),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquire, returning an RAII guard that derefs to the data.
-    #[inline]
-    pub fn lock(&self) -> DynMutexGuard<'_, T> {
-        let token = self.lock.plain().acquire();
-        DynMutexGuard {
-            mutex: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Try to acquire without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_lock(&self) -> Option<DynMutexGuard<'_, T>> {
-        self.lock.plain().try_acquire().map(|token| DynMutexGuard {
-            mutex: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        })
-    }
-
-    /// Whether the lock is currently held or queued.
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.lock.is_locked()
-    }
-
-    /// The lock handle (name, escape hatch).
-    pub fn lock_handle(&self) -> &DynLock {
-        &self.lock
-    }
-
-    /// Consume the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-}
-
-/// RAII guard for [`DynMutex`]: derefs to the protected data.
-#[must_use = "a dropped guard releases the lock immediately"]
-pub struct DynMutexGuard<'a, T> {
-    mutex: &'a DynMutex<T>,
-    token: Option<PlainToken>,
-    _not_send: NotSend,
-}
-
-// SAFETY: a shared &DynMutexGuard exposes &T / &DynMutex only; only
-// Send must stay suppressed.
-unsafe impl<T: Sync> Sync for DynMutexGuard<'_, T> {}
-
-impl<T> DynMutexGuard<'_, T> {
-    /// Release now (equivalent to `drop`).
-    #[inline]
-    pub fn unlock(self) {}
-}
-
-impl<T> Deref for DynMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: guard existence proves exclusive acquisition.
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T> DerefMut for DynMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: guard existence proves exclusive acquisition.
-        unsafe { &mut *self.mutex.data.get() }
-    }
-}
-
-impl<T> Drop for DynMutexGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.mutex.lock.plain().release(token);
-        }
     }
 }
 
@@ -929,46 +814,28 @@ impl DynRwLock {
 
     /// Acquire shared; released when the guard drops.
     #[inline]
-    pub fn read(&self) -> DynReadGuard<'_> {
-        let token = self.inner.acquire_read();
-        DynReadGuard {
-            lock: &*self.inner,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
+    pub fn read(&self) -> ReadGuard<'_, DynRwLock> {
+        ReadGuard::new(self)
     }
 
     /// Try to acquire shared without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_read(&self) -> Option<DynReadGuard<'_>> {
-        self.inner.try_acquire_read().map(|token| DynReadGuard {
-            lock: &*self.inner,
-            token: Some(token),
-            _not_send: PhantomData,
-        })
+    pub fn try_read(&self) -> Option<ReadGuard<'_, DynRwLock>> {
+        ReadGuard::try_new(self)
     }
 
     /// Acquire exclusive; released when the guard drops.
     #[inline]
-    pub fn write(&self) -> DynWriteGuard<'_> {
-        let token = self.inner.acquire_write();
-        DynWriteGuard {
-            lock: &*self.inner,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
+    pub fn write(&self) -> WriteGuard<'_, DynRwLock> {
+        WriteGuard::new(self)
     }
 
     /// Try to acquire exclusive without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_write(&self) -> Option<DynWriteGuard<'_>> {
-        self.inner.try_acquire_write().map(|token| DynWriteGuard {
-            lock: &*self.inner,
-            token: Some(token),
-            _not_send: PhantomData,
-        })
+    pub fn try_write(&self) -> Option<WriteGuard<'_, DynRwLock>> {
+        WriteGuard::try_new(self)
     }
 
     /// Heuristic held/queued check (either mode).
@@ -988,83 +855,66 @@ impl DynRwLock {
     }
 }
 
-impl From<Arc<dyn PlainRwLock>> for DynRwLock {
-    fn from(inner: Arc<dyn PlainRwLock>) -> Self {
-        DynRwLock::new(inner)
-    }
-}
+/// The erased rwlock handle is a [`RawRwLock`] whose tokens are the
+/// [`PlainRwToken`]s the object behind it issued (see the exclusive
+/// counterpart on [`DynLock`]).
+impl RawRwLock for DynRwLock {
+    type ReadToken = PlainRwToken;
+    type WriteToken = PlainRwToken;
 
-impl fmt::Debug for DynRwLock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DynRwLock")
-            .field("name", &self.name())
-            .field("held", &self.is_locked())
-            .finish()
-    }
-}
-
-/// Shared RAII acquisition of a [`DynRwLock`], released on drop.
-#[must_use = "a dropped guard releases the shared lock immediately"]
-pub struct DynReadGuard<'a> {
-    lock: &'a dyn PlainRwLock,
-    token: Option<PlainRwToken>,
-    _not_send: NotSend,
-}
-
-// SAFETY: exposes nothing thread-unsafe; only Send must stay
-// suppressed.
-unsafe impl Sync for DynReadGuard<'_> {}
-
-impl DynReadGuard<'_> {
-    /// Release now (equivalent to `drop`).
     #[inline]
-    pub fn unlock(self) {}
-}
-
-impl Drop for DynReadGuard<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.lock.release_read(token);
-        }
+    fn read(&self) -> PlainRwToken {
+        self.inner.acquire_read()
     }
-}
 
-/// Exclusive RAII acquisition of a [`DynRwLock`], released on drop.
-#[must_use = "a dropped guard releases the exclusive lock immediately"]
-pub struct DynWriteGuard<'a> {
-    lock: &'a dyn PlainRwLock,
-    token: Option<PlainRwToken>,
-    _not_send: NotSend,
-}
-
-// SAFETY: as for DynReadGuard.
-unsafe impl Sync for DynWriteGuard<'_> {}
-
-impl DynWriteGuard<'_> {
-    /// Release now (equivalent to `drop`).
     #[inline]
-    pub fn unlock(self) {}
-}
-
-impl Drop for DynWriteGuard<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.lock.release_write(token);
-        }
+    fn try_read(&self) -> Option<PlainRwToken> {
+        self.inner.try_acquire_read()
     }
+
+    #[inline]
+    fn unlock_read(&self, token: PlainRwToken) {
+        self.inner.release_read(token);
+    }
+
+    #[inline]
+    fn write(&self) -> PlainRwToken {
+        self.inner.acquire_write()
+    }
+
+    #[inline]
+    fn try_write(&self) -> Option<PlainRwToken> {
+        self.inner.try_acquire_write()
+    }
+
+    #[inline]
+    fn unlock_write(&self, token: PlainRwToken) {
+        self.inner.release_write(token);
+    }
+
+    #[inline]
+    fn is_locked(&self) -> bool {
+        self.inner.held()
+    }
+
+    #[inline]
+    fn is_write_locked(&self) -> bool {
+        self.inner.write_held()
+    }
+
+    const NAME: &'static str = "dyn-rw";
 }
 
-/// A reader-writer container over a runtime-chosen lock — the
-/// shared/exclusive counterpart of [`DynMutex`] and the building block
-/// of the database engines' read-mostly guarded slots.
+/// A reader-writer container over a runtime-chosen lock (handed to
+/// [`RwLock::with_lock`]) — the shared/exclusive counterpart of
+/// [`DynMutex`] and the building block of the database engines'
+/// read-mostly guarded slots.
 ///
 /// ```
 /// use asl_locks::api::{DynRwLock, DynRwMutex};
 /// use asl_locks::RwTicketLock;
 ///
-/// let index = DynRwMutex::new(DynRwLock::of(RwTicketLock::new()), vec![10, 20]);
+/// let index = DynRwMutex::with_lock(vec![10, 20], DynRwLock::of(RwTicketLock::new()));
 /// index.write().push(30);              // exclusive
 /// {
 ///     let a = index.read();            // shared...
@@ -1074,169 +924,14 @@ impl Drop for DynWriteGuard<'_> {
 /// }
 /// assert!(!index.is_locked());
 /// ```
-pub struct DynRwMutex<T> {
-    lock: DynRwLock,
-    data: UnsafeCell<T>,
-}
+pub type DynRwMutex<T> = RwLock<T, DynRwLock>;
 
-// SAFETY: standard rwlock reasoning (see RwLock above).
-unsafe impl<T: Send> Send for DynRwMutex<T> {}
-unsafe impl<T: Send + Sync> Sync for DynRwMutex<T> {}
-
-impl<T> DynRwMutex<T> {
-    /// New rw-mutex protecting `value` with `lock`.
-    pub fn new(lock: impl Into<DynRwLock>, value: T) -> Self {
-        DynRwMutex {
-            lock: lock.into(),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquire shared, returning a guard that derefs to the data.
-    #[inline]
-    pub fn read(&self) -> DynRwReadGuard<'_, T> {
-        let token = self.lock.plain().acquire_read();
-        DynRwReadGuard {
-            mutex: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Try to acquire shared without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_read(&self) -> Option<DynRwReadGuard<'_, T>> {
-        self.lock
-            .plain()
-            .try_acquire_read()
-            .map(|token| DynRwReadGuard {
-                mutex: self,
-                token: Some(token),
-                _not_send: PhantomData,
-            })
-    }
-
-    /// Acquire exclusive, returning a guard that derefs mutably.
-    #[inline]
-    pub fn write(&self) -> DynRwWriteGuard<'_, T> {
-        let token = self.lock.plain().acquire_write();
-        DynRwWriteGuard {
-            mutex: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Try to acquire exclusive without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_write(&self) -> Option<DynRwWriteGuard<'_, T>> {
-        self.lock
-            .plain()
-            .try_acquire_write()
-            .map(|token| DynRwWriteGuard {
-                mutex: self,
-                token: Some(token),
-                _not_send: PhantomData,
-            })
-    }
-
-    /// Whether the lock is currently held or queued (either mode).
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.lock.is_locked()
-    }
-
-    /// The lock handle (name, escape hatch).
-    pub fn lock_handle(&self) -> &DynRwLock {
-        &self.lock
-    }
-
-    /// Consume the rw-mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-}
-
-/// Shared RAII guard for [`DynRwMutex`]: derefs to the data.
-#[must_use = "a dropped guard releases the shared lock immediately"]
-pub struct DynRwReadGuard<'a, T> {
-    mutex: &'a DynRwMutex<T>,
-    token: Option<PlainRwToken>,
-    _not_send: NotSend,
-}
-
-// SAFETY: exposes &T / &DynRwMutex only; only Send must stay
-// suppressed.
-unsafe impl<T: Sync> Sync for DynRwReadGuard<'_, T> {}
-
-impl<T> DynRwReadGuard<'_, T> {
-    /// Release now (equivalent to `drop`).
-    #[inline]
-    pub fn unlock(self) {}
-}
-
-impl<T> Deref for DynRwReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: a live read guard proves no writer is active.
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T> Drop for DynRwReadGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.mutex.lock.plain().release_read(token);
-        }
-    }
-}
-
-/// Exclusive RAII guard for [`DynRwMutex`]: derefs mutably.
-#[must_use = "a dropped guard releases the exclusive lock immediately"]
-pub struct DynRwWriteGuard<'a, T> {
-    mutex: &'a DynRwMutex<T>,
-    token: Option<PlainRwToken>,
-    _not_send: NotSend,
-}
-
-// SAFETY: as for DynRwReadGuard.
-unsafe impl<T: Sync> Sync for DynRwWriteGuard<'_, T> {}
-
-impl<T> DynRwWriteGuard<'_, T> {
-    /// Release now (equivalent to `drop`).
-    #[inline]
-    pub fn unlock(self) {}
-}
-
-impl<T> Deref for DynRwWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: guard existence proves exclusive acquisition.
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T> DerefMut for DynRwWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: guard existence proves exclusive acquisition.
-        unsafe { &mut *self.mutex.data.get() }
-    }
-}
-
-impl<T> Drop for DynRwWriteGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.mutex.lock.plain().release_write(token);
-        }
+impl fmt::Debug for DynRwLock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DynRwLock")
+            .field("name", &self.name())
+            .field("held", &self.is_locked())
+            .finish()
     }
 }
 
@@ -1283,11 +978,11 @@ mod tests {
 
     #[test]
     fn dyn_mutex_guards_data() {
-        let m = DynMutex::new(DynLock::of(TicketLock::new()), vec![1, 2]);
+        let m = DynMutex::with_lock(vec![1, 2], DynLock::of(TicketLock::new()));
         m.lock().push(3);
         assert_eq!(&*m.lock(), &[1, 2, 3]);
         assert!(!m.is_locked());
-        assert_eq!(m.lock_handle().name(), "ticket");
+        assert_eq!(m.raw().name(), "ticket");
         assert_eq!(m.into_inner(), vec![1, 2, 3]);
     }
 
@@ -1336,7 +1031,7 @@ mod tests {
         use crate::plain::ExclusiveRw;
 
         // Native rwlock: reads genuinely overlap.
-        let m = DynRwMutex::new(DynRwLock::of(RwTicketLock::new()), 7u64);
+        let m = DynRwMutex::with_lock(7u64, DynRwLock::of(RwTicketLock::new()));
         {
             let a = m.read();
             let b = m.read();
@@ -1344,13 +1039,13 @@ mod tests {
         }
         *m.write() += 1;
         assert_eq!(*m.read(), 8);
-        assert_eq!(m.lock_handle().name(), "rw-ticket");
+        assert_eq!(m.raw().name(), "rw-ticket");
 
         // Exclusive lock through the same interface: reads serialize
         // but the call sites do not change.
-        let m = DynRwMutex::new(
-            DynRwLock::new(Arc::new(ExclusiveRw::new(Arc::new(McsLock::new())))),
+        let m = DynRwMutex::with_lock(
             7u64,
+            DynRwLock::new(Arc::new(ExclusiveRw::new(Arc::new(McsLock::new())))),
         );
         {
             let a = m.read();
@@ -1359,7 +1054,7 @@ mod tests {
         }
         *m.write() += 1;
         assert_eq!(*m.read(), 8);
-        assert_eq!(m.lock_handle().name(), "mcs");
+        assert_eq!(m.raw().name(), "mcs");
     }
 
     #[test]

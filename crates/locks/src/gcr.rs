@@ -9,8 +9,9 @@
 //! lock-agnostic: bound the number of threads allowed to *compete*
 //! for the lock, and park the excess where they cost nothing.
 //!
-//! [`Gcr`] wraps any [`RawLock`] (and [`GcrPlain`] any runtime-chosen
-//! `Arc<dyn PlainLock>`) with a [`Gate`]:
+//! [`Gcr`] wraps any [`RawLock`] — a runtime-chosen one included:
+//! the registry's `gcr-<name>` specs are `Gcr<DynLock>` over the
+//! erased handle ([`crate::api::DynLock`]) — with a [`Gate`]:
 //!
 //! * at most `K` threads are **admitted** — inside the wrapped lock's
 //!   own waiter set or holding it;
@@ -73,12 +74,10 @@
 use std::cell::{Cell, UnsafeCell};
 use std::ptr;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread::Thread;
 
 use asl_runtime::clock::now_ns;
 
-use crate::plain::{PlainLock, PlainToken};
 use crate::telemetry::{TelemetryCell, TelemetrySnapshot};
 use crate::{RawLock, TasLock};
 
@@ -561,7 +560,7 @@ impl Gate {
     }
 }
 
-/// Tuning for a [`Gcr`]/[`GcrPlain`] wrapper.
+/// Tuning for a [`Gcr`] wrapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcrConfig {
     /// Starting admission bound.
@@ -646,7 +645,7 @@ struct CtlState {
     window_start_ns: u64,
 }
 
-/// The adaptive-K controller shared by [`Gcr`] and [`GcrPlain`].
+/// The adaptive-K controller of a [`Gcr`].
 struct Controller {
     cfg: GcrConfig,
     state: UnsafeCell<CtlState>,
@@ -757,6 +756,21 @@ impl Controller {
 /// docs). The token passes through unchanged, so the wrapper composes
 /// with every layer built on `RawLock` — guards, the object-safe
 /// facade, instrumentation.
+///
+/// # Over an erased lock
+///
+/// `Gcr<DynLock>` is what a `gcr-<name>` registry spec builds, and it
+/// is erased again into `Arc<dyn PlainLock>` by the facade's blanket
+/// impl (the inner lock's tokens pass through whole, so debug-build
+/// ownership tags keep working). It has everything `Gcr<L>` has that
+/// is expressed in [`RawLock`] terms. What stops at the erasure
+/// boundary is any capability that is a *separate trait* of the inner
+/// lock: the timed acquire below needs `L: RawTimedLock`, and
+/// [`PlainLock`](crate::plain::PlainLock) has no timed entry point, so
+/// `DynLock` cannot offer one whatever it wraps — `gcr-mcs` has no
+/// `try_lock_until` although `Gcr<McsLock>` does. (The admission half,
+/// [`Gate::admit_until`], is inner-lock-agnostic and would work; it is
+/// the inner wait that cannot be bounded through the facade.)
 pub struct Gcr<L: RawLock> {
     inner: L,
     gate: Gate,
@@ -918,127 +932,6 @@ impl<L: crate::timed::RawTimedLock> crate::timed::RawTimedLock for Gcr<L> {
                 None
             }
         }
-    }
-}
-
-/// Concurrency-restricted wrapper over a runtime-chosen lock — the
-/// registry's `gcr-<name>` specs materialize these. The inner lock's
-/// tokens pass through untouched (releases delegate, so debug-build
-/// ownership tags keep working).
-pub struct GcrPlain {
-    inner: Arc<dyn PlainLock>,
-    gate: Gate,
-    ctl: Controller,
-    cell: TelemetryCell,
-}
-
-impl GcrPlain {
-    /// Wrap `inner` with the default (host-sized, adaptive) config.
-    pub fn new(inner: Arc<dyn PlainLock>) -> Self {
-        Self::with_config(inner, GcrConfig::default())
-    }
-
-    /// Wrap `inner` with an explicit config.
-    pub fn with_config(inner: Arc<dyn PlainLock>, cfg: GcrConfig) -> Self {
-        cfg.validate();
-        GcrPlain {
-            inner,
-            gate: Gate::new(cfg.initial_limit, cfg.reintroduce_period),
-            ctl: Controller::new(cfg),
-            cell: TelemetryCell::sampled(),
-        }
-    }
-
-    /// Current admission bound `K`.
-    pub fn limit(&self) -> u32 {
-        self.gate.limit()
-    }
-
-    /// Threads currently admitted.
-    pub fn active(&self) -> u32 {
-        self.gate.active()
-    }
-
-    /// Passive (parked) waiters right now.
-    pub fn passive_len(&self) -> u32 {
-        self.gate.passive_len()
-    }
-
-    /// Highest admitted-set size ever reached.
-    pub fn peak_active(&self) -> u32 {
-        self.gate.peak_active()
-    }
-
-    /// Forced reintroductions performed.
-    pub fn reintroduced(&self) -> u64 {
-        self.gate.reintroduced()
-    }
-
-    /// Controller grow decisions taken.
-    pub fn grows(&self) -> u64 {
-        self.ctl.grows.load(Ordering::Relaxed)
-    }
-
-    /// Controller shrink decisions taken.
-    pub fn shrinks(&self) -> u64 {
-        self.ctl.shrinks.load(Ordering::Relaxed)
-    }
-
-    /// The telemetry the controller feeds on.
-    pub fn telemetry(&self) -> &TelemetryCell {
-        &self.cell
-    }
-}
-
-impl PlainLock for GcrPlain {
-    fn acquire(&self) -> PlainToken {
-        let waited = self.gate.admit();
-        let contended = waited || self.inner.held();
-        let t0 = if self.cell.sampling() && contended {
-            now_ns()
-        } else {
-            0
-        };
-        let token = self.inner.acquire();
-        if t0 != 0 {
-            self.cell.add_wait_ns(now_ns().saturating_sub(t0));
-        }
-        self.cell.record_acquisition_exclusive(contended);
-        self.cell.note_hold_start();
-        token
-    }
-
-    fn try_acquire(&self) -> Option<PlainToken> {
-        if !self.gate.try_admit() {
-            return None;
-        }
-        match self.inner.try_acquire() {
-            Some(token) => {
-                self.cell.record_acquisition_exclusive(false);
-                self.cell.note_hold_start();
-                Some(token)
-            }
-            None => {
-                self.gate.exit();
-                None
-            }
-        }
-    }
-
-    fn release(&self, token: PlainToken) {
-        self.cell.note_hold_end();
-        // Safety: we hold the wrapped lock until the next line.
-        unsafe { self.ctl.tick(&self.cell, &self.gate) };
-        self.inner.release(token);
-        self.gate.exit();
-    }
-
-    fn held(&self) -> bool {
-        self.inner.held() || self.gate.passive_len() > 0
-    }
-
-    fn lock_name(&self) -> &'static str {
-        "gcr"
     }
 }
 
@@ -1270,9 +1163,11 @@ mod tests {
     }
 
     #[test]
-    fn plain_wrapper_delegates_and_restricts() {
-        let lock: Arc<dyn PlainLock> = Arc::new(GcrPlain::with_config(
-            Arc::new(McsLock::new()),
+    fn erased_wrapper_delegates_and_restricts() {
+        use crate::api::DynLock;
+        use crate::plain::PlainLock;
+        let lock: Arc<dyn PlainLock> = Arc::new(Gcr::with_config(
+            DynLock::of(McsLock::new()),
             GcrConfig::fixed(2),
         ));
         let t = lock.acquire();

@@ -35,8 +35,9 @@
 //! Observability is a first-class layer: [`telemetry`] provides the
 //! lock-agnostic [`telemetry::TelemetryCell`] counters, the
 //! [`telemetry::Instrumented`] wrapper that records them for *any*
-//! lock (plus reader-writer and object-safe counterparts), and the
-//! process-wide profiling registry behind `repro --profile`. The
+//! lock (plus its reader-writer counterpart; runtime-chosen locks are
+//! wrapped by the same two types), and the process-wide profiling
+//! registry behind `repro --profile`. The
 //! [`Adaptive`] lock is built on the same signal: it morphs substrate
 //! when its own telemetry shows sustained contention.
 //!
@@ -49,28 +50,34 @@
 //!
 //! Three lock interfaces are provided, layered:
 //!
-//! * [`api`] — **the recommended surface**: RAII guards over any lock.
-//!   [`api::Guard`] for a borrowed [`RawLock`], [`api::Mutex`] for a
-//!   data-carrying mutex generic over its lock type, and
-//!   [`api::DynLock`]/[`api::DynMutex`] for locks chosen at runtime.
+//! * [`api`] — **the recommended surface**: one RAII guard family over
+//!   any lock. [`api::Guard`] for a borrowed [`RawLock`] and
+//!   [`api::Mutex`] for a data-carrying mutex, both generic over the
+//!   lock type — and a lock chosen at runtime is just one more lock
+//!   type, the erased handle [`api::DynLock`] (`api::DynGuard` and
+//!   `api::DynMutex` are aliases of the two, not types of their own).
 //!   Releasing happens on drop (including panic unwind), so the
 //!   forget-to-release and release-wrong-lock bug classes of the token
 //!   APIs cannot occur.
 //! * [`RawLock`] — statically dispatched, token-based. Tokens carry
 //!   queue-node ownership (MCS/CLH) so locks stay allocation-free on
 //!   the hot path. The reorderable lock in `asl-core` composes over
-//!   any `RawLock + FifoLock`. Documented low-level escape hatch.
+//!   any `RawLock + FifoLock`, and every wrapper ([`Gcr`],
+//!   [`Instrumented`]) is written once against it. Documented
+//!   low-level escape hatch.
 //! * [`PlainLock`] — object-safe facade (`Arc<dyn PlainLock>`) with a
 //!   two-word opaque token, blanket-implemented for every raw lock
-//!   whose token is word-encodable ([`plain::TokenWords`]). In debug
-//!   builds tokens are tagged with the issuing lock and cross-lock
-//!   releases panic.
+//!   whose token is word-encodable ([`plain::TokenWords`]) — wrappers
+//!   over a [`api::DynLock`] included, so erasing, wrapping and
+//!   erasing again needs no second implementation of the wrapper. In
+//!   debug builds tokens are tagged with the issuing lock and
+//!   cross-lock releases panic.
 //!
 //! Each layer has a reader-writer counterpart: [`RawRwLock`] (token
 //! interface with separate shared/exclusive tokens), the guard layer
-//! in [`api`] ([`api::ReadGuard`]/[`api::WriteGuard`], the
-//! data-carrying [`api::RwLock`], and [`api::DynRwLock`]/
-//! [`api::DynRwMutex`] for runtime-chosen rwlocks), and the
+//! in [`api`] ([`api::ReadGuard`]/[`api::WriteGuard`] and the
+//! data-carrying [`api::RwLock`], over the erased handle
+//! [`api::DynRwLock`] for runtime-chosen rwlocks), and the
 //! object-safe [`PlainRwLock`] facade with the same debug-build
 //! cross-lock release checks.
 //!
@@ -139,7 +146,7 @@ pub use delegation::{
 };
 pub use fcban::FcBan;
 pub use flatcomb::{DedicatedServer, FlatCombiner};
-pub use gcr::{Gate, Gcr, GcrConfig, GcrPlain};
+pub use gcr::{Gate, Gcr, GcrConfig};
 pub use malthusian::MalthusianLock;
 pub use mcs::McsLock;
 pub use plain::{ExclusiveRw, PlainLock, PlainRwLock, PlainRwToken, PlainToken, WriteHalf};

@@ -9,7 +9,11 @@
 //!
 //! Any [`RawLock`] whose token is two-word encodable (see
 //! [`TokenWords`]) is a `PlainLock` automatically through a blanket
-//! impl — individual locks only implement [`RawLock`].
+//! impl — individual locks only implement [`RawLock`]. That includes
+//! wrappers over an *already erased* lock: [`crate::api::DynLock`] is
+//! a `RawLock` whose token is the `PlainToken` itself, so
+//! `Gcr<DynLock>` or `Instrumented<DynLock>` re-erase through the same
+//! blanket impl (the pass-through rule on [`TokenWords`]).
 //!
 //! `acquire`/`release` is the **low-level escape hatch**: the caller
 //! must pair them manually. Prefer the RAII layer in [`crate::api`]
@@ -21,6 +25,13 @@
 use std::sync::Arc;
 
 use crate::{RawLock, RawRwLock};
+
+/// Issuer tag of a token rebuilt from bare payload words
+/// ([`TokenWords::from_words`] on an erased token): no lock lives at
+/// address 0, and [`PlainToken::redeem`] lets such a token through
+/// unchecked rather than blaming the wrong lock.
+#[cfg(debug_assertions)]
+const UNTAGGED: usize = 0;
 
 /// Opaque token for [`PlainLock`]: two words of implementation state.
 ///
@@ -61,8 +72,8 @@ impl PlainToken {
     #[inline]
     pub fn redeem<L>(self, lock: &L) -> (usize, usize) {
         #[cfg(debug_assertions)]
-        assert_eq!(
-            self.issuer, lock as *const L as usize,
+        assert!(
+            self.issuer == lock as *const L as usize || self.issuer == UNTAGGED,
             "PlainToken released against a lock that did not issue it"
         );
         #[cfg(not(debug_assertions))]
@@ -73,6 +84,17 @@ impl PlainToken {
 
 /// Tokens encodable in two machine words, so queue locks can ride
 /// behind the object-safe [`PlainLock`] facade without allocating.
+///
+/// `into_words`/`from_words` are the payload codec a token type
+/// implements; `erase`/`restore` are what the facade's blanket impls
+/// call, and what carries **the pass-through rule**: a token that is
+/// already erased ([`PlainToken`], [`PlainRwToken`]) crosses a further
+/// erasure boundary *whole*, issuer tag included. A wrapper that hands
+/// its inner lock's token through unchanged (`Gcr<L>`,
+/// `Instrumented<L>`) can therefore wrap a [`crate::api::DynLock`] and
+/// be erased again: the token its callers hold is still the innermost
+/// lock's, and that lock's own `redeem` still catches a cross-lock
+/// release in debug builds.
 pub trait TokenWords: Sized {
     /// Encode into two words.
     fn into_words(self) -> (usize, usize);
@@ -83,6 +105,25 @@ pub trait TokenWords: Sized {
     /// The words must come from `into_words` on an unreleased token of
     /// the same lock, on the same thread.
     unsafe fn from_words(a: usize, b: usize) -> Self;
+
+    /// The token `lock` hands out through the facade.
+    #[inline]
+    fn erase<L>(self, lock: &L) -> PlainToken {
+        let (a, b) = self.into_words();
+        PlainToken::issue(lock, a, b)
+    }
+
+    /// Undo [`TokenWords::erase`], asserting (in debug builds) that
+    /// `lock` issued `token`.
+    ///
+    /// # Safety
+    /// `token` must come from `erase` on an unreleased token of
+    /// `lock`, on the same thread.
+    #[inline]
+    unsafe fn restore<L>(token: PlainToken, lock: &L) -> Self {
+        let (a, b) = token.redeem(lock);
+        Self::from_words(a, b)
+    }
 }
 
 impl TokenWords for () {
@@ -92,6 +133,31 @@ impl TokenWords for () {
     }
     #[inline]
     unsafe fn from_words(_a: usize, _b: usize) -> Self {}
+}
+
+/// The pass-through rule for exclusive tokens (see [`TokenWords`]).
+impl TokenWords for PlainToken {
+    #[inline]
+    fn into_words(self) -> (usize, usize) {
+        (self.a, self.b)
+    }
+    #[inline]
+    unsafe fn from_words(a: usize, b: usize) -> Self {
+        PlainToken {
+            a,
+            b,
+            #[cfg(debug_assertions)]
+            issuer: UNTAGGED,
+        }
+    }
+    #[inline]
+    fn erase<L>(self, _lock: &L) -> PlainToken {
+        self
+    }
+    #[inline]
+    unsafe fn restore<L>(token: PlainToken, _lock: &L) -> Self {
+        token
+    }
 }
 
 /// An object-safe lock: dynamic counterpart of [`RawLock`].
@@ -116,23 +182,18 @@ where
 {
     #[inline]
     fn acquire(&self) -> PlainToken {
-        let (a, b) = RawLock::lock(self).into_words();
-        PlainToken::issue(self, a, b)
+        RawLock::lock(self).erase(self)
     }
     #[inline]
     fn try_acquire(&self) -> Option<PlainToken> {
-        RawLock::try_lock(self).map(|t| {
-            let (a, b) = t.into_words();
-            PlainToken::issue(self, a, b)
-        })
+        RawLock::try_lock(self).map(|t| t.erase(self))
     }
     #[inline]
     fn release(&self, token: PlainToken) {
-        let (a, b) = token.redeem(self);
         // SAFETY: the PlainLock contract (checked in debug builds by
-        // `redeem`) guarantees the words come from an unreleased
+        // `redeem`) guarantees the token comes from an unreleased
         // `acquire`/`try_acquire` on this lock by this thread.
-        RawLock::unlock(self, unsafe { L::Token::from_words(a, b) });
+        RawLock::unlock(self, unsafe { L::Token::restore(token, self) });
     }
     #[inline]
     fn held(&self) -> bool {
@@ -182,60 +243,72 @@ impl PlainRwToken {
         }
     }
 
-    /// Exclusive-mode token issued by `lock` carrying two words.
-    #[inline]
-    pub fn issue_write<L>(lock: &L, a: usize, b: usize) -> Self {
-        #[cfg(not(debug_assertions))]
-        let _ = lock;
-        PlainRwToken {
-            a,
-            b,
-            c: 0,
-            #[cfg(debug_assertions)]
-            issuer: lock as *const L as usize,
-            #[cfg(debug_assertions)]
-            write: true,
-        }
-    }
-
     /// Decode a shared-mode token, asserting (in debug builds) that
     /// `lock` issued it in read mode.
     #[inline]
     pub fn redeem_read<L>(self, lock: &L) -> (usize, usize, usize) {
         #[cfg(debug_assertions)]
-        {
-            assert_eq!(
-                self.issuer, lock as *const L as usize,
-                "PlainRwToken released against a lock that did not issue it"
-            );
-            assert!(!self.write, "write token released through the read path");
-        }
+        assert!(
+            self.issuer == lock as *const L as usize || self.issuer == UNTAGGED,
+            "PlainRwToken released against a lock that did not issue it"
+        );
         #[cfg(not(debug_assertions))]
         let _ = lock;
+        self.check_mode(false);
         (self.a, self.b, self.c)
     }
 
-    /// Decode an exclusive-mode token, asserting (in debug builds)
-    /// that `lock` issued it in write mode.
+    /// An exclusive acquisition seen through the reader-writer
+    /// interface, standing for the given mode: the two payload words
+    /// and the issuer tag travel unchanged, so whoever turns the token
+    /// back with [`PlainRwToken::into_exclusive`] still gets the
+    /// issuing lock's ownership check.
     #[inline]
-    pub fn redeem_write<L>(self, lock: &L) -> (usize, usize) {
+    fn from_exclusive(token: PlainToken, write: bool) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = write;
+        PlainRwToken {
+            a: token.a,
+            b: token.b,
+            c: 0,
+            #[cfg(debug_assertions)]
+            issuer: token.issuer,
+            #[cfg(debug_assertions)]
+            write,
+        }
+    }
+
+    /// Undo [`PlainRwToken::from_exclusive`], asserting (in debug
+    /// builds) that the token stands for the `write` mode.
+    #[inline]
+    fn into_exclusive(self, write: bool) -> PlainToken {
+        self.check_mode(write);
+        debug_assert_eq!(self.c, 0, "exclusive tokens carry two words");
+        PlainToken {
+            a: self.a,
+            b: self.b,
+            #[cfg(debug_assertions)]
+            issuer: self.issuer,
+        }
+    }
+
+    #[inline]
+    fn check_mode(&self, write: bool) {
         #[cfg(debug_assertions)]
-        {
-            assert_eq!(
-                self.issuer, lock as *const L as usize,
-                "PlainRwToken released against a lock that did not issue it"
-            );
+        if write {
             assert!(self.write, "read token released through the write path");
+        } else {
+            assert!(!self.write, "write token released through the read path");
         }
         #[cfg(not(debug_assertions))]
-        let _ = lock;
-        (self.a, self.b)
+        let _ = write;
     }
 }
 
 /// Read tokens encodable in three machine words — the reader-writer
-/// analogue of [`TokenWords`] (write tokens reuse [`TokenWords`]
-/// itself: they are just the underlying exclusive token).
+/// analogue of [`TokenWords`], pass-through rule included (write
+/// tokens reuse [`TokenWords`] itself: they are just the underlying
+/// exclusive token).
 pub trait RwTokenWords: Sized {
     /// Encode into three words.
     fn into_words(self) -> (usize, usize, usize);
@@ -246,6 +319,25 @@ pub trait RwTokenWords: Sized {
     /// The words must come from `into_words` on an unreleased token of
     /// the same lock, on the same thread.
     unsafe fn from_words(a: usize, b: usize, c: usize) -> Self;
+
+    /// The shared-mode token `lock` hands out through the facade.
+    #[inline]
+    fn erase_read<L>(self, lock: &L) -> PlainRwToken {
+        let (a, b, c) = self.into_words();
+        PlainRwToken::issue_read(lock, a, b, c)
+    }
+
+    /// Undo [`RwTokenWords::erase_read`], asserting (in debug builds)
+    /// that `lock` issued `token` in read mode.
+    ///
+    /// # Safety
+    /// `token` must come from `erase_read` on an unreleased shared
+    /// acquisition of `lock`, on the same thread.
+    #[inline]
+    unsafe fn restore_read<L>(token: PlainRwToken, lock: &L) -> Self {
+        let (a, b, c) = token.redeem_read(lock);
+        Self::from_words(a, b, c)
+    }
 }
 
 impl RwTokenWords for () {
@@ -255,6 +347,50 @@ impl RwTokenWords for () {
     }
     #[inline]
     unsafe fn from_words(_a: usize, _b: usize, _c: usize) -> Self {}
+}
+
+/// The pass-through rule for an erased *shared* token.
+impl RwTokenWords for PlainRwToken {
+    #[inline]
+    fn into_words(self) -> (usize, usize, usize) {
+        (self.a, self.b, self.c)
+    }
+    #[inline]
+    unsafe fn from_words(a: usize, b: usize, c: usize) -> Self {
+        PlainRwToken {
+            c,
+            ..Self::from_exclusive(PlainToken::from_words(a, b), false)
+        }
+    }
+    #[inline]
+    fn erase_read<L>(self, _lock: &L) -> PlainRwToken {
+        self
+    }
+    #[inline]
+    unsafe fn restore_read<L>(token: PlainRwToken, _lock: &L) -> Self {
+        token
+    }
+}
+
+/// The pass-through rule for an erased *exclusive-mode* token: it is
+/// the exclusive token it was made from.
+impl TokenWords for PlainRwToken {
+    #[inline]
+    fn into_words(self) -> (usize, usize) {
+        (self.a, self.b)
+    }
+    #[inline]
+    unsafe fn from_words(a: usize, b: usize) -> Self {
+        Self::from_exclusive(PlainToken::from_words(a, b), true)
+    }
+    #[inline]
+    fn erase<L>(self, _lock: &L) -> PlainToken {
+        self.into_exclusive(true)
+    }
+    #[inline]
+    unsafe fn restore<L>(token: PlainToken, _lock: &L) -> Self {
+        Self::from_exclusive(token, true)
+    }
 }
 
 /// An object-safe reader-writer lock: dynamic counterpart of
@@ -289,41 +425,33 @@ where
 {
     #[inline]
     fn acquire_read(&self) -> PlainRwToken {
-        let (a, b, c) = RawRwLock::read(self).into_words();
-        PlainRwToken::issue_read(self, a, b, c)
+        RawRwLock::read(self).erase_read(self)
     }
     #[inline]
     fn try_acquire_read(&self) -> Option<PlainRwToken> {
-        RawRwLock::try_read(self).map(|t| {
-            let (a, b, c) = t.into_words();
-            PlainRwToken::issue_read(self, a, b, c)
-        })
+        RawRwLock::try_read(self).map(|t| t.erase_read(self))
     }
     #[inline]
     fn release_read(&self, token: PlainRwToken) {
-        let (a, b, c) = token.redeem_read(self);
         // SAFETY: the PlainRwLock contract (checked in debug builds by
-        // `redeem_read`) guarantees the words come from an unreleased
+        // `redeem_read`) guarantees the token comes from an unreleased
         // shared acquisition of this lock by this thread.
-        RawRwLock::unlock_read(self, unsafe { L::ReadToken::from_words(a, b, c) });
+        RawRwLock::unlock_read(self, unsafe { L::ReadToken::restore_read(token, self) });
     }
     #[inline]
     fn acquire_write(&self) -> PlainRwToken {
-        let (a, b) = RawRwLock::write(self).into_words();
-        PlainRwToken::issue_write(self, a, b)
+        PlainRwToken::from_exclusive(RawRwLock::write(self).erase(self), true)
     }
     #[inline]
     fn try_acquire_write(&self) -> Option<PlainRwToken> {
-        RawRwLock::try_write(self).map(|t| {
-            let (a, b) = t.into_words();
-            PlainRwToken::issue_write(self, a, b)
-        })
+        RawRwLock::try_write(self).map(|t| PlainRwToken::from_exclusive(t.erase(self), true))
     }
     #[inline]
     fn release_write(&self, token: PlainRwToken) {
-        let (a, b) = token.redeem_write(self);
         // SAFETY: as above, for the exclusive mode.
-        RawRwLock::unlock_write(self, unsafe { L::WriteToken::from_words(a, b) });
+        RawRwLock::unlock_write(self, unsafe {
+            L::WriteToken::restore(token.into_exclusive(true), self)
+        });
     }
     #[inline]
     fn held(&self) -> bool {
@@ -357,74 +485,29 @@ impl ExclusiveRw {
     }
 }
 
+// Ownership stays checked through both adapters below: the underlying
+// lock's own `redeem` validates the issuer tag the conversions
+// preserve.
 impl PlainRwLock for ExclusiveRw {
     fn acquire_read(&self) -> PlainRwToken {
-        let t = self.inner.acquire();
-        PlainRwToken {
-            a: t.a,
-            b: t.b,
-            c: 0,
-            #[cfg(debug_assertions)]
-            issuer: t.issuer,
-            #[cfg(debug_assertions)]
-            write: false,
-        }
+        PlainRwToken::from_exclusive(self.inner.acquire(), false)
     }
     fn try_acquire_read(&self) -> Option<PlainRwToken> {
-        self.inner.try_acquire().map(|t| PlainRwToken {
-            a: t.a,
-            b: t.b,
-            c: 0,
-            #[cfg(debug_assertions)]
-            issuer: t.issuer,
-            #[cfg(debug_assertions)]
-            write: false,
-        })
+        let token = self.inner.try_acquire()?;
+        Some(PlainRwToken::from_exclusive(token, false))
     }
     fn release_read(&self, token: PlainRwToken) {
-        #[cfg(debug_assertions)]
-        assert!(!token.write, "write token released through the read path");
-        // Ownership stays checked: the underlying lock's own `redeem`
-        // validates the preserved issuer tag.
-        self.inner.release(PlainToken {
-            a: token.a,
-            b: token.b,
-            #[cfg(debug_assertions)]
-            issuer: token.issuer,
-        });
+        self.inner.release(token.into_exclusive(false));
     }
     fn acquire_write(&self) -> PlainRwToken {
-        let t = self.inner.acquire();
-        PlainRwToken {
-            a: t.a,
-            b: t.b,
-            c: 0,
-            #[cfg(debug_assertions)]
-            issuer: t.issuer,
-            #[cfg(debug_assertions)]
-            write: true,
-        }
+        PlainRwToken::from_exclusive(self.inner.acquire(), true)
     }
     fn try_acquire_write(&self) -> Option<PlainRwToken> {
-        self.inner.try_acquire().map(|t| PlainRwToken {
-            a: t.a,
-            b: t.b,
-            c: 0,
-            #[cfg(debug_assertions)]
-            issuer: t.issuer,
-            #[cfg(debug_assertions)]
-            write: true,
-        })
+        let token = self.inner.try_acquire()?;
+        Some(PlainRwToken::from_exclusive(token, true))
     }
     fn release_write(&self, token: PlainRwToken) {
-        #[cfg(debug_assertions)]
-        assert!(token.write, "read token released through the write path");
-        self.inner.release(PlainToken {
-            a: token.a,
-            b: token.b,
-            #[cfg(debug_assertions)]
-            issuer: token.issuer,
-        });
+        self.inner.release(token.into_exclusive(true));
     }
     fn held(&self) -> bool {
         self.inner.held()
@@ -456,33 +539,15 @@ impl WriteHalf {
 
 impl PlainLock for WriteHalf {
     fn acquire(&self) -> PlainToken {
-        let t = self.inner.acquire_write();
-        debug_assert_eq!(t.c, 0, "write tokens carry two words");
-        PlainToken {
-            a: t.a,
-            b: t.b,
-            #[cfg(debug_assertions)]
-            issuer: t.issuer,
-        }
+        self.inner.acquire_write().into_exclusive(true)
     }
     fn try_acquire(&self) -> Option<PlainToken> {
-        self.inner.try_acquire_write().map(|t| PlainToken {
-            a: t.a,
-            b: t.b,
-            #[cfg(debug_assertions)]
-            issuer: t.issuer,
-        })
+        let token = self.inner.try_acquire_write()?;
+        Some(token.into_exclusive(true))
     }
     fn release(&self, token: PlainToken) {
-        self.inner.release_write(PlainRwToken {
-            a: token.a,
-            b: token.b,
-            c: 0,
-            #[cfg(debug_assertions)]
-            issuer: token.issuer,
-            #[cfg(debug_assertions)]
-            write: true,
-        });
+        self.inner
+            .release_write(PlainRwToken::from_exclusive(token, true));
     }
     fn held(&self) -> bool {
         self.inner.held()

@@ -18,11 +18,14 @@
 //!   instrumented lock with sampling off costs near zero.
 //! * [`Instrumented`] — wraps any [`RawLock`] and records into a
 //!   cell on every acquisition/release; [`InstrumentedRw`] is the
-//!   reader-writer counterpart (separate read/write cells).
-//! * [`InstrumentedPlain`] / [`InstrumentedPlainRw`] — the same
-//!   wrapping for runtime-chosen locks (`Arc<dyn PlainLock>`), which
-//!   is what the harness registry's `instrumented-<name>` specs and
-//!   the `repro --profile` mode materialize.
+//!   reader-writer counterpart (separate read/write cells). The cell
+//!   storage is a type parameter: inline [`TelemetryCell`]s for a
+//!   statically chosen lock, `Arc<TelemetryCell>`s over the erased
+//!   handle ([`crate::api::DynLock`] / [`crate::api::DynRwLock`]) for
+//!   cells that are also filed in the registry below — which is what
+//!   the harness registry's `instrumented-<name>` specs and the
+//!   `repro --profile` mode materialize ([`instrument`],
+//!   [`instrument_rw`]).
 //! * a process-wide profiling registry — [`set_profiling`] turns
 //!   global collection on, [`maybe_instrument`] wraps a lock and
 //!   files its cell under a label, and [`snapshots`] hands the
@@ -34,7 +37,7 @@
 //! Instrumentation has three gears, so wrapped locks can stay wrapped
 //! in production:
 //!
-//! 1. **Off** (default): every `Instrumented*` hot path fast-exits on
+//! 1. **Off** (default): every instrumented hot path fast-exits on
 //!    the [`recording`] gate *before any counter RMW* — the wrapper
 //!    costs one relaxed global load, one relaxed per-cell load, and a
 //!    predictable branch over the raw lock (single-digit ns).
@@ -70,12 +73,14 @@
 //! assert_eq!(quiet.telemetry().snapshot().acquisitions, 0);
 //! ```
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use asl_runtime::clock::now_ns;
 
-use crate::plain::{PlainLock, PlainRwLock, PlainRwToken, PlainToken};
+use crate::api::{DynLock, DynRwLock};
+use crate::plain::{PlainLock, PlainRwLock};
 use crate::{RawLock, RawRwLock};
 
 /// Cache-padded acquisition counters shared by every instrumented
@@ -114,9 +119,9 @@ use crate::{RawLock, RawRwLock};
 ///
 /// * `acquisitions` — holder-owned **on exclusive locks that record
 ///   through [`record_acquisition_exclusive`] /
-///   [`record_acquired_exclusive`]** (the reorderable lock,
-///   `Instrumented*`' exclusive side, `Gcr*`: all record after the
-///   inner acquire). *Not* holder-owned on a shared-read cell
+///   [`record_acquired_exclusive`]** (the reorderable lock, the
+///   exclusive side of `Instrumented`/`InstrumentedRw`, `Gcr`: all
+///   record after the inner acquire). *Not* holder-owned on a shared-read cell
 ///   (`InstrumentedRw::read`: readers overlap), on the delegation
 ///   locks' cells (clients record, the combiner holds) or on
 ///   `Adaptive`; those call the RMW [`record_acquisition`] /
@@ -419,18 +424,33 @@ impl TelemetrySnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Static wrappers: Instrumented<L> / InstrumentedRw<L>.
+// The wrappers: Instrumented<L, C> / InstrumentedRw<L, C>.
 // ---------------------------------------------------------------------------
 
 /// A [`RawLock`] that records acquisition telemetry.
 ///
 /// The token passes through unchanged, so the wrapper composes with
 /// every layer built on `RawLock` (guards, the object-safe facade,
-/// the reorderable lock). Hold time uses a slot in the cell written
-/// under the lock, so no extra token state is needed.
-pub struct Instrumented<L: RawLock> {
+/// the reorderable lock) — and, over a [`DynLock`], is the
+/// `instrumented-<name>` lock of the registry. Hold time uses a slot
+/// in the cell written under the lock, so no extra token state is
+/// needed.
+///
+/// `C` is where the cell lives: inline ([`TelemetryCell`], the
+/// default — no pointer chase on the static path) or shared
+/// (`Arc<TelemetryCell>`, for a cell the profiling registry also
+/// holds). Either way the cell must be this lock's alone: its
+/// holder-owned counters (see [`TelemetryCell`]) are exact because
+/// `inner` serialises their writers, which a second lock recording
+/// into the same cell would not be part of. (Several locks under one
+/// *label* is what the registry is for.)
+///
+/// Through the facade the wrapper reports its own name
+/// (`"instrumented"`, as `Gcr` reports `"gcr"`), not the inner
+/// lock's; reports label rows by spec name.
+pub struct Instrumented<L: RawLock, C = TelemetryCell> {
     inner: L,
-    cell: TelemetryCell,
+    cell: C,
 }
 
 impl<L: RawLock> Instrumented<L> {
@@ -439,24 +459,26 @@ impl<L: RawLock> Instrumented<L> {
     /// [`recording`] gate is on, and is a near-zero passthrough
     /// otherwise.
     pub fn new(inner: L) -> Self {
-        Instrumented {
-            inner,
-            cell: TelemetryCell::new(),
-        }
+        Self::with_cell(inner, TelemetryCell::new())
     }
 
     /// Wrap `inner` with hold/wait-time sampling enabled (the cell is
     /// armed regardless of the global [`recording`] gate).
     pub fn sampled(inner: L) -> Self {
-        Instrumented {
-            inner,
-            cell: TelemetryCell::sampled(),
-        }
+        Self::with_cell(inner, TelemetryCell::sampled())
+    }
+}
+
+impl<L: RawLock, C: Borrow<TelemetryCell>> Instrumented<L, C> {
+    /// Wrap `inner`, recording into `cell` (this lock's alone — see
+    /// the type docs).
+    pub fn with_cell(inner: L, cell: C) -> Self {
+        Instrumented { inner, cell }
     }
 
     /// The recorded telemetry.
     pub fn telemetry(&self) -> &TelemetryCell {
-        &self.cell
+        self.cell.borrow()
     }
 
     /// The wrapped lock.
@@ -470,15 +492,16 @@ impl<L: RawLock> Instrumented<L> {
     #[cold]
     #[inline(never)]
     fn lock_recorded(&self) -> L::Token {
+        let cell = self.telemetry();
         let contended = self.inner.is_locked();
-        let sampling = self.cell.sampling();
+        let sampling = cell.sampling();
         let t0 = if sampling && contended { now_ns() } else { 0 };
         let token = self.inner.lock();
         if t0 != 0 {
-            self.cell.add_wait_ns(now_ns().saturating_sub(t0));
+            cell.add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.cell.record_acquisition_exclusive(contended);
-        self.cell.note_hold_start();
+        cell.record_acquisition_exclusive(contended);
+        cell.note_hold_start();
         token
     }
 }
@@ -489,7 +512,7 @@ impl<L: RawLock + Default> Default for Instrumented<L> {
     }
 }
 
-impl<L: RawLock> RawLock for Instrumented<L> {
+impl<L: RawLock, C: Borrow<TelemetryCell> + Send + Sync> RawLock for Instrumented<L, C> {
     type Token = L::Token;
 
     #[inline]
@@ -499,7 +522,7 @@ impl<L: RawLock> RawLock for Instrumented<L> {
         // recording path lives out of line so its clock plumbing
         // can't bloat this function past the inliner's budget and
         // slow the off path down.
-        if !self.cell.armed() {
+        if !self.telemetry().armed() {
             return self.inner.lock();
         }
         self.lock_recorded()
@@ -508,9 +531,10 @@ impl<L: RawLock> RawLock for Instrumented<L> {
     #[inline]
     fn try_lock(&self) -> Option<L::Token> {
         let token = self.inner.try_lock()?;
-        if self.cell.armed() {
-            self.cell.record_acquisition_exclusive(false);
-            self.cell.note_hold_start();
+        let cell = self.telemetry();
+        if cell.armed() {
+            cell.record_acquisition_exclusive(false);
+            cell.note_hold_start();
         }
         Some(token)
     }
@@ -521,7 +545,7 @@ impl<L: RawLock> RawLock for Instrumented<L> {
         // load when no sampled hold is in flight, and checking the
         // slot unconditionally closes holds cleanly even if sampling
         // was toggled mid-hold.
-        self.cell.note_hold_end();
+        self.telemetry().note_hold_end();
         self.inner.unlock(token);
     }
 
@@ -534,48 +558,52 @@ impl<L: RawLock> RawLock for Instrumented<L> {
 }
 
 // Instrumentation does not change the grant order.
-impl<L: crate::FifoLock> crate::FifoLock for Instrumented<L> {}
+impl<L: crate::FifoLock, C: Borrow<TelemetryCell> + Send + Sync> crate::FifoLock
+    for Instrumented<L, C>
+{
+}
 
 /// A [`RawRwLock`] that records acquisition telemetry, with separate
-/// cells for the shared and exclusive sides.
+/// cells for the shared and exclusive sides (stored as `C`, as for
+/// [`Instrumented`]).
 ///
 /// Hold time is recorded for the exclusive side only (shared holds
 /// overlap, so a single in-flight slot cannot represent them).
-pub struct InstrumentedRw<L: RawRwLock> {
+pub struct InstrumentedRw<L: RawRwLock, C = TelemetryCell> {
     inner: L,
-    read: TelemetryCell,
-    write: TelemetryCell,
+    read: C,
+    write: C,
 }
 
 impl<L: RawRwLock> InstrumentedRw<L> {
     /// Wrap `inner` with fresh read/write telemetry cells (armed only
     /// while the process-wide [`recording`] gate is on).
     pub fn new(inner: L) -> Self {
-        InstrumentedRw {
-            inner,
-            read: TelemetryCell::new(),
-            write: TelemetryCell::new(),
-        }
+        Self::with_cells(inner, TelemetryCell::new(), TelemetryCell::new())
     }
 
     /// Wrap `inner` with sampling enabled on both sides (cells armed
     /// regardless of the global [`recording`] gate).
     pub fn sampled(inner: L) -> Self {
-        InstrumentedRw {
-            inner,
-            read: TelemetryCell::sampled(),
-            write: TelemetryCell::sampled(),
-        }
+        Self::with_cells(inner, TelemetryCell::sampled(), TelemetryCell::sampled())
+    }
+}
+
+impl<L: RawRwLock, C: Borrow<TelemetryCell>> InstrumentedRw<L, C> {
+    /// Wrap `inner`, recording into the given cells (this lock's
+    /// alone, as for [`Instrumented`]).
+    pub fn with_cells(inner: L, read: C, write: C) -> Self {
+        InstrumentedRw { inner, read, write }
     }
 
     /// Telemetry of the shared (read) side.
     pub fn read_telemetry(&self) -> &TelemetryCell {
-        &self.read
+        self.read.borrow()
     }
 
     /// Telemetry of the exclusive (write) side.
     pub fn write_telemetry(&self) -> &TelemetryCell {
-        &self.write
+        self.write.borrow()
     }
 
     /// The wrapped rwlock.
@@ -590,31 +618,33 @@ impl<L: RawRwLock + Default> Default for InstrumentedRw<L> {
     }
 }
 
-impl<L: RawRwLock> RawRwLock for InstrumentedRw<L> {
+impl<L: RawRwLock, C: Borrow<TelemetryCell> + Send + Sync> RawRwLock for InstrumentedRw<L, C> {
     type ReadToken = L::ReadToken;
     type WriteToken = L::WriteToken;
 
     #[inline]
     fn read(&self) -> L::ReadToken {
-        if !self.read.armed() {
+        let cell = self.read_telemetry();
+        if !cell.armed() {
             return self.inner.read();
         }
         let contended = self.inner.is_write_locked();
-        let sampling = self.read.sampling();
+        let sampling = cell.sampling();
         let t0 = if sampling && contended { now_ns() } else { 0 };
         let token = self.inner.read();
         if t0 != 0 {
-            self.read.add_wait_ns(now_ns().saturating_sub(t0));
+            cell.add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.read.record_acquisition(contended);
+        cell.record_acquisition(contended);
         token
     }
 
     #[inline]
     fn try_read(&self) -> Option<L::ReadToken> {
         let token = self.inner.try_read()?;
-        if self.read.armed() {
-            self.read.record_acquisition(false);
+        let cell = self.read_telemetry();
+        if cell.armed() {
+            cell.record_acquisition(false);
         }
         Some(token)
     }
@@ -626,34 +656,36 @@ impl<L: RawRwLock> RawRwLock for InstrumentedRw<L> {
 
     #[inline]
     fn write(&self) -> L::WriteToken {
-        if !self.write.armed() {
+        let cell = self.write_telemetry();
+        if !cell.armed() {
             return self.inner.write();
         }
         let contended = self.inner.is_locked();
-        let sampling = self.write.sampling();
+        let sampling = cell.sampling();
         let t0 = if sampling && contended { now_ns() } else { 0 };
         let token = self.inner.write();
         if t0 != 0 {
-            self.write.add_wait_ns(now_ns().saturating_sub(t0));
+            cell.add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.write.record_acquisition_exclusive(contended);
-        self.write.note_hold_start();
+        cell.record_acquisition_exclusive(contended);
+        cell.note_hold_start();
         token
     }
 
     #[inline]
     fn try_write(&self) -> Option<L::WriteToken> {
         let token = self.inner.try_write()?;
-        if self.write.armed() {
-            self.write.record_acquisition_exclusive(false);
-            self.write.note_hold_start();
+        let cell = self.write_telemetry();
+        if cell.armed() {
+            cell.record_acquisition_exclusive(false);
+            cell.note_hold_start();
         }
         Some(token)
     }
 
     #[inline]
     fn unlock_write(&self, token: L::WriteToken) {
-        self.write.note_hold_end();
+        self.write_telemetry().note_hold_end();
         self.inner.unlock_write(token);
     }
 
@@ -668,183 +700,6 @@ impl<L: RawRwLock> RawRwLock for InstrumentedRw<L> {
     }
 
     const NAME: &'static str = "instrumented-rw";
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic wrappers: telemetry over Arc<dyn PlainLock> / PlainRwLock.
-// ---------------------------------------------------------------------------
-
-/// Telemetry wrapper for runtime-chosen locks: the registry's
-/// `instrumented-<name>` specs and the `repro --profile` mode
-/// materialize these.
-///
-/// The inner lock's tokens pass through untouched (they stay tagged
-/// with the *inner* lock in debug builds, and releases delegate, so
-/// the ownership checks keep working).
-pub struct InstrumentedPlain {
-    inner: Arc<dyn PlainLock>,
-    cell: Arc<TelemetryCell>,
-}
-
-impl InstrumentedPlain {
-    /// Wrap `inner`, recording into `cell`. The cell must be this
-    /// lock's alone: its holder-owned counters (see [`TelemetryCell`])
-    /// are exact because `inner` serialises their writers, which a
-    /// second lock recording into the same cell would not be part of.
-    /// (Several locks under one *label* is what the registry is for.)
-    pub fn new(inner: Arc<dyn PlainLock>, cell: Arc<TelemetryCell>) -> Self {
-        InstrumentedPlain { inner, cell }
-    }
-
-    /// The shared telemetry cell.
-    pub fn cell(&self) -> &Arc<TelemetryCell> {
-        &self.cell
-    }
-}
-
-impl PlainLock for InstrumentedPlain {
-    #[inline]
-    fn acquire(&self) -> PlainToken {
-        // Zero-cost-when-off: bail before any counter RMW.
-        if !self.cell.armed() {
-            return self.inner.acquire();
-        }
-        let contended = self.inner.held();
-        let sampling = self.cell.sampling();
-        let t0 = if sampling && contended { now_ns() } else { 0 };
-        let token = self.inner.acquire();
-        if t0 != 0 {
-            self.cell.add_wait_ns(now_ns().saturating_sub(t0));
-        }
-        self.cell.record_acquisition_exclusive(contended);
-        self.cell.note_hold_start();
-        token
-    }
-
-    #[inline]
-    fn try_acquire(&self) -> Option<PlainToken> {
-        let token = self.inner.try_acquire()?;
-        if self.cell.armed() {
-            self.cell.record_acquisition_exclusive(false);
-            self.cell.note_hold_start();
-        }
-        Some(token)
-    }
-
-    #[inline]
-    fn release(&self, token: PlainToken) {
-        self.cell.note_hold_end();
-        self.inner.release(token);
-    }
-
-    #[inline]
-    fn held(&self) -> bool {
-        self.inner.held()
-    }
-
-    fn lock_name(&self) -> &'static str {
-        // Telemetry is transparent: reports label rows by spec name.
-        self.inner.lock_name()
-    }
-}
-
-/// Reader-writer counterpart of [`InstrumentedPlain`]: one cell for
-/// each side.
-pub struct InstrumentedPlainRw {
-    inner: Arc<dyn PlainRwLock>,
-    read: Arc<TelemetryCell>,
-    write: Arc<TelemetryCell>,
-}
-
-impl InstrumentedPlainRw {
-    /// Wrap `inner`, recording into the given cells (this lock's
-    /// alone, as for [`InstrumentedPlain::new`]).
-    pub fn new(
-        inner: Arc<dyn PlainRwLock>,
-        read: Arc<TelemetryCell>,
-        write: Arc<TelemetryCell>,
-    ) -> Self {
-        InstrumentedPlainRw { inner, read, write }
-    }
-}
-
-impl PlainRwLock for InstrumentedPlainRw {
-    #[inline]
-    fn acquire_read(&self) -> PlainRwToken {
-        if !self.read.armed() {
-            return self.inner.acquire_read();
-        }
-        let contended = self.inner.write_held();
-        let sampling = self.read.sampling();
-        let t0 = if sampling && contended { now_ns() } else { 0 };
-        let token = self.inner.acquire_read();
-        if t0 != 0 {
-            self.read.add_wait_ns(now_ns().saturating_sub(t0));
-        }
-        self.read.record_acquisition(contended);
-        token
-    }
-
-    #[inline]
-    fn try_acquire_read(&self) -> Option<PlainRwToken> {
-        let token = self.inner.try_acquire_read()?;
-        if self.read.armed() {
-            self.read.record_acquisition(false);
-        }
-        Some(token)
-    }
-
-    #[inline]
-    fn release_read(&self, token: PlainRwToken) {
-        self.inner.release_read(token);
-    }
-
-    #[inline]
-    fn acquire_write(&self) -> PlainRwToken {
-        if !self.write.armed() {
-            return self.inner.acquire_write();
-        }
-        let contended = self.inner.held();
-        let sampling = self.write.sampling();
-        let t0 = if sampling && contended { now_ns() } else { 0 };
-        let token = self.inner.acquire_write();
-        if t0 != 0 {
-            self.write.add_wait_ns(now_ns().saturating_sub(t0));
-        }
-        self.write.record_acquisition_exclusive(contended);
-        self.write.note_hold_start();
-        token
-    }
-
-    #[inline]
-    fn try_acquire_write(&self) -> Option<PlainRwToken> {
-        let token = self.inner.try_acquire_write()?;
-        if self.write.armed() {
-            self.write.record_acquisition_exclusive(false);
-            self.write.note_hold_start();
-        }
-        Some(token)
-    }
-
-    #[inline]
-    fn release_write(&self, token: PlainRwToken) {
-        self.write.note_hold_end();
-        self.inner.release_write(token);
-    }
-
-    #[inline]
-    fn held(&self) -> bool {
-        self.inner.held()
-    }
-
-    #[inline]
-    fn write_held(&self) -> bool {
-        self.inner.write_held()
-    }
-
-    fn rw_lock_name(&self) -> &'static str {
-        self.inner.rw_lock_name()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -952,8 +807,8 @@ pub fn truncate_registered(mark: usize) {
         .truncate(mark);
 }
 
-/// Wrap `lock` in an [`InstrumentedPlain`] recording into a fresh
-/// cell registered under `label`. While [`profiling`] is on the cell
+/// Wrap `lock` in an [`Instrumented`] (over the erased handle, and
+/// erased again) recording into a fresh cell registered under `label`. While [`profiling`] is on the cell
 /// samples hold/wait timing; otherwise it records only while the
 /// [`recording`] gate is armed, so an `instrumented-<name>` spec left
 /// in a production config costs one branch per acquisition, not a
@@ -964,10 +819,10 @@ pub fn instrument(label: &str, lock: Arc<dyn PlainLock>) -> Arc<dyn PlainLock> {
         cell.set_sampling(true);
     }
     register_cell(label, cell.clone());
-    Arc::new(InstrumentedPlain::new(lock, cell))
+    Arc::new(Instrumented::with_cell(DynLock::new(lock), cell))
 }
 
-/// Wrap `lock` in an [`InstrumentedPlainRw`] with fresh read/write
+/// Wrap `lock` in an [`InstrumentedRw`] with fresh read/write
 /// cells registered as `<label>.read` / `<label>.write` (sampling
 /// follows [`profiling`], as in [`instrument`]).
 pub fn instrument_rw(label: &str, lock: Arc<dyn PlainRwLock>) -> Arc<dyn PlainRwLock> {
@@ -979,7 +834,11 @@ pub fn instrument_rw(label: &str, lock: Arc<dyn PlainRwLock>) -> Arc<dyn PlainRw
     }
     register_cell(format!("{label}.read"), read.clone());
     register_cell(format!("{label}.write"), write.clone());
-    Arc::new(InstrumentedPlainRw::new(lock, read, write))
+    Arc::new(InstrumentedRw::with_cells(
+        DynRwLock::new(lock),
+        read,
+        write,
+    ))
 }
 
 /// [`instrument`] when profiling is on; otherwise pass `lock` through
@@ -1107,10 +966,10 @@ mod tests {
     }
 
     #[test]
-    fn plain_wrapper_delegates_and_records() {
+    fn erased_wrapper_delegates_and_records() {
         let cell = Arc::new(TelemetryCell::sampled());
-        let lock: Arc<dyn PlainLock> = Arc::new(InstrumentedPlain::new(
-            Arc::new(McsLock::new()),
+        let lock: Arc<dyn PlainLock> = Arc::new(Instrumented::with_cell(
+            DynLock::of(McsLock::new()),
             cell.clone(),
         ));
         let t = lock.acquire();
@@ -1118,16 +977,16 @@ mod tests {
         assert!(lock.try_acquire().is_none());
         lock.release(t);
         assert!(!lock.held());
-        assert_eq!(lock.lock_name(), "mcs", "telemetry is name-transparent");
+        assert_eq!(lock.lock_name(), "instrumented", "the wrapper names itself");
         assert_eq!(cell.snapshot().acquisitions, 1);
     }
 
     #[test]
-    fn plain_rw_wrapper_delegates_and_records() {
+    fn erased_rw_wrapper_delegates_and_records() {
         let read = Arc::new(TelemetryCell::sampled());
         let write = Arc::new(TelemetryCell::sampled());
-        let lock: Arc<dyn PlainRwLock> = Arc::new(InstrumentedPlainRw::new(
-            Arc::new(RwTicketLock::new()),
+        let lock: Arc<dyn PlainRwLock> = Arc::new(InstrumentedRw::with_cells(
+            DynRwLock::of(RwTicketLock::new()),
             read.clone(),
             write.clone(),
         ));

@@ -16,7 +16,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use asl_locks::api::{DynLock, GuardedLock};
-use asl_locks::gcr::{Gcr, GcrConfig, GcrPlain};
+use asl_locks::gcr::{Gcr, GcrConfig};
 use asl_locks::plain::PlainLock;
 use asl_locks::{McsLock, RawLock, TasLock, TicketLock};
 
@@ -171,12 +171,12 @@ fn passive_panic_recovers_gcr_mcs() {
     passive_survivor_panics_and_recovers(k1(McsLock::new()), "gcr-mcs");
 }
 
-/// The dyn form used by the registry (`gcr-<name>` specs) runs the
-/// same protocol through `PlainLock`; its unwind path goes through
-/// [`DynLock`]'s guard instead of the typed one.
-fn plain_k1() -> Arc<GcrPlain> {
-    Arc::new(GcrPlain::with_config(
-        Arc::new(McsLock::new()),
+/// The erased form used by the registry (`gcr-<name>` specs) is the
+/// same wrapper over a [`DynLock`], driven here through `PlainLock`
+/// the way the harness drives it.
+fn plain_k1() -> Arc<Gcr<DynLock>> {
+    Arc::new(Gcr::with_config(
+        DynLock::of(McsLock::new()),
         GcrConfig {
             reintroduce_period: 4,
             ..GcrConfig::fixed(1)

@@ -6,7 +6,8 @@
 //! * guards compose with every interface level (raw, generic mutex,
 //!   dynamic wrapper);
 //! * (debug builds) a token released against the wrong lock panics on
-//!   the ownership check instead of corrupting queue nodes.
+//!   the ownership check instead of corrupting queue nodes — also when
+//!   the lock is a wrapper over an erased lock, erased again.
 
 use std::sync::Arc;
 
@@ -32,7 +33,10 @@ fn panic_in_critical_section_releases_static_mutex() {
 
 #[test]
 fn panic_in_critical_section_releases_dyn_mutex() {
-    let m = Arc::new(DynMutex::new(DynLock::of(TicketLock::new()), vec![1u64]));
+    let m = Arc::new(DynMutex::with_lock(
+        vec![1u64],
+        DynLock::of(TicketLock::new()),
+    ));
     let m2 = m.clone();
     let joined = std::thread::spawn(move || {
         m2.lock().push(2);
@@ -125,4 +129,42 @@ fn cross_lock_release_panics_in_debug_builds() {
     // allowed; the debug ownership tag catches it before any queue
     // damage.
     b.release(token);
+}
+
+/// `wrap` builds a pass-through-token wrapper over the erased handle
+/// and the result is erased again (what `gcr-<name>` and
+/// `instrumented-<name>` registry specs are). The token a caller
+/// holds is still the innermost lock's, so handing it to a *second*
+/// such stack must trip that stack's innermost ownership check —
+/// after passing through both wrappers' release paths.
+#[cfg(debug_assertions)]
+fn cross_release_through<W>(wrap: impl Fn(DynLock) -> W)
+where
+    W: asl_locks::plain::PlainLock + 'static,
+{
+    use asl_locks::plain::PlainLock;
+    let a: Arc<dyn PlainLock> = Arc::new(wrap(DynLock::of(McsLock::new())));
+    let b: Arc<dyn PlainLock> = Arc::new(wrap(DynLock::of(McsLock::new())));
+    // The right way round works, repeatedly.
+    for lock in [&a, &b] {
+        let token = lock.acquire();
+        lock.release(token);
+        assert!(!lock.held());
+    }
+    let token = a.acquire();
+    b.release(token);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "did not issue")]
+fn cross_lock_release_panics_through_erased_gcr() {
+    cross_release_through(asl_locks::Gcr::new);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "did not issue")]
+fn cross_lock_release_panics_through_erased_instrumented() {
+    cross_release_through(asl_locks::Instrumented::new);
 }

@@ -136,9 +136,9 @@ fn try_guards_release_on_drop() {
 
 #[test]
 fn panic_in_read_section_releases_without_poisoning() {
-    let m = Arc::new(DynRwMutex::new(
-        DynRwLock::of(RwTicketLock::new()),
+    let m = Arc::new(DynRwMutex::with_lock(
         vec![1u64],
+        DynRwLock::of(RwTicketLock::new()),
     ));
     let m2 = m.clone();
     let joined = std::thread::spawn(move || {

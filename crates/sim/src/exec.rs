@@ -36,12 +36,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use asl_locks::plain::{PlainLock, PlainRwLock};
 use asl_runtime::atomic_model::AtomicAffinity;
+use asl_runtime::stats::percentile;
 use asl_runtime::topology::{CoreId, CoreKind, Topology};
 use asl_runtime::{registry, substrate};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-use crate::percentile;
 
 /// Epoch id the simulated workload uses when an SLO is configured.
 pub const SIM_EPOCH_ID: usize = 9;

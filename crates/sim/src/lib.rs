@@ -1,311 +1,25 @@
-//! # asl-sim — deterministic discrete-event lock simulation
+//! # asl-sim — the real lock zoo on a modeled machine
 //!
-//! A virtual-time model of the paper's experimental setup: `N`
-//! threads, one per core of an asymmetric machine, each cycling
-//! *non-critical section → acquire → critical section → release*.
-//! Little cores take `perf_ratio×` longer for both sections. Lock
-//! behaviour is modelled per policy:
+//! A deterministic virtual-time engine for the paper's experimental
+//! setup: `N` threads on the cores of an asymmetric machine, each
+//! cycling *non-critical section → acquire → critical section →
+//! release*. The locks are not modeled — [`exec::run_lock`] steps the
+//! *real*, unmodified implementations cooperatively in virtual time
+//! (via the [`asl_runtime::substrate`] backend), and what is modeled
+//! is the machine: cache-line transfer costs, remote sockets, the
+//! little-core slowdown, core oversubscription ([`CostModel`],
+//! [`asl_runtime::Topology`]).
 //!
-//! * [`SimLockKind::Fifo`] — strict arrival-order handover
-//!   (MCS/ticket).
-//! * [`SimLockKind::TasAffinity`] — on release, a weighted coin among
-//!   the waiters picks the winner (the asymmetric atomic success rate
-//!   of §2.2).
-//! * [`SimLockKind::Proportional`] — two class queues, `n` big grants
-//!   per little grant (SHFL-PB).
-//! * [`SimLockKind::Reorderable`] — the LibASL model: big threads
-//!   enqueue immediately; little threads stand by for their reorder
-//!   window (static, or driven by the paper's Algorithm-2 feedback
-//!   against an SLO), joining the FIFO queue on expiry.
-//!
-//! Everything is seeded and deterministic: the same [`SimConfig`]
-//! yields the same [`SimResult`] — which makes figure *shapes*
-//! assertable in unit tests without wall-clock noise, complementing
-//! the real-thread harness.
-//!
-//! ## Two engines
-//!
-//! * The **analytic** engine above ([`run`]) models each policy with
-//!   hand-written queueing rules — fast, but only as faithful as the
-//!   model.
-//! * The **execution** engine ([`exec::run_lock`]) steps the *real*,
-//!   unmodified lock implementations cooperatively in virtual time on
-//!   a modeled machine (cache-line transfer costs, remote sockets,
-//!   little-core slowdown, core oversubscription), via the
-//!   [`asl_runtime::substrate`] backend. The analytic models are kept
-//!   as cross-validation oracles for its figure shapes.
+//! Everything is seeded and deterministic: the same [`ZooConfig`] and
+//! lock type yield the same [`ZooResult`], grant trace included —
+//! which makes figure *shapes* assertable in tests without wall-clock
+//! noise (`tests/integration_shapes.rs` at the workspace root holds
+//! the paper's Figure 1/4/5/8 shapes to the executed zoo),
+//! complementing the real-thread harness. [`exec::run_threads`] runs
+//! an arbitrary body per virtual thread for workloads beyond the
+//! standard loop (the repo benchmark's `amp-*` workloads, the
+//! database engines).
 
 pub mod exec;
 
-mod engine;
-mod model;
-
-pub use engine::{run, SimResult};
 pub use exec::{run_lock, run_rw, CostModel, ZooConfig, ZooResult, ZooRwResult};
-pub use model::{ArrivalProcess, SimConfig, SimLockKind};
-
-/// Exact percentile over raw simulated samples (the workspace-shared
-/// definition — see [`asl_runtime::stats`]).
-pub fn percentile(samples: &mut [u64], p: f64) -> u64 {
-    asl_runtime::stats::percentile(samples, p)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn base_cfg(lock: SimLockKind) -> SimConfig {
-        SimConfig {
-            topology: asl_runtime::Topology::custom(4, 4, 3.0),
-            threads: 8,
-            cs_ns: 2_000,
-            ncs_ns: 2_000,
-            duration_ns: 400_000_000, // 400 simulated ms
-            lock,
-            slo_ns: None,
-            seed: 7,
-            jitter: 0.05,
-            arrival: ArrivalProcess::Fixed,
-        }
-    }
-
-    #[test]
-    fn determinism_same_seed_same_result() {
-        let a = run(&base_cfg(SimLockKind::Fifo));
-        let b = run(&base_cfg(SimLockKind::Fifo));
-        assert_eq!(a.total_ops, b.total_ops);
-        assert_eq!(a.big_ops, b.big_ops);
-        assert_eq!(a.p99_overall, b.p99_overall);
-    }
-
-    #[test]
-    fn different_seed_different_trace() {
-        let mut c1 = base_cfg(SimLockKind::Fifo);
-        c1.seed = 1;
-        let mut c2 = base_cfg(SimLockKind::Fifo);
-        c2.seed = 2;
-        // Jitter differs, so op counts will almost surely differ.
-        assert_ne!(run(&c1).total_ops, run(&c2).total_ops);
-    }
-
-    #[test]
-    fn fifo_throughput_collapses_on_amp() {
-        // Paper Figure 1a: adding little cores to a contended FIFO
-        // lock *reduces* throughput (>30% collapse at ratio 3).
-        let mut big_only = base_cfg(SimLockKind::Fifo);
-        big_only.threads = 4;
-        let all = base_cfg(SimLockKind::Fifo);
-        let t4 = run(&big_only).throughput;
-        let t8 = run(&all).throughput;
-        assert!(
-            t8 < t4 * 0.8,
-            "expected FIFO collapse: 4 big cores {t4:.0} ops/s vs 8 cores {t8:.0} ops/s"
-        );
-    }
-
-    #[test]
-    fn reorderable_max_recovers_throughput() {
-        // Paper Figure 8e: LibASL-MAX throughput "does not drop at
-        // all" — it should roughly match the 4-big-core FIFO level.
-        let mut big_only = base_cfg(SimLockKind::Fifo);
-        big_only.threads = 4;
-        let t4 = run(&big_only).throughput;
-        let asl = run(&base_cfg(SimLockKind::Reorderable {
-            feedback: false,
-            static_window_ns: Some(100_000_000),
-        }));
-        let t8 = run(&base_cfg(SimLockKind::Fifo)).throughput;
-        assert!(
-            asl.throughput > t8 * 1.3,
-            "LibASL {} vs FIFO {}",
-            asl.throughput,
-            t8
-        );
-        assert!(
-            asl.throughput > t4 * 0.8,
-            "LibASL {} vs 4-big FIFO {}",
-            asl.throughput,
-            t4
-        );
-    }
-
-    #[test]
-    fn tas_little_affinity_starves_big_cores() {
-        // Paper Figure 1b/3b: little-core affinity gives little cores
-        // most acquisitions and collapses big-core latency.
-        let r = run(&base_cfg(SimLockKind::TasAffinity {
-            big_weight: 1.0,
-            little_weight: 50.0,
-        }));
-        assert!(
-            r.little_ops > r.big_ops * 2,
-            "little {} vs big {}",
-            r.little_ops,
-            r.big_ops
-        );
-        assert!(r.p99_big > r.p99_little * 2, "big tail must collapse");
-    }
-
-    #[test]
-    fn tas_big_affinity_boosts_throughput_but_collapses_little_latency() {
-        // Paper Figure 4: big-core affinity beats FIFO on throughput;
-        // little cores pay with tail latency.
-        let fifo = run(&base_cfg(SimLockKind::Fifo));
-        let tas = run(&base_cfg(SimLockKind::TasAffinity {
-            big_weight: 50.0,
-            little_weight: 1.0,
-        }));
-        assert!(tas.throughput > fifo.throughput * 1.1);
-        assert!(tas.p99_little > fifo.p99_little * 2);
-    }
-
-    #[test]
-    fn class_batching_collapses_like_fifo() {
-        // §2.2: NUMA-style long-term fairness (CNA/cohort batching)
-        // still gives little cores an equal long-run share, so the
-        // throughput collapse vs 4 big cores persists at any batch.
-        let mut big_only = base_cfg(SimLockKind::Fifo);
-        big_only.threads = 4;
-        let t4 = run(&big_only).throughput;
-        for batch in [4, 64, 256] {
-            let r = run(&base_cfg(SimLockKind::ClassBatched { batch }));
-            assert!(
-                r.throughput < t4 * 0.8,
-                "batch {batch}: expected collapse, got {:.0} vs 4-big {:.0}",
-                r.throughput,
-                t4
-            );
-            // Long-term fairness: both classes progress.
-            assert!(r.big_ops > 0 && r.little_ops > 0);
-        }
-    }
-
-    #[test]
-    fn class_batching_beats_fifo_slightly_on_amp() {
-        // Batching amortizes handovers within a class, so it should
-        // not do *worse* than strict FIFO on the same workload.
-        let fifo = run(&base_cfg(SimLockKind::Fifo));
-        let batched = run(&base_cfg(SimLockKind::ClassBatched { batch: 64 }));
-        assert!(
-            batched.throughput > fifo.throughput * 0.85,
-            "batched {:.0} vs fifo {:.0}",
-            batched.throughput,
-            fifo.throughput
-        );
-    }
-
-    #[test]
-    fn proportional_trades_latency_for_throughput() {
-        // Paper Figure 5: larger proportion -> more throughput, longer
-        // tail.
-        let lo = run(&base_cfg(SimLockKind::Proportional { n: 1 }));
-        let hi = run(&base_cfg(SimLockKind::Proportional { n: 20 }));
-        assert!(hi.throughput > lo.throughput);
-        assert!(hi.p99_overall >= lo.p99_overall);
-    }
-
-    #[test]
-    fn slo_feedback_keeps_little_tail_near_slo() {
-        // Paper Figure 8b: little-core P99 sticks to the SLO line.
-        let slo = 60_000u64; // 60 µs, comfortably above the FIFO tail
-        let mut cfg = base_cfg(SimLockKind::Reorderable {
-            feedback: true,
-            static_window_ns: None,
-        });
-        cfg.slo_ns = Some(slo);
-        let r = run(&cfg);
-        assert!(
-            r.p99_little <= slo * 13 / 10,
-            "little P99 {} overshoots SLO {}",
-            r.p99_little,
-            slo
-        );
-        // And reordering must have bought throughput over plain FIFO.
-        let fifo = run(&base_cfg(SimLockKind::Fifo));
-        assert!(
-            r.throughput >= fifo.throughput,
-            "{} < {}",
-            r.throughput,
-            fifo.throughput
-        );
-    }
-
-    #[test]
-    fn larger_slo_larger_throughput() {
-        // Paper Figure 8b: throughput grows with the SLO.
-        let mut lo = base_cfg(SimLockKind::Reorderable {
-            feedback: true,
-            static_window_ns: None,
-        });
-        lo.slo_ns = Some(30_000);
-        let mut hi = lo.clone();
-        hi.slo_ns = Some(300_000);
-        let r_lo = run(&lo);
-        let r_hi = run(&hi);
-        assert!(
-            r_hi.throughput > r_lo.throughput,
-            "SLO 300us {} <= SLO 30us {}",
-            r_hi.throughput,
-            r_lo.throughput
-        );
-    }
-
-    #[test]
-    fn impossible_slo_falls_back_to_fifo() {
-        // Paper §3.4: "when the SLO is impossible to achieve even
-        // without reordering, LibASL falls back to a FIFO lock".
-        let mut cfg = base_cfg(SimLockKind::Reorderable {
-            feedback: true,
-            static_window_ns: None,
-        });
-        cfg.slo_ns = Some(1); // unachievable
-        let asl = run(&cfg);
-        let fifo = run(&base_cfg(SimLockKind::Fifo));
-        let ratio = asl.throughput / fifo.throughput;
-        assert!(
-            (0.85..1.15).contains(&ratio),
-            "expected FIFO-like throughput, ratio {ratio:.2}"
-        );
-    }
-
-    #[test]
-    fn poisson_think_time_is_deterministic_and_distinct() {
-        let mut cfg = base_cfg(SimLockKind::Fifo);
-        cfg.arrival = ArrivalProcess::Poisson;
-        let a = run(&cfg);
-        let b = run(&cfg);
-        assert_eq!(a.total_ops, b.total_ops, "same seed, same trace");
-        assert_eq!(a.p99_overall, b.p99_overall);
-        let fixed = run(&base_cfg(SimLockKind::Fifo));
-        assert_ne!(
-            a.total_ops, fixed.total_ops,
-            "poisson arrivals must change the trace"
-        );
-    }
-
-    #[test]
-    fn bursty_arrivals_fatten_the_fifo_tail() {
-        // A burst dumps the whole little-core cohort on the queue at
-        // one instant; FIFO's tail should be no better than under
-        // evenly spread think times.
-        let mut burst = base_cfg(SimLockKind::Fifo);
-        burst.arrival = ArrivalProcess::Burst { burst: 16 };
-        let smooth = run(&base_cfg(SimLockKind::Fifo));
-        let bursty = run(&burst);
-        assert!(bursty.total_ops > 0);
-        assert!(
-            bursty.p99_overall >= smooth.p99_overall,
-            "burst p99 {} vs smooth p99 {}",
-            bursty.p99_overall,
-            smooth.p99_overall
-        );
-    }
-
-    #[test]
-    fn percentile_helper() {
-        let mut v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&mut v, 99.0), 99);
-        assert_eq!(percentile(&mut v, 50.0), 50);
-        assert_eq!(percentile(&mut Vec::new(), 99.0), 0);
-    }
-}

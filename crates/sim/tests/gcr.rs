@@ -19,7 +19,8 @@
 
 use std::sync::Arc;
 
-use asl_locks::gcr::{GcrConfig, GcrPlain};
+use asl_locks::api::DynLock;
+use asl_locks::gcr::{Gcr, GcrConfig};
 use asl_locks::McsLock;
 use asl_runtime::Topology;
 use asl_sim::exec::{run_lock, ZooConfig};
@@ -32,9 +33,9 @@ fn cfg(threads: usize) -> ZooConfig {
     ZooConfig::quick(Topology::apple_m1(), threads, 42)
 }
 
-fn gcr(limit: u32, reintroduce_period: u32) -> Arc<GcrPlain> {
-    Arc::new(GcrPlain::with_config(
-        Arc::new(McsLock::new()),
+fn gcr(limit: u32, reintroduce_period: u32) -> Arc<Gcr<DynLock>> {
+    Arc::new(Gcr::with_config(
+        DynLock::of(McsLock::new()),
         GcrConfig {
             reintroduce_period,
             ..GcrConfig::fixed(limit)

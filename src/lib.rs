@@ -14,18 +14,21 @@
 //! * [`locks`] — the lock zoo: TAS, ticket, back-off, MCS, CLH,
 //!   proportional (SHFL-PB), futex mutex, spin-then-park MCS, plus
 //!   the reader-writer substrates (phase-fair ticket, BRAVO) — and
-//!   the guard-based unified API (`asl_locks::api`: [`Guard`],
-//!   [`DynLock`], [`DynMutex`], and their shared/exclusive
-//!   counterparts [`ReadGuard`]/[`WriteGuard`], [`DynRwLock`],
-//!   [`DynRwMutex`]) every layer locks through ([`asl_locks`]).
+//!   the guard-based unified API every layer locks through
+//!   (`asl_locks::api`: one guard family — [`Guard`] and the
+//!   data-carrying `api::Mutex`, [`ReadGuard`]/[`WriteGuard`] and
+//!   `api::RwLock` — generic over the lock type, with the erased
+//!   handles [`DynLock`]/[`DynRwLock`] as the type parameter for locks
+//!   chosen at runtime; [`DynGuard`], [`DynMutex`] and [`DynRwMutex`]
+//!   are aliases) ([`asl_locks`]).
 //!   Observability is first-class: `asl_locks::telemetry` records
 //!   lock-agnostic acquisition counters ([`TelemetryCell`],
 //!   [`Instrumented`]) and the contention-[`Adaptive`] lock morphs
 //!   its substrate (TAS ↔ FIFO queue ↔ admission-restricted) from
-//!   that signal. Generic concurrency restriction ([`Gcr`],
-//!   [`GcrPlain`]) wraps *any* lock in an admission gate that parks
-//!   surplus waiters passively — the collapse-proofing layer behind
-//!   every `gcr-<name>` registry spec. The async
+//!   that signal. Generic concurrency restriction ([`Gcr`]) wraps
+//!   *any* lock in an admission gate that parks surplus waiters
+//!   passively — the collapse-proofing layer behind every
+//!   `gcr-<name>` registry spec (`Gcr<DynLock>`). The async
 //!   layer ([`AsyncMutex`], [`AsyncFifoMutex`], [`AsyncDynMutex`])
 //!   parks waiters as queued wakers on the [`runtime`]'s executor
 //!   ([`Executor`], [`block_on`]) and wakes them FIFO or in SLO-aware
@@ -37,8 +40,8 @@
 //!   [`DelegatedMutex`].
 //! * [`core`] — LibASL itself: reorderable lock, epoch/SLO feedback,
 //!   the [`Mutex`] dispatch ([`asl_core`]).
-//! * [`sim`] — deterministic discrete-event simulation of the same
-//!   lock models ([`asl_sim`]).
+//! * [`sim`] — the deterministic virtual-time engine that runs the
+//!   real lock zoo on a modeled machine ([`asl_sim`]).
 //! * [`dbsim`] — the five miniature storage engines of the paper's
 //!   application benchmarks ([`asl_dbsim`]).
 //! * [`harness`] — measurement, per-figure reproduction drivers and
@@ -185,7 +188,7 @@ pub use asl_locks::{
     CcSynch, DelegatedMutex, DelegationHandle, DelegationLock, FcBan, FlatCombiner, RclLock,
     RclServer, SlotsExhausted,
 };
-pub use asl_locks::{Gate, Gcr, GcrConfig, GcrPlain};
+pub use asl_locks::{Gate, Gcr, GcrConfig};
 pub use asl_runtime::clock;
 pub use asl_runtime::{
     block_on, wait_stats, CoreKind, ExecStats, Executor, JoinHandle, Topology, WaitStats,

@@ -18,13 +18,12 @@ use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use libasl::clock::{self, now_ns};
-use libasl::locks::telemetry::InstrumentedPlain;
 use libasl::locks::McsLock;
 use libasl::runtime::affinity::pin_to_cpu;
 use libasl::runtime::registry::register_on_core;
 use libasl::runtime::substrate::{self, Substrate};
 use libasl::runtime::topology::CoreId;
-use libasl::{epoch, AslSpinLock, DynLock, GcrPlain, TelemetryCell, Topology};
+use libasl::{epoch, AslSpinLock, DynLock, Gcr, Instrumented, TelemetryCell, Topology};
 
 /// Run `body` on a thread of its own and fail if it has not returned
 /// within `secs` seconds (the stuck thread is left behind).
@@ -235,7 +234,7 @@ fn holder_owned_counters_lose_no_update() {
 
         // `instrumented-mcs` as built under profiling: a sampling cell.
         let cell = Arc::new(TelemetryCell::sampled());
-        let lock = InstrumentedPlain::new(Arc::new(McsLock::new()), cell.clone());
+        let lock = Instrumented::with_cell(DynLock::of(McsLock::new()), cell.clone());
         hammer(&DynLock::of(lock), || (), |acquire| acquire());
         let s = cell.snapshot();
         assert_eq!(s.acquisitions, TOTAL, "instrumented-mcs: {s:?}");
@@ -244,7 +243,7 @@ fn holder_owned_counters_lose_no_update() {
         assert_eq!(cell.hold_started_ns(), 0);
 
         // `gcr-mcs`.
-        let gcr = Arc::new(GcrPlain::new(Arc::new(McsLock::new())));
+        let gcr = Arc::new(Gcr::new(DynLock::of(McsLock::new())));
         hammer(&DynLock::new(gcr.clone()), || (), |acquire| acquire());
         let s = gcr.telemetry().snapshot();
         assert_eq!(s.acquisitions, TOTAL, "gcr-mcs: {s:?}");

@@ -1,26 +1,81 @@
-//! Figure-shape assertions on the deterministic simulator plus quick
-//! real-thread cross-checks of the headline claims.
+//! Figure-shape assertions on the **executed** lock zoo.
 //!
 //! These tests encode the paper's *qualitative* results — who wins,
-//! roughly by how much, where behaviour flips — so regressions in any
-//! lock or in the feedback loop show up as failed shapes.
+//! roughly by how much, where behaviour flips — and hold the real,
+//! unmodified lock implementations to them on a modeled 4-big /
+//! 4-little, ratio-3 machine, in the simulator's deterministic virtual
+//! time (`common::run`: the engine's standard workload with jittered
+//! section lengths, one CPU per cell). A regression in any lock or in
+//! the window feedback shows up as a failed shape, on any host.
+//!
+//! Every cell is a 3 ms virtual window (≈ 1 k acquisitions): long
+//! enough for stable P99s, short enough that the file runs in a few
+//! seconds. The paper's competitors map onto the zoo as: FIFO →
+//! `McsLock`; TAS with an atomic-affinity bias → `TasLock`;
+//! SHFL-PB<n> → `ProportionalLock`; LibASL-MAX → `AslSpinLock` outside
+//! any epoch; LibASL-<slo> → `AslSpinLock` with every operation an
+//! epoch; LibASL-OPT → `StaticWindowLock`.
 
-use libasl::runtime::Topology;
-use libasl::sim::{run, ArrivalProcess, SimConfig, SimLockKind};
+mod common;
 
-fn cfg(lock: SimLockKind) -> SimConfig {
-    SimConfig {
-        topology: Topology::custom(4, 4, 3.0),
-        threads: 8,
-        cs_ns: 2_000,
-        ncs_ns: 2_000,
-        duration_ns: 300_000_000,
-        lock,
-        slo_ns: None,
-        seed: 11,
-        jitter: 0.05,
-        arrival: ArrivalProcess::Fixed,
+use std::sync::{Arc, OnceLock};
+
+use common::{run, Cell};
+use libasl::harness::locks::StaticWindowLock;
+use libasl::locks::plain::PlainLock;
+use libasl::locks::{McsLock, ProportionalLock, TasLock};
+use libasl::runtime::{AtomicAffinity, Topology};
+use libasl::sim::ZooConfig;
+use libasl::AslSpinLock;
+
+const PERF_RATIO: f64 = 3.0;
+
+fn cfg(threads: usize) -> ZooConfig {
+    ZooConfig {
+        cs_units: 2_000,
+        ncs_units: 2_000,
+        duration_ns: 3_000_000,
+        ..ZooConfig::quick(Topology::custom(4, 4, PERF_RATIO), threads, 11)
     }
+}
+
+fn with_slo(slo_ns: u64) -> ZooConfig {
+    ZooConfig {
+        slo_ns: Some(slo_ns),
+        ..cfg(8)
+    }
+}
+
+fn mcs() -> Arc<dyn PlainLock> {
+    Arc::new(McsLock::new())
+}
+
+fn asl() -> Arc<dyn PlainLock> {
+    Arc::new(AslSpinLock::default())
+}
+
+fn tas(affinity: AtomicAffinity) -> Arc<dyn PlainLock> {
+    Arc::new(TasLock::with_affinity(affinity))
+}
+
+// Cells several shapes compare against, run once.
+
+/// FIFO on the four big cores alone.
+fn fifo4() -> &'static Cell {
+    static CELL: OnceLock<Cell> = OnceLock::new();
+    CELL.get_or_init(|| run(&cfg(4), mcs()))
+}
+
+/// FIFO on all eight cores.
+fn fifo8() -> &'static Cell {
+    static CELL: OnceLock<Cell> = OnceLock::new();
+    CELL.get_or_init(|| run(&cfg(8), mcs()))
+}
+
+/// LibASL-MAX on all eight cores.
+fn asl_max8() -> &'static Cell {
+    static CELL: OnceLock<Cell> = OnceLock::new();
+    CELL.get_or_init(|| run(&cfg(8), asl()))
 }
 
 #[test]
@@ -28,14 +83,8 @@ fn fig1_shape_fifo_and_tas_collapse() {
     // Figure 1: scaling from 4 big cores to 4+4 collapses FIFO
     // throughput; little-affinity TAS is even worse on throughput and
     // collapses big-core latency.
-    let mut fifo4 = cfg(SimLockKind::Fifo);
-    fifo4.threads = 4;
-    let f4 = run(&fifo4);
-    let f8 = run(&cfg(SimLockKind::Fifo));
-    let t8 = run(&cfg(SimLockKind::TasAffinity {
-        big_weight: 1.0,
-        little_weight: 50.0,
-    }));
+    let (f4, f8) = (fifo4(), fifo8());
+    let t8 = run(&cfg(8), tas(AtomicAffinity::little_wins()));
 
     assert!(f8.throughput < f4.throughput, "FIFO collapse");
     assert!(
@@ -52,11 +101,8 @@ fn fig1_shape_fifo_and_tas_collapse() {
 
 #[test]
 fn fig4_shape_big_affinity_tas_beats_mcs_on_throughput_only() {
-    let f8 = run(&cfg(SimLockKind::Fifo));
-    let t8 = run(&cfg(SimLockKind::TasAffinity {
-        big_weight: 50.0,
-        little_weight: 1.0,
-    }));
+    let f8 = fifo8();
+    let t8 = run(&cfg(8), tas(AtomicAffinity::big_wins()));
     assert!(
         t8.throughput > f8.throughput * 1.15,
         "paper: +32% throughput; got {} vs {}",
@@ -77,7 +123,7 @@ fn fig5_shape_proportion_sweep_is_a_tradeoff_curve() {
     let mut first_tail = 0;
     let mut last_tail = 0;
     for n in [0u32, 2, 8, 29] {
-        let r = run(&cfg(SimLockKind::Proportional { n }));
+        let r = run(&cfg(8), Arc::new(ProportionalLock::new(n)));
         assert!(
             r.throughput > last_thpt * 0.95,
             "throughput should not drop along the sweep (n={n})"
@@ -95,12 +141,7 @@ fn fig5_shape_proportion_sweep_is_a_tradeoff_curve() {
 fn fig8b_shape_throughput_monotone_in_slo_and_tail_tracks_slo() {
     let mut prev = 0.0;
     for slo in [20_000u64, 60_000, 200_000, 1_000_000] {
-        let mut c = cfg(SimLockKind::Reorderable {
-            feedback: true,
-            static_window_ns: None,
-        });
-        c.slo_ns = Some(slo);
-        let r = run(&c);
+        let r = run(&with_slo(slo), asl());
         assert!(
             r.throughput >= prev * 0.97,
             "throughput should grow with SLO (slo={slo}): {} < {}",
@@ -119,15 +160,9 @@ fn fig8b_shape_throughput_monotone_in_slo_and_tail_tracks_slo() {
 
 #[test]
 fn fig8e_shape_libasl_max_keeps_big_core_throughput() {
-    let mut fifo4 = cfg(SimLockKind::Fifo);
-    fifo4.threads = 4;
-    let f4 = run(&fifo4);
-    let asl = run(&cfg(SimLockKind::Reorderable {
-        feedback: false,
-        static_window_ns: Some(100_000_000),
-    }));
     // Paper Fig. 8e: LibASL-MAX throughput "does not drop at all"
     // when little cores join.
+    let (f4, asl) = (fifo4(), asl_max8());
     assert!(
         asl.throughput > f4.throughput * 0.85,
         "LibASL-MAX {} vs 4-big FIFO {}",
@@ -140,22 +175,18 @@ fn fig8e_shape_libasl_max_keeps_big_core_throughput() {
 fn fig8g_shape_little_cores_help_at_low_contention() {
     // At low contention (long NCS), 8 cores under LibASL beat 4 big
     // cores — the paper's 68% observation.
-    let mk = |threads: usize, lock: SimLockKind, ncs: u64| {
-        let mut c = cfg(lock);
-        c.threads = threads;
-        c.ncs_ns = ncs;
-        run(&c)
+    let mk = |threads: usize, lock: Arc<dyn PlainLock>, ncs_units: u64| {
+        run(
+            &ZooConfig {
+                ncs_units,
+                ..cfg(threads)
+            },
+            lock,
+        )
     };
     let low_contention_ncs = 200_000; // 100x the CS
-    let big_only = mk(4, SimLockKind::Fifo, low_contention_ncs);
-    let asl_all = mk(
-        8,
-        SimLockKind::Reorderable {
-            feedback: false,
-            static_window_ns: Some(100_000_000),
-        },
-        low_contention_ncs,
-    );
+    let big_only = mk(4, mcs(), low_contention_ncs);
+    let asl_all = mk(8, asl(), low_contention_ncs);
     assert!(
         asl_all.throughput > big_only.throughput * 1.3,
         "little cores should add throughput at low contention: {} vs {}",
@@ -164,15 +195,8 @@ fn fig8g_shape_little_cores_help_at_low_contention() {
     );
 
     // And at very high contention LibASL ~ matches 4-big-core FIFO.
-    let big_only_hot = mk(4, SimLockKind::Fifo, 200);
-    let asl_hot = mk(
-        8,
-        SimLockKind::Reorderable {
-            feedback: false,
-            static_window_ns: Some(100_000_000),
-        },
-        200,
-    );
+    let big_only_hot = mk(4, mcs(), 200);
+    let asl_hot = mk(8, asl(), 200);
     let ratio = asl_hot.throughput / big_only_hot.throughput;
     assert!(
         (0.8..1.3).contains(&ratio),
@@ -183,13 +207,8 @@ fn fig8g_shape_little_cores_help_at_low_contention() {
 #[test]
 fn theoretical_speedup_bound_respected() {
     // Footnote 5: LibASL's gain over FIFO is bounded by (r+1)/2.
-    let fifo = run(&cfg(SimLockKind::Fifo));
-    let asl = run(&cfg(SimLockKind::Reorderable {
-        feedback: false,
-        static_window_ns: Some(100_000_000),
-    }));
-    let bound = (3.0 + 1.0) / 2.0; // perf_ratio 3.0
-    let speedup = asl.throughput / fifo.throughput;
+    let bound = (PERF_RATIO + 1.0) / 2.0;
+    let speedup = asl_max8().throughput / fifo8().throughput;
     assert!(speedup > 1.05, "LibASL must beat FIFO under contention");
     assert!(
         speedup <= bound * 1.15,
@@ -202,21 +221,12 @@ fn slo_feedback_outperforms_fifo_and_respects_slo_vs_static() {
     // The feedback window should land near the best static window for
     // the same observed tail.
     let slo = 80_000u64;
-    let mut fb = cfg(SimLockKind::Reorderable {
-        feedback: true,
-        static_window_ns: None,
-    });
-    fb.slo_ns = Some(slo);
-    let r_fb = run(&fb);
+    let r_fb = run(&with_slo(slo), asl());
 
     // Offline-optimal static window search (the paper's LibASL-OPT).
     let mut best_static = 0.0f64;
     for w in [5_000u64, 10_000, 20_000, 40_000, 80_000, 160_000] {
-        let c = cfg(SimLockKind::Reorderable {
-            feedback: false,
-            static_window_ns: Some(w),
-        });
-        let r = run(&c);
+        let r = run(&cfg(8), Arc::new(StaticWindowLock::new(w)));
         if r.p99_little <= slo * 12 / 10 {
             best_static = best_static.max(r.throughput);
         }

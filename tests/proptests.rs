@@ -1,12 +1,15 @@
 //! Workspace-wide property-based tests (proptest).
 
+mod common;
+
 use std::sync::Arc;
 
 use libasl::dbsim::LockFactory;
+use libasl::harness::locks::StaticWindowLock;
 use libasl::harness::Hist;
 use libasl::locks::plain::PlainLock;
 use libasl::runtime::Topology;
-use libasl::sim::{run, ArrivalProcess, SimConfig, SimLockKind};
+use libasl::sim::ZooConfig;
 use proptest::prelude::*;
 
 fn mcs_factory() -> impl LockFactory {
@@ -69,62 +72,6 @@ proptest! {
             prev = (v, f);
         }
         prop_assert!((prev.1 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sim_is_deterministic(
-        seed in 0u64..1_000,
-        cs in 500u64..5_000,
-        ncs in 500u64..5_000,
-    ) {
-        let cfg = SimConfig {
-            topology: Topology::custom(4, 4, 3.0), threads: 8,
-            cs_ns: cs, ncs_ns: ncs,
-            duration_ns: 20_000_000,
-            lock: SimLockKind::Fifo, slo_ns: None, seed, jitter: 0.05,
-            arrival: ArrivalProcess::Fixed,
-        };
-        let a = run(&cfg);
-        let b = run(&cfg);
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sim_reorderable_never_starves_little(
-        seed in 0u64..200,
-        window in 1_000u64..1_000_000,
-    ) {
-        let cfg = SimConfig {
-            topology: Topology::custom(4, 4, 3.0), threads: 8,
-            cs_ns: 2_000, ncs_ns: 1_000,
-            duration_ns: 100_000_000,
-            lock: SimLockKind::Reorderable { feedback: false, static_window_ns: Some(window) },
-            slo_ns: None, seed, jitter: 0.05,
-            arrival: ArrivalProcess::Fixed,
-        };
-        let r = run(&cfg);
-        // Bounded windows guarantee little-core progress.
-        prop_assert!(r.little_ops > 0, "little cores starved at window {window}");
-        prop_assert!(r.big_ops > 0);
-    }
-
-    #[test]
-    fn sim_bigger_window_never_hurts_throughput_much(
-        seed in 0u64..50,
-    ) {
-        let mk = |w: u64| SimConfig {
-            topology: Topology::custom(4, 4, 3.0), threads: 8,
-            cs_ns: 2_000, ncs_ns: 1_000,
-            duration_ns: 100_000_000,
-            lock: SimLockKind::Reorderable { feedback: false, static_window_ns: Some(w) },
-            slo_ns: None, seed, jitter: 0.05,
-            arrival: ArrivalProcess::Fixed,
-        };
-        let small = run(&mk(1_000)).throughput;
-        let large = run(&mk(10_000_000)).throughput;
-        // Monotone-ish: a larger reorder window (more reordering) must
-        // not lose more than noise.
-        prop_assert!(large > small * 0.9, "window 10ms {large:.0} << window 1us {small:.0}");
     }
 
     #[test]
@@ -255,6 +202,65 @@ proptest! {
             }
             prop_assert!(window <= max_window);
         }
+    }
+}
+
+/// The modeled 4-big / 4-little machine under a LibASL-OPT lock with
+/// a static reorder window (`common::run`: the real lock, stepped in
+/// virtual time, jittered sections).
+fn static_window_cell(seed: u64, window_ns: u64) -> common::Cell {
+    let cfg = ZooConfig {
+        cs_units: 2_000,
+        ncs_units: 1_000,
+        duration_ns: 2_000_000,
+        ..ZooConfig::quick(Topology::custom(4, 4, 3.0), 8, seed)
+    };
+    common::run(&cfg, Arc::new(StaticWindowLock::new(window_ns)))
+}
+
+// Each case steps real locks through a few hundred acquisitions on the
+// simulator (tens of ms of host time), so these run fewer cases than
+// the pure-function properties above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn sim_is_deterministic(
+        seed in 0u64..1_000,
+        cs in 500u64..5_000,
+        ncs in 500u64..5_000,
+    ) {
+        let cfg = ZooConfig {
+            cs_units: cs,
+            ncs_units: ncs,
+            duration_ns: 1_000_000,
+            ..ZooConfig::quick(Topology::custom(4, 4, 3.0), 8, seed)
+        };
+        let a = common::run(&cfg, Arc::new(libasl::locks::McsLock::new()));
+        let b = common::run(&cfg, Arc::new(libasl::locks::McsLock::new()));
+        prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn sim_reorderable_never_starves_little(
+        seed in 0u64..200,
+        window in 1_000u64..1_000_000,
+    ) {
+        let r = static_window_cell(seed, window);
+        // Bounded windows guarantee little-core progress.
+        prop_assert!(r.little_ops > 0, "little cores starved at window {window}");
+        prop_assert!(r.big_ops > 0);
+    }
+
+    #[test]
+    fn sim_bigger_window_never_hurts_throughput_much(
+        seed in 0u64..50,
+    ) {
+        let small = static_window_cell(seed, 1_000).throughput;
+        let large = static_window_cell(seed, 10_000_000).throughput;
+        // Monotone-ish: a larger reorder window (more reordering) must
+        // not lose more than noise.
+        prop_assert!(large > small * 0.9, "window 10ms {large:.0} << window 1us {small:.0}");
     }
 }
 
