@@ -17,10 +17,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use asl_core::{FixedCheckWait, ReorderableLock, SpinWait, WaitPolicy};
-use asl_harness::figures::{seed_tls_rng, with_tls_rng};
 use asl_harness::locks::LockSpec;
 use asl_harness::runner::run_until_ops;
-use asl_harness::scenario::MicroScenario;
+use asl_harness::scenario::{worker_rng, MicroScenario};
 use asl_locks::plain::{PlainLock, PlainToken};
 use asl_locks::{ClhLock, McsLock, RawLock, TicketLock};
 use asl_runtime::registry::is_big_core;
@@ -143,10 +142,13 @@ fn run_point(c: &mut Criterion, group: &str, label: &str, make: impl Fn() -> Arc
     g.bench_function(BenchmarkId::from_parameter(label), |b| {
         b.iter_custom(|iters| {
             let scenario = scenario_with(make());
-            run_until_ops(&topo, 8, iters.max(8), |ctx| {
-                seed_tls_rng(ctx.index);
-                with_tls_rng(|rng| scenario.run_op(rng))
-            })
+            run_until_ops(
+                &topo,
+                8,
+                iters.max(8),
+                |ctx| worker_rng(ctx.index),
+                |_, rng| scenario.run_op(rng),
+            )
         });
     });
     g.finish();
@@ -304,11 +306,16 @@ fn ablate_unit(c: &mut Criterion) {
                     s.epoch_slo = Some(200_000);
                     s
                 };
-                let d = run_until_ops(&topo, 8, iters.max(8), |ctx| {
-                    seed_tls_rng(ctx.index);
-                    asl_core::epoch::reset_thread_epochs();
-                    with_tls_rng(|rng| scenario.run_op(rng))
-                });
+                let d = run_until_ops(
+                    &topo,
+                    8,
+                    iters.max(8),
+                    |ctx| {
+                        asl_core::epoch::reset_thread_epochs();
+                        worker_rng(ctx.index)
+                    },
+                    |_, rng| scenario.run_op(rng),
+                );
                 asl_core::config::set_growth_unit(asl_core::config::GrowthUnit::AdaptivePct);
                 d
             });

@@ -8,9 +8,9 @@ use std::time::Duration;
 
 use asl_dbsim::{kyoto::Kyoto, leveldb::LevelDb, lmdb::Lmdb, sqlite::Sqlite, upscale::UpscaleDb};
 use asl_dbsim::{Engine, LockFactory};
-use asl_harness::figures::{seed_tls_rng, with_tls_rng};
 use asl_harness::locks::LockSpec;
 use asl_harness::runner::run_until_ops;
+use asl_harness::scenario::worker_rng;
 use asl_locks::plain::PlainLock;
 use asl_runtime::{AtomicAffinity, Topology};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -50,21 +50,21 @@ fn bench_engine(
             b.iter_custom(|iters| {
                 let engine = make(&SpecFactory(spec.clone()));
                 let slo = spec.epoch_slo();
-                run_until_ops(&topo, 8, iters.max(8), |ctx| {
-                    seed_tls_rng(ctx.index);
-                    match slo {
+                run_until_ops(
+                    &topo,
+                    8,
+                    iters.max(8),
+                    |ctx| worker_rng(ctx.index),
+                    |_, rng| match slo {
                         Some(slo) => {
-                            asl_core::epoch::with_epoch_timed(0, slo, || {
-                                with_tls_rng(|rng| engine.run_request(rng))
-                            })
-                            .1
+                            asl_core::epoch::with_epoch_timed(0, slo, || engine.run_request(rng)).1
                         }
                         None => {
-                            with_tls_rng(|rng| engine.run_request(rng));
+                            engine.run_request(rng);
                             0
                         }
-                    }
-                })
+                    },
+                )
             });
         });
     }

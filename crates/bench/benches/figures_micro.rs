@@ -5,10 +5,11 @@
 
 use std::time::Duration;
 
-use asl_harness::figures::{seed_tls_rng, with_tls_rng};
 use asl_harness::locks::LockSpec;
 use asl_harness::runner::run_until_ops;
-use asl_harness::scenario::{MicroScenario, FIG1_LINES, FIG1_NCS_UNITS, FIG4_LINES, FIG8G_LINES};
+use asl_harness::scenario::{
+    worker_rng, MicroScenario, FIG1_LINES, FIG1_NCS_UNITS, FIG4_LINES, FIG8G_LINES,
+};
 use asl_runtime::{AtomicAffinity, Topology};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -31,10 +32,13 @@ fn bench_scenario(
     group.bench_function(BenchmarkId::from_parameter(label), |b| {
         b.iter_custom(|iters| {
             let scenario = make(spec);
-            run_until_ops(&topo, threads, iters.max(threads as u64), |ctx| {
-                seed_tls_rng(ctx.index);
-                with_tls_rng(|rng| scenario.run_op(rng))
-            })
+            run_until_ops(
+                &topo,
+                threads,
+                iters.max(threads as u64),
+                |ctx| worker_rng(ctx.index),
+                |_, rng| scenario.run_op(rng),
+            )
         });
     });
     group.finish();

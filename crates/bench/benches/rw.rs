@@ -14,9 +14,9 @@ use std::time::Duration;
 use asl_dbsim::upscale::UpscaleDb;
 use asl_dbsim::workload::Mix;
 use asl_dbsim::{Engine, LockFactory};
-use asl_harness::figures::{seed_tls_rng, with_tls_rng};
 use asl_harness::locks::LockSpec;
 use asl_harness::runner::run_until_ops;
+use asl_harness::scenario::worker_rng;
 use asl_locks::plain::{PlainLock, PlainRwLock};
 use asl_runtime::Topology;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -60,11 +60,16 @@ fn rw_vs_exclusive(c: &mut Criterion) {
                         &SpecFactory(spec.clone()),
                         Mix::new(frac),
                     ));
-                    run_until_ops(&topo, 8, iters.max(8), |ctx| {
-                        seed_tls_rng(ctx.index);
-                        with_tls_rng(|rng| engine.run_request(rng));
-                        0
-                    })
+                    run_until_ops(
+                        &topo,
+                        8,
+                        iters.max(8),
+                        |ctx| worker_rng(ctx.index),
+                        |_, rng| {
+                            engine.run_request(rng);
+                            0
+                        },
+                    )
                 })
             });
         }

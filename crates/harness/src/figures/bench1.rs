@@ -15,10 +15,10 @@ use asl_runtime::{AtomicAffinity, CoreKind};
 
 use crate::locks::LockSpec;
 use crate::report::{fmt_us, Table};
-use crate::scenario::{LengthModel, MicroScenario};
+use crate::scenario::{worker_rng, LengthModel, MicroScenario};
 
 use super::micro::{comparison_row, COMPARISON_COLS};
-use super::{run_micro, seed_tls_rng, with_tls_rng, Profile};
+use super::{run_micro, Profile};
 
 /// Measured MCS P99 on Bench-1 (the anchor all SLOs derive from).
 fn mcs_anchor(profile: &Profile) -> u64 {
@@ -259,10 +259,10 @@ pub fn fig8d(profile: &Profile) -> Vec<Table> {
     let traces: Vec<Vec<(u64, u64, CoreKind)>> =
         run_on_topology_with_stop(&topo, 8, profile.pin, stop.clone(), |ctx| {
             asl_core::epoch::reset_thread_epochs();
-            seed_tls_rng(ctx.index);
+            let mut rng = worker_rng(ctx.index);
             let mut trace = Vec::with_capacity(1 << 14);
             while !ctx.stopped() {
-                let lat = with_tls_rng(|rng| scenario.run_op(rng));
+                let lat = scenario.run_op(&mut rng);
                 trace.push((now_ns() - t_start, lat, ctx.assignment.kind));
             }
             trace

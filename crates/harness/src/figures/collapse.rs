@@ -19,94 +19,18 @@
 //! latency. This figure is the CI perf gate (`repro diff
 //! baselines/BENCH_collapse.json ...`), so keep its cells cheap.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
-use asl_core::epoch;
-use asl_runtime::clock::now_ns;
-use asl_runtime::spawn::run_on_topology_with_stop;
-use asl_runtime::topology::Topology;
-use asl_runtime::work::execute_units;
-use asl_runtime::CacheLineArena;
-
-use crate::hist::Hist;
 use crate::locks::LockSpec;
 use crate::report::{fmt_ops, Table};
-use crate::scenario::{CS_UNITS_PER_LINE, FIG1_LINES};
+use crate::scenario::{MicroScenario, CS_UNITS_PER_LINE, FIG1_LINES};
 
-use super::delegation::{start_controller, PHASE_DONE, PHASE_MEASURE};
-use super::Profile;
+use super::{run_micro, Profile};
 
-/// Per-worker measured ops + full-op latency histogram.
-struct CellOut {
-    per_worker: Vec<(u64, Hist)>,
-    elapsed_ns: u64,
-}
-
-impl CellOut {
-    fn throughput(&self) -> f64 {
-        let total: u64 = self.per_worker.iter().map(|(ops, _)| ops).sum();
-        total as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
-    }
-
-    fn latencies(&self) -> Hist {
-        let mut all = Hist::new();
-        for (_, h) in &self.per_worker {
-            all.merge(h);
-        }
-        all
-    }
-}
-
-/// One (lock, threads) cell: the Bench-1-style fixed critical section
-/// (cache-line RMW + emulated work) with short think time between ops,
-/// epoch-wrapped when the spec carries an SLO. Thread counts beyond
-/// the topology share cores via the round-robin assignment — exactly
-/// the oversubscription this figure is about.
-fn drive_cell(profile: &Profile, topo: &Topology, spec: &LockSpec, n: usize) -> CellOut {
-    let base_units = FIG1_LINES as u64 * CS_UNITS_PER_LINE;
-    // Think time is deliberately short (2x the critical section):
-    // collapse is a *contention* phenomenon, so the lock must stay
-    // the bottleneck for the admitted set. A think-dominated cell
-    // (fig1's 9x) measures the scheduler instead — every lock looks
-    // the same once each thread only wants the lock 10% of the time.
-    let think_units = 2 * base_units;
-    let lock = spec.make_dyn();
-    let arena = Arc::new(CacheLineArena::new(FIG1_LINES));
-    let slo = spec.epoch_slo();
-    let ctl = start_controller(profile);
-    let phase_ref = &ctl.phase;
-    let lock_ref = &lock;
-    let arena_ref = &arena;
-    let per_worker = run_on_topology_with_stop(topo, n, profile.pin, ctl.stop.clone(), |_ctx| {
-        let critical = || {
-            let _held = lock_ref.lock();
-            arena_ref.rmw(0, FIG1_LINES);
-            execute_units(base_units);
-        };
-        let mut ops = 0u64;
-        let mut hist = Hist::new();
-        while phase_ref.load(Ordering::Relaxed) != PHASE_DONE {
-            let recording = phase_ref.load(Ordering::Relaxed) == PHASE_MEASURE;
-            let t0 = now_ns();
-            match slo {
-                Some(slo) => epoch::with_epoch(0, slo, critical),
-                None => critical(),
-            }
-            if recording {
-                ops += 1;
-                hist.record(now_ns().saturating_sub(t0));
-            }
-            execute_units(think_units);
-        }
-        (ops, hist)
-    });
-    ctl.join.join().expect("controller panicked");
-    CellOut {
-        per_worker,
-        elapsed_ns: ctl.measured_ns.load(Ordering::Relaxed),
-    }
-}
+/// Think time between ops. Deliberately short (2x the critical
+/// section): collapse is a *contention* phenomenon, so the lock must
+/// stay the bottleneck for the admitted set. A think-dominated cell
+/// (fig1's 9x) measures the scheduler instead — every lock looks the
+/// same once each thread only wants the lock 10% of the time.
+const THINK_UNITS: u64 = 2 * FIG1_LINES as u64 * CS_UNITS_PER_LINE;
 
 /// The families swept, bare and wrapped. TAS and ticket are the
 /// canonical collapsers; MCS shows queue-lock convoying; LibASL-MAX
@@ -123,7 +47,6 @@ fn families() -> Vec<LockSpec> {
 /// The `collapse` figure: throughput + p99 across the saturation
 /// cliff, bare vs `gcr-` for each family.
 pub fn collapse(profile: &Profile) -> Vec<Table> {
-    let topo = Topology::apple_m1();
     let mut table = Table::new(
         "collapse",
         "scalability collapse at threads >> cores: bare locks vs the gcr- admission wrapper",
@@ -137,10 +60,15 @@ pub fn collapse(profile: &Profile) -> Vec<Table> {
                 } else {
                     family.clone()
                 };
-                let out = drive_cell(profile, &topo, &spec, threads);
-                let thpt = out.throughput();
-                let lat = out.latencies();
-                let (p99, p999) = (lat.p99(), lat.p999());
+                // One (lock, threads) cell: the Figure-1 critical
+                // section (cache-line RMW + emulated work) with the
+                // short think time. Thread counts beyond the topology
+                // share cores via the round-robin assignment —
+                // exactly the oversubscription this figure is about.
+                let scenario = MicroScenario::simple(&spec, FIG1_LINES, THINK_UNITS);
+                let out = run_micro(profile, &scenario, threads);
+                let thpt = out.throughput;
+                let (p99, p999) = (out.overall.p99(), out.overall.p999());
                 table.push_row(vec![
                     spec.label(),
                     threads.to_string(),

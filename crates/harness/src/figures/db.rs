@@ -17,9 +17,10 @@ use asl_runtime::{AtomicAffinity, Topology};
 use crate::locks::LockSpec;
 use crate::report::{fmt_us, Table};
 use crate::runner::run_timed_with_setup;
+use crate::scenario::worker_rng;
 
 use super::micro::{comparison_row, COMPARISON_COLS};
-use super::{seed_tls_rng, with_tls_rng, Profile};
+use super::Profile;
 
 /// A lock-spec-backed factory: every lock an engine asks for is a
 /// fresh instance of the same spec (the paper relinks the whole
@@ -90,18 +91,18 @@ pub(crate) fn run_engine_point(
         &cfg,
         |ctx| {
             asl_core::epoch::reset_thread_epochs();
-            seed_tls_rng(ctx.index);
+            worker_rng(ctx.index)
         },
-        move |_| match slo {
+        move |_, rng| match slo {
             Some(slo) => {
                 let (_, lat) = asl_core::epoch::with_epoch_timed(0, slo, || {
-                    with_tls_rng(|rng| engine.run_request(rng));
+                    engine.run_request(rng);
                 });
                 lat
             }
             None => {
                 let t0 = asl_runtime::clock::now_ns();
-                with_tls_rng(|rng| engine.run_request(rng));
+                engine.run_request(rng);
                 asl_runtime::clock::now_ns() - t0
             }
         },

@@ -19,212 +19,129 @@
 //! `<lock>@share=hog|min|max` and `<lock>@usage=hog` rows carry
 //! share fractions, not ops/s).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use asl_core::epoch;
-use asl_locks::delegation::DelegationHandle;
-use asl_locks::{CcSynch, FcBan, FlatCombiner, RclLock};
-use asl_runtime::clock::now_ns;
+use asl_locks::delegation::{DelegationHandle, DelegationLock};
+use asl_locks::{CcSynch, FcBan, FlatCombiner, RclLock, SlotHandle};
+use asl_runtime::affinity::pin_to_cpu;
 use asl_runtime::registry::register_on_core;
-use asl_runtime::spawn::run_on_topology_with_stop;
 use asl_runtime::topology::{CoreId, Topology};
 use asl_runtime::work::execute_units;
 use asl_runtime::CacheLineArena;
 
 use crate::locks::LockSpec;
 use crate::report::{fmt_ops, Table};
+use crate::runner::{run_timed_with_setup, RunResult};
 use crate::scenario::{CS_UNITS_PER_LINE, FIG1_LINES, FIG1_NCS_UNITS};
 
 use super::Profile;
 
-pub(crate) const PHASE_WARMUP: u8 = 0;
-pub(crate) const PHASE_MEASURE: u8 = 1;
-pub(crate) const PHASE_DONE: u8 = 2;
-
 /// The hog's critical sections are this many times longer.
 const HOG_FACTOR: u64 = 10;
 
-/// Per-worker measured op counts plus the measured wall time.
-struct RunOut {
-    per_worker: Vec<u64>,
-    elapsed_ns: u64,
-}
+/// Critical-section units of one Figure-1 section.
+pub(crate) const BASE_UNITS: u64 = FIG1_LINES as u64 * CS_UNITS_PER_LINE;
 
-impl RunOut {
-    fn throughput(&self) -> f64 {
-        let total: u64 = self.per_worker.iter().sum();
-        total as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
-    }
-
-    /// (hog, min, max) shares of completed ops. Worker 0 is the hog.
-    fn shares(&self) -> (f64, f64, f64) {
-        let total: u64 = self.per_worker.iter().sum();
-        let total = total.max(1) as f64;
-        let hog = self.per_worker.first().copied().unwrap_or(0) as f64 / total;
-        let min = self.per_worker.iter().min().copied().unwrap_or(0) as f64 / total;
-        let max = self.per_worker.iter().max().copied().unwrap_or(0) as f64 / total;
-        (hog, min, max)
-    }
-
-    /// The hog's share of *lock usage* (CS time): its ops are
-    /// `HOG_FACTOR`× longer, so weight them accordingly. This is the
-    /// quantity usage-fair banning drives toward 1/threads.
-    fn hog_usage(&self) -> f64 {
-        let hog = self.per_worker.first().copied().unwrap_or(0) * HOG_FACTOR;
-        let rest: u64 = self.per_worker.iter().skip(1).sum();
-        hog as f64 / ((hog + rest).max(1)) as f64
+/// Worker 0 is the hog.
+fn section_units(worker: usize) -> u64 {
+    if worker == 0 {
+        BASE_UNITS * HOG_FACTOR
+    } else {
+        BASE_UNITS
     }
 }
 
-/// Warmup → measure → done phase driver (same protocol as the
-/// `sec5-delegation` figure; the `collapse` figure shares it).
-pub(crate) struct Controller {
-    pub(crate) phase: Arc<AtomicU8>,
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) measured_ns: Arc<AtomicU64>,
-    pub(crate) join: std::thread::JoinHandle<()>,
+/// (hog, min, max) shares of completed ops.
+fn shares(per_worker: &[u64]) -> (f64, f64, f64) {
+    let total = per_worker.iter().sum::<u64>().max(1) as f64;
+    let hog = per_worker.first().copied().unwrap_or(0) as f64 / total;
+    let min = per_worker.iter().min().copied().unwrap_or(0) as f64 / total;
+    let max = per_worker.iter().max().copied().unwrap_or(0) as f64 / total;
+    (hog, min, max)
 }
 
-pub(crate) fn start_controller(profile: &Profile) -> Controller {
-    let phase = Arc::new(AtomicU8::new(PHASE_WARMUP));
-    let stop = Arc::new(AtomicBool::new(false));
-    let measured_ns = Arc::new(AtomicU64::new(0));
-    let join = {
-        let phase = phase.clone();
-        let stop = stop.clone();
-        let measured_ns = measured_ns.clone();
-        let warmup = std::time::Duration::from_millis(profile.warmup_ms);
-        let duration = std::time::Duration::from_millis(profile.duration_ms);
-        std::thread::spawn(move || {
-            std::thread::sleep(warmup);
-            let t0 = now_ns();
-            // Relaxed protocol flags; `measured_ns` is read only after
-            // join(), which orders it.
-            phase.store(PHASE_MEASURE, Ordering::Relaxed);
-            std::thread::sleep(duration);
-            phase.store(PHASE_DONE, Ordering::Relaxed);
-            measured_ns.store(now_ns() - t0, Ordering::Relaxed);
-            stop.store(true, Ordering::Relaxed);
-        })
-    };
-    Controller {
-        phase,
-        stop,
-        measured_ns,
-        join,
-    }
+/// The hog's share of *lock usage* (CS time): its ops are
+/// `HOG_FACTOR`× longer, so weight them accordingly. This is the
+/// quantity usage-fair banning drives toward 1/threads.
+fn hog_usage(per_worker: &[u64]) -> f64 {
+    let hog = per_worker.first().copied().unwrap_or(0) * HOG_FACTOR;
+    let rest: u64 = per_worker.iter().skip(1).sum();
+    hog as f64 / ((hog + rest).max(1)) as f64
 }
 
-/// Drive pre-registered delegation handles: worker `i` submits ops of
-/// `base_units` (worker 0: `HOG_FACTOR`×) and thinks `think_units`
-/// between ops. Workers land on cores `shift..` so an RCL server can
-/// keep core 0 to itself.
-fn drive_handles<H>(
-    profile: &Profile,
-    topo: &Topology,
-    handles: Vec<H>,
-    shift: usize,
-    base_units: u64,
-    think_units: u64,
-) -> RunOut
-where
-    H: DelegationHandle<Op = u64, Out = ()> + Send + 'static,
-{
-    let n = handles.len();
-    let ctl = start_controller(profile);
-    let handles = Mutex::new(handles.into_iter().map(Some).collect::<Vec<_>>());
-    let phase_ref = &ctl.phase;
-    let per_worker = run_on_topology_with_stop(
-        topo,
-        n,
-        false, // manual (possibly shifted) pinning below
-        ctl.stop.clone(),
-        |ctx| {
-            let core = CoreId((ctx.index + shift) % topo.cores().len());
-            register_on_core(topo, core);
-            if profile.pin {
-                if let Some(cpu) = topo.core(core).os_cpu {
-                    let _ = asl_runtime::affinity::pin_to_cpu(cpu);
-                }
-            }
-            let units = if ctx.index == 0 {
-                base_units * HOG_FACTOR
-            } else {
-                base_units
-            };
-            let h = handles.lock().unwrap()[ctx.index].take().expect("handle");
-            let mut ops = 0u64;
-            while phase_ref.load(Ordering::Relaxed) != PHASE_DONE {
-                let recording = phase_ref.load(Ordering::Relaxed) == PHASE_MEASURE;
-                h.apply(units);
-                if recording {
-                    ops += 1;
-                }
-                execute_units(think_units);
-            }
-            ops
-        },
-    );
-    ctl.join.join().expect("controller panicked");
-    RunOut {
-        per_worker,
-        elapsed_ns: ctl.measured_ns.load(Ordering::Relaxed),
-    }
-}
-
-/// Drive a registry spec through the guard API on the same workload
-/// (epoch-wrapped when the spec carries an SLO).
-fn drive_spec(
-    profile: &Profile,
-    topo: &Topology,
-    spec: &LockSpec,
-    n: usize,
-    base_units: u64,
-    think_units: u64,
-) -> RunOut {
-    let lock = spec.make_dyn();
-    let arena = Arc::new(CacheLineArena::new(FIG1_LINES));
-    let slo = spec.epoch_slo();
-    let ctl = start_controller(profile);
-    let phase_ref = &ctl.phase;
-    let lock_ref = &lock;
-    let arena_ref = &arena;
-    let per_worker = run_on_topology_with_stop(topo, n, profile.pin, ctl.stop.clone(), |ctx| {
-        let units = if ctx.index == 0 {
-            base_units * HOG_FACTOR
-        } else {
-            base_units
-        };
-        let critical = || {
-            let _held = lock_ref.lock();
-            arena_ref.rmw(0, FIG1_LINES);
-            execute_units(units);
-        };
-        let mut ops = 0u64;
-        while phase_ref.load(Ordering::Relaxed) != PHASE_DONE {
-            let recording = phase_ref.load(Ordering::Relaxed) == PHASE_MEASURE;
-            match slo {
-                Some(slo) => epoch::with_epoch(0, slo, critical),
-                None => critical(),
-            }
-            if recording {
-                ops += 1;
-            }
-            execute_units(think_units);
+/// Make the calling thread run as `core` of `topo`.
+fn place_on(topo: &Topology, core: CoreId, pin: bool) {
+    register_on_core(topo, core);
+    if pin {
+        if let Some(cpu) = topo.core(core).os_cpu {
+            let _ = pin_to_cpu(cpu);
         }
-        ops
-    });
-    ctl.join.join().expect("controller panicked");
-    RunOut {
-        per_worker,
-        elapsed_ns: ctl.measured_ns.load(Ordering::Relaxed),
     }
 }
 
-/// Build the op-apply function every delegation lock in the sweep
-/// runs: same cache-line RMW + emulated work as the guard path.
-fn delegated_apply(arena: Arc<CacheLineArena>) -> impl Fn(&mut (), u64) + Send + Sync + 'static {
+/// Drive a delegation lock natively through the timed runner. Handles
+/// are registered up front in worker order — worker 0, the hog, owns
+/// slot 0, and a slot's place in the executor's scan decides how soon
+/// its owner is back for the next pass, so leaving the order to thread
+/// start-up would move the shares this figure reports. Each worker
+/// takes its handle in `setup` — first moving `core_shift` cores up,
+/// so an RCL server can keep core 0 to itself — and `op` submits
+/// through it (returning the latency to record).
+pub(crate) fn drive_delegated<L: DelegationLock>(
+    profile: &Profile,
+    topo: &Topology,
+    lock: &L,
+    workers: usize,
+    core_shift: usize,
+    op: impl Fn(&L::Handle, usize) -> u64 + Sync,
+) -> RunResult {
+    let handles: Vec<_> = (0..workers)
+        .map(|_| Mutex::new(Some(lock.try_register().expect("delegation slot"))))
+        .collect();
+    run_timed_with_setup(
+        &profile.config_on(topo.clone(), workers),
+        |ctx| {
+            if core_shift > 0 {
+                let core = CoreId((ctx.index + core_shift) % topo.len());
+                place_on(topo, core, profile.pin);
+            }
+            let mut handle = handles[ctx.index].lock().expect("handle taken once");
+            handle.take().expect("handle taken once")
+        },
+        |octx, handle| op(handle, octx.thread.index),
+    )
+}
+
+/// [`drive_delegated`] for an RCL lock: a server thread owns (and is
+/// pinned to) big core 0 for the run, the clients shift onto cores
+/// 1.. — the "wastes a precious big core" configuration.
+pub(crate) fn drive_rcl<F>(
+    profile: &Profile,
+    topo: &Topology,
+    lock: &RclLock<(), u64, (), F>,
+    clients: usize,
+    op: impl Fn(&SlotHandle<(), u64, (), F, true, false>, usize) -> u64 + Sync,
+) -> RunResult
+where
+    F: Fn(&mut (), u64) + Send + Sync + 'static,
+{
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            place_on(topo, CoreId(0), true);
+            lock.serve();
+        });
+        let out = drive_delegated(profile, topo, lock, clients, 1, op);
+        lock.shutdown();
+        out
+    })
+}
+
+/// The apply function of the delegation locks these figures drive:
+/// an op is the critical section's emulated work units, run after
+/// the same cache-line RMW as the guard path's critical section.
+pub(crate) fn delegated_section() -> impl Fn(&mut (), u64) + Send + Sync + 'static {
+    let arena = CacheLineArena::new(FIG1_LINES);
     move |_, units| {
         arena.rmw(0, FIG1_LINES);
         execute_units(units);
@@ -237,59 +154,61 @@ fn run_delegation_lock(
     topo: &Topology,
     name: &str,
     threads: usize,
-    base_units: u64,
-    think_units: u64,
-) -> RunOut {
-    let arena = Arc::new(CacheLineArena::new(FIG1_LINES));
-    let apply = delegated_apply(arena);
+) -> RunResult {
+    let apply = delegated_section();
+    fn op<H: DelegationHandle<Op = u64>>(handle: &H, worker: usize) -> u64 {
+        handle.apply(section_units(worker));
+        execute_units(FIG1_NCS_UNITS);
+        0
+    }
     match name {
-        "flatcomb" => {
-            let fc = FlatCombiner::new((), apply);
-            let handles: Vec<_> = (0..threads).map(|_| fc.register()).collect();
-            drive_handles(profile, topo, handles, 0, base_units, think_units)
-        }
-        "ccsynch" => {
-            let cc = CcSynch::new((), apply);
-            let handles: Vec<_> = (0..threads).map(|_| cc.register()).collect();
-            drive_handles(profile, topo, handles, 0, base_units, think_units)
-        }
-        "fc-ban" => {
-            let fb = FcBan::new((), apply);
-            let handles: Vec<_> = (0..threads).map(|_| fb.register()).collect();
-            drive_handles(profile, topo, handles, 0, base_units, think_units)
-        }
+        "flatcomb" => drive_delegated(profile, topo, &FlatCombiner::new((), apply), threads, 0, op),
+        "ccsynch" => drive_delegated(profile, topo, &CcSynch::new((), apply), threads, 0, op),
+        "fc-ban" => drive_delegated(profile, topo, &FcBan::new((), apply), threads, 0, op),
+        // The server owns big core 0 (so at 8 requested threads only
+        // 7 clients run).
         "rcl" => {
-            // The server owns big core 0; clients shift onto cores
-            // 1.. (so at 8 requested threads only 7 clients run).
-            let lock = RclLock::new((), apply);
-            let server = {
-                let lock = lock.clone();
-                let topo = topo.clone();
-                std::thread::spawn(move || {
-                    register_on_core(&topo, CoreId(0));
-                    if let Some(cpu) = topo.core(CoreId(0)).os_cpu {
-                        let _ = asl_runtime::affinity::pin_to_cpu(cpu);
-                    }
-                    lock.serve();
-                })
-            };
-            let clients = threads.min(topo.cores().len() - 1);
-            let handles: Vec<_> = (0..clients).map(|_| lock.register()).collect();
-            let out = drive_handles(profile, topo, handles, 1, base_units, think_units);
-            lock.shutdown();
-            server.join().expect("rcl server panicked");
-            out
+            let clients = threads.min(topo.len() - 1);
+            drive_rcl(profile, topo, &RclLock::new((), apply), clients, op)
         }
         other => unreachable!("unknown delegation lock {other}"),
     }
+}
+
+/// Drive a registry spec through the guard API on the same workload
+/// (epoch-wrapped when the spec carries an SLO).
+fn run_guard_spec(
+    profile: &Profile,
+    topo: &Topology,
+    spec: &LockSpec,
+    threads: usize,
+) -> RunResult {
+    let lock = spec.make_dyn();
+    let arena = CacheLineArena::new(FIG1_LINES);
+    let slo = spec.epoch_slo();
+    run_timed_with_setup(
+        &profile.config_on(topo.clone(), threads),
+        |ctx| section_units(ctx.index),
+        |_, units| {
+            let critical = || {
+                let _held = lock.lock();
+                arena.rmw(0, FIG1_LINES);
+                execute_units(*units);
+            };
+            match slo {
+                Some(slo) => epoch::with_epoch(0, slo, critical),
+                None => critical(),
+            }
+            execute_units(FIG1_NCS_UNITS);
+            0
+        },
+    )
 }
 
 /// The `delegation` figure: reordering vs delegation under one
 /// 10×-hold-time hog, with per-thread fairness shares.
 pub fn delegation(profile: &Profile) -> Vec<Table> {
     let topo = Topology::apple_m1();
-    let base_units = FIG1_LINES as u64 * CS_UNITS_PER_LINE;
-    let think_units = FIG1_NCS_UNITS;
     let guard_specs = [
         LockSpec::Mcs,
         LockSpec::asl(Some(100_000)),
@@ -312,10 +231,10 @@ pub fn delegation(profile: &Profile) -> Vec<Table> {
         ],
     );
     for &threads in &[2usize, 4, 8] {
-        let mut record = |label: &str, out: &RunOut| {
-            let thpt = out.throughput();
-            let (hog, min, max) = out.shares();
-            let usage = out.hog_usage();
+        let mut record = |label: &str, out: &RunResult| {
+            let thpt = out.throughput;
+            let (hog, min, max) = shares(&out.per_worker_ops);
+            let usage = hog_usage(&out.per_worker_ops);
             table.push_row(vec![
                 label.to_string(),
                 threads.to_string(),
@@ -333,12 +252,13 @@ pub fn delegation(profile: &Profile) -> Vec<Table> {
             table.push_sample(&format!("{label}@usage=hog"), threads, usage);
         };
         for spec in &guard_specs {
-            let out = drive_spec(profile, &topo, spec, threads, base_units, think_units);
-            record(&spec.label(), &out);
+            record(
+                &spec.label(),
+                &run_guard_spec(profile, &topo, spec, threads),
+            );
         }
         for name in delegated {
-            let out = run_delegation_lock(profile, &topo, name, threads, base_units, think_units);
-            record(name, &out);
+            record(name, &run_delegation_lock(profile, &topo, name, threads));
         }
     }
     table.note("worker 0 is the hog (10x CS length); shares are fractions of completed ops");

@@ -9,25 +9,22 @@
 //! * `sec5-delegation` — §5 argues delegation locks can hide slow
 //!   little cores by executing every critical section on a big core,
 //!   at the cost of burning that core at low contention. We compare
-//!   flat combining and a dedicated big-core server against MCS and
-//!   LibASL-MAX at high and low contention.
+//!   flat combining and a dedicated big-core server (`RclLock::serve`
+//!   pinned to core 0) against MCS and LibASL-MAX at high and low
+//!   contention.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
-
-use asl_locks::flatcomb::{DedicatedServer, FlatCombiner};
+use asl_locks::delegation::DelegationHandle;
+use asl_locks::{FlatCombiner, RclLock};
 use asl_runtime::clock::now_ns;
-use asl_runtime::registry::register_on_core;
-use asl_runtime::spawn::run_on_topology_with_stop;
-use asl_runtime::topology::{CoreId, Topology};
+use asl_runtime::topology::Topology;
 use asl_runtime::work::execute_units;
-use asl_runtime::CacheLineArena;
 
-use crate::hist::Hist;
 use crate::locks::LockSpec;
 use crate::report::{fmt_ops, fmt_us, Table};
-use crate::scenario::{MicroScenario, CS_UNITS_PER_LINE, FIG1_LINES, FIG1_NCS_UNITS};
+use crate::runner::RunResult;
+use crate::scenario::{MicroScenario, FIG1_LINES, FIG1_NCS_UNITS};
 
+use super::delegation::{delegated_section, drive_delegated, drive_rcl, BASE_UNITS};
 use super::{run_micro, Profile};
 
 /// §2.2: the NUMA-lock lineup on the Figure-1 workload. All the
@@ -67,183 +64,19 @@ pub fn sec2_numa(profile: &Profile) -> Vec<Table> {
     vec![table]
 }
 
-const PHASE_WARMUP: u8 = 0;
-const PHASE_MEASURE: u8 = 1;
-const PHASE_DONE: u8 = 2;
-
-/// Which delegation structure to drive.
-#[derive(Clone, Copy)]
-enum DelegationMode {
-    /// Classic flat combining (any thread may combine).
-    FlatCombining,
-    /// Dedicated server thread spinning on big core 0.
-    Server,
-}
-
-/// Outcome of one delegation run.
-struct DelegationResult {
-    throughput: f64,
-    p99_ns: u64,
-}
-
-/// Timed delegation run: workers submit one `lines`-line critical
-/// section per op and think `ncs_units` between ops.
-fn run_delegation(
-    profile: &Profile,
-    mode: DelegationMode,
-    lines: usize,
-    ncs_units: u64,
-) -> DelegationResult {
-    let topo = Topology::apple_m1();
-    let arena = Arc::new(CacheLineArena::new(lines.max(1)));
-    let phase = Arc::new(AtomicU8::new(PHASE_WARMUP));
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let measured_ns = Arc::new(AtomicU64::new(0));
-
-    let controller = {
-        let phase = phase.clone();
-        let stop = stop.clone();
-        let measured_ns = measured_ns.clone();
-        let warmup = std::time::Duration::from_millis(profile.warmup_ms);
-        let duration = std::time::Duration::from_millis(profile.duration_ms);
-        std::thread::spawn(move || {
-            std::thread::sleep(warmup);
-            let t0 = now_ns();
-            // Ordering audit: measurement-protocol flags, polled with
-            // relaxed loads by the workers; `measured_ns` is read only
-            // after `controller.join()` below, which orders it.
-            phase.store(PHASE_MEASURE, Ordering::Relaxed);
-            std::thread::sleep(duration);
-            phase.store(PHASE_DONE, Ordering::Relaxed);
-            measured_ns.store(now_ns() - t0, Ordering::Relaxed);
-            stop.store(true, Ordering::Relaxed);
-        })
-    };
-
-    let apply = {
-        let arena = arena.clone();
-        move |_: &mut (), _op: u64| {
-            arena.rmw(0, lines);
-            // Runs on the *executor's* core: a big-core server hides
-            // little-core slowness; a little-core combiner slows
-            // everyone down.
-            execute_units(lines as u64 * CS_UNITS_PER_LINE);
-        }
-    };
-
-    struct WorkerOut {
-        ops: u64,
-        hist: Hist,
-    }
-
-    let outs: Vec<WorkerOut> = match mode {
-        DelegationMode::FlatCombining => {
-            let fc = FlatCombiner::new((), apply);
-            let handles: Vec<_> = (0..8).map(|_| fc.register()).collect();
-            let handles = std::sync::Mutex::new(handles.into_iter().map(Some).collect::<Vec<_>>());
-            let phase_ref = &phase;
-            let outs = run_on_topology_with_stop(&topo, 8, profile.pin, stop.clone(), |ctx| {
-                let h = handles.lock().unwrap()[ctx.index].take().expect("slot");
-                let mut hist = Hist::new();
-                let mut ops = 0u64;
-                while phase_ref.load(Ordering::Relaxed) != PHASE_DONE {
-                    let recording = phase_ref.load(Ordering::Relaxed) == PHASE_MEASURE;
-                    let t0 = now_ns();
-                    h.apply(0);
-                    let lat = now_ns() - t0;
-                    if recording {
-                        ops += 1;
-                        hist.record(lat);
-                    }
-                    execute_units(ncs_units);
-                }
-                WorkerOut { ops, hist }
-            });
-            outs
-        }
-        DelegationMode::Server => {
-            let srv = Arc::new(DedicatedServer::new((), apply));
-            // The server burns big core 0; clients use cores 1..=7
-            // (3 big + 4 little) — the "wastes a precious big core"
-            // configuration.
-            let server_thread = {
-                let srv = srv.clone();
-                let topo = topo.clone();
-                std::thread::spawn(move || {
-                    register_on_core(&topo, CoreId(0));
-                    if let Some(cpu) = topo.core(CoreId(0)).os_cpu {
-                        let _ = asl_runtime::affinity::pin_to_cpu(cpu);
-                    }
-                    srv.serve();
-                })
-            };
-            let handles: Vec<_> = (0..7).map(|_| srv.register()).collect();
-            let handles = std::sync::Mutex::new(handles.into_iter().map(Some).collect::<Vec<_>>());
-            // Workers fill cores 1..=7 (shift by one so none shares
-            // the server's core).
-            let client_topo = {
-                let mut cores = topo.clone();
-                let _ = &mut cores;
-                topo.clone()
-            };
-            let phase_ref = &phase;
-            let outs = run_on_topology_with_stop(
-                &client_topo,
-                7,
-                false, // manual shifted pinning below
-                stop.clone(),
-                |ctx| {
-                    // Shifted placement: worker i -> core i+1.
-                    let shifted = CoreId(ctx.index + 1);
-                    let a = register_on_core(&client_topo, shifted);
-                    if profile.pin {
-                        if let Some(cpu) = client_topo.core(shifted).os_cpu {
-                            let _ = asl_runtime::affinity::pin_to_cpu(cpu);
-                        }
-                    }
-                    let _ = a;
-                    let h = handles.lock().unwrap()[ctx.index].take().expect("slot");
-                    let mut hist = Hist::new();
-                    let mut ops = 0u64;
-                    while phase_ref.load(Ordering::Relaxed) != PHASE_DONE {
-                        let recording = phase_ref.load(Ordering::Relaxed) == PHASE_MEASURE;
-                        let t0 = now_ns();
-                        h.apply(0);
-                        let lat = now_ns() - t0;
-                        if recording {
-                            ops += 1;
-                            hist.record(lat);
-                        }
-                        execute_units(ncs_units);
-                    }
-                    WorkerOut { ops, hist }
-                },
-            );
-            srv.shutdown();
-            server_thread.join().expect("server panicked");
-            outs
-        }
-    };
-
-    controller.join().expect("controller panicked");
-    // Relaxed: the join above provides the happens-before edge (the
-    // pre-join load this replaces could race the controller's store).
-    let elapsed = measured_ns.load(Ordering::Relaxed);
-    let mut hist = Hist::new();
-    let mut total = 0u64;
-    for o in &outs {
-        hist.merge(&o.hist);
-        total += o.ops;
-    }
-    DelegationResult {
-        throughput: total as f64 / (elapsed.max(1) as f64 / 1e9),
-        p99_ns: hist.p99(),
-    }
+/// One timed delegated op (a whole Figure-1 critical section)
+/// followed by `ncs_units` of think time.
+fn timed_apply<H: DelegationHandle<Op = u64>>(handle: &H, ncs_units: u64) -> u64 {
+    let t0 = now_ns();
+    handle.apply(BASE_UNITS);
+    let lat = now_ns() - t0;
+    execute_units(ncs_units);
+    lat
 }
 
 /// §5: delegation vs LibASL at high and low contention.
 pub fn sec5_delegation(profile: &Profile) -> Vec<Table> {
-    let lines = FIG1_LINES;
+    let topo = Topology::apple_m1();
     let mut table = Table::new(
         "sec5-delegation",
         "delegation comparators (§5): big-core server helps under contention, wastes a core otherwise",
@@ -251,32 +84,34 @@ pub fn sec5_delegation(profile: &Profile) -> Vec<Table> {
     );
     // High contention: Figure-1 think time; low contention: 100x it.
     for (label, ncs) in [("high", FIG1_NCS_UNITS), ("low", FIG1_NCS_UNITS * 100)] {
-        let fc = run_delegation(profile, DelegationMode::FlatCombining, lines, ncs);
-        table.push_row(vec![
-            label.into(),
-            "flat-combining".into(),
-            fmt_ops(fc.throughput),
-            format!("{:.0}", fc.throughput),
-            fmt_us(fc.p99_ns),
-        ]);
-        let srv = run_delegation(profile, DelegationMode::Server, lines, ncs);
-        table.push_row(vec![
-            label.into(),
-            "delegation-server".into(),
-            fmt_ops(srv.throughput),
-            format!("{:.0}", srv.throughput),
-            fmt_us(srv.p99_ns),
-        ]);
-        for spec in [LockSpec::Mcs, LockSpec::asl(None)] {
-            let scenario = MicroScenario::simple(&spec, lines, ncs);
-            let r = run_micro(profile, &scenario, 8);
+        let mut row = |structure: String, r: &RunResult| {
             table.push_row(vec![
                 label.into(),
-                spec.label(),
+                structure,
                 fmt_ops(r.throughput),
                 format!("{:.0}", r.throughput),
                 fmt_us(r.overall.p99()),
             ]);
+        };
+        // The section runs on the *executor's* core: a big-core
+        // server hides little-core slowness; a little-core combiner
+        // slows everyone down. Classic flat combining first: any of
+        // the 8 workers may combine.
+        let fc = FlatCombiner::new((), delegated_section());
+        row(
+            "flat-combining".into(),
+            &drive_delegated(profile, &topo, &fc, 8, 0, |h, _| timed_apply(h, ncs)),
+        );
+        // A server spinning on big core 0; clients use cores 1..=7
+        // (3 big + 4 little).
+        let rcl = RclLock::new((), delegated_section());
+        row(
+            "delegation-server".into(),
+            &drive_rcl(profile, &topo, &rcl, 7, |h, _| timed_apply(h, ncs)),
+        );
+        for spec in [LockSpec::Mcs, LockSpec::asl(None)] {
+            let scenario = MicroScenario::simple(&spec, FIG1_LINES, ncs);
+            row(spec.label(), &run_micro(profile, &scenario, 8));
         }
     }
     table.note("server config: dedicated big core 0 + 7 clients; others use all 8 cores");

@@ -22,16 +22,13 @@ pub mod overhead;
 pub mod rw;
 pub mod sim;
 
-use std::cell::RefCell;
 use std::time::Duration;
 
 use asl_runtime::topology::Topology;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::report::Table;
 use crate::runner::{run_timed_with_setup, RunConfig, RunResult};
-use crate::scenario::MicroScenario;
+use crate::scenario::{worker_rng, MicroScenario};
 
 /// Measurement effort per data point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,20 +77,6 @@ impl Profile {
     }
 }
 
-thread_local! {
-    static TLS_RNG: RefCell<SmallRng> = RefCell::new(SmallRng::seed_from_u64(42));
-}
-
-/// Seed this worker's scenario RNG (called from runner setup).
-pub fn seed_tls_rng(thread_idx: usize) {
-    TLS_RNG.with(|r| *r.borrow_mut() = SmallRng::seed_from_u64(0x5EED_0000 + thread_idx as u64));
-}
-
-/// Run `f` with this worker's scenario RNG.
-pub fn with_tls_rng<R>(f: impl FnOnce(&mut SmallRng) -> R) -> R {
-    TLS_RNG.with(|r| f(&mut r.borrow_mut()))
-}
-
 /// Run a micro-scenario for one data point: workers reset their epoch
 /// state, seed their RNG, then hammer `scenario.run_op`.
 pub fn run_micro(profile: &Profile, scenario: &MicroScenario, threads: usize) -> RunResult {
@@ -112,9 +95,9 @@ pub fn run_micro_on(
         &cfg,
         |ctx| {
             asl_core::epoch::reset_thread_epochs();
-            seed_tls_rng(ctx.index);
+            worker_rng(ctx.index)
         },
-        |_octx| with_tls_rng(|rng| scenario.run_op(rng)),
+        |_octx, rng| scenario.run_op(rng),
     )
 }
 
@@ -247,17 +230,5 @@ mod tests {
         let cfg = q.config(8);
         assert_eq!(cfg.threads, 8);
         assert_eq!(cfg.topology.len(), 8);
-    }
-
-    #[test]
-    fn tls_rng_reseeds_per_worker() {
-        seed_tls_rng(3);
-        let a = with_tls_rng(rand::Rng::gen::<u64>);
-        seed_tls_rng(3);
-        let b = with_tls_rng(rand::Rng::gen::<u64>);
-        assert_eq!(a, b, "same seed must reproduce");
-        seed_tls_rng(4);
-        let c = with_tls_rng(rand::Rng::gen::<u64>);
-        assert_ne!(a, c, "different workers must diverge");
     }
 }

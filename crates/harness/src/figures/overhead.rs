@@ -120,8 +120,8 @@ impl Meter {
         }
     }
 
-    /// Concrete [`PlainLock`] round-trip (for lock types that only
-    /// exist behind the plain facade, like LibASL-OPT).
+    /// Concrete [`PlainLock`] round-trip (for the one lock type that
+    /// exists only behind the plain facade, the delegation bridge).
     fn plain<P: PlainLock + 'static>(&self, lock: P) -> Leg {
         self.leg(move || {
             let t = lock.acquire();
@@ -167,10 +167,10 @@ impl Meter {
 /// spec builds is measured monomorphized, with no vtable. `instr`
 /// wraps it in a static [`Instrumented`]/[`InstrumentedRw`] (how
 /// `instrumented-<name>` registry entries are measured at this layer;
-/// nesting beyond one wrap measures as one). Locks that exist only
-/// behind the plain facade (LibASL-OPT, the delegation bridge) are
-/// measured through their concrete, non-virtual `PlainLock` impl and
-/// have no static-instrumented combination; a `gcr-<name>` entry's
+/// nesting beyond one wrap measures as one). The delegation bridge,
+/// which exists only behind the plain facade, is measured through its
+/// concrete, non-virtual `PlainLock` impl and has no
+/// static-instrumented combination; a `gcr-<name>` entry's
 /// static layer is the concrete `Gcr` over the erased inner lock (the
 /// gate cost is what it adds; the inner dispatch is what `dyn_ns`
 /// measures).

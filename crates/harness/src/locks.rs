@@ -38,9 +38,8 @@ use std::sync::Arc;
 
 use asl_core::{AslBlockingLock, AslLock, AslRwLock, AslSpinLock, ReorderableLock, SpinWait};
 use asl_locks::api::{DynLock, DynRwLock};
-use asl_locks::plain::{
-    ExclusiveRw, PlainLock, PlainRwLock, PlainToken, RwTokenWords, TokenWords, WriteHalf,
-};
+use asl_locks::mcs::McsToken;
+use asl_locks::plain::{ExclusiveRw, PlainLock, PlainRwLock, RwTokenWords, TokenWords, WriteHalf};
 use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, ShuffleLock};
 use asl_locks::telemetry;
 use asl_locks::{
@@ -50,7 +49,6 @@ use asl_locks::{
 };
 use asl_runtime::registry::is_big_core;
 use asl_runtime::AtomicAffinity;
-use std::sync::atomic::AtomicBool;
 
 /// FIFO substrate under the LibASL dispatch layer (one type parameter
 /// at the `AslLock` level, one name fragment here).
@@ -311,48 +309,31 @@ impl LockSpec {
                 AslSubstrate::Ticket => sink.raw(AslLock::new(TicketLock::new())),
                 AslSubstrate::ShflFifo => sink.raw(AslLock::new(ShuffleLock::new(FifoPolicy))),
             },
-            // LibASL-OPT exists only behind the plain facade.
-            LockSpec::AslOpt { window_ns } => sink.plain(StaticWindowLock::new(*window_ns)),
+            LockSpec::AslOpt { window_ns } => sink.raw(StaticWindowLock::new(*window_ns)),
             LockSpec::AslBlocking { .. } => sink.raw(AslBlockingLock::new_blocking()),
             LockSpec::Adaptive => sink.raw(Adaptive::new()),
             // Delegation locks behind the generic baton bridge: the
             // protected state is the baton word, ops are Lock/Unlock
             // transfers, and the bridge is itself the concrete
-            // PlainLock impl. Under --profile the native constructors
-            // also register `<label>.combine` (and `.ban`) wait cells.
-            LockSpec::Flatcomb => {
-                let mirror = Arc::new(AtomicBool::new(false));
-                let inner = FlatCombiner::new(0u64, bridge_apply(mirror.clone()));
-                sink.plain(DelegatedMutex::new("flatcomb", inner, mirror))
-            }
-            LockSpec::CcSynch => {
-                let mirror = Arc::new(AtomicBool::new(false));
-                let inner = if telemetry::profiling() {
-                    CcSynch::instrumented(0u64, bridge_apply(mirror.clone()), &self.label())
-                } else {
-                    CcSynch::new(0u64, bridge_apply(mirror.clone()))
-                };
-                sink.plain(DelegatedMutex::new("ccsynch", inner, mirror))
-            }
-            LockSpec::Rcl => {
-                let mirror = Arc::new(AtomicBool::new(false));
-                let inner = if telemetry::profiling() {
-                    RclLock::instrumented(0u64, bridge_apply(mirror.clone()), &self.label())
-                } else {
-                    RclLock::new(0u64, bridge_apply(mirror.clone()))
-                };
-                let server = inner.start();
-                sink.plain(DelegatedMutex::new("rcl", inner, mirror).keep_alive(server))
-            }
-            LockSpec::FcBan => {
-                let mirror = Arc::new(AtomicBool::new(false));
-                let inner = if telemetry::profiling() {
-                    FcBan::instrumented(0u64, bridge_apply(mirror.clone()), &self.label())
-                } else {
-                    FcBan::new(0u64, bridge_apply(mirror.clone()))
-                };
-                sink.plain(DelegatedMutex::new("fc-ban", inner, mirror))
-            }
+            // PlainLock impl. `bridge` owns the held-ness mirror and,
+            // under --profile, passes the label the native
+            // constructors register their `<label>.combine` (and
+            // `.ban`) wait cells under.
+            LockSpec::Flatcomb => sink.plain(DelegatedMutex::bridge("flatcomb", |held, label| {
+                FlatCombiner::labelled(0u64, bridge_apply(held), label)
+            })),
+            LockSpec::CcSynch => sink.plain(DelegatedMutex::bridge("ccsynch", |held, label| {
+                CcSynch::labelled(0u64, bridge_apply(held), label)
+            })),
+            LockSpec::Rcl => sink.plain(
+                DelegatedMutex::bridge("rcl", |held, label| {
+                    RclLock::labelled(0u64, bridge_apply(held), label)
+                })
+                .keep_alive(RclLock::start),
+            ),
+            LockSpec::FcBan => sink.plain(DelegatedMutex::bridge("fc-ban", |held, label| {
+                FcBan::labelled(0u64, bridge_apply(held), label)
+            })),
             LockSpec::Instrumented(inner) => sink.instrumented(&self.label(), inner),
             // The inner spec keeps its own telemetry/profiling
             // wrapping (under its own label); the gate goes outside
@@ -415,7 +396,8 @@ pub(crate) trait LockSink: Sized {
         L::WriteToken: TokenWords;
 
     /// An exclusive lock that exists only behind the object-safe
-    /// facade.
+    /// facade: the delegation bridge, whose acquire and release are
+    /// delegated ops rather than a token protocol.
     fn plain<P: PlainLock + 'static>(self, lock: P) -> Self::Out;
 
     /// The `instrumented-<inner>` wrapper labelled `label`: the sink
@@ -863,35 +845,28 @@ impl StaticWindowLock {
     }
 }
 
-impl PlainLock for StaticWindowLock {
+impl RawLock for StaticWindowLock {
+    type Token = McsToken;
+    const NAME: &'static str = "libasl-opt";
+
     #[inline]
-    fn acquire(&self) -> PlainToken {
-        let tok = if is_big_core() {
+    fn lock(&self) -> McsToken {
+        if is_big_core() {
             self.inner.lock_immediately()
         } else {
             self.inner.lock_reorder(self.window_ns)
-        };
-        PlainToken::issue(self, tok.into_raw(), 0)
+        }
     }
     #[inline]
-    fn try_acquire(&self) -> Option<PlainToken> {
-        self.inner
-            .try_lock()
-            .map(|t| PlainToken::issue(self, t.into_raw(), 0))
+    fn try_lock(&self) -> Option<McsToken> {
+        self.inner.try_lock()
     }
     #[inline]
-    fn release(&self, token: PlainToken) {
-        let (raw, _) = token.redeem(self);
-        // SAFETY: `redeem` checked (in debug builds) that this lock
-        // issued the token; the word is an unreleased MCS token.
-        self.inner
-            .unlock(unsafe { asl_locks::mcs::McsToken::from_raw(raw) });
+    fn unlock(&self, token: McsToken) {
+        self.inner.unlock(token);
     }
-    fn held(&self) -> bool {
+    fn is_locked(&self) -> bool {
         self.inner.is_locked()
-    }
-    fn lock_name(&self) -> &'static str {
-        "libasl-opt"
     }
 }
 

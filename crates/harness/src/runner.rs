@@ -5,6 +5,13 @@
 //! fixed measurement window; throughput is completed operations per
 //! second and latency is collected per core class so reports can show
 //! Big P99 / Little P99 / Overall P99 side by side.
+//!
+//! This is the workspace's one warm-up → measure → done loop: every
+//! timed real-thread figure is a call to [`run_timed_with_setup`].
+//! What varies per figure goes in the two closures — `setup` builds
+//! each worker's own state on the worker thread (its RNG, a
+//! delegation handle, a per-worker section length; it may also move
+//! the worker to another core), `op` runs one operation against it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -75,6 +82,9 @@ pub struct RunResult {
     pub big_ops: u64,
     /// Ops completed by little-core workers.
     pub little_ops: u64,
+    /// Ops completed by each worker, in worker-index order (fairness
+    /// figures: who got what share).
+    pub per_worker_ops: Vec<u64>,
     /// Per-lock telemetry registered during the run (empty unless
     /// `asl_locks::telemetry` profiling is on — `repro --profile`).
     pub telemetry: Vec<(String, asl_locks::telemetry::TelemetrySnapshot)>,
@@ -116,16 +126,18 @@ pub fn run_timed<F>(cfg: &RunConfig, op: F) -> RunResult
 where
     F: Fn(&OpCtx) -> u64 + Sync,
 {
-    run_timed_with_setup(cfg, |_| {}, op)
+    run_timed_with_setup(cfg, |_| (), |octx, ()| op(octx))
 }
 
-/// [`run_timed`] with a per-worker setup hook executed after core
-/// registration and before the first operation (used to reset
-/// per-thread epoch state).
-pub fn run_timed_with_setup<S, F>(cfg: &RunConfig, setup: S, op: F) -> RunResult
+/// [`run_timed`] with per-worker state: `setup` runs once on each
+/// worker thread, after core registration and before the first
+/// operation, and builds the value every `op` of that worker gets
+/// (`&mut`, so a worker's RNG advances from op to op). It is also the
+/// place for per-thread preparation (resetting epoch state).
+pub fn run_timed_with_setup<W, S, F>(cfg: &RunConfig, setup: S, op: F) -> RunResult
 where
-    S: Fn(&ThreadCtx) + Sync,
-    F: Fn(&OpCtx) -> u64 + Sync,
+    S: Fn(&ThreadCtx) -> W + Sync,
+    F: Fn(&OpCtx, &mut W) -> u64 + Sync,
 {
     let phase = Arc::new(AtomicU8::new(PHASE_WARMUP));
     let stop = Arc::new(AtomicBool::new(false));
@@ -165,7 +177,7 @@ where
     let phase_ref = &phase;
     let outs: Vec<WorkerOut> =
         run_on_topology_with_stop(&cfg.topology, cfg.threads, cfg.pin, stop.clone(), |ctx| {
-            setup(ctx);
+            let mut state = setup(ctx);
             let octx = OpCtx {
                 thread: ctx,
                 phase: phase_ref,
@@ -174,7 +186,7 @@ where
             let mut ops = 0u64;
             while octx.running() {
                 let was_recording = octx.recording();
-                let latency = op(&octx);
+                let latency = op(&octx, &mut state);
                 // Count an op only if it *started* during measurement;
                 // ops spanning the end are counted (paper counts
                 // executed critical sections in the window).
@@ -221,15 +233,25 @@ where
         little,
         big_ops,
         little_ops,
+        per_worker_ops: outs.iter().map(|o| o.ops).collect(),
         telemetry: asl_locks::telemetry::snapshots(),
     }
 }
 
 /// Run until `target_ops` operations complete across all workers;
 /// returns the elapsed wall time (for Criterion `iter_custom`).
-pub fn run_until_ops<F>(topology: &Topology, threads: usize, target_ops: u64, op: F) -> Duration
+/// `setup` builds each worker's state once, as in
+/// [`run_timed_with_setup`].
+pub fn run_until_ops<W, S, F>(
+    topology: &Topology,
+    threads: usize,
+    target_ops: u64,
+    setup: S,
+    op: F,
+) -> Duration
 where
-    F: Fn(&ThreadCtx) -> u64 + Sync,
+    S: Fn(&ThreadCtx) -> W + Sync,
+    F: Fn(&ThreadCtx, &mut W) -> u64 + Sync,
 {
     let done = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
@@ -238,8 +260,9 @@ where
         let done = done.clone();
         let stop2 = stop.clone();
         run_on_topology_with_stop(topology, threads, false, stop.clone(), move |ctx| {
+            let mut state = setup(ctx);
             while !ctx.stopped() {
-                let _ = op(ctx);
+                let _ = op(ctx, &mut state);
                 if done.fetch_add(1, Ordering::Relaxed) + 1 >= target_ops {
                     stop2.store(true, Ordering::Relaxed);
                     break;
@@ -278,6 +301,8 @@ mod tests {
         assert!(!r.overall.is_empty());
         assert_eq!(r.total_ops, r.big_ops + r.little_ops);
         assert_eq!(r.overall.count(), r.total_ops);
+        assert_eq!(r.per_worker_ops.len(), 4);
+        assert_eq!(r.per_worker_ops.iter().sum::<u64>(), r.total_ops);
     }
 
     #[test]
@@ -318,11 +343,45 @@ mod tests {
     #[test]
     fn run_until_ops_completes() {
         let topo = Topology::symmetric(4);
-        let d = run_until_ops(&topo, 4, 10_000, |_| {
-            execute_units(10);
-            0
-        });
+        let d = run_until_ops(
+            &topo,
+            4,
+            10_000,
+            |_| (),
+            |_, ()| {
+                execute_units(10);
+                0
+            },
+        );
         assert!(d.as_nanos() > 0);
+    }
+
+    #[test]
+    fn worker_state_advances_across_ops_and_repeats_across_runs() {
+        // The worker's RNG is seeded once, in `setup`: consecutive ops
+        // of one worker draw different values (seeding inside `op`
+        // replayed the first draw forever), and a second run draws the
+        // same sequence. One worker stops at exactly `target_ops`.
+        use crate::scenario::worker_rng;
+        use rand::Rng;
+        let draws = || {
+            let seen = std::sync::Mutex::new(Vec::new());
+            run_until_ops(
+                &Topology::symmetric(1),
+                1,
+                8,
+                |ctx| worker_rng(ctx.index),
+                |_, rng| {
+                    seen.lock().unwrap().push(rng.gen::<u64>());
+                    0
+                },
+            );
+            seen.into_inner().unwrap()
+        };
+        let first = draws();
+        assert_eq!(first.len(), 8);
+        assert_ne!(first[0], first[1], "one draw replayed");
+        assert_eq!(first, draws(), "runs must repeat");
     }
 
     #[test]

@@ -14,20 +14,24 @@
 //!
 //! Nodes are preallocated at registration and circulate among
 //! participants (each apply trades the thread's fresh node for the
-//! previous tail), so the hot path never allocates.
+//! previous tail), so the hot path never allocates. Participant
+//! claiming, the panic protocol and the `<label>.combine` wait
+//! attribution are the family's, from
+//! [`delegation`](crate::delegation); only the queue is CC-Synch's
+//! own.
 
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use asl_runtime::clock::now_ns;
 use asl_runtime::relax::Spin;
 
-use crate::delegation::{claim_slot, DelegationHandle, DelegationLock, SlotsExhausted, MAX_SLOTS};
-use crate::telemetry::{register_cell, TelemetryCell};
+use crate::delegation::{
+    claim_slot, reraise_delegated_panic, run_caught, DelegationHandle, DelegationLock,
+    SlotsExhausted, WaitCell, MAX_SLOTS,
+};
 
 /// Default bound on critical sections one combiner executes before
 /// handing off (CC-Synch's `h`): big enough to amortize the handoff,
@@ -70,7 +74,7 @@ struct CcShared<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
     apply: F,
     batch: usize,
     /// Combiner-wait attribution (`<label>.combine`) when profiled.
-    cell: Option<Arc<TelemetryCell>>,
+    wait: WaitCell,
 }
 
 // SAFETY: `data` is only touched by the current combiner (the unique
@@ -100,7 +104,7 @@ where
 {
     /// Wrap `value`; `apply` executes one operation against it.
     pub fn new(value: T, apply: F) -> Self {
-        Self::with_batch(value, apply, DEFAULT_BATCH)
+        Self::labelled(value, apply, None)
     }
 
     /// [`CcSynch::new`] with an explicit combining-batch bound.
@@ -108,15 +112,14 @@ where
         Self::build(value, apply, batch, None)
     }
 
-    /// [`CcSynch::new`] with combiner-wait telemetry registered as
-    /// `<label>.combine` in the process-wide profiling registry.
-    pub fn instrumented(value: T, apply: F, label: &str) -> Self {
-        let cell = Arc::new(TelemetryCell::sampled());
-        register_cell(format!("{label}.combine"), cell.clone());
-        Self::build(value, apply, DEFAULT_BATCH, Some(cell))
+    /// [`CcSynch::new`]; with a label, combiner-wait telemetry is
+    /// registered as `<label>.combine` in the process-wide profiling
+    /// registry.
+    pub fn labelled(value: T, apply: F, label: Option<&str>) -> Self {
+        Self::build(value, apply, DEFAULT_BATCH, label)
     }
 
-    fn build(value: T, apply: F, batch: usize, cell: Option<Arc<TelemetryCell>>) -> Self {
+    fn build(value: T, apply: F, batch: usize, label: Option<&str>) -> Self {
         // One node per possible participant plus the initial dummy.
         let nodes: Box<[CcNode<Op, Out>]> = (0..=MAX_SLOTS).map(|_| CcNode::new()).collect();
         let shared = Arc::new(CcShared {
@@ -126,7 +129,7 @@ where
             data: UnsafeCell::new(value),
             apply,
             batch: batch.max(1),
-            cell,
+            wait: WaitCell::labelled(label, "combine"),
         });
         // The dummy tail starts "released" (wait=false, completed=
         // false), so the first announcer becomes the first combiner.
@@ -184,10 +187,6 @@ where
     fn try_register(&self) -> Result<Self::Handle, SlotsExhausted> {
         CcSynch::try_register(self)
     }
-
-    fn delegation_name(&self) -> &'static str {
-        "ccsynch"
-    }
 }
 
 /// A registered participant of a [`CcSynch`]. Not `Sync`: one handle
@@ -241,24 +240,20 @@ where
         }
         self.node.set(cur);
 
-        let armed = shared.cell.as_deref().is_some_and(TelemetryCell::armed);
-        let t0 = if armed { now_ns() } else { 0 };
+        let t0 = shared.wait.start();
         let mut spin = Spin::new();
         // SAFETY: `cur` stays valid (owned by the shared node pool).
         while unsafe { (*cur).wait.load(Ordering::Acquire) } {
             spin.relax();
         }
-        if let (true, Some(cell)) = (armed, shared.cell.as_deref()) {
-            cell.record_acquisition(true);
-            cell.add_wait_ns(now_ns().saturating_sub(t0));
-        }
+        shared.wait.finish(t0, true);
 
         // SAFETY: wait==false with release/acquire ordering hands the
         // node state over (result, or the combiner role).
         unsafe {
             if (*cur).completed.load(Ordering::Relaxed) {
                 if (*cur).panicked.load(Ordering::Relaxed) {
-                    panic!("delegated operation panicked");
+                    reraise_delegated_panic();
                 }
                 return (*cur).out.get().read().assume_init();
             }
@@ -280,12 +275,9 @@ where
             // SAFETY: announced node — op initialized, owner spinning.
             unsafe {
                 let op = (*node).op.get().read().assume_init();
-                match catch_unwind(AssertUnwindSafe(|| (shared.apply)(&mut *data, op))) {
-                    Ok(out) => (*node).out.get().write(MaybeUninit::new(out)),
-                    Err(payload) => {
-                        drop(payload);
-                        (*node).panicked.store(true, Ordering::Relaxed);
-                    }
+                match run_caught(&shared.apply, &mut *data, op) {
+                    Some(out) => (*node).out.get().write(MaybeUninit::new(out)),
+                    None => (*node).panicked.store(true, Ordering::Relaxed),
                 }
                 (*node).completed.store(true, Ordering::Relaxed);
                 (*node).wait.store(false, Ordering::Release);
@@ -301,7 +293,7 @@ where
         // SAFETY: our own op was the first executed; `cur` is ours.
         unsafe {
             if (*cur).panicked.load(Ordering::Relaxed) {
-                panic!("delegated operation panicked");
+                reraise_delegated_panic();
             }
             (*cur).out.get().read().assume_init()
         }
@@ -362,28 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn results_routed_to_correct_thread() {
-        let cc = CcSynch::new(Vec::<u32>::new(), |v, id: u32| {
-            v.push(id);
-            v.iter().filter(|&&x| x == id).count()
-        });
-        let mut handles = vec![];
-        for id in 0..6u32 {
-            let h = cc.register();
-            handles.push(std::thread::spawn(move || {
-                for i in 1..=1_000 {
-                    let seen = h.apply(id);
-                    assert_eq!(seen, i, "thread {id} saw foreign count");
-                }
-            }));
-        }
-        for t in handles {
-            t.join().unwrap();
-        }
-        assert_eq!(cc.into_inner().len(), 6_000);
-    }
-
-    #[test]
     fn tiny_batch_still_completes_everyone() {
         // batch=1 forces a handoff after every op: the pure
         // pass-the-combiner regime.
@@ -401,16 +371,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(cc.into_inner(), 30_000);
-    }
-
-    #[test]
-    fn slot_exhaustion_is_a_clean_error() {
-        let cc = CcSynch::new((), |_, _op: ()| ());
-        let handles: Vec<_> = (0..MAX_SLOTS).map(|_| cc.register()).collect();
-        assert_eq!(
-            cc.try_register().err(),
-            Some(SlotsExhausted { limit: MAX_SLOTS })
-        );
-        drop(handles);
     }
 }

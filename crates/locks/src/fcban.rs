@@ -5,252 +5,100 @@
 //! Classic combining locks are throughput-fair at best: a thread with
 //! long critical sections consumes a disproportionate share of the
 //! *lock's time* while still getting one op served per pass, starving
-//! nobody but slowing everybody. `FcBan` meters each participant's
-//! cumulative critical-section time (via `asl_runtime::clock`) and
-//! compares it with its proportional share of the total. A thread
-//! that overdraws is **banned**: its next submission is delayed by
-//! exactly the overage (served submitter-side with
+//! nobody but slowing everybody. Banning is a *policy applied to* a
+//! delegation structure, not a structure of its own, and that is how
+//! it is built here: the ban meter is the usage-policy axis of the
+//! publication-slot engine in [`delegation`](crate::delegation). The
+//! executor meters each participant's cumulative critical-section
+//! time (via `asl_runtime::clock`) around every op it executes and
+//! compares it with the participant's proportional share of the
+//! total. A thread that overdraws is **banned**: its next submission
+//! is delayed by exactly the overage (served submitter-side with
 //! [`busy_wait_ns`]), after which its meter is reset to its share —
 //! the debt is repaid by the ban, so ban durations stay bounded
 //! instead of compounding.
 //!
-//! The execution engine is flat-combining (publication array +
-//! opportunistic combiner) so the fairness deltas measured against
-//! [`FlatCombiner`](crate::flatcomb::FlatCombiner) and
+//! [`FcBan`] is that policy on the *combiner* executor (publication
+//! array + opportunistic combiner; [`SlotLock`]`<.., false, true>`,
+//! which is where its methods are documented), so the fairness deltas
+//! measured against [`FlatCombiner`](crate::flatcomb::FlatCombiner) —
+//! the same engine without the policy — and
 //! [`CcSynch`](crate::ccsynch::CcSynch) isolate the banning policy.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use asl_runtime::clock::{busy_wait_ns, now_ns};
-use asl_runtime::relax::Spin;
 
-use crate::delegation::{
-    claim_slot, DelegationHandle, DelegationLock, Slot, SlotsExhausted, MAX_SLOTS, SLOT_PENDING,
-};
-use crate::telemetry::{register_cell, TelemetryCell};
+use crate::delegation::{SlotLock, WaitCell};
 
 /// Default tolerance before a thread is banned: overages below this
 /// are forgiven, so clock jitter on symmetric workloads never bans.
 pub const DEFAULT_SLACK_NS: u64 = 20_000;
 
-/// One participant: a publication slot plus its usage meter.
-struct BanSlot<Op, Out> {
-    slot: Slot<Op, Out>,
+/// One participant's usage meter (it lives in the participant's
+/// publication slot).
+#[derive(Default)]
+pub(crate) struct Meter {
     /// Cumulative critical-section time charged to this thread.
     cs_ns: AtomicU64,
     /// Absolute deadline before which this thread may not submit
-    /// (0 = not banned). Written by the combiner, consumed by the
+    /// (0 = not banned). Written by the executor, consumed by the
     /// owner.
     banned_until: AtomicU64,
 }
 
-impl<Op, Out> BanSlot<Op, Out> {
-    fn new() -> Self {
-        BanSlot {
-            slot: Slot::new(),
-            cs_ns: AtomicU64::new(0),
-            banned_until: AtomicU64::new(0),
-        }
-    }
-}
-
-struct BanShared<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    slots: Box<[BanSlot<Op, Out>]>,
-    next_slot: AtomicUsize,
-    combiner_lock: AtomicBool,
-    data: UnsafeCell<T>,
-    apply: F,
+/// The ban usage policy of the delegation engine: the participants'
+/// [`Meter`]s are charged by the executor ([`Ban::charge`]) and
+/// honoured by the submitter ([`Ban::wait_out`]).
+pub(crate) struct Ban {
     total_cs_ns: AtomicU64,
     slack_ns: u64,
-    /// Combiner-wait attribution (`<label>.combine`) when profiled.
-    combine_cell: Option<Arc<TelemetryCell>>,
     /// Ban-wait attribution (`<label>.ban`) when profiled.
-    ban_cell: Option<Arc<TelemetryCell>>,
+    wait: WaitCell,
 }
 
-// SAFETY: `data` is only touched under `combiner_lock`; slot payloads
-// are ordered by the seq protocol.
-unsafe impl<T: Send, Op: Send, Out: Send, F: Fn(&mut T, Op) -> Out + Send + Sync> Send
-    for BanShared<T, Op, Out, F>
-{
-}
-unsafe impl<T: Send, Op: Send, Out: Send, F: Fn(&mut T, Op) -> Out + Send + Sync> Sync
-    for BanShared<T, Op, Out, F>
-{
-}
-
-impl<T, Op, Out, F: Fn(&mut T, Op) -> Out> BanShared<T, Op, Out, F> {
-    /// Execute every pending op, metering each submitter and banning
-    /// overdrawn ones.
-    ///
-    /// # Safety
-    /// Caller must hold `combiner_lock`.
-    unsafe fn combine_pass(&self) -> usize {
-        let data = self.data.get();
-        let claimed = self.next_slot.load(Ordering::Acquire).min(MAX_SLOTS);
-        let n = claimed.max(1) as u64;
-        let mut served = 0usize;
-        for bs in &self.slots[..claimed] {
-            if bs.slot.seq.load(Ordering::Acquire) != SLOT_PENDING {
-                continue;
-            }
-            let t0 = now_ns();
-            // SAFETY: combiner_lock held; PENDING acquired.
-            bs.slot.execute(data, &self.apply);
-            let dt = now_ns().saturating_sub(t0);
-            let mine = bs.cs_ns.load(Ordering::Relaxed).saturating_add(dt);
-            let total = self
-                .total_cs_ns
-                .fetch_add(dt, Ordering::Relaxed)
-                .saturating_add(dt);
-            let share = total / n;
-            if mine > share.saturating_add(self.slack_ns) {
-                // Ban for the overage; metering restarts at the fair
-                // share — the ban repays the debt, so bans stay
-                // proportional to the *latest* overdraw, not the
-                // thread's whole history.
-                bs.banned_until
-                    .store(now_ns().saturating_add(mine - share), Ordering::Relaxed);
-                bs.cs_ns.store(share, Ordering::Relaxed);
-            } else {
-                bs.cs_ns.store(mine, Ordering::Relaxed);
-            }
-            served += 1;
-        }
-        served
-    }
-}
-
-/// Usage-fair banning combiner over a value `T`. See the [module
-/// docs](self) for the banning policy.
-pub struct FcBan<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    shared: Arc<BanShared<T, Op, Out, F>>,
-}
-
-impl<T, Op, Out, F> FcBan<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    /// Wrap `value`; `apply` executes one operation against it.
-    pub fn new(value: T, apply: F) -> Self {
-        Self::with_slack(value, apply, DEFAULT_SLACK_NS)
-    }
-
-    /// [`FcBan::new`] with an explicit ban tolerance (overages up to
-    /// `slack_ns` are forgiven).
-    pub fn with_slack(value: T, apply: F, slack_ns: u64) -> Self {
-        Self::build(value, apply, slack_ns, None, None)
-    }
-
-    /// [`FcBan::new`] with combiner-wait and ban-wait telemetry
-    /// registered as `<label>.combine` / `<label>.ban` in the
-    /// process-wide profiling registry.
-    pub fn instrumented(value: T, apply: F, label: &str) -> Self {
-        let combine = Arc::new(TelemetryCell::sampled());
-        let ban = Arc::new(TelemetryCell::sampled());
-        register_cell(format!("{label}.combine"), combine.clone());
-        register_cell(format!("{label}.ban"), ban.clone());
-        Self::build(value, apply, DEFAULT_SLACK_NS, Some(combine), Some(ban))
-    }
-
-    fn build(
-        value: T,
-        apply: F,
-        slack_ns: u64,
-        combine_cell: Option<Arc<TelemetryCell>>,
-        ban_cell: Option<Arc<TelemetryCell>>,
-    ) -> Self {
-        let slots: Box<[BanSlot<Op, Out>]> = (0..MAX_SLOTS).map(|_| BanSlot::new()).collect();
-        FcBan {
-            shared: Arc::new(BanShared {
-                slots,
-                next_slot: AtomicUsize::new(0),
-                combiner_lock: AtomicBool::new(false),
-                data: UnsafeCell::new(value),
-                apply,
-                total_cs_ns: AtomicU64::new(0),
-                slack_ns,
-                combine_cell,
-                ban_cell,
-            }),
+impl Ban {
+    pub(crate) fn new(slack_ns: u64, label: Option<&str>) -> Self {
+        Ban {
+            total_cs_ns: AtomicU64::new(0),
+            slack_ns,
+            wait: WaitCell::labelled(label, "ban"),
         }
     }
 
-    /// Claim a participant slot. Call once per thread; the handle
-    /// submits operations.
-    pub fn try_register(&self) -> Result<BanHandle<T, Op, Out, F>, SlotsExhausted> {
-        let idx = claim_slot(&self.shared.next_slot)?;
-        Ok(BanHandle {
-            idx,
-            shared: self.shared.clone(),
-        })
+    /// Executor side: charge `dt` ns of critical-section time to one
+    /// of `participants` participants, banning it if that overdraws
+    /// its share. Only the (single) executor calls this, so the
+    /// meter needs no RMW.
+    #[inline]
+    pub(crate) fn charge(&self, meter: &Meter, participants: usize, dt: u64) {
+        let mine = meter.cs_ns.load(Ordering::Relaxed).saturating_add(dt);
+        let total = self
+            .total_cs_ns
+            .fetch_add(dt, Ordering::Relaxed)
+            .saturating_add(dt);
+        let share = total / participants.max(1) as u64;
+        if mine > share.saturating_add(self.slack_ns) {
+            // Ban for the overage; metering restarts at the fair
+            // share — the ban repays the debt, so bans stay
+            // proportional to the *latest* overdraw, not the
+            // thread's whole history.
+            meter
+                .banned_until
+                .store(now_ns().saturating_add(mine - share), Ordering::Relaxed);
+            meter.cs_ns.store(share, Ordering::Relaxed);
+        } else {
+            meter.cs_ns.store(mine, Ordering::Relaxed);
+        }
     }
 
-    /// [`FcBan::try_register`], panicking on exhaustion.
-    ///
-    /// # Panics
-    /// Panics with [`SlotsExhausted`] when more than [`MAX_SLOTS`]
-    /// handles are claimed.
-    pub fn register(&self) -> BanHandle<T, Op, Out, F> {
-        self.try_register().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Consume, returning the inner value.
-    ///
-    /// # Panics
-    /// Panics if handles still exist.
-    pub fn into_inner(self) -> T {
-        let shared =
-            Arc::try_unwrap(self.shared).unwrap_or_else(|_| panic!("handles still registered"));
-        shared.data.into_inner()
-    }
-}
-
-impl<T, Op, Out, F> DelegationLock for FcBan<T, Op, Out, F>
-where
-    T: Send + 'static,
-    Op: Send + 'static,
-    Out: Send + 'static,
-    F: Fn(&mut T, Op) -> Out + Send + Sync + 'static,
-{
-    type Op = Op;
-    type Out = Out;
-    type Handle = BanHandle<T, Op, Out, F>;
-
-    fn try_register(&self) -> Result<Self::Handle, SlotsExhausted> {
-        FcBan::try_register(self)
-    }
-
-    fn delegation_name(&self) -> &'static str {
-        "fc-ban"
-    }
-}
-
-/// A registered participant of an [`FcBan`]. Serves any outstanding
-/// ban before each submission.
-pub struct BanHandle<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    idx: usize,
-    shared: Arc<BanShared<T, Op, Out, F>>,
-}
-
-impl<T, Op, Out, F> BanHandle<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    /// Serve this thread's outstanding ban, if any: the combiner set
-    /// an absolute re-entry deadline; wait it out here so a banned
-    /// thread's delay never blocks the combiner.
-    fn serve_ban(&self) {
-        let bs = &self.shared.slots[self.idx];
-        let until = bs.banned_until.swap(0, Ordering::Relaxed);
+    /// Submitter side: serve the outstanding ban on the caller's
+    /// meter, if any. The executor set an absolute re-entry deadline;
+    /// it is waited out here so a banned thread's delay never blocks
+    /// the executor.
+    #[inline]
+    pub(crate) fn wait_out(&self, meter: &Meter) {
+        let until = meter.banned_until.swap(0, Ordering::Relaxed);
         if until == 0 {
             return;
         }
@@ -260,68 +108,22 @@ where
         }
         let wait = until - now;
         busy_wait_ns(wait);
-        if let Some(cell) = self.shared.ban_cell.as_deref() {
-            if cell.armed() {
-                cell.record_acquisition(true);
-                cell.add_wait_ns(wait);
-            }
-        }
-    }
-
-    /// Apply `op`, possibly becoming the combiner; banned threads
-    /// first wait out their overage.
-    pub fn apply(&self, op: Op) -> Out {
-        self.serve_ban();
-        let shared = &*self.shared;
-        let slot = &shared.slots[self.idx].slot;
-        // SAFETY: this handle owns the slot and it is EMPTY (the
-        // previous apply consumed the result).
-        unsafe { slot.publish(op) };
-
-        let cell = shared.combine_cell.as_deref();
-        let armed = cell.is_some_and(TelemetryCell::armed);
-        let t0 = if armed { now_ns() } else { 0 };
-        let mut spin = Spin::new();
-        loop {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq != SLOT_PENDING {
-                if let (true, Some(cell)) = (armed, cell) {
-                    cell.record_acquisition(true);
-                    cell.add_wait_ns(now_ns().saturating_sub(t0));
-                }
-                // SAFETY: observed DONE/PANICKED with acquire.
-                return unsafe { slot.take_result(seq) };
-            }
-            if !shared.combiner_lock.swap(true, Ordering::Acquire) {
-                // SAFETY: we hold combiner_lock.
-                unsafe { shared.combine_pass() };
-                shared.combiner_lock.store(false, Ordering::Release);
-                let seq = slot.seq.load(Ordering::Acquire);
-                debug_assert_ne!(seq, SLOT_PENDING, "own op unserved after pass");
-                if let (true, Some(cell)) = (armed, cell) {
-                    cell.record_acquisition(false);
-                    cell.add_wait_ns(now_ns().saturating_sub(t0));
-                }
-                // SAFETY: observed DONE/PANICKED with acquire.
-                return unsafe { slot.take_result(seq) };
-            }
-            spin.relax();
-        }
+        self.wait.record(wait, true);
     }
 }
 
-impl<T, Op, Out, F> DelegationHandle for BanHandle<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    type Op = Op;
-    type Out = Out;
+/// Usage-fair banning combiner over a value `T`: the [`SlotLock`]
+/// whose submitters execute, under the ban policy. See the [module
+/// docs](self) for the policy.
+pub type FcBan<T, Op, Out, F> = SlotLock<T, Op, Out, F, false, true>;
 
-    fn apply(&self, op: Op) -> Out {
-        BanHandle::apply(self, op)
+impl<T, Op, Out, F: Fn(&mut T, Op) -> Out, const SERVER: bool>
+    SlotLock<T, Op, Out, F, SERVER, true>
+{
+    /// [`SlotLock::new`] with an explicit ban tolerance (overages up
+    /// to `slack_ns` are forgiven).
+    pub fn with_slack(value: T, apply: F, slack_ns: u64) -> Self {
+        Self::over(value, apply, slack_ns, None)
     }
 }
 
@@ -364,14 +166,16 @@ mod tests {
         assert_eq!(fc.into_inner(), 80_000);
     }
 
-    #[test]
-    fn overdrawn_thread_is_banned_for_the_overage() {
-        // Zero slack + a second registered participant (n=2) makes
-        // the single active thread's share total/2, so a 2 ms op
-        // overdraws by ~1 ms deterministically.
-        let fc = FcBan::with_slack(0u64, |_, heavy_ns: u64| busy_wait_ns(heavy_ns), 0);
-        let hog = fc.register();
-        let _other = fc.register();
+    /// Zero slack + a second registered participant (n=2) makes the
+    /// single active thread's share total/2, so a 2 ms op overdraws
+    /// by ~1 ms deterministically — whoever executes it.
+    fn overdrawn_thread_is_banned_for_the_overage<F, const SERVER: bool>(
+        lock: &SlotLock<(), u64, (), F, SERVER, true>,
+    ) where
+        F: Fn(&mut (), u64),
+    {
+        let hog = lock.register();
+        let _other = lock.register();
         hog.apply(2_000_000);
         // The ban is served at the head of the next apply: it must
         // take at least ~half the heavy CS (busy_wait_ns guarantees a
@@ -383,6 +187,24 @@ mod tests {
             "ban not served: next apply returned in {:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn combiner_bans_the_overdrawn_thread() {
+        let fc = FcBan::with_slack((), |_, heavy_ns| busy_wait_ns(heavy_ns), 0);
+        overdrawn_thread_is_banned_for_the_overage(&fc);
+    }
+
+    #[test]
+    fn server_bans_the_overdrawn_thread() {
+        // The two axes are independent parameters of one type, so the
+        // combination no alias names yet — a banned RCL — is a type
+        // argument, not a new structure: the server meters what it
+        // executes and the overdrawn client waits out its ban.
+        let heavy = |_: &mut (), heavy_ns| busy_wait_ns(heavy_ns);
+        let lock = SlotLock::<_, _, _, _, true, true>::with_slack((), heavy, 0);
+        let _server = lock.start();
+        overdrawn_thread_is_banned_for_the_overage(&lock);
     }
 
     #[test]
@@ -408,16 +230,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(fc.into_inner(), 20_000);
-    }
-
-    #[test]
-    fn slot_exhaustion_is_a_clean_error() {
-        let fc = FcBan::new((), |_, _: ()| ());
-        let handles: Vec<_> = (0..MAX_SLOTS).map(|_| fc.register()).collect();
-        assert_eq!(
-            fc.try_register().err(),
-            Some(SlotsExhausted { limit: MAX_SLOTS })
-        );
-        drop(handles);
     }
 }

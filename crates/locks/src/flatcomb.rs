@@ -8,354 +8,32 @@
 //! be converted into closures (invasive), and at low contention a
 //! precious big core busy-polls.
 //!
-//! Two variants are provided:
-//!
-//! * [`FlatCombiner`] — classic flat combining: whichever thread
-//!   grabs the combiner lock executes every published pending
-//!   operation. No dedicated core, but the combiner is whichever
-//!   class happens to win — on AMP a little-core combiner executes
-//!   *everyone's* critical section slowly.
-//! * [`DedicatedServer`] — a server thread (bound by the caller to a
-//!   big core) spin-polls the publication slots, the strongest
-//!   delegation configuration on AMP (`repro sec5-delegation`).
+//! [`FlatCombiner`] is the publication-slot engine of
+//! [`delegation`](crate::delegation) with the *combiner* executor and
+//! no usage policy ([`SlotLock`]`<.., false, false>`, which is where
+//! its methods are documented): whichever submitter grabs the
+//! executor flag executes every published pending operation. No
+//! dedicated core, but the combiner is whichever class happens to win
+//! — on AMP a little-core combiner executes *everyone's* critical
+//! section slowly. The same engine with a dedicated server loop (bound by the
+//! caller to a big core — the strongest delegation configuration on
+//! AMP, `repro sec5-delegation`) is [`RclLock`](crate::rcl::RclLock);
+//! with the ban policy it is [`FcBan`](crate::fcban::FcBan); the
+//! combining *queue* lives in [`ccsynch`](crate::ccsynch).
 //!
 //! Operations are a caller-chosen `Op` type applied by a caller-
 //! chosen function, keeping the hot path allocation-free (no boxed
-//! closures). The slot machinery, participant cap
-//! ([`MAX_SLOTS`] — exhaustion is the clean
-//! [`SlotsExhausted`] error) and the panic-isolation
-//! protocol are shared with the rest of the delegation family in
-//! [`delegation`](crate::delegation); the modern successors live in
-//! [`ccsynch`](crate::ccsynch), [`rcl`](crate::rcl) and
-//! [`fcban`](crate::fcban).
+//! closures). The participant cap ([`MAX_SLOTS`] — exhaustion is the
+//! clean [`SlotsExhausted`](crate::delegation::SlotsExhausted) error)
+//! and the panic-isolation protocol are the family's.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use crate::delegation::{
-    claim_slot, DelegationHandle, DelegationLock, Slot, SlotsExhausted, SLOT_PENDING,
-};
+use crate::delegation::SlotLock;
 
 pub use crate::delegation::MAX_SLOTS;
 
-/// Shared state of a flat-combining structure over `T`.
-struct FcShared<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    slots: Vec<Slot<Op, Out>>,
-    next_slot: AtomicUsize,
-    combiner_lock: AtomicBool,
-    data: UnsafeCell<T>,
-    apply: F,
-}
-
-// SAFETY: `data` is only touched by the combiner (combiner_lock) or
-// the dedicated server thread.
-unsafe impl<T: Send, Op: Send, Out: Send, F: Fn(&mut T, Op) -> Out + Send + Sync> Send
-    for FcShared<T, Op, Out, F>
-{
-}
-unsafe impl<T: Send, Op: Send, Out: Send, F: Fn(&mut T, Op) -> Out + Send + Sync> Sync
-    for FcShared<T, Op, Out, F>
-{
-}
-
-impl<T, Op, Out, F: Fn(&mut T, Op) -> Out> FcShared<T, Op, Out, F> {
-    fn new(value: T, apply: F) -> Self {
-        FcShared {
-            slots: (0..MAX_SLOTS).map(|_| Slot::new()).collect(),
-            next_slot: AtomicUsize::new(0),
-            combiner_lock: AtomicBool::new(false),
-            data: UnsafeCell::new(value),
-            apply,
-        }
-    }
-
-    /// Execute every pending published operation (panics inside an op
-    /// are caught per-slot; the submitter re-raises).
-    ///
-    /// # Safety
-    /// Caller must have exclusive access to `data` (combiner lock or
-    /// dedicated server).
-    unsafe fn combine_pass(&self) -> usize {
-        let mut executed = 0;
-        let data = self.data.get();
-        let claimed = self.next_slot.load(Ordering::Acquire).min(MAX_SLOTS);
-        for slot in &self.slots[..claimed] {
-            if slot.seq.load(Ordering::Acquire) == SLOT_PENDING {
-                // SAFETY: sole executor; PENDING acquired.
-                slot.execute(data, &self.apply);
-                executed += 1;
-            }
-        }
-        executed
-    }
-}
-
-/// Classic flat combining over a value `T` with operation type `Op`.
-pub struct FlatCombiner<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    shared: Arc<FcShared<T, Op, Out, F>>,
-}
-
-impl<T, Op, Out, F> FlatCombiner<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    /// Wrap `value`; `apply` executes one operation against it.
-    pub fn new(value: T, apply: F) -> Self {
-        FlatCombiner {
-            shared: Arc::new(FcShared::new(value, apply)),
-        }
-    }
-
-    /// Claim this thread's publication slot. Call once per thread;
-    /// the handle submits operations.
-    pub fn try_register(&self) -> Result<FcHandle<T, Op, Out, F>, SlotsExhausted> {
-        let idx = claim_slot(&self.shared.next_slot)?;
-        Ok(FcHandle {
-            shared: self.shared.clone(),
-            idx,
-        })
-    }
-
-    /// [`FlatCombiner::try_register`], panicking on exhaustion.
-    ///
-    /// # Panics
-    /// Panics with [`SlotsExhausted`] when more than [`MAX_SLOTS`]
-    /// handles are claimed.
-    pub fn register(&self) -> FcHandle<T, Op, Out, F> {
-        self.try_register().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Consume, returning the inner value.
-    ///
-    /// # Panics
-    /// Panics if handles still exist.
-    pub fn into_inner(self) -> T {
-        let shared =
-            Arc::try_unwrap(self.shared).unwrap_or_else(|_| panic!("handles still registered"));
-        shared.data.into_inner()
-    }
-}
-
-impl<T, Op, Out, F> DelegationLock for FlatCombiner<T, Op, Out, F>
-where
-    T: Send + 'static,
-    Op: Send + 'static,
-    Out: Send + 'static,
-    F: Fn(&mut T, Op) -> Out + Send + Sync + 'static,
-{
-    type Op = Op;
-    type Out = Out;
-    type Handle = FcHandle<T, Op, Out, F>;
-
-    fn try_register(&self) -> Result<Self::Handle, SlotsExhausted> {
-        FlatCombiner::try_register(self)
-    }
-
-    fn delegation_name(&self) -> &'static str {
-        "flatcomb"
-    }
-}
-
-/// A registered participant of a [`FlatCombiner`].
-pub struct FcHandle<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    shared: Arc<FcShared<T, Op, Out, F>>,
-    idx: usize,
-}
-
-impl<T, Op, Out, F> FcHandle<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    /// Apply `op` to the shared value, possibly becoming the combiner
-    /// and executing other threads' operations too.
-    pub fn apply(&self, op: Op) -> Out {
-        let slot = &self.shared.slots[self.idx];
-        // SAFETY: the slot is ours and EMPTY (the previous apply
-        // consumed the result).
-        unsafe { slot.publish(op) };
-
-        let mut spin = asl_runtime::relax::Spin::new();
-        loop {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq != SLOT_PENDING {
-                // SAFETY: observed DONE/PANICKED with acquire.
-                return unsafe { slot.take_result(seq) };
-            }
-            if !self.shared.combiner_lock.swap(true, Ordering::Acquire) {
-                // We are the combiner: run every pending op.
-                // SAFETY: combiner lock held.
-                unsafe { self.shared.combine_pass() };
-                self.shared.combiner_lock.store(false, Ordering::Release);
-                // Our own op was pending, so it is resolved now.
-                let seq = slot.seq.load(Ordering::Acquire);
-                debug_assert_ne!(seq, SLOT_PENDING, "own op unserved after pass");
-                // SAFETY: observed DONE/PANICKED with acquire.
-                return unsafe { slot.take_result(seq) };
-            }
-            spin.relax();
-        }
-    }
-}
-
-impl<T, Op, Out, F> DelegationHandle for FcHandle<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    type Op = Op;
-    type Out = Out;
-
-    fn apply(&self, op: Op) -> Out {
-        FcHandle::apply(self, op)
-    }
-}
-
-/// Delegation with a dedicated server thread.
-///
-/// The caller spawns the server loop (typically pinned to a big
-/// core) via [`DedicatedServer::serve`]; clients submit with
-/// [`ServerHandle::apply`]. Dropping all handles and calling
-/// [`DedicatedServer::shutdown`] stops the server. For a variant with
-/// managed server lifecycle see [`RclLock`](crate::rcl::RclLock).
-pub struct DedicatedServer<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    shared: Arc<FcShared<T, Op, Out, F>>,
-    stop: Arc<AtomicBool>,
-}
-
-impl<T, Op, Out, F> DedicatedServer<T, Op, Out, F>
-where
-    T: Send + 'static,
-    Op: Send + 'static,
-    Out: Send + 'static,
-    F: Fn(&mut T, Op) -> Out + Send + Sync + 'static,
-{
-    /// Wrap `value`; `apply` executes one operation against it.
-    pub fn new(value: T, apply: F) -> Self {
-        DedicatedServer {
-            shared: Arc::new(FcShared::new(value, apply)),
-            stop: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// The server loop: call from the thread that should execute all
-    /// critical sections (pin it to a big core first). Returns when
-    /// [`DedicatedServer::shutdown`] is called.
-    pub fn serve(&self) {
-        let mut spin = asl_runtime::relax::Spin::new();
-        while !self.stop.load(Ordering::Acquire) {
-            // SAFETY: the server is the only executor (no combiner
-            // lock is ever taken in this variant).
-            let n = unsafe { self.shared.combine_pass() };
-            if n == 0 {
-                spin.relax();
-            } else {
-                spin.reset();
-            }
-        }
-        // Drain once more so no submitter is left hanging.
-        // SAFETY: as above.
-        unsafe { self.shared.combine_pass() };
-    }
-
-    /// Ask the server loop to exit after a final drain.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// Claim a client slot. Call once per thread; the handle submits
-    /// operations.
-    pub fn try_register(&self) -> Result<ServerHandle<T, Op, Out, F>, SlotsExhausted> {
-        let idx = claim_slot(&self.shared.next_slot)?;
-        Ok(ServerHandle {
-            shared: self.shared.clone(),
-            idx,
-        })
-    }
-
-    /// [`DedicatedServer::try_register`], panicking on exhaustion.
-    ///
-    /// # Panics
-    /// Panics with [`SlotsExhausted`] when more than [`MAX_SLOTS`]
-    /// handles are claimed.
-    pub fn register(&self) -> ServerHandle<T, Op, Out, F> {
-        self.try_register().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl<T, Op, Out, F> DelegationLock for DedicatedServer<T, Op, Out, F>
-where
-    T: Send + 'static,
-    Op: Send + 'static,
-    Out: Send + 'static,
-    F: Fn(&mut T, Op) -> Out + Send + Sync + 'static,
-{
-    type Op = Op;
-    type Out = Out;
-    type Handle = ServerHandle<T, Op, Out, F>;
-
-    fn try_register(&self) -> Result<Self::Handle, SlotsExhausted> {
-        DedicatedServer::try_register(self)
-    }
-
-    fn delegation_name(&self) -> &'static str {
-        "fc-server"
-    }
-}
-
-/// A client of a [`DedicatedServer`].
-pub struct ServerHandle<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    shared: Arc<FcShared<T, Op, Out, F>>,
-    idx: usize,
-}
-
-impl<T, Op, Out, F> ServerHandle<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    /// Submit `op` and wait for the server to execute it.
-    pub fn apply(&self, op: Op) -> Out {
-        let slot = &self.shared.slots[self.idx];
-        // SAFETY: slot protocol as in FcHandle::apply.
-        unsafe { slot.publish(op) };
-        let mut spin = asl_runtime::relax::Spin::new();
-        let seq = loop {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq != SLOT_PENDING {
-                break seq;
-            }
-            spin.relax();
-        };
-        // SAFETY: observed DONE/PANICKED with acquire.
-        unsafe { slot.take_result(seq) }
-    }
-}
-
-impl<T, Op, Out, F> DelegationHandle for ServerHandle<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    type Op = Op;
-    type Out = Out;
-
-    fn apply(&self, op: Op) -> Out {
-        ServerHandle::apply(self, op)
-    }
-}
+/// Classic flat combining over a value `T` with operation type `Op`:
+/// the [`SlotLock`] whose submitters execute, with no usage policy.
+pub type FlatCombiner<T, Op, Out, F> = SlotLock<T, Op, Out, F, false, false>;
 
 #[cfg(test)]
 mod tests {
@@ -393,89 +71,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(fc.into_inner(), 160_000);
-    }
-
-    #[test]
-    fn results_routed_to_correct_thread() {
-        // Each thread adds its own id and must read back values that
-        // are consistent with its own sequence of submissions.
-        let fc = FlatCombiner::new(Vec::<u32>::new(), |v, id: u32| {
-            v.push(id);
-            v.iter().filter(|&&x| x == id).count()
-        });
-        let mut handles = vec![];
-        for id in 0..6u32 {
-            let h = fc.register();
-            handles.push(std::thread::spawn(move || {
-                for i in 1..=1_000 {
-                    let seen = h.apply(id);
-                    assert_eq!(seen, i, "thread {id} saw foreign count");
-                }
-            }));
-        }
-        for t in handles {
-            t.join().unwrap();
-        }
-        let v = fc.into_inner();
-        assert_eq!(v.len(), 6_000);
-    }
-
-    #[test]
-    fn dedicated_server_counter() {
-        let srv = Arc::new(DedicatedServer::new(0u64, |v, add: u64| {
-            *v += add;
-            *v
-        }));
-        let server = {
-            let srv = srv.clone();
-            std::thread::spawn(move || srv.serve())
-        };
-        let mut handles = vec![];
-        for _ in 0..6 {
-            let h = srv.register();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    h.apply(1);
-                }
-            }));
-        }
-        for t in handles {
-            t.join().unwrap();
-        }
-        srv.shutdown();
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn slot_exhaustion_is_a_clean_error_at_the_boundary() {
-        let fc = FlatCombiner::new(0u64, |v, add: u64| {
-            *v += add;
-            *v
-        });
-        // Claiming exactly MAX_SLOTS succeeds and slot MAX_SLOTS-1
-        // still works (the old silent-overflow bug corrupted here).
-        let handles: Vec<_> = (0..MAX_SLOTS).map(|_| fc.register()).collect();
-        assert_eq!(handles[MAX_SLOTS - 1].apply(3), 3);
-        // One more is a clean, typed error — and keeps erroring.
-        assert_eq!(
-            fc.try_register().err(),
-            Some(SlotsExhausted { limit: MAX_SLOTS })
-        );
-        assert!(fc.try_register().is_err());
-        // Existing handles are unaffected.
-        assert_eq!(handles[0].apply(4), 7);
-        drop(handles);
-        assert_eq!(fc.into_inner(), 7);
-    }
-
-    #[test]
-    fn dedicated_server_slot_exhaustion_is_clean() {
-        let srv = DedicatedServer::new((), |_, _: ()| ());
-        let clients: Vec<_> = (0..MAX_SLOTS).map(|_| srv.register()).collect();
-        assert_eq!(
-            srv.try_register().err(),
-            Some(SlotsExhausted { limit: MAX_SLOTS })
-        );
-        drop(clients);
     }
 }

@@ -17,10 +17,10 @@
 //! | [`CohortLock`] | lock cohorting on core classes (§2.2 NUMA collapse) | [`cohort`] |
 //! | [`MalthusianLock`] | culling + periodic reintroduction (§2.2 long-term fairness) | [`malthusian`] |
 //! | [`ShuffleLock`] | ShflLock-style framework with pluggable policies (§5, ablations) | [`shuffle`] |
-//! | [`FlatCombiner`] | flat-combining delegation (§5 related-work comparator) | [`flatcomb`] |
+//! | [`FlatCombiner`] | flat-combining delegation: publication-slot engine, a submitter executes (§5 related-work comparator) | [`flatcomb`] |
+//! | [`RclLock`] | RCL-style client/server lock: the same engine, a dedicated (caller-pinnable) server executes (§5) | [`rcl`] |
+//! | [`FcBan`] | usage-fair banning combiner: the same engine with the ban policy — overdrawn threads wait out their overage | [`fcban`] |
 //! | [`CcSynch`] | combining-queue delegation, cache-local combiner handoff (§5) | [`ccsynch`] |
-//! | [`RclLock`] | RCL-style client/server lock with managed server lifecycle (§5) | [`rcl`] |
-//! | [`FcBan`] | usage-fair banning combiner: overdrawn threads wait out their overage | [`fcban`] |
 //! | [`RwTicketLock`] | phase-fair ticket reader-writer lock (read-mostly workloads) | [`rw_ticket`] |
 //! | [`Bravo`] | BRAVO-style reader-bias wrapper: any exclusive lock becomes an rwlock | [`bravo`] |
 //! | [`Adaptive`] | contention-adaptive TAS that morphs to a FIFO queue (Fissile-style) | [`adaptive`] |
@@ -40,6 +40,16 @@
 //! registry behind `repro --profile`. The
 //! [`Adaptive`] lock is built on the same signal: it morphs substrate
 //! when its own telemetry shows sustained contention.
+//!
+//! The delegation family is one mechanism written once:
+//! [`delegation`] holds the publication-slot engine behind
+//! [`FlatCombiner`], [`RclLock`] and [`FcBan`] — who executes
+//! (combining submitter or dedicated server) and the usage policy
+//! (none or ban) are its two axes, the `const` parameters of the one
+//! type [`SlotLock`] the three names alias, [`SlotHandle`] its one
+//! handle — plus the interface ([`DelegationLock`]/[`DelegationHandle`]) and
+//! the baton bridge ([`DelegatedMutex`]) that makes every member a
+//! registry name.
 //!
 //! Robustness is another: [`timed`] defines [`RawTimedLock`]
 //! (deadline-bounded acquisition with per-family back-out protocols,
@@ -141,11 +151,11 @@ pub use clh::ClhLock;
 pub use cna::CnaLock;
 pub use cohort::CohortLock;
 pub use delegation::{
-    bridge_apply, BridgeOp, DelegatedMutex, DelegationHandle, DelegationLock, SlotsExhausted,
-    MAX_SLOTS,
+    bridge_apply, BridgeOp, DelegatedMutex, DelegationHandle, DelegationLock, SlotHandle, SlotLock,
+    SlotsExhausted, MAX_SLOTS,
 };
 pub use fcban::FcBan;
-pub use flatcomb::{DedicatedServer, FlatCombiner};
+pub use flatcomb::FlatCombiner;
 pub use gcr::{Gate, Gcr, GcrConfig};
 pub use malthusian::MalthusianLock;
 pub use mcs::McsLock;

@@ -1,179 +1,32 @@
 //! RCL-style client/server lock: critical sections execute on a
 //! *dedicated server thread* (Lozi et al., "Remote Core Locking").
 //!
-//! Each client owns one cache-padded publication slot
-//! ([`delegation::Slot`](crate::delegation)); the server thread polls
+//! [`RclLock`] is the publication-slot engine of
+//! [`delegation`](crate::delegation) with the *server* executor and
+//! no usage policy ([`SlotLock`]`<.., true, false>`, which is where
+//! its methods are documented): each client owns one cache-padded
+//! publication slot and only ever waits on it; the server loop polls
 //! the claimed slots and executes whatever is pending. Unlike a
-//! combiner lock, the executor never changes: the protected state
-//! lives permanently in one thread's cache, which on an asymmetric
-//! multicore means the lock's throughput is pinned to whichever core
-//! the server is bound to — bind it to a big core and slow cores stop
-//! throttling everyone (the paper's §5 framing of delegation as the
-//! alternative to SLO-aware reordering).
+//! combiner lock, the executor never changes: the protected state lives permanently
+//! in one thread's cache, which on an asymmetric multicore means the
+//! lock's throughput is pinned to whichever core the server is bound
+//! to — bind it to a big core and slow cores stop throttling everyone
+//! (the paper's §5 framing of delegation as the alternative to
+//! SLO-aware reordering).
 //!
-//! The server is caller-bindable: [`RclLock::serve`] blocks the
+//! The server is caller-bindable: [`SlotLock::serve`] blocks the
 //! calling thread (pin it wherever you like first), while
-//! [`RclLock::start`] spawns an unpinned `std::thread` and returns an
+//! [`SlotLock::start`] spawns an unpinned `std::thread` and returns an
 //! [`RclServer`] guard whose drop stops and joins it.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use crate::delegation::SlotLock;
 
-use asl_runtime::clock::now_ns;
-use asl_runtime::relax::Spin;
+/// RCL-style server lock over a value `T`: the [`SlotLock`] whose
+/// executor is a dedicated server, with no usage policy. See the
+/// [module docs](self) for the execution model.
+pub type RclLock<T, Op, Out, F> = SlotLock<T, Op, Out, F, true, false>;
 
-use crate::delegation::{
-    claim_slot, DelegationHandle, DelegationLock, Slot, SlotsExhausted, MAX_SLOTS, SLOT_PENDING,
-};
-use crate::telemetry::{register_cell, TelemetryCell};
-
-struct RclShared<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    slots: Box<[Slot<Op, Out>]>,
-    next_slot: AtomicUsize,
-    data: std::cell::UnsafeCell<T>,
-    apply: F,
-    stop: AtomicBool,
-    /// Exactly one server may poll at a time (exclusive `data`).
-    server_active: AtomicBool,
-    /// Client-wait attribution (`<label>.combine`) when profiled.
-    cell: Option<Arc<TelemetryCell>>,
-}
-
-// SAFETY: `data` is only touched by the single active server thread
-// (guarded by `server_active`); slot payloads by the seq protocol.
-unsafe impl<T: Send, Op: Send, Out: Send, F: Fn(&mut T, Op) -> Out + Send + Sync> Send
-    for RclShared<T, Op, Out, F>
-{
-}
-unsafe impl<T: Send, Op: Send, Out: Send, F: Fn(&mut T, Op) -> Out + Send + Sync> Sync
-    for RclShared<T, Op, Out, F>
-{
-}
-
-/// RCL-style server lock over a value `T`. See the [module
-/// docs](self) for the execution model.
-pub struct RclLock<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    shared: Arc<RclShared<T, Op, Out, F>>,
-}
-
-impl<T, Op, Out, F: Fn(&mut T, Op) -> Out> Clone for RclLock<T, Op, Out, F> {
-    fn clone(&self) -> Self {
-        RclLock {
-            shared: self.shared.clone(),
-        }
-    }
-}
-
-impl<T, Op, Out, F> RclLock<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    /// Wrap `value`; `apply` executes one operation against it on the
-    /// server thread. No server runs yet — call [`RclLock::serve`] or
-    /// [`RclLock::start`].
-    pub fn new(value: T, apply: F) -> Self {
-        Self::build(value, apply, None)
-    }
-
-    /// [`RclLock::new`] with client-wait telemetry registered as
-    /// `<label>.combine` in the process-wide profiling registry.
-    pub fn instrumented(value: T, apply: F, label: &str) -> Self {
-        let cell = Arc::new(TelemetryCell::sampled());
-        register_cell(format!("{label}.combine"), cell.clone());
-        Self::build(value, apply, Some(cell))
-    }
-
-    fn build(value: T, apply: F, cell: Option<Arc<TelemetryCell>>) -> Self {
-        let slots: Box<[Slot<Op, Out>]> = (0..MAX_SLOTS).map(|_| Slot::new()).collect();
-        RclLock {
-            shared: Arc::new(RclShared {
-                slots,
-                next_slot: AtomicUsize::new(0),
-                data: std::cell::UnsafeCell::new(value),
-                apply,
-                stop: AtomicBool::new(false),
-                server_active: AtomicBool::new(false),
-                cell,
-            }),
-        }
-    }
-
-    /// Serve on the *calling* thread until [`RclLock::shutdown`] —
-    /// bind/pin the thread first to choose the server's core. Clears
-    /// the stop flag on entry so a lock can be re-served after a
-    /// shutdown.
-    ///
-    /// # Panics
-    /// Panics if a server is already active on this lock.
-    pub fn serve(&self) {
-        let shared = &*self.shared;
-        assert!(
-            !shared.server_active.swap(true, Ordering::Acquire),
-            "rcl: server already active"
-        );
-        shared.stop.store(false, Ordering::Relaxed);
-        let data = shared.data.get();
-        let mut spin = Spin::new();
-        loop {
-            let stopping = shared.stop.load(Ordering::Relaxed);
-            let mut served = 0usize;
-            let claimed = shared.next_slot.load(Ordering::Acquire).min(MAX_SLOTS);
-            for slot in &shared.slots[..claimed] {
-                if slot.seq.load(Ordering::Acquire) == SLOT_PENDING {
-                    // SAFETY: sole active server; PENDING acquired.
-                    unsafe { slot.execute(data, &shared.apply) };
-                    served += 1;
-                }
-            }
-            if stopping {
-                // One full drain pass ran after the stop flag was
-                // observed, so everything published before shutdown
-                // was served.
-                break;
-            }
-            if served == 0 {
-                spin.relax();
-            } else {
-                spin.reset();
-            }
-        }
-        shared.server_active.store(false, Ordering::Release);
-    }
-
-    /// Ask the active server to drain and exit (no-op if none).
-    pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether a server thread is currently polling.
-    pub fn server_active(&self) -> bool {
-        self.shared.server_active.load(Ordering::Relaxed)
-    }
-
-    /// Claim a client slot. Call once per thread; the handle submits
-    /// operations.
-    pub fn try_register(&self) -> Result<RclClient<T, Op, Out, F>, SlotsExhausted> {
-        let idx = claim_slot(&self.shared.next_slot)?;
-        Ok(RclClient {
-            idx,
-            shared: self.shared.clone(),
-        })
-    }
-
-    /// [`RclLock::try_register`], panicking on exhaustion.
-    ///
-    /// # Panics
-    /// Panics with [`SlotsExhausted`] when more than [`MAX_SLOTS`]
-    /// clients are claimed.
-    pub fn register(&self) -> RclClient<T, Op, Out, F> {
-        self.try_register().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl<T, Op, Out, F> RclLock<T, Op, Out, F>
+impl<T, Op, Out, F, const BAN: bool> SlotLock<T, Op, Out, F, true, BAN>
 where
     T: Send + 'static,
     Op: Send + 'static,
@@ -182,7 +35,7 @@ where
 {
     /// Spawn a dedicated (unpinned) server thread; the returned guard
     /// stops and joins it on drop. Pinning-sensitive callers should
-    /// spawn their own thread, pin it, and call [`RclLock::serve`].
+    /// spawn their own thread, pin it, and call [`SlotLock::serve`].
     pub fn start(&self) -> RclServer {
         let lock = self.clone();
         let stopper = self.clone();
@@ -197,27 +50,7 @@ where
     }
 }
 
-impl<T, Op, Out, F> DelegationLock for RclLock<T, Op, Out, F>
-where
-    T: Send + 'static,
-    Op: Send + 'static,
-    Out: Send + 'static,
-    F: Fn(&mut T, Op) -> Out + Send + Sync + 'static,
-{
-    type Op = Op;
-    type Out = Out;
-    type Handle = RclClient<T, Op, Out, F>;
-
-    fn try_register(&self) -> Result<Self::Handle, SlotsExhausted> {
-        RclLock::try_register(self)
-    }
-
-    fn delegation_name(&self) -> &'static str {
-        "rcl"
-    }
-}
-
-/// Lifecycle guard for a server spawned by [`RclLock::start`]: drop
+/// Lifecycle guard for a server spawned by [`SlotLock::start`]: drop
 /// (or [`RclServer::stop`]) asks the server to drain, then joins it.
 pub struct RclServer {
     stop: Box<dyn Fn() + Send + Sync>,
@@ -225,10 +58,11 @@ pub struct RclServer {
 }
 
 impl RclServer {
-    /// Stop and join the server thread now (idempotent).
+    /// Stop and join the server thread now (idempotent: only the call
+    /// that finds the thread unjoined sends the shutdown request).
     pub fn stop(&mut self) {
-        (self.stop)();
         if let Some(join) = self.join.take() {
+            (self.stop)();
             let _ = join.join();
         }
     }
@@ -240,68 +74,10 @@ impl Drop for RclServer {
     }
 }
 
-/// A registered client of an [`RclLock`]: publishes one operation at
-/// a time into its padded slot and spins until the server's result.
-pub struct RclClient<T, Op, Out, F: Fn(&mut T, Op) -> Out> {
-    idx: usize,
-    shared: Arc<RclShared<T, Op, Out, F>>,
-}
-
-impl<T, Op, Out, F> RclClient<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    /// Ship `op` to the server and block (spin) for its result.
-    ///
-    /// Requires an active server ([`RclLock::serve`] /
-    /// [`RclLock::start`]) — without one this spins until a server
-    /// shows up.
-    pub fn apply(&self, op: Op) -> Out {
-        let slot = &self.shared.slots[self.idx];
-        // SAFETY: this client owns the slot; previous apply reset it
-        // to EMPTY via take_result.
-        unsafe { slot.publish(op) };
-        let cell = self.shared.cell.as_deref();
-        let armed = cell.is_some_and(TelemetryCell::armed);
-        let t0 = if armed { now_ns() } else { 0 };
-        let mut spin = Spin::new();
-        let seq = loop {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq != SLOT_PENDING {
-                break seq;
-            }
-            spin.relax();
-        };
-        if let (true, Some(cell)) = (armed, cell) {
-            cell.record_acquisition(true);
-            cell.add_wait_ns(now_ns().saturating_sub(t0));
-        }
-        // SAFETY: seq observed DONE/PANICKED with acquire ordering.
-        unsafe { slot.take_result(seq) }
-    }
-}
-
-impl<T, Op, Out, F> DelegationHandle for RclClient<T, Op, Out, F>
-where
-    T: Send,
-    Op: Send,
-    Out: Send,
-    F: Fn(&mut T, Op) -> Out + Send + Sync,
-{
-    type Op = Op;
-    type Out = Out;
-
-    fn apply(&self, op: Op) -> Out {
-        RclClient::apply(self, op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delegation::{SlotsExhausted, MAX_SLOTS};
 
     #[test]
     fn server_executes_client_ops() {
@@ -368,6 +144,25 @@ mod tests {
         assert_eq!(h.apply(3), 3);
         server.stop();
         assert!(!lock.server_active());
+    }
+
+    #[test]
+    fn shutdown_ahead_of_the_server_is_not_lost() {
+        // `start()` followed at once by the guard's drop can request
+        // the shutdown before the server thread has entered `serve`;
+        // the request must end that server, not be cleared by it.
+        let lock = RclLock::new(0u64, |v, add: u64| {
+            *v += add;
+            *v
+        });
+        let h = lock.register();
+        lock.shutdown();
+        lock.serve(); // returns after one drain pass instead of polling forever
+        assert!(!lock.server_active());
+        // The request was consumed: the lock serves again.
+        let server = lock.start();
+        assert_eq!(h.apply(2), 2);
+        drop(server);
     }
 
     #[test]

@@ -1,160 +1,166 @@
 //! Cross-cutting delegation semantics: every member of the family
-//! (FlatCombiner, DedicatedServer, CcSynch, RclLock, FcBan) must
-//! survive a panicking op without wedging, preserve each thread's
-//! FIFO order for its own ops, and — for the usage-fair combiner —
-//! actually suppress a hog's ops share relative to CC-Synch.
+//! (FlatCombiner, CcSynch, RclLock, FcBan, and the unnamed fourth
+//! combination of the slot engine's axes) must survive a panicking
+//! op without wedging, execute each thread's ops once and in its own
+//! submission order, report slot exhaustion as a clean error, and —
+//! for the usage-fair combiner — actually suppress a hog's ops share
+//! relative to CC-Synch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 use asl_locks::ccsynch::CcSynch;
-use asl_locks::delegation::DelegationHandle;
+use asl_locks::delegation::{
+    DelegationHandle, DelegationLock, SlotLock, SlotsExhausted, MAX_SLOTS,
+};
 use asl_locks::fcban::FcBan;
-use asl_locks::flatcomb::{DedicatedServer, FlatCombiner};
+use asl_locks::flatcomb::FlatCombiner;
 use asl_locks::rcl::RclLock;
 use asl_runtime::clock::busy_wait_ns;
 
-/// Shared op language for the panic tests: `u64::MAX` panics, any
-/// other value is added to the counter; returns the new total.
-fn counting_apply() -> impl Fn(&mut u64, u64) -> u64 + Send + Sync + 'static {
-    |state, op| {
-        if op == u64::MAX {
-            panic!("poisoned op");
+const WORKERS: usize = 4;
+
+/// The hog-share duel compares op counts of spinning threads, so it
+/// needs the CPUs to itself: it holds this for writing, the contract
+/// checks (which spin four workers each) for reading.
+static HOST: RwLock<()> = RwLock::new(());
+
+/// Protected state of the contract checks.
+#[derive(Default)]
+struct State {
+    total: u64,
+    executed: [u64; WORKERS],
+}
+
+/// Op language of the contract checks.
+enum Op {
+    /// Add to the counter; returns the new total.
+    Add(u64),
+    /// Panic on the executor.
+    Poison,
+    /// Count one op of `worker`; returns how many of its ops have
+    /// executed so far.
+    Mine(usize),
+}
+
+fn apply(state: &mut State, op: Op) -> u64 {
+    match op {
+        Op::Add(n) => {
+            state.total += n;
+            state.total
         }
-        *state += op;
-        *state
+        Op::Poison => panic!("poisoned op"),
+        Op::Mine(worker) => {
+            state.executed[worker] += 1;
+            state.executed[worker]
+        }
     }
 }
 
-/// Drive one lock's handles through the panic scenario: thread A's
-/// poisoned op panics *at A's call site*, and afterwards both A and a
-/// fresh thread B still complete ops (the combiner isn't wedged).
-fn panic_does_not_wedge<H>(ha: H, hb: H, lock_name: &str)
+/// The contract every delegation structure upholds, checked on the
+/// one `make` builds (with whatever keeps it served — an RCL server
+/// guard — as the second value; each check gets a fresh instance).
+fn upholds_the_family_contract<L, G>(name: &str, make: impl Fn() -> (L, G))
 where
-    H: DelegationHandle<Op = u64, Out = u64> + Send + 'static,
+    L: DelegationLock<Op = Op, Out = u64>,
 {
-    assert_eq!(ha.apply(5), 5, "{lock_name}: pre-panic op");
-    let boom = catch_unwind(AssertUnwindSafe(|| ha.apply(u64::MAX)));
-    assert!(boom.is_err(), "{lock_name}: poisoned op must panic");
-    // The submitter that observed the panic can keep going...
-    assert_eq!(ha.apply(7), 12, "{lock_name}: same handle after panic");
-    // ...and so can a different thread.
-    let t = std::thread::spawn(move || hb.apply(8));
-    assert_eq!(
-        t.join().expect("worker"),
-        20,
-        "{lock_name}: other thread after panic"
-    );
-}
+    let _sharing_the_host = HOST.read().unwrap_or_else(PoisonError::into_inner);
 
-#[test]
-fn panic_in_op_does_not_wedge_flatcomb() {
-    let fc = FlatCombiner::new(0u64, counting_apply());
-    panic_does_not_wedge(fc.register(), fc.register(), "flatcomb");
-}
+    // Panic isolation: thread A's poisoned op panics *at A's call
+    // site*, and afterwards both A and a fresh thread B still
+    // complete ops (the executor isn't wedged).
+    {
+        let (lock, _serving) = make();
+        let ha = lock.try_register().expect("slot");
+        let hb = lock.try_register().expect("slot");
+        assert_eq!(ha.apply(Op::Add(5)), 5, "{name}: pre-panic op");
+        let boom = catch_unwind(AssertUnwindSafe(|| ha.apply(Op::Poison)));
+        assert!(boom.is_err(), "{name}: poisoned op must panic");
+        assert_eq!(ha.apply(Op::Add(7)), 12, "{name}: same handle after panic");
+        let t = std::thread::spawn(move || hb.apply(Op::Add(8)));
+        let after = t.join().expect("worker");
+        assert_eq!(after, 20, "{name}: other thread after panic");
+    }
 
-#[test]
-fn panic_in_op_does_not_wedge_dedicated_server() {
-    let ds = Arc::new(DedicatedServer::new(0u64, counting_apply()));
-    let server = {
-        let ds = ds.clone();
-        std::thread::spawn(move || ds.serve())
-    };
-    panic_does_not_wedge(ds.register(), ds.register(), "fc-server");
-    ds.shutdown();
-    server.join().expect("server");
-}
-
-#[test]
-fn panic_in_op_does_not_wedge_ccsynch() {
-    let cc = CcSynch::new(0u64, counting_apply());
-    panic_does_not_wedge(cc.register(), cc.register(), "ccsynch");
-}
-
-#[test]
-fn panic_in_op_does_not_wedge_rcl() {
-    let lock = RclLock::new(0u64, counting_apply());
-    let server = lock.start();
-    panic_does_not_wedge(lock.register(), lock.register(), "rcl");
-    drop(server);
-}
-
-#[test]
-fn panic_in_op_does_not_wedge_fcban() {
-    let fb = FcBan::new(0u64, counting_apply());
-    panic_does_not_wedge(fb.register(), fb.register(), "fc-ban");
-}
-
-/// Op executions are serialized (one combiner/server at a time), so
-/// an external log captures global execution order without racing.
-type Log = Arc<Mutex<Vec<(usize, u64)>>>;
-
-fn log_apply(log: Log) -> impl Fn(&mut (), (usize, u64)) + Send + Sync + 'static {
-    move |_, op| log.lock().unwrap().push(op)
-}
-
-/// Every thread's own ops must land in the order it submitted them,
-/// whoever ends up combining. Each of 4 workers submits (worker, seq)
-/// through the lock; per-worker seqs must be increasing in the log.
-fn fifo_preserved<H>(handles: Vec<H>, log: Log, name: &str)
-where
-    H: DelegationHandle<Op = (usize, u64), Out = ()> + Send + 'static,
-{
-    const OPS: u64 = 500;
-    let workers = handles.len();
-    let joins: Vec<_> = handles
-        .into_iter()
-        .enumerate()
-        .map(|(w, h)| {
-            std::thread::spawn(move || {
-                for seq in 0..OPS {
-                    h.apply((w, seq));
-                }
+    // Per-thread order: whoever ends up executing, a thread's n-th op
+    // is the n-th of its ops to execute — none lost, duplicated or
+    // overtaken by its own successor.
+    {
+        const OPS: u64 = 500;
+        let (lock, _serving) = make();
+        let joins: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let h = lock.try_register().expect("slot");
+                let name = name.to_string();
+                std::thread::spawn(move || {
+                    for nth in 1..=OPS {
+                        assert_eq!(h.apply(Op::Mine(w)), nth, "{name}: worker {w} op order");
+                    }
+                })
             })
-        })
-        .collect();
-    for j in joins {
-        j.join().expect("worker");
+            .collect();
+        for j in joins {
+            j.join().expect("worker");
+        }
     }
-    let log = log.lock().unwrap();
-    assert_eq!(log.len(), workers * OPS as usize, "{name}: ops lost");
-    let mut next = vec![0u64; workers];
-    for &(w, seq) in log.iter() {
-        assert_eq!(seq, next[w], "{name}: worker {w} ops reordered");
-        next[w] += 1;
+
+    // Slot exhaustion: exactly MAX_SLOTS handles can be claimed, the
+    // last one works, one more is a clean typed error that keeps
+    // erroring, and existing handles are unaffected.
+    {
+        let (lock, _serving) = make();
+        let handles: Vec<_> = (0..MAX_SLOTS)
+            .map(|_| lock.try_register().expect("slot"))
+            .collect();
+        assert_eq!(handles[MAX_SLOTS - 1].apply(Op::Add(3)), 3, "{name}");
+        for _ in 0..2 {
+            assert_eq!(
+                lock.try_register().err(),
+                Some(SlotsExhausted { limit: MAX_SLOTS }),
+                "{name}"
+            );
+        }
+        assert_eq!(handles[0].apply(Op::Add(4)), 7, "{name}");
     }
 }
 
 #[test]
-fn per_thread_fifo_preserved_flatcomb() {
-    let log: Log = Arc::default();
-    let fc = FlatCombiner::new((), log_apply(log.clone()));
-    fifo_preserved((0..4).map(|_| fc.register()).collect(), log, "flatcomb");
+fn flatcomb_upholds_the_family_contract() {
+    upholds_the_family_contract("flatcomb", || {
+        (FlatCombiner::new(State::default(), apply), ())
+    });
 }
 
 #[test]
-fn per_thread_fifo_preserved_ccsynch() {
-    let log: Log = Arc::default();
-    let cc = CcSynch::new((), log_apply(log.clone()));
-    fifo_preserved((0..4).map(|_| cc.register()).collect(), log, "ccsynch");
+fn ccsynch_upholds_the_family_contract() {
+    upholds_the_family_contract("ccsynch", || (CcSynch::new(State::default(), apply), ()));
 }
 
 #[test]
-fn per_thread_fifo_preserved_rcl() {
-    let log: Log = Arc::default();
-    let lock = RclLock::new((), log_apply(log.clone()));
-    let server = lock.start();
-    fifo_preserved((0..4).map(|_| lock.register()).collect(), log, "rcl");
-    drop(server);
+fn rcl_upholds_the_family_contract() {
+    upholds_the_family_contract("rcl", || {
+        let lock = RclLock::new(State::default(), apply);
+        let server = lock.start();
+        (lock, server)
+    });
 }
 
 #[test]
-fn per_thread_fifo_preserved_fcban() {
-    let log: Log = Arc::default();
-    let fb = FcBan::new((), log_apply(log.clone()));
-    fifo_preserved((0..4).map(|_| fb.register()).collect(), log, "fc-ban");
+fn banned_server_upholds_the_family_contract() {
+    // The combination no alias names: the engine's axes are type
+    // parameters, so it costs nothing to build — and must hold too.
+    upholds_the_family_contract("rcl+ban", || {
+        let lock = SlotLock::<_, _, _, _, true, true>::new(State::default(), apply);
+        let server = lock.start();
+        (lock, server)
+    });
+}
+
+#[test]
+fn fcban_upholds_the_family_contract() {
+    upholds_the_family_contract("fc-ban", || (FcBan::new(State::default(), apply), ()));
 }
 
 /// Skewed-hold-time duel: worker 0's critical sections are 10× longer
@@ -205,6 +211,7 @@ fn fcban_suppresses_hog_share_vs_ccsynch() {
     const HOG_NS: u64 = 500_000;
     const BASE_NS: u64 = 20_000;
     let window = Duration::from_millis(250);
+    let _alone_on_the_host = HOST.write().unwrap_or_else(PoisonError::into_inner);
 
     let cc = CcSynch::new((), wait_apply());
     let cc_handles: Vec<_> = (0..THREADS).map(|_| cc.register()).collect();

@@ -1,8 +1,7 @@
 //! Cooperative virtual-time execution of the **real** lock zoo.
 //!
-//! Where the analytic engine ([`crate::run`]) *models* each lock
-//! policy,
-//! this module executes the unmodified lock implementations —
+//! This module *models* no lock policy: it executes the unmodified
+//! lock implementations —
 //! anything [`PlainLock`] or [`PlainRwLock`], i.e. the whole
 //! `asl-locks`/`asl-core` zoo including `AslLock`'s SLO feedback —
 //! against a modeled machine:
@@ -522,25 +521,6 @@ impl SimMachine {
         }
     }
 
-    /// Debugging aid: dump the scheduler state to stderr
-    /// (`ASL_SIM_DEBUG=1` enables a watchdog that calls this).
-    fn dump(&self) {
-        let sh = self.shared.lock().expect("sim scheduler poisoned");
-        eprintln!(
-            "--- sim dump: cores last={:?} time={:?} since={:?}",
-            sh.core_last, sh.core_time, sh.core_since
-        );
-        for (t, th) in sh.th.iter().enumerate() {
-            eprintln!(
-                "  t{t}: {:?} vtime={} core={} key={}",
-                th.state,
-                th.vtime,
-                th.core,
-                self.key(&sh, t)
-            );
-        }
-    }
-
     /// Hand the baton to the globally earliest thread (run start).
     fn begin(&self) {
         let mut sh = self.shared.lock().expect("sim scheduler poisoned");
@@ -673,13 +653,6 @@ where
 /// ```
 pub fn run_lock(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> ZooResult {
     let machine = SimMachine::new(cfg);
-    if std::env::var_os("ASL_SIM_DEBUG").is_some() {
-        let watchdog = machine.clone();
-        std::thread::spawn(move || loop {
-            std::thread::sleep(std::time::Duration::from_secs(3));
-            watchdog.dump();
-        });
-    }
     std::thread::scope(|s| {
         for tid in 0..cfg.threads {
             let machine = machine.clone();
@@ -689,22 +662,17 @@ pub fn run_lock(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> ZooResult {
                     if m.clock(tid) >= cfg.duration_ns {
                         break;
                     }
-                    if let Some(slo) = cfg.slo_ns {
+                    if cfg.slo_ns.is_some() {
                         asl_core::epoch::epoch_start(SIM_EPOCH_ID);
-                        let t0 = m.clock(tid);
-                        let token = lock.acquire();
-                        let t1 = m.clock(tid);
-                        m.note_acquire(tid, t1.saturating_sub(t0));
-                        asl_runtime::work::execute_units(cfg.cs_units);
-                        lock.release(token);
+                    }
+                    let t0 = m.clock(tid);
+                    let token = lock.acquire();
+                    let t1 = m.clock(tid);
+                    m.note_acquire(tid, t1.saturating_sub(t0));
+                    asl_runtime::work::execute_units(cfg.cs_units);
+                    lock.release(token);
+                    if let Some(slo) = cfg.slo_ns {
                         asl_core::epoch::epoch_end(SIM_EPOCH_ID, slo);
-                    } else {
-                        let t0 = m.clock(tid);
-                        let token = lock.acquire();
-                        let t1 = m.clock(tid);
-                        m.note_acquire(tid, t1.saturating_sub(t0));
-                        asl_runtime::work::execute_units(cfg.cs_units);
-                        lock.release(token);
                     }
                     asl_runtime::work::execute_units(cfg.ncs_units);
                 });

@@ -49,10 +49,10 @@ fn serve(spec: &LockSpec) -> (f64, f64, f64) {
         &cfg,
         |ctx| {
             libasl::epoch::reset_thread_epochs();
-            libasl::harness::figures::seed_tls_rng(ctx.index);
+            libasl::harness::scenario::worker_rng(ctx.index)
         },
-        move |_| {
-            let run = || libasl::harness::figures::with_tls_rng(|rng| engine2.run_request(rng));
+        move |_, rng| {
+            let mut run = || engine2.run_request(rng);
             match slo {
                 // The paper's integration: 2 lines around the handler.
                 Some(slo) => libasl::epoch::with_epoch_timed(0, slo, run).1,

@@ -34,10 +34,17 @@
 //!   ([`Executor`], [`block_on`]) and wakes them FIFO or in SLO-aware
 //!   deadline order. The delegation family ([`FlatCombiner`],
 //!   [`CcSynch`], [`RclLock`], [`FcBan`]) executes submitted ops at a
-//!   combiner or dedicated server instead of migrating the lock,
-//!   unified by [`DelegationLock`]/[`DelegationHandle`] and bridged
-//!   into the registry (`ccsynch`, `rcl`, `fc-ban`) by
-//!   [`DelegatedMutex`].
+//!   combiner or dedicated server instead of migrating the lock.
+//!   Three of the four are one publication-slot engine,
+//!   [`SlotLock`], whose two `const` parameters are who executes (a
+//!   combining submitter or a dedicated server) and the usage policy
+//!   (none or ban); the names are aliases of it and [`SlotHandle`] is
+//!   its one handle. The family is unified by
+//!   [`DelegationLock`]/[`DelegationHandle`] and bridged into the
+//!   registry (`flatcomb`, `ccsynch`, `rcl`, `fc-ban`) by
+//!   [`DelegatedMutex`], which wraps a guard's critical section in
+//!   two delegated baton-transfer ops (the section itself runs on
+//!   the caller).
 //! * [`core`] — LibASL itself: reorderable lock, epoch/SLO feedback,
 //!   the [`Mutex`] dispatch ([`asl_core`]).
 //! * [`sim`] — the deterministic virtual-time engine that runs the
@@ -186,7 +193,7 @@ pub use asl_locks::{Adaptive, AdaptiveMode, Instrumented, TelemetryCell, Telemet
 pub use asl_locks::{AsyncDynMutex, AsyncFifoMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use asl_locks::{
     CcSynch, DelegatedMutex, DelegationHandle, DelegationLock, FcBan, FlatCombiner, RclLock,
-    RclServer, SlotsExhausted,
+    RclServer, SlotHandle, SlotLock, SlotsExhausted,
 };
 pub use asl_locks::{Gate, Gcr, GcrConfig};
 pub use asl_runtime::clock;

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use libasl::harness::locks::LockSpec;
 use libasl::locks::api::DynLock;
-use libasl::locks::flatcomb::DedicatedServer;
+use libasl::locks::rcl::RclLock;
 use libasl::locks::shuffle::{PreferBigPolicy, ShuffleLock};
 use libasl::runtime::clock::now_ns;
 use libasl::runtime::registry::register_on_core;
@@ -137,11 +137,11 @@ fn delegation_executes_at_server_speed() {
     const OPS: u64 = 40;
     const UNITS: u64 = 20_000;
 
-    let srv = Arc::new(DedicatedServer::new(0u64, |acc: &mut u64, _op: u64| {
+    let srv = RclLock::new(0u64, |acc: &mut u64, _op: u64| {
         execute_units(UNITS);
         *acc += 1;
         *acc
-    }));
+    });
     let server_thread = {
         let srv = srv.clone();
         let topo = topo.clone();

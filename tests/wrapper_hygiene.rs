@@ -7,40 +7,41 @@
 //! had a hand-written twin over `Arc<dyn PlainLock>` — and the twins
 //! drifted (one `Gcr` had a timed acquire, the other had not; one
 //! `Instrumented` kept its recording path out of line, the other
-//! inlined it). This grep fails if a twin comes back, and if the
-//! simulator grows a second engine again.
+//! inlined it). The delegation family had the same disease one level
+//! down — the publication-slot array written once per lock, and the
+//! warm-up → measure → done loop once per figure that drives them.
+//! This grep fails if a twin comes back, if the simulator grows a
+//! second engine again, and if either delegation copy does.
 
 use std::path::Path;
 
-/// Every non-test line of `crates/locks/src`, tagged with its file.
-fn locks_source_lines() -> Vec<(String, String)> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/locks/src");
-    let mut lines = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("readable source tree") {
-        let path = entry.expect("dir entry").path();
-        assert!(path.is_file(), "crates/locks/src is expected to be flat");
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let text = std::fs::read_to_string(&path).expect("readable source file");
-        let code = text.split("#[cfg(test)]").next().expect("non-empty");
-        lines.extend(code.lines().map(|l| (name.clone(), l.to_string())));
+/// Every non-test line of the `.rs` files under `dir` (relative to
+/// the repo root), tagged with its path relative to `dir`.
+fn source_lines(dir: &str) -> Vec<(String, String)> {
+    fn walk(root: &Path, dir: &Path, lines: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).expect("readable source tree") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(root, &path, lines);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let name = path.strip_prefix(root).unwrap().to_string_lossy();
+                let text = std::fs::read_to_string(&path).expect("readable source file");
+                let code = text.split("#[cfg(test)]").next().expect("non-empty");
+                lines.extend(code.lines().map(|l| (name.to_string(), l.to_string())));
+            }
+        }
     }
-    assert!(lines.len() > 5_000, "source walk looks broken");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+    let mut lines = Vec::new();
+    walk(&root, &root, &mut lines);
+    assert!(!lines.is_empty(), "source walk of {dir} looks broken");
     lines
 }
 
-#[test]
-fn each_wrapper_and_guard_is_written_once() {
-    let lines = locks_source_lines();
-
-    // No struct of its own for the erased forms: they are type
-    // aliases of the generic ones, or gone.
-    let twin = |name: &str| {
-        name == "GcrPlain"
-            || name.starts_with("InstrumentedPlain")
-            || ["DynGuard", "DynMutexGuard", "DynReadGuard", "DynWriteGuard"].contains(&name)
-            || (name.starts_with("DynRw") && name.ends_with("Guard"))
-    };
-    let offenders: Vec<String> = lines
+/// The `file: line` of every `struct` declaration in `lines` whose
+/// name `banned` rejects.
+fn banned_structs(lines: &[(String, String)], banned: impl Fn(&str) -> bool) -> Vec<String> {
+    lines
         .iter()
         .filter_map(|(file, line)| {
             let decl = line
@@ -52,9 +53,36 @@ fn each_wrapper_and_guard_is_written_once() {
                 .chars()
                 .take_while(|c| c.is_alphanumeric() || *c == '_')
                 .collect();
-            twin(&name).then(|| format!("{file}: {}", line.trim()))
+            banned(&name).then(|| format!("{file}: {}", line.trim()))
         })
+        .collect()
+}
+
+/// The files (deduplicated, sorted) with a line containing `needle`.
+fn files_with(lines: &[(String, String)], needle: &str) -> Vec<String> {
+    let mut files: Vec<String> = lines
+        .iter()
+        .filter(|(_, l)| l.contains(needle))
+        .map(|(f, _)| f.clone())
         .collect();
+    files.sort();
+    files.dedup();
+    files
+}
+
+#[test]
+fn each_wrapper_and_guard_is_written_once() {
+    let lines = source_lines("crates/locks/src");
+    assert!(lines.len() > 5_000, "source walk looks broken");
+
+    // No struct of its own for the erased forms: they are type
+    // aliases of the generic ones, or gone.
+    let offenders = banned_structs(&lines, |name| {
+        name == "GcrPlain"
+            || name.starts_with("InstrumentedPlain")
+            || ["DynGuard", "DynMutexGuard", "DynReadGuard", "DynWriteGuard"].contains(&name)
+            || (name.starts_with("DynRw") && name.ends_with("Guard"))
+    });
     assert!(
         offenders.is_empty(),
         "hand-written twin of a generic wrapper or guard — use the generic type over \
@@ -79,4 +107,60 @@ fn the_simulator_has_one_engine() {
              run the real locks (asl_sim::exec)"
         );
     }
+}
+
+#[test]
+fn delegation_is_written_once() {
+    // One publication-slot engine: no per-lock shared-state struct,
+    // no second server, and one place that executes a published op.
+    let locks = source_lines("crates/locks/src");
+    let offenders = banned_structs(&locks, |name| {
+        [
+            "DedicatedServer",
+            "ServerHandle",
+            "FcShared",
+            "RclShared",
+            "BanShared",
+        ]
+        .contains(&name)
+    });
+    assert!(
+        offenders.is_empty(),
+        "a delegation lock with a slot array of its own — build it from the engine's executor \
+         and policy axes (asl_locks::delegation) instead:\n{}",
+        offenders.join("\n")
+    );
+    let executes: Vec<_> = locks
+        .iter()
+        .filter(|(_, l)| l.contains(".execute("))
+        .collect();
+    assert_eq!(
+        executes.len(),
+        1,
+        "a published op is executed by the engine's one pending-slot scan: {executes:?}"
+    );
+
+    // One measurement loop: the runner owns the phase protocol and
+    // the worker spawn; fig8d's trace loop is the one other spawner.
+    let harness = source_lines("crates/harness/src");
+    assert_eq!(
+        files_with(&harness, "const PHASE_MEASURE"),
+        ["runner.rs"],
+        "a figure re-implements the warm-up/measure/done protocol — call \
+         runner::run_timed_with_setup"
+    );
+    assert_eq!(
+        files_with(&harness, "run_on_topology_with_stop("),
+        ["figures/bench1.rs", "runner.rs"],
+        "a figure spawns its own workers — call runner::run_timed_with_setup"
+    );
+}
+
+#[test]
+fn no_environment_variable_knobs() {
+    let readers = files_with(&source_lines("crates"), "env::var");
+    assert!(
+        readers.is_empty(),
+        "{readers:?} read the environment — behaviour is set by arguments, not ambient state"
+    );
 }
