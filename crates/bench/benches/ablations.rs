@@ -1,7 +1,8 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * `ablate_backoff` — binary-exponential standby probing (the
-//!   paper's choice) vs fixed-interval probing.
+//! * `ablate_backoff` — probing on every standby poll (`SpinWait`)
+//!   vs the paper's binary-exponential back-off (Algorithm 1), kept
+//!   here as a bench-local policy so the departure stays measurable.
 //! * `ablate_fifo` — which FIFO lock sits under the reorderable
 //!   layer (MCS vs CLH vs ticket).
 //! * `ablate_dispatch` — big cores locking immediately (Algorithm 3)
@@ -9,19 +10,18 @@
 //! * `ablate_policy` — ordering policies inside the ShflLock-style
 //!   shuffle framework (FIFO vs class-local vs prefer-big vs
 //!   proportional) under one queue mechanism.
-//! * `ablate_unit` — Algorithm 2's adaptive growth unit
-//!   `(100-PCT)%·window` vs fixed growth units, measured as throughput
-//!   under an SLO-annotated epoch workload.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use asl_core::{FixedCheckWait, ReorderableLock, SpinWait, WaitPolicy};
+use asl_core::wait::WaitOutcome;
+use asl_core::{ReorderableLock, SpinWait, WaitPolicy};
 use asl_harness::locks::LockSpec;
 use asl_harness::runner::run_until_ops;
 use asl_harness::scenario::{worker_rng, MicroScenario};
 use asl_locks::plain::{PlainLock, PlainToken};
 use asl_locks::{ClhLock, McsLock, RawLock, TicketLock};
+use asl_runtime::clock::{coarse_now_ns, coarse_resync};
 use asl_runtime::registry::is_big_core;
 use asl_runtime::{CacheLineArena, Topology};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -156,31 +156,47 @@ fn run_point(c: &mut Criterion, group: &str, label: &str, make: impl Fn() -> Arc
 
 const WINDOW: u64 = 100_000_000;
 
+/// Paper Algorithm 1's standby loop: probe at polls 1, 2, 4, 8, …,
+/// so the time a free lock goes unnoticed doubles with the time
+/// already waited. `asl_core::SpinWait` probes on every poll instead
+/// (see `asl_core::wait`).
+struct ExponentialProbeWait;
+
+impl WaitPolicy for ExponentialProbeWait {
+    fn standby_wait(&self, deadline_ns: u64, is_free: &dyn Fn() -> bool) -> WaitOutcome {
+        let mut next_probe = 1u64;
+        let mut spin = asl_runtime::relax::Spin::new();
+        for poll in 1u64.. {
+            // `SpinWait`'s multi-CPU host cadence: every 16th poll.
+            if poll % 16 == 1 && coarse_now_ns() >= deadline_ns {
+                break;
+            }
+            if poll == next_probe {
+                if is_free() {
+                    return WaitOutcome::ObservedFree;
+                }
+                next_probe <<= 1;
+            }
+            if spin.relax() {
+                coarse_resync();
+            }
+        }
+        WaitOutcome::WindowExpired
+    }
+}
+
 fn ablate_backoff(c: &mut Criterion) {
-    run_point(c, "ablate_backoff", "exponential", || {
+    fn max_window<W: WaitPolicy>(waiter: W) -> Arc<dyn PlainLock> {
         Arc::new(MaxWindowQueueLock {
-            inner: ReorderableLock::with_waiter(McsLock::new(), SpinWait),
+            inner: ReorderableLock::with_waiter(McsLock::new(), waiter),
             window_ns: WINDOW,
             all_standby: false,
         })
-    });
-    for interval in [1u64, 64, 4096] {
-        run_point(
-            c,
-            "ablate_backoff",
-            &format!("fixed-{interval}"),
-            move || {
-                Arc::new(MaxWindowQueueLock {
-                    inner: ReorderableLock::with_waiter(
-                        McsLock::new(),
-                        FixedCheckWait { interval },
-                    ),
-                    window_ns: WINDOW,
-                    all_standby: false,
-                })
-            },
-        );
     }
+    run_point(c, "ablate_backoff", "every-poll", || max_window(SpinWait));
+    run_point(c, "ablate_backoff", "exponential (paper)", || {
+        max_window(ExponentialProbeWait)
+    });
 }
 
 fn ablate_fifo(c: &mut Criterion) {
@@ -277,59 +293,11 @@ fn ablate_policy(c: &mut Criterion) {
     });
 }
 
-fn ablate_unit(c: &mut Criterion) {
-    // The unit rule only matters when epochs drive the window, so this
-    // ablation uses the real LibASL lock with an SLO and varies the
-    // growth-unit rule through the global config.
-    for (label, rule) in [
-        (
-            "adaptive (paper)",
-            asl_core::config::GrowthUnit::AdaptivePct,
-        ),
-        ("fixed-1us", asl_core::config::GrowthUnit::FixedNs(1_000)),
-        (
-            "fixed-100us",
-            asl_core::config::GrowthUnit::FixedNs(100_000),
-        ),
-    ] {
-        let mut g = c.benchmark_group("ablate_unit");
-        g.sample_size(10)
-            .warm_up_time(Duration::from_millis(300))
-            .measurement_time(Duration::from_millis(1200))
-            .throughput(Throughput::Elements(1));
-        let topo = Topology::apple_m1();
-        g.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter_custom(|iters| {
-                asl_core::config::set_growth_unit(rule);
-                let scenario = {
-                    let mut s = scenario_with(LockSpec::asl(Some(200_000)).make_lock());
-                    s.epoch_slo = Some(200_000);
-                    s
-                };
-                let d = run_until_ops(
-                    &topo,
-                    8,
-                    iters.max(8),
-                    |ctx| {
-                        asl_core::epoch::reset_thread_epochs();
-                        worker_rng(ctx.index)
-                    },
-                    |_, rng| scenario.run_op(rng),
-                );
-                asl_core::config::set_growth_unit(asl_core::config::GrowthUnit::AdaptivePct);
-                d
-            });
-        });
-        g.finish();
-    }
-}
-
 criterion_group!(
     benches,
     ablate_backoff,
     ablate_fifo,
     ablate_dispatch,
-    ablate_policy,
-    ablate_unit
+    ablate_policy
 );
 criterion_main!(benches);

@@ -7,44 +7,17 @@
 //! * `MAX_WINDOW` — the upper bound on any reorder window, which makes
 //!   the reorderable lock starvation-free and serves as the default
 //!   window outside epochs (the paper's evaluation uses 100 ms).
-//! * Default initial window/unit for fresh epochs ("we give a default
-//!   size to both; they will quickly adjust themselves").
+//! * Default initial window for fresh epochs ("we give a default
+//!   size …; they will quickly adjust themselves").
+//!
+//! The window controller ([`crate::epoch`]) is scale-free: Algorithm
+//! 2's growth `unit` and its floor have no counterpart here.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 static PCT: AtomicU8 = AtomicU8::new(99);
 static MAX_WINDOW_NS: AtomicU64 = AtomicU64::new(100_000_000); // 100 ms
 static DEFAULT_WINDOW_NS: AtomicU64 = AtomicU64::new(10_000); // 10 µs
-static UNIT_FLOOR_NS: AtomicU64 = AtomicU64::new(100);
-/// 0 = adaptive (paper rule); otherwise the fixed unit in ns.
-static GROWTH_UNIT_FIXED_NS: AtomicU64 = AtomicU64::new(0);
-
-/// How the linear growth unit is derived (ablation knob; the paper
-/// uses [`GrowthUnit::AdaptivePct`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrowthUnit {
-    /// The paper's rule: `(100-PCT)% · window`, floored.
-    AdaptivePct,
-    /// A fixed unit in nanoseconds (ablation comparator).
-    FixedNs(u64),
-}
-
-/// Set the growth-unit rule.
-pub fn set_growth_unit(rule: GrowthUnit) {
-    let v = match rule {
-        GrowthUnit::AdaptivePct => 0,
-        GrowthUnit::FixedNs(n) => n.max(1),
-    };
-    GROWTH_UNIT_FIXED_NS.store(v, Ordering::Relaxed);
-}
-
-/// The current growth-unit rule.
-pub fn growth_unit() -> GrowthUnit {
-    match GROWTH_UNIT_FIXED_NS.load(Ordering::Relaxed) {
-        0 => GrowthUnit::AdaptivePct,
-        n => GrowthUnit::FixedNs(n),
-    }
-}
 
 /// Immutable snapshot of the configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,10 +29,6 @@ pub struct AslConfig {
     pub max_window_ns: u64,
     /// Initial reorder window for a fresh epoch (ns).
     pub default_window_ns: u64,
-    /// Lower bound on the growth unit (ns); keeps the feedback loop
-    /// able to grow back after collapsing to a zero window (the
-    /// "falls back to FIFO" regime) once load lightens.
-    pub unit_floor_ns: u64,
 }
 
 /// Read the current configuration.
@@ -68,7 +37,6 @@ pub fn current() -> AslConfig {
         pct: PCT.load(Ordering::Relaxed),
         max_window_ns: MAX_WINDOW_NS.load(Ordering::Relaxed),
         default_window_ns: DEFAULT_WINDOW_NS.load(Ordering::Relaxed),
-        unit_floor_ns: UNIT_FLOOR_NS.load(Ordering::Relaxed),
     }
 }
 
@@ -104,31 +72,6 @@ pub fn default_window_ns() -> u64 {
     DEFAULT_WINDOW_NS.load(Ordering::Relaxed)
 }
 
-/// Set the growth-unit floor (ns).
-pub fn set_unit_floor_ns(ns: u64) {
-    UNIT_FLOOR_NS.store(ns, Ordering::Relaxed);
-}
-
-/// Growth-unit floor (ns).
-pub fn unit_floor_ns() -> u64 {
-    UNIT_FLOOR_NS.load(Ordering::Relaxed)
-}
-
-/// The growth unit derived from a window under an explicit rule.
-pub fn unit_for_window_with(rule: GrowthUnit, window_ns: u64, pct: u8) -> u64 {
-    match rule {
-        GrowthUnit::AdaptivePct => (window_ns * (100 - pct as u64) / 100).max(unit_floor_ns()),
-        GrowthUnit::FixedNs(n) => n.max(1),
-    }
-}
-
-/// The growth unit derived from a window per the configured rule —
-/// by default the paper's: `window * (100 - PCT) / 100`, floored so
-/// recovery from a collapsed window stays possible.
-pub fn unit_for_window(window_ns: u64, pct: u8) -> u64 {
-    unit_for_window_with(growth_unit(), window_ns, pct)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,31 +81,6 @@ mod tests {
         let c = current();
         assert_eq!(c.pct, 99);
         assert_eq!(c.max_window_ns, 100_000_000);
-    }
-
-    #[test]
-    fn unit_rule() {
-        // PCT=99: unit is 1% of the window.
-        assert_eq!(unit_for_window(1_000_000, 99), 10_000);
-        // PCT=90: 10%.
-        assert_eq!(unit_for_window(1_000_000, 90), 100_000);
-        // Floor applies for tiny windows.
-        assert_eq!(unit_for_window(0, 99), unit_floor_ns());
-    }
-
-    #[test]
-    fn growth_unit_rules_pure() {
-        // Pure variant: does not touch the global knob, so this test
-        // cannot race other tests reading the configured rule.
-        assert_eq!(
-            unit_for_window_with(GrowthUnit::AdaptivePct, 1_000_000, 99),
-            10_000
-        );
-        assert_eq!(
-            unit_for_window_with(GrowthUnit::FixedNs(555), 1_000_000, 99),
-            555
-        );
-        assert_eq!(unit_for_window_with(GrowthUnit::FixedNs(0), 1, 99), 1);
     }
 
     #[test]

@@ -349,6 +349,10 @@ pub const COARSE_REFRESH_EVERY: u32 = 32;
 
 /// Resolved per process: [`COARSE_REFRESH_EVERY`], or 1 when waiting
 /// yields on every poll.
+///
+/// Host threads only: under an installed substrate [`coarse_now_ns`]
+/// returns the substrate's clock before it gets here, so this
+/// process-global, host-dependent answer never reaches virtual time.
 fn refresh_every() -> u32 {
     static EVERY: OnceLock<u32> = OnceLock::new();
     *EVERY.get_or_init(|| {

@@ -68,6 +68,12 @@ pub struct Spin {
 
 impl Spin {
     /// Fresh waiter (starts in the pure-spin phase).
+    ///
+    /// The budget and cadence chosen here from the process-global
+    /// [`yields_every_poll`] shape host-thread waits only: under an
+    /// installed substrate [`Spin::relax`] hands every poll to the
+    /// substrate before it looks at them, so they never reach virtual
+    /// time.
     #[inline]
     pub fn new() -> Self {
         if single_cpu() {

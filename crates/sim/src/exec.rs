@@ -33,6 +33,7 @@
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use asl_core::epoch::WindowSample;
 use asl_locks::plain::{PlainLock, PlainRwLock};
 use asl_runtime::atomic_model::AtomicAffinity;
 use asl_runtime::stats::percentile;
@@ -138,7 +139,7 @@ pub struct ZooConfig {
     /// Schedule seed (staggers thread start times).
     pub seed: u64,
     /// Wrap each operation in an epoch with this SLO — drives
-    /// `AslLock`'s Algorithm-2 window feedback.
+    /// `AslLock`'s SLO window feedback (`asl_core::epoch`).
     pub slo_ns: Option<u64>,
     /// Per-operation charges.
     pub cost: CostModel,
@@ -210,6 +211,11 @@ pub struct ZooResult {
     pub max_class_batch: u64,
     /// Final virtual time (max over threads).
     pub virtual_ns: u64,
+    /// Each thread's reorder-window trajectory
+    /// ([`asl_core::epoch::take_window_trace`]): one sample per
+    /// little-core epoch that ended while
+    /// `asl_locks::telemetry::recording` was on, else empty.
+    pub window_traces: Vec<Vec<WindowSample>>,
 }
 
 impl ZooResult {
@@ -286,6 +292,7 @@ struct Shared {
     readers_max: u64,
     reads: u64,
     writes: u64,
+    window_traces: Vec<Vec<WindowSample>>,
 }
 
 /// The cooperative scheduler shared by all virtual threads of one
@@ -340,6 +347,7 @@ impl SimMachine {
                 readers_max: 0,
                 reads: 0,
                 writes: 0,
+                window_traces: vec![Vec::new(); cfg.threads],
             }),
             cvs: (0..cfg.threads).map(|_| Condvar::new()).collect(),
         })
@@ -658,23 +666,29 @@ pub fn run_lock(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> ZooResult {
             let machine = machine.clone();
             let lock = lock.clone();
             s.spawn(move || {
-                with_vthread(&machine, cfg, tid, |m| loop {
-                    if m.clock(tid) >= cfg.duration_ns {
-                        break;
+                with_vthread(&machine, cfg, tid, |m| {
+                    loop {
+                        if m.clock(tid) >= cfg.duration_ns {
+                            break;
+                        }
+                        if cfg.slo_ns.is_some() {
+                            asl_core::epoch::epoch_start(SIM_EPOCH_ID);
+                        }
+                        let t0 = m.clock(tid);
+                        let token = lock.acquire();
+                        let t1 = m.clock(tid);
+                        m.note_acquire(tid, t1.saturating_sub(t0));
+                        asl_runtime::work::execute_units(cfg.cs_units);
+                        lock.release(token);
+                        if let Some(slo) = cfg.slo_ns {
+                            asl_core::epoch::epoch_end(SIM_EPOCH_ID, slo);
+                        }
+                        asl_runtime::work::execute_units(cfg.ncs_units);
                     }
-                    if cfg.slo_ns.is_some() {
-                        asl_core::epoch::epoch_start(SIM_EPOCH_ID);
-                    }
-                    let t0 = m.clock(tid);
-                    let token = lock.acquire();
-                    let t1 = m.clock(tid);
-                    m.note_acquire(tid, t1.saturating_sub(t0));
-                    asl_runtime::work::execute_units(cfg.cs_units);
-                    lock.release(token);
-                    if let Some(slo) = cfg.slo_ns {
-                        asl_core::epoch::epoch_end(SIM_EPOCH_ID, slo);
-                    }
-                    asl_runtime::work::execute_units(cfg.ncs_units);
+                    m.shared
+                        .lock()
+                        .expect("sim scheduler poisoned")
+                        .window_traces[tid] = asl_core::epoch::take_window_trace();
                 });
             });
         }
@@ -769,6 +783,7 @@ fn zoo_result(cfg: &ZooConfig, machine: &SimMachine) -> ZooResult {
         .collect();
     let p99_overall = percentile(&mut overall, 99.0);
     let grants = std::mem::take(&mut sh.grants);
+    let window_traces = std::mem::take(&mut sh.window_traces);
     ZooResult {
         total_ops,
         big_ops,
@@ -788,6 +803,7 @@ fn zoo_result(cfg: &ZooConfig, machine: &SimMachine) -> ZooResult {
         grants,
         max_class_batch: max_batch,
         virtual_ns,
+        window_traces,
     }
 }
 

@@ -160,7 +160,7 @@ fn parking_beats_spinning_when_oversubscribed() {
     );
 }
 
-/// The full LibASL stack — epochs, Algorithm-2 window feedback, the
+/// The full LibASL stack — epochs, the SLO window feedback, the
 /// reorderable queue — ticks in virtual time and stays deterministic.
 #[test]
 fn libasl_slo_feedback_runs_in_virtual_time() {

@@ -3,9 +3,10 @@
 //! One little-core thread competes with three big-core threads for a
 //! LibASL lock while the epoch length changes abruptly (1× → 8× →
 //! 1× → 32×-infeasible). The example prints the little thread's epoch
-//! latency and its current reorder window over time: on every SLO
-//! violation the window halves; afterwards it climbs back linearly —
-//! the TCP-style feedback of paper Algorithm 2.
+//! latency and its current reorder window over time: every SLO
+//! violation cuts a quarter of the window; every epoch inside the SLO
+//! adds 0.19 % of it back — the percentile-tracking feedback of
+//! `libasl::epoch` (after paper Algorithm 2).
 //!
 //! Run with: `cargo run --release --example variable_load`
 
@@ -75,7 +76,7 @@ fn main() {
                         latency as f64 / 1_000.0,
                         w as f64 / 1_000.0,
                         if latency > SLO_NS {
-                            "  <-- SLO violated, window halves"
+                            "  <-- SLO violated, window cut"
                         } else {
                             ""
                         }
@@ -88,5 +89,5 @@ fn main() {
 
     println!("\ntotal critical sections: {}", *lock.lock());
     println!("expected shape: window collapses at each phase switch, then grows");
-    println!("linearly; during the x32 phase LibASL stays collapsed (FIFO fallback).");
+    println!("geometrically; during the x32 phase LibASL stays collapsed (FIFO fallback).");
 }

@@ -188,10 +188,12 @@ fn config_pct_affects_growth_unit() {
         epoch::reset_thread_epochs();
         epoch::set_epoch_window(3, 100_000);
         epoch::epoch_start(3);
-        epoch::epoch_end(3, 0); // violation: window 50_000, unit 5% = 2_500
-        let m = epoch::epoch_meta(3);
-        assert_eq!(m.window, 50_000);
-        assert_eq!(m.unit, 2_500);
+        epoch::epoch_end(3, 0); // miss: a quarter off, whatever PCT is
+        assert_eq!(epoch::epoch_meta(3).window, 75_000);
+        // Hit: the step aims at 0.75 x 5 % = 3.75 % misses, i.e.
+        // 375 / (4 x 9 625) of the window (PCT = 99: 75 / 39 700).
+        epoch::with_epoch(3, u64::MAX, || ());
+        assert_eq!(epoch::epoch_meta(3).window, 75_000 + 75_000 * 375 / 38_500);
         config::set_pct(99);
     });
     stopper.join().unwrap();

@@ -187,21 +187,24 @@ proptest! {
         initial in 1u64..100_000_000,
         outcomes in prop::collection::vec(any::<bool>(), 1..200),
     ) {
-        // Model of Algorithm 2: the window must always stay within
-        // [0, max_window] no matter the violation sequence.
-        let max_window = 100_000_000u64;
-        let pct = 99u64;
-        let mut window = initial.min(max_window);
-        let mut unit = (window * (100 - pct) / 100).max(100);
+        // The real controller on a little core, driven by outcome
+        // alone (SLO 0 = miss, u64::MAX = hit): the window stays within
+        // [0, max_window] whatever the sequence, a miss never grows it
+        // and a hit never shrinks it.
+        use libasl::epoch;
+        use libasl::runtime::topology::CoreId;
+        let max_window = libasl::core::config::max_window_ns();
+        libasl::runtime::register_on_core(&Topology::apple_m1(), CoreId(5));
+        epoch::reset_thread_epochs();
+        epoch::set_epoch_window(1, initial.min(max_window));
         for violated in outcomes {
-            if violated {
-                window >>= 1;
-                unit = (window * (100 - pct) / 100).max(100);
-            } else {
-                window = (window + unit).min(max_window);
-            }
-            prop_assert!(window <= max_window);
+            let before = epoch::epoch_meta(1).window;
+            epoch::with_epoch(1, if violated { 0 } else { u64::MAX }, || ());
+            let after = epoch::epoch_meta(1).window;
+            prop_assert!(after <= max_window);
+            prop_assert!(if violated { after <= before } else { after >= before });
         }
+        libasl::runtime::registry::unregister();
     }
 }
 

@@ -117,15 +117,13 @@ fn precise_clock_reads(src: &str) -> usize {
 #[test]
 fn spin_wait_policies_read_only_the_coarse_clock() {
     let src = non_test_source("crates/core/src/wait.rs");
-    for policy in ["SpinWait", "FixedCheckWait"] {
-        let body = block_after(&src, &format!("impl WaitPolicy for {policy}"));
-        assert_eq!(
-            precise_clock_reads(body),
-            0,
-            "{policy}'s waiter loop must check deadlines via coarse_now_ns \
-             (a precise now_ns per iteration is the regression this audit exists for):\n{body}"
-        );
-    }
+    let body = block_after(&src, "impl WaitPolicy for SpinWait");
+    assert_eq!(
+        precise_clock_reads(body),
+        0,
+        "SpinWait's waiter loop must check deadlines via coarse_now_ns \
+         (a precise now_ns per iteration is the regression this audit exists for):\n{body}"
+    );
 }
 
 #[test]
