@@ -3,9 +3,10 @@
 //! An *epoch* is an application-designated latency-critical span —
 //! typically one request-handling procedure — identified by a small
 //! static id. Each thread keeps, per epoch id, a reorder window and
-//! the epoch's start timestamp. [`epoch_end`] compares the measured
-//! latency against the caller-supplied SLO and, on a little core (big
-//! cores never stand by), moves the window:
+//! the epoch's start timestamp. On a little core [`epoch_end`] compares
+//! the measured latency against the caller-supplied SLO and moves the
+//! window (big cores never stand by, so theirs is never consulted and
+//! an epoch there measures nothing — see below):
 //!
 //! * **miss** (`latency > SLO`): `window -= window / 4`;
 //! * **hit**: `window += max(1, window · g)`, clamped to the configured
@@ -35,8 +36,9 @@
 //! overshoot — and the rest needs the aim *below* 1 %, hence the 0.75.
 //!
 //! While `asl_locks::telemetry::recording` is on (`repro --profile`),
-//! every little-core `epoch_end` also appends a [`WindowSample`] to a
-//! per-thread buffer that [`take_window_trace`] drains.
+//! every little-core `epoch_end` that takes a controller step also
+//! appends a [`WindowSample`] to a per-thread buffer that
+//! [`take_window_trace`] drains.
 //!
 //! Nesting is supported with a per-thread stack; `epoch_end` of an
 //! inner epoch restores the outer epoch as current (the paper's
@@ -44,12 +46,27 @@
 //!
 //! Everything here is thread-local: no synchronization on the epoch
 //! path. The paper measures ~93 cycles for the pair of epoch calls;
-//! ours is two [`now_ns`] reads (one cycle-counter read each where the
-//! host has a trusted one — see [`asl_runtime::clock`]) plus a handful
-//! of plain thread-local loads and stores: the open epoch's id,
-//! window and start sit in const-initialised `Cell`s, and the
-//! 128-entry table and the nesting stack behind them are touched only
-//! when a thread changes epoch id or nests.
+//! ours is a handful of plain thread-local loads and stores — the open
+//! epoch's id, window and start sit in const-initialised `Cell`s, and
+//! the 128-entry table and the nesting stack behind them are touched
+//! only when a thread changes epoch id or nests — plus, **on a little
+//! core only**, two [`now_ns`] reads (one cycle-counter read each where
+//! the host has a trusted one — see [`asl_runtime::clock`]).
+//!
+//! # A big core reads no clock
+//!
+//! The two timestamps exist to feed the window controller, and a
+//! big-core thread has no window to control: it never stands by, and
+//! `epoch_end` has always left its window alone. So on a big core (an
+//! unregistered thread included) [`epoch_start`], [`epoch_end`] and
+//! [`with_epoch`] keep the nesting state and read no clock; the start
+//! is marked [`UNTIMED`] and raw `epoch_end` returns `0`, meaning *not
+//! measured here*. [`with_epoch_timed`], whose caller asked for a
+//! latency, still returns a real one on every core: on a big core it
+//! brackets the epoch with two reads of its own, on a little core it
+//! reuses the epoch's. An epoch opened untimed and closed on a little
+//! core (the thread migrated in between) takes no controller step:
+//! there is no latency to judge it by.
 
 use std::cell::{Cell, RefCell};
 
@@ -67,7 +84,8 @@ pub const MAX_EPOCHS: usize = 128;
 pub struct EpochMeta {
     /// Current reorder window (ns).
     pub window: u64,
-    /// Timestamp of the last `epoch_start` (ns).
+    /// Timestamp of the last `epoch_start` (ns), or [`UNTIMED`] when
+    /// that was on a big core.
     pub start: u64,
     /// Whether this id has been used on this thread yet.
     pub used: bool,
@@ -82,6 +100,10 @@ impl EpochMeta {
         }
     }
 }
+
+/// [`EpochMeta::start`] of an epoch opened on a big core, where no
+/// clock is read. Not a time any clock returns.
+pub const UNTIMED: u64 = u64::MAX;
 
 /// Stationary miss probability aimed at, in percent of the allowed
 /// `(100 − PCT) %`: under it, so the percentile lands inside the SLO.
@@ -178,20 +200,26 @@ impl Hot {
         }
         self.cur.set(id as i32);
         let mut m = self.load(id);
-        m.start = now_ns();
+        m.start = if is_big_core() { UNTIMED } else { now_ns() };
         m.used = true;
         self.meta.set(m);
     }
 
+    /// Close epoch `id`; the measured latency, or 0 where none was.
     #[inline(never)]
-    fn end(&self, id: usize, slo_ns: u64, end: u64) -> u64 {
-        let mut m = self.load(id);
-        let latency = end.saturating_sub(m.start);
+    fn end(&self, id: usize, slo_ns: u64) -> u64 {
+        let mut latency = 0;
         if !is_big_core() {
-            m.window = next_window(m.window, latency > slo_ns);
-            self.meta.set(m);
-            if telemetry::recording() {
-                record_window(id, end, latency, m.window);
+            let mut m = self.load(id);
+            // Opened on a big core, closed here: nothing to judge.
+            if m.start != UNTIMED {
+                let end = now_ns();
+                latency = end.saturating_sub(m.start);
+                m.window = next_window(m.window, latency > slo_ns);
+                self.meta.set(m);
+                if telemetry::recording() {
+                    record_window(id, end, latency, m.window);
+                }
             }
         }
         if self.depth.get() == 0 {
@@ -277,17 +305,19 @@ pub fn epoch_start(id: usize) {
 }
 
 /// End epoch `id` with the given latency SLO in nanoseconds (paper
-/// `epoch_end`). Returns the measured epoch latency (ns).
+/// `epoch_end`). Returns the measured epoch latency (ns) on a little
+/// core, and `0` — *not measured here* — on a big core or for an epoch
+/// that was opened on one; use [`with_epoch_timed`] for a latency on
+/// every core.
 ///
 /// On big cores the window is left untouched (big cores never stand
-/// by), but nesting state is still maintained.
+/// by) and no clock is read, but nesting state is still maintained.
 ///
 /// # Panics
 /// Panics if `id >= MAX_EPOCHS`.
 pub fn epoch_end(id: usize, slo_ns: u64) -> u64 {
     assert!(id < MAX_EPOCHS, "epoch id {id} out of range");
-    let end = now_ns();
-    HOT.with(|h| h.end(id, slo_ns, end))
+    HOT.with(|h| h.end(id, slo_ns))
 }
 
 /// Reorder window of the currently open epoch, if any (used by the
@@ -346,17 +376,28 @@ pub fn reset_thread_epochs() {
 }
 
 /// Scoped helper: run `f` inside epoch `id` with the given SLO.
-/// Returns `f`'s result and the measured latency (ns).
+/// Returns `f`'s result and the measured latency (ns) — on every core:
+/// where the epoch itself reads no clock (a thread that enters on a
+/// big core) the helper brackets it with two reads of its own.
 pub fn with_epoch_timed<R>(id: usize, slo_ns: u64, f: impl FnOnce() -> R) -> (R, u64) {
+    let bracket = is_big_core().then(now_ns);
     epoch_start(id);
     let r = f();
-    let lat = epoch_end(id, slo_ns);
+    let measured = epoch_end(id, slo_ns);
+    let lat = match bracket {
+        Some(t0) => now_ns().saturating_sub(t0),
+        None => measured,
+    };
     (r, lat)
 }
 
-/// Scoped helper: run `f` inside epoch `id` with the given SLO.
+/// Scoped helper: run `f` inside epoch `id` with the given SLO. Reads
+/// no clock on a big core.
 pub fn with_epoch<R>(id: usize, slo_ns: u64, f: impl FnOnce() -> R) -> R {
-    with_epoch_timed(id, slo_ns, f).0
+    epoch_start(id);
+    let r = f();
+    epoch_end(id, slo_ns);
+    r
 }
 
 #[cfg(test)]
@@ -441,6 +482,41 @@ mod tests {
         epoch_start(5);
         epoch_end(5, 0); // would violate on a little core
         assert_eq!(epoch_meta(5).window, 4_096);
+        unregister();
+    }
+
+    #[test]
+    fn an_epoch_opened_on_a_big_core_is_not_judged_on_a_little_one() {
+        let t = Topology::apple_m1();
+        register_on_core(&t, CoreId(0)); // big: no timestamp taken
+        reset_thread_epochs();
+        set_epoch_window(6, 4_096);
+        epoch_start(6);
+        assert_eq!(epoch_meta(6).start, UNTIMED);
+        // The thread migrates to a little core. SLO 0: any measured
+        // latency would be a miss, and one taken against the missing
+        // start an enormous one.
+        register_on_core(&t, CoreId(5));
+        assert_eq!(epoch_end(6, 0), 0, "not measured");
+        assert_eq!(epoch_meta(6).window, 4_096, "no controller step");
+        // The next epoch, opened here, is timed and judged as usual.
+        epoch_start(6);
+        epoch_end(6, 0);
+        assert_eq!(epoch_meta(6).window, 3_072);
+        unregister();
+    }
+
+    #[test]
+    fn a_timed_helper_measures_on_a_big_core_too() {
+        let t = Topology::apple_m1();
+        register_on_core(&t, CoreId(0));
+        reset_thread_epochs();
+        let (_, lat) = with_epoch_timed(11, u64::MAX, || {
+            asl_runtime::clock::busy_wait_ns(300_000);
+        });
+        assert!(lat >= 300_000, "latency {lat} < busy-wait time");
+        epoch_start(11);
+        assert_eq!(epoch_end(11, u64::MAX), 0, "raw epoch_end: not measured");
         unregister();
     }
 

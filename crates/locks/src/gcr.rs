@@ -30,30 +30,83 @@
 //!   while the contended streak spans it (holders being preempted),
 //!   or windowed wait time exceeding 4x the windowed hold time
 //!   (queueing — holds can stay perfectly clean while waits explode,
-//!   e.g. behind a reordering lock). Grow when a window runs fully
-//!   uncontended, *or* when the wrapped lock was busy under
-//!   [`GROW_UTIL_PCT`]% of the window's wall time with waiters
-//!   passive and waits still below holds — the gate is binding but
-//!   the lock still has headroom. The wait/hold band (grow below 1x,
-//!   shrink above 4x) is the hysteresis that keeps the two rules
-//!   from fighting.
+//!   e.g. behind a reordering lock). Grow, with waiters passive, when
+//!   a window runs fully uncontended *or* when the wrapped lock was
+//!   busy under [`GROW_UTIL_PCT`]% of the window's wall time and
+//!   waits are still below holds — the gate is binding but the lock
+//!   still has headroom. The wait/hold band (grow below 1x, shrink
+//!   above 4x) is the hysteresis that keeps the two rules from
+//!   fighting. An uncontended window with *nobody* passive switches
+//!   the whole mechanism off (below).
 //!
 //! Admission accounting is per-acquisition: a slot is held from
 //! `lock()` to `unlock()`, never across the caller's think time. A
-//! release *never* wakes a passive waiter directly — the freed slot
-//! is left for the (expected-back) releaser to reclaim with zero
+//! release leaves *its own* freed slot alone — the bet is that the
+//! releaser comes back after its think time and reclaims it with zero
 //! park/unpark traffic, which is what keeps the restricted set
-//! cache-warm and the syscall rate at one unpark per
-//! `reintroduce_period` operations instead of one pair per
-//! operation. A thread that stops locking therefore cannot wedge the
-//! gate: passive waiters re-check for headroom at least every
-//! [`PASSIVE_RESCUE_BOUND`] (a bounded virtual-time charge on the
-//! simulator) and admit themselves into slots nobody reclaimed.
+//! cache-warm and syscall-free. What a release does hand over is a
+//! slot *somebody else* left behind: when [`SPARE_STREAK`] exits in a
+//! row have each found, while still holding their own slot, the
+//! admitted set under `K` and a waiter parked, the last of them wakes
+//! the head of the LIFO ([`Gate::exit`]), which admits itself. The
+//! streak is the grace that tells a thread that has gone from one that
+//! is merely thinking. A thread that stops locking therefore strands
+//! nobody for longer than that many more releases. The passive
+//! waiters' own headroom check every [`PASSIVE_RESCUE_BOUND`] (a
+//! bounded virtual-time charge on the simulator) is the backstop for
+//! the one case with no releaser left to do it: every admitted thread
+//! gone.
 //!
-//! The wrapper's own [`TelemetryCell`] has hold/wait sampling on by
-//! default — it is the controller's feedback signal, costing up to
-//! two clock reads per acquisition. Use [`GcrConfig::fixed`] for a
-//! static bound with no controller.
+//! # Disengaged until contended
+//!
+//! All of the above is machinery for a saturated lock, and an
+//! adaptive `Gcr` charges nobody for it until there is one (Dice &
+//! Kogan's GCR is likewise *disabled* until contention is seen; the
+//! Fissile Locks rule — the uncontended path stays the bare lock). It
+//! starts **disengaged**: `lock` / `try_lock` / `unlock` are the inner
+//! lock's own plus one relaxed load of the gate's `engaged` flag, a
+//! look at whether the inner lock is held (the contention signal) and
+//! the holder-owned acquisition count — no RMW on the admitted count,
+//! no peak, no clock read, no controller tick. An arrival that does
+//! find the lock held counts itself among the uncounted waiters for
+//! the length of its wait, and the one that makes [`ENGAGE_WAITERS`]
+//! of them at once **engages** the gate before it queues (sizing a
+//! default `K` to the machine *it* runs on — [`GcrConfig::default`] —
+//! and having the next counted holder open a fresh controller window);
+//! a whole controller window that ran uncontended with nobody passive
+//! **disengages** it again. Waiters, not completed acquisitions, are
+//! the signal because a herd arrives all at once: by the time a
+//! contended *acquisition* or four had completed, 127 threads were
+//! inside a ticket lock's queue, uncounted, and the 2-CPU host took a
+//! `collapse` cell's whole run to serve them (`gcr-ticket` at 128
+//! threads read 708 k, 166 k and 65 k ops/s in three runs against
+//! 470–550 k engaged from the start). Two threads handing a lock back
+//! and forth never have two waiters, and never engage a gate that
+//! could only cost them. Threads of both kinds can be in flight across
+//! a switch, so which way a holder came in travels with the lock, not
+//! with the flag: a counted acquirer sets a holder-owned mark
+//! (`TelemetryCell`'s holder-owned rule: written and read only between
+//! the inner acquire and the inner release) that tells `unlock` to
+//! give a slot back. An uncounted thread caught in flight by an
+//! engagement is simply not in `active` — the admitted set overshoots
+//! by the few that were already inside the inner lock, and that drains
+//! within one pass of its queue.
+//!
+//! Disengaging is a Dekker pair with passive publishers: the holder
+//! stores `engaged = false` and then re-reads the passive count
+//! (re-engaging if it is not zero); a publisher bumps the passive
+//! count and then re-reads `engaged` (retracting and taking the bare
+//! path if it is off). Both are `SeqCst`, so a waiter can never park
+//! behind a gate whose holders no longer call [`Gate::exit`].
+//!
+//! [`GcrConfig::fixed`] asks for an exact peak bound, so a fixed
+//! `Gcr` is engaged from construction and stays so; it runs no
+//! controller.
+//!
+//! While engaged, the wrapper's own [`TelemetryCell`] samples hold and
+//! wait times — the controller's feedback signal, two clock reads per
+//! acquisition and two more around a contended inner wait. Disengaged,
+//! it reads no clock.
 //!
 //! ```
 //! use asl_locks::api::GuardedLock;
@@ -73,7 +126,7 @@
 
 use std::cell::{Cell, UnsafeCell};
 use std::ptr;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::thread::Thread;
 
 use asl_runtime::clock::now_ns;
@@ -86,12 +139,50 @@ const GRANTED: u32 = 1;
 
 /// Upper bound on how long a passive waiter sleeps between headroom
 /// checks on the OS (the simulator's park charge bounds the same loop
-/// in virtual time). Releases never wake passive waiters directly —
-/// see [`Gate::exit`] — so this is the worst-case latency for a
-/// parked waiter to claim a slot nobody else wants. Long enough that
-/// a full 128-thread passive set costs well under 1% CPU in spurious
-/// wakes, short enough that draining an abandoned gate is prompt.
+/// in virtual time). A backstop: while anybody is still releasing, a
+/// slot left behind is handed over within [`SPARE_STREAK`] releases
+/// ([`Gate::exit`]), so this is the latency to claim one only when
+/// every admitted thread has gone. Long enough that a full 128-thread
+/// passive set costs well under 1% CPU in spurious wakes, short enough
+/// that draining an abandoned gate is prompt.
 pub const PASSIVE_RESCUE_BOUND: std::time::Duration = std::time::Duration::from_millis(50);
+
+/// Consecutive exits that must each see a spare slot — the admitted
+/// set, the exiting thread included, under the limit — with a waiter
+/// parked before the last of them wakes that waiter ([`Gate::exit`]).
+///
+/// A slot is held per acquisition, so every thread of a saturated
+/// restricted set leaves one "spare" for the length of its think time,
+/// and waking a passive thread into *that* adds a runnable thread the
+/// restriction exists to keep off the CPUs. Measured on the 2-CPU
+/// reference host with the `collapse` cell (think = 2 × critical
+/// section, `gcr-mcs`, 400 ms cells, median of 5 alternated runs; no
+/// wake at all reads 638 k ops/s, p99 9.7 µs at 8 threads and 612 k,
+/// 14.1 µs at 32): a streak of 2 costs 8 % / 6 % of the throughput and
+/// triples p99 (31.7 / 34.8 µs), 4 costs 6 % / 10 % (20.0 / 26.1 µs),
+/// 8 2 % / 4 % (13.3 / 16.9 µs), 16 and 32 nothing that shows. Sixteen
+/// releases are microseconds to a millisecond of a lock anybody is
+/// still using, against the 50 ms of [`PASSIVE_RESCUE_BOUND`]. The
+/// streak discriminates less the larger `K` is (some other thread is
+/// then nearly always thinking); thread-based admission accounting
+/// would not need it.
+pub const SPARE_STREAK: u32 = 16;
+
+/// Threads waiting at once for the inner lock of a disengaged [`Gcr`]
+/// at which the last to arrive engages it (module docs, "Disengaged
+/// until contended"): one waiter is a hand-off, two are a queue.
+pub const ENGAGE_WAITERS: u32 = 2;
+
+/// How an arrival got past a [`Gate`] (or did not).
+enum Entry {
+    /// Holds an admission slot; `waited` is the gate's contention
+    /// signal (it had to park for it).
+    Counted { waited: bool },
+    /// The gate is disengaged: go straight to the resource, uncounted.
+    Bare,
+    /// The deadline passed first; no slot, no passive node.
+    TimedOut,
+}
 
 /// How a passive wait on the gate ended (see `Gate::wait_passive`).
 enum PassiveWait {
@@ -145,6 +236,16 @@ pub struct Gate {
     /// Forced admissions performed (long-term fairness pulse).
     reintroduced: AtomicU64,
     reintroduce_period: u32,
+    /// Whether arrivals are counted at all (see the module docs).
+    /// `SeqCst` where it is Dekker-paired with `passive_len`, relaxed
+    /// on the entry fast path. Always on for a standalone gate.
+    engaged: AtomicBool,
+    /// Consecutive exits that found waiters passive *and* a slot
+    /// besides their own free (see [`SPARE_STREAK`]). A hint — relaxed
+    /// load and store, racy, and left as it is while nobody is passive
+    /// — that can cost or save a little grace, never admit anybody
+    /// over the limit.
+    spare_streak: AtomicU32,
     /// Guards `head` and every node's `next` link.
     list_lock: TasLock,
     head: UnsafeCell<*mut PassiveNode>,
@@ -161,7 +262,14 @@ impl Gate {
     /// Gate admitting at most `limit` threads, force-admitting the
     /// oldest passive waiter every `reintroduce_period` handovers.
     pub fn new(limit: u32, reintroduce_period: u32) -> Self {
-        assert!(limit >= 1, "admission limit must be >= 1");
+        Self::build(limit, reintroduce_period, true)
+    }
+
+    /// A gate that is not `engaged` counts nobody until
+    /// [`Gate::engage`]; its `limit` may be 0, "not sized yet", to be
+    /// set before that.
+    fn build(limit: u32, reintroduce_period: u32, engaged: bool) -> Self {
+        assert!(limit >= 1 || !engaged, "admission limit must be >= 1");
         assert!(reintroduce_period >= 1, "reintroduce period must be >= 1");
         Gate {
             active: AtomicU32::new(0),
@@ -171,12 +279,40 @@ impl Gate {
             handovers: AtomicU32::new(0),
             reintroduced: AtomicU64::new(0),
             reintroduce_period,
+            engaged: AtomicBool::new(engaged),
+            spare_streak: AtomicU32::new(0),
             list_lock: TasLock::new(),
             head: UnsafeCell::new(ptr::null_mut()),
         }
     }
 
-    /// The current admission bound `K`.
+    /// Whether arrivals are being counted (entry fast path: relaxed).
+    #[inline]
+    fn is_engaged(&self) -> bool {
+        self.engaged.load(Ordering::Relaxed)
+    }
+
+    /// Start counting arrivals. Threads already past the gate stay
+    /// uncounted until they leave.
+    fn engage(&self) {
+        self.engaged.store(true, Ordering::SeqCst);
+    }
+
+    /// Stop counting arrivals, unless somebody is (or is about to be)
+    /// parked: the holders of a disengaged gate never call `exit`, so
+    /// nobody would wake them. Dekker pair with the publish in
+    /// `wait_passive` — store, then look; publish, then look. Returns
+    /// whether the gate is now disengaged.
+    fn disengage(&self) -> bool {
+        self.engaged.store(false, Ordering::SeqCst);
+        if self.passive_len.load(Ordering::SeqCst) != 0 {
+            self.engaged.store(true, Ordering::SeqCst);
+            return false;
+        }
+        true
+    }
+
+    /// The current admission bound `K` (0: a gate not sized yet).
     #[inline]
     pub fn limit(&self) -> u32 {
         self.limit.load(Ordering::Relaxed)
@@ -259,23 +395,10 @@ impl Gate {
     /// Returns `true` when the caller had to wait (the gate's
     /// contention signal).
     pub fn admit(&self) -> bool {
-        if self.try_enter() {
-            return false;
-        }
-        loop {
-            match self.wait_passive(None) {
-                PassiveWait::Granted => {
-                    // The waker already transferred a slot to us.
-                    return true;
-                }
-                PassiveWait::TimedOut => unreachable!("no deadline"),
-                // Retracted — room appeared while we were publishing.
-                PassiveWait::Retracted => {
-                    if self.try_enter() {
-                        return true;
-                    }
-                }
-            }
+        match self.enter(None) {
+            Entry::Counted { waited } => waited,
+            Entry::Bare => unreachable!("a standalone gate is always engaged"),
+            Entry::TimedOut => unreachable!("no deadline"),
         }
     }
 
@@ -287,19 +410,44 @@ impl Gate {
     /// in which case the caller holds no admission slot and no
     /// passive-list node remains.
     pub fn admit_until(&self, deadline_ns: u64) -> Option<bool> {
-        if self.try_enter() {
-            return Some(false);
+        match self.enter(Some(deadline_ns)) {
+            Entry::Counted { waited } => Some(waited),
+            Entry::Bare => unreachable!("a standalone gate is always engaged"),
+            Entry::TimedOut => None,
         }
+    }
+
+    /// Get past the gate: uncounted if it is disengaged, else into the
+    /// admitted set, parking passively (until `deadline_ns`, if any)
+    /// while that is full.
+    #[inline]
+    fn enter(&self, deadline_ns: Option<u64>) -> Entry {
+        if !self.is_engaged() {
+            return Entry::Bare;
+        }
+        if self.try_enter() {
+            return Entry::Counted { waited: false };
+        }
+        self.enter_passive(deadline_ns)
+    }
+
+    #[cold]
+    fn enter_passive(&self, deadline_ns: Option<u64>) -> Entry {
         loop {
-            match self.wait_passive(Some(deadline_ns)) {
-                PassiveWait::Granted => return Some(true),
-                PassiveWait::TimedOut => return None,
+            match self.wait_passive(deadline_ns) {
+                // The waker already transferred a slot to us.
+                PassiveWait::Granted => return Entry::Counted { waited: true },
+                PassiveWait::TimedOut => return Entry::TimedOut,
+                // Retracted — room appeared, or the gate let go.
                 PassiveWait::Retracted => {
-                    if self.try_enter() {
-                        return Some(true);
+                    if !self.engaged.load(Ordering::SeqCst) {
+                        return Entry::Bare;
                     }
-                    if asl_runtime::clock::now_ns() >= deadline_ns {
-                        return None;
+                    if self.try_enter() {
+                        return Entry::Counted { waited: true };
+                    }
+                    if deadline_ns.is_some_and(|d| now_ns() >= d) {
+                        return Entry::TimedOut;
                     }
                 }
             }
@@ -331,8 +479,8 @@ impl Gate {
         // this load; an exiting thread decrements `active` *before*
         // loading `passive_len`. In any interleaving at least one
         // side observes the other, so the last slot can never slip
-        // away unseen while we park.
-        if self.active.load(Ordering::SeqCst) < self.limit.load(Ordering::Relaxed) {
+        // away unseen while we park. Same pair with `disengage`.
+        if self.has_room_or_let_go() {
             // Still holding the list lock, so we are necessarily the
             // head: retract and re-compete instead of parking with
             // possibly nobody left to wake us.
@@ -354,7 +502,7 @@ impl Gate {
             // that bet: whenever one observes headroom it delists
             // itself and re-competes, so an abandoned slot strands
             // nobody for longer than one park bound.
-            if self.active.load(Ordering::SeqCst) < self.limit.load(Ordering::Relaxed) {
+            if self.has_room_or_let_go() {
                 if self.try_unlink(node_ptr) {
                     return PassiveWait::Retracted;
                 }
@@ -366,7 +514,7 @@ impl Gate {
             // Timed admission: expire by the same delisting move.
             let mut park_bound = PASSIVE_RESCUE_BOUND;
             if let Some(d) = deadline_ns {
-                let now = asl_runtime::clock::now_ns();
+                let now = now_ns();
                 if now >= d {
                     if self.try_unlink(node_ptr) {
                         return PassiveWait::TimedOut;
@@ -384,6 +532,14 @@ impl Gate {
             // just re-check the predicate.
             asl_runtime::substrate::park_or(|| std::thread::park_timeout(park_bound));
         }
+    }
+
+    /// What a passive waiter must not park through: a free slot, or a
+    /// gate that stopped counting (nobody would ever `exit` for it).
+    #[inline]
+    fn has_room_or_let_go(&self) -> bool {
+        !self.engaged.load(Ordering::SeqCst)
+            || self.active.load(Ordering::SeqCst) < self.limit.load(Ordering::Relaxed)
     }
 
     /// Remove our own (still-WAITING) node from the passive list.
@@ -418,18 +574,22 @@ impl Gate {
         found
     }
 
-    /// Leave the admitted set. The freed slot is deliberately *not*
-    /// handed to a passive waiter: the expected case is that a
-    /// circulating thread (this one, after its think time) reclaims
-    /// it with zero park/unpark traffic, which is what keeps the
-    /// restricted set cache-warm and syscall-free. Passive waiters
-    /// cover the other case themselves — each re-checks for headroom
-    /// at least every [`PASSIVE_RESCUE_BOUND`] and self-admits — and
-    /// long-term fairness comes from the periodic reintroduction
-    /// pulse: every `reintroduce_period` exits that happen while
-    /// waiters are passive, the *oldest* one is force-admitted.
+    /// Leave the admitted set. The slot *this* thread frees is
+    /// deliberately not handed to a passive waiter: the expected case
+    /// is that a circulating thread (this one, after its think time)
+    /// reclaims it with zero park/unpark traffic, which is what keeps
+    /// the restricted set cache-warm and syscall-free. A slot that was
+    /// free *besides* ours — the admitted set, counting us, was under
+    /// the limit — may be one a thread left behind for good; once
+    /// [`SPARE_STREAK`] exits in a row have seen one with a waiter
+    /// parked, the LIFO head is woken to take it. Long-term fairness
+    /// comes from the periodic reintroduction pulse: every
+    /// `reintroduce_period` exits that happen while waiters are
+    /// passive, the *oldest* one is force-admitted. Passive waiters
+    /// re-check for headroom themselves every [`PASSIVE_RESCUE_BOUND`],
+    /// which only matters once nobody is left to exit.
     pub fn exit(&self) {
-        self.active.fetch_sub(1, Ordering::SeqCst);
+        let admitted = self.active.fetch_sub(1, Ordering::SeqCst);
         if self.passive_len.load(Ordering::SeqCst) == 0 {
             return;
         }
@@ -443,6 +603,39 @@ impl Gate {
                 self.handovers
                     .store(self.reintroduce_period, Ordering::Relaxed);
             }
+        }
+        let spare = admitted < self.limit.load(Ordering::Relaxed);
+        let streak = self.spare_streak.load(Ordering::Relaxed);
+        if !spare {
+            if streak != 0 {
+                self.spare_streak.store(0, Ordering::Relaxed);
+            }
+        } else if streak + 1 < SPARE_STREAK {
+            self.spare_streak.store(streak + 1, Ordering::Relaxed);
+        } else {
+            self.spare_streak.store(0, Ordering::Relaxed);
+            self.nudge_head();
+        }
+    }
+
+    /// Wake the most recent passive waiter *without* reserving the
+    /// spare slot for it: it re-checks for headroom as it does after
+    /// any park and admits itself. A slot held for a thread that is
+    /// still asleep is a slot the running threads cannot use (a
+    /// transfer on every second spare exit cost the simulated
+    /// `amp-oversub` cell 8–10 %), and if a returning thread got there
+    /// first, the woken one parks again and nothing is lost but its
+    /// wake-up. On the simulator, whose parked threads poll, this is a
+    /// no-op.
+    #[cold]
+    fn nudge_head(&self) {
+        self.list_lock.lock();
+        // Safety: the list lock is held; a listed node is alive (its
+        // owner unlinks it, under this lock, before it returns).
+        let head = unsafe { (*self.head.get()).as_ref() }.map(|n| n.thread.clone());
+        self.list_lock.unlock(());
+        if let Some(thread) = head {
+            thread.unpark();
         }
     }
 
@@ -563,11 +756,12 @@ impl Gate {
 /// Tuning for a [`Gcr`] wrapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcrConfig {
-    /// Starting admission bound.
+    /// Starting admission bound; `0` sizes it to the machine when the
+    /// wrapper first engages (see [`GcrConfig::default`]).
     pub initial_limit: u32,
     /// Controller floor (≥ 1).
     pub min_limit: u32,
-    /// Controller ceiling.
+    /// Controller ceiling; `0` sizes it like `initial_limit`.
     pub max_limit: u32,
     /// Force-admit the oldest passive waiter every this many
     /// handovers that occur while waiters are passive.
@@ -585,14 +779,19 @@ pub struct GcrConfig {
 }
 
 impl Default for GcrConfig {
+    /// Adaptive, with `K` left to be sized to the machine: the thread
+    /// that first engages the wrapper asks
+    /// [`asl_runtime::substrate::core_count`] — the modeled machine's
+    /// cores on a simulated thread, the host's otherwise — and starts
+    /// at that count clamped to `2..=8`, with twice that as the
+    /// ceiling. (Sizing at construction would ask about whatever host
+    /// thread happened to build the lock, and made a simulated cell's
+    /// result depend on the CPU count of the host it ran on.)
     fn default() -> Self {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(1);
         GcrConfig {
-            initial_limit: cpus.clamp(2, 8),
+            initial_limit: 0,
             min_limit: 1,
-            max_limit: cpus.clamp(2, 8) * 2,
+            max_limit: 0,
             reintroduce_period: 1024,
             ctl_period: 64,
             shrink_streak: 64,
@@ -615,14 +814,45 @@ impl GcrConfig {
 
     fn validate(&self) {
         assert!(self.min_limit >= 1, "min_limit must be >= 1");
+        // A 0 is sized around the explicit values later (`sized`).
+        let initial = if self.initial_limit == 0 {
+            self.min_limit
+        } else {
+            self.initial_limit
+        };
+        let max = if self.max_limit == 0 {
+            initial
+        } else {
+            self.max_limit
+        };
         assert!(
-            self.min_limit <= self.initial_limit && self.initial_limit <= self.max_limit,
+            self.min_limit <= initial && initial <= max,
             "need min_limit <= initial_limit <= max_limit"
         );
         assert!(
             self.reintroduce_period >= 1,
             "reintroduce period must be >= 1"
         );
+        assert!(
+            self.ctl_period != 0 || (self.initial_limit != 0 && self.max_limit != 0),
+            "a fixed bound (no controller) must be given explicitly"
+        );
+    }
+
+    /// `(initial_limit, max_limit)` with every 0 sized to a machine of
+    /// `cores` cores; explicit values are kept as they are.
+    fn sized(&self, cores: usize) -> (u32, u32) {
+        let k = u32::try_from(cores).unwrap_or(u32::MAX).clamp(2, 8);
+        let initial = match (self.initial_limit, self.max_limit) {
+            (0, 0) => k.max(self.min_limit),
+            (0, max) => k.clamp(self.min_limit, max),
+            (initial, _) => initial,
+        };
+        let max = match self.max_limit {
+            0 => (2 * k).max(initial),
+            max => max,
+        };
+        (initial, max)
     }
 }
 
@@ -648,6 +878,14 @@ struct CtlState {
 /// The adaptive-K controller of a [`Gcr`].
 struct Controller {
     cfg: GcrConfig,
+    /// The ceiling in force: `cfg.max_limit`, or what a 0 there was
+    /// sized to at the first engagement (0 until then).
+    max_limit: AtomicU32,
+    /// Set by an engagement (any thread), taken by the next tick: the
+    /// window in `state` is stale. Relaxed — a tick that misses it
+    /// judges one window it should have skipped, the next one takes
+    /// it.
+    reopen: AtomicBool,
     state: UnsafeCell<CtlState>,
     grows: AtomicU64,
     shrinks: AtomicU64,
@@ -661,6 +899,8 @@ impl Controller {
     fn new(cfg: GcrConfig) -> Self {
         Controller {
             cfg,
+            max_limit: AtomicU32::new(cfg.max_limit),
+            reopen: AtomicBool::new(false),
             state: UnsafeCell::new(CtlState {
                 since_tick: 0,
                 last: TelemetrySnapshot::default(),
@@ -672,7 +912,26 @@ impl Controller {
         }
     }
 
-    /// One release-path tick.
+    /// The controller's part of an engagement, on the engaging thread
+    /// (which holds nothing): the first one sizes a `K` the config
+    /// left to the machine — this thread's machine; racing engagers
+    /// compute and store the same numbers — and every one has the
+    /// window reopened, because what the cell counted while nobody was
+    /// sampling must not be read as one. `K` as the controller last
+    /// left it and the hold baseline carry over from earlier
+    /// engagements.
+    fn on_engage(&self, gate: &Gate) {
+        if gate.limit() == 0 || self.max_limit.load(Ordering::Relaxed) == 0 {
+            let (initial, max) = self.cfg.sized(asl_runtime::substrate::core_count());
+            if gate.limit() == 0 {
+                gate.set_limit(initial);
+            }
+            self.max_limit.store(max, Ordering::Relaxed);
+        }
+        self.reopen.store(true, Ordering::Relaxed);
+    }
+
+    /// One release-path tick of a counted holder.
     ///
     /// # Safety
     /// The caller must hold the wrapped lock, making this call
@@ -682,6 +941,13 @@ impl Controller {
             return;
         }
         let st = &mut *self.state.get();
+        if self.reopen.load(Ordering::Relaxed) {
+            self.reopen.store(false, Ordering::Relaxed);
+            st.since_tick = 0;
+            st.last = cell.snapshot();
+            st.window_start_ns = 0;
+            return;
+        }
         st.since_tick += 1;
         if st.since_tick < self.cfg.ctl_period {
             return;
@@ -697,10 +963,11 @@ impl Controller {
         let snap = cell.snapshot();
         let w = snap.delta(&st.last);
         st.last = snap;
-        if w.acquisitions == 0 {
-            return;
-        }
-        let avg_hold = w.hold_ns as f64 / w.acquisitions as f64;
+        // Every tick closed one sampled hold, so the window holds
+        // exactly `ctl_period` of them — which `w.acquisitions` also
+        // says, except across an engagement, when it still counts the
+        // unsampled holds of threads that came in uncounted.
+        let avg_hold = w.hold_ns as f64 / f64::from(self.cfg.ctl_period);
         if avg_hold > 0.0 && (st.baseline_hold == 0.0 || avg_hold < st.baseline_hold) {
             st.baseline_hold = avg_hold;
         }
@@ -724,7 +991,12 @@ impl Controller {
             // other. Fewer runnable waiters, shorter holds.
             gate.set_limit(limit - 1);
             self.shrinks.fetch_add(1, Ordering::Relaxed);
-        } else if limit < self.cfg.max_limit
+        } else if w.contended == 0 && gate.passive_len() == 0 {
+            // Nobody met anybody for a whole window and nobody is
+            // parked: there is nothing to restrict. Stop charging for
+            // it (a publisher racing this keeps the gate engaged).
+            gate.disengage();
+        } else if limit < self.max_limit.load(Ordering::Relaxed)
             && (w.contended == 0
                 || (!inflated
                     && gate.passive_len() > 0
@@ -732,9 +1004,9 @@ impl Controller {
                     && w.wait_ns < w.hold_ns
                     && w.hold_ns.saturating_mul(100) < wall_ns.saturating_mul(GROW_UTIL_PCT)))
         {
-            // Two "restriction is not binding tightly enough" shapes:
-            // the admitted set ran a whole window uncontended, or —
-            // with threads parked passive — the wrapped lock was busy
+            // Two "restriction is not binding tightly enough" shapes,
+            // both with threads parked passive: the admitted set ran
+            // a whole window uncontended, or the wrapped lock was busy
             // under GROW_UTIL_PCT of the window's wall time AND
             // waiting inside it had not overtaken holding. The latter
             // pair is what think-heavy circulation looks like: each
@@ -776,23 +1048,43 @@ pub struct Gcr<L: RawLock> {
     gate: Gate,
     ctl: Controller,
     cell: TelemetryCell,
+    /// "The holder was counted": set by an acquirer that came through
+    /// the gate, cleared by its `unlock`, which it sends down the path
+    /// that gives the slot back. Holder-owned (written and read only
+    /// between the inner acquire and the inner release), so relaxed
+    /// loads and stores; the engaged flag cannot stand in for it, a
+    /// holder may release on the other side of a switch.
+    counted: AtomicBool,
+    /// Threads waiting for the inner lock that came in uncounted
+    /// ([`ENGAGE_WAITERS`]). Touched only by an arrival that found the
+    /// lock held, which is about to wait anyway.
+    bare_waiters: AtomicU32,
 }
 
 impl<L: RawLock> Gcr<L> {
-    /// Wrap `inner` with the default (host-sized, adaptive) config.
+    /// Wrap `inner` with the default (machine-sized, adaptive) config.
     pub fn new(inner: L) -> Self {
         Self::with_config(inner, GcrConfig::default())
     }
 
-    /// Wrap `inner` with an explicit config.
+    /// Wrap `inner` with an explicit config. A config with a
+    /// controller (`ctl_period != 0`) starts disengaged; a fixed bound
+    /// is in force from here on.
     pub fn with_config(inner: L, cfg: GcrConfig) -> Self {
         cfg.validate();
         Gcr {
             inner,
-            gate: Gate::new(cfg.initial_limit, cfg.reintroduce_period),
+            gate: Gate::build(
+                cfg.initial_limit,
+                cfg.reintroduce_period,
+                cfg.ctl_period == 0,
+            ),
             ctl: Controller::new(cfg),
-            // Hold/wait sampling on: it is the controller's signal.
+            // Hold/wait sampling on: it is the controller's signal
+            // (taken on the counted path only).
             cell: TelemetryCell::sampled(),
+            counted: AtomicBool::new(false),
+            bare_waiters: AtomicU32::new(0),
         }
     }
 
@@ -801,12 +1093,27 @@ impl<L: RawLock> Gcr<L> {
         &self.inner
     }
 
-    /// Current admission bound `K`.
+    /// Whether admission is being counted right now (module docs,
+    /// "Disengaged until contended").
+    pub fn engaged(&self) -> bool {
+        self.gate.is_engaged()
+    }
+
+    /// Current admission bound `K`; 0 while a `K` left to the machine
+    /// ([`GcrConfig::default`]) has not been sized by a first
+    /// engagement.
     pub fn limit(&self) -> u32 {
         self.gate.limit()
     }
 
-    /// Threads currently admitted.
+    /// The controller's ceiling for `K`; 0 under the same condition
+    /// as [`Gcr::limit`].
+    pub fn max_limit(&self) -> u32 {
+        self.ctl.max_limit.load(Ordering::Relaxed)
+    }
+
+    /// Threads currently admitted (counted ones: a disengaged wrapper
+    /// reports 0 whoever is inside).
     pub fn active(&self) -> u32 {
         self.gate.active()
     }
@@ -849,34 +1156,100 @@ impl<L: RawLock + Default> Default for Gcr<L> {
     }
 }
 
+impl<L: RawLock> Gcr<L> {
+    /// An acquisition around the gate: `acquire` is the inner lock's
+    /// own. An arrival that finds it held is a waiter the gate cannot
+    /// see, so it says so for as long as it waits — and engages the
+    /// gate, before it queues, if that makes a queue of them.
+    #[inline]
+    fn acquire_bare(&self, acquire: impl FnOnce() -> Option<L::Token>) -> Option<L::Token> {
+        let contended = self.inner.is_locked();
+        if contended && self.bare_waiters.fetch_add(1, Ordering::Relaxed) + 1 >= ENGAGE_WAITERS {
+            self.engage();
+        }
+        let token = acquire();
+        if contended {
+            self.bare_waiters.fetch_sub(1, Ordering::Relaxed);
+        }
+        let token = token?;
+        self.cell.record_acquisition_exclusive(contended);
+        Some(token)
+    }
+
+    #[cold]
+    fn engage(&self) {
+        if !self.gate.is_engaged() {
+            self.ctl.on_engage(&self.gate);
+            self.gate.engage();
+        }
+    }
+
+    /// Whether to time the inner wait of a counted acquisition, and
+    /// from when (0: no).
+    #[inline]
+    fn wait_start(&self, contended: bool) -> u64 {
+        if self.cell.sampling() && contended {
+            now_ns()
+        } else {
+            0
+        }
+    }
+
+    /// Bookkeeping of a holder that holds an admission slot.
+    #[inline]
+    fn acquired_counted(&self, contended: bool, wait_start: u64) {
+        if wait_start != 0 {
+            self.cell.add_wait_ns(now_ns().saturating_sub(wait_start));
+        }
+        self.cell.record_acquisition_exclusive(contended);
+        self.cell.note_hold_start();
+        self.counted.store(true, Ordering::Relaxed);
+    }
+
+    /// Release of a counted holder: close the sampled hold, tick the
+    /// controller, give the slot back.
+    fn unlock_counted(&self, token: L::Token) {
+        self.counted.store(false, Ordering::Relaxed);
+        self.cell.note_hold_end();
+        // Safety: we hold the wrapped lock until the next line.
+        unsafe { self.ctl.tick(&self.cell, &self.gate) };
+        self.inner.unlock(token);
+        self.gate.exit();
+    }
+}
+
 impl<L: RawLock> RawLock for Gcr<L> {
     type Token = L::Token;
 
     fn lock(&self) -> L::Token {
-        let waited = self.gate.admit();
-        let contended = waited || self.inner.is_locked();
-        let t0 = if self.cell.sampling() && contended {
-            now_ns()
-        } else {
-            0
+        let waited = match self.gate.enter(None) {
+            Entry::Bare => {
+                return self
+                    .acquire_bare(|| Some(self.inner.lock()))
+                    .expect("an untimed acquire returns with the lock")
+            }
+            Entry::Counted { waited } => waited,
+            Entry::TimedOut => unreachable!("no deadline"),
         };
+        let contended = waited || self.inner.is_locked();
+        let t0 = self.wait_start(contended);
         let token = self.inner.lock();
-        if t0 != 0 {
-            self.cell.add_wait_ns(now_ns().saturating_sub(t0));
-        }
-        self.cell.record_acquisition_exclusive(contended);
-        self.cell.note_hold_start();
+        self.acquired_counted(contended, t0);
         token
     }
 
     fn try_lock(&self) -> Option<L::Token> {
+        if !self.gate.is_engaged() {
+            let token = self.inner.try_lock()?;
+            self.cell.record_acquisition_exclusive(false);
+            return Some(token);
+        }
         if !self.gate.try_admit() {
             return None;
         }
         match self.inner.try_lock() {
             Some(token) => {
-                self.cell.record_acquisition_exclusive(false);
-                self.cell.note_hold_start();
+                self.acquired_counted(false, 0);
                 Some(token)
             }
             None => {
@@ -887,11 +1260,11 @@ impl<L: RawLock> RawLock for Gcr<L> {
     }
 
     fn unlock(&self, token: L::Token) {
-        self.cell.note_hold_end();
-        // Safety: we hold the wrapped lock until the next line.
-        unsafe { self.ctl.tick(&self.cell, &self.gate) };
-        self.inner.unlock(token);
-        self.gate.exit();
+        if self.counted.load(Ordering::Relaxed) {
+            self.unlock_counted(token);
+        } else {
+            self.inner.unlock(token);
+        }
     }
 
     fn is_locked(&self) -> bool {
@@ -906,25 +1279,22 @@ impl<L: RawLock> RawLock for Gcr<L> {
 
 impl<L: crate::timed::RawTimedLock> crate::timed::RawTimedLock for Gcr<L> {
     /// Timed acquisition in two halves sharing one deadline: a timed
-    /// admission ([`Gate::admit_until`], built on the passive
-    /// self-rescue path) and then the inner lock's own timed wait. An
-    /// inner timeout rolls the admission back, so a `None` leaves no
-    /// residue in either layer.
+    /// admission (the gate's passive wait with a deadline, built on
+    /// the passive self-rescue path) and then the inner lock's own
+    /// timed wait — or, disengaged, the second half alone. An inner
+    /// timeout rolls the admission back, so a `None` leaves no residue
+    /// in either layer.
     fn try_lock_until(&self, deadline_ns: u64) -> Option<L::Token> {
-        let waited = self.gate.admit_until(deadline_ns)?;
-        let contended = waited || self.inner.is_locked();
-        let t0 = if self.cell.sampling() && contended {
-            now_ns()
-        } else {
-            0
+        let waited = match self.gate.enter(Some(deadline_ns)) {
+            Entry::Bare => return self.acquire_bare(|| self.inner.try_lock_until(deadline_ns)),
+            Entry::Counted { waited } => waited,
+            Entry::TimedOut => return None,
         };
+        let contended = waited || self.inner.is_locked();
+        let t0 = self.wait_start(contended);
         match self.inner.try_lock_until(deadline_ns) {
             Some(token) => {
-                if t0 != 0 {
-                    self.cell.add_wait_ns(now_ns().saturating_sub(t0));
-                }
-                self.cell.record_acquisition_exclusive(contended);
-                self.cell.note_hold_start();
+                self.acquired_counted(contended, t0);
                 Some(token)
             }
             None => {
@@ -1023,26 +1393,184 @@ mod tests {
         );
     }
 
+    /// The caller holds `lock` while `ENGAGE_WAITERS` threads queue
+    /// behind it. The last of them to arrive completes the queue of
+    /// uncounted waiters and engages the gate *before* it takes its
+    /// ticket, so once every ticket is taken the gate is engaged. No
+    /// timing involved.
+    fn contend(lock: &Arc<Gcr<TicketLock>>) {
+        let held = lock.guard();
+        let waiters: Vec<_> = (0..ENGAGE_WAITERS)
+            .map(|_| {
+                let lock = lock.clone();
+                std::thread::spawn(move || drop(lock.guard()))
+            })
+            .collect();
+        while lock.inner().queue_depth() < 1 + u64::from(ENGAGE_WAITERS) {
+            std::thread::yield_now();
+        }
+        assert!(lock.engaged(), "a queue of uncounted waiters engages");
+        drop(held);
+        for w in waiters {
+            w.join().unwrap();
+        }
+    }
+
     #[test]
-    fn controller_grows_when_uncontended() {
-        let lock = Gcr::with_config(
-            McsLock::new(),
+    fn an_uncontended_window_disengages_and_contention_re_engages() {
+        let lock = Arc::new(Gcr::with_config(
+            TicketLock::new(),
             GcrConfig {
-                initial_limit: 1,
+                initial_limit: 2,
                 min_limit: 1,
                 max_limit: 3,
                 ctl_period: 4,
                 ..GcrConfig::default()
             },
-        );
-        // 3 windows of 4 uncontended acquisitions: grow 1 -> 3 and cap.
+        ));
+        // Nobody to restrict: three windows' worth of acquisitions go
+        // by uncounted (they used to grow K to its ceiling).
+        assert!(!lock.engaged(), "an adaptive wrapper starts disengaged");
         for _ in 0..12 {
-            let t = lock.lock();
-            lock.unlock(t);
+            let _held = lock.guard();
+            assert_eq!(lock.active(), 0);
         }
-        assert_eq!(lock.limit(), 3);
-        assert_eq!(lock.grows(), 2);
-        assert_eq!(lock.shrinks(), 0);
+        assert!(!lock.engaged());
+        assert_eq!((lock.peak_active(), lock.grows()), (0, 0));
+        assert_eq!(lock.telemetry().snapshot().acquisitions, 12);
+        assert_eq!(lock.telemetry().snapshot().hold_ns, 0, "no hold sampled");
+
+        // One waiter at a time is a hand-off, not a queue.
+        {
+            let held = lock.guard();
+            let one = {
+                let lock = lock.clone();
+                std::thread::spawn(move || drop(lock.guard()))
+            };
+            while lock.inner().queue_depth() < 2 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            one.join().unwrap();
+        }
+        assert!(!lock.engaged());
+
+        contend(&lock);
+        assert_eq!(lock.limit(), 2);
+        assert_eq!(lock.active(), 0, "the waiters came in uncounted");
+
+        // The first counted release reopens the controller's window;
+        // then one whole window (4 acquisitions) uncontended, nobody
+        // passive: counted while it lasts, disengaged at its end.
+        for _ in 0..5 {
+            assert!(lock.engaged());
+            let held = lock.guard();
+            assert_eq!(lock.active(), 1);
+            drop(held);
+            assert_eq!(lock.active(), 0);
+        }
+        assert!(!lock.engaged(), "an uncontended window disengages");
+        assert_eq!(lock.peak_active(), 1);
+        let held = lock.guard();
+        assert_eq!(lock.active(), 0);
+        drop(held);
+
+        contend(&lock);
+        assert!(lock.engaged(), "and contention engages it again");
+        assert_eq!((lock.limit(), lock.grows(), lock.shrinks()), (2, 0, 0));
+    }
+
+    /// The two halves of the disengage/publish Dekker pair, one order
+    /// at a time (both sides are `SeqCst`, so one of the two orders is
+    /// what any real interleaving amounts to): a holder never lets go
+    /// of a gate somebody is parked behind, and a publisher that comes
+    /// too late to be seen does not park.
+    #[test]
+    fn disengaging_and_publishing_see_each_other() {
+        let gate = Arc::new(Gate::new(1, u32::MAX));
+        assert!(gate.try_admit(), "the one slot, held throughout");
+
+        // Publisher first: parked before the holder looks.
+        let parked = {
+            let gate = gate.clone();
+            std::thread::spawn(move || gate.admit())
+        };
+        while gate.passive_len() == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!gate.disengage(), "let go with a waiter parked");
+        assert!(gate.is_engaged(), "and must have re-engaged");
+        gate.set_limit(2);
+        assert_eq!(gate.fill(), 1, "wake it into a second slot");
+        assert!(parked.join().unwrap(), "it waited");
+        gate.exit();
+        gate.set_limit(1);
+
+        // Holder first: the gate lets go, then a publisher that had
+        // already found it engaged and full arrives at the list.
+        assert!(gate.disengage());
+        let (done, finished) = std::sync::mpsc::channel();
+        let late = {
+            let gate = gate.clone();
+            std::thread::spawn(move || {
+                let bare = matches!(gate.enter_passive(None), Entry::Bare);
+                done.send(bare).unwrap();
+            })
+        };
+        let bare = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a late publisher parked behind a disengaged gate");
+        late.join().unwrap();
+        assert!(bare, "it must go on uncounted");
+        assert_eq!((gate.active(), gate.passive_len()), (1, 0));
+    }
+
+    #[test]
+    fn a_default_k_is_sized_at_the_first_engagement() {
+        let lock = Arc::new(Gcr::new(TicketLock::new()));
+        assert_eq!((lock.limit(), lock.max_limit()), (0, 0), "not sized yet");
+        contend(&lock);
+        // No substrate here: the host's count, clamped.
+        let k = (asl_runtime::affinity::process_cpus() as u32).clamp(2, 8);
+        assert_eq!((lock.limit(), lock.max_limit()), (k, 2 * k));
+        // One of the two given: kept, the other sized around it.
+        let lock = Arc::new(Gcr::with_config(
+            TicketLock::new(),
+            GcrConfig {
+                initial_limit: 3,
+                ..GcrConfig::default()
+            },
+        ));
+        assert_eq!((lock.limit(), lock.max_limit()), (3, 0));
+        contend(&lock);
+        assert_eq!((lock.limit(), lock.max_limit()), (3, (2 * k).max(3)));
+        // Explicit values are kept, a 0 beside them sized around them.
+        let sized = |initial_limit, max_limit, cores| {
+            GcrConfig {
+                initial_limit,
+                max_limit,
+                ..GcrConfig::default()
+            }
+            .sized(cores)
+        };
+        assert_eq!(sized(0, 0, 4), (4, 8));
+        assert_eq!(sized(0, 0, 1), (2, 4));
+        assert_eq!(sized(0, 0, 64), (8, 16));
+        assert_eq!(sized(3, 5, 64), (3, 5));
+        assert_eq!(sized(0, 3, 64), (3, 3));
+        assert_eq!(sized(12, 0, 4), (12, 12));
+    }
+
+    #[test]
+    #[should_panic(expected = "fixed bound")]
+    fn a_fixed_bound_cannot_be_left_to_the_machine() {
+        let _ = Gcr::with_config(
+            McsLock::new(),
+            GcrConfig {
+                ctl_period: 0,
+                ..GcrConfig::default()
+            },
+        );
     }
 
     #[test]

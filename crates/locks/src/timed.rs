@@ -19,7 +19,10 @@
 //! injector both steer them). Wait loops check the deadline through
 //! the *coarse* clock — a timed spin must not pay a `clock_gettime`
 //! per probe — so expirations can be observed a few polls late, never
-//! early.
+//! early. A timed acquire of a *free* lock reads no clock at all
+//! ([`RawTimedLock::try_lock_for`] tries first and anchors its
+//! deadline only if that fails): on the uncontended path it costs what
+//! `try_lock` costs.
 
 use crate::RawLock;
 
@@ -38,10 +41,16 @@ pub trait RawTimedLock: RawLock {
     /// (`asl_runtime::clock` nanoseconds) passes.
     fn try_lock_until(&self, deadline_ns: u64) -> Option<Self::Token>;
 
-    /// Try to acquire for at most `timeout_ns` from now. Anchors the
-    /// deadline with one precise clock read, saturating at the end of
-    /// time (`u64::MAX` means "wait like `lock`").
+    /// Try to acquire for at most `timeout_ns` from now. A lock that
+    /// [`RawLock::try_lock`] gets is taken with no clock read at all:
+    /// a deadline bounds a *wait*, so it is anchored — one precise
+    /// read, saturating at the end of time (`u64::MAX` means "wait
+    /// like `lock`") — only once there is one. The timeout then counts
+    /// from that anchor, a failed `try_lock` after the call.
     fn try_lock_for(&self, timeout_ns: u64) -> Option<Self::Token> {
+        if let Some(token) = self.try_lock() {
+            return Some(token);
+        }
         let deadline = asl_runtime::clock::now_ns().saturating_add(timeout_ns);
         self.try_lock_until(deadline)
     }

@@ -66,6 +66,34 @@ pub fn online_cpus() -> usize {
         .unwrap_or(1)
 }
 
+/// CPUs the *process* may use, whatever the calling thread has pinned
+/// itself to: on Linux the affinity mask of the main thread (a worker
+/// pinned to one CPU is still on a machine of this many), elsewhere
+/// [`online_cpus`]. For sizing something shared by all threads.
+pub fn process_cpus() -> usize {
+    #[cfg(target_os = "linux")]
+    {
+        // The process id is the main thread's id.
+        let main = std::process::id() as libc::pid_t;
+        // SAFETY: `set` is a valid, writable `cpu_set_t` of the size
+        // passed; the call writes nothing else.
+        let set = unsafe {
+            let mut set: libc::cpu_set_t = std::mem::zeroed();
+            let size = std::mem::size_of::<libc::cpu_set_t>();
+            (libc::sched_getaffinity(main, size, &mut set) == 0).then_some(set)
+        };
+        let cpus = set.map_or(0, |set| {
+            (0..libc::CPU_SETSIZE as usize)
+                .filter(|&cpu| libc::CPU_ISSET(cpu, &set))
+                .count()
+        });
+        if cpus > 0 {
+            return cpus;
+        }
+    }
+    online_cpus()
+}
+
 /// True when running `threads` busy threads exceeds the CPUs available
 /// to this process. Under oversubscription, wall-clock timing and
 /// short-run fairness of spinning locks are dominated by the OS
@@ -82,6 +110,14 @@ mod tests {
     #[test]
     fn online_cpus_positive() {
         assert!(online_cpus() >= 1);
+    }
+
+    #[test]
+    fn process_cpus_ignores_a_pinned_caller() {
+        let here = process_cpus();
+        assert!(here >= online_cpus(), "this thread is not pinned");
+        let inside = pinned(0, process_cpus);
+        assert_eq!(inside, here, "the helper's pin does not shrink it");
     }
 
     #[test]

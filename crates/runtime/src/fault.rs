@@ -408,6 +408,10 @@ impl Substrate for FaultInjector {
             None => crate::work::run_raw_loop(units),
         }
     }
+
+    fn core_count(&self) -> Option<usize> {
+        self.inner.as_ref().and_then(|s| s.core_count())
+    }
 }
 
 #[cfg(test)]

@@ -93,6 +93,13 @@ pub trait Substrate: Send + Sync {
     /// Execute `units` of pre-scaled emulated work
     /// ([`crate::work::execute_raw_units`]) in virtual time.
     fn charge_work_units(&self, units: u64);
+
+    /// Cores of the machine this substrate models, for code that sizes
+    /// itself to the machine ([`core_count`]). `None` — the default —
+    /// means "no model": ask the host.
+    fn core_count(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Count of threads process-wide with an installed substrate. The
@@ -143,6 +150,19 @@ pub fn park_or(os_park: impl FnOnce()) {
     if with_current(|s| s.park()).is_none() {
         os_park();
     }
+}
+
+/// Cores of the machine the calling thread runs on: the modeled
+/// machine's under an installed substrate that has one
+/// ([`Substrate::core_count`]), the CPUs the host lends this process
+/// otherwise ([`crate::affinity::process_cpus`]: a worker pinned to
+/// one CPU is not on a one-CPU machine). Anything sized "to the
+/// machine" on a path a simulated thread can reach must ask here, or a
+/// virtual-time result depends on the host it was computed on.
+pub fn core_count() -> usize {
+    with_current(|s| s.core_count())
+        .flatten()
+        .unwrap_or_else(crate::affinity::process_cpus)
 }
 
 /// Uninstalls the thread's substrate on drop. Not `Send`: the
@@ -229,6 +249,36 @@ mod tests {
             assert_eq!(sub.polls.load(Ordering::Relaxed), 1);
         }
         assert!(!installed_here());
+    }
+
+    #[test]
+    fn core_count_prefers_the_modeled_machine() {
+        struct Modeled;
+        impl Substrate for Modeled {
+            fn now_ns(&self) -> u64 {
+                0
+            }
+            fn relax(&self) {}
+            fn busy_wait_ns(&self, _: u64) {}
+            fn sleep_ns(&self, _: u64) {}
+            fn park(&self) {}
+            fn charge_work_units(&self, _: u64) {}
+            fn core_count(&self) -> Option<usize> {
+                Some(4_321)
+            }
+        }
+        let host = crate::affinity::process_cpus();
+        assert_eq!(core_count(), host);
+        {
+            // A substrate with no machine model defers to the host.
+            let _g = install(Arc::new(Counting {
+                t: AtomicU64::new(0),
+                polls: AtomicU64::new(0),
+            }));
+            assert_eq!(core_count(), host);
+        }
+        let _g = install(Arc::new(Modeled));
+        assert_eq!(core_count(), 4_321);
     }
 
     #[test]

@@ -299,6 +299,8 @@ struct Shared {
 /// experiment.
 struct SimMachine {
     cost: CostModel,
+    /// Cores of the modeled machine ([`substrate::core_count`]).
+    cores: usize,
     shared: Mutex<Shared>,
     cvs: Vec<Condvar>,
 }
@@ -330,6 +332,7 @@ impl SimMachine {
             .collect();
         Arc::new(SimMachine {
             cost: cfg.cost.clone(),
+            cores: cfg.topology.len(),
             shared: Mutex::new(Shared {
                 th,
                 core_time: vec![0; cfg.topology.len()],
@@ -566,6 +569,9 @@ impl substrate::Substrate for VthreadHandle {
     }
     fn charge_work_units(&self, units: u64) {
         self.machine.charge_work_units(self.tid, units);
+    }
+    fn core_count(&self) -> Option<usize> {
+        Some(self.machine.cores)
     }
 }
 

@@ -15,15 +15,24 @@
 //! * **bounded passive starvation** — with a small reintroduction
 //!   period every thread completes work; with reintroduction
 //!   effectively disabled the passive LIFO is allowed to starve the
-//!   oldest waiters, which the contrast run documents.
+//!   oldest waiters, which the contrast run documents;
+//! * **engagement** — an adaptive wrapper counts nobody until the lock
+//!   is contended; from then on counted admissions obey the bound, and
+//!   the threads the switch caught in flight, uncounted, drain within
+//!   one pass of the inner queue;
+//! * **host independence** — a default `K` is sized by the thread that
+//!   engages, from the *modeled* machine, so a simulated cell reads
+//!   the same on any host.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 
 use asl_locks::api::DynLock;
 use asl_locks::gcr::{Gcr, GcrConfig};
-use asl_locks::McsLock;
+use asl_locks::{McsLock, RawLock};
+use asl_runtime::work::execute_units;
 use asl_runtime::Topology;
-use asl_sim::exec::{run_lock, ZooConfig};
+use asl_sim::exec::{run_lock, run_threads, ZooConfig};
 
 /// 12 virtual threads on the 8-core model: oversubscribed, the
 /// regime GCR exists for.
@@ -132,4 +141,99 @@ fn no_lost_wakeups_at_k1() {
     let again = gcr(1, 4);
     let r2 = run_lock(&cfg(8), again);
     assert_eq!(r, r2, "same seed must reproduce");
+}
+
+/// An adaptive wrapper (explicit K = 3, so the bound is known) under
+/// 12 threads. Sampled by every holder right after its acquisition —
+/// exact, the engine runs one thread at a time: whether the gate is
+/// engaged, the counted admissions, and the threads in flight that are
+/// neither counted nor parked.
+#[test]
+fn engagement_bounds_the_counted_and_drains_the_uncounted() {
+    const K: u32 = 3;
+    const OPS: usize = 40;
+    let lock = Gcr::with_config(
+        DynLock::of(McsLock::new()),
+        GcrConfig {
+            initial_limit: K,
+            min_limit: K,
+            max_limit: K,
+            reintroduce_period: 8,
+            ..GcrConfig::default()
+        },
+    );
+    assert!(!lock.engaged(), "adaptive: starts disengaged");
+    let in_flight = AtomicU32::new(0);
+    // (engaged, counted, uncounted in flight) per grant, in order.
+    let grants = Mutex::new(Vec::new());
+    run_threads(&cfg(THREADS), |_tid| {
+        for _ in 0..OPS {
+            in_flight.fetch_add(1, Ordering::Relaxed);
+            let token = lock.lock();
+            let uncounted = in_flight.load(Ordering::Relaxed) - lock.active() - lock.passive_len();
+            grants
+                .lock()
+                .unwrap()
+                .push((lock.engaged(), lock.active(), uncounted));
+            execute_units(1_000);
+            lock.unlock(token);
+            in_flight.fetch_sub(1, Ordering::Relaxed);
+            execute_units(1_000);
+        }
+    });
+    let grants = grants.into_inner().unwrap();
+    assert_eq!(grants.len(), THREADS * OPS);
+
+    let engaged_at = grants
+        .iter()
+        .position(|&(engaged, ..)| engaged)
+        .expect("12 threads on one lock never engaged it");
+    assert!(engaged_at >= 1, "nobody was waiting at the first grant");
+    for &(_, counted, uncounted) in &grants[..engaged_at] {
+        assert_eq!(counted, 0, "counted while disengaged");
+        assert!(uncounted >= 1, "the holder itself is uncounted");
+    }
+    // Nobody comes in uncounted any more: the set only shrinks, and a
+    // FIFO inner queue has served all of it a pass later.
+    let after = &grants[engaged_at..];
+    for pair in after.windows(2) {
+        assert!(pair[1].2 <= pair[0].2, "uncounted set grew: {pair:?}");
+    }
+    for (i, &(engaged, counted, uncounted)) in after.iter().enumerate() {
+        assert!(counted <= K + 1, "counted {counted} over K + 1");
+        if i >= THREADS {
+            assert!(engaged, "12 contending threads disengaged the gate");
+            assert_eq!(uncounted, 0, "grant {i} after engagement");
+            assert!(counted >= 1, "the holder itself is counted");
+        }
+    }
+    assert!(after[0].2 >= 1, "the engaging holder came in uncounted");
+    assert!(lock.peak_active() <= K + 1);
+    assert!(lock.reintroduced() > 0, "the small period must pulse");
+    assert_eq!((lock.active(), lock.passive_len()), (0, 0));
+}
+
+/// `Gcr::new` over an erased MCS lock is what the registry's `gcr-mcs`
+/// row builds. Its K is sized when it first engages, by the engaging
+/// thread — a simulated one here, so from the modeled machine: 4 cores
+/// on the `amp-oversub` topology, 8 on the M1's, whatever
+/// `available_parallelism()` says about the host running the test.
+#[test]
+fn a_default_k_is_sized_from_the_modeled_machine() {
+    for (topology, cores) in [(Topology::custom(2, 2, 3.0), 4), (Topology::apple_m1(), 8)] {
+        assert_eq!(topology.len(), cores as usize);
+        let lock = Arc::new(Gcr::new(DynLock::of(McsLock::new())));
+        assert_eq!(
+            (lock.limit(), lock.max_limit()),
+            (0, 0),
+            "built on the host"
+        );
+        let r = run_lock(&ZooConfig::quick(topology, 16, 1), lock.clone());
+        assert!(r.total_ops > 0);
+        assert!(lock.engaged(), "16 threads on one lock");
+        assert_eq!(lock.max_limit(), 2 * cores);
+        // The controller moves K one step per decision.
+        let initial = i64::from(lock.limit()) - lock.grows() as i64 + lock.shrinks() as i64;
+        assert_eq!(initial, i64::from(cores));
+    }
 }

@@ -12,15 +12,19 @@
 //!   classed — a writer outside the lock — loses updates under
 //!   contention, so every exclusive recorder is hammered here and its
 //!   counts compared with the exact totals.
+//! * A layer charges a caller only for machinery that is doing
+//!   something for it: an uncontended `Gcr`, an epoch on a big core and
+//!   a timed acquire of a free lock read no clock at all. Counted
+//!   exactly, under a substrate whose clock ticks once per read.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use libasl::clock::{self, now_ns};
-use libasl::locks::McsLock;
+use libasl::locks::{McsLock, RawLock, RawTimedLock};
 use libasl::runtime::affinity::pin_to_cpu;
-use libasl::runtime::registry::register_on_core;
+use libasl::runtime::registry::{register_on_core, unregister};
 use libasl::runtime::substrate::{self, Substrate};
 use libasl::runtime::topology::CoreId;
 use libasl::{epoch, AslSpinLock, DynLock, Gcr, Instrumented, TelemetryCell, Topology};
@@ -139,20 +143,32 @@ fn a_timestamp_handed_to_another_thread_is_not_from_its_future() {
     );
 }
 
+/// A virtual clock that ticks 10 ns per read, far from host time — and
+/// nothing else moves it, so reads can be counted.
+struct Ticking(AtomicU64);
+
+impl Ticking {
+    /// Clock reads `f` makes on this thread.
+    fn reads_in(&self, f: impl FnOnce()) -> u64 {
+        let before = self.0.load(Ordering::Relaxed);
+        f();
+        (self.0.load(Ordering::Relaxed) - before) / 10
+    }
+}
+
+impl Substrate for Ticking {
+    fn now_ns(&self) -> u64 {
+        self.0.fetch_add(10, Ordering::Relaxed)
+    }
+    fn relax(&self) {}
+    fn busy_wait_ns(&self, _: u64) {}
+    fn sleep_ns(&self, _: u64) {}
+    fn park(&self) {}
+    fn charge_work_units(&self, _: u64) {}
+}
+
 #[test]
 fn a_substrate_still_owns_the_clock() {
-    /// A virtual clock that ticks 10 ns per read, far from host time.
-    struct Ticking(AtomicU64);
-    impl Substrate for Ticking {
-        fn now_ns(&self) -> u64 {
-            self.0.fetch_add(10, Ordering::Relaxed)
-        }
-        fn relax(&self) {}
-        fn busy_wait_ns(&self, _: u64) {}
-        fn sleep_ns(&self, _: u64) {}
-        fn park(&self) {}
-        fn charge_work_units(&self, _: u64) {}
-    }
     clock::settle();
     let host_before = clock::os_now_ns();
     {
@@ -167,7 +183,123 @@ fn a_substrate_still_owns_the_clock() {
 }
 
 // ---------------------------------------------------------------------
-// (b) Counter exactness under contention.
+// (b) Idle machinery reads no clock.
+// ---------------------------------------------------------------------
+
+#[test]
+fn an_uncontended_gcr_reads_no_clock_and_counts_nobody() {
+    let ticking = Arc::new(Ticking(AtomicU64::new(0)));
+    let _installed = substrate::install(ticking.clone());
+    let gcr = Gcr::new(McsLock::new());
+    for _ in 0..200 {
+        let reads = ticking.reads_in(|| {
+            let token = gcr.lock();
+            assert_eq!(gcr.active(), 0);
+            gcr.unlock(token);
+        });
+        assert_eq!(reads, 0);
+    }
+    let reads = ticking.reads_in(|| {
+        let token = gcr.try_lock().expect("free");
+        gcr.unlock(token);
+    });
+    assert_eq!(reads, 0, "try_lock");
+    assert_eq!((gcr.active(), gcr.peak_active()), (0, 0));
+    assert_eq!(gcr.telemetry().snapshot().acquisitions, 201);
+}
+
+#[test]
+fn an_epoch_reads_the_clock_only_where_its_window_is_used() {
+    let ticking = Arc::new(Ticking(AtomicU64::new(0)));
+    let _installed = substrate::install(ticking.clone());
+    let m1 = Topology::apple_m1();
+    for (core, big) in [(CoreId(0), true), (CoreId(5), false)] {
+        register_on_core(&m1, core);
+        epoch::reset_thread_epochs();
+        let plain = ticking.reads_in(|| epoch::with_epoch(3, 60_000, || ()));
+        assert_eq!(plain, if big { 0 } else { 2 }, "with_epoch, big = {big}");
+        // Five reads of work inside: 50 virtual ns.
+        let mut latency = 0;
+        let timed = ticking.reads_in(|| {
+            let work = || {
+                for _ in 0..5 {
+                    now_ns();
+                }
+            };
+            latency = epoch::with_epoch_timed(3, 60_000, work).1;
+        });
+        assert_eq!(timed - 5, 2, "with_epoch_timed, big = {big}");
+        assert!(latency >= 50, "latency {latency} < the work inside");
+        // The raw pair, for completeness: what with_epoch is made of.
+        let raw = ticking.reads_in(|| {
+            epoch::epoch_start(3);
+            let measured = epoch::epoch_end(3, 60_000);
+            assert_eq!(measured == 0, big, "0 = not measured, big cores only");
+        });
+        assert_eq!(raw, if big { 0 } else { 2 });
+    }
+    unregister();
+}
+
+#[test]
+fn a_timed_acquire_anchors_its_deadline_only_to_wait() {
+    /// A lock somebody else holds for good: `try_lock` fails, and
+    /// `try_lock_until` notes when it was entered and with what.
+    struct Held<'a> {
+        clock: &'a Ticking,
+        entered: AtomicU64,
+        deadline: AtomicU64,
+    }
+    impl RawLock for Held<'_> {
+        type Token = ();
+        fn lock(&self) {
+            unreachable!("held for good")
+        }
+        fn try_lock(&self) -> Option<()> {
+            None
+        }
+        fn unlock(&self, (): ()) {}
+        fn is_locked(&self) -> bool {
+            true
+        }
+        const NAME: &'static str = "held";
+    }
+    impl RawTimedLock for Held<'_> {
+        fn try_lock_until(&self, deadline_ns: u64) -> Option<()> {
+            let now = self.clock.0.load(Ordering::Relaxed);
+            self.entered.store(now, Ordering::Relaxed);
+            self.deadline.store(deadline_ns, Ordering::Relaxed);
+            None
+        }
+    }
+
+    let ticking = Arc::new(Ticking(AtomicU64::new(1_000)));
+    let _installed = substrate::install(ticking.clone());
+    let free = McsLock::new();
+    let reads = ticking.reads_in(|| {
+        let token = free.try_lock_for(1_000_000).expect("free lock");
+        free.unlock(token);
+    });
+    assert_eq!(reads, 0, "a free lock is taken with no deadline");
+
+    let held = Held {
+        clock: &ticking,
+        entered: AtomicU64::new(0),
+        deadline: AtomicU64::new(0),
+    };
+    assert!(held.try_lock_for(777).is_none());
+    // One read — the anchor, 1 000 on this clock — before the wait.
+    assert_eq!(held.entered.load(Ordering::Relaxed), 1_010);
+    assert_eq!(held.deadline.load(Ordering::Relaxed), 1_000 + 777);
+    // And the real thing: a held MCS lock times out, anchor included.
+    let token = free.lock();
+    let reads = ticking.reads_in(|| assert!(free.try_lock_for(50).is_none()));
+    assert!(reads >= 2, "anchor + at least one deadline check: {reads}");
+    free.unlock(token);
+}
+
+// ---------------------------------------------------------------------
+// (c) Counter exactness under contention.
 // ---------------------------------------------------------------------
 
 const THREADS: u64 = 4;
