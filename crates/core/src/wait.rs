@@ -21,8 +21,9 @@
 //! every poll → 1.029 (README, "Performance"). The probe is a load of
 //! a cached line (test-and-test-and-set spinning), which the
 //! simulator's `CostModel::poll_ns` has charged every standby iteration
-//! all along. `asl-bench`'s `ablate_backoff` keeps the exponential
-//! prober, so the departure stays measurable.
+//! all along. The `backoff` group of `repro sim-ablate` keeps the
+//! exponential prober as its comparator, so the departure stays
+//! measurable.
 
 use asl_runtime::clock::{coarse_now_ns, coarse_resync, nanosleep_ns, now_ns};
 

@@ -118,7 +118,10 @@ impl Sqlite {
     }
 
     /// Default sizing used by the figures (the paper scans "a 100k
-    /// table"; we prefill 10k and cap scans — see DESIGN.md).
+    /// table"; we prefill 10k and cap a full scan at `SCAN_CAP`
+    /// rows, which keeps it the occasional request two orders of
+    /// magnitude longer than the rest without one scan filling a
+    /// whole `--quick` measurement cell).
     pub fn with_default_size(factory: &dyn LockFactory) -> Self {
         Self::new(factory, 10_000)
     }

@@ -293,7 +293,7 @@ fn usage() {
          figure ids: fig1 fig4 fig5 fig8a fig8b fig8c fig8d fig8ef fig8g fig8hi\n\
          \u{20}          fig9-kyoto fig9-upscale fig9-lmdb fig10-leveldb fig10-sqlite alt-topology\n\
          \u{20}          sec2-numa sec5-delegation delegation collapse rw adapt overhead kv\n\
-         \u{20}          sim-numa sim-fair sim-oversub sim-fig1 sim-fig8 (or `sim` for the family)\n\
+         \u{20}          sim-numa sim-fair sim-oversub sim-fig1 sim-fig8 sim-ablate (or `sim` for the family)\n\
          lock names: see `repro locks` (e.g. mcs, ccsynch, fc-ban, gcr-mcs, libasl-70us)"
     );
 }

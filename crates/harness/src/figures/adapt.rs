@@ -7,7 +7,8 @@
 //! sweeps thread count over a short-critical-section hammer and
 //! reports, per point, the telemetry the morph decision is made from
 //! — contended ratio, spin iterations, morph counters — plus the
-//! substrate the lock ended the run in. At one thread the lock must
+//! substrate the lock ended the run in (`final_mode`: `tas` or
+//! `queue`, the lock's two stages). At one thread the lock must
 //! finish in TAS mode with zero morphs; as threads grow the morph
 //! point appears and the lock ends in queue mode.
 //!
@@ -75,7 +76,6 @@ pub fn adapt(profile: &Profile) -> Vec<Table> {
         let mode = match lock.mode() {
             AdaptiveMode::Tas => "tas",
             AdaptiveMode::Queue => "queue",
-            AdaptiveMode::Restricted => "restricted",
         };
         table.push_row(vec![
             threads.to_string(),

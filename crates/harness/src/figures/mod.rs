@@ -152,6 +152,7 @@ pub fn registry() -> Vec<(&'static str, FigureFn)> {
         ("sim-oversub", sim::sim_oversub),
         ("sim-fig1", sim::sim_fig1),
         ("sim-fig8", sim::sim_fig8),
+        ("sim-ablate", sim::sim_ablate),
     ]
 }
 
@@ -216,6 +217,7 @@ mod tests {
             "sim-oversub",
             "sim-fig1",
             "sim-fig8",
+            "sim-ablate",
         ] {
             assert!(has(id), "missing driver for {id}");
         }

@@ -165,7 +165,8 @@ pub enum LockSpec {
         slo_ns: Option<u64>,
     },
     /// Contention-adaptive lock: TAS that morphs to a FIFO queue
-    /// under sustained contention (Fissile-style).
+    /// under sustained contention (Fissile-style). A bare lock, as
+    /// `ticket` and `mcs` are; restricted, it is `gcr-adaptive`.
     Adaptive,
     /// Flat-combining delegation behind the generic bridge (§5).
     Flatcomb,
@@ -793,7 +794,7 @@ pub fn registry() -> Vec<RegistryEntry> {
         ),
         e(
             LockSpec::Adaptive,
-            "contention-adaptive: TAS that morphs to a FIFO queue under load",
+            "contention-adaptive: TAS that morphs to a FIFO queue under load (bare; restricted: gcr-adaptive)",
         ),
         e(
             LockSpec::Flatcomb,

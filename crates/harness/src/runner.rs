@@ -238,41 +238,6 @@ where
     }
 }
 
-/// Run until `target_ops` operations complete across all workers;
-/// returns the elapsed wall time (for Criterion `iter_custom`).
-/// `setup` builds each worker's state once, as in
-/// [`run_timed_with_setup`].
-pub fn run_until_ops<W, S, F>(
-    topology: &Topology,
-    threads: usize,
-    target_ops: u64,
-    setup: S,
-    op: F,
-) -> Duration
-where
-    S: Fn(&ThreadCtx) -> W + Sync,
-    F: Fn(&ThreadCtx, &mut W) -> u64 + Sync,
-{
-    let done = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let t0 = std::time::Instant::now();
-    {
-        let done = done.clone();
-        let stop2 = stop.clone();
-        run_on_topology_with_stop(topology, threads, false, stop.clone(), move |ctx| {
-            let mut state = setup(ctx);
-            while !ctx.stopped() {
-                let _ = op(ctx, &mut state);
-                if done.fetch_add(1, Ordering::Relaxed) + 1 >= target_ops {
-                    stop2.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-        });
-    }
-    t0.elapsed()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,45 +306,37 @@ mod tests {
     }
 
     #[test]
-    fn run_until_ops_completes() {
-        let topo = Topology::symmetric(4);
-        let d = run_until_ops(
-            &topo,
-            4,
-            10_000,
-            |_| (),
-            |_, ()| {
-                execute_units(10);
-                0
-            },
-        );
-        assert!(d.as_nanos() > 0);
-    }
-
-    #[test]
     fn worker_state_advances_across_ops_and_repeats_across_runs() {
         // The worker's RNG is seeded once, in `setup`: consecutive ops
         // of one worker draw different values (seeding inside `op`
         // replayed the first draw forever), and a second run draws the
-        // same sequence. One worker stops at exactly `target_ops`.
+        // same sequence. How many ops fit the window varies, so compare
+        // the first few draws of worker 0.
         use crate::scenario::worker_rng;
         use rand::Rng;
+        const DRAWS: usize = 8;
         let draws = || {
+            let setups = AtomicU64::new(0);
             let seen = std::sync::Mutex::new(Vec::new());
-            run_until_ops(
-                &Topology::symmetric(1),
-                1,
-                8,
-                |ctx| worker_rng(ctx.index),
+            run_timed_with_setup(
+                &quick_cfg(1),
+                |ctx| {
+                    setups.fetch_add(1, Ordering::Relaxed);
+                    worker_rng(ctx.index)
+                },
                 |_, rng| {
-                    seen.lock().unwrap().push(rng.gen::<u64>());
+                    let mut seen = seen.lock().unwrap();
+                    if seen.len() < DRAWS {
+                        seen.push(rng.gen::<u64>());
+                    }
                     0
                 },
             );
+            assert_eq!(setups.into_inner(), 1, "one setup per worker");
             seen.into_inner().unwrap()
         };
         let first = draws();
-        assert_eq!(first.len(), 8);
+        assert_eq!(first.len(), DRAWS);
         assert_ne!(first[0], first[1], "one draw replayed");
         assert_eq!(first, draws(), "runs must repeat");
     }

@@ -102,7 +102,7 @@ impl MicroScenario {
 
     /// Bench-1 (Figures 8a-8d): "4 critical sections of different
     /// lengths protected by 2 different locks ... 64 \[lines\] in
-    /// total", 600·27 emulated units between epochs.
+    /// total", 600·27 NOPs between epochs.
     pub fn bench1(spec: &LockSpec) -> Self {
         MicroScenario {
             locks: spec.make_locks(2),
@@ -126,7 +126,10 @@ impl MicroScenario {
                 },
             ],
             cs_units_per_line: CS_UNITS_PER_LINE,
-            ncs_units: 600 * 27 / 10, // scaled: see DESIGN.md §2 (unit != nop)
+            // The paper's 600·27 NOPs, scaled down: a work unit is one
+            // iteration of the calibration loop (`asl_runtime::work`),
+            // several instructions, not one NOP.
+            ncs_units: 600 * 27 / 10,
             length: LengthModel::Fixed,
             epoch_slo: spec.epoch_slo(),
         }
@@ -204,7 +207,9 @@ pub const FIG4_LINES: usize = 64;
 /// Paper parameter: Bench-5 critical section size.
 pub const FIG8G_LINES: usize = 2;
 /// Think-time units for Figures 1/4 (the paper's "400*27 NOPs",
-/// scaled to emulated units — see DESIGN.md §2).
+/// scaled to emulated units: a unit is one iteration of the
+/// calibration loop in `asl_runtime::work`, several instructions, so
+/// the NOP count is divided by 10).
 pub const FIG1_NCS_UNITS: u64 = 400 * 27 / 10;
 
 #[cfg(test)]

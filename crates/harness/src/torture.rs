@@ -485,7 +485,15 @@ pub fn sim_sweep_locks() -> Vec<(&'static str, bool)> {
 /// Locks swept in OS mode.
 pub fn os_sweep_locks() -> Vec<&'static str> {
     vec![
-        "pthread", "tas", "ticket", "mcs", "mcs-stp", "adaptive", "gcr-mcs", "ccsynch",
+        "pthread",
+        "tas",
+        "ticket",
+        "mcs",
+        "mcs-stp",
+        "adaptive",
+        "gcr-mcs",
+        "gcr-adaptive",
+        "ccsynch",
     ]
 }
 

@@ -1,12 +1,11 @@
-//! Contention-adaptive lock: TAS that morphs into a queue lock, and
-//! under sustained pressure into an admission-restricted queue.
+//! Contention-adaptive lock: TAS that morphs into a queue lock.
 //!
 //! Fissile-style substrate morphing (Dice & Kogan, *Fissile Locks*):
 //! under light load a test-and-set lock is unbeatable — one swap, no
 //! queue-node traffic — but under contention its collapsed fairness
 //! and coherence storms lose to a FIFO queue. [`Adaptive`] runs the
-//! substrates behind one interface and *morphs* between them based on
-//! the telemetry it records:
+//! two substrates behind one interface and *morphs* between them based
+//! on the telemetry it records:
 //!
 //! * **TAS mode** (initial): acquire by swapping the flag; waiters
 //!   spin locally with [`asl_runtime::relax::Spin`].
@@ -16,20 +15,39 @@
 //!   single ground truth of ownership in both modes, which is what
 //!   makes the morph race-free: changing mode never changes who holds
 //!   the lock).
-//! * **Restricted mode**: the queue funnel plus a concurrency-
-//!   restriction [`Gate`] (see [`crate::gcr`]) sized to the host's
-//!   parallelism. When the contended streak *keeps* growing in queue
-//!   mode — more runnable waiters than cores, the collapse regime —
-//!   excess waiters park passively instead of spinning in the funnel.
 //!
 //! Morphing is driven by streak counters over the shared
 //! [`TelemetryCell`] signal: `promote_after` consecutive contended
-//! acquisitions switch TAS → queue and `restrict_after` of them
-//! switch queue → restricted; `demote_after` consecutive arrivals
-//! that found the lock completely idle unwind one stage at a time
-//! (restricted → queue → TAS). All thresholds are deterministic
-//! counter comparisons — tests observe morphs through
-//! [`Adaptive::mode`] and telemetry snapshots, never through timing.
+//! acquisitions switch TAS → queue; `demote_after` consecutive
+//! arrivals that found the lock completely idle switch back. Both
+//! thresholds are deterministic counter comparisons — tests observe
+//! morphs through [`Adaptive::mode`] and telemetry snapshots, never
+//! through timing.
+//!
+//! # Restriction is `gcr-adaptive`
+//!
+//! Like `ticket` and `mcs`, this is a bare spinlock: with more
+//! runnable waiters than cores it collapses. What stops that is the
+//! workspace's one admission mechanism, [`crate::gcr::Gcr`], which
+//! composes with this lock as with any other (`Gcr<Adaptive>`, the
+//! registry's `gcr-adaptive`) and engages only once waiters queue. A
+//! third morph stage that gates the funnel from inside this lock is a
+//! second copy of that mechanism, and measured worse than the
+//! composition on every cell (modeled machines, virtual time, seed 1):
+//!
+//! * 2 big + 2 little cores at ratio 3, 16 threads (the repo
+//!   benchmark's `amp-oversub` machine): three stages 447 400 ops/s,
+//!   the two-stage lock under `Gcr` 628 400 (`gcr-mcs` 627 500; the
+//!   bare two-stage lock 78 000, `ticket` 78 050).
+//! * M1-like, 8 threads on 8 cores (`amp-lock`): nothing is
+//!   oversubscribed, a built-in stage engages anyway and buys +0.3 %
+//!   throughput (229 550 vs 228 750) for a 4.3× little-core p99
+//!   (121.4 vs 28.0 µs).
+//! * A gate sized when the lock is built asks about the *host* thread
+//!   that builds it, so one simulated cell read 252 045 ops/s on a
+//!   2-CPU host, 248 939 with a 4-CPU host's limit and 237 424 on
+//!   ≥ 8 CPUs — the last being what two stages read on every host.
+//!   `Gcr` sizes itself on the thread that first engages it.
 //!
 //! ```
 //! use asl_locks::api::GuardedLock;
@@ -47,18 +65,15 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
-use crate::gcr::Gate;
 use crate::plain::TokenWords;
 use crate::telemetry::TelemetryCell;
 use crate::{RawLock, TicketLock};
 
 const MODE_TAS: u8 = 0;
 const MODE_QUEUE: u8 = 1;
-const MODE_RESTRICTED: u8 = 2;
 
 const VIA_TAS: u8 = 0;
 const VIA_QUEUE: u8 = 1;
-const VIA_RESTRICTED: u8 = 2;
 
 /// Which substrate [`Adaptive`] currently grants through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,17 +82,15 @@ pub enum AdaptiveMode {
     Tas,
     /// FIFO ticket funnel in front of the flag (contended).
     Queue,
-    /// Admission-gated FIFO funnel (saturated: threads ≫ cores).
-    Restricted,
 }
 
 /// Proof of an [`Adaptive`] acquisition; records which path was taken
 /// so the release can unwind it.
 #[derive(Debug)]
 pub struct AdaptiveToken {
-    /// One of `VIA_TAS`/`VIA_QUEUE`/`VIA_RESTRICTED`: the path this
-    /// acquisition actually took (which may lag a concurrent morph —
-    /// the release must unwind what *was* entered, not current mode).
+    /// `VIA_TAS` or `VIA_QUEUE`: the path this acquisition actually
+    /// took (which may lag a concurrent morph — the release must
+    /// unwind what *was* entered, not current mode).
     via: u8,
 }
 
@@ -96,10 +109,8 @@ impl TokenWords for AdaptiveToken {
 pub struct Adaptive {
     /// Ground truth of ownership in both modes.
     flag: AtomicBool,
-    /// FIFO funnel used in queue and restricted modes.
+    /// FIFO funnel used in queue mode.
     queue: TicketLock,
-    /// Admission gate engaged in restricted mode only.
-    gate: Gate,
     /// Current substrate (monotonic per observation, not per run).
     mode: AtomicU8,
     /// Consecutive contended acquisitions (promotion signal).
@@ -107,10 +118,8 @@ pub struct Adaptive {
     /// Consecutive idle arrivals (demotion signal).
     calm_streak: AtomicU32,
     promote_after: u32,
-    restrict_after: u32,
     demote_after: u32,
     to_queue: AtomicU64,
-    to_restricted: AtomicU64,
     to_tas: AtomicU64,
     telemetry: TelemetryCell,
 }
@@ -125,56 +134,27 @@ pub const DEFAULT_PROMOTE_AFTER: u32 = 4;
 /// Default idle-streak length before morphing queue → TAS.
 pub const DEFAULT_DEMOTE_AFTER: u32 = 512;
 
-/// Admission bound of the restricted stage: the host's parallelism
-/// (clamped) — more runnable waiters than cores is exactly the
-/// collapse the third morph exists to prevent.
-fn restricted_limit() -> u32 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u32)
-        .unwrap_or(1)
-        .clamp(2, 8)
-}
-
-/// Reintroduction cadence of the restricted stage's gate (handovers
-/// between fairness pulses for passively parked waiters).
-const RESTRICTED_REINTRODUCE_PERIOD: u32 = 64;
-
 impl Adaptive {
     /// Adaptive lock with the default morph thresholds.
     pub fn new() -> Self {
         Self::with_thresholds(DEFAULT_PROMOTE_AFTER, DEFAULT_DEMOTE_AFTER)
     }
 
-    /// Adaptive lock with explicit promote/demote thresholds and the
-    /// default restriction threshold (`8 × promote_after` — sustained
-    /// pressure, not the first contended burst).
+    /// Adaptive lock with explicit thresholds: `promote_after`
+    /// consecutive contended acquisitions switch TAS → queue,
+    /// `demote_after` consecutive idle arrivals switch back. Both must
+    /// be non-zero.
     pub fn with_thresholds(promote_after: u32, demote_after: u32) -> Self {
-        Self::with_morph_thresholds(promote_after, promote_after.saturating_mul(8), demote_after)
-    }
-
-    /// Adaptive lock with all three morph thresholds explicit:
-    /// `promote_after` consecutive contended acquisitions switch
-    /// TAS → queue, `restrict_after` of them switch queue →
-    /// restricted, and `demote_after` consecutive idle arrivals
-    /// unwind one stage. All must be non-zero.
-    pub fn with_morph_thresholds(
-        promote_after: u32,
-        restrict_after: u32,
-        demote_after: u32,
-    ) -> Self {
-        assert!(promote_after > 0 && restrict_after > 0 && demote_after > 0);
+        assert!(promote_after > 0 && demote_after > 0);
         Adaptive {
             flag: AtomicBool::new(false),
             queue: TicketLock::new(),
-            gate: Gate::new(restricted_limit(), RESTRICTED_REINTRODUCE_PERIOD),
             mode: AtomicU8::new(MODE_TAS),
             hot_streak: AtomicU32::new(0),
             calm_streak: AtomicU32::new(0),
             promote_after,
-            restrict_after,
             demote_after,
             to_queue: AtomicU64::new(0),
-            to_restricted: AtomicU64::new(0),
             to_tas: AtomicU64::new(0),
             telemetry: TelemetryCell::new(),
         }
@@ -185,20 +165,13 @@ impl Adaptive {
     pub fn mode(&self) -> AdaptiveMode {
         match self.mode.load(Ordering::Relaxed) {
             MODE_QUEUE => AdaptiveMode::Queue,
-            MODE_RESTRICTED => AdaptiveMode::Restricted,
             _ => AdaptiveMode::Tas,
         }
     }
 
-    /// Times the lock morphed *to* the queue stage (promotions from
-    /// TAS and demotions from restricted both land here).
+    /// Times the lock morphed TAS → queue.
     pub fn morphs_to_queue(&self) -> u64 {
         self.to_queue.load(Ordering::Relaxed)
-    }
-
-    /// Times the lock morphed queue → restricted.
-    pub fn morphs_to_restricted(&self) -> u64 {
-        self.to_restricted.load(Ordering::Relaxed)
     }
 
     /// Times the lock morphed queue → TAS.
@@ -212,8 +185,7 @@ impl Adaptive {
     }
 
     /// A contended acquisition happened: advance the promotion
-    /// streak, possibly morphing up one stage (TAS → queue on
-    /// `promote_after`, queue → restricted on `restrict_after`).
+    /// streak, possibly morphing TAS → queue.
     #[inline]
     fn note_contended(&self) {
         self.calm_streak.store(0, Ordering::Relaxed);
@@ -226,53 +198,20 @@ impl Adaptive {
         {
             self.to_queue.fetch_add(1, Ordering::Relaxed);
             self.hot_streak.store(0, Ordering::Relaxed);
-            return;
-        }
-        if streak >= self.restrict_after
-            && self
-                .mode
-                .compare_exchange(
-                    MODE_QUEUE,
-                    MODE_RESTRICTED,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-        {
-            self.to_restricted.fetch_add(1, Ordering::Relaxed);
-            self.hot_streak.store(0, Ordering::Relaxed);
         }
     }
 
     /// An arrival found the lock completely idle: advance the
-    /// demotion streak, possibly unwinding one stage (restricted →
-    /// queue, else queue → TAS).
+    /// demotion streak, possibly morphing queue → TAS.
     #[inline]
     fn note_idle(&self) {
         self.hot_streak.store(0, Ordering::Relaxed);
         let streak = self.calm_streak.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak < self.demote_after {
-            return;
-        }
-        if self
-            .mode
-            .compare_exchange(
-                MODE_RESTRICTED,
-                MODE_QUEUE,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-        {
-            self.to_queue.fetch_add(1, Ordering::Relaxed);
-            self.calm_streak.store(0, Ordering::Relaxed);
-            // Demoting abandons the restriction: admit everyone the
-            // gate was holding back.
-            self.gate.fill();
-        } else if self
-            .mode
-            .compare_exchange(MODE_QUEUE, MODE_TAS, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
+        if streak >= self.demote_after
+            && self
+                .mode
+                .compare_exchange(MODE_QUEUE, MODE_TAS, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
         {
             self.to_tas.fetch_add(1, Ordering::Relaxed);
             self.calm_streak.store(0, Ordering::Relaxed);
@@ -296,19 +235,30 @@ impl Adaptive {
         AdaptiveToken { via: VIA_QUEUE }
     }
 
-    /// Slow path for both queued stages: in restricted mode pass the
-    /// admission gate first (parking passively when the admitted set
-    /// is full), then the FIFO funnel. The token records which path
+    /// TAS-mode slow path: spin on the flag, migrating to the funnel
+    /// if the lock morphs while we spin. The token records which path
     /// was actually entered so the release unwinds exactly that.
-    fn lock_slow(&self) -> AdaptiveToken {
-        if self.mode.load(Ordering::Relaxed) == MODE_RESTRICTED {
-            self.gate.admit();
-            let mut token = self.lock_via_queue();
-            token.via = VIA_RESTRICTED;
-            token
-        } else {
-            self.lock_via_queue()
-        }
+    fn lock_via_tas(&self) -> AdaptiveToken {
+        let mut spin = asl_runtime::relax::Spin::new();
+        let mut iters = 0u64;
+        let token = loop {
+            while self.flag.load(Ordering::Relaxed) {
+                spin.relax();
+                iters += 1;
+                if self.mode.load(Ordering::Relaxed) != MODE_TAS {
+                    break;
+                }
+            }
+            if self.mode.load(Ordering::Relaxed) != MODE_TAS {
+                break self.lock_via_queue();
+            }
+            spin.reset();
+            if !self.flag.swap(true, Ordering::Acquire) {
+                break AdaptiveToken { via: VIA_TAS };
+            }
+        };
+        self.telemetry.add_spins(iters);
+        token
     }
 }
 
@@ -323,28 +273,7 @@ impl RawLock for Adaptive {
 
     #[inline]
     fn lock(&self) -> AdaptiveToken {
-        if self.mode.load(Ordering::Relaxed) != MODE_TAS {
-            let idle = !self.queue.is_locked() && !self.flag.load(Ordering::Relaxed);
-            if idle {
-                self.note_idle();
-            } else {
-                self.note_contended();
-                self.telemetry.record_contended();
-            }
-            let t0 = if self.telemetry.sampling() && !idle {
-                asl_runtime::clock::now_ns()
-            } else {
-                0
-            };
-            let token = self.lock_slow();
-            if t0 != 0 {
-                self.telemetry
-                    .add_wait_ns(asl_runtime::clock::now_ns().saturating_sub(t0));
-            }
-            self.telemetry.record_acquired();
-            self.telemetry.note_hold_start();
-            return token;
-        }
+        let queued = self.mode.load(Ordering::Relaxed) != MODE_TAS;
 
         // TAS mode fast path: one swap, one counter RMW. The full
         // `note_idle` bookkeeping is skipped — `calm_streak` is only
@@ -352,7 +281,7 @@ impl RawLock for Adaptive {
         // resets it), and `hot_streak` ("consecutive contended") only
         // needs a write when a streak is actually live, so the
         // usually-zero counter costs a relaxed load, not a store.
-        if !self.flag.swap(true, Ordering::Acquire) {
+        if !queued && !self.flag.swap(true, Ordering::Acquire) {
             if self.hot_streak.load(Ordering::Relaxed) != 0 {
                 self.hot_streak.store(0, Ordering::Relaxed);
             }
@@ -361,43 +290,29 @@ impl RawLock for Adaptive {
             return AdaptiveToken { via: VIA_TAS };
         }
 
-        // Contended in TAS mode. The observation is recorded *before*
-        // blocking (waiters are visible to snapshots while they still
-        // wait) and may itself trigger the morph, in which case we
-        // join the queue instead of spinning unfairly next to it.
-        self.note_contended();
-        self.telemetry.record_contended();
-        let t0 = if self.telemetry.sampling() {
+        // A TAS-mode arrival that lost the swap is contended; a
+        // queue-mode arrival is unless it finds the lock wholly idle.
+        let contended = !queued || self.queue.is_locked() || self.flag.load(Ordering::Relaxed);
+
+        // The observation is recorded *before* blocking (waiters are
+        // visible to snapshots while they still wait) and may itself
+        // trigger the morph, in which case a TAS-mode arrival joins
+        // the queue instead of spinning unfairly next to it.
+        if contended {
+            self.note_contended();
+            self.telemetry.record_contended();
+        } else {
+            self.note_idle();
+        }
+        let t0 = if contended && self.telemetry.sampling() {
             asl_runtime::clock::now_ns()
         } else {
             0
         };
-        let token = if self.mode.load(Ordering::Relaxed) != MODE_TAS {
-            self.lock_slow()
+        let token = if queued || self.mode.load(Ordering::Relaxed) != MODE_TAS {
+            self.lock_via_queue()
         } else {
-            let mut spin = asl_runtime::relax::Spin::new();
-            let mut iters = 0u64;
-            let mut token = None;
-            loop {
-                while self.flag.load(Ordering::Relaxed) {
-                    spin.relax();
-                    iters += 1;
-                    // Migrate if the lock morphed while we spun.
-                    if self.mode.load(Ordering::Relaxed) != MODE_TAS {
-                        break;
-                    }
-                }
-                if self.mode.load(Ordering::Relaxed) != MODE_TAS {
-                    token = Some(self.lock_slow());
-                    break;
-                }
-                spin.reset();
-                if !self.flag.swap(true, Ordering::Acquire) {
-                    break;
-                }
-            }
-            self.telemetry.add_spins(iters);
-            token.unwrap_or(AdaptiveToken { via: VIA_TAS })
+            self.lock_via_tas()
         };
         if t0 != 0 {
             self.telemetry
@@ -410,11 +325,9 @@ impl RawLock for Adaptive {
 
     #[inline]
     fn try_lock(&self) -> Option<AdaptiveToken> {
-        // Opportunistic in every mode: the flag is the ground truth,
+        // Opportunistic in both modes: the flag is the ground truth,
         // so a successful swap is a valid acquisition even while
-        // queued waiters funnel (they keep spinning on the flag). The
-        // restricted gate is advisory for try_lock — a non-blocking
-        // probe never parks, so it cannot contribute to collapse.
+        // queued waiters funnel (they keep spinning on the flag).
         if !self.flag.swap(true, Ordering::Acquire) {
             self.telemetry.record_acquisition(false);
             self.telemetry.note_hold_start();
@@ -431,14 +344,11 @@ impl RawLock for Adaptive {
         if token.via != VIA_TAS {
             self.queue.unlock(());
         }
-        if token.via == VIA_RESTRICTED {
-            self.gate.exit();
-        }
     }
 
     #[inline]
     fn is_locked(&self) -> bool {
-        self.flag.load(Ordering::Relaxed) || self.queue.is_locked() || self.gate.passive_len() > 0
+        self.flag.load(Ordering::Relaxed) || self.queue.is_locked()
     }
 
     const NAME: &'static str = "adaptive";
@@ -573,83 +483,11 @@ mod tests {
 
     #[test]
     fn token_words_roundtrip() {
-        for via in [VIA_TAS, VIA_QUEUE, VIA_RESTRICTED] {
+        for via in [VIA_TAS, VIA_QUEUE] {
             let t = AdaptiveToken { via };
             let (a, b) = t.into_words();
             let back = unsafe { AdaptiveToken::from_words(a, b) };
             assert_eq!(back.via, via);
         }
-    }
-
-    #[test]
-    fn restricted_stage_reached_and_unwound() {
-        let lock = Arc::new(Adaptive::with_morph_thresholds(1, 3, 5));
-
-        // One contended observation: TAS -> queue (streak resets).
-        contended_round(&lock, 1);
-        assert_eq!(lock.mode(), AdaptiveMode::Queue);
-        assert_eq!(lock.morphs_to_queue(), 1);
-
-        // Three more in queue mode: queue -> restricted.
-        contended_round(&lock, 3);
-        assert_eq!(lock.mode(), AdaptiveMode::Restricted);
-        assert_eq!(lock.morphs_to_restricted(), 1);
-
-        // Restricted mode still grants single-threaded (the gate
-        // admits immediately when the set has room).
-        for _ in 0..2 {
-            let t = lock.lock();
-            assert!(lock.is_locked());
-            lock.unlock(t);
-        }
-
-        // Idle arrivals unwind one stage per `demote_after` streak:
-        // the two ops above started the calm streak (2), so 3 more
-        // finish the first demotion and 5 further the second.
-        for _ in 0..3 {
-            let t = lock.lock();
-            lock.unlock(t);
-        }
-        assert_eq!(lock.mode(), AdaptiveMode::Queue);
-        assert_eq!(lock.morphs_to_queue(), 2, "restricted demotes into queue");
-        for _ in 0..5 {
-            let t = lock.lock();
-            lock.unlock(t);
-        }
-        assert_eq!(lock.mode(), AdaptiveMode::Tas);
-        assert_eq!(lock.morphs_to_tas(), 1);
-    }
-
-    #[test]
-    fn mutual_exclusion_through_restricted_stage() {
-        // Thresholds low enough that 8 threads x 2k ops ride through
-        // all three stages (and, on oversubscribed hosts, park
-        // passively behind the gate); the counter must stay exact.
-        struct Shared {
-            lock: Adaptive,
-            value: std::cell::UnsafeCell<u64>,
-        }
-        unsafe impl Sync for Shared {}
-        let s = Arc::new(Shared {
-            lock: Adaptive::with_morph_thresholds(2, 4, 1_000_000),
-            value: std::cell::UnsafeCell::new(0),
-        });
-        let mut handles = vec![];
-        for _ in 0..8 {
-            let s = s.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..2_000 {
-                    let t = s.lock.lock();
-                    unsafe { *s.value.get() += 1 };
-                    s.lock.unlock(t);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(unsafe { *s.value.get() }, 16_000);
-        assert_eq!(s.lock.telemetry().snapshot().acquisitions, 16_000);
-        assert!(!s.lock.is_locked());
     }
 }

@@ -1,9 +1,10 @@
 //! TTAS spinlock with bounded exponential back-off.
 //!
 //! §3.4 of the paper notes that among little cores LibASL "behaves
-//! similarly to the backoff spinlock"; this is that lock, and it also
-//! serves as the contention-reduction reference in the ablation
-//! benches.
+//! similarly to the backoff spinlock"; this is that lock, kept as the
+//! reference for that sentence. It is in no registry row or figure —
+//! the zoo's own tests (mutual exclusion, `try_lock`, the guard layer)
+//! are what exercises it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -1,7 +1,7 @@
 //! CLH queue lock (Craig; Landin & Hagersten).
 //!
-//! An alternative FIFO substrate for the reorderable layer (used in
-//! the `ablate_fifo` bench). Waiters spin on their *predecessor's*
+//! An alternative FIFO substrate for the reorderable layer (the
+//! `fifo` group of `repro sim-ablate`). Waiters spin on their *predecessor's*
 //! node; nodes are recycled through the classic CLH trick — an
 //! unlocking thread adopts its predecessor's node for future use.
 
@@ -49,35 +49,21 @@ pub struct ClhToken {
     pred: NonNull<ClhNode>,
 }
 
-impl ClhToken {
-    /// Encode as two raw words (for the object-safe lock facade).
+impl crate::plain::TokenWords for ClhToken {
     #[inline]
-    pub fn into_raw(self) -> (usize, usize) {
+    fn into_words(self) -> (usize, usize) {
         (self.node.as_ptr() as usize, self.pred.as_ptr() as usize)
     }
 
-    /// Rebuild from words produced by [`ClhToken::into_raw`].
-    ///
     /// # Safety
-    /// The words must come from `into_raw` on an unreleased token of
+    /// The words must come from `into_words` on an unreleased token of
     /// the same lock.
     #[inline]
-    pub unsafe fn from_raw(node: usize, pred: usize) -> Self {
+    unsafe fn from_words(node: usize, pred: usize) -> Self {
         ClhToken {
             node: NonNull::new_unchecked(node as *mut ClhNode),
             pred: NonNull::new_unchecked(pred as *mut ClhNode),
         }
-    }
-}
-
-impl crate::plain::TokenWords for ClhToken {
-    #[inline]
-    fn into_words(self) -> (usize, usize) {
-        self.into_raw()
-    }
-    #[inline]
-    unsafe fn from_words(a: usize, b: usize) -> Self {
-        Self::from_raw(a, b)
     }
 }
 

@@ -84,32 +84,18 @@ fn put_node(node: NonNull<CnaNode>) {
 /// Token proving acquisition of a [`CnaLock`]; owns the queue node.
 pub struct CnaToken(NonNull<CnaNode>);
 
-impl CnaToken {
-    /// Encode as a raw word (for the object-safe lock facade).
-    #[inline]
-    pub fn into_raw(self) -> usize {
-        self.0.as_ptr() as usize
-    }
-
-    /// Rebuild from a word produced by [`CnaToken::into_raw`].
-    ///
-    /// # Safety
-    /// `raw` must come from `into_raw` on an unreleased token of the
-    /// same lock.
-    #[inline]
-    pub unsafe fn from_raw(raw: usize) -> Self {
-        CnaToken(NonNull::new_unchecked(raw as *mut CnaNode))
-    }
-}
-
 impl crate::plain::TokenWords for CnaToken {
     #[inline]
     fn into_words(self) -> (usize, usize) {
-        (self.into_raw(), 0)
+        (self.0.as_ptr() as usize, 0)
     }
+
+    /// # Safety
+    /// `a` must come from `into_words` on an unreleased token of the
+    /// same lock.
     #[inline]
     unsafe fn from_words(a: usize, _b: usize) -> Self {
-        Self::from_raw(a)
+        CnaToken(NonNull::new_unchecked(a as *mut CnaNode))
     }
 }
 

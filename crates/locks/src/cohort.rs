@@ -70,35 +70,21 @@ pub struct CohortToken {
     class: usize,
 }
 
-impl CohortToken {
-    /// Encode as two raw words (for the object-safe lock facade).
+impl crate::plain::TokenWords for CohortToken {
     #[inline]
-    pub fn into_raw(self) -> (usize, usize) {
+    fn into_words(self) -> (usize, usize) {
         (self.node.as_ptr() as usize, self.class)
     }
 
-    /// Rebuild from words produced by [`CohortToken::into_raw`].
-    ///
     /// # Safety
-    /// The words must come from `into_raw` on an unreleased token of
+    /// The words must come from `into_words` on an unreleased token of
     /// the same lock.
     #[inline]
-    pub unsafe fn from_raw(node: usize, class: usize) -> Self {
+    unsafe fn from_words(node: usize, class: usize) -> Self {
         CohortToken {
             node: NonNull::new_unchecked(node as *mut CohortNode),
             class,
         }
-    }
-}
-
-impl crate::plain::TokenWords for CohortToken {
-    #[inline]
-    fn into_words(self) -> (usize, usize) {
-        self.into_raw()
-    }
-    #[inline]
-    unsafe fn from_words(a: usize, b: usize) -> Self {
-        Self::from_raw(a, b)
     }
 }
 

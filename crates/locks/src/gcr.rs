@@ -11,7 +11,7 @@
 //!
 //! [`Gcr`] wraps any [`RawLock`] — a runtime-chosen one included:
 //! the registry's `gcr-<name>` specs are `Gcr<DynLock>` over the
-//! erased handle ([`crate::api::DynLock`]) — with a [`Gate`]:
+//! erased handle ([`crate::api::DynLock`]) — with an admission gate:
 //!
 //! * at most `K` threads are **admitted** — inside the wrapped lock's
 //!   own waiter set or holding it;
@@ -48,7 +48,7 @@
 //! slot *somebody else* left behind: when [`SPARE_STREAK`] exits in a
 //! row have each found, while still holding their own slot, the
 //! admitted set under `K` and a waiter parked, the last of them wakes
-//! the head of the LIFO ([`Gate::exit`]), which admits itself. The
+//! the head of the LIFO (`Gate::exit`), which admits itself. The
 //! streak is the grace that tells a thread that has gone from one that
 //! is merely thinking. A thread that stops locking therefore strands
 //! nobody for longer than that many more releases. The passive
@@ -97,7 +97,7 @@
 //! (re-engaging if it is not zero); a publisher bumps the passive
 //! count and then re-reads `engaged` (retracting and taking the bare
 //! path if it is off). Both are `SeqCst`, so a waiter can never park
-//! behind a gate whose holders no longer call [`Gate::exit`].
+//! behind a gate whose holders no longer call `Gate::exit`.
 //!
 //! [`GcrConfig::fixed`] asks for an exact peak bound, so a fixed
 //! `Gcr` is engaged from construction and stays so; it runs no
@@ -141,7 +141,7 @@ const GRANTED: u32 = 1;
 /// checks on the OS (the simulator's park charge bounds the same loop
 /// in virtual time). A backstop: while anybody is still releasing, a
 /// slot left behind is handed over within [`SPARE_STREAK`] releases
-/// ([`Gate::exit`]), so this is the latency to claim one only when
+/// (`Gate::exit`), so this is the latency to claim one only when
 /// every admitted thread has gone. Long enough that a full 128-thread
 /// passive set costs well under 1% CPU in spurious wakes, short enough
 /// that draining an abandoned gate is prompt.
@@ -149,7 +149,7 @@ pub const PASSIVE_RESCUE_BOUND: std::time::Duration = std::time::Duration::from_
 
 /// Consecutive exits that must each see a spare slot — the admitted
 /// set, the exiting thread included, under the limit — with a waiter
-/// parked before the last of them wakes that waiter ([`Gate::exit`]).
+/// parked before the last of them wakes that waiter (`Gate::exit`).
 ///
 /// A slot is held per acquisition, so every thread of a saturated
 /// restricted set leaves one "spare" for the length of its think time,
@@ -207,20 +207,18 @@ struct PassiveNode {
     next: Cell<*mut PassiveNode>,
 }
 
-/// The admission gate: bounds how many threads may compete for
-/// whatever sits behind it.
-///
-/// Usable standalone (the [`crate::Adaptive`] lock's *restricted*
-/// morph stage gates its queue funnel with one): call [`Gate::admit`]
-/// before entering the protected resource's waiter set and
-/// [`Gate::exit`] after leaving it.
+/// The admission gate of a [`Gcr`]: bounds how many threads may
+/// compete for the wrapped lock. Private to this module — [`Gcr`] is
+/// the one way to put a gate in front of anything, so there is one
+/// engage/disengage protocol and one place that pairs every counted
+/// entry with a [`Gate::exit`].
 ///
 /// Invariant (fixed limit `K`): successful admissions keep the active
 /// count at most `K`, except a periodic forced reintroduction which
 /// may overshoot to `K + 1`; [`Gate::peak_active`] observes the
 /// maximum ever reached, so the bound is testable, not aspirational.
-pub struct Gate {
-    /// Threads currently admitted (between `admit` and `exit`).
+struct Gate {
+    /// Threads currently admitted (between `enter` and `exit`).
     active: AtomicU32,
     /// The admission bound `K`.
     limit: AtomicU32,
@@ -238,7 +236,7 @@ pub struct Gate {
     reintroduce_period: u32,
     /// Whether arrivals are counted at all (see the module docs).
     /// `SeqCst` where it is Dekker-paired with `passive_len`, relaxed
-    /// on the entry fast path. Always on for a standalone gate.
+    /// on the entry fast path.
     engaged: AtomicBool,
     /// Consecutive exits that found waiters passive *and* a slot
     /// besides their own free (see [`SPARE_STREAK`]). A hint — relaxed
@@ -260,14 +258,9 @@ unsafe impl Sync for Gate {}
 
 impl Gate {
     /// Gate admitting at most `limit` threads, force-admitting the
-    /// oldest passive waiter every `reintroduce_period` handovers.
-    pub fn new(limit: u32, reintroduce_period: u32) -> Self {
-        Self::build(limit, reintroduce_period, true)
-    }
-
-    /// A gate that is not `engaged` counts nobody until
-    /// [`Gate::engage`]; its `limit` may be 0, "not sized yet", to be
-    /// set before that.
+    /// oldest passive waiter every `reintroduce_period` handovers. One
+    /// that is not `engaged` counts nobody until [`Gate::engage`]; its
+    /// `limit` may be 0, "not sized yet", to be set before that.
     fn build(limit: u32, reintroduce_period: u32, engaged: bool) -> Self {
         assert!(limit >= 1 || !engaged, "admission limit must be >= 1");
         assert!(reintroduce_period >= 1, "reintroduce period must be >= 1");
@@ -314,7 +307,7 @@ impl Gate {
 
     /// The current admission bound `K` (0: a gate not sized yet).
     #[inline]
-    pub fn limit(&self) -> u32 {
+    fn limit(&self) -> u32 {
         self.limit.load(Ordering::Relaxed)
     }
 
@@ -322,32 +315,32 @@ impl Gate {
     /// threads are never evicted mid-flight); growing only takes
     /// effect for future admissions — call [`Gate::fill`] to wake
     /// passive waiters into the new headroom.
-    pub fn set_limit(&self, limit: u32) {
+    fn set_limit(&self, limit: u32) {
         assert!(limit >= 1, "admission limit must be >= 1");
         self.limit.store(limit, Ordering::Relaxed);
     }
 
     /// Threads currently admitted.
     #[inline]
-    pub fn active(&self) -> u32 {
+    fn active(&self) -> u32 {
         self.active.load(Ordering::Relaxed)
     }
 
     /// Passive (parked) waiters right now.
     #[inline]
-    pub fn passive_len(&self) -> u32 {
+    fn passive_len(&self) -> u32 {
         self.passive_len.load(Ordering::Relaxed)
     }
 
     /// Highest admitted-set size any successful admission produced.
     #[inline]
-    pub fn peak_active(&self) -> u32 {
+    fn peak_active(&self) -> u32 {
         self.peak.load(Ordering::Relaxed)
     }
 
     /// Forced (reintroduction) admissions performed so far.
     #[inline]
-    pub fn reintroduced(&self) -> u64 {
+    fn reintroduced(&self) -> u64 {
         self.reintroduced.load(Ordering::Relaxed)
     }
 
@@ -387,39 +380,15 @@ impl Gate {
 
     /// Non-blocking admission attempt.
     #[inline]
-    pub fn try_admit(&self) -> bool {
+    fn try_admit(&self) -> bool {
         self.try_enter()
     }
 
-    /// Enter the admitted set, parking passively while it is full.
-    /// Returns `true` when the caller had to wait (the gate's
-    /// contention signal).
-    pub fn admit(&self) -> bool {
-        match self.enter(None) {
-            Entry::Counted { waited } => waited,
-            Entry::Bare => unreachable!("a standalone gate is always engaged"),
-            Entry::TimedOut => unreachable!("no deadline"),
-        }
-    }
-
-    /// [`Gate::admit`] with a deadline (absolute
-    /// [`asl_runtime::clock`] nanoseconds): the timed-acquisition
-    /// front half of [`Gcr`]'s `try_lock_until`. Returns
-    /// `Some(waited)` when admitted (`waited` is the contention
-    /// signal, as in `admit`), `None` when the deadline passed first —
-    /// in which case the caller holds no admission slot and no
-    /// passive-list node remains.
-    pub fn admit_until(&self, deadline_ns: u64) -> Option<bool> {
-        match self.enter(Some(deadline_ns)) {
-            Entry::Counted { waited } => Some(waited),
-            Entry::Bare => unreachable!("a standalone gate is always engaged"),
-            Entry::TimedOut => None,
-        }
-    }
-
     /// Get past the gate: uncounted if it is disengaged, else into the
-    /// admitted set, parking passively (until `deadline_ns`, if any)
-    /// while that is full.
+    /// admitted set, parking passively (until `deadline_ns`, absolute
+    /// [`asl_runtime::clock`] nanoseconds, if any) while that is full.
+    /// A caller that gets [`Entry::TimedOut`] holds no admission slot
+    /// and has no node left on the passive list.
     #[inline]
     fn enter(&self, deadline_ns: Option<u64>) -> Entry {
         if !self.is_engaged() {
@@ -588,7 +557,7 @@ impl Gate {
     /// passive, the *oldest* one is force-admitted. Passive waiters
     /// re-check for headroom themselves every [`PASSIVE_RESCUE_BOUND`],
     /// which only matters once nobody is left to exit.
-    pub fn exit(&self) {
+    fn exit(&self) {
         let admitted = self.active.fetch_sub(1, Ordering::SeqCst);
         if self.passive_len.load(Ordering::SeqCst) == 0 {
             return;
@@ -641,7 +610,7 @@ impl Gate {
 
     /// Admit passive waiters into fresh headroom (after the limit
     /// grew). Returns how many were admitted.
-    pub fn fill(&self) -> u32 {
+    fn fill(&self) -> u32 {
         let mut n = 0;
         while self.passive_len.load(Ordering::SeqCst) > 0 && self.wake_one(false) {
             n += 1;
@@ -1040,9 +1009,9 @@ impl Controller {
 /// lock: the timed acquire below needs `L: RawTimedLock`, and
 /// [`PlainLock`](crate::plain::PlainLock) has no timed entry point, so
 /// `DynLock` cannot offer one whatever it wraps — `gcr-mcs` has no
-/// `try_lock_until` although `Gcr<McsLock>` does. (The admission half,
-/// [`Gate::admit_until`], is inner-lock-agnostic and would work; it is
-/// the inner wait that cannot be bounded through the facade.)
+/// `try_lock_until` although `Gcr<McsLock>` does. (The admission half
+/// is inner-lock-agnostic and would work; it is the inner wait that
+/// cannot be bounded through the facade.)
 pub struct Gcr<L: RawLock> {
     inner: L,
     gate: Gate,
@@ -1344,17 +1313,24 @@ mod tests {
 
     #[test]
     fn mutual_exclusion_and_admission_bound_under_stress() {
+        stress(McsLock::new());
+        // Promotes on the second contended acquisition and never
+        // demotes: the run crosses the morph with the gate in force.
+        stress(crate::Adaptive::with_thresholds(2, 1_000_000));
+    }
+
+    fn stress<L: RawLock + 'static>(inner: L) {
         const THREADS: usize = 8;
         const OPS: u64 = 2_000;
-        struct Shared {
-            lock: Gcr<McsLock>,
+        struct Shared<L: RawLock> {
+            lock: Gcr<L>,
             value: UnsafeCell<u64>,
         }
-        unsafe impl Sync for Shared {}
+        unsafe impl<L: RawLock> Sync for Shared<L> {}
         let s = Arc::new(Shared {
             // Tiny period so reintroduction churns during the run.
             lock: Gcr::with_config(
-                McsLock::new(),
+                inner,
                 GcrConfig {
                     reintroduce_period: 8,
                     ..GcrConfig::fixed(2)
@@ -1387,6 +1363,7 @@ mod tests {
         );
         assert_eq!(s.lock.active(), 0);
         assert_eq!(s.lock.passive_len(), 0);
+        assert!(!RawLock::is_locked(&s.lock));
         assert_eq!(
             s.lock.telemetry().snapshot().acquisitions,
             THREADS as u64 * OPS
@@ -1487,13 +1464,13 @@ mod tests {
     /// too late to be seen does not park.
     #[test]
     fn disengaging_and_publishing_see_each_other() {
-        let gate = Arc::new(Gate::new(1, u32::MAX));
+        let gate = Arc::new(Gate::build(1, u32::MAX, true));
         assert!(gate.try_admit(), "the one slot, held throughout");
 
         // Publisher first: parked before the holder looks.
         let parked = {
             let gate = gate.clone();
-            std::thread::spawn(move || gate.admit())
+            std::thread::spawn(move || gate.enter(None))
         };
         while gate.passive_len() == 0 {
             std::thread::yield_now();
@@ -1502,7 +1479,10 @@ mod tests {
         assert!(gate.is_engaged(), "and must have re-engaged");
         gate.set_limit(2);
         assert_eq!(gate.fill(), 1, "wake it into a second slot");
-        assert!(parked.join().unwrap(), "it waited");
+        assert!(
+            matches!(parked.join().unwrap(), Entry::Counted { waited: true }),
+            "it waited"
+        );
         gate.exit();
         gate.set_limit(1);
 
@@ -1707,7 +1687,7 @@ mod tests {
 
     #[test]
     fn gate_standalone_admits_and_fills() {
-        let gate = Gate::new(2, 64);
+        let gate = Gate::build(2, 64, true);
         assert!(gate.try_admit());
         assert!(gate.try_admit());
         assert!(!gate.try_admit(), "limit reached");
@@ -1727,6 +1707,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "admission limit")]
     fn zero_limit_rejected() {
-        let _ = Gate::new(0, 64);
+        let _ = Gate::build(0, 64, true);
     }
 }

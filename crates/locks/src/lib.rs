@@ -9,21 +9,21 @@
 //! | [`TicketLock`] | FIFO baseline (Fig. 8a) | [`ticket`] |
 //! | [`BackoffLock`] | what LibASL degenerates to among little cores (§3.4) | [`backoff`] |
 //! | [`McsLock`] | the FIFO queue under the reorderable lock (Figs. 1–10) | [`mcs`] |
-//! | [`ClhLock`] | alternative FIFO substrate (ablation) | [`clh`] |
+//! | [`ClhLock`] | alternative FIFO substrate (`repro sim-ablate`, `fifo` group) | [`clh`] |
 //! | [`ProportionalLock`] | SHFL-PB10: static proportional policy (Figs. 5, 8a, 8g, 9, 10) | [`proportional`] |
 //! | [`PthreadMutex`] | glibc-style spin-then-futex blocking mutex (Figs. 8h, 8i) | [`blocking`] |
 //! | [`McsStpLock`] | spin-then-park MCS, the blocking FIFO strawman of Bench-6 | [`blocking`] |
 //! | [`CnaLock`] | compact NUMA-aware lock on core classes (§2.2 NUMA collapse) | [`cna`] |
 //! | [`CohortLock`] | lock cohorting on core classes (§2.2 NUMA collapse) | [`cohort`] |
 //! | [`MalthusianLock`] | culling + periodic reintroduction (§2.2 long-term fairness) | [`malthusian`] |
-//! | [`ShuffleLock`] | ShflLock-style framework with pluggable policies (§5, ablations) | [`shuffle`] |
+//! | [`ShuffleLock`] | ShflLock-style framework with pluggable policies (§5; `repro sim-ablate`, `policy` group) | [`shuffle`] |
 //! | [`FlatCombiner`] | flat-combining delegation: publication-slot engine, a submitter executes (§5 related-work comparator) | [`flatcomb`] |
 //! | [`RclLock`] | RCL-style client/server lock: the same engine, a dedicated (caller-pinnable) server executes (§5) | [`rcl`] |
 //! | [`FcBan`] | usage-fair banning combiner: the same engine with the ban policy — overdrawn threads wait out their overage | [`fcban`] |
 //! | [`CcSynch`] | combining-queue delegation, cache-local combiner handoff (§5) | [`ccsynch`] |
 //! | [`RwTicketLock`] | phase-fair ticket reader-writer lock (read-mostly workloads) | [`rw_ticket`] |
 //! | [`Bravo`] | BRAVO-style reader-bias wrapper: any exclusive lock becomes an rwlock | [`bravo`] |
-//! | [`Adaptive`] | contention-adaptive TAS that morphs to a FIFO queue (Fissile-style) | [`adaptive`] |
+//! | [`Adaptive`] | contention-adaptive TAS that morphs to a FIFO queue (Fissile-style); a bare lock like `ticket` and `mcs` — restricted, it is [`Gcr`]`<Adaptive>` | [`adaptive`] |
 //!
 //! The [`asynclock`] module is the task-parking counterpart of the
 //! zoo: [`AsyncMutex`] (SLO-aware deadline-ordered wakes, the async
@@ -156,7 +156,7 @@ pub use delegation::{
 };
 pub use fcban::FcBan;
 pub use flatcomb::FlatCombiner;
-pub use gcr::{Gate, Gcr, GcrConfig};
+pub use gcr::{Gcr, GcrConfig};
 pub use malthusian::MalthusianLock;
 pub use mcs::McsLock;
 pub use plain::{ExclusiveRw, PlainLock, PlainRwLock, PlainRwToken, PlainToken, WriteHalf};

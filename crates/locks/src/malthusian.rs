@@ -65,32 +65,18 @@ fn put_node(node: NonNull<MalNode>) {
 /// Token proving acquisition of a [`MalthusianLock`].
 pub struct MalthusianToken(NonNull<MalNode>);
 
-impl MalthusianToken {
-    /// Encode as a raw word (for the object-safe lock facade).
-    #[inline]
-    pub fn into_raw(self) -> usize {
-        self.0.as_ptr() as usize
-    }
-
-    /// Rebuild from a word produced by [`MalthusianToken::into_raw`].
-    ///
-    /// # Safety
-    /// `raw` must come from `into_raw` on an unreleased token of the
-    /// same lock.
-    #[inline]
-    pub unsafe fn from_raw(raw: usize) -> Self {
-        MalthusianToken(NonNull::new_unchecked(raw as *mut MalNode))
-    }
-}
-
 impl crate::plain::TokenWords for MalthusianToken {
     #[inline]
     fn into_words(self) -> (usize, usize) {
-        (self.into_raw(), 0)
+        (self.0.as_ptr() as usize, 0)
     }
+
+    /// # Safety
+    /// `a` must come from `into_words` on an unreleased token of the
+    /// same lock.
     #[inline]
     unsafe fn from_words(a: usize, _b: usize) -> Self {
-        Self::from_raw(a)
+        MalthusianToken(NonNull::new_unchecked(a as *mut MalNode))
     }
 }
 

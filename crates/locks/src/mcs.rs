@@ -60,32 +60,18 @@ fn put_node(node: NonNull<QNode>) {
 /// Token proving acquisition of an [`McsLock`]; owns the queue node.
 pub struct McsToken(NonNull<QNode>);
 
-impl McsToken {
-    /// Encode as a raw word (for the object-safe lock facade).
-    #[inline]
-    pub fn into_raw(self) -> usize {
-        self.0.as_ptr() as usize
-    }
-
-    /// Rebuild from a word produced by [`McsToken::into_raw`].
-    ///
-    /// # Safety
-    /// `raw` must come from `into_raw` on a token of the same lock
-    /// that has not been released yet.
-    #[inline]
-    pub unsafe fn from_raw(raw: usize) -> Self {
-        McsToken(NonNull::new_unchecked(raw as *mut QNode))
-    }
-}
-
 impl crate::plain::TokenWords for McsToken {
     #[inline]
     fn into_words(self) -> (usize, usize) {
-        (self.into_raw(), 0)
+        (self.0.as_ptr() as usize, 0)
     }
+
+    /// # Safety
+    /// `a` must come from `into_words` on a token of the same lock
+    /// that has not been released yet.
     #[inline]
     unsafe fn from_words(a: usize, _b: usize) -> Self {
-        Self::from_raw(a)
+        McsToken(NonNull::new_unchecked(a as *mut QNode))
     }
 }
 

@@ -7,9 +7,9 @@
 //! [`crate::proportional`]); this module provides the *framework*
 //! itself — a queue lock parameterized by a [`ShufflePolicy`] that
 //! inspects a bounded prefix of the waiting queue at each handover and
-//! picks the next holder — so that policy ablations (`bench
-//! ablate_policy`) can compare FIFO, class-local, prefer-big and
-//! proportional orderings under one mechanism.
+//! picks the next holder — so that policy ablations (the `policy`
+//! group of `repro sim-ablate`) can compare FIFO, class-local,
+//! prefer-big and proportional orderings under one mechanism.
 //!
 //! ## Simplification vs. the original
 //!
@@ -249,32 +249,18 @@ fn put_node(node: NonNull<ShflNode>) {
 /// Token proving acquisition of a [`ShuffleLock`].
 pub struct ShuffleToken(NonNull<ShflNode>);
 
-impl ShuffleToken {
-    /// Encode as a raw word (for the object-safe lock facade).
-    #[inline]
-    pub fn into_raw(self) -> usize {
-        self.0.as_ptr() as usize
-    }
-
-    /// Rebuild from a word produced by [`ShuffleToken::into_raw`].
-    ///
-    /// # Safety
-    /// `raw` must come from `into_raw` on an unreleased token of the
-    /// same lock.
-    #[inline]
-    pub unsafe fn from_raw(raw: usize) -> Self {
-        ShuffleToken(NonNull::new_unchecked(raw as *mut ShflNode))
-    }
-}
-
 impl crate::plain::TokenWords for ShuffleToken {
     #[inline]
     fn into_words(self) -> (usize, usize) {
-        (self.into_raw(), 0)
+        (self.0.as_ptr() as usize, 0)
     }
+
+    /// # Safety
+    /// `a` must come from `into_words` on an unreleased token of the
+    /// same lock.
     #[inline]
     unsafe fn from_words(a: usize, _b: usize) -> Self {
-        Self::from_raw(a)
+        ShuffleToken(NonNull::new_unchecked(a as *mut ShflNode))
     }
 }
 

@@ -24,11 +24,12 @@
 //!   Observability is first-class: `asl_locks::telemetry` records
 //!   lock-agnostic acquisition counters ([`TelemetryCell`],
 //!   [`Instrumented`]) and the contention-[`Adaptive`] lock morphs
-//!   its substrate (TAS ↔ FIFO queue ↔ admission-restricted) from
+//!   its substrate (TAS ↔ FIFO queue) from
 //!   that signal. Generic concurrency restriction ([`Gcr`]) wraps
 //!   *any* lock in an admission gate that parks surplus waiters
 //!   passively — the collapse-proofing layer behind every
-//!   `gcr-<name>` registry spec (`Gcr<DynLock>`). The async
+//!   `gcr-<name>` registry spec (`Gcr<DynLock>`), `gcr-adaptive`
+//!   included: restriction is written once. The async
 //!   layer ([`AsyncMutex`], [`AsyncFifoMutex`], [`AsyncDynMutex`])
 //!   parks waiters as queued wakers on the [`runtime`]'s executor
 //!   ([`Executor`], [`block_on`]) and wakes them FIFO or in SLO-aware
@@ -195,7 +196,7 @@ pub use asl_locks::{
     CcSynch, DelegatedMutex, DelegationHandle, DelegationLock, FcBan, FlatCombiner, RclLock,
     RclServer, SlotHandle, SlotLock, SlotsExhausted,
 };
-pub use asl_locks::{Gate, Gcr, GcrConfig};
+pub use asl_locks::{Gcr, GcrConfig};
 pub use asl_runtime::clock;
 pub use asl_runtime::{
     block_on, wait_stats, CoreKind, ExecStats, Executor, JoinHandle, Topology, WaitStats,
