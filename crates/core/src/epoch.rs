@@ -46,12 +46,27 @@
 //!
 //! Everything here is thread-local: no synchronization on the epoch
 //! path. The paper measures ~93 cycles for the pair of epoch calls;
-//! ours is a handful of plain thread-local loads and stores — the open
-//! epoch's id, window and start sit in const-initialised `Cell`s, and
-//! the 128-entry table and the nesting stack behind them are touched
-//! only when a thread changes epoch id or nests — plus, **on a little
-//! core only**, two [`now_ns`] reads (one cycle-counter read each where
-//! the host has a trusted one — see [`asl_runtime::clock`]).
+//! ours, on a big core, is two calls, a dozen thread-local loads and
+//! **two stores** — the open epoch's id, set by `epoch_start` and
+//! cleared by `epoch_end` — 1.6 ns around an uncontended lock on the
+//! reference host (`host-acquire`: `libasl_epoch` 19.4 ns over
+//! `libasl_max` 17.8). The id, window and start sit in const-initialised
+//! `Cell`s, and the 128-entry table and the nesting stack behind them
+//! are touched only when a thread changes epoch id or nests. **On a
+//! little core only**, add two [`now_ns`] reads (one cycle-counter read
+//! each where the host has a trusted one — see [`asl_runtime::clock`];
+//! 16 virtual ns the pair on the modeled machine, `core.epoch_vns`) and
+//! the two stores of the entry they produce (start, then window).
+//!
+//! The store count is the point, not a detail. `epoch_start` used to
+//! rewrite the 24-byte cached entry on every call, with the values it
+//! already held on a big core (`start == UNTIMED`, `used`); those
+//! stores were still in the store buffer when the lock's acquire RMW
+//! issued, and an x86 RMW waits for the buffer to drain — ≈ 1.5 ns a
+//! pending store (the rule on `asl_locks::telemetry::TelemetryCell`).
+//! The pair cost 8.6 ns that way, none of it call overhead (inlining
+//! `start`/`end` moved nothing). Now `start` writes the entry only
+//! when it changes: never, from a big core's second epoch on an id.
 //!
 //! # A big core reads no clock
 //!
@@ -200,9 +215,16 @@ impl Hot {
         }
         self.cur.set(id as i32);
         let mut m = self.load(id);
-        m.start = if is_big_core() { UNTIMED } else { now_ns() };
-        m.used = true;
-        self.meta.set(m);
+        let start = if is_big_core() { UNTIMED } else { now_ns() };
+        // A big core's epochs all start the same: from the second one
+        // on, the cached entry already reads what would be written, and
+        // `cur` above stays the only store of this call (no store
+        // before the RMW — see the module docs).
+        if m.start != start || !m.used {
+            m.start = start;
+            m.used = true;
+            self.meta.set(m);
+        }
     }
 
     /// Close epoch `id`; the measured latency, or 0 where none was.

@@ -74,6 +74,12 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
     }
 
     /// Acquire without standing by (paper `lock_immediately`).
+    ///
+    /// Sampling off and the lock free, this is the inner lock's own
+    /// acquire between three loads (is it held, is the cell sampling —
+    /// twice) and **one store**, the holder-owned acquisition count,
+    /// pending at the inner release RMW: the `libasl_max` rung of
+    /// `host-acquire`, ~2 ns over `dyn_mcs`.
     #[inline]
     pub fn lock_immediately(&self) -> L::Token {
         let contended = self.inner.is_locked();
@@ -83,10 +89,11 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
             0
         };
         let token = self.inner.lock();
-        // Holder from here on: the path counter and the acquisition
-        // count are holder-owned (see `TelemetryCell`), bumped without
-        // an RMW now that the lock serialises their writers.
-        holder_add(&self.stats.immediate, 1);
+        // Holder from here on: the acquisition count is holder-owned
+        // (see `TelemetryCell`), bumped without an RMW now that the
+        // lock serialises its writers — and it is the only store of
+        // this path: the immediate count is derived from it
+        // (`LockStats`).
         if t0 != 0 {
             self.stats
                 .telemetry
@@ -110,7 +117,9 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
     /// reorder-window deadline, taken only when there is a window to
     /// honour. Deadline checks inside the standby wait ride
     /// [`asl_runtime::clock::coarse_now_ns`]'s amortized cache. The
-    /// free-entry fast path reads no clock at all. When sampling is
+    /// free-entry fast path reads no clock at all (and stores twice
+    /// between the inner lock's RMWs: its path counter and the
+    /// acquisition count, both holder-owned). When sampling is
     /// on — the gear that explicitly buys timing with clock reads —
     /// both paths bracket the wait with precise reads (the coarse
     /// cache is not refreshed while blocked inside `inner.lock()`, so

@@ -9,11 +9,12 @@
 //!   wake-up latency on the critical path.
 
 use std::cell::UnsafeCell;
-use std::ptr::{self, NonNull};
+use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::thread::Thread;
 
 use crate::futex::{futex_wait, futex_wake};
+use crate::pool::{close_tail, link_behind, node_pool, open_tail, wait_for_link};
 use crate::{FifoLock, RawLock};
 
 /// glibc-style spin-then-futex mutex.
@@ -115,7 +116,7 @@ pub struct StpNode {
 unsafe impl Sync for StpNode {}
 
 impl StpNode {
-    fn new() -> Self {
+    fn fresh() -> Self {
         StpNode {
             state: AtomicU32::new(STP_GRANTED),
             next: AtomicPtr::new(ptr::null_mut()),
@@ -124,37 +125,10 @@ impl StpNode {
     }
 }
 
-thread_local! {
-    static STP_FREELIST: std::cell::RefCell<Vec<NonNull<StpNode>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-fn take_node() -> NonNull<StpNode> {
-    STP_FREELIST
-        .with(|f| f.borrow_mut().pop())
-        .unwrap_or_else(|| NonNull::from(Box::leak(Box::new(StpNode::new()))))
-}
-
-fn put_node(node: NonNull<StpNode>) {
-    STP_FREELIST.with(|f| f.borrow_mut().push(node));
-}
-
-/// Token proving acquisition of an [`McsStpLock`].
-pub struct StpToken(NonNull<StpNode>);
-
-impl crate::plain::TokenWords for StpToken {
-    #[inline]
-    fn into_words(self) -> (usize, usize) {
-        (self.0.as_ptr() as usize, 0)
-    }
-
-    /// # Safety
-    /// `a` must come from `into_words` on an unreleased token of the
-    /// same lock.
-    #[inline]
-    unsafe fn from_words(a: usize, _b: usize) -> Self {
-        StpToken(NonNull::new_unchecked(a as *mut StpNode))
-    }
+node_pool!(StpNode);
+crate::pool::node_token! {
+    /// Token proving acquisition of an [`McsStpLock`].
+    StpToken(StpNode)
 }
 
 /// Spin-then-park MCS lock ("MCS-STP" in the paper's Fig. 8h).
@@ -192,14 +166,11 @@ impl RawLock for McsStpLock {
 
     fn lock(&self) -> StpToken {
         let node = take_node();
-        unsafe {
-            node.as_ref().state.store(STP_WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-        }
         let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         if !pred.is_null() {
+            // SAFETY: our node, our swap, its non-null result.
             unsafe {
-                (*pred).next.store(node.as_ptr(), Ordering::Release);
+                link_behind(pred, node, STP_WAITING);
                 // Spin briefly...
                 for _ in 0..self.spin_iters {
                     if node.as_ref().state.load(Ordering::Acquire) == STP_GRANTED {
@@ -237,22 +208,11 @@ impl RawLock for McsStpLock {
             return None;
         }
         let node = take_node();
-        unsafe {
-            node.as_ref().state.store(STP_WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
+        if open_tail(&self.tail, node) {
+            return Some(StpToken(node));
         }
-        match self.tail.compare_exchange(
-            ptr::null_mut(),
-            node.as_ptr(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => Some(StpToken(node)),
-            Err(_) => {
-                put_node(node);
-                None
-            }
-        }
+        put_node(node);
+        None
     }
 
     fn unlock(&self, token: StpToken) {
@@ -260,27 +220,11 @@ impl RawLock for McsStpLock {
         unsafe {
             let mut next = node.as_ref().next.load(Ordering::Acquire);
             if next.is_null() {
-                if self
-                    .tail
-                    .compare_exchange(
-                        node.as_ptr(),
-                        ptr::null_mut(),
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
+                if close_tail(&self.tail, node) {
                     put_node(node);
                     return;
                 }
-                let mut spin = asl_runtime::relax::Spin::new();
-                loop {
-                    next = node.as_ref().next.load(Ordering::Acquire);
-                    if !next.is_null() {
-                        break;
-                    }
-                    spin.relax();
-                }
+                next = wait_for_link(node);
             }
             // Grant. If the successor already parked, its thread
             // handle must be cloned *before* GRANTED becomes visible:
@@ -305,6 +249,8 @@ impl RawLock for McsStpLock {
                 state.store(STP_GRANTED, Ordering::Release);
                 t.unpark();
             }
+            // A pooled node's link is null.
+            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
             put_node(node);
         }
     }

@@ -3,12 +3,28 @@
 //! An alternative FIFO substrate for the reorderable layer (the
 //! `fifo` group of `repro sim-ablate`). Waiters spin on their *predecessor's*
 //! node; nodes are recycled through the classic CLH trick — an
-//! unlocking thread adopts its predecessor's node for future use.
+//! unlocking thread adopts its predecessor's node for future use (into
+//! its per-thread pool, the `pool` module: nodes migrate between
+//! threads).
+//!
+//! The one queue lock whose wait word must be written *before* the
+//! tail RMW: the successor spins on the node the `swap` publishes. Its
+//! uncontended round is that one store, the pool's two and a single
+//! RMW — the release is a plain store.
+//!
+//! Also the one whose nodes are never freed: `try_lock` and
+//! `is_locked` read the wait word of whatever node the tail names, and
+//! by the time they look that node may have left the queue for a pool.
+//! The read is harmless on type-stable memory — a stale answer fails
+//! `try_lock`'s tail CAS, or is re-checked after it — so a thread that
+//! exits hands its pooled nodes to `RETIRED`, where the next thread
+//! in need finds them: thread churn neither frees nor leaks a node.
 
-use std::cell::RefCell;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::sync::Mutex;
 
+use crate::pool::{boxed, NodePool};
 use crate::{FifoLock, RawLock};
 
 const HELD: u32 = 1;
@@ -21,26 +37,36 @@ pub struct ClhNode {
     state: AtomicU32,
 }
 
-impl ClhNode {
-    fn new(state: u32) -> Self {
-        ClhNode {
-            state: AtomicU32::new(state),
-        }
-    }
+/// Addresses of the nodes exited threads had pooled.
+static RETIRED: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+
+/// A node from an exited thread if there is one, else a new one.
+fn adopt_or_allocate() -> NonNull<ClhNode> {
+    let retired = RETIRED.lock().unwrap_or_else(|e| e.into_inner()).pop();
+    let state = AtomicU32::new(RELEASED);
+    retired
+        .and_then(|node| NonNull::new(node as *mut ClhNode))
+        .unwrap_or_else(|| boxed(ClhNode { state }))
+}
+
+fn retire(node: NonNull<ClhNode>) {
+    let mut retired = RETIRED.lock().unwrap_or_else(|e| e.into_inner());
+    retired.push(node.as_ptr() as usize);
 }
 
 thread_local! {
-    static FREELIST: RefCell<Vec<NonNull<ClhNode>>> = const { RefCell::new(Vec::new()) };
+    static POOL: NodePool<ClhNode> = const { NodePool::new(adopt_or_allocate, retire) };
 }
 
+/// A node for this acquisition; `lock` sets its wait word.
+#[inline]
 fn take_node() -> NonNull<ClhNode> {
-    FREELIST
-        .with(|f| f.borrow_mut().pop())
-        .unwrap_or_else(|| NonNull::from(Box::leak(Box::new(ClhNode::new(RELEASED)))))
+    POOL.with(NodePool::take)
 }
 
+#[inline]
 fn put_node(node: NonNull<ClhNode>) {
-    FREELIST.with(|f| f.borrow_mut().push(node));
+    POOL.with(|pool| pool.put(node));
 }
 
 /// Token proving acquisition; carries (own node, predecessor node).
@@ -75,9 +101,9 @@ pub struct ClhLock {
 impl ClhLock {
     /// New unlocked CLH lock. Allocates the initial dummy node.
     pub fn new() -> Self {
-        let dummy = Box::leak(Box::new(ClhNode::new(RELEASED)));
+        let state = AtomicU32::new(RELEASED);
         ClhLock {
-            tail: AtomicPtr::new(dummy),
+            tail: AtomicPtr::new(boxed(ClhNode { state }).as_ptr()),
         }
     }
 }
@@ -91,6 +117,20 @@ impl Default for ClhLock {
 unsafe impl Send for ClhLock {}
 unsafe impl Sync for ClhLock {}
 
+impl ClhLock {
+    /// Spin until `pred`, the tail `node` replaced, is released.
+    #[inline]
+    fn wait_behind(&self, node: NonNull<ClhNode>, pred: *mut ClhNode) -> ClhToken {
+        // SAFETY: never null; nobody pools `pred` before *we* do, at unlock.
+        let pred = unsafe { NonNull::new_unchecked(pred) };
+        let mut spin = asl_runtime::relax::Spin::new();
+        while unsafe { pred.as_ref() }.state.load(Ordering::Acquire) == HELD {
+            spin.relax();
+        }
+        ClhToken { node, pred }
+    }
+}
+
 impl RawLock for ClhLock {
     type Token = ClhToken;
 
@@ -99,34 +139,26 @@ impl RawLock for ClhLock {
         let node = take_node();
         unsafe { node.as_ref().state.store(HELD, Ordering::Relaxed) };
         let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
-        // SAFETY: `pred` stays alive until *we* recycle it at unlock.
-        let pred = unsafe { NonNull::new_unchecked(pred) };
-        let mut spin = asl_runtime::relax::Spin::new();
-        unsafe {
-            while pred.as_ref().state.load(Ordering::Acquire) == HELD {
-                spin.relax();
-            }
-        }
-        ClhToken { node, pred }
+        self.wait_behind(node, pred)
     }
 
     #[inline]
     fn try_lock(&self) -> Option<ClhToken> {
         let tail = self.tail.load(Ordering::Acquire);
-        // SAFETY: tail is never null after construction.
+        // SAFETY: never null, and never freed (module docs) — but maybe
+        // no longer the tail, or the tail again in a later round.
         if unsafe { (*tail).state.load(Ordering::Acquire) } == HELD {
             return None;
         }
         let node = take_node();
         unsafe { node.as_ref().state.store(HELD, Ordering::Relaxed) };
-        match self
-            .tail
-            .compare_exchange(tail, node.as_ptr(), Ordering::AcqRel, Ordering::Relaxed)
-        {
-            Ok(pred) => Some(ClhToken {
-                node,
-                pred: unsafe { NonNull::new_unchecked(pred) },
-            }),
+        let won =
+            self.tail
+                .compare_exchange(tail, node.as_ptr(), Ordering::AcqRel, Ordering::Relaxed);
+        match won {
+            // `pred` read released above; had it been pooled and locked
+            // again since (ABA) it is held now, and this waits its turn.
+            Ok(pred) => Some(self.wait_behind(node, pred)),
             Err(_) => {
                 put_node(node);
                 None
@@ -147,6 +179,7 @@ impl RawLock for ClhLock {
     #[inline]
     fn is_locked(&self) -> bool {
         let tail = self.tail.load(Ordering::Relaxed);
+        // SAFETY: as in `try_lock`; a stale node gives a stale answer.
         unsafe { (*tail).state.load(Ordering::Relaxed) == HELD }
     }
 
@@ -178,28 +211,6 @@ mod tests {
         l.unlock(t);
         let t = l.try_lock().expect("free");
         l.unlock(t);
-    }
-
-    #[test]
-    fn reacquire_many_times() {
-        let l = ClhLock::new();
-        for _ in 0..50_000 {
-            let t = l.lock();
-            l.unlock(t);
-        }
-        assert!(!l.is_locked());
-    }
-
-    #[test]
-    fn two_locks_interleaved() {
-        let a = ClhLock::new();
-        let b = ClhLock::new();
-        let ta = a.lock();
-        let tb = b.lock();
-        a.unlock(ta);
-        let ta2 = a.lock();
-        b.unlock(tb);
-        a.unlock(ta2);
     }
 
     #[test]

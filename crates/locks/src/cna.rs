@@ -26,13 +26,14 @@
 //!   probability; we flush every `flush_threshold` handovers). This
 //!   keeps experiments reproducible.
 
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, UnsafeCell};
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
 use asl_runtime::registry::current_core;
 use asl_runtime::CoreKind;
 
+use crate::pool::{close_tail, node_pool, open_tail, wait_behind, wait_for_link};
 use crate::RawLock;
 
 const WAITING: u32 = 1;
@@ -48,13 +49,16 @@ pub struct CnaNode {
     state: AtomicU32,
     next: AtomicPtr<CnaNode>,
     /// Written by the enqueuing thread before it publishes the node
-    /// via the tail swap; read by holders walking the queue after an
-    /// acquire load of the linking pointer.
+    /// via the tail swap — and only when it differs from what the
+    /// node's last use left there (a node is recycled by one thread,
+    /// so it almost never does: no store before the RMW); read by
+    /// holders walking the queue after an acquire load of the linking
+    /// pointer.
     kind: Cell<CoreKind>,
 }
 
 impl CnaNode {
-    fn new() -> Self {
+    fn fresh() -> Self {
         CnaNode {
             state: AtomicU32::new(GRANTED),
             next: AtomicPtr::new(ptr::null_mut()),
@@ -67,36 +71,24 @@ impl CnaNode {
 unsafe impl Send for CnaNode {}
 unsafe impl Sync for CnaNode {}
 
-thread_local! {
-    static FREELIST: RefCell<Vec<NonNull<CnaNode>>> = const { RefCell::new(Vec::new()) };
+node_pool!(CnaNode);
+crate::pool::node_token! {
+    /// Token proving acquisition of a [`CnaLock`]; owns the queue node.
+    CnaToken(CnaNode)
 }
 
-fn take_node() -> NonNull<CnaNode> {
-    FREELIST
-        .with(|f| f.borrow_mut().pop())
-        .unwrap_or_else(|| NonNull::from(Box::leak(Box::new(CnaNode::new()))))
-}
-
-fn put_node(node: NonNull<CnaNode>) {
-    FREELIST.with(|f| f.borrow_mut().push(node));
-}
-
-/// Token proving acquisition of a [`CnaLock`]; owns the queue node.
-pub struct CnaToken(NonNull<CnaNode>);
-
-impl crate::plain::TokenWords for CnaToken {
-    #[inline]
-    fn into_words(self) -> (usize, usize) {
-        (self.0.as_ptr() as usize, 0)
+/// A node for an acquisition by this thread: `kind` current, `state`
+/// left for `wait_behind` (nobody reads it otherwise).
+#[inline]
+fn take_own_node() -> NonNull<CnaNode> {
+    let node = take_node();
+    let kind = current_core().kind;
+    // SAFETY: a pooled node is this thread's alone.
+    let slot = unsafe { &node.as_ref().kind };
+    if slot.get() != kind {
+        slot.set(kind);
     }
-
-    /// # Safety
-    /// `a` must come from `into_words` on an unreleased token of the
-    /// same lock.
-    #[inline]
-    unsafe fn from_words(a: usize, _b: usize) -> Self {
-        CnaToken(NonNull::new_unchecked(a as *mut CnaNode))
-    }
+    node
 }
 
 /// Holder-managed state: only the current lock holder reads or writes
@@ -148,19 +140,6 @@ impl CnaLock {
         self.flush_threshold
     }
 
-    /// Wait for `node`'s successor link to appear (an enqueuer has
-    /// swapped the tail but not yet stored the link).
-    fn wait_for_link(node: NonNull<CnaNode>) -> *mut CnaNode {
-        let mut spin = asl_runtime::relax::Spin::new();
-        loop {
-            let next = unsafe { node.as_ref() }.next.load(Ordering::Acquire);
-            if !next.is_null() {
-                return next;
-            }
-            spin.relax();
-        }
-    }
-
     /// Append `n` to the secondary queue (holder context).
     ///
     /// # Safety
@@ -193,22 +172,11 @@ impl RawLock for CnaLock {
 
     #[inline]
     fn lock(&self) -> CnaToken {
-        let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-            node.as_ref().kind.set(current_core().kind);
-        }
+        let node = take_own_node();
         let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         if !pred.is_null() {
-            // SAFETY: `pred` is not recycled until we store the link.
-            let mut spin = asl_runtime::relax::Spin::new();
-            unsafe {
-                (*pred).next.store(node.as_ptr(), Ordering::Release);
-                while node.as_ref().state.load(Ordering::Acquire) == WAITING {
-                    spin.relax();
-                }
-            }
+            // SAFETY: our node, our swap, its non-null result.
+            unsafe { wait_behind(pred, node, WAITING) };
         }
         CnaToken(node)
     }
@@ -218,24 +186,12 @@ impl RawLock for CnaLock {
         if !self.tail.load(Ordering::Relaxed).is_null() {
             return None;
         }
-        let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-            node.as_ref().kind.set(current_core().kind);
+        let node = take_own_node();
+        if open_tail(&self.tail, node) {
+            return Some(CnaToken(node));
         }
-        match self.tail.compare_exchange(
-            ptr::null_mut(),
-            node.as_ptr(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => Some(CnaToken(node)),
-            Err(_) => {
-                put_node(node);
-                None
-            }
-        }
+        put_node(node);
+        None
     }
 
     fn unlock(&self, token: CnaToken) {
@@ -252,20 +208,11 @@ impl RawLock for CnaLock {
             if succ.is_null() {
                 if h.sec_head.is_null() {
                     // Nothing anywhere: close the queue and release.
-                    if self
-                        .tail
-                        .compare_exchange(
-                            node.as_ptr(),
-                            ptr::null_mut(),
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                    {
+                    if close_tail(&self.tail, node) {
                         put_node(node);
                         return;
                     }
-                    succ = Self::wait_for_link(node);
+                    succ = wait_for_link(node);
                 } else {
                     // Main queue looks empty but the secondary has
                     // waiters: try to make the secondary the queue.
@@ -284,7 +231,7 @@ impl RawLock for CnaLock {
                     }
                     // A newcomer beat the CAS; wait for the link and
                     // fall through to the normal path.
-                    succ = Self::wait_for_link(node);
+                    succ = wait_for_link(node);
                 }
             }
 
@@ -297,6 +244,7 @@ impl RawLock for CnaLock {
                 h.sec_tail = ptr::null_mut();
                 h.handovers = 0;
                 Self::grant(sh);
+                node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
                 put_node(node);
                 return;
             }
@@ -321,6 +269,7 @@ impl RawLock for CnaLock {
                 self.sec_push(cur);
                 cur = nxt;
             }
+            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
             put_node(node);
         }
     }

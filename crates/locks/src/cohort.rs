@@ -13,7 +13,7 @@
 //! lock and an MCS-style local queue per class, with the class
 //! (big/little) playing the role of the NUMA node.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
@@ -21,6 +21,7 @@ use asl_runtime::registry::current_core;
 use asl_runtime::CoreKind;
 
 use crate::backoff::BackoffLock;
+use crate::pool::{close_tail, link_behind, node_pool, open_tail, wait_for_link};
 use crate::RawLock;
 
 const WAITING: u32 = 0;
@@ -42,7 +43,7 @@ struct CohortNode {
 }
 
 impl CohortNode {
-    fn new() -> Self {
+    fn fresh() -> Self {
         CohortNode {
             state: AtomicU32::new(WAITING),
             next: AtomicPtr::new(ptr::null_mut()),
@@ -50,19 +51,7 @@ impl CohortNode {
     }
 }
 
-thread_local! {
-    static FREELIST: RefCell<Vec<NonNull<CohortNode>>> = const { RefCell::new(Vec::new()) };
-}
-
-fn take_node() -> NonNull<CohortNode> {
-    FREELIST
-        .with(|f| f.borrow_mut().pop())
-        .unwrap_or_else(|| NonNull::from(Box::leak(Box::new(CohortNode::new()))))
-}
-
-fn put_node(node: NonNull<CohortNode>) {
-    FREELIST.with(|f| f.borrow_mut().push(node));
-}
+node_pool!(CohortNode);
 
 /// Token proving acquisition of a [`CohortLock`].
 pub struct CohortToken {
@@ -160,20 +149,16 @@ impl RawLock for CohortLock {
     fn lock(&self) -> CohortToken {
         let class = class_index(current_core().kind);
         let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-        }
         let pred = self.local[class].tail.swap(node.as_ptr(), Ordering::AcqRel);
         if pred.is_null() {
             // First of the cohort: contend for the global lock.
             self.global.lock();
             self.batch.set(0);
         } else {
-            // SAFETY: `pred` is pinned until we store the link.
             let mut spin = asl_runtime::relax::Spin::new();
+            // SAFETY: our node, our swap, its non-null result.
             unsafe {
-                (*pred).next.store(node.as_ptr(), Ordering::Release);
+                link_behind(pred, node, WAITING);
                 loop {
                     match node.as_ref().state.load(Ordering::Acquire) {
                         WAITING => {
@@ -198,27 +183,14 @@ impl RawLock for CohortLock {
         // Global first: failing here costs nothing to undo.
         self.global.try_lock()?;
         let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
+        if open_tail(&self.local[class].tail, node) {
+            self.batch.set(0);
+            return Some(CohortToken { node, class });
         }
-        match self.local[class].tail.compare_exchange(
-            ptr::null_mut(),
-            node.as_ptr(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => {
-                self.batch.set(0);
-                Some(CohortToken { node, class })
-            }
-            Err(_) => {
-                // A cohort-mate is queued locally; back out entirely.
-                self.global.unlock(());
-                put_node(node);
-                None
-            }
-        }
+        // A cohort-mate is queued locally; back out entirely.
+        self.global.unlock(());
+        put_node(node);
+        None
     }
 
     fn unlock(&self, token: CohortToken) {
@@ -228,29 +200,13 @@ impl RawLock for CohortLock {
         unsafe {
             let mut next = node.as_ref().next.load(Ordering::Acquire);
             if next.is_null() {
-                if queue
-                    .tail
-                    .compare_exchange(
-                        node.as_ptr(),
-                        ptr::null_mut(),
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
+                if close_tail(&queue.tail, node) {
                     // Cohort empty: surrender the global lock.
                     self.global.unlock(());
                     put_node(node);
                     return;
                 }
-                let mut spin = asl_runtime::relax::Spin::new();
-                loop {
-                    next = node.as_ref().next.load(Ordering::Acquire);
-                    if !next.is_null() {
-                        break;
-                    }
-                    spin.relax();
-                }
+                next = wait_for_link(node);
             }
             let batch = self.batch.get() + 1;
             if batch < self.max_batch {
@@ -263,6 +219,8 @@ impl RawLock for CohortLock {
                 self.global.unlock(());
                 (*next).state.store(GRANTED_ALONE, Ordering::Release);
             }
+            // A pooled node's link is null.
+            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
             put_node(node);
         }
     }

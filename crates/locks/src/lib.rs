@@ -127,6 +127,7 @@ pub mod gcr;
 pub mod malthusian;
 pub mod mcs;
 pub mod plain;
+mod pool;
 pub mod proportional;
 pub mod rcl;
 pub mod rw_ticket;

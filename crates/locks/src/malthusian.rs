@@ -19,10 +19,11 @@
 //! waiters; reintroduction happens every `reintroduce_period`
 //! handovers, which bounds passive-waiter starvation.
 
-use std::cell::{RefCell, UnsafeCell};
-use std::ptr::{self, NonNull};
+use std::cell::UnsafeCell;
+use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
+use crate::pool::{close_tail, node_pool, open_tail, wait_behind, wait_for_link};
 use crate::RawLock;
 
 const WAITING: u32 = 1;
@@ -40,7 +41,7 @@ struct MalNode {
 }
 
 impl MalNode {
-    fn new() -> Self {
+    fn fresh() -> Self {
         MalNode {
             state: AtomicU32::new(GRANTED),
             next: AtomicPtr::new(ptr::null_mut()),
@@ -48,36 +49,10 @@ impl MalNode {
     }
 }
 
-thread_local! {
-    static FREELIST: RefCell<Vec<NonNull<MalNode>>> = const { RefCell::new(Vec::new()) };
-}
-
-fn take_node() -> NonNull<MalNode> {
-    FREELIST
-        .with(|f| f.borrow_mut().pop())
-        .unwrap_or_else(|| NonNull::from(Box::leak(Box::new(MalNode::new()))))
-}
-
-fn put_node(node: NonNull<MalNode>) {
-    FREELIST.with(|f| f.borrow_mut().push(node));
-}
-
-/// Token proving acquisition of a [`MalthusianLock`].
-pub struct MalthusianToken(NonNull<MalNode>);
-
-impl crate::plain::TokenWords for MalthusianToken {
-    #[inline]
-    fn into_words(self) -> (usize, usize) {
-        (self.0.as_ptr() as usize, 0)
-    }
-
-    /// # Safety
-    /// `a` must come from `into_words` on an unreleased token of the
-    /// same lock.
-    #[inline]
-    unsafe fn from_words(a: usize, _b: usize) -> Self {
-        MalthusianToken(NonNull::new_unchecked(a as *mut MalNode))
-    }
+node_pool!(MalNode);
+crate::pool::node_token! {
+    /// Token proving acquisition of a [`MalthusianLock`].
+    MalthusianToken(MalNode)
 }
 
 /// Holder-managed culling state (only the lock holder touches it).
@@ -135,17 +110,6 @@ impl MalthusianLock {
         unsafe { (*self.holder.get()).passive_len }
     }
 
-    fn wait_for_link(node: NonNull<MalNode>) -> *mut MalNode {
-        let mut spin = asl_runtime::relax::Spin::new();
-        loop {
-            let next = unsafe { node.as_ref() }.next.load(Ordering::Acquire);
-            if !next.is_null() {
-                return next;
-            }
-            spin.relax();
-        }
-    }
-
     #[inline]
     fn grant(n: *mut MalNode) {
         unsafe { (*n).state.store(GRANTED, Ordering::Release) };
@@ -164,20 +128,10 @@ impl RawLock for MalthusianLock {
     #[inline]
     fn lock(&self) -> MalthusianToken {
         let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-        }
         let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         if !pred.is_null() {
-            // SAFETY: `pred` is pinned until we store the link.
-            let mut spin = asl_runtime::relax::Spin::new();
-            unsafe {
-                (*pred).next.store(node.as_ptr(), Ordering::Release);
-                while node.as_ref().state.load(Ordering::Acquire) == WAITING {
-                    spin.relax();
-                }
-            }
+            // SAFETY: our node, our swap, its non-null result.
+            unsafe { wait_behind(pred, node, WAITING) };
         }
         MalthusianToken(node)
     }
@@ -188,22 +142,11 @@ impl RawLock for MalthusianLock {
             return None;
         }
         let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
+        if open_tail(&self.tail, node) {
+            return Some(MalthusianToken(node));
         }
-        match self.tail.compare_exchange(
-            ptr::null_mut(),
-            node.as_ptr(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => Some(MalthusianToken(node)),
-            Err(_) => {
-                put_node(node);
-                None
-            }
-        }
+        put_node(node);
+        None
     }
 
     fn unlock(&self, token: MalthusianToken) {
@@ -220,20 +163,11 @@ impl RawLock for MalthusianLock {
             if succ.is_null() {
                 if h.passive_top.is_null() {
                     // Nothing anywhere: close the queue and release.
-                    if self
-                        .tail
-                        .compare_exchange(
-                            node.as_ptr(),
-                            ptr::null_mut(),
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                    {
+                    if close_tail(&self.tail, node) {
                         put_node(node);
                         return;
                     }
-                    succ = Self::wait_for_link(node);
+                    succ = wait_for_link(node);
                 } else {
                     // Queue drained but passive waiters exist: revive
                     // one so the lock is never parked while work waits.
@@ -259,7 +193,7 @@ impl RawLock for MalthusianLock {
                     // link (top stays culled) and take the normal
                     // path with the newcomer as successor.
                     (*top).next.store(rest, Ordering::Relaxed);
-                    succ = Self::wait_for_link(node);
+                    succ = wait_for_link(node);
                 }
             }
 
@@ -272,6 +206,7 @@ impl RawLock for MalthusianLock {
                 h.handovers = 0;
                 (*top).next.store(succ, Ordering::Relaxed);
                 Self::grant(top);
+                node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
                 put_node(node);
                 return;
             }
@@ -288,6 +223,7 @@ impl RawLock for MalthusianLock {
             } else {
                 Self::grant(succ);
             }
+            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
             put_node(node);
         }
     }

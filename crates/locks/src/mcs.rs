@@ -8,15 +8,31 @@
 //! ## Node management
 //!
 //! `lock()` returns a token owning the acquirer's queue node; nodes
-//! come from a per-thread freelist and are returned on `unlock`.
-//! Nodes are heap blocks that are recycled but never freed, bounding
-//! the footprint at (live threads × peak nesting depth) nodes — the
-//! standard engineering trade for MCS in a library setting.
+//! come from the per-thread pool (the `pool` module) and go back on
+//! `unlock`, to the pool of whichever thread releases or adopts them.
+//! That bounds the footprint at (live threads × peak nesting depth)
+//! nodes; a thread's spare nodes are freed when it exits.
+//!
+//! An uncontended `lock`/`unlock` is two RMWs — the tail `swap` in, the
+//! tail `compare_exchange` out — and **no plain store precedes the
+//! first** but the pool's slot hand-out: on x86 an RMW waits for the
+//! store buffer to drain, so every store still pending when it issues
+//! costs ≈ 1.5 ns there (the reference host; nothing on a machine whose
+//! RMWs do not drain the buffer — see the rule on
+//! [`crate::telemetry::TelemetryCell`]). A node no predecessor will
+//! read is therefore not initialised at all: `state` is written only on
+//! the path that found a predecessor, after the `swap` and before the
+//! `Release` store that links the node behind it — the first moment
+//! anyone else can see it — and `next == null` is the invariant of a
+//! pooled node, restored by the releaser on the grant path. The
+//! contended halves live out of line, so that what inlines into a
+//! caller's loop is small enough to leave the caller its registers
+//! (a spilled loop counter is a store between the two RMWs too).
 
-use std::cell::RefCell;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
+use crate::pool::{close_tail, link_behind, node_pool, open_tail, wait_behind, wait_for_link};
 use crate::{FifoLock, RawLock};
 
 const WAITING: u32 = 1;
@@ -35,7 +51,7 @@ pub struct QNode {
 }
 
 impl QNode {
-    fn new() -> Self {
+    fn fresh() -> Self {
         QNode {
             state: AtomicU32::new(GRANTED),
             next: AtomicPtr::new(ptr::null_mut()),
@@ -43,36 +59,10 @@ impl QNode {
     }
 }
 
-thread_local! {
-    static FREELIST: RefCell<Vec<NonNull<QNode>>> = const { RefCell::new(Vec::new()) };
-}
-
-fn take_node() -> NonNull<QNode> {
-    FREELIST
-        .with(|f| f.borrow_mut().pop())
-        .unwrap_or_else(|| NonNull::from(Box::leak(Box::new(QNode::new()))))
-}
-
-fn put_node(node: NonNull<QNode>) {
-    FREELIST.with(|f| f.borrow_mut().push(node));
-}
-
-/// Token proving acquisition of an [`McsLock`]; owns the queue node.
-pub struct McsToken(NonNull<QNode>);
-
-impl crate::plain::TokenWords for McsToken {
-    #[inline]
-    fn into_words(self) -> (usize, usize) {
-        (self.0.as_ptr() as usize, 0)
-    }
-
-    /// # Safety
-    /// `a` must come from `into_words` on a token of the same lock
-    /// that has not been released yet.
-    #[inline]
-    unsafe fn from_words(a: usize, _b: usize) -> Self {
-        McsToken(NonNull::new_unchecked(a as *mut QNode))
-    }
+node_pool!(QNode);
+crate::pool::node_token! {
+    /// Token proving acquisition of an [`McsLock`]; owns the queue node.
+    McsToken(QNode)
 }
 
 /// The MCS queue lock.
@@ -100,27 +90,65 @@ impl Default for McsLock {
 unsafe impl Send for McsLock {}
 unsafe impl Sync for McsLock {}
 
+impl McsLock {
+    /// Release with a successor linked (`next`) or linking (null: the
+    /// closing CAS just failed). Grant chain: hand to the successor,
+    /// but a successor that abandoned its timed wait transferred its
+    /// node to us — adopt it (reclaim) and repeat on *its* successor.
+    /// Untimed waiters never abandon, so without timed use the loop
+    /// runs once and the grant CAS cannot fail.
+    ///
+    /// # Safety
+    /// `node` is the holder's node, `next` what its link last read.
+    #[cold]
+    unsafe fn hand_over(&self, mut node: NonNull<QNode>, mut next: *mut QNode) {
+        loop {
+            if next.is_null() {
+                // A successor is enqueueing.
+                next = wait_for_link(node);
+            }
+            // The CAS races the successor's own WAITING → ABANDONED
+            // at its deadline: exactly one side wins, so the lock
+            // is either granted or the node is ours to adopt.
+            let granted = (*next)
+                .state
+                .compare_exchange(WAITING, GRANTED, Ordering::Release, Ordering::Acquire)
+                .is_ok();
+            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
+            put_node(node);
+            if granted {
+                return;
+            }
+            debug_assert_eq!((*next).state.load(Ordering::Relaxed), ABANDONED);
+            node = NonNull::new_unchecked(next);
+            next = node.as_ref().next.load(Ordering::Acquire);
+            if next.is_null() && self.close(node) {
+                return;
+            }
+        }
+    }
+
+    /// Try to close the queue behind `node`; pools it on success.
+    #[inline]
+    fn close(&self, node: NonNull<QNode>) -> bool {
+        let closed = close_tail(&self.tail, node);
+        if closed {
+            put_node(node);
+        }
+        closed
+    }
+}
+
 impl RawLock for McsLock {
     type Token = McsToken;
 
     #[inline]
     fn lock(&self) -> McsToken {
         let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-        }
         let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         if !pred.is_null() {
-            // SAFETY: `pred` cannot be recycled until we link
-            // ourselves — its owner's unlock spins on `pred.next`.
-            let mut spin = asl_runtime::relax::Spin::new();
-            unsafe {
-                (*pred).next.store(node.as_ptr(), Ordering::Release);
-                while node.as_ref().state.load(Ordering::Acquire) == WAITING {
-                    spin.relax();
-                }
-            }
+            // SAFETY: our node, our swap, its non-null result.
+            unsafe { wait_behind(pred, node, WAITING) };
         }
         McsToken(node)
     }
@@ -131,74 +159,21 @@ impl RawLock for McsLock {
             return None;
         }
         let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
+        if open_tail(&self.tail, node) {
+            return Some(McsToken(node));
         }
-        match self.tail.compare_exchange(
-            ptr::null_mut(),
-            node.as_ptr(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => Some(McsToken(node)),
-            Err(_) => {
-                put_node(node);
-                None
-            }
-        }
+        put_node(node);
+        None
     }
 
     #[inline]
     fn unlock(&self, token: McsToken) {
-        let mut node = token.0;
-        // Grant chain: hand to the successor, but a successor that
-        // abandoned its timed wait transferred its node to us — adopt
-        // it (reclaim) and repeat on *its* successor. Untimed waiters
-        // never abandon, so without timed use the loop runs once and
-        // the grant CAS cannot fail.
-        loop {
-            unsafe {
-                let mut next = node.as_ref().next.load(Ordering::Acquire);
-                if next.is_null() {
-                    // No known successor: try to close the queue.
-                    if self
-                        .tail
-                        .compare_exchange(
-                            node.as_ptr(),
-                            ptr::null_mut(),
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                    {
-                        put_node(node);
-                        return;
-                    }
-                    // A successor is enqueueing; wait for the link.
-                    let mut spin = asl_runtime::relax::Spin::new();
-                    loop {
-                        next = node.as_ref().next.load(Ordering::Acquire);
-                        if !next.is_null() {
-                            break;
-                        }
-                        spin.relax();
-                    }
-                }
-                // The CAS races the successor's own WAITING → ABANDONED
-                // at its deadline: exactly one side wins, so the lock
-                // is either granted or the node is ours to adopt.
-                let granted = (*next)
-                    .state
-                    .compare_exchange(WAITING, GRANTED, Ordering::Release, Ordering::Acquire)
-                    .is_ok();
-                put_node(node);
-                if granted {
-                    return;
-                }
-                debug_assert_eq!((*next).state.load(Ordering::Relaxed), ABANDONED);
-                node = NonNull::new_unchecked(next);
-            }
+        let node = token.0;
+        // SAFETY: the token's node is ours until pooled.
+        let next = unsafe { node.as_ref() }.next.load(Ordering::Acquire);
+        if !(next.is_null() && self.close(node)) {
+            // SAFETY: a successor swapped the tail after us.
+            unsafe { self.hand_over(node, next) };
         }
     }
 
@@ -216,23 +191,16 @@ impl crate::timed::RawTimedLock for McsLock {
     /// Timed abandon: at the deadline the waiter CASes its own node
     /// `WAITING → ABANDONED`. Success transfers node ownership to the
     /// eventual releaser (which adopts and reclaims it — see
-    /// `unlock`); failure means the grant already landed, so the
+    /// `hand_over`); failure means the grant already landed, so the
     /// acquisition succeeded at the wire.
     fn try_lock_until(&self, deadline_ns: u64) -> Option<McsToken> {
         let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-        }
         let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         if pred.is_null() {
             return Some(McsToken(node));
         }
-        // SAFETY: `pred` cannot be recycled until we link ourselves —
-        // its owner (or adopter) spins on `pred.next`.
-        unsafe {
-            (*pred).next.store(node.as_ptr(), Ordering::Release);
-        }
+        // SAFETY: our node, our swap, its non-null result.
+        unsafe { link_behind(pred, node, WAITING) };
         let mut spin = asl_runtime::relax::Spin::new();
         loop {
             if unsafe { node.as_ref().state.load(Ordering::Acquire) } == GRANTED {
@@ -287,7 +255,9 @@ mod tests {
     #[test]
     fn nested_distinct_locks() {
         // A thread holding several MCS locks at once needs several
-        // nodes; the freelist must supply them.
+        // nodes: the pool's slot supplies the first, its overflow the
+        // rest, and they come back in whatever order.
+        let spare = POOL.with(|p| p.len());
         let a = McsLock::new();
         let b = McsLock::new();
         let c = McsLock::new();
@@ -295,10 +265,16 @@ mod tests {
         let tb = b.lock();
         let tc = c.lock();
         assert!(a.is_locked() && b.is_locked() && c.is_locked());
+        a.unlock(ta);
         c.unlock(tc);
         b.unlock(tb);
-        a.unlock(ta);
         assert!(!a.is_locked() && !b.is_locked() && !c.is_locked());
+        // And repeated lock/unlock reuses one node: the pool is bounded.
+        for _ in 0..10_000 {
+            let t = b.lock();
+            b.unlock(t);
+        }
+        POOL.with(|p| assert_eq!(p.len(), spare.max(3), "one node per nesting level"));
     }
 
     #[test]
@@ -341,18 +317,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn node_recycling_bounded() {
-        // Repeated lock/unlock on one thread must reuse one node.
-        let l = McsLock::new();
-        for _ in 0..10_000 {
-            let t = l.lock();
-            l.unlock(t);
-        }
-        FREELIST.with(|f| {
-            assert!(f.borrow().len() <= 4, "freelist grew unexpectedly");
-        });
     }
 }

@@ -30,13 +30,14 @@
 //! — the last known node can only be granted, never unlinked, because
 //! an arrival may be mid-append behind it.
 
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, UnsafeCell};
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
 use asl_runtime::registry::current_core;
 use asl_runtime::CoreKind;
 
+use crate::pool::{close_tail, node_pool, open_tail, wait_behind, wait_for_link};
 use crate::RawLock;
 
 const WAITING: u32 = 1;
@@ -214,12 +215,14 @@ impl ShufflePolicy for ProportionalPolicy {
 struct ShflNode {
     state: AtomicU32,
     next: AtomicPtr<ShflNode>,
-    /// Written pre-publication by the enqueuer, read by holders.
+    /// Written pre-publication by the enqueuer (only when it differs
+    /// from what the node's last use left: no store before the RMW),
+    /// read by holders.
     kind: Cell<CoreKind>,
 }
 
 impl ShflNode {
-    fn new() -> Self {
+    fn fresh() -> Self {
         ShflNode {
             state: AtomicU32::new(GRANTED),
             next: AtomicPtr::new(ptr::null_mut()),
@@ -232,36 +235,24 @@ impl ShflNode {
 unsafe impl Send for ShflNode {}
 unsafe impl Sync for ShflNode {}
 
-thread_local! {
-    static FREELIST: RefCell<Vec<NonNull<ShflNode>>> = const { RefCell::new(Vec::new()) };
+node_pool!(ShflNode);
+crate::pool::node_token! {
+    /// Token proving acquisition of a [`ShuffleLock`].
+    ShuffleToken(ShflNode)
 }
 
-fn take_node() -> NonNull<ShflNode> {
-    FREELIST
-        .with(|f| f.borrow_mut().pop())
-        .unwrap_or_else(|| NonNull::from(Box::leak(Box::new(ShflNode::new()))))
-}
-
-fn put_node(node: NonNull<ShflNode>) {
-    FREELIST.with(|f| f.borrow_mut().push(node));
-}
-
-/// Token proving acquisition of a [`ShuffleLock`].
-pub struct ShuffleToken(NonNull<ShflNode>);
-
-impl crate::plain::TokenWords for ShuffleToken {
-    #[inline]
-    fn into_words(self) -> (usize, usize) {
-        (self.0.as_ptr() as usize, 0)
+/// A node for an acquisition by this thread: `kind` current, `state`
+/// left for `wait_behind` (nobody reads it otherwise).
+#[inline]
+fn take_own_node() -> NonNull<ShflNode> {
+    let node = take_node();
+    let kind = current_core().kind;
+    // SAFETY: a pooled node is this thread's alone.
+    let slot = unsafe { &node.as_ref().kind };
+    if slot.get() != kind {
+        slot.set(kind);
     }
-
-    /// # Safety
-    /// `a` must come from `into_words` on an unreleased token of the
-    /// same lock.
-    #[inline]
-    unsafe fn from_words(a: usize, _b: usize) -> Self {
-        ShuffleToken(NonNull::new_unchecked(a as *mut ShflNode))
-    }
+    node
 }
 
 /// The shuffling queue lock.
@@ -292,17 +283,6 @@ impl<P: ShufflePolicy> ShuffleLock<P> {
         &self.policy
     }
 
-    fn wait_for_link(node: NonNull<ShflNode>) -> *mut ShflNode {
-        let mut spin = asl_runtime::relax::Spin::new();
-        loop {
-            let next = unsafe { node.as_ref() }.next.load(Ordering::Acquire);
-            if !next.is_null() {
-                return next;
-            }
-            spin.relax();
-        }
-    }
-
     #[inline]
     fn grant(n: *mut ShflNode) {
         unsafe { (*n).state.store(GRANTED, Ordering::Release) };
@@ -314,22 +294,11 @@ impl<P: ShufflePolicy> RawLock for ShuffleLock<P> {
 
     #[inline]
     fn lock(&self) -> ShuffleToken {
-        let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-            node.as_ref().kind.set(current_core().kind);
-        }
+        let node = take_own_node();
         let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         if !pred.is_null() {
-            // SAFETY: `pred` is pinned until we store the link.
-            let mut spin = asl_runtime::relax::Spin::new();
-            unsafe {
-                (*pred).next.store(node.as_ptr(), Ordering::Release);
-                while node.as_ref().state.load(Ordering::Acquire) == WAITING {
-                    spin.relax();
-                }
-            }
+            // SAFETY: our node, our swap, its non-null result.
+            unsafe { wait_behind(pred, node, WAITING) };
         }
         ShuffleToken(node)
     }
@@ -339,24 +308,12 @@ impl<P: ShufflePolicy> RawLock for ShuffleLock<P> {
         if !self.tail.load(Ordering::Relaxed).is_null() {
             return None;
         }
-        let node = take_node();
-        unsafe {
-            node.as_ref().state.store(WAITING, Ordering::Relaxed);
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-            node.as_ref().kind.set(current_core().kind);
+        let node = take_own_node();
+        if open_tail(&self.tail, node) {
+            return Some(ShuffleToken(node));
         }
-        match self.tail.compare_exchange(
-            ptr::null_mut(),
-            node.as_ptr(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => Some(ShuffleToken(node)),
-            Err(_) => {
-                put_node(node);
-                None
-            }
-        }
+        put_node(node);
+        None
     }
 
     fn unlock(&self, token: ShuffleToken) {
@@ -369,20 +326,11 @@ impl<P: ShufflePolicy> RawLock for ShuffleLock<P> {
                 // Chain unknown: derive from our own node.
                 let succ = node.as_ref().next.load(Ordering::Acquire);
                 if succ.is_null() {
-                    if self
-                        .tail
-                        .compare_exchange(
-                            node.as_ptr(),
-                            ptr::null_mut(),
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                    {
+                    if close_tail(&self.tail, node) {
                         put_node(node);
                         return; // queue empty: released
                     }
-                    Self::wait_for_link(node)
+                    wait_for_link(node)
                 } else {
                     succ
                 }
@@ -433,6 +381,9 @@ impl<P: ShufflePolicy> RawLock for ShuffleLock<P> {
                 *head = chain_first;
             }
             Self::grant(chosen);
+            // A pooled node's link is null (ours may be stale anyway:
+            // the chain is tracked in `head`).
+            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
             put_node(node);
         }
     }

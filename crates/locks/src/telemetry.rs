@@ -149,6 +149,47 @@ use crate::{RawLock, RawRwLock};
 /// hammering each exclusive recorder must leave `acquisitions` equal
 /// to the exact total.
 ///
+/// # No store before the RMW
+///
+/// The holder-owned rule turned bookkeeping RMWs into plain stores.
+/// Next to an RMW those are not free either: on x86 a `lock`-prefixed
+/// instruction completes only once the store buffer has drained, so
+/// every plain store still pending when the inner lock's acquire or
+/// release RMW issues is paid *there* — ≈ 1.5 ns a store on the
+/// reference host, for stores scattered over several lines
+/// (consecutive pushes to one stack line retire together). x86-64:
+/// taking some fifteen of them out of an in-epoch LibASL round took it
+/// from 29.1 to 19.4 ns, out of a bare MCS round from 18.3 to 13.3. On
+/// a machine whose RMWs do not wait for the buffer (AArch64 atomics
+/// order only what their acquire/release flavour names) the same
+/// stores cost nothing extra: the rule is free there and a third of
+/// the uncontended path here. So, on the uncontended path:
+///
+/// > **No plain store before the acquire RMW, and as few as possible
+/// > between it and the release RMW.** Initialise only what somebody
+/// > will read (a queue node's wait word: on the path that found a
+/// > predecessor — [`crate::mcs`]); write nothing that already holds
+/// > the value (a big-core epoch start, a recycled node's core class);
+/// > give each acquisition one holder-owned store and *derive* at
+/// > snapshot time what can be derived from it.
+///
+/// What is left between the inner acquire and the inner release of an
+/// uncontended acquisition, gates off, layer by layer (rungs of the
+/// `host-acquire` ladder):
+///
+/// | layer | stores | what |
+/// |---|---|---|
+/// | [`crate::McsLock`] (`static_mcs`, `dyn_mcs`, `timed_mcs`) | 0 between, 2 around | the pool's slot, out and back |
+/// | [`Instrumented`], gate off (`instr_off_mcs`) | 0 | two loads and a branch |
+/// | [`crate::Gcr`], disengaged (`gcr_mcs`) | 1 | `acquisitions` |
+/// | the reorderable lock, immediate path (`libasl_max`) | 1 | `acquisitions`; the path counter is derived |
+/// | the same, free entry on a little core | 2 | `acquisitions`, `standby_free_entry` |
+/// | an epoch on a big core (`libasl_epoch`) | 0 between, 2 around | the open epoch's id, set and cleared |
+///
+/// `Gcr`'s *counted* path (gate engaged: there is contention, and the
+/// hand-over's cache miss is the cost) keeps its three — count, hold
+/// start, the `counted` mark.
+///
 /// [`record_acquisition`]: TelemetryCell::record_acquisition
 /// [`record_acquired`]: TelemetryCell::record_acquired
 /// [`record_contended`]: TelemetryCell::record_contended

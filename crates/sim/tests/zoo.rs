@@ -176,3 +176,114 @@ fn libasl_slo_feedback_runs_in_virtual_time() {
     );
     assert_eq!(a, b, "SLO feedback must be deterministic in virtual time");
 }
+
+/// The queue locks grant in the same order, operation for operation,
+/// as before their nodes came from the shared pool and their wait word
+/// moved behind the tail swap: the simulator charges no store, so any
+/// difference in these digests is a behaviour change. Pinned from the
+/// commit before that change, under the three fault schedules the
+/// torture harness pins (its sweep plan and its two token-lock
+/// schedules).
+#[test]
+fn queue_lock_grant_order_is_pinned_under_faults() {
+    use asl_locks::ProportionalLock;
+    use asl_runtime::fault::{FaultPlan, FaultState};
+
+    /// FNV-1a over the grant trace, the operation count and the final
+    /// virtual time.
+    fn digest(r: &asl_sim::exec::ZooResult) -> u64 {
+        let words = [r.total_ops, r.virtual_ns];
+        let trace = r.grants.iter().map(|&g| u64::from(g));
+        words
+            .into_iter()
+            .chain(trace)
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+                (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    let plans = [
+        FaultPlan::stalls(42, 64, 20_000)
+            .with_spurious(8)
+            .with_clock_jumps(128, 10_000),
+        FaultPlan::stalls(1009, 24, 40_000).with_spurious(8),
+        FaultPlan::stalls(2003, 96, 15_000).with_spurious(2),
+    ];
+    type Make = fn() -> Arc<dyn PlainLock>;
+    let zoo: [(&str, Make, [u64; 3]); 7] = [
+        (
+            "mcs",
+            || Arc::new(McsLock::new()),
+            [
+                0xdbae_44c9_30c5_607e,
+                0x8195_c9a2_5c7d_5870,
+                0x3c7c_24d0_3e6a_9f6e,
+            ],
+        ),
+        (
+            "clh",
+            || Arc::new(ClhLock::new()),
+            [
+                0xdbae_44c9_30c5_607e,
+                0x8195_c9a2_5c7d_5870,
+                0x3c7c_24d0_3e6a_9f6e,
+            ],
+        ),
+        (
+            "cna",
+            || Arc::new(CnaLock::new()),
+            [
+                0x8315_9f86_3c64_05bb,
+                0xaadf_10c7_2b9f_21e3,
+                0xf283_8c6c_6abd_2411,
+            ],
+        ),
+        (
+            "cohort",
+            || Arc::new(CohortLock::new()),
+            [
+                0xc1c2_1725_d6e9_c669,
+                0xaadf_10c7_2b9f_21e3,
+                0x12b7_894e_d4c6_6a79,
+            ],
+        ),
+        (
+            "malthusian",
+            || Arc::new(MalthusianLock::new()),
+            [
+                0xc462_3f5d_cdea_8084,
+                0x646e_8040_06f5_42b6,
+                0xffff_e20f_7350_c5bb,
+            ],
+        ),
+        (
+            "shfl-pb10",
+            || Arc::new(ProportionalLock::new(10)),
+            [
+                0x7833_4149_9882_1336,
+                0x9581_682f_b5e3_f281,
+                0x3052_483b_97df_482a,
+            ],
+        ),
+        (
+            "mcs-stp",
+            || Arc::new(McsStpLock::new()),
+            [
+                0x9822_759f_2833_f09f,
+                0x3718_9677_4bca_17d0,
+                0x6ab0_dcd3_d83d_0ebb,
+            ],
+        ),
+    ];
+    for (name, make, pinned) in zoo {
+        let got = plans.clone().map(|plan| {
+            let mut cfg = quick(Topology::apple_m1(), 6);
+            cfg.seed = plan.seed;
+            cfg.fault = Some(FaultState::new(plan));
+            let r = run_lock(&cfg, make());
+            assert!(r.total_ops > 0, "{name}: no progress");
+            digest(&r)
+        });
+        assert_eq!(got, pinned, "{name}: grant digests {got:#x?}");
+    }
+}

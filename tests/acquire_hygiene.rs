@@ -25,9 +25,13 @@ use libasl::clock::{self, now_ns};
 use libasl::locks::{McsLock, RawLock, RawTimedLock};
 use libasl::runtime::affinity::pin_to_cpu;
 use libasl::runtime::registry::{register_on_core, unregister};
-use libasl::runtime::substrate::{self, Substrate};
+use libasl::runtime::substrate;
 use libasl::runtime::topology::CoreId;
 use libasl::{epoch, AslSpinLock, DynLock, Gcr, Instrumented, TelemetryCell, Topology};
+
+#[path = "common/ticking.rs"]
+mod ticking;
+use ticking::Ticking;
 
 /// Run `body` on a thread of its own and fail if it has not returned
 /// within `secs` seconds (the stuck thread is left behind).
@@ -141,30 +145,6 @@ fn a_timestamp_handed_to_another_thread_is_not_from_its_future() {
         worst_lead <= clock::CROSS_THREAD_SLACK_NS,
         "a handed-over timestamp led the receiver's clock by {worst_lead} ns"
     );
-}
-
-/// A virtual clock that ticks 10 ns per read, far from host time — and
-/// nothing else moves it, so reads can be counted.
-struct Ticking(AtomicU64);
-
-impl Ticking {
-    /// Clock reads `f` makes on this thread.
-    fn reads_in(&self, f: impl FnOnce()) -> u64 {
-        let before = self.0.load(Ordering::Relaxed);
-        f();
-        (self.0.load(Ordering::Relaxed) - before) / 10
-    }
-}
-
-impl Substrate for Ticking {
-    fn now_ns(&self) -> u64 {
-        self.0.fetch_add(10, Ordering::Relaxed)
-    }
-    fn relax(&self) {}
-    fn busy_wait_ns(&self, _: u64) {}
-    fn sleep_ns(&self, _: u64) {}
-    fn park(&self) {}
-    fn charge_work_units(&self, _: u64) {}
 }
 
 #[test]
@@ -380,7 +360,9 @@ fn holder_owned_counters_lose_no_update() {
         let s = gcr.telemetry().snapshot();
         assert_eq!(s.acquisitions, TOTAL, "gcr-mcs: {s:?}");
         assert!(s.contended <= s.acquisitions);
-        assert!(s.hold_ns > 0);
+        // Holds are sampled while the gate is engaged only, and on one
+        // CPU the hammer does not always contend enough to engage it.
+        assert!(s.hold_ns > 0 || gcr.peak_active() == 0, "{s:?}");
         assert_eq!(gcr.telemetry().hold_started_ns(), 0);
         assert_eq!(gcr.active(), 0);
     });

@@ -9,8 +9,6 @@
 //! each is driven here across its edge many times — under a watchdog,
 //! so that a lost wake-up fails the suite instead of stalling it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
@@ -20,31 +18,12 @@ use libasl::runtime::exec::yield_now;
 use libasl::runtime::work::execute_units;
 use libasl::{block_on, wait_stats, AsyncMutex, Executor, JoinHandle};
 
-/// The system allocator, counting the calling thread's allocations.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a const-initialised thread-local without a destructor, so touching it
-// neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 /// The tests that count spins and parks need the CPUs to themselves:
 /// they hold this for writing, every other test for reading.
@@ -304,14 +283,14 @@ fn a_spawn_is_one_allocation_and_a_join_none() {
         for counted in [false, true] {
             let (release, holder) = hold_worker(&exec);
             let mut handles = Vec::with_capacity(BURST);
-            let before = ALLOCATIONS.get();
+            let before = allocations();
             handles.extend((0..BURST).map(|i| exec.spawn(async move { i })));
-            let spawned = ALLOCATIONS.get() - before;
+            let spawned = allocations() - before;
             drop(release);
             holder.join();
-            let before = ALLOCATIONS.get();
+            let before = allocations();
             let sum: usize = handles.into_iter().map(JoinHandle::join).sum();
-            let joined = ALLOCATIONS.get() - before;
+            let joined = allocations() - before;
             assert_eq!(sum, BURST * (BURST - 1) / 2);
             if counted {
                 assert_eq!(spawned, BURST as u64, "allocations per burst of spawns");

@@ -1,6 +1,8 @@
 //! Workspace-wide property-based tests (proptest).
 
 mod common;
+#[path = "common/ticking.rs"]
+mod ticking;
 
 use std::sync::Arc;
 
@@ -322,6 +324,118 @@ proptest! {
         let reparsed: LockSpec = name.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
         prop_assert!(reparsed.is_rw(), "{} must stay an rw spec", name);
         prop_assert_eq!(reparsed, spec, "{} must round-trip", name);
+    }
+}
+
+/// The epoch state machine as it was before `epoch_start` learnt to
+/// skip stores that change nothing: every start rewrites the entry,
+/// every little-core end of a timed epoch steps the window.
+struct EpochModel {
+    table: [libasl::epoch::EpochMeta; 4],
+    open: Vec<usize>,
+    big: bool,
+    clock: u64,
+}
+
+impl EpochModel {
+    fn read_clock(&mut self) -> u64 {
+        self.clock += 10;
+        self.clock - 10
+    }
+
+    fn start(&mut self, id: usize) {
+        self.open.push(id);
+        let start = if self.big {
+            libasl::epoch::UNTIMED
+        } else {
+            self.read_clock()
+        };
+        self.table[id].start = start;
+        self.table[id].used = true;
+    }
+
+    /// Close the innermost epoch; its id and the latency returned.
+    fn end(&mut self, slo_ns: u64) -> (usize, u64) {
+        let id = self.open.pop().expect("an epoch is open");
+        if self.big || self.table[id].start == libasl::epoch::UNTIMED {
+            return (id, 0);
+        }
+        let latency = self.read_clock() - self.table[id].start;
+        let w = self.table[id].window;
+        self.table[id].window = if latency > slo_ns {
+            w - w / 4
+        } else {
+            // PCT = 99: a hit adds 75 / 39 700 of the window, at least 1.
+            (w + (w * 75 / 39_700).max(1)).min(libasl::core::config::max_window_ns())
+        };
+        (id, latency)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `epoch_start` on a big core returns before any store once the
+    /// cached entry already reads what it would write; whatever the
+    /// sequence of starts, nested pairs, ends, migrations between core
+    /// classes and window overrides, the observable state stays that
+    /// of the state machine that always wrote.
+    #[test]
+    fn epoch_fast_path_is_the_old_state_machine(
+        ops in prop::collection::vec((0u8..8, 0usize..4, 0u64..5), 1..120),
+    ) {
+        use libasl::epoch;
+        use libasl::runtime::topology::CoreId;
+        let m1 = Topology::apple_m1();
+        let _clock = libasl::runtime::substrate::install(Arc::new(ticking::Ticking(0.into())));
+        libasl::runtime::register_on_core(&m1, CoreId(0));
+        epoch::reset_thread_epochs();
+        let fresh = epoch::epoch_meta(0);
+        let mut model = EpochModel { table: [fresh; 4], open: vec![], big: true, clock: 0 };
+        for (op, id, arg) in ops {
+            match op {
+                0..=2 => {
+                    epoch::epoch_start(id);
+                    model.start(id);
+                }
+                3..=5 if !model.open.is_empty() => {
+                    let slo = [0, 5, 25, 1_000, u64::MAX][arg as usize];
+                    let (id, latency) = model.end(slo);
+                    let measured = epoch::epoch_end(id, slo);
+                    prop_assert_eq!(measured, latency);
+                    let untimed = model.big || model.table[id].start == epoch::UNTIMED;
+                    prop_assert_eq!(measured == 0, untimed, "0 means not measured");
+                }
+                6 => {
+                    model.big = arg % 2 == 0;
+                    let core = if model.big { CoreId(0) } else { CoreId(5) };
+                    libasl::runtime::register_on_core(&m1, core);
+                }
+                7 => {
+                    let window = [1, 3, 4_096, 10_000, 100_000_000][arg as usize];
+                    epoch::set_epoch_window(id, window);
+                    model.table[id].window = window;
+                    model.table[id].used = true;
+                }
+                _ => {}
+            }
+            for (id, want) in model.table.iter().enumerate() {
+                let got = epoch::epoch_meta(id);
+                prop_assert_eq!(
+                    (got.window, got.start, got.used),
+                    (want.window, want.start, want.used),
+                    "epoch {} after op {}", id, op
+                );
+            }
+            let cur = model.open.last().copied();
+            prop_assert_eq!(epoch::current_epoch_id(), cur);
+            prop_assert_eq!(epoch::current_window(), cur.map(|c| model.table[c].window));
+        }
+        while !model.open.is_empty() {
+            let (id, _) = model.end(u64::MAX);
+            epoch::epoch_end(id, u64::MAX);
+        }
+        libasl::runtime::registry::unregister();
     }
 }
 
