@@ -23,7 +23,7 @@
 use std::io::Write as _;
 
 use asl_harness::figures::{self, Profile};
-use asl_harness::locks::{registry, LockSpec};
+use asl_harness::locks::{listing, LockSpec};
 use asl_harness::report::{render_bench_json, telemetry_table, Table};
 use asl_locks::telemetry;
 
@@ -268,17 +268,13 @@ fn run_diff(args: &[String]) -> ! {
 }
 
 fn list_locks() {
-    let reg = registry();
-    let width = reg
-        .iter()
-        .map(|e| e.spec.to_string().len())
-        .max()
-        .unwrap_or(0);
-    for entry in reg {
-        println!("{:<width$}  {}", entry.spec.to_string(), entry.description);
-    }
+    print!("{}", listing());
     println!(
-        "\nSLO-parameterized families accept any duration, e.g. libasl-25us,\n\
+        "\nBetween name and description, what the family promises: F exact FIFO,\n\
+         R readers overlap, t timed acquire on the static type only (the erased\n\
+         lock built here cannot back out), E takes epochs (carries an SLO),\n\
+         B waiters may block, D delegation.\n\
+         SLO-parameterized families accept any duration, e.g. libasl-25us,\n\
          libasl-clh-4ms, libasl-opt-500ns, libasl-blk-1ms. Prefix any name\n\
          with `instrumented-` to record telemetry for it (counts via --lock;\n\
          full hold/wait sampling under --profile; near-zero otherwise)."

@@ -309,7 +309,7 @@ pub(crate) fn overhead_table(m: &Meter, specs: &[LockSpec]) -> Table {
 /// Figure driver: the full registry sweep.
 pub fn overhead(profile: &Profile) -> Vec<Table> {
     let m = Meter::from_profile(profile);
-    let specs: Vec<LockSpec> = registry().into_iter().map(|e| e.spec).collect();
+    let specs: Vec<LockSpec> = registry().iter().map(|e| e.spec.clone()).collect();
     vec![overhead_table(&m, &specs)]
 }
 

@@ -1,28 +1,49 @@
 //! Runtime lock selection for experiments: the string-addressable
-//! lock registry.
+//! lock registry, kept as **one table with one row per lock family**
+//! ([`families`]).
 //!
 //! A [`LockSpec`] names one competitor from the paper's evaluation —
-//! a baseline (`pthread`, TAS, ticket, MCS, SHFL-PB10) or a LibASL
-//! configuration (`LibASL-X` = SLO X, `LibASL-MAX` = maximum window,
-//! `LibASL-OPT` = static window, blocking variants, alternative FIFO
-//! substrates) — or one of the reader-writer substrates (`rw-ticket`,
-//! `bravo-<inner>`, `libasl-rw-<slo>`): [`LockSpec::make_rw_lock`]
-//! materializes *any* spec at rw call sites (exclusive specs
-//! degenerate shared mode to an exclusive acquisition) and
-//! [`LockSpec::make_lock`] materializes rw specs at exclusive call
-//! sites (every acquisition takes the write side). Every spec
-//! round-trips through its printed name:
-//! [`LockSpec`] implements both `Display` and `FromStr`, and
-//! `spec.to_string().parse()` is the identity. [`registry`] enumerates
-//! every catalogued spec with a one-line description (the `repro locks`
-//! CLI listing), and [`LockSpec::make_dyn`] materializes a spec into a
-//! guard-based [`DynLock`].
+//! a baseline (`pthread`, TAS, ticket, MCS, SHFL-PB10), a LibASL
+//! configuration (`LibASL-X` = SLO X, `LibASL-MAX`, `LibASL-OPT`,
+//! blocking and reader-writer variants, alternative FIFO substrates)
+//! or a wrapper over any other spec — and everything said *about* a
+//! spec is a column of its [`Family`] row:
+//!
+//! * **The name grammar.** A name is a row's `stem` followed by what
+//!   the row's grammar reads: nothing (`mcs`), a decimal count
+//!   (`shfl-pb<n>`, `tas-big-p<n>`), a duration (`libasl-opt-<dur>`),
+//!   `max` or a duration (`libasl-[clh-|ticket-|shfl-|blk-|rw-]<max|dur>`;
+//!   `max` = no epoch, the maximum reorder window), or the name of
+//!   another spec (`gcr-<name>`, `instrumented-<name>`, nesting
+//!   freely). A duration is `70us`, `4ms`, `250ns` or a bare
+//!   nanosecond count, printed in the coarsest unit that is exact.
+//!   `FromStr` reads a name with the row whose stem is the longest the
+//!   name starts with (`libasl-opt-50us` is a static window, not
+//!   LibASL with the SLO `opt-50us`); `Display` prints the first row
+//!   that owns the value (`tas-big-p600` is `tas-big`), and
+//!   `spec.to_string().parse()` is the identity.
+//! * **The capabilities** ([`Caps`]): what the family promises, read
+//!   by [`LockSpec::epoch_slo`], [`LockSpec::async_policy`],
+//!   [`LockSpec::is_rw`] and the torture sweep's FIFO oracle. A
+//!   capability a family lacks is a stated "no", and a wrapper row
+//!   states which capabilities of its inner spec it keeps.
+//! * **The canonical members** `repro locks` lists ([`registry`],
+//!   [`listing`]), each with its one-line description.
+//!
+//! The one thing a row cannot hold is the constructor — the concrete
+//! lock types differ — so `LockSpec::build` is the only per-family
+//! `match`: a new family is one row, one `build` arm and its file.
+//! [`LockSpec::make_rw_lock`] materializes *any* spec at rw call sites
+//! (exclusive specs degenerate shared mode to an exclusive
+//! acquisition) and [`LockSpec::make_lock`] rw specs at exclusive call
+//! sites (every acquisition takes the write side).
 //!
 //! ```
-//! use asl_harness::locks::LockSpec;
+//! use asl_harness::locks::{Caps, LockSpec};
 //!
 //! let spec: LockSpec = "libasl-70us".parse().unwrap();
 //! assert_eq!(spec.to_string(), "libasl-70us");
+//! assert!(spec.caps().has(Caps::EPOCH) && !spec.caps().has(Caps::FIFO));
 //!
 //! let lock = spec.make_dyn();
 //! {
@@ -34,11 +55,10 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use asl_core::{AslBlockingLock, AslLock, AslRwLock, AslSpinLock, ReorderableLock, SpinWait};
+use asl_core::{AslBlockingLock, AslLock, AslRwLock, AslSpinLock};
 use asl_locks::api::{DynLock, DynRwLock};
-use asl_locks::mcs::McsToken;
 use asl_locks::plain::{ExclusiveRw, PlainLock, PlainRwLock, RwTokenWords, TokenWords, WriteHalf};
 use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, ShuffleLock};
 use asl_locks::telemetry;
@@ -47,11 +67,15 @@ use asl_locks::{
     DelegatedMutex, FcBan, FlatCombiner, Gcr, MalthusianLock, McsLock, McsStpLock,
     ProportionalLock, PthreadMutex, RawLock, RawRwLock, RclLock, RwTicketLock, TasLock, TicketLock,
 };
-use asl_runtime::registry::is_big_core;
 use asl_runtime::AtomicAffinity;
 
+mod caps;
+mod static_window;
+pub use caps::Caps;
+pub use static_window::StaticWindowLock;
+
 /// FIFO substrate under the LibASL dispatch layer (one type parameter
-/// at the `AslLock` level, one name fragment here).
+/// at the `AslLock` level, one `libasl-…` row each).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AslSubstrate {
     /// MCS queue lock — the paper's default.
@@ -64,22 +88,9 @@ pub enum AslSubstrate {
     ShflFifo,
 }
 
-impl AslSubstrate {
-    /// Name fragment between `libasl-` and the SLO (`""` for the
-    /// default MCS substrate).
-    fn tag(&self) -> &'static str {
-        match self {
-            AslSubstrate::Mcs => "",
-            AslSubstrate::Clh => "clh-",
-            AslSubstrate::Ticket => "ticket-",
-            AslSubstrate::ShflFifo => "shfl-",
-        }
-    }
-}
-
 /// Exclusive substrate under the BRAVO reader-bias wrapper (the
 /// `Bravo<L>` type upgrades *any* [`asl_locks::RawLock`]; the registry
-/// catalogues these members, mirroring [`AslSubstrate`]).
+/// catalogues these members, one `bravo-…` row each).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BravoInner {
     /// Test-and-set spinlock (the BRAVO paper's own base case).
@@ -93,19 +104,6 @@ pub enum BravoInner {
     /// LibASL (max window): SLO-aware writer reordering under reader
     /// bias.
     Asl,
-}
-
-impl BravoInner {
-    /// Name fragment after `bravo-`.
-    fn tag(&self) -> &'static str {
-        match self {
-            BravoInner::Tas => "tas",
-            BravoInner::Ticket => "ticket",
-            BravoInner::Mcs => "mcs",
-            BravoInner::Clh => "clh",
-            BravoInner::Asl => "libasl",
-        }
-    }
 }
 
 /// Which lock to run an experiment under.
@@ -187,15 +185,237 @@ pub enum LockSpec {
     Gcr(Box<LockSpec>),
 }
 
+/// How a row reads the part of a name after its stem, with the
+/// variant's constructor and its inverse (see `grammar!`).
+enum Grammar {
+    /// The stem is the whole name.
+    Literal(LockSpec),
+    /// `<stem><n>`: a decimal count the constructor may refuse.
+    Count(fn(u64) -> Option<LockSpec>, fn(&LockSpec) -> Option<u64>),
+    /// `<stem><dur>`.
+    Duration(fn(u64) -> LockSpec, fn(&LockSpec) -> Option<u64>),
+    /// `<stem><max|dur>`: `max` is `None`.
+    MaxOrDuration(
+        fn(Option<u64>) -> LockSpec,
+        fn(&LockSpec) -> Option<Option<u64>>,
+    ),
+    /// `<stem><name>`: a wrapper over any other spec, which keeps the
+    /// inner spec's capabilities in the given set.
+    Inner(
+        Caps,
+        fn(Box<LockSpec>) -> LockSpec,
+        fn(&LockSpec) -> Option<&LockSpec>,
+    ),
+}
+
+/// What a row's grammar read from one name.
+enum Arg<'a> {
+    Literal,
+    Count(u64),
+    Duration(u64),
+    MaxOrDuration(Option<u64>),
+    Inner(Caps, &'a LockSpec),
+}
+
+/// The grammar of a parameterised row from the one spelling of its
+/// variant that is both an expression (the constructor) and a pattern
+/// (its inverse), so a family names its variant once. A count converts
+/// to the field's width and may carry a validity condition.
+macro_rules! grammar {
+    (Count, $n:ident $(if $valid:expr)? => $($spec:tt)+) => {
+        Grammar::Count(
+            |raw| {
+                let $n = raw.try_into().ok()?;
+                $(if !$valid { return None; })?
+                Some($($spec)+)
+            },
+            |spec| match spec {
+                $($spec)+ => Some((*$n).into()),
+                _ => None,
+            },
+        )
+    };
+    (Inner keeping $keeps:expr, $inner:ident => $($spec:tt)+) => {
+        Grammar::Inner($keeps, |$inner| $($spec)+, |spec| match spec {
+            $($spec)+ => Some(&**$inner),
+            _ => None,
+        })
+    };
+    ($kind:ident, $dur:ident => $($spec:tt)+) => {
+        Grammar::$kind(|$dur| $($spec)+, |spec| match spec {
+            $($spec)+ => Some(*$dur),
+            _ => None,
+        })
+    };
+}
+
+/// One lock family: a row of the registry table.
+pub struct Family {
+    /// The literal name, or the prefix the family's parameter follows.
+    pub stem: &'static str,
+    grammar: Grammar,
+    /// What the family promises; for a wrapper row, what the wrapper
+    /// adds to the capabilities it keeps of its inner spec.
+    pub caps: Caps,
+    /// The canonical members `repro locks` lists: the parameter's
+    /// spelling (`""` for a literal row) and a one-line description.
+    pub members: Members,
+}
+
+type Members = &'static [(&'static str, &'static str)];
+
+const fn row(stem: &'static str, grammar: Grammar, caps: Caps, members: Members) -> Family {
+    Family {
+        stem,
+        grammar,
+        caps,
+        members,
+    }
+}
+
+/// The table, in `repro locks` order. Parsing ignores the order;
+/// printing takes the first owner, so a literal row precedes its family.
+#[rustfmt::skip] // one row per family: stem, grammar, capabilities, canonical members
+static FAMILIES: &[Family] = &[
+    row("pthread", Grammar::Literal(LockSpec::Pthread), Caps::BLOCKING, &[
+        ("", "glibc-style spin-then-futex blocking mutex")]),
+    row("tas", Grammar::Literal(LockSpec::Tas(AtomicAffinity::Neutral)), Caps::TIMED_STATIC, &[
+        ("", "test-and-set spinlock, neutral atomics")]),
+    row("tas-big", Grammar::Literal(LockSpec::Tas(AtomicAffinity::big_wins())), Caps::TIMED_STATIC, &[
+        ("", "test-and-set spinlock, big cores win contended atomics")]),
+    row("tas-little", Grammar::Literal(LockSpec::Tas(AtomicAffinity::little_wins())), Caps::TIMED_STATIC, &[
+        ("", "test-and-set spinlock, little cores win contended atomics")]),
+    row("tas-big-p", grammar!(Count, n => LockSpec::Tas(AtomicAffinity::BigWins { penalty_units: n })), Caps::TIMED_STATIC, &[]),
+    row("tas-little-p", grammar!(Count, n => LockSpec::Tas(AtomicAffinity::LittleWins { penalty_units: n })), Caps::TIMED_STATIC, &[]),
+    row("ticket", Grammar::Literal(LockSpec::Ticket), Caps::FIFO.and(Caps::TIMED_STATIC), &[
+        ("", "FIFO ticket lock")]),
+    row("mcs", Grammar::Literal(LockSpec::Mcs), Caps::FIFO.and(Caps::TIMED_STATIC), &[
+        ("", "FIFO MCS queue lock (paper baseline)")]),
+    row("mcs-stp", Grammar::Literal(LockSpec::McsStp), Caps::FIFO.and(Caps::BLOCKING), &[
+        ("", "spin-then-park MCS, the blocking FIFO strawman")]),
+    row("shfl-pb", grammar!(Count, n => LockSpec::ShflPb(n)), Caps::NONE, &[
+        ("10", "proportional lock, 10 big grants per little grant")]),
+    row("shfl-local", grammar!(Count, n => LockSpec::ShuffleClassLocal { max_skips: n }), Caps::NONE, &[
+        ("16", "ShflLock framework, class-local policy (16-skip bound)")]),
+    row("cna", Grammar::Literal(LockSpec::Cna), Caps::NONE, &[
+        ("", "compact NUMA-aware lock on core classes")]),
+    row("cohort", Grammar::Literal(LockSpec::Cohort), Caps::NONE, &[
+        ("", "lock cohorting (C-BO-MCS) on core classes")]),
+    row("malthusian", Grammar::Literal(LockSpec::Malthusian(None)), Caps::NONE, &[
+        ("", "Malthusian MCS: culling + reintroduction (any period: malthusian-<n>)")]),
+    // A culling period of zero would never reintroduce anyone.
+    row("malthusian-", grammar!(Count, n if n != 0 => LockSpec::Malthusian(Some(n))), Caps::NONE, &[]),
+    row("libasl-", grammar!(MaxOrDuration, slo => LockSpec::Asl { substrate: AslSubstrate::Mcs, slo_ns: slo }), Caps::EPOCH, &[
+        ("70us", "LibASL, 70us SLO epochs (any SLO: libasl-<dur>)"),
+        ("max", "LibASL, maximum reorder window (no epochs)")]),
+    row("libasl-clh-", grammar!(MaxOrDuration, slo => LockSpec::Asl { substrate: AslSubstrate::Clh, slo_ns: slo }), Caps::EPOCH, &[
+        ("70us", "LibASL over the CLH substrate, 70us SLO"),
+        ("max", "LibASL over the CLH substrate, max window")]),
+    row("libasl-ticket-", grammar!(MaxOrDuration, slo => LockSpec::Asl { substrate: AslSubstrate::Ticket, slo_ns: slo }), Caps::EPOCH, &[
+        ("max", "LibASL over the ticket substrate, max window")]),
+    row("libasl-shfl-", grammar!(MaxOrDuration, slo => LockSpec::Asl { substrate: AslSubstrate::ShflFifo, slo_ns: slo }), Caps::EPOCH, &[
+        ("max", "LibASL over the shuffle(FIFO) substrate, max window")]),
+    // No `E`: the duration is a fixed window, not an SLO — the lock
+    // reads no epoch, so workloads open none for it and a KV shard it
+    // names stays FIFO.
+    row("libasl-opt-", grammar!(Duration, window => LockSpec::AslOpt { window_ns: window }), Caps::NONE, &[
+        ("50us", "LibASL-OPT: static 50us reorder window, no feedback")]),
+    row("libasl-blk-", grammar!(MaxOrDuration, slo => LockSpec::AslBlocking { slo_ns: slo }), Caps::EPOCH.and(Caps::BLOCKING), &[
+        ("70us", "blocking LibASL (futex + nanosleep standby), 70us SLO"),
+        ("max", "blocking LibASL, maximum window")]),
+    // No `F`: phase-fair, not FIFO — reader and writer phases
+    // alternate, so a read may be granted ahead of an earlier write.
+    row("rw-ticket", Grammar::Literal(LockSpec::RwTicket), Caps::RW, &[
+        ("", "phase-fair ticket rwlock: readers overlap, phases alternate")]),
+    // BRAVO rows: no `F` or `t` whatever the substrate offers — readers
+    // bypass it while the bias is on, and `Bravo<L>` is no `RawTimedLock`.
+    row("bravo-mcs", Grammar::Literal(LockSpec::BravoRw(BravoInner::Mcs)), Caps::RW, &[
+        ("", "BRAVO reader bias over MCS (bravo-{tas,ticket,mcs,clh,libasl})")]),
+    row("bravo-tas", Grammar::Literal(LockSpec::BravoRw(BravoInner::Tas)), Caps::RW, &[
+        ("", "BRAVO reader bias over the TAS spinlock")]),
+    // No `E`: the substrate is LibASL-max and the name has no SLO to
+    // carry, so no epoch is opened for it; and it has always guarded a
+    // KV shard as a FIFO queue (where `libasl-max` itself maps to pure
+    // EDF) — kept, so that no async cell moves.
+    row("bravo-libasl", Grammar::Literal(LockSpec::BravoRw(BravoInner::Asl)), Caps::RW, &[
+        ("", "BRAVO reader bias over LibASL-max: SLO reordering + shared reads")]),
+    row("bravo-ticket", Grammar::Literal(LockSpec::BravoRw(BravoInner::Ticket)), Caps::RW, &[]),
+    row("bravo-clh", Grammar::Literal(LockSpec::BravoRw(BravoInner::Clh)), Caps::RW, &[]),
+    row("libasl-rw-", grammar!(MaxOrDuration, slo => LockSpec::AslRw { slo_ns: slo }), Caps::RW.and(Caps::EPOCH), &[
+        ("70us", "reader-writer LibASL, 70us SLO epochs (any SLO: libasl-rw-<dur>)"),
+        ("max", "reader-writer LibASL, maximum reorder window")]),
+    // No `F`: FIFO only once morphed; the TAS fast path barges.
+    row("adaptive", Grammar::Literal(LockSpec::Adaptive), Caps::NONE, &[
+        ("", "contention-adaptive: TAS that morphs to a FIFO queue under load (bare; restricted: gcr-adaptive)")]),
+    row("flatcomb", Grammar::Literal(LockSpec::Flatcomb), Caps::DELEGATION, &[
+        ("", "flat-combining delegation (publication array) via the op bridge")]),
+    row("ccsynch", Grammar::Literal(LockSpec::CcSynch), Caps::DELEGATION, &[
+        ("", "CC-Synch combining queue: cache-local combiner handoff")]),
+    row("rcl", Grammar::Literal(LockSpec::Rcl), Caps::DELEGATION, &[
+        ("", "RCL-style server lock: dedicated server thread polls client slots")]),
+    row("fc-ban", Grammar::Literal(LockSpec::FcBan), Caps::DELEGATION, &[
+        ("", "usage-fair banning combiner: overdrawn threads wait out overage")]),
+    // Keeps everything but `t`: `Instrumented<L>` is no `RawTimedLock`.
+    row("instrumented-", grammar!(Inner keeping Caps::FIFO.and(Caps::RW).and(Caps::EPOCH).and(Caps::BLOCKING).and(Caps::DELEGATION),
+        inner => LockSpec::Instrumented(inner)), Caps::NONE, &[
+        ("mcs", "telemetry-recording MCS (any name: instrumented-<name>)")]),
+    // Drops `F` (the passive set is reintroduced out of order) and `R`
+    // (the admission gate serializes entries, so shared overlap behind
+    // it would be misleading — and the write-half degeneration is
+    // exactly the collapse case GCR targets). Keeps `t` as what it is,
+    // static type only: `Gcr<McsLock>` backs out, the registry's
+    // `Gcr<DynLock>` cannot. Adds `B`: excess waiters park.
+    row("gcr-", grammar!(Inner keeping Caps::TIMED_STATIC.and(Caps::EPOCH).and(Caps::BLOCKING).and(Caps::DELEGATION),
+        inner => LockSpec::Gcr(inner)), Caps::BLOCKING, &[
+        ("mcs", "concurrency-restricted MCS (any name: gcr-<name>)")]),
+];
+
+/// Every lock family, one row each.
+pub fn families() -> &'static [Family] {
+    FAMILIES
+}
+
+impl Family {
+    /// Read `name` as a member of this family (`None`: not one).
+    pub fn parse(&self, name: &str) -> Option<LockSpec> {
+        let rest = name.strip_prefix(self.stem)?;
+        match &self.grammar {
+            Grammar::Literal(spec) => rest.is_empty().then(|| spec.clone()),
+            Grammar::Count(make, _) => make(rest.parse().ok()?),
+            Grammar::Duration(make, _) => parse_duration(rest).map(make),
+            Grammar::MaxOrDuration(make, _) => match rest {
+                "max" => Some(make(None)),
+                dur => parse_duration(dur).map(|ns| make(Some(ns))),
+            },
+            Grammar::Inner(_, make, _) => rest.parse().ok().map(|inner| make(Box::new(inner))),
+        }
+    }
+
+    /// Whether `name` starts like a member: FromStr's candidate test.
+    fn claims(&self, name: &str) -> bool {
+        let whole = matches!(self.grammar, Grammar::Literal(_));
+        name.starts_with(self.stem) && (!whole || name.len() == self.stem.len())
+    }
+
+    /// What this row's grammar would print for `spec`, if it owns it.
+    fn arg_of<'a>(&self, spec: &'a LockSpec) -> Option<Arg<'a>> {
+        match &self.grammar {
+            Grammar::Literal(own) => (own == spec).then_some(Arg::Literal),
+            Grammar::Count(_, get) => get(spec).map(Arg::Count),
+            Grammar::Duration(_, get) => get(spec).map(Arg::Duration),
+            Grammar::MaxOrDuration(_, get) => get(spec).map(Arg::MaxOrDuration),
+            Grammar::Inner(keeps, _, get) => get(spec).map(|inner| Arg::Inner(*keeps, inner)),
+        }
+    }
+}
+
 impl LockSpec {
     /// LibASL over the default MCS substrate (`None` = max window).
     pub fn asl(slo_ns: Option<u64>) -> Self {
-        Self::asl_on(AslSubstrate::Mcs, slo_ns)
-    }
-
-    /// LibASL over an explicit FIFO substrate.
-    pub fn asl_on(substrate: AslSubstrate, slo_ns: Option<u64>) -> Self {
-        LockSpec::Asl { substrate, slo_ns }
+        LockSpec::Asl {
+            substrate: AslSubstrate::Mcs,
+            slo_ns,
+        }
     }
 
     /// Registry-style label ("mcs", "libasl-50us", ...) — same as the
@@ -204,33 +424,52 @@ impl LockSpec {
         self.to_string()
     }
 
+    /// The row that owns this value, and what its grammar prints.
+    fn owner(&self) -> (&'static Family, Arg<'_>) {
+        FAMILIES
+            .iter()
+            .find_map(|family| Some((family, family.arg_of(self)?)))
+            .expect("every LockSpec variant has a row in FAMILIES")
+    }
+
+    /// What this spec promises: its row's capabilities, and for a
+    /// wrapper those it keeps of its inner spec plus those it adds.
+    pub fn caps(&self) -> Caps {
+        match self.owner() {
+            (wrapper, Arg::Inner(keeps, inner)) => inner.caps().only(keeps).and(wrapper.caps),
+            (family, _) => family.caps,
+        }
+    }
+
     /// Whether the workload should wrap requests in an epoch, and the
-    /// SLO to use.
+    /// SLO to use: the duration of an [`Caps::EPOCH`] family (`max`
+    /// opens none), seen through any wrapper that keeps the capability.
     pub fn epoch_slo(&self) -> Option<u64> {
-        match self {
-            LockSpec::Asl { slo_ns, .. }
-            | LockSpec::AslBlocking { slo_ns }
-            | LockSpec::AslRw { slo_ns } => *slo_ns,
-            LockSpec::Instrumented(inner) | LockSpec::Gcr(inner) => inner.epoch_slo(),
-            _ => None,
+        let (family, arg) = self.owner();
+        match arg {
+            Arg::MaxOrDuration(slo) if family.caps.has(Caps::EPOCH) => slo,
+            Arg::Inner(keeps, inner) if keeps.has(Caps::EPOCH) => inner.epoch_slo(),
+            // No `E` in the row, or none kept: no epoch to open.
+            Arg::MaxOrDuration(_)
+            | Arg::Inner(..)
+            | Arg::Literal
+            | Arg::Count(_)
+            | Arg::Duration(_) => None,
         }
     }
 
     /// The async wait-queue policy this spec maps to when it guards a
-    /// KV-service shard: the LibASL family becomes the SLO-aware
-    /// deadline-ordered queue (a missing SLO — `libasl-max` — means an
-    /// unbounded reorder window, i.e. pure earliest-deadline-first),
-    /// every thread-oriented spec degenerates to FIFO handoff, the
-    /// async analogue of an MCS queue.
+    /// KV-service shard: an [`Caps::EPOCH`] family becomes the
+    /// SLO-aware deadline-ordered queue (a missing SLO — `libasl-max`
+    /// — means an unbounded reorder window, i.e. pure
+    /// earliest-deadline-first), every other spec degenerates to FIFO
+    /// handoff, the async analogue of an MCS queue.
     pub fn async_policy(&self) -> AsyncPolicy {
-        match self {
-            LockSpec::Asl { slo_ns, .. }
-            | LockSpec::AslBlocking { slo_ns }
-            | LockSpec::AslRw { slo_ns } => AsyncPolicy::Slo {
-                slo_ns: slo_ns.unwrap_or(u64::MAX),
-            },
-            LockSpec::Instrumented(inner) | LockSpec::Gcr(inner) => inner.async_policy(),
-            _ => AsyncPolicy::Fifo,
+        if self.caps().has(Caps::EPOCH) {
+            let slo_ns = self.epoch_slo().unwrap_or(u64::MAX);
+            AsyncPolicy::Slo { slo_ns }
+        } else {
+            AsyncPolicy::Fifo
         }
     }
 
@@ -238,20 +477,7 @@ impl LockSpec {
     /// acquisitions overlap). Exclusive specs still work at rw call
     /// sites through the [`ExclusiveRw`] degeneration.
     pub fn is_rw(&self) -> bool {
-        match self {
-            LockSpec::RwTicket | LockSpec::BravoRw(_) | LockSpec::AslRw { .. } => true,
-            LockSpec::Instrumented(inner) => inner.is_rw(),
-            // A gcr-wrapped rw spec degenerates to exclusive: the
-            // admission gate serializes entries, so shared overlap
-            // behind it would be misleading — and the write-half
-            // degeneration is exactly the collapse case GCR targets.
-            _ => false,
-        }
-    }
-
-    /// Build `n` independent guard-based lock handles for this spec.
-    pub fn make_locks(&self, n: usize) -> Vec<DynLock> {
-        (0..n).map(|_| self.make_dyn()).collect()
+        self.caps().has(Caps::RW)
     }
 
     /// Build one guard-based lock handle.
@@ -272,8 +498,8 @@ impl LockSpec {
     /// --profile` mode.
     pub fn make_lock(&self) -> Arc<dyn PlainLock> {
         let raw = self.make_lock_raw();
-        if matches!(self, LockSpec::Instrumented(_)) {
-            raw // already recording
+        if self.records_itself() {
+            raw
         } else {
             telemetry::maybe_instrument(&self.label(), raw)
         }
@@ -284,11 +510,17 @@ impl LockSpec {
         self.build(Erase { rw_site: false }).into_lock()
     }
 
+    /// Whether [`LockSpec::build`]'s outermost layer is already the
+    /// recording one (the arm that calls [`LockSink::instrumented`]).
+    fn records_itself(&self) -> bool {
+        matches!(self, LockSpec::Instrumented(_))
+    }
+
     /// The one constructor walk: build this spec's concrete lock and
     /// hand it, still statically typed, to `sink`. Everything that
     /// materializes a spec derives from this match — the erased
     /// factories below and the overhead figure's monomorphised static
-    /// leg — so a new registry row is one arm here.
+    /// leg — so a new family is one arm here beside its row.
     pub(crate) fn build<S: LockSink>(&self, sink: S) -> S::Out {
         match self {
             LockSpec::Pthread => sink.raw(PthreadMutex::new()),
@@ -364,8 +596,8 @@ impl LockSpec {
     /// wrapping follows [`LockSpec::make_lock`].
     pub fn make_rw_lock(&self) -> Arc<dyn PlainRwLock> {
         let raw = self.make_rw_lock_raw();
-        if matches!(self, LockSpec::Instrumented(_)) {
-            raw // already recording
+        if self.records_itself() {
+            raw
         } else {
             telemetry::maybe_instrument_rw(&self.label(), raw)
         }
@@ -476,56 +708,15 @@ impl LockSink for Erase {
 
 impl fmt::Display for LockSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LockSpec::Pthread => f.write_str("pthread"),
-            LockSpec::Tas(aff) => f.write_str(&fmt_tas(aff)),
-            LockSpec::Ticket => f.write_str("ticket"),
-            LockSpec::Mcs => f.write_str("mcs"),
-            LockSpec::McsStp => f.write_str("mcs-stp"),
-            LockSpec::ShflPb(n) => write!(f, "shfl-pb{n}"),
-            LockSpec::Cna => f.write_str("cna"),
-            LockSpec::Cohort => f.write_str("cohort"),
-            LockSpec::Malthusian(None) => f.write_str("malthusian"),
-            LockSpec::Malthusian(Some(p)) => write!(f, "malthusian-{p}"),
-            LockSpec::ShuffleClassLocal { max_skips } => write!(f, "shfl-local{max_skips}"),
-            LockSpec::Asl {
-                substrate,
-                slo_ns: None,
-            } => {
-                write!(f, "libasl-{}max", substrate.tag())
-            }
-            LockSpec::Asl {
-                substrate,
-                slo_ns: Some(s),
-            } => {
-                write!(f, "libasl-{}{}", substrate.tag(), fmt_slo(*s))
-            }
-            LockSpec::AslOpt { window_ns } => write!(f, "libasl-opt-{}", fmt_slo(*window_ns)),
-            LockSpec::AslBlocking { slo_ns: None } => f.write_str("libasl-blk-max"),
-            LockSpec::AslBlocking { slo_ns: Some(s) } => write!(f, "libasl-blk-{}", fmt_slo(*s)),
-            LockSpec::RwTicket => f.write_str("rw-ticket"),
-            LockSpec::BravoRw(inner) => write!(f, "bravo-{}", inner.tag()),
-            LockSpec::AslRw { slo_ns: None } => f.write_str("libasl-rw-max"),
-            LockSpec::AslRw { slo_ns: Some(s) } => write!(f, "libasl-rw-{}", fmt_slo(*s)),
-            LockSpec::Adaptive => f.write_str("adaptive"),
-            LockSpec::Flatcomb => f.write_str("flatcomb"),
-            LockSpec::CcSynch => f.write_str("ccsynch"),
-            LockSpec::Rcl => f.write_str("rcl"),
-            LockSpec::FcBan => f.write_str("fc-ban"),
-            LockSpec::Instrumented(inner) => write!(f, "instrumented-{inner}"),
-            LockSpec::Gcr(inner) => write!(f, "gcr-{inner}"),
+        let (family, arg) = self.owner();
+        f.write_str(family.stem)?;
+        match arg {
+            Arg::Literal => Ok(()),
+            Arg::Count(n) => write!(f, "{n}"),
+            Arg::MaxOrDuration(None) => f.write_str("max"),
+            Arg::Duration(ns) | Arg::MaxOrDuration(Some(ns)) => fmt_duration(f, ns),
+            Arg::Inner(_, inner) => inner.fmt(f),
         }
-    }
-}
-
-fn fmt_tas(aff: &AtomicAffinity) -> String {
-    const DP: u64 = AtomicAffinity::DEFAULT_PENALTY;
-    match aff {
-        AtomicAffinity::Neutral => "tas".into(),
-        AtomicAffinity::BigWins { penalty_units: DP } => "tas-big".into(),
-        AtomicAffinity::BigWins { penalty_units } => format!("tas-big-p{penalty_units}"),
-        AtomicAffinity::LittleWins { penalty_units: DP } => "tas-little".into(),
-        AtomicAffinity::LittleWins { penalty_units } => format!("tas-little-p{penalty_units}"),
     }
 }
 
@@ -551,103 +742,20 @@ impl FromStr for LockSpec {
     type Err = ParseLockSpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || ParseLockSpecError {
-            name: s.to_string(),
-        };
-        let spec = match s {
-            "pthread" => LockSpec::Pthread,
-            "tas" => LockSpec::Tas(AtomicAffinity::Neutral),
-            "tas-big" => LockSpec::Tas(AtomicAffinity::big_wins()),
-            "tas-little" => LockSpec::Tas(AtomicAffinity::little_wins()),
-            "ticket" => LockSpec::Ticket,
-            "mcs" => LockSpec::Mcs,
-            "mcs-stp" => LockSpec::McsStp,
-            "adaptive" => LockSpec::Adaptive,
-            "flatcomb" => LockSpec::Flatcomb,
-            "ccsynch" => LockSpec::CcSynch,
-            "rcl" => LockSpec::Rcl,
-            "fc-ban" => LockSpec::FcBan,
-            "cna" => LockSpec::Cna,
-            "cohort" => LockSpec::Cohort,
-            "malthusian" => LockSpec::Malthusian(None),
-            "rw-ticket" => LockSpec::RwTicket,
-            "bravo-tas" => LockSpec::BravoRw(BravoInner::Tas),
-            "bravo-ticket" => LockSpec::BravoRw(BravoInner::Ticket),
-            "bravo-mcs" => LockSpec::BravoRw(BravoInner::Mcs),
-            "bravo-clh" => LockSpec::BravoRw(BravoInner::Clh),
-            "bravo-libasl" => LockSpec::BravoRw(BravoInner::Asl),
-            _ => {
-                if let Some(inner) = s.strip_prefix("instrumented-") {
-                    LockSpec::Instrumented(Box::new(inner.parse().map_err(|_| err())?))
-                } else if let Some(inner) = s.strip_prefix("gcr-") {
-                    LockSpec::Gcr(Box::new(inner.parse().map_err(|_| err())?))
-                } else if let Some(p) = s.strip_prefix("malthusian-") {
-                    let period: u32 = p.parse().map_err(|_| err())?;
-                    if period == 0 {
-                        return Err(err());
-                    }
-                    LockSpec::Malthusian(Some(period))
-                } else if let Some(p) = s.strip_prefix("tas-big-p") {
-                    LockSpec::Tas(AtomicAffinity::BigWins {
-                        penalty_units: p.parse().map_err(|_| err())?,
-                    })
-                } else if let Some(p) = s.strip_prefix("tas-little-p") {
-                    LockSpec::Tas(AtomicAffinity::LittleWins {
-                        penalty_units: p.parse().map_err(|_| err())?,
-                    })
-                } else if let Some(n) = s.strip_prefix("shfl-pb") {
-                    LockSpec::ShflPb(n.parse().map_err(|_| err())?)
-                } else if let Some(n) = s.strip_prefix("shfl-local") {
-                    LockSpec::ShuffleClassLocal {
-                        max_skips: n.parse().map_err(|_| err())?,
-                    }
-                } else if let Some(w) = s.strip_prefix("libasl-opt-") {
-                    LockSpec::AslOpt {
-                        window_ns: parse_slo(w).ok_or_else(err)?,
-                    }
-                } else if let Some(rest) = s.strip_prefix("libasl-rw-") {
-                    LockSpec::AslRw {
-                        slo_ns: parse_max_or_slo(rest).ok_or_else(err)?,
-                    }
-                } else if let Some(rest) = s.strip_prefix("libasl-blk-") {
-                    LockSpec::AslBlocking {
-                        slo_ns: parse_max_or_slo(rest).ok_or_else(err)?,
-                    }
-                } else if let Some(rest) = s.strip_prefix("libasl-") {
-                    let (substrate, rest) = if let Some(r) = rest.strip_prefix("clh-") {
-                        (AslSubstrate::Clh, r)
-                    } else if let Some(r) = rest.strip_prefix("ticket-") {
-                        (AslSubstrate::Ticket, r)
-                    } else if let Some(r) = rest.strip_prefix("shfl-") {
-                        (AslSubstrate::ShflFifo, r)
-                    } else {
-                        (AslSubstrate::Mcs, rest)
-                    };
-                    LockSpec::Asl {
-                        substrate,
-                        slo_ns: parse_max_or_slo(rest).ok_or_else(err)?,
-                    }
-                } else {
-                    return Err(err());
-                }
-            }
-        };
-        Ok(spec)
-    }
-}
-
-/// `"max"` → no epoch; otherwise an SLO duration.
-fn parse_max_or_slo(s: &str) -> Option<Option<u64>> {
-    if s == "max" {
-        Some(None)
-    } else {
-        parse_slo(s).map(Some)
+        FAMILIES
+            .iter()
+            .filter(|family| family.claims(s))
+            .max_by_key(|family| family.stem.len())
+            .and_then(|family| family.parse(s))
+            .ok_or_else(|| ParseLockSpecError {
+                name: s.to_string(),
+            })
     }
 }
 
 /// Parse a duration in the registry's `Display` form: `"70us"`,
 /// `"4ms"`, `"250ns"`, or a bare nanosecond count.
-fn parse_slo(s: &str) -> Option<u64> {
+fn parse_duration(s: &str) -> Option<u64> {
     let (digits, mult) = if let Some(d) = s.strip_suffix("ms") {
         (d, 1_000_000)
     } else if let Some(d) = s.strip_suffix("us") {
@@ -660,15 +768,15 @@ fn parse_slo(s: &str) -> Option<u64> {
     digits.parse::<u64>().ok().and_then(|n| n.checked_mul(mult))
 }
 
-fn fmt_slo(ns: u64) -> String {
+fn fmt_duration(f: &mut fmt::Formatter<'_>, ns: u64) -> fmt::Result {
     // Only collapse to a coarser unit when exact, so the printed name
     // parses back to the same spec (`from_str ∘ to_string` identity).
     if ns >= 1_000_000 && ns % 1_000_000 == 0 {
-        format!("{}ms", ns / 1_000_000)
+        write!(f, "{}ms", ns / 1_000_000)
     } else if ns >= 1_000 && ns % 1_000 == 0 {
-        format!("{}us", ns / 1_000)
+        write!(f, "{}us", ns / 1_000)
     } else {
-        format!("{ns}ns")
+        write!(f, "{ns}ns")
     }
 }
 
@@ -682,213 +790,36 @@ pub struct RegistryEntry {
     pub description: &'static str,
 }
 
-/// Every catalogued lock spec. Each entry's printed name parses back
-/// to the same spec; SLO-parameterized families are represented by
-/// canonical members (any other SLO is reachable by name, e.g.
-/// `"libasl-25us"`).
-pub fn registry() -> Vec<RegistryEntry> {
-    let e = |spec, description| RegistryEntry { spec, description };
-    vec![
-        e(
-            LockSpec::Pthread,
-            "glibc-style spin-then-futex blocking mutex",
-        ),
-        e(
-            LockSpec::Tas(AtomicAffinity::Neutral),
-            "test-and-set spinlock, neutral atomics",
-        ),
-        e(
-            LockSpec::Tas(AtomicAffinity::big_wins()),
-            "test-and-set spinlock, big cores win contended atomics",
-        ),
-        e(
-            LockSpec::Tas(AtomicAffinity::little_wins()),
-            "test-and-set spinlock, little cores win contended atomics",
-        ),
-        e(LockSpec::Ticket, "FIFO ticket lock"),
-        e(LockSpec::Mcs, "FIFO MCS queue lock (paper baseline)"),
-        e(
-            LockSpec::McsStp,
-            "spin-then-park MCS, the blocking FIFO strawman",
-        ),
-        e(
-            LockSpec::ShflPb(10),
-            "proportional lock, 10 big grants per little grant",
-        ),
-        e(
-            LockSpec::ShuffleClassLocal { max_skips: 16 },
-            "ShflLock framework, class-local policy (16-skip bound)",
-        ),
-        e(LockSpec::Cna, "compact NUMA-aware lock on core classes"),
-        e(
-            LockSpec::Cohort,
-            "lock cohorting (C-BO-MCS) on core classes",
-        ),
-        e(
-            LockSpec::Malthusian(None),
-            "Malthusian MCS: culling + reintroduction (any period: malthusian-<n>)",
-        ),
-        e(
-            LockSpec::asl(Some(70_000)),
-            "LibASL, 70us SLO epochs (any SLO: libasl-<dur>)",
-        ),
-        e(
-            LockSpec::asl(None),
-            "LibASL, maximum reorder window (no epochs)",
-        ),
-        e(
-            LockSpec::asl_on(AslSubstrate::Clh, Some(70_000)),
-            "LibASL over the CLH substrate, 70us SLO",
-        ),
-        e(
-            LockSpec::asl_on(AslSubstrate::Clh, None),
-            "LibASL over the CLH substrate, max window",
-        ),
-        e(
-            LockSpec::asl_on(AslSubstrate::Ticket, None),
-            "LibASL over the ticket substrate, max window",
-        ),
-        e(
-            LockSpec::asl_on(AslSubstrate::ShflFifo, None),
-            "LibASL over the shuffle(FIFO) substrate, max window",
-        ),
-        e(
-            LockSpec::AslOpt { window_ns: 50_000 },
-            "LibASL-OPT: static 50us reorder window, no feedback",
-        ),
-        e(
-            LockSpec::AslBlocking {
-                slo_ns: Some(70_000),
-            },
-            "blocking LibASL (futex + nanosleep standby), 70us SLO",
-        ),
-        e(
-            LockSpec::AslBlocking { slo_ns: None },
-            "blocking LibASL, maximum window",
-        ),
-        e(
-            LockSpec::RwTicket,
-            "phase-fair ticket rwlock: readers overlap, phases alternate",
-        ),
-        e(
-            LockSpec::BravoRw(BravoInner::Mcs),
-            "BRAVO reader bias over MCS (bravo-{tas,ticket,mcs,clh,libasl})",
-        ),
-        e(
-            LockSpec::BravoRw(BravoInner::Tas),
-            "BRAVO reader bias over the TAS spinlock",
-        ),
-        e(
-            LockSpec::BravoRw(BravoInner::Asl),
-            "BRAVO reader bias over LibASL-max: SLO reordering + shared reads",
-        ),
-        e(
-            LockSpec::AslRw {
-                slo_ns: Some(70_000),
-            },
-            "reader-writer LibASL, 70us SLO epochs (any SLO: libasl-rw-<dur>)",
-        ),
-        e(
-            LockSpec::AslRw { slo_ns: None },
-            "reader-writer LibASL, maximum reorder window",
-        ),
-        e(
-            LockSpec::Adaptive,
-            "contention-adaptive: TAS that morphs to a FIFO queue under load (bare; restricted: gcr-adaptive)",
-        ),
-        e(
-            LockSpec::Flatcomb,
-            "flat-combining delegation (publication array) via the op bridge",
-        ),
-        e(
-            LockSpec::CcSynch,
-            "CC-Synch combining queue: cache-local combiner handoff",
-        ),
-        e(
-            LockSpec::Rcl,
-            "RCL-style server lock: dedicated server thread polls client slots",
-        ),
-        e(
-            LockSpec::FcBan,
-            "usage-fair banning combiner: overdrawn threads wait out overage",
-        ),
-        e(
-            LockSpec::Instrumented(Box::new(LockSpec::Mcs)),
-            "telemetry-recording MCS (any name: instrumented-<name>)",
-        ),
-        e(
-            LockSpec::Gcr(Box::new(LockSpec::Mcs)),
-            "concurrency-restricted MCS (any name: gcr-<name>)",
-        ),
-    ]
+/// Every catalogued lock spec: the canonical members of every family,
+/// in table order. Each entry's printed name parses back to the same
+/// spec; any other parameter of a family is reachable by name
+/// (`"libasl-25us"`).
+pub fn registry() -> &'static [RegistryEntry] {
+    static REGISTRY: OnceLock<Vec<RegistryEntry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        let members = FAMILIES.iter().flat_map(|family| {
+            family.members.iter().map(move |&(param, description)| {
+                let spec = family.parse(&format!("{}{param}", family.stem));
+                RegistryEntry {
+                    spec: spec.expect("a canonical member is a name of its row"),
+                    description,
+                }
+            })
+        });
+        members.collect()
+    })
 }
 
-/// LibASL-OPT: the paper's "optimal policy" comparator that "directly
-/// chooses a static window (no window adjustment)". Big cores lock
-/// immediately, little cores always stand by for the fixed window.
-pub struct StaticWindowLock {
-    inner: ReorderableLock<McsLock, SpinWait>,
-    window_ns: u64,
-}
-
-impl StaticWindowLock {
-    /// Create with the given fixed reorder window.
-    pub fn new(window_ns: u64) -> Self {
-        StaticWindowLock {
-            inner: ReorderableLock::new(McsLock::new()),
-            window_ns,
-        }
-    }
-
-    /// The fixed window (ns).
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-}
-
-impl RawLock for StaticWindowLock {
-    type Token = McsToken;
-    const NAME: &'static str = "libasl-opt";
-
-    #[inline]
-    fn lock(&self) -> McsToken {
-        if is_big_core() {
-            self.inner.lock_immediately()
-        } else {
-            self.inner.lock_reorder(self.window_ns)
-        }
-    }
-    #[inline]
-    fn try_lock(&self) -> Option<McsToken> {
-        self.inner.try_lock()
-    }
-    #[inline]
-    fn unlock(&self, token: McsToken) {
-        self.inner.unlock(token);
-    }
-    fn is_locked(&self) -> bool {
-        self.inner.is_locked()
-    }
-}
-
-/// The paper's standard competitor set for bar-chart figures
-/// (Fig. 8a, 9a/d/g, 10a/d): baselines plus LibASL at the given SLOs
-/// and LibASL-MAX. `affinity` configures the TAS lock's bias for the
-/// scenario being reproduced.
-pub fn standard_lineup(affinity: AtomicAffinity, slos_ns: &[u64]) -> Vec<LockSpec> {
-    let mut v = vec![
-        LockSpec::Pthread,
-        LockSpec::Tas(affinity),
-        LockSpec::Ticket,
-        LockSpec::ShflPb(10),
-        LockSpec::Mcs,
-        LockSpec::asl(Some(0)),
-    ];
-    for &slo in slos_ns {
-        v.push(LockSpec::asl(Some(slo)));
-    }
-    v.push(LockSpec::asl(None));
-    v
+/// The rows of the `repro locks` listing: name, capability letters
+/// ([`Caps`]), description — one line per [`registry`] entry.
+pub fn listing() -> String {
+    let names: Vec<String> = registry().iter().map(|e| e.spec.to_string()).collect();
+    let width = names.iter().map(String::len).max().unwrap_or(0);
+    let line = |(entry, name): (&RegistryEntry, &String)| {
+        let caps = entry.spec.caps();
+        format!("{name:<width$}  {caps}  {}\n", entry.description)
+    };
+    registry().iter().zip(&names).map(line).collect()
 }
 
 #[cfg(test)]
@@ -896,371 +827,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels() {
-        assert_eq!(LockSpec::Mcs.label(), "mcs");
-        assert_eq!(LockSpec::ShflPb(10).label(), "shfl-pb10");
-        assert_eq!(LockSpec::asl(Some(50_000)).label(), "libasl-50us");
-        assert_eq!(LockSpec::asl(Some(4_000_000)).label(), "libasl-4ms");
-        assert_eq!(LockSpec::asl(None).label(), "libasl-max");
-        assert_eq!(
-            LockSpec::AslOpt { window_ns: 1_000 }.label(),
-            "libasl-opt-1us"
-        );
-        assert_eq!(
-            LockSpec::asl_on(AslSubstrate::Clh, Some(25_000)).label(),
-            "libasl-clh-25us"
-        );
-        // Non-round SLOs keep an exact printed form.
-        assert_eq!(LockSpec::asl(Some(1_500)).label(), "libasl-1500ns");
-        assert_eq!(LockSpec::CcSynch.label(), "ccsynch");
-        assert_eq!(LockSpec::Rcl.label(), "rcl");
-        assert_eq!(LockSpec::FcBan.label(), "fc-ban");
-        assert_eq!(LockSpec::Flatcomb.label(), "flatcomb");
-    }
-
-    #[test]
-    fn parse_known_names() {
-        for (name, spec) in [
-            ("pthread", LockSpec::Pthread),
-            ("tas", LockSpec::Tas(AtomicAffinity::Neutral)),
-            ("tas-big", LockSpec::Tas(AtomicAffinity::big_wins())),
-            (
-                "tas-little-p42",
-                LockSpec::Tas(AtomicAffinity::LittleWins { penalty_units: 42 }),
-            ),
-            ("mcs", LockSpec::Mcs),
-            ("mcs-stp", LockSpec::McsStp),
-            ("shfl-pb10", LockSpec::ShflPb(10)),
-            ("shfl-local8", LockSpec::ShuffleClassLocal { max_skips: 8 }),
-            ("libasl-70us", LockSpec::asl(Some(70_000))),
-            ("libasl-max", LockSpec::asl(None)),
-            ("libasl-0ns", LockSpec::asl(Some(0))),
-            ("libasl-clh-max", LockSpec::asl_on(AslSubstrate::Clh, None)),
-            (
-                "libasl-ticket-4ms",
-                LockSpec::asl_on(AslSubstrate::Ticket, Some(4_000_000)),
-            ),
-            (
-                "libasl-shfl-max",
-                LockSpec::asl_on(AslSubstrate::ShflFifo, None),
-            ),
-            ("libasl-opt-50us", LockSpec::AslOpt { window_ns: 50_000 }),
-            (
-                "libasl-blk-70us",
-                LockSpec::AslBlocking {
-                    slo_ns: Some(70_000),
-                },
-            ),
-            ("libasl-blk-max", LockSpec::AslBlocking { slo_ns: None }),
-            ("rw-ticket", LockSpec::RwTicket),
-            ("bravo-tas", LockSpec::BravoRw(BravoInner::Tas)),
-            ("bravo-ticket", LockSpec::BravoRw(BravoInner::Ticket)),
-            ("bravo-mcs", LockSpec::BravoRw(BravoInner::Mcs)),
-            ("bravo-clh", LockSpec::BravoRw(BravoInner::Clh)),
-            ("bravo-libasl", LockSpec::BravoRw(BravoInner::Asl)),
-            (
-                "libasl-rw-70us",
-                LockSpec::AslRw {
-                    slo_ns: Some(70_000),
-                },
-            ),
-            ("libasl-rw-max", LockSpec::AslRw { slo_ns: None }),
-            (
-                "libasl-rw-1500ns",
-                LockSpec::AslRw {
-                    slo_ns: Some(1_500),
-                },
-            ),
-            ("adaptive", LockSpec::Adaptive),
-            ("flatcomb", LockSpec::Flatcomb),
-            ("ccsynch", LockSpec::CcSynch),
-            ("rcl", LockSpec::Rcl),
-            ("fc-ban", LockSpec::FcBan),
-            (
-                "instrumented-mcs",
-                LockSpec::Instrumented(Box::new(LockSpec::Mcs)),
-            ),
-            (
-                "instrumented-libasl-70us",
-                LockSpec::Instrumented(Box::new(LockSpec::asl(Some(70_000)))),
-            ),
-            (
-                "instrumented-rw-ticket",
-                LockSpec::Instrumented(Box::new(LockSpec::RwTicket)),
-            ),
-        ] {
-            assert_eq!(name.parse::<LockSpec>().unwrap(), spec, "{name}");
-        }
-    }
-
-    #[test]
-    fn rw_specs_materialize_shared_locks() {
-        for name in ["rw-ticket", "bravo-mcs", "bravo-libasl", "libasl-rw-max"] {
-            let spec: LockSpec = name.parse().unwrap();
-            assert!(spec.is_rw(), "{name} must be an rw spec");
-            let lock = spec.make_dyn_rw();
-            {
-                let _r1 = lock.read();
-                let _r2 = lock
-                    .try_read()
-                    .unwrap_or_else(|| panic!("{name}: reads must overlap"));
-                assert!(
-                    lock.try_write().is_none(),
-                    "{name}: readers exclude writers"
-                );
-            }
-            {
-                let _w = lock.write();
-                assert!(lock.try_read().is_none(), "{name}: writer excludes readers");
-            }
-            assert!(!lock.is_locked(), "{name}: all guards released");
-        }
-    }
-
-    #[test]
-    fn exclusive_specs_degenerate_at_rw_call_sites() {
-        let spec = LockSpec::Mcs;
-        assert!(!spec.is_rw());
-        let lock = spec.make_dyn_rw();
-        let r = lock.read();
-        assert!(lock.try_read().is_none(), "exclusive substrate: no overlap");
-        drop(r);
-        assert!(!lock.is_locked());
-    }
-
-    #[test]
-    fn rw_specs_work_at_exclusive_call_sites() {
-        // make_dyn on an rw spec hands out the write side.
-        for name in ["rw-ticket", "bravo-ticket", "libasl-rw-70us"] {
-            let spec: LockSpec = name.parse().unwrap();
-            let lock = spec.make_dyn();
-            {
-                let _held = lock.lock();
-                assert!(lock.is_locked(), "{name}");
-                assert!(lock.try_lock().is_none(), "{name}: write side is exclusive");
-            }
-            assert!(!lock.is_locked(), "{name}");
-        }
-    }
-
-    #[test]
-    fn rw_epoch_slo_follows_asl_family() {
-        assert_eq!(LockSpec::AslRw { slo_ns: Some(9) }.epoch_slo(), Some(9));
-        assert_eq!(LockSpec::AslRw { slo_ns: None }.epoch_slo(), None);
-        assert_eq!(LockSpec::RwTicket.epoch_slo(), None);
-    }
-
-    #[test]
-    fn instrumented_specs_record_for_every_registry_name() {
-        // `instrumented-<name>` works for every catalogued name, and
-        // acquisitions land in the process-wide telemetry registry
-        // under the full label. Counter recording is gated on the
-        // process-wide recording flag (zero-cost-when-off), so arm it
-        // for the duration of this test — under the shared gate lock,
-        // because the overhead-figure tests toggle and assert the
-        // same global state.
-        let _gate = crate::telemetry_test_lock();
-        // Drop guard: the gate must disarm even when an assertion
-        // below panics, or the armed global state cascades into
-        // spurious failures of later gated tests.
-        struct Disarm;
-        impl Drop for Disarm {
-            fn drop(&mut self) {
-                telemetry::clear_registered();
-                telemetry::set_recording(false);
-            }
-        }
-        let _disarm = Disarm;
-        telemetry::set_recording(true);
-        for entry in registry() {
-            let spec = LockSpec::Instrumented(Box::new(entry.spec.clone()));
-            let label = spec.label();
-            let lock = spec.make_dyn();
-            {
-                let _held = lock.lock();
-                assert!(lock.is_locked(), "{label}");
-            }
-            assert!(!lock.is_locked(), "{label}");
-            let snaps = telemetry::snapshots();
-            let total: u64 = snaps
-                .iter()
-                .filter(|(l, _)| l.starts_with(&label))
-                .map(|(_, s)| s.acquisitions)
-                .sum();
-            assert!(total >= 1, "{label}: no telemetry recorded ({snaps:?})");
-        }
-    }
-
-    #[test]
-    fn instrumented_rw_spec_shares_reads() {
-        let spec: LockSpec = "instrumented-rw-ticket".parse().unwrap();
-        assert!(spec.is_rw());
-        let lock = spec.make_dyn_rw();
-        {
-            let _r1 = lock.read();
-            let _r2 = lock.try_read().expect("instrumented reads overlap");
-            assert!(lock.try_write().is_none());
-        }
-        assert!(!lock.is_locked());
-    }
-
-    #[test]
-    fn adaptive_spec_morphs_under_guard_contention() {
-        use asl_runtime::relax::Spin;
-        use std::sync::Arc as StdArc;
-
-        // Registry-addressable adaptive lock, driven through the
-        // typed interface for the mode oracle.
-        let spec: LockSpec = "adaptive".parse().unwrap();
-        assert_eq!(spec.label(), "adaptive");
-
-        let lock = StdArc::new(Adaptive::with_thresholds(2, u32::MAX));
-        assert_eq!(lock.mode(), asl_locks::AdaptiveMode::Tas);
-        let t = asl_locks::RawLock::lock(&*lock);
-        let before = lock.telemetry().snapshot().contended;
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let l = lock.clone();
-                std::thread::spawn(move || {
-                    let t = asl_locks::RawLock::lock(&*l);
-                    asl_locks::RawLock::unlock(&*l, t);
-                })
-            })
-            .collect();
-        let mut spin = Spin::new();
-        while lock.telemetry().snapshot().contended < before + 2 {
-            spin.relax();
-        }
-        asl_locks::RawLock::unlock(&*lock, t);
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(lock.mode(), asl_locks::AdaptiveMode::Queue);
-        assert!(lock.morphs_to_queue() >= 1);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        for bad in [
-            "",
-            "mc",
-            "libasl-",
-            "libasl-opt-",
-            "shfl-pb",
-            "tas-big-p",
-            "libasl-xyz",
-            "bravo-",
-            "bravo-xyz",
-            "libasl-rw-",
-            "rw-",
-            "libasl-rw-xyz",
-            "instrumented-",
-            "instrumented-nope",
-        ] {
-            assert!(bad.parse::<LockSpec>().is_err(), "{bad:?} should not parse");
-        }
-        // Durations that would overflow u64 nanoseconds are rejected,
-        // not wrapped.
-        for overflow in [
-            "libasl-20000000000000000000ms",
-            "libasl-opt-99999999999999999999us",
-        ] {
+    fn table_is_well_formed() {
+        for (i, family) in FAMILIES.iter().enumerate() {
+            let twin = FAMILIES[..i].iter().find(|f| f.stem == family.stem);
+            assert!(twin.is_none(), "{}: two rows share the stem", family.stem);
+            // `epoch_slo` reads the SLO out of a max-or-duration
+            // parameter; an `E` on any other grammar would be silent.
+            let carries_slo = matches!(family.grammar, Grammar::MaxOrDuration(..));
             assert!(
-                overflow.parse::<LockSpec>().is_err(),
-                "{overflow:?} must not wrap"
+                !family.caps.has(Caps::EPOCH) || carries_slo,
+                "{}",
+                family.stem
             );
         }
-        let err = "nope".parse::<LockSpec>().unwrap_err();
-        assert!(err.to_string().contains("nope"));
-    }
-
-    #[test]
-    fn registry_round_trips_and_is_unique() {
-        let reg = registry();
-        let mut names = Vec::new();
-        for entry in &reg {
-            let name = entry.spec.to_string();
-            let parsed: LockSpec = name.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(parsed, entry.spec, "{name} must round-trip");
-            assert!(!entry.description.is_empty());
-            names.push(name);
-        }
-        names.sort();
-        let n = names.len();
-        names.dedup();
-        assert_eq!(names.len(), n, "registry names must be unique");
-    }
-
-    #[test]
-    fn registry_locks_all_acquire_via_guards() {
-        for entry in registry() {
-            let lock = entry.spec.make_dyn();
-            {
-                let _held = lock.lock();
-                assert!(lock.is_locked(), "{}", entry.spec);
-            }
-            assert!(!lock.is_locked(), "{}", entry.spec);
-            let held = lock.try_lock().expect("free lock must try_lock");
-            held.unlock();
-        }
-    }
-
-    #[test]
-    fn epoch_slo_only_for_asl() {
-        assert_eq!(LockSpec::Mcs.epoch_slo(), None);
-        assert_eq!(LockSpec::asl(Some(5)).epoch_slo(), Some(5));
         assert_eq!(
-            LockSpec::AslBlocking { slo_ns: Some(7) }.epoch_slo(),
-            Some(7)
+            registry().len(),
+            FAMILIES.iter().map(|r| r.members.len()).sum()
         );
-    }
-
-    #[test]
-    fn async_policy_bridges_the_registry() {
-        assert_eq!(LockSpec::Mcs.async_policy(), AsyncPolicy::Fifo);
-        assert_eq!(LockSpec::Ticket.async_policy(), AsyncPolicy::Fifo);
-        assert_eq!(
-            LockSpec::asl(Some(50_000)).async_policy(),
-            AsyncPolicy::Slo { slo_ns: 50_000 }
-        );
-        assert_eq!(
-            LockSpec::asl(None).async_policy(),
-            AsyncPolicy::Slo { slo_ns: u64::MAX },
-            "libasl-max = unbounded reorder window = pure EDF"
-        );
-        assert_eq!(
-            LockSpec::Instrumented(Box::new(LockSpec::asl(Some(9)))).async_policy(),
-            AsyncPolicy::Slo { slo_ns: 9 }
-        );
-    }
-
-    #[test]
-    fn make_locks_distinct_instances() {
-        let locks = LockSpec::Mcs.make_locks(2);
-        let held = locks[0].lock();
-        assert!(!locks[1].is_locked(), "instances must be independent");
-        held.unlock();
-    }
-
-    #[test]
-    fn lineup_contains_expected_competitors() {
-        let l = standard_lineup(AtomicAffinity::Neutral, &[25_000, 50_000]);
-        let labels: Vec<_> = l.iter().map(|s| s.label()).collect();
-        assert!(labels.contains(&"pthread".to_string()));
-        assert!(labels.contains(&"mcs".to_string()));
-        assert!(labels.contains(&"shfl-pb10".to_string()));
-        assert!(labels.contains(&"libasl-25us".to_string()));
-        assert!(labels.contains(&"libasl-max".to_string()));
-    }
-
-    #[test]
-    fn static_window_lock_behaves() {
-        let l = StaticWindowLock::new(1_000);
-        assert_eq!(l.window_ns(), 1_000);
-        let l = DynLock::of(l);
-        let held = l.lock();
-        assert!(l.is_locked());
-        held.unlock();
-        assert!(!l.is_locked());
+        assert_eq!(Caps::NONE.to_string(), "------");
+        assert_eq!(Caps::FIFO.and(Caps::TIMED_STATIC).to_string(), "F-t---");
     }
 }

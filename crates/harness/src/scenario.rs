@@ -90,7 +90,7 @@ impl MicroScenario {
     /// `ncs_units` of think time (Figures 1/4/5/8e/8f/8g).
     pub fn simple(spec: &LockSpec, lines: usize, ncs_units: u64) -> Self {
         MicroScenario {
-            locks: spec.make_locks(1),
+            locks: vec![spec.make_dyn()],
             arena: Arc::new(CacheLineArena::new(lines.max(1))),
             sections: vec![CsSpec { lock_idx: 0, lines }],
             cs_units_per_line: CS_UNITS_PER_LINE,
@@ -105,7 +105,7 @@ impl MicroScenario {
     /// total", 600·27 NOPs between epochs.
     pub fn bench1(spec: &LockSpec) -> Self {
         MicroScenario {
-            locks: spec.make_locks(2),
+            locks: vec![spec.make_dyn(), spec.make_dyn()],
             arena: Arc::new(CacheLineArena::new(64)),
             sections: vec![
                 CsSpec {

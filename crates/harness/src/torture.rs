@@ -54,7 +54,7 @@ use asl_runtime::fault::{FaultInjector, FaultPlan, FaultState};
 use asl_runtime::topology::Topology;
 use asl_sim::exec::ZooConfig;
 
-use crate::locks::LockSpec;
+use crate::locks::{Caps, LockSpec};
 
 /// One checked invariant: name, verdict, and the evidence line.
 #[derive(Clone, Debug)]
@@ -471,35 +471,29 @@ pub fn sweep_plan(seed: u64) -> FaultPlan {
         .with_clock_jumps(128, 10_000)
 }
 
-/// Locks swept in sim mode, with their FIFO promise.
-pub fn sim_sweep_locks() -> Vec<(&'static str, bool)> {
-    vec![
-        ("tas", false),
-        ("ticket", true),
-        ("mcs", true),
-        ("mcs-stp", true),
-        ("gcr-mcs", false),
-    ]
-}
+/// Locks swept in sim mode; whether a bout holds one to exact FIFO is
+/// its registry row's [`Caps::FIFO`] column.
+pub const SIM_SWEEP_LOCKS: [&str; 5] = ["tas", "ticket", "mcs", "mcs-stp", "gcr-mcs"];
 
 /// Locks swept in OS mode.
-pub fn os_sweep_locks() -> Vec<&'static str> {
-    vec![
-        "pthread",
-        "tas",
-        "ticket",
-        "mcs",
-        "mcs-stp",
-        "adaptive",
-        "gcr-mcs",
-        "gcr-adaptive",
-        "ccsynch",
-    ]
+pub const OS_SWEEP_LOCKS: [&str; 9] = [
+    "pthread",
+    "tas",
+    "ticket",
+    "mcs",
+    "mcs-stp",
+    "adaptive",
+    "gcr-mcs",
+    "gcr-adaptive",
+    "ccsynch",
+];
+
+fn spec_for(name: &str) -> LockSpec {
+    name.parse().unwrap_or_else(|e| panic!("lock {name}: {e}"))
 }
 
 fn lock_for(name: &str) -> Arc<dyn PlainLock> {
-    let spec: LockSpec = name.parse().unwrap_or_else(|e| panic!("lock {name}: {e}"));
-    spec.make_lock_raw()
+    spec_for(name).make_lock_raw()
 }
 
 /// Named schedule 1: the lock holder is preempted (stalled) in the
@@ -694,10 +688,12 @@ fn render_run(header: &str, seed: u64, bouts: &[BoutReport]) -> String {
 pub fn run_sim_sweep(opts: &TortureOpts) -> Vec<BoutReport> {
     let (threads, ops) = if opts.quick { (4, 40) } else { (6, 200) };
     let mut bouts = Vec::new();
-    for (name, fifo) in sim_sweep_locks() {
+    for name in SIM_SWEEP_LOCKS {
         if opts.lock.as_deref().is_some_and(|l| l != name) {
             continue;
         }
+        let spec = spec_for(name);
+        let fifo = spec.caps().has(Caps::FIFO);
         let cfg = SimBout {
             threads,
             ops,
@@ -706,7 +702,8 @@ pub fn run_sim_sweep(opts: &TortureOpts) -> Vec<BoutReport> {
             fifo,
             starvation_factor: if fifo { Some(64) } else { None },
         };
-        bouts.push(sim_bout(&format!("sim/{name}"), name, lock_for(name), &cfg));
+        let lock = spec.make_lock_raw();
+        bouts.push(sim_bout(&format!("sim/{name}"), name, lock, &cfg));
     }
     if opts.lock.is_none() {
         bouts.push(schedule_holder_preemption(opts.seed));
@@ -720,7 +717,7 @@ pub fn run_sim_sweep(opts: &TortureOpts) -> Vec<BoutReport> {
 pub fn run_os_sweep(opts: &TortureOpts) -> Vec<BoutReport> {
     let (threads, ops) = if opts.quick { (4, 300) } else { (8, 2_000) };
     let mut bouts = Vec::new();
-    for name in os_sweep_locks() {
+    for name in OS_SWEEP_LOCKS {
         if opts.lock.as_deref().is_some_and(|l| l != name) {
             continue;
         }

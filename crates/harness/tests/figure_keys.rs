@@ -6,6 +6,7 @@
 
 use asl_harness::diff::parse_bench_json;
 use asl_harness::figures::{find, Profile};
+use asl_harness::locks::{listing, registry};
 
 const TINY: Profile = Profile {
     duration_ms: 10,
@@ -60,4 +61,20 @@ fn sec5_delegation_rows_keep_their_labels() {
         .flat_map(|contention| structures.map(|s| (contention, s)))
         .collect();
     assert_eq!(keys, expected);
+}
+
+/// `repro locks` prints the library's listing, whose first column is
+/// exactly the table's canonical names, in table order.
+#[test]
+fn repro_locks_first_column_is_the_table() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("locks")
+        .output()
+        .expect("repro runs");
+    let printed = String::from_utf8(out.stdout).expect("utf-8");
+    let rows = listing();
+    assert!(printed.starts_with(&rows), "repro locks prints `listing()`");
+    let column: Vec<&str> = rows.lines().filter_map(|l| l.split(' ').next()).collect();
+    let names: Vec<String> = registry().iter().map(|e| e.spec.to_string()).collect();
+    assert_eq!(column, names);
 }

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use asl_locks::api::{DynLock, GuardedLock};
 use asl_locks::gcr::{Gcr, GcrConfig, PASSIVE_RESCUE_BOUND, SPARE_STREAK};
 use asl_locks::plain::PlainLock;
-use asl_locks::{McsLock, RawLock, TasLock, TicketLock};
+use asl_locks::{McsLock, RawLock, RawTimedLock, TasLock, TicketLock};
 
 const WAITERS: usize = 3;
 
@@ -446,4 +446,20 @@ fn an_abandoned_slot_is_handed_over_by_a_releaser() {
     );
     assert_eq!((lock.active(), lock.passive_len()), (0, 0));
     assert!(lock.peak_active() <= 2, "hand-over admitted over K");
+}
+
+/// The timed acquire lives on the static type: `Gcr<McsLock>` backs
+/// out of a wait at its deadline, which the erased `Gcr<DynLock>` the
+/// registry builds for `gcr-mcs` cannot (`DynLock` is no
+/// `RawTimedLock`; the registry row says "static type only").
+#[test]
+fn a_static_gcr_mcs_times_out_on_a_held_lock() {
+    let lock = Gcr::new(McsLock::new());
+    let held = lock.lock();
+    assert!(
+        lock.try_lock_for(1_000_000).is_none(),
+        "held: must time out"
+    );
+    lock.unlock(held);
+    assert!(lock.try_lock_for(1_000_000).is_some(), "free: must acquire");
 }

@@ -43,14 +43,14 @@ impl AtomicAffinity {
     pub const DEFAULT_PENALTY: u64 = 600;
 
     /// Big-core affinity with the default penalty.
-    pub fn big_wins() -> Self {
+    pub const fn big_wins() -> Self {
         AtomicAffinity::BigWins {
             penalty_units: Self::DEFAULT_PENALTY,
         }
     }
 
     /// Little-core affinity with the default penalty.
-    pub fn little_wins() -> Self {
+    pub const fn little_wins() -> Self {
         AtomicAffinity::LittleWins {
             penalty_units: Self::DEFAULT_PENALTY,
         }

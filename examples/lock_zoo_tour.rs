@@ -19,7 +19,7 @@ use std::time::Duration;
 use libasl::harness::locks::LockSpec;
 use libasl::runtime::spawn::run_on_topology_with_stop;
 use libasl::runtime::work::execute_units;
-use libasl::runtime::{AtomicAffinity, CacheLineArena, CoreKind, Topology};
+use libasl::runtime::{CacheLineArena, CoreKind, Topology};
 
 fn main() {
     let topo = Topology::apple_m1();
@@ -35,29 +35,24 @@ fn main() {
         "lock", "ops/s", "big_ops", "little_ops", "big%"
     );
 
-    let specs = [
-        LockSpec::Mcs,
-        LockSpec::Ticket,
-        LockSpec::Tas(AtomicAffinity::big_wins()),
-        LockSpec::Tas(AtomicAffinity::little_wins()),
-        LockSpec::Pthread,
-        LockSpec::ShflPb(10),
-        LockSpec::Cna,
-        LockSpec::Cohort,
-        LockSpec::Malthusian(None),
-        LockSpec::ShuffleClassLocal { max_skips: 16 },
-        LockSpec::asl(None),
-    ];
-
-    for spec in &specs {
-        let (thpt, big, little) = measure(&topo, spec);
+    // Registry names: `repro locks` lists them with their capabilities.
+    for name in [
+        "mcs",
+        "ticket",
+        "tas-big",
+        "tas-little",
+        "pthread",
+        "shfl-pb10",
+        "cna",
+        "cohort",
+        "malthusian",
+        "shfl-local16",
+        "libasl-max",
+    ] {
+        let spec: LockSpec = name.parse().expect("a registry name");
+        let (thpt, big, little) = measure(&topo, &spec);
         let share = 100.0 * big as f64 / (big + little).max(1) as f64;
-        let label = match spec {
-            LockSpec::Tas(a) if *a == AtomicAffinity::big_wins() => "tas(big-aff)".into(),
-            LockSpec::Tas(_) => "tas(little-aff)".into(),
-            other => other.label(),
-        };
-        println!("{label:<16} {thpt:>12.0} {big:>10} {little:>10} {share:>7.1}%");
+        println!("{name:<16} {thpt:>12.0} {big:>10} {little:>10} {share:>7.1}%");
     }
 
     println!(

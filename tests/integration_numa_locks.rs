@@ -188,21 +188,3 @@ fn delegation_executes_at_server_speed() {
         "delegation did not run at server speed: delegated {delegated_ns}ns vs local {local_ns}ns"
     );
 }
-
-#[test]
-fn new_specs_have_distinct_labels() {
-    let labels = [
-        LockSpec::Cna.label(),
-        LockSpec::Cohort.label(),
-        LockSpec::Malthusian(None).label(),
-        LockSpec::ShuffleClassLocal { max_skips: 16 }.label(),
-    ];
-    let mut sorted = labels.to_vec();
-    sorted.sort();
-    sorted.dedup();
-    assert_eq!(sorted.len(), labels.len());
-    assert_eq!(
-        LockSpec::ShuffleClassLocal { max_skips: 16 }.label(),
-        "shfl-local16"
-    );
-}
