@@ -100,7 +100,7 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
                 .add_wait_ns(now_ns().saturating_sub(t0));
         }
         self.stats.telemetry.record_acquisition_exclusive(contended);
-        self.stats.telemetry.note_hold_start();
+        self.stats.telemetry.sample_hold_start();
         token
     }
 
@@ -121,30 +121,24 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
     /// between the inner lock's RMWs: its path counter and the
     /// acquisition count, both holder-owned). When sampling is
     /// on — the gear that explicitly buys timing with clock reads —
-    /// both paths bracket the wait with precise reads (the coarse
-    /// cache is not refreshed while blocked inside `inner.lock()`, so
-    /// a coarse end-read could miss the entire queue wait).
+    /// an acquisition that found the lock held brackets its wait with
+    /// precise reads (the coarse cache is not refreshed while blocked
+    /// inside `inner.lock()`, so a coarse end-read could miss the
+    /// entire queue wait), and either path brackets one hold in
+    /// [`asl_locks::telemetry::HOLD_SAMPLE_STRIDE`] with two more.
     #[inline]
     pub fn lock_reorder(&self, window_ns: u64) -> L::Token {
         use std::sync::atomic::Ordering::Relaxed;
         // Starvation-freedom: never honour more than the bound.
         let window = window_ns.min(self.max_window_ns);
-        let sampling = self.stats.telemetry.sampling();
         if !self.inner.is_locked() {
-            // Sampling-gated wait measurement: another thread can take
-            // the lock between the free check and inner.lock(), so
-            // even this path can queue. With sampling off (the
-            // production gear) it reads no clock.
-            let t0 = if sampling { now_ns() } else { 0 };
+            // Found free: no wait to time (another thread can still
+            // slip in before inner.lock(); that rare queue wait goes
+            // untimed, as it does on the immediate path).
             let token = self.inner.lock();
             holder_add(&self.stats.standby_free_entry, 1);
-            if t0 != 0 {
-                self.stats
-                    .telemetry
-                    .add_wait_ns(now_ns().saturating_sub(t0));
-            }
             self.stats.telemetry.record_acquisition_exclusive(false);
-            self.stats.telemetry.note_hold_start();
+            self.stats.telemetry.sample_hold_start();
             return token;
         }
         // Held on entry: a contended acquisition whichever way the
@@ -152,6 +146,7 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
         // — so these writers do not hold the lock, and `contended` and
         // the two standby counters below keep their RMWs.
         self.stats.telemetry.record_contended();
+        let sampling = self.stats.telemetry.sampling();
         // The single precise clock read of this acquisition.
         let t0 = if window > 0 || sampling { now_ns() } else { 0 };
         if window > 0 {
@@ -181,7 +176,7 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
                 .add_wait_ns(now_ns().saturating_sub(t0));
         }
         self.stats.telemetry.record_acquired_exclusive();
-        self.stats.telemetry.note_hold_start();
+        self.stats.telemetry.sample_hold_start();
         token
     }
 

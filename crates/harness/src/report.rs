@@ -204,6 +204,7 @@ pub fn telemetry_table(figure_id: &str) -> Table {
             "contended_pct",
             "spin_iters",
             "avg_hold_us",
+            "timed_holds",
             "avg_wait_us",
         ],
     );
@@ -214,6 +215,11 @@ pub fn telemetry_table(figure_id: &str) -> Table {
         t.push_row(telemetry_row(&label, &snap));
     }
     t.note("telemetry sampled via Instrumented wrappers (--profile or instrumented-* specs)");
+    t.note(format!(
+        "avg_hold_us is the mean of the timed_holds holds that were timed, about one in {}; \
+         avg_wait_us is over all acquisitions",
+        telemetry::HOLD_SAMPLE_STRIDE
+    ));
     t.note(host_clock_note());
     t
 }
@@ -236,6 +242,7 @@ fn telemetry_row(label: &str, s: &TelemetrySnapshot) -> Vec<String> {
         format!("{:.1}", 100.0 * s.contention_ratio()),
         s.spin_iters.to_string(),
         format!("{:.2}", s.avg_hold_ns() / 1_000.0),
+        s.timed_holds.to_string(),
         format!("{:.2}", s.avg_wait_ns() / 1_000.0),
     ]
 }

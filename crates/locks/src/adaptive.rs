@@ -286,7 +286,7 @@ impl RawLock for Adaptive {
                 self.hot_streak.store(0, Ordering::Relaxed);
             }
             self.telemetry.record_acquired();
-            self.telemetry.note_hold_start();
+            self.telemetry.sample_hold_start();
             return AdaptiveToken { via: VIA_TAS };
         }
 
@@ -319,7 +319,7 @@ impl RawLock for Adaptive {
                 .add_wait_ns(asl_runtime::clock::now_ns().saturating_sub(t0));
         }
         self.telemetry.record_acquired();
-        self.telemetry.note_hold_start();
+        self.telemetry.sample_hold_start();
         token
     }
 
@@ -330,7 +330,7 @@ impl RawLock for Adaptive {
         // queued waiters funnel (they keep spinning on the flag).
         if !self.flag.swap(true, Ordering::Acquire) {
             self.telemetry.record_acquisition(false);
-            self.telemetry.note_hold_start();
+            self.telemetry.sample_hold_start();
             Some(AdaptiveToken { via: VIA_TAS })
         } else {
             None

@@ -256,11 +256,18 @@ impl<L: RawLock> RawRwLock for Bravo<L> {
 
     #[inline]
     fn is_locked(&self) -> bool {
+        // The table is scanned only under the bias: whoever turned it
+        // off holds `inner` until every published reader has left (or,
+        // in `try_write`, until it is back on), so with the bias off
+        // and `inner` free no fast reader holds — and a probe of a
+        // write-mostly lock (an armed `Instrumented`'s, once per
+        // acquisition) stays two loads instead of 64 lines.
         self.inner.is_locked()
-            || self
-                .readers
-                .iter()
-                .any(|s| s.0.load(Ordering::Relaxed) != 0)
+            || (self.rbias.load(Ordering::Relaxed)
+                && self
+                    .readers
+                    .iter()
+                    .any(|s| s.0.load(Ordering::Relaxed) != 0))
     }
 
     #[inline]
@@ -324,6 +331,8 @@ mod tests {
         let l = Bravo::new(McsLock::new());
         let r = l.read();
         assert!(matches!(r, BravoReadToken::Fast(_)));
+        assert!(l.is_locked(), "a fast reader holds: the probe scans");
+        assert!(!l.is_write_locked());
         assert!(l.try_write().is_none(), "fast reader blocks try_write");
         assert!(l.reader_biased(), "failed try_write restores the bias");
         l.unlock_read(r);

@@ -240,13 +240,15 @@ where
         }
         self.node.set(cur);
 
-        let t0 = shared.wait.start();
+        let mut t0 = None;
         let mut spin = Spin::new();
         // SAFETY: `cur` stays valid (owned by the shared node pool).
         while unsafe { (*cur).wait.load(Ordering::Acquire) } {
+            // Queued behind a combiner: the wait starts here.
+            t0 = t0.or_else(|| shared.wait.start());
             spin.relax();
         }
-        shared.wait.finish(t0, true);
+        shared.wait.finish(t0, t0.is_some());
 
         // SAFETY: wait==false with release/acquire ordering hands the
         // node state over (result, or the combiner role).

@@ -162,7 +162,10 @@ pub(crate) fn reraise_delegated_panic() -> ! {
 /// Wait attribution for one kind of submitter-side wait
 /// (`<label>.combine`, `<label>.ban`): a sampled cell in the
 /// process-wide profiling registry, or nothing — in which case a wait
-/// costs no clock read.
+/// costs no clock read. Nor does an op that did not wait: a submitter
+/// calls [`WaitCell::start`] at its first poll that found the op
+/// unserved, so one that combines (or is served) straight away is
+/// counted with no wait and no clock read.
 pub(crate) struct WaitCell(Option<Arc<TelemetryCell>>);
 
 impl WaitCell {
@@ -175,21 +178,23 @@ impl WaitCell {
         }))
     }
 
+    fn armed(&self) -> bool {
+        self.0.as_deref().is_some_and(TelemetryCell::armed)
+    }
+
     /// Begin a wait: its start time if it is to be recorded.
     #[inline]
     pub(crate) fn start(&self) -> Option<u64> {
-        match &self.0 {
-            Some(cell) if cell.armed() => Some(now_ns()),
-            _ => None,
-        }
+        self.armed().then(now_ns)
     }
 
-    /// End the wait begun by [`WaitCell::start`]; `contended` = some
-    /// other thread executed the op.
+    /// Count the op, with the wait begun by [`WaitCell::start`] if it
+    /// had one; `contended` = some other thread executed the op.
     #[inline]
     pub(crate) fn finish(&self, t0: Option<u64>, contended: bool) {
-        if let Some(t0) = t0 {
-            self.record(now_ns().saturating_sub(t0), contended);
+        if t0.is_some() || self.armed() {
+            let waited = t0.map_or(0, |t0| now_ns().saturating_sub(t0));
+            self.record(waited, contended);
         }
     }
 
@@ -200,7 +205,9 @@ impl WaitCell {
     pub(crate) fn record(&self, wait_ns: u64, contended: bool) {
         if let Some(cell) = self.0.as_deref().filter(|c| c.armed()) {
             cell.record_acquisition(contended);
-            cell.add_wait_ns(wait_ns);
+            if wait_ns != 0 {
+                cell.add_wait_ns(wait_ns);
+            }
         }
     }
 }
@@ -356,7 +363,7 @@ impl<T, Op, Out, F: Fn(&mut T, Op) -> Out> Engine<T, Op, Out, F> {
         // submit consumed its result).
         unsafe { slot.publish(op) };
 
-        let t0 = self.wait.start();
+        let mut t0 = None;
         let mut spin = Spin::new();
         let (seq, combined) = loop {
             let seq = slot.seq.load(Ordering::Acquire);
@@ -372,6 +379,8 @@ impl<T, Op, Out, F: Fn(&mut T, Op) -> Out> Engine<T, Op, Out, F> {
                 debug_assert_ne!(seq, SLOT_PENDING, "own op unserved after pass");
                 break (seq, true);
             }
+            // Somebody else is to serve it: the wait starts here.
+            t0 = t0.or_else(|| self.wait.start());
             spin.relax();
         };
         self.wait.finish(t0, !combined);

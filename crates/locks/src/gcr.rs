@@ -937,11 +937,11 @@ impl Controller {
         let snap = cell.snapshot();
         let w = snap.delta(&st.last);
         st.last = snap;
-        // Every tick closed one sampled hold, so the window holds
-        // exactly `ctl_period` of them — which `w.acquisitions` also
-        // says, except across an engagement, when it still counts the
-        // unsampled holds of threads that came in uncounted.
-        let avg_hold = w.hold_ns as f64 / f64::from(self.cfg.ctl_period);
+        // Every tick closed one timed hold (the counted path takes a
+        // census), so the window holds exactly `ctl_period` of them —
+        // `w.timed_holds`; `w.acquisitions` also counts the untimed
+        // holds of threads that came in uncounted across an engagement.
+        let avg_hold = w.avg_hold_ns();
         if avg_hold > 0.0 && (st.baseline_hold == 0.0 || avg_hold < st.baseline_hold) {
             st.baseline_hold = avg_hold;
         }
@@ -1180,7 +1180,7 @@ impl<L: RawLock> Gcr<L> {
         self.counted.store(true, Ordering::Relaxed);
     }
 
-    /// Release of a counted holder: close the sampled hold, tick the
+    /// Release of a counted holder: close the timed hold, tick the
     /// controller, give the slot back.
     fn unlock_counted(&self, token: L::Token) {
         self.counted.store(false, Ordering::Relaxed);

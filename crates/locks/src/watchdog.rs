@@ -15,11 +15,17 @@
 //!   ([`crate::telemetry::TelemetryCell::hold_started_ns`], surfaced
 //!   through [`WatchSample::hold_started_ns`]) has been open longer
 //!   than [`WatchdogConfig::hold_bound_ns`]. This is the
-//!   holder-preempted / holder-looping case.
+//!   holder-preempted / holder-looping case. It sees the holds the
+//!   watched cell times: every one where the holder stamps through
+//!   `note_hold_start()` (the torture harness's own stamp, `Gcr`'s
+//!   counted path, the tests below), about one in
+//!   [`crate::telemetry::HOLD_SAMPLE_STRIDE`] under an `Instrumented`
+//!   lock, whose other holds read as "none open".
 //! * **no progress** — waiters exist but the acquisition counter has
 //!   not advanced for [`WatchdogConfig::wait_bound_ns`]. This is the
 //!   lost-wakeup / stranded-queue case, which an in-flight hold alone
-//!   cannot see.
+//!   cannot see — and the condition that covers a stalled holder whose
+//!   hold was not one of the timed.
 //!
 //! The sampler reads wall-clock time and runs on a plain OS thread —
 //! it observes, it never participates in the locking protocol, so it
@@ -41,7 +47,7 @@ pub struct WatchSample {
     /// Total acquisitions so far (the progress counter).
     pub acquisitions: u64,
     /// When the in-flight hold began ([`now_ns`] timeline), 0 if none
-    /// is open — see
+    /// is open or the open one is not timed — see
     /// [`crate::telemetry::TelemetryCell::hold_started_ns`].
     pub hold_started_ns: u64,
     /// Threads currently waiting (queue depth, passive length, …).
@@ -123,10 +129,65 @@ type Probe = Box<dyn Fn() -> WatchSample + Send + Sync>;
 struct Watch {
     label: String,
     probe: Probe,
+    state: WatchState,
+}
+
+/// What the watchdog remembers of one watch between polls.
+struct WatchState {
     last_acquisitions: u64,
     last_progress_ns: u64,
     hold_fired: bool,
     progress_fired: bool,
+}
+
+impl WatchState {
+    fn new(now: u64) -> Self {
+        WatchState {
+            last_acquisitions: 0,
+            last_progress_ns: now,
+            hold_fired: false,
+            progress_fired: false,
+        }
+    }
+
+    /// One poll's judgement of sample `s` read at `now`: how long each
+    /// condition that fires on this poll has lasted, `(hold exceeded,
+    /// no progress)`. Each fires once per episode and re-arms when it
+    /// clears. Reads no clock and reports nothing itself, so the rules
+    /// are tested on synthetic time.
+    fn judge(
+        &mut self,
+        cfg: &WatchdogConfig,
+        s: &WatchSample,
+        now: u64,
+    ) -> (Option<u64>, Option<u64>) {
+        // Hold bound: an open hold older than the bound.
+        let hold_open_ns = match s.hold_started_ns {
+            0 => 0,
+            t => now.saturating_sub(t),
+        };
+        let held = hold_open_ns > cfg.hold_bound_ns;
+        let hold = (held && !self.hold_fired).then_some(hold_open_ns);
+        self.hold_fired = held;
+        // Progress bound: waiters but no acquisitions.
+        let mut stranded = None;
+        if s.acquisitions != self.last_acquisitions {
+            self.last_acquisitions = s.acquisitions;
+            self.last_progress_ns = now;
+            self.progress_fired = false;
+        } else if s.waiters > 0 {
+            let stuck = now.saturating_sub(self.last_progress_ns);
+            if stuck > cfg.wait_bound_ns && !self.progress_fired {
+                self.progress_fired = true;
+                stranded = Some(stuck);
+            }
+        } else {
+            // Nobody waiting: an idle lock is not a stalled one.
+            self.last_progress_ns = now;
+            self.progress_fired = false;
+        }
+        (hold, stranded)
+    }
 }
 
 struct Shared {
@@ -143,46 +204,21 @@ impl Shared {
         let mut watches = self.watches.lock().unwrap();
         for w in watches.iter_mut() {
             let s = (w.probe)();
-            // Hold bound: an open hold older than the bound.
-            let hold_open_ns = match s.hold_started_ns {
-                0 => 0,
-                t => now.saturating_sub(t),
-            };
-            if hold_open_ns > self.cfg.hold_bound_ns {
-                if !w.hold_fired {
-                    w.hold_fired = true;
+            let (hold, stranded) = w.state.judge(&self.cfg, &s, now);
+            let fired = [
+                (StallKind::HoldExceeded, hold),
+                (StallKind::NoProgress, stranded),
+            ];
+            for (kind, stalled_ns) in fired {
+                if let Some(stalled_ns) = stalled_ns {
                     self.report(StallReport {
                         label: w.label.clone(),
-                        kind: StallKind::HoldExceeded,
-                        stalled_ns: hold_open_ns,
+                        kind,
+                        stalled_ns,
                         waiters: s.waiters,
                         admitted: s.admitted.clone(),
                     });
                 }
-            } else {
-                w.hold_fired = false;
-            }
-            // Progress bound: waiters but no acquisitions.
-            if s.acquisitions != w.last_acquisitions {
-                w.last_acquisitions = s.acquisitions;
-                w.last_progress_ns = now;
-                w.progress_fired = false;
-            } else if s.waiters > 0 {
-                let stuck = now.saturating_sub(w.last_progress_ns);
-                if stuck > self.cfg.wait_bound_ns && !w.progress_fired {
-                    w.progress_fired = true;
-                    self.report(StallReport {
-                        label: w.label.clone(),
-                        kind: StallKind::NoProgress,
-                        stalled_ns: stuck,
-                        waiters: s.waiters,
-                        admitted: s.admitted,
-                    });
-                }
-            } else {
-                // Nobody waiting: an idle lock is not a stalled one.
-                w.last_progress_ns = now;
-                w.progress_fired = false;
             }
         }
     }
@@ -238,10 +274,7 @@ impl StallWatchdog {
         self.shared.watches.lock().unwrap().push(Watch {
             label: label.into(),
             probe: Box::new(probe),
-            last_acquisitions: 0,
-            last_progress_ns: now_ns(),
-            hold_fired: false,
-            progress_fired: false,
+            state: WatchState::new(now_ns()),
         });
     }
 
@@ -354,22 +387,69 @@ mod tests {
         assert!(reports[0].waiters > 0);
     }
 
+    /// Poll `state` with `s` every 5 ms of synthetic time over
+    /// `from..to` (ms); the verdicts that fired.
+    fn polls(
+        state: &mut WatchState,
+        s: &WatchSample,
+        from: u64,
+        to: u64,
+    ) -> Vec<(Option<u64>, Option<u64>)> {
+        (from..to)
+            .step_by(5)
+            .map(|t| state.judge(&fast_cfg(), s, ms(t)))
+            .filter(|v| *v != (None, None))
+            .collect()
+    }
+
     #[test]
     fn progress_suppresses_no_progress_reports() {
-        let dog = StallWatchdog::new(fast_cfg());
-        let acq = Arc::new(AtomicU64::new(0));
-        let a = acq.clone();
-        dog.watch("busy", move || WatchSample {
-            acquisitions: a.load(Ordering::Relaxed),
-            hold_started_ns: 0,
+        // Five waiters throughout and a counter that moves every 8 ms
+        // against a 30 ms wait bound: never stranded. On synthetic
+        // time — a host that stalls the test cannot stretch a gap.
+        let mut state = WatchState::new(0);
+        let mut busy = WatchSample {
             waiters: 5,
-            admitted: String::new(),
-        });
-        // Keep the counter moving faster than the wait bound.
-        for _ in 0..20 {
-            acq.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(8));
+            ..WatchSample::default()
+        };
+        for t in (0..1_000).step_by(5) {
+            busy.acquisitions = t / 8;
+            assert_eq!(state.judge(&fast_cfg(), &busy, ms(t)), (None, None));
         }
-        assert_eq!(dog.stalls(), 0);
+        // The counter stops: one report, 35 ms after the last advance
+        // (the first poll past the bound), and no second one.
+        assert_eq!(
+            polls(&mut state, &busy, 1_000, 2_000),
+            [(None, Some(ms(35)))]
+        );
+        // An advance re-arms it; so does the queue draining.
+        busy.acquisitions += 1;
+        assert_eq!(polls(&mut state, &busy, 2_000, 2_100).len(), 1);
+        let idle = WatchSample {
+            waiters: 0,
+            ..busy.clone()
+        };
+        assert!(polls(&mut state, &idle, 2_100, 2_200).is_empty());
+        assert_eq!(polls(&mut state, &busy, 2_200, 2_300).len(), 1);
+    }
+
+    #[test]
+    fn a_long_hold_fires_once_per_episode_on_synthetic_time() {
+        let mut state = WatchState::new(0);
+        let held_since = |t| WatchSample {
+            acquisitions: 1,
+            hold_started_ns: ms(t),
+            ..WatchSample::default()
+        };
+        // Open since 10 ms, bound 20 ms: fires at the first poll past
+        // 30 ms, once, however long it stays open.
+        let fired = polls(&mut state, &held_since(10), 10, 500);
+        assert_eq!(fired, [(Some(ms(25)), None)]);
+        // A new hold under the bound re-arms (the sampler need not
+        // catch the slot empty in between) and fires for itself.
+        assert!(polls(&mut state, &held_since(500), 500, 520).is_empty());
+        assert_eq!(polls(&mut state, &held_since(500), 520, 900).len(), 1);
+        // An empty slot (no hold, or an untimed one) never fires.
+        assert!(polls(&mut state, &WatchSample::default(), 900, 2_000).is_empty());
     }
 }

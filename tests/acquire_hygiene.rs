@@ -16,18 +16,22 @@
 //!   something for it: an uncontended `Gcr`, an epoch on a big core and
 //!   a timed acquire of a free lock read no clock at all. Counted
 //!   exactly, under a substrate whose clock ticks once per read.
+//! * Profiling times a sample of the holds, not each: with sampling on,
+//!   an uncontended acquisition reads the clock twice if its hold is
+//!   one of the timed — about one in sixteen — and not at all if not.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use libasl::clock::{self, now_ns};
-use libasl::locks::{McsLock, RawLock, RawTimedLock};
+use libasl::locks::telemetry::InstrumentedRw;
+use libasl::locks::{McsLock, RawLock, RawRwLock, RawTimedLock, RwTicketLock};
 use libasl::runtime::affinity::pin_to_cpu;
 use libasl::runtime::registry::{register_on_core, unregister};
 use libasl::runtime::substrate;
 use libasl::runtime::topology::CoreId;
-use libasl::{epoch, AslSpinLock, DynLock, Gcr, Instrumented, TelemetryCell, Topology};
+use libasl::{epoch, AslSpinLock, DynLock, DynRwLock, Gcr, Instrumented, TelemetryCell, Topology};
 
 #[path = "common/ticking.rs"]
 mod ticking;
@@ -278,6 +282,118 @@ fn a_timed_acquire_anchors_its_deadline_only_to_wait() {
     free.unlock(token);
 }
 
+#[test]
+fn a_delegated_op_that_does_not_wait_reads_no_clock() {
+    use libasl::locks::{telemetry, CcSynch, FlatCombiner};
+    let ticking = Arc::new(Ticking(AtomicU64::new(0)));
+    let _installed = substrate::install(ticking.clone());
+    // Labelled: the `<label>.combine` cells exist and sample, as under
+    // `--profile`. One thread, so every op is combined by its submitter.
+    let bump = |n: &mut u64, by: u64| {
+        *n += by;
+        *n
+    };
+    let flat = FlatCombiner::labelled(0u64, bump, Some("hygiene-flat"));
+    let queue = CcSynch::labelled(0u64, bump, Some("hygiene-cc"));
+    let (flat, queue) = (flat.register(), queue.register());
+    let reads = ticking.reads_in(|| {
+        for _ in 0..100 {
+            flat.apply(1);
+            queue.apply(1);
+        }
+    });
+    assert_eq!(reads, 0);
+    assert_eq!((flat.apply(0), queue.apply(0)), (100, 100));
+    let cells = telemetry::snapshots();
+    for label in ["hygiene-flat.combine", "hygiene-cc.combine"] {
+        let (_, s) = cells.iter().find(|(l, _)| l == label).expect(label);
+        assert_eq!(
+            (s.acquisitions, s.contended, s.wait_ns),
+            (101, 0, 0),
+            "{label}"
+        );
+    }
+}
+
+#[test]
+fn a_sampled_cell_reads_the_clock_twice_per_timed_hold_and_never_otherwise() {
+    const HOLDS: u64 = 16_000;
+    let ticking = Arc::new(Ticking(AtomicU64::new(0)));
+    let _installed = substrate::install(ticking.clone());
+    // `HOLDS` uncontended rounds of `round`, which runs `acquire` —
+    // the lock and unlock alone — through the closure it is handed;
+    // then: clock reads inside `acquire`, and what `cell` recorded.
+    let check = |what: &str,
+                 sampling: bool,
+                 cell: &TelemetryCell,
+                 round: &dyn Fn(&dyn Fn()),
+                 acquire: &dyn Fn()| {
+        cell.set_sampling(sampling);
+        let reads = AtomicU64::new(0);
+        for _ in 0..HOLDS {
+            round(&|| {
+                reads.fetch_add(ticking.reads_in(acquire), Ordering::Relaxed);
+            });
+        }
+        let (reads, s) = (reads.into_inner(), cell.snapshot());
+        assert_eq!(reads, 2 * s.timed_holds, "{what}: {s:?}");
+        if sampling {
+            assert_eq!(s.acquisitions, HOLDS, "{what}: {s:?}");
+            assert!((900..=1_100).contains(&s.timed_holds), "{what}: {s:?}");
+            assert!(s.hold_ns > 0 && s.wait_ns == 0, "{what}: {s:?}");
+        } else {
+            assert_eq!((s.timed_holds, s.hold_ns), (0, 0), "{what}: {s:?}");
+        }
+    };
+    let m1 = Topology::apple_m1();
+    let bare: &dyn Fn(&dyn Fn()) = &|acquire| acquire();
+    let in_epoch: &dyn Fn(&dyn Fn()) = &|acquire| epoch::with_epoch(3, 60_000, acquire);
+    for sampling in [true, false] {
+        // `instrumented-mcs`, through `lock` and through `try_lock`.
+        let lock = Instrumented::new(DynLock::of(McsLock::new()));
+        let acquire = || lock.unlock(lock.lock());
+        check(
+            "instrumented-mcs",
+            sampling,
+            lock.telemetry(),
+            bare,
+            &acquire,
+        );
+        let lock = Instrumented::new(DynLock::of(McsLock::new()));
+        let acquire = || lock.unlock(lock.try_lock().expect("free"));
+        check("try_lock", sampling, lock.telemetry(), bare, &acquire);
+
+        // The write side of an instrumented rwlock.
+        let rw = InstrumentedRw::new(DynRwLock::of(RwTicketLock::new()));
+        let acquire = || rw.unlock_write(rw.write());
+        check("rw write", sampling, rw.write_telemetry(), bare, &acquire);
+
+        // `instrumented-libasl-60us` and `libasl-60us`'s own cell, from
+        // a big core (the immediate path) and from a little core inside
+        // an epoch (the standby path, free entry).
+        for (core, round) in [(CoreId(0), bare), (CoreId(5), in_epoch)] {
+            register_on_core(&m1, core);
+            epoch::reset_thread_epochs();
+            let lock = Instrumented::new(DynLock::of(AslSpinLock::default()));
+            let what = format!("instrumented-libasl-60us on {core:?}");
+            let acquire = || lock.unlock(lock.lock());
+            check(&what, sampling, lock.telemetry(), round, &acquire);
+            let asl = AslSpinLock::default();
+            let what = format!("libasl-60us on {core:?}");
+            let acquire = || asl.unlock(asl.lock());
+            check(&what, sampling, asl.stats().telemetry(), round, &acquire);
+            let paths = asl.stats().snapshot();
+            let taken = if core == CoreId(0) {
+                paths.immediate
+            } else {
+                paths.standby_free_entry
+            };
+            assert_eq!(taken, HOLDS, "{what}: {paths:?}");
+        }
+        unregister();
+    }
+}
+
 // ---------------------------------------------------------------------
 // (c) Counter exactness under contention.
 // ---------------------------------------------------------------------
@@ -310,9 +426,26 @@ fn hammer(lock: &DynLock, enter: impl Fn() + Sync, around: impl Fn(&dyn Fn()) + 
     });
 }
 
+/// `timed_holds` after `holds` exclusive holds of one sampling cell: the
+/// timed set is a function of the grant count alone, so this is also
+/// what any number of threads taking turns must leave. A lost update
+/// of the countdown, of the jitter word or of the count itself shifts
+/// every later draw.
+fn timed_holds_of(holds: u64) -> u64 {
+    let cell = TelemetryCell::sampled();
+    for _ in 0..holds {
+        cell.sample_hold_start();
+        cell.note_hold_end();
+    }
+    cell.snapshot().timed_holds
+}
+
 #[test]
 fn holder_owned_counters_lose_no_update() {
     within(300, || {
+        let timed = timed_holds_of(TOTAL);
+        assert!((TOTAL / 17..=TOTAL / 15).contains(&timed), "{timed}");
+
         // `libasl-max`, as the registry builds it; unregistered threads
         // count as big cores and take the immediate path.
         let asl = Arc::new(AslSpinLock::default());
@@ -342,6 +475,7 @@ fn holder_owned_counters_lose_no_update() {
         assert_eq!(s.standby_total(), s.telemetry.acquisitions, "{s:?}");
         assert!(s.telemetry.contended <= s.telemetry.acquisitions);
         assert!(s.telemetry.hold_ns > 0, "sampled holds accumulate");
+        assert_eq!(s.telemetry.timed_holds, timed, "libasl-60us: {s:?}");
         assert_eq!(asl.stats().telemetry().hold_started_ns(), 0);
 
         // `instrumented-mcs` as built under profiling: a sampling cell.
@@ -352,6 +486,7 @@ fn holder_owned_counters_lose_no_update() {
         assert_eq!(s.acquisitions, TOTAL, "instrumented-mcs: {s:?}");
         assert!(s.contended <= s.acquisitions);
         assert!(s.hold_ns > 0);
+        assert_eq!(s.timed_holds, timed, "instrumented-mcs: {s:?}");
         assert_eq!(cell.hold_started_ns(), 0);
 
         // `gcr-mcs`.
@@ -360,9 +495,11 @@ fn holder_owned_counters_lose_no_update() {
         let s = gcr.telemetry().snapshot();
         assert_eq!(s.acquisitions, TOTAL, "gcr-mcs: {s:?}");
         assert!(s.contended <= s.acquisitions);
-        // Holds are sampled while the gate is engaged only, and on one
-        // CPU the hammer does not always contend enough to engage it.
+        // Holds are timed while the gate is engaged only — each counted
+        // one — and on one CPU the hammer does not always contend
+        // enough to engage it.
         assert!(s.hold_ns > 0 || gcr.peak_active() == 0, "{s:?}");
+        assert_eq!(s.timed_holds == 0, s.hold_ns == 0, "{s:?}");
         assert_eq!(gcr.telemetry().hold_started_ns(), 0);
         assert_eq!(gcr.active(), 0);
     });
