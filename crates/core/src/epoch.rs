@@ -46,17 +46,22 @@
 //!
 //! Everything here is thread-local: no synchronization on the epoch
 //! path. The paper measures ~93 cycles for the pair of epoch calls;
-//! ours, on a big core, is two calls, a dozen thread-local loads and
+//! ours, on a big core, is inline: a dozen thread-local loads and
 //! **two stores** — the open epoch's id, set by `epoch_start` and
-//! cleared by `epoch_end` — 1.6 ns around an uncontended lock on the
-//! reference host (`host-acquire`: `libasl_epoch` 19.4 ns over
-//! `libasl_max` 17.8). The id, window and start sit in const-initialised
-//! `Cell`s, and the 128-entry table and the nesting stack behind them
-//! are touched only when a thread changes epoch id or nests. **On a
-//! little core only**, add two [`now_ns`] reads (one cycle-counter read
-//! each where the host has a trusted one — see [`asl_runtime::clock`];
-//! 16 virtual ns the pair on the modeled machine, `core.epoch_vns`) and
-//! the two stores of the entry they produce (start, then window).
+//! cleared by `epoch_end` — and reads as nothing around an uncontended
+//! lock on the reference host (`host-acquire`: `libasl_epoch` 9.1 ns
+//! beside `libasl_max` 9.1). As two out-of-line calls the pair read
+//! 1.6 ns around the two-RMW MCS of the time, most of it hidden behind
+//! the release RMW; around a lock that releases with a store nothing
+//! hides it — 10.6 to 12.4 ns on that rung, run to run — hence the
+//! inline halves of `Hot::start` / `Hot::end`. The id, window and
+//! start sit in const-initialised `Cell`s, and the 128-entry table and
+//! the nesting stack behind them are touched only when a thread
+//! changes epoch id or nests. **On a little core only**, add two
+//! [`now_ns`] reads (one cycle-counter read each where the host has a
+//! trusted one — see [`asl_runtime::clock`]; 16 virtual ns the pair on
+//! the modeled machine, `core.epoch_vns`) and the two stores of the
+//! entry they produce (start, then window).
 //!
 //! The store count is the point, not a detail. `epoch_start` used to
 //! rewrite the 24-byte cached entry on every call, with the values it
@@ -65,7 +70,7 @@
 //! issued, and an x86 RMW waits for the buffer to drain — ≈ 1.5 ns a
 //! pending store (the rule on `asl_locks::telemetry::TelemetryCell`).
 //! The pair cost 8.6 ns that way, none of it call overhead (inlining
-//! `start`/`end` moved nothing). Now `start` writes the entry only
+//! `start`/`end` moved nothing then). Now `start` writes the entry only
 //! when it changes: never, from a big core's second epoch on an id.
 //!
 //! # A big core reads no clock
@@ -208,8 +213,22 @@ thread_local! {
 // being inlined, and the un-inlined `with` reaches the thread-local
 // through an indirect call.
 impl Hot {
-    #[inline(never)]
+    /// The big-core half, inline: an un-nested epoch on the cached id,
+    /// already marked [`UNTIMED`], is one store — what `start_slow`
+    /// would do, without the call.
+    #[inline]
     fn start(&self, id: usize) {
+        let m = self.meta.get();
+        let repeat = self.cur.get() < 0 && self.slot.get() == id as i32;
+        if repeat && is_big_core() && m.start == UNTIMED && m.used {
+            self.cur.set(id as i32);
+        } else {
+            self.start_slow(id);
+        }
+    }
+
+    #[inline(never)]
+    fn start_slow(&self, id: usize) {
         if self.cur.get() >= 0 {
             self.push_outer(self.cur.get());
         }
@@ -228,8 +247,19 @@ impl Hot {
     }
 
     /// Close epoch `id`; the measured latency, or 0 where none was.
-    #[inline(never)]
+    /// Inline, the big-core half again: nothing to judge, no outer
+    /// epoch to restore, one store.
+    #[inline]
     fn end(&self, id: usize, slo_ns: u64) -> u64 {
+        if self.depth.get() == 0 && is_big_core() {
+            self.cur.set(-1);
+            return 0;
+        }
+        self.end_slow(id, slo_ns)
+    }
+
+    #[inline(never)]
+    fn end_slow(&self, id: usize, slo_ns: u64) -> u64 {
         let mut latency = 0;
         if !is_big_core() {
             let mut m = self.load(id);
@@ -321,6 +351,7 @@ pub fn take_window_trace() -> Vec<WindowSample> {
 ///
 /// # Panics
 /// Panics if `id >= MAX_EPOCHS`.
+#[inline]
 pub fn epoch_start(id: usize) {
     assert!(id < MAX_EPOCHS, "epoch id {id} out of range");
     HOT.with(|h| h.start(id));
@@ -337,6 +368,7 @@ pub fn epoch_start(id: usize) {
 ///
 /// # Panics
 /// Panics if `id >= MAX_EPOCHS`.
+#[inline]
 pub fn epoch_end(id: usize, slo_ns: u64) -> u64 {
     assert!(id < MAX_EPOCHS, "epoch id {id} out of range");
     HOT.with(|h| h.end(id, slo_ns))
@@ -415,6 +447,7 @@ pub fn with_epoch_timed<R>(id: usize, slo_ns: u64, f: impl FnOnce() -> R) -> (R,
 
 /// Scoped helper: run `f` inside epoch `id` with the given SLO. Reads
 /// no clock on a big core.
+#[inline]
 pub fn with_epoch<R>(id: usize, slo_ns: u64, f: impl FnOnce() -> R) -> R {
     epoch_start(id);
     let r = f();

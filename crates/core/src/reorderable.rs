@@ -77,9 +77,8 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
     ///
     /// Sampling off and the lock free, this is the inner lock's own
     /// acquire between three loads (is it held, is the cell sampling —
-    /// twice) and **one store**, the holder-owned acquisition count,
-    /// pending at the inner release RMW: the `libasl_max` rung of
-    /// `host-acquire`, ~2 ns over `dyn_mcs`.
+    /// twice) and **one store**, the holder-owned acquisition count:
+    /// the `libasl_max` rung of `host-acquire`, ~1 ns over `dyn_mcs`.
     #[inline]
     pub fn lock_immediately(&self) -> L::Token {
         let contended = self.inner.is_locked();

@@ -35,9 +35,9 @@ use asl_locks::telemetry::{TelemetryCell, TelemetrySnapshot};
 /// every acquisition takes exactly one of the four paths and bumps
 /// `telemetry.acquisitions`, so [`LockStats::snapshot`] derives the
 /// immediate count as acquisitions less the three standby paths. That
-/// leaves the big-core path one holder-owned store between the inner
-/// lock's two RMWs instead of two on two cache lines (a store still
-/// pending at an RMW costs ≈ 1.5 ns on the reference host — the rule on
+/// leaves the big-core path one holder-owned store per acquisition
+/// instead of two on two cache lines (a store still pending at the
+/// next RMW costs ≈ 1.5 ns on the reference host — the rule on
 /// [`TelemetryCell`]). The price: a standby competitor counts its path
 /// *before* it queues on the inner lock and its acquisition only once
 /// it holds it, so a live snapshot under-reports `immediate` by up to

@@ -290,7 +290,7 @@ static FAMILIES: &[Family] = &[
     row("ticket", Grammar::Literal(LockSpec::Ticket), Caps::FIFO.and(Caps::TIMED_STATIC), &[
         ("", "FIFO ticket lock")]),
     row("mcs", Grammar::Literal(LockSpec::Mcs), Caps::FIFO.and(Caps::TIMED_STATIC), &[
-        ("", "FIFO MCS queue lock (paper baseline)")]),
+        ("", "MCS queue behind a lock word; FIFO among queued (paper baseline)")]),
     row("mcs-stp", Grammar::Literal(LockSpec::McsStp), Caps::FIFO.and(Caps::BLOCKING), &[
         ("", "spin-then-park MCS, the blocking FIFO strawman")]),
     row("shfl-pb", grammar!(Count, n => LockSpec::ShflPb(n)), Caps::NONE, &[

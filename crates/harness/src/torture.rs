@@ -645,7 +645,7 @@ pub struct TortureOpts {
     pub sim: bool,
     /// Run the OS-thread sweep.
     pub os: bool,
-    /// Restrict sweeps to one lock label.
+    /// Sweep this one lock instead (a registry name).
     pub lock: Option<String>,
     /// Output directory.
     pub out: std::path::PathBuf,
@@ -683,15 +683,21 @@ fn render_run(header: &str, seed: u64, bouts: &[BoutReport]) -> String {
     s
 }
 
+/// The locks of one sweep: `sweep`, or the one `--lock` names alone —
+/// any registry name, swept by default or not.
+fn swept<'a>(opts: &'a TortureOpts, sweep: &[&'a str]) -> Vec<&'a str> {
+    match &opts.lock {
+        Some(lock) => vec![lock],
+        None => sweep.to_vec(),
+    }
+}
+
 /// Run the sim side of a torture sweep: registry bouts plus the three
 /// named schedules. Fully deterministic for a fixed seed.
 pub fn run_sim_sweep(opts: &TortureOpts) -> Vec<BoutReport> {
     let (threads, ops) = if opts.quick { (4, 40) } else { (6, 200) };
     let mut bouts = Vec::new();
-    for name in SIM_SWEEP_LOCKS {
-        if opts.lock.as_deref().is_some_and(|l| l != name) {
-            continue;
-        }
+    for name in swept(opts, &SIM_SWEEP_LOCKS) {
         let spec = spec_for(name);
         let fifo = spec.caps().has(Caps::FIFO);
         let cfg = SimBout {
@@ -717,10 +723,7 @@ pub fn run_sim_sweep(opts: &TortureOpts) -> Vec<BoutReport> {
 pub fn run_os_sweep(opts: &TortureOpts) -> Vec<BoutReport> {
     let (threads, ops) = if opts.quick { (4, 300) } else { (8, 2_000) };
     let mut bouts = Vec::new();
-    for name in OS_SWEEP_LOCKS {
-        if opts.lock.as_deref().is_some_and(|l| l != name) {
-            continue;
-        }
+    for name in swept(opts, &OS_SWEEP_LOCKS) {
         let cfg = OsBout {
             threads,
             ops,
@@ -764,9 +767,9 @@ pub fn run_torture(args: &[String]) -> i32 {
                 }
             },
             "--lock" => match it.next() {
-                Some(v) => opts.lock = Some(v.clone()),
-                None => {
-                    eprintln!("torture: --lock needs a label");
+                Some(v) if v.parse::<LockSpec>().is_ok() => opts.lock = Some(v.clone()),
+                _ => {
+                    eprintln!("torture: --lock needs a registry name (`repro locks`)");
                     return 2;
                 }
             },

@@ -68,11 +68,11 @@
 //! look at whether the inner lock is held (the contention signal) and
 //! the holder-owned acquisition count — no RMW on the admitted count,
 //! no peak, no clock read, no controller tick. Between the inner
-//! lock's two RMWs that leaves **one plain store** (the count; the
-//! holder-owned mark below is only read) — what the `gcr_mcs` rung of
-//! `host-acquire` pays over `dyn_mcs`, besides a second erased call on
-//! each side and the look at the inner lock, see "No store before the
-//! RMW" on [`TelemetryCell`]. An arrival that does
+//! lock's acquire and its release that leaves **one plain store** (the
+//! count; the holder-owned mark below is only read) — what the
+//! `gcr_mcs` rung of `host-acquire` pays over `dyn_mcs`, besides a
+//! second erased call on each side and the look at the inner lock, see
+//! "No store before the RMW" on [`TelemetryCell`]. An arrival that does
 //! find the lock held counts itself among the uncounted waiters for
 //! the length of its wait, and the one that makes [`ENGAGE_WAITERS`]
 //! of them at once **engages** the gate before it queues (sizing a

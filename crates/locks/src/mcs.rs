@@ -1,45 +1,50 @@
-//! MCS queue lock (Mellor-Crummey & Scott, 1991).
+//! MCS queue lock (Mellor-Crummey & Scott, 1991) behind a lock word.
 //!
 //! The paper's FIFO workhorse and the default lock under the
 //! reorderable layer. Waiters spin on their *own* queue node, so the
 //! lock scales on SMP; handover is strict FIFO, which is precisely
 //! what collapses on AMP (Fig. 1).
 //!
+//! ## One RMW, not two
+//!
+//! Textbook MCS pays two RMWs uncontended — the tail `swap` in, the
+//! tail `compare_exchange` out — and the second belongs to the
+//! textbook, not to FIFO queueing. Here the lock is a *word* and the
+//! queue is where threads wait for it (Linux's qspinlock; the Fissile
+//! Locks argument): `lock` is `tail == null && locked.CAS(0 → 1)`,
+//! `unlock` a `Release` store, the token a zero-sized proof. An arrival
+//! that finds the word taken *or anyone queued* enqueues and spins on
+//! its own node until it is the queue's **head**; the head alone spins
+//! on the word, takes it, and passes headship on *at acquisition* —
+//! textbook MCS's release: close the tail or grant the successor,
+//! adopting abandoned nodes on the way. The fast path is open only
+//! while the queue is empty, so queued threads are granted in arrival
+//! order ([`FifoLock`]) and poll exactly as often as when the grant
+//! was the lock.
+//!
 //! ## Node management
 //!
-//! `lock()` returns a token owning the acquirer's queue node; nodes
-//! come from the per-thread pool (the `pool` module) and go back on
-//! `unlock`, to the pool of whichever thread releases or adopts them.
-//! That bounds the footprint at (live threads × peak nesting depth)
-//! nodes; a thread's spare nodes are freed when it exits.
-//!
-//! An uncontended `lock`/`unlock` is two RMWs — the tail `swap` in, the
-//! tail `compare_exchange` out — and **no plain store precedes the
-//! first** but the pool's slot hand-out: on x86 an RMW waits for the
-//! store buffer to drain, so every store still pending when it issues
-//! costs ≈ 1.5 ns there (the reference host; nothing on a machine whose
-//! RMWs do not drain the buffer — see the rule on
-//! [`crate::telemetry::TelemetryCell`]). A node no predecessor will
-//! read is therefore not initialised at all: `state` is written only on
-//! the path that found a predecessor, after the `swap` and before the
-//! `Release` store that links the node behind it — the first moment
-//! anyone else can see it — and `next == null` is the invariant of a
-//! pooled node, restored by the releaser on the grant path. The
-//! contended halves live out of line, so that what inlines into a
-//! caller's loop is small enough to leave the caller its registers
-//! (a spilled loop counter is a store between the two RMWs too).
+//! A thread needs one node while it *waits*, whatever it holds; an
+//! uncontended round touches no pool and stores nothing but its CAS
+//! (on x86 an RMW pays for every store still pending: the rule on
+//! [`crate::telemetry::TelemetryCell`]). Nodes come from the
+//! per-thread pool (the `pool` module) and go back at the headship
+//! pass, to the pool of the thread that passes or adopts them. A node
+//! is initialised where it becomes reachable (`pool::link_behind`);
+//! `next == null` is the invariant of a pooled one. The queue lives
+//! out of line: what inlines into a caller's loop leaves its registers.
 
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
-use crate::pool::{close_tail, link_behind, node_pool, open_tail, wait_behind, wait_for_link};
+use crate::pool::{close_tail, link_behind, node_pool, wait_for_link};
 use crate::{FifoLock, RawLock};
 
 const WAITING: u32 = 1;
+/// The node is the queue's head: its thread alone waits on the word.
 const GRANTED: u32 = 0;
-/// A timed waiter that gave up. The node's ownership transfers to
-/// whichever releaser reaches it: the releaser *adopts* the node —
-/// skips it in the grant chain and reclaims it (see `unlock`).
+/// A timed waiter gave up mid-queue; the node belongs to whichever
+/// head reaches it, which *adopts* (skips and pools) it.
 const ABANDONED: u32 = 2;
 
 /// One queue node. Aligned to a cache line so waiters' spin targets
@@ -60,56 +65,112 @@ impl QNode {
 }
 
 node_pool!(QNode);
-crate::pool::node_token! {
-    /// Token proving acquisition of an [`McsLock`]; owns the queue node.
-    McsToken(QNode)
+
+/// Proof of acquisition of an [`McsLock`]. Zero-sized — the lock word
+/// is all a holder owns — and `(0, 0)` through the facade.
+pub struct McsToken(());
+
+impl crate::plain::TokenWords for McsToken {
+    #[inline]
+    fn into_words(self) -> (usize, usize) {
+        (0, 0)
+    }
+
+    #[inline]
+    unsafe fn from_words(_a: usize, _b: usize) -> Self {
+        McsToken(())
+    }
 }
 
-/// The MCS queue lock.
+/// The MCS queue lock: a lock word and the queue of its waiters.
+#[derive(Default)]
 pub struct McsLock {
     tail: AtomicPtr<QNode>,
-}
-
-impl McsLock {
-    /// New unlocked MCS lock.
-    pub fn new() -> Self {
-        McsLock {
-            tail: AtomicPtr::new(ptr::null_mut()),
-        }
-    }
-}
-
-impl Default for McsLock {
-    fn default() -> Self {
-        Self::new()
-    }
+    locked: AtomicU32,
 }
 
 // SAFETY: the queue protocol ensures a node is only recycled after no
-// other thread can reach it (see unlock).
+// other thread can reach it (see `pass_headship`).
 unsafe impl Send for McsLock {}
 unsafe impl Sync for McsLock {}
 
 impl McsLock {
-    /// Release with a successor linked (`next`) or linking (null: the
-    /// closing CAS just failed). Grant chain: hand to the successor,
-    /// but a successor that abandoned its timed wait transferred its
-    /// node to us — adopt it (reclaim) and repeat on *its* successor.
-    /// Untimed waiters never abandon, so without timed use the loop
-    /// runs once and the grant CAS cannot fail.
+    /// New unlocked MCS lock.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The whole uncontended acquisition: nobody queued, one CAS.
+    #[inline]
+    fn take_free(&self) -> bool {
+        self.tail.load(Ordering::Relaxed).is_null() && self.take_word()
+    }
+
+    /// `Acquire`, pairing with the `Release` store of `unlock`.
+    #[inline]
+    fn take_word(&self) -> bool {
+        let (acquire, relaxed) = (Ordering::Acquire, Ordering::Relaxed);
+        self.locked.compare_exchange(0, 1, acquire, relaxed).is_ok()
+    }
+
+    /// Enqueue, wait to be head, then for the word, and pass headship
+    /// on; `false` if `deadline_ns` came first (`u64::MAX`: none, and
+    /// no clock read). Mid-queue, a waiter gives up by CASing its own
+    /// node `WAITING → ABANDONED`: success gives the node away, failure
+    /// means headship already landed. A *head* at its deadline looks
+    /// at the word once more and passes headship on, word or no word.
+    #[cold]
+    fn lock_queued(&self, deadline_ns: u64) -> bool {
+        let node = take_node();
+        let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
+        let mut head = pred.is_null();
+        if !head {
+            // SAFETY: our node, our swap, its non-null result.
+            unsafe { link_behind(pred, node, WAITING) };
+        }
+        // SAFETY: ours until abandoned or pooled, and not read after.
+        let state = unsafe { &(*node.as_ptr()).state };
+        let (acq_rel, acquire) = (Ordering::AcqRel, Ordering::Acquire);
+        let mut spin = asl_runtime::relax::Spin::new();
+        let taken = loop {
+            head = head || state.load(acquire) == GRANTED;
+            if head && self.locked.load(Ordering::Relaxed) == 0 && self.take_word() {
+                break true;
+            }
+            if deadline_ns != u64::MAX && asl_runtime::clock::coarse_now_ns() >= deadline_ns {
+                let abandon = || state.compare_exchange(WAITING, ABANDONED, acq_rel, acquire);
+                if !head && abandon().is_ok() {
+                    return false;
+                }
+                break self.take_word();
+            }
+            spin.relax();
+        };
+        // SAFETY: head, so the node is ours to pool.
+        unsafe { self.pass_headship(node) };
+        taken
+    }
+
+    /// The head leaves the queue: close it behind `node`, or make the
+    /// successor head — but one that abandoned its timed wait gave us
+    /// its node: adopt it (pool it) and repeat on *its* successor.
+    /// Without timed use the loop runs once, the grant CAS cannot fail.
     ///
     /// # Safety
-    /// `node` is the holder's node, `next` what its link last read.
-    #[cold]
-    unsafe fn hand_over(&self, mut node: NonNull<QNode>, mut next: *mut QNode) {
+    /// `node` is the head's node.
+    unsafe fn pass_headship(&self, mut node: NonNull<QNode>) {
         loop {
+            let mut next = node.as_ref().next.load(Ordering::Acquire);
             if next.is_null() {
-                // A successor is enqueueing.
+                if close_tail(&self.tail, node) {
+                    return put_node(node);
+                }
+                // A successor swapped the tail and is linking itself.
                 next = wait_for_link(node);
             }
             // The CAS races the successor's own WAITING → ABANDONED
-            // at its deadline: exactly one side wins, so the lock
-            // is either granted or the node is ours to adopt.
+            // at its deadline: exactly one side wins, so the successor
+            // is either head or its node is ours to adopt.
             let granted = (*next)
                 .state
                 .compare_exchange(WAITING, GRANTED, Ordering::Release, Ordering::Acquire)
@@ -121,21 +182,7 @@ impl McsLock {
             }
             debug_assert_eq!((*next).state.load(Ordering::Relaxed), ABANDONED);
             node = NonNull::new_unchecked(next);
-            next = node.as_ref().next.load(Ordering::Acquire);
-            if next.is_null() && self.close(node) {
-                return;
-            }
         }
-    }
-
-    /// Try to close the queue behind `node`; pools it on success.
-    #[inline]
-    fn close(&self, node: NonNull<QNode>) -> bool {
-        let closed = close_tail(&self.tail, node);
-        if closed {
-            put_node(node);
-        }
-        closed
     }
 }
 
@@ -144,42 +191,26 @@ impl RawLock for McsLock {
 
     #[inline]
     fn lock(&self) -> McsToken {
-        let node = take_node();
-        let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
-        if !pred.is_null() {
-            // SAFETY: our node, our swap, its non-null result.
-            unsafe { wait_behind(pred, node, WAITING) };
+        if !self.take_free() {
+            let taken = self.lock_queued(u64::MAX);
+            debug_assert!(taken, "an untimed wait ends with the word");
         }
-        McsToken(node)
+        McsToken(())
     }
 
     #[inline]
     fn try_lock(&self) -> Option<McsToken> {
-        if !self.tail.load(Ordering::Relaxed).is_null() {
-            return None;
-        }
-        let node = take_node();
-        if open_tail(&self.tail, node) {
-            return Some(McsToken(node));
-        }
-        put_node(node);
-        None
+        self.take_free().then_some(McsToken(()))
     }
 
     #[inline]
-    fn unlock(&self, token: McsToken) {
-        let node = token.0;
-        // SAFETY: the token's node is ours until pooled.
-        let next = unsafe { node.as_ref() }.next.load(Ordering::Acquire);
-        if !(next.is_null() && self.close(node)) {
-            // SAFETY: a successor swapped the tail after us.
-            unsafe { self.hand_over(node, next) };
-        }
+    fn unlock(&self, _token: McsToken) {
+        self.locked.store(0, Ordering::Release);
     }
 
     #[inline]
     fn is_locked(&self) -> bool {
-        !self.tail.load(Ordering::Relaxed).is_null()
+        self.locked.load(Ordering::Relaxed) != 0 || !self.tail.load(Ordering::Relaxed).is_null()
     }
 
     const NAME: &'static str = "mcs";
@@ -188,48 +219,16 @@ impl RawLock for McsLock {
 impl FifoLock for McsLock {}
 
 impl crate::timed::RawTimedLock for McsLock {
-    /// Timed abandon: at the deadline the waiter CASes its own node
-    /// `WAITING → ABANDONED`. Success transfers node ownership to the
-    /// eventual releaser (which adopts and reclaims it — see
-    /// `hand_over`); failure means the grant already landed, so the
-    /// acquisition succeeded at the wire.
+    /// The queued wait with a deadline: see `lock_queued`.
     fn try_lock_until(&self, deadline_ns: u64) -> Option<McsToken> {
-        let node = take_node();
-        let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
-        if pred.is_null() {
-            return Some(McsToken(node));
-        }
-        // SAFETY: our node, our swap, its non-null result.
-        unsafe { link_behind(pred, node, WAITING) };
-        let mut spin = asl_runtime::relax::Spin::new();
-        loop {
-            if unsafe { node.as_ref().state.load(Ordering::Acquire) } == GRANTED {
-                return Some(McsToken(node));
-            }
-            if asl_runtime::clock::coarse_now_ns() >= deadline_ns {
-                match unsafe {
-                    node.as_ref().state.compare_exchange(
-                        WAITING,
-                        ABANDONED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                } {
-                    // Abandoned: the node now belongs to the releaser
-                    // that reaches it; we must not touch it again.
-                    Ok(_) => return None,
-                    // The grant won the race: we hold the lock.
-                    Err(_) => return Some(McsToken(node)),
-                }
-            }
-            spin.relax();
-        }
+        (self.take_free() || self.lock_queued(deadline_ns)).then_some(McsToken(()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timed::RawTimedLock;
     use std::sync::Arc;
 
     #[test]
@@ -254,9 +253,8 @@ mod tests {
 
     #[test]
     fn nested_distinct_locks() {
-        // A thread holding several MCS locks at once needs several
-        // nodes: the pool's slot supplies the first, its overflow the
-        // rest, and they come back in whatever order.
+        // A holder owns the word and nothing else: uncontended rounds
+        // touch no pool, however many locks the thread holds at once.
         let spare = POOL.with(|p| p.len());
         let a = McsLock::new();
         let b = McsLock::new();
@@ -265,16 +263,81 @@ mod tests {
         let tb = b.lock();
         let tc = c.lock();
         assert!(a.is_locked() && b.is_locked() && c.is_locked());
+        POOL.with(|p| assert_eq!(p.len(), spare, "a holder took a node"));
         a.unlock(ta);
         c.unlock(tc);
         b.unlock(tb);
         assert!(!a.is_locked() && !b.is_locked() && !c.is_locked());
-        // And repeated lock/unlock reuses one node: the pool is bounded.
         for _ in 0..10_000 {
             let t = b.lock();
             b.unlock(t);
         }
-        POOL.with(|p| assert_eq!(p.len(), spare.max(3), "one node per nesting level"));
+        POOL.with(|p| assert_eq!(p.len(), spare, "an uncontended round took a node"));
+    }
+
+    #[test]
+    fn a_waiter_needs_one_node_whatever_its_thread_holds() {
+        let (a, b, c) = (McsLock::new(), McsLock::new(), McsLock::new());
+        for _ in 0..3 {
+            let held = c.lock();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let (ta, tb) = (a.lock(), b.lock());
+                    POOL.with(|p| assert_eq!(p.len(), 0, "fresh thread, two locks held"));
+                    // Queues behind the word as head, passes headship
+                    // (closing the queue) the moment it has the word.
+                    let tc = c.lock();
+                    POOL.with(|p| assert_eq!(p.len(), 1, "the node it waited on, pooled"));
+                    assert!(c.tail.load(Ordering::Relaxed).is_null() && c.is_locked());
+                    b.unlock(tb);
+                    c.unlock(tc);
+                    a.unlock(ta);
+                    POOL.with(|p| assert_eq!(p.len(), 1));
+                });
+                while c.tail.load(Ordering::Relaxed).is_null() {
+                    std::thread::yield_now();
+                }
+                c.unlock(held);
+            });
+            assert!(!a.is_locked() && !b.is_locked() && !c.is_locked());
+        }
+    }
+
+    #[test]
+    fn an_abandoned_node_is_pooled_by_the_head_that_adopts_it() {
+        let lock = McsLock::new();
+        let held = lock.lock();
+        std::thread::scope(|s| {
+            let head = s.spawn(|| {
+                let t = lock.lock();
+                // Its own node and the abandoner's, both idle: taking
+                // them out again asserts it (debug builds).
+                POOL.with(|p| assert_eq!(p.len(), 2, "own node + adopted"));
+                let (a, b) = (take_node(), take_node());
+                assert_ne!(a, b);
+                put_node(b);
+                put_node(a);
+                assert!(lock.tail.load(Ordering::Relaxed).is_null(), "queue closed");
+                lock.unlock(t);
+            });
+            while lock.tail.load(Ordering::Relaxed).is_null() {
+                std::thread::yield_now();
+            }
+            let head_node = lock.tail.load(Ordering::Relaxed);
+            let abandoner = s.spawn(|| {
+                assert!(lock.try_lock_for(5_000_000).is_none());
+                POOL.with(|p| assert_eq!(p.len(), 0, "gave its node away"));
+            });
+            abandoner.join().expect("abandoner");
+            assert_ne!(
+                lock.tail.load(Ordering::Relaxed),
+                head_node,
+                "queued behind"
+            );
+            lock.unlock(held);
+            head.join().expect("head");
+        });
+        assert!(!lock.is_locked());
     }
 
     #[test]

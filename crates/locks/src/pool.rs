@@ -1,34 +1,43 @@
 //! The per-thread queue-node pool under every queue lock, and the
 //! enqueue steps the MCS-style ones share.
 //!
-//! A queue lock's token owns a heap node. The seven queue locks
-//! ([`crate::mcs`], [`crate::clh`], [`crate::cna`], [`crate::cohort`],
+//! A queue lock's token owns a heap node — for six of the seven queue
+//! locks ([`crate::clh`], [`crate::cna`], [`crate::cohort`],
 //! [`crate::malthusian`], [`crate::shuffle`], `mcs-stp` in
-//! [`crate::blocking`]) each take theirs from one [`NodePool`] per
-//! thread and node type ([`node_pool!`]; CLH declares its own).
+//! [`crate::blocking`]), which keep the textbook protocol: the node is
+//! taken at `lock` and is the lock's state until `unlock`. Each takes
+//! its nodes from one [`NodePool`] per thread and node type
+//! ([`node_pool!`]; CLH declares its own). The seventh, [`crate::mcs`],
+//! keeps its state in a lock word and draws a node only to *wait*,
+//! pooling it again the moment it has the word. The six stay as they
+//! are on purpose: `malthusian`, `cna`, `shuffle` and `cohort` choose
+//! the next holder *at release*, from the holder's node — that is
+//! their policy — `mcs-stp` is their blocking baseline, and `pthread`
+//! has no queue at all.
 //!
 //! # No store before the RMW
 //!
-//! An uncontended round is two `lock`-prefixed RMWs (one for CLH), and
-//! every plain store still pending when one issues is paid there (the
-//! rule on [`crate::telemetry::TelemetryCell`]). So the fast path is
-//! one `Cell<*mut T>` — a load and a store out, a load and a store
-//! back, no borrow flag, no length — in front of an overflow `Vec`
-//! that only nesting or contention touches, and a pooled node is
-//! handed out *as it is*: a lock writes the wait word only on the path
-//! that found a predecessor ([`link_behind`]) and relies on
-//! `next == null` instead, which the releaser restores on the grant
-//! path and [`take_idle`] checks in debug builds.
+//! An uncontended round of the six is two `lock`-prefixed RMWs (one
+//! for CLH), and every plain store still pending when one issues is
+//! paid there (the rule on [`crate::telemetry::TelemetryCell`]). So
+//! the fast path is one `Cell<*mut T>` — a load and a store out, a
+//! load and a store back, no borrow flag, no length — in front of an
+//! overflow `Vec` that only nesting or contention touches, and a
+//! pooled node is handed out *as it is*: a lock writes the wait word
+//! only on the path that found a predecessor ([`link_behind`]) and
+//! relies on `next == null` instead, which the releaser restores on
+//! the grant path and [`take_idle`] checks in debug builds.
 //!
 //! # A node lives in one place
 //!
 //! A token, a lock's queue, or exactly one thread's pool owns a node:
 //!
-//! * an MCS-family releaser pools its node after the tail CAS closed
+//! * an MCS-family releaser — for [`crate::mcs`], the queue's head as
+//!   it takes the lock word — pools its node after the tail CAS closed
 //!   the queue, or after its successor linked itself and was granted
 //!   (the successor never looks back);
 //! * a timed waiter that *abandons* ([`crate::timed`]) gives its node
-//!   away: it stays queued, in nobody's pool, until the releaser that
+//!   away: it stays queued, in nobody's pool, until the head that
 //!   reaches it adopts it into *its own*;
 //! * CLH nodes *migrate*: `unlock` pools the predecessor's node (only
 //!   this thread spun on it) and leaves its own queued.

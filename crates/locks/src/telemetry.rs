@@ -51,8 +51,10 @@
 //!    *timed* hold, one hold in [`HOLD_SAMPLE_STRIDE`] (a mean needs
 //!    a sample, not a census: [`TelemetryCell::sample_hold_start`]),
 //!    and two more per acquisition that waited; any other hold pays a
-//!    holder-owned countdown store. Reference host, `instrumented-mcs`:
-//!    63 ns a round with every hold bracketed, 23 sampled, 15 gate off.
+//!    holder-owned countdown store. Reference host, `instrumented-mcs`
+//!    over the two-RMW MCS of the time: 63 ns a round with every hold
+//!    bracketed, 23 sampled, 15 gate off; over the lock-word MCS, 12
+//!    sampled and 8 off.
 //!    A cell with sampling on is armed even when the global gate is
 //!    off (local intent wins).
 //!
@@ -162,37 +164,45 @@ use crate::{RawLock, RawRwLock};
 /// The holder-owned rule turned bookkeeping RMWs into plain stores.
 /// Next to an RMW those are not free either: on x86 a `lock`-prefixed
 /// instruction completes only once the store buffer has drained, so
-/// every plain store still pending when the inner lock's acquire or
-/// release RMW issues is paid *there* — ≈ 1.5 ns a store on the
-/// reference host, for stores scattered over several lines
-/// (consecutive pushes to one stack line retire together). x86-64:
-/// taking some fifteen of them out of an in-epoch LibASL round took it
-/// from 29.1 to 19.4 ns, out of a bare MCS round from 18.3 to 13.3. On
-/// a machine whose RMWs do not wait for the buffer (AArch64 atomics
-/// order only what their acquire/release flavour names) the same
-/// stores cost nothing extra: the rule is free there and a third of
-/// the uncontended path here. So, on the uncontended path:
+/// every plain store still pending when a lock's RMW issues is paid
+/// *there* — ≈ 1.5 ns a store on the reference host, for stores
+/// scattered over several lines (consecutive pushes to one stack line
+/// retire together). x86-64: taking some fifteen of them out of an
+/// in-epoch LibASL round took it from 29.1 to 19.4 ns, out of a bare
+/// MCS round from 18.3 to 13.3. On a machine whose RMWs do not wait
+/// for the buffer (AArch64 atomics order only what their
+/// acquire/release flavour names) the same stores cost nothing extra:
+/// the rule is free there and a third of the uncontended path here.
+/// So, on the uncontended path:
 ///
-/// > **No plain store before the acquire RMW, and as few as possible
-/// > between it and the release RMW.** Initialise only what somebody
-/// > will read (a queue node's wait word: on the path that found a
-/// > predecessor — [`crate::mcs`]); write nothing that already holds
-/// > the value (a big-core epoch start, a recycled node's core class);
-/// > give each acquisition one holder-owned store and *derive* at
-/// > snapshot time what can be derived from it.
+/// > **No plain store before an RMW that need not be there, and no RMW
+/// > that need not be there.** Initialise only what somebody will read
+/// > (a queue node's wait word: on the path that found a predecessor);
+/// > write nothing that already holds the value (a big-core epoch
+/// > start, a recycled node's core class); give each acquisition one
+/// > holder-owned store and *derive* at snapshot time what can be
+/// > derived from it; release with a store where the protocol allows.
 ///
-/// What is left between the inner acquire and the inner release of an
-/// uncontended acquisition, gates off, layer by layer (rungs of the
-/// `host-acquire` ladder):
+/// The last clause is [`crate::McsLock`]'s: behind a lock word its
+/// round is **one** RMW — the acquiring CAS — and the release a plain
+/// store, which took the same two rounds from 19.4 to 9.1 ns and from
+/// 13.3 to 7.6. With no release RMW left to drain behind, a round's
+/// stores are paid at the *next* round's CAS, and what used to hide in
+/// the release RMW's shadow shows: two out-of-line calls (the big-core
+/// epoch, now inline) and a release path's register saves (below).
+///
+/// The plain stores of an uncontended round, gates off, layer by layer
+/// (rungs of the `host-acquire` ladder; each row on top of the lock
+/// under it):
 ///
 /// | layer | stores | what |
 /// |---|---|---|
-/// | [`crate::McsLock`] (`static_mcs`, `dyn_mcs`, `timed_mcs`) | 0 between, 2 around | the pool's slot, out and back |
-/// | [`Instrumented`], gate off (`instr_off_mcs`) | 0 | two loads and a branch |
+/// | [`crate::McsLock`] (`static_mcs`, `dyn_mcs`, `timed_mcs`) | 1 | the release; no node, no pool |
+/// | [`Instrumented`], gate off (`instr_off_mcs`) | 0 | five loads, three branches and a second erased call each way: 0.3 ns |
 /// | [`crate::Gcr`], disengaged (`gcr_mcs`) | 1 | `acquisitions` |
 /// | the reorderable lock, immediate path (`libasl_max`) | 1 | `acquisitions`; the path counter is derived |
 /// | the same, free entry on a little core | 2 | `acquisitions`, `standby_free_entry` |
-/// | an epoch on a big core (`libasl_epoch`) | 0 between, 2 around | the open epoch's id, set and cleared |
+/// | an epoch on a big core (`libasl_epoch`) | 2 | the open epoch's id, set and cleared, inline |
 ///
 /// `Gcr`'s *counted* path (gate engaged: there is contention, and the
 /// hand-over's cache miss is the cost) keeps its three — count, hold
@@ -629,6 +639,18 @@ impl<L: RawLock, C: Borrow<TelemetryCell>> Instrumented<L, C> {
         cell.sample_hold_start();
         token
     }
+
+    /// The release of a timed hold, out of line like its acquisition:
+    /// with `note_hold_end`'s clock read inlined, `unlock` saved and
+    /// restored seven registers on every call — 2 ns of the gate-off
+    /// path that the inner lock's release RMW used to hide
+    /// (`instr_off_mcs` 10.2 ns over `dyn_mcs` 7.9; 8.2 with this).
+    #[cold]
+    #[inline(never)]
+    fn unlock_timed(&self, token: L::Token) {
+        self.telemetry().note_hold_end();
+        self.inner.unlock(token);
+    }
 }
 
 impl<L: RawLock + Default> Default for Instrumented<L> {
@@ -666,11 +688,14 @@ impl<L: RawLock, C: Borrow<TelemetryCell> + Send + Sync> RawLock for Instrumente
 
     #[inline]
     fn unlock(&self, token: L::Token) {
-        // Not gated on `armed`: note_hold_end is a single relaxed
-        // load when no sampled hold is in flight, and checking the
-        // slot unconditionally closes holds cleanly even if sampling
-        // was toggled mid-hold.
-        self.telemetry().note_hold_end();
+        // Not gated on `armed`: the slot is a single relaxed load when
+        // no sampled hold is in flight, and checking it
+        // unconditionally closes holds cleanly even if sampling was
+        // toggled mid-hold. A timed hold leaves through a call, so
+        // that this path keeps no register across one.
+        if self.telemetry().hold_started_ns() != 0 {
+            return self.unlock_timed(token);
+        }
         self.inner.unlock(token);
     }
 

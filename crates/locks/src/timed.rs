@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`crate::TasLock`] | nothing published — just stop competing |
 //! | [`crate::TicketLock`] | retract the tail ticket, or deed it to the abandon list the release path drains (the drain-target idiom from [`crate::rw_ticket`]) |
-//! | [`crate::McsLock`] | CAS the queue node `WAITING → ABANDONED`; the eventual granter adopts and reclaims it |
+//! | [`crate::McsLock`] | mid-queue: CAS the queue node `WAITING → ABANDONED`; the head that reaches it adopts and reclaims it. As the queue's head (only the lock word left to wait for): pass headship on without the word |
 //! | [`crate::Gcr`]`<L>` | the passive self-rescue path unlinks the waiter; admission rolls back on inner timeout |
 //!
 //! Deadlines are absolute virtual/monotonic nanoseconds (the
@@ -22,10 +22,9 @@
 //! early. A timed acquire of a *free* lock reads no clock at all
 //! ([`RawTimedLock::try_lock_for`] tries first and anchors its
 //! deadline only if that fails): on the uncontended path it costs what
-//! `try_lock` costs — for MCS a load of the tail ahead of the two RMWs
-//! and, like `lock`, no store before the first but the node pool's
-//! slot hand-out (`timed_mcs` on the `host-acquire` ladder, within a
-//! nanosecond or so of `static_mcs`).
+//! `try_lock` costs — for MCS that *is* `lock`'s fast path, a load of
+//! the tail and one CAS on the lock word (`timed_mcs` on the
+//! `host-acquire` ladder reads what `static_mcs` reads).
 
 use crate::RawLock;
 
@@ -159,41 +158,46 @@ mod tests {
         assert!(!l.is_locked());
     }
 
-    /// MCS: a chain of abandoned nodes between holder and live waiter
-    /// is adopted and reclaimed by the releaser.
+    /// MCS: a chain of abandoned nodes between the queue's head and a
+    /// live waiter is adopted and reclaimed by that head when it takes
+    /// the word and passes headship.
     #[test]
     fn mcs_abandon_chain_is_adopted() {
         let l = Arc::new(McsLock::new());
         let held = l.lock();
-        let mut abandoners = vec![];
-        for _ in 0..3 {
-            let li = l.clone();
-            abandoners.push(std::thread::spawn(move || {
-                assert!(li.try_lock_for(ms(20)).is_none());
-            }));
-            // Order the enqueues so all three are queued abandons.
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+        let settle = || std::thread::sleep(std::time::Duration::from_millis(5));
+        let live = |l: Arc<McsLock>| {
+            let waiter = std::thread::spawn(move || l.unlock(l.lock()));
+            settle();
+            waiter
+        };
+        // An untimed head in front, so the three behind it are queued
+        // abandons (a timed *head* would pass headship on instead)...
+        let head = live(l.clone());
+        let abandoners: Vec<_> = (0..3)
+            .map(|_| {
+                let l = l.clone();
+                let a = std::thread::spawn(move || assert!(l.try_lock_for(ms(20)).is_none()));
+                // Order the enqueues.
+                settle();
+                a
+            })
+            .collect();
         for a in abandoners {
             a.join().unwrap();
         }
-        let l2 = l.clone();
-        let live = std::thread::spawn(move || {
-            let t = l2.lock();
-            l2.unlock(t);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        // ...and a live waiter behind them, for headship to skip to.
+        let tail = live(l.clone());
         l.unlock(held);
-        live.join().unwrap();
+        head.join().unwrap();
+        tail.join().unwrap();
         assert!(!l.is_locked());
-        // The adopted nodes sit in this thread's pool now. Take every
-        // one of them again (debug builds check each is idle: the link
-        // the abandoner's successor stored has been cleared).
-        let nest: Vec<McsLock> = (0..5).map(|_| McsLock::new()).collect();
-        let held: Vec<_> = nest.iter().map(|n| n.lock()).collect();
-        for (n, t) in nest.iter().zip(held) {
-            n.unlock(t);
-        }
+        // And a timed head leaves no residue either: it closes the
+        // queue it is alone in, without the word.
+        let held = l.lock();
+        assert!(l.try_lock_for(ms(1)).is_none());
+        l.unlock(held);
+        assert!(!l.is_locked());
     }
 
     /// Gcr: a timed-out admission leaves no slot behind — the gate's

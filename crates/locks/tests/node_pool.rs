@@ -3,7 +3,12 @@
 //! A thread that holds several locks of one kind at once takes the
 //! pool's slot node first and overflow nodes after; the nodes come back
 //! in whatever order the locks are released, and every one handed out
-//! again must be idle (debug builds assert it in the pool). The
+//! again must be idle (debug builds assert it in the pool). `McsLock`
+//! is the exception that proves the pool: its holder owns a word, not a
+//! node, so nesting it takes nothing and only a *wait* draws a node —
+//! one, whatever the thread holds — which is pooled again at the
+//! headship pass, by the waiter or by the head that adopts it (the
+//! exact counts are `mcs`'s unit tests', which can see the pool). The
 //! contended paths — hand-off, timed abandon and adoption — are driven
 //! in debug by the unit suites (`timed`, the crate's `hammer`s) and by
 //! `zoo_smoke`.
@@ -47,24 +52,28 @@ fn every_queue_lock_nests_and_recycles() {
     nested_out_of_order(|| ShuffleLock::new(FifoPolicy));
 }
 
-/// A timed waiter that gives up leaves its node queued; the releaser
-/// adopts it — closing the queue behind it, or clearing the link a
-/// successor stored in it, whichever the waiter below got to first —
-/// and the next nested acquisitions on this thread take it again.
+/// A timed waiter that gives up mid-queue leaves its node queued; the
+/// head in front of it adopts the node — into its own pool — when it
+/// takes the word and passes headship, closing the queue behind it.
+/// (Were the abandoner scheduled ahead of the waiter it would time out
+/// as head and pool its node itself: the other half of the invariant.
+/// `mcs`'s unit tests take the adopted node out again and count.)
 #[test]
 fn an_adopted_node_comes_back_idle() {
     let lock = McsLock::new();
+    let queued = std::time::Duration::from_millis(20);
     std::thread::scope(|s| {
         let held = lock.lock();
-        let abandoner = s.spawn(|| assert!(lock.try_lock_for(2_000_000).is_none()));
-        abandoner.join().expect("abandoner");
-        let waiter = s.spawn(|| {
+        let head = s.spawn(|| {
             let t = lock.lock();
             lock.unlock(t);
+            nested_out_of_order(McsLock::new);
         });
-        std::thread::yield_now();
+        std::thread::sleep(queued);
+        let abandoner = s.spawn(|| assert!(lock.try_lock_for(2_000_000).is_none()));
+        abandoner.join().expect("abandoner");
         lock.unlock(held);
-        waiter.join().expect("waiter");
+        head.join().expect("head");
     });
     assert!(!lock.is_locked());
     nested_out_of_order(McsLock::new);

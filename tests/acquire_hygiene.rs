@@ -16,6 +16,9 @@
 //!   something for it: an uncontended `Gcr`, an epoch on a big core and
 //!   a timed acquire of a free lock read no clock at all. Counted
 //!   exactly, under a substrate whose clock ticks once per read.
+//! * The floor under all of them: an uncontended `McsLock` round is one
+//!   CAS and one store — no node, no pool, no clock, no allocation —
+//!   and a big-core epoch around it adds two thread-local stores.
 //! * Profiling times a sample of the holds, not each: with sampling on,
 //!   an uncontended acquisition reads the clock twice if its hold is
 //!   one of the timed — about one in sixteen — and not at all if not.
@@ -36,6 +39,13 @@ use libasl::{epoch, AslSpinLock, DynLock, DynRwLock, Gcr, Instrumented, Telemetr
 #[path = "common/ticking.rs"]
 mod ticking;
 use ticking::Ticking;
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
+
+#[global_allocator]
+static ALLOCATOR: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 /// Run `body` on a thread of its own and fail if it has not returned
 /// within `secs` seconds (the stuck thread is left behind).
@@ -190,6 +200,36 @@ fn an_uncontended_gcr_reads_no_clock_and_counts_nobody() {
     assert_eq!(reads, 0, "try_lock");
     assert_eq!((gcr.active(), gcr.peak_active()), (0, 0));
     assert_eq!(gcr.telemetry().snapshot().acquisitions, 201);
+}
+
+#[test]
+fn an_uncontended_mcs_round_in_a_big_core_epoch_touches_nothing() {
+    // A thread of its own: its node pool is empty, so a pool hand-out
+    // would be the allocation of a node (and of the thread's list of
+    // thread-local destructors) — counted below.
+    within(30, || {
+        let ticking = Arc::new(Ticking(AtomicU64::new(0)));
+        let _installed = substrate::install(ticking.clone());
+        register_on_core(&Topology::apple_m1(), CoreId(0));
+        epoch::reset_thread_epochs();
+        let lock = McsLock::new();
+        // The thread's first epoch on an id fills the one-entry cache.
+        epoch::with_epoch(3, 60_000, || ());
+        let before = allocations();
+        let reads = ticking.reads_in(|| {
+            for _ in 0..10_000 {
+                lock.unlock(lock.lock());
+                epoch::with_epoch(3, 60_000, || lock.unlock(lock.lock()));
+                let token = lock.try_lock_for(1_000).expect("free lock");
+                assert!(lock.is_locked() && lock.try_lock().is_none());
+                lock.unlock(token);
+            }
+        });
+        assert_eq!(reads, 0, "clock reads");
+        assert_eq!(allocations() - before, 0, "a node left an empty pool");
+        assert_eq!(epoch::current_epoch_id(), None);
+        unregister();
+    });
 }
 
 #[test]

@@ -94,6 +94,8 @@ fn a_thread_that_exits_returns_every_node_it_pooled() {
     let malthusian = MalthusianLock::new();
     let shuffle = ShuffleLock::new(FifoPolicy);
     let stp = McsStpLock::new();
+    let mcs_held = McsLock::new();
+    let held = mcs_held.lock();
     fn once<L: RawLock>(lock: &L) {
         let token = lock.lock();
         lock.unlock(token);
@@ -109,7 +111,13 @@ fn a_thread_that_exits_returns_every_node_it_pooled() {
                 track_this_thread();
                 let before = allocations();
                 if touch_locks {
+                    // A free MCS lock is its word: no node, no pool.
                     once(&mcs);
+                    assert_eq!(allocations() - before, 0, "uncontended mcs");
+                    // The node comes with the first *wait*, and is
+                    // pooled again when the waiter leaves the queue —
+                    // here as a head that timed out without the word.
+                    assert!(mcs_held.try_lock_for(1_000).is_none());
                     once(&clh);
                     once(&cna);
                     once(&cohort);
@@ -137,6 +145,7 @@ fn a_thread_that_exits_returns_every_node_it_pooled() {
         owed, idle_owed,
         "bytes a thread kept of {allocated} allocations"
     );
+    mcs_held.unlock(held);
 }
 
 /// `ClhLock::try_lock` and `is_locked` read the wait word of whatever
