@@ -15,6 +15,7 @@
 //! paper's lock semantics lifted into the async layer.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use asl_locks::{AsyncDynMutex, AsyncPolicy};
 use rand::rngs::SmallRng;
@@ -47,9 +48,51 @@ impl Default for KvConfig {
     }
 }
 
+/// Fibonacci multiplier (2^64 / golden ratio): `shard_of` scatters
+/// keys with it and [`KeyHasher`] hashes them with it.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The shard maps' hasher: one multiply, for `u64` keys only.
+///
+/// The product is rotated before the table sees it. A table indexes
+/// its buckets with the hash's low bits, and those bits of `key · FIB`
+/// are exactly what [`ShardedKv::shard_of`] reduces `% shards`: with a
+/// power-of-two shard count every key of one shard has the same low
+/// bits, so the unrotated product would put a shard's keys in
+/// 1/`shards` of its buckets. Rotating left by 22 brings bits 42..63 —
+/// the well-mixed end that Fibonacci hashing takes its index from —
+/// down to the bucket mask of every table up to 2^22 buckets; over
+/// `KEYSPACE` one shard's keys then cover ≥ 95 % of their hashes'
+/// 4 096 low-12-bit values for 1, 4, 7 or 16 shards (a random hash
+/// covers 63 % at 16). The default SipHash is keyed against keys
+/// crafted to collide, which costs several times the multiply; this
+/// store's keys come from its own workload generators, not from
+/// outside the program.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps are keyed by u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(FIB).rotate_left(22);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One shard's records.
+type Shard = HashMap<u64, Value, BuildHasherDefault<KeyHasher>>;
+
 /// A sharded KV store; every shard is one async-locked hash map.
 pub struct ShardedKv {
-    shards: Vec<AsyncDynMutex<HashMap<u64, Value>>>,
+    shards: Vec<AsyncDynMutex<Shard>>,
     keyspace: u64,
     cs_units: u64,
 }
@@ -64,7 +107,7 @@ impl ShardedKv {
         assert!(cfg.keyspace > 0, "empty key space");
         ShardedKv {
             shards: (0..cfg.shards)
-                .map(|_| AsyncDynMutex::new(cfg.policy, HashMap::new()))
+                .map(|_| AsyncDynMutex::new(cfg.policy, Shard::default()))
                 .collect(),
             keyspace: cfg.keyspace,
             cs_units: cfg.cs_units,
@@ -86,18 +129,34 @@ impl ShardedKv {
     /// one shard by accident of layout — hotness still concentrates
     /// (that is the point), but via the key distribution, not aliasing.
     pub fn shard_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.shards.len() as u64) as usize
+        (key.wrapping_mul(FIB) % self.shards.len() as u64) as usize
     }
 
     /// Synchronously pre-populate every `fill_every`-th key so reads
-    /// hit (uses `try_lock`; must run before any concurrent traffic).
+    /// hit.
+    ///
+    /// Must run before any traffic: it takes every shard's guard once,
+    /// with `try_lock` (panicking if one is held), and keeps them all
+    /// for the whole fill instead of locking per key. Before the first
+    /// insert each shard reserves its share of the keys — their count
+    /// over the shard count, rounded up; the Fibonacci scatter of
+    /// [`ShardedKv::shard_of`] deals keys out about evenly — so a map
+    /// is sized once for what it will hold instead of rehashing as it
+    /// grows.
     pub fn prefill(&self, fill_every: u64) {
         let step = fill_every.max(1);
+        let keys = self.keyspace.div_ceil(step);
+        let share = keys.div_ceil(self.shards.len() as u64) as usize;
+        let mut guards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| shard.try_lock().expect("prefill must run before traffic"))
+            .collect();
+        for guard in &mut guards {
+            guard.reserve(share);
+        }
         for key in (0..self.keyspace).step_by(step as usize) {
-            let mut g = self.shards[self.shard_of(key)]
-                .try_lock()
-                .expect("prefill must run before traffic");
-            g.insert(key, value_for(key));
+            guards[self.shard_of(key)].insert(key, value_for(key));
         }
     }
 
@@ -210,6 +269,49 @@ mod tests {
             assert!(kv.request(Op::Read, 0, None).await);
             assert!(!kv.request(Op::Read, 1, None).await);
         });
+    }
+
+    #[test]
+    fn prefill_fills_an_uneven_split_exactly() {
+        // 1 000 keys, every third: 334 records over 7 shards that do
+        // not divide them evenly.
+        let kv = ShardedKv::new(KvConfig {
+            shards: 7,
+            keyspace: 1_000,
+            cs_units: 0,
+            ..KvConfig::default()
+        });
+        kv.prefill(3);
+        block_on(async {
+            assert_eq!(kv.len().await, 334);
+            for key in 0..1_000 {
+                let filled = key % 3 == 0;
+                assert_eq!(kv.request(Op::Read, key, None).await, filled, "key {key}");
+            }
+        });
+    }
+
+    #[test]
+    fn one_shards_keys_spread_over_its_buckets() {
+        use std::hash::BuildHasher;
+        let hash = BuildHasherDefault::<KeyHasher>::default();
+        for shards in [1, 4, 7, 16] {
+            let kv = ShardedKv::new(KvConfig {
+                shards,
+                ..KvConfig::default()
+            });
+            for shard in 0..shards {
+                let mut seen = [false; 4_096];
+                for key in (0..crate::KEYSPACE).filter(|&k| kv.shard_of(k) == shard) {
+                    seen[(hash.hash_one(key) & 4_095) as usize] = true;
+                }
+                let covered = seen.iter().filter(|&&s| s).count();
+                assert!(
+                    covered * 10 >= 4_096 * 9,
+                    "{shards} shards: shard {shard}'s keys hit {covered} of 4096 low-bit values"
+                );
+            }
+        }
     }
 
     #[test]

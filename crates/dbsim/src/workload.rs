@@ -30,6 +30,9 @@ pub struct Zipfian {
     zetan: f64,
     eta: f64,
     zeta2: f64,
+    /// `1 + 0.5^θ`: a draw whose `u · ζ(n)` lands below this (and not
+    /// below 1) is rank 1. Precomputed so a draw costs one `powf`.
+    rank1_below: f64,
 }
 
 impl Zipfian {
@@ -51,6 +54,7 @@ impl Zipfian {
             zetan,
             eta,
             zeta2,
+            rank1_below: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -82,7 +86,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_below {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -228,6 +232,33 @@ mod tests {
         let d1: u64 = counts[10..20].iter().sum();
         let d5: u64 = counts[50..60].iter().sum();
         assert!(d0 > d1 && d1 > d5, "{d0} {d1} {d5}");
+    }
+
+    /// FNV-1a over the little-endian bytes of `draws`.
+    fn digest(draws: impl Iterator<Item = u64>) -> u64 {
+        draws.fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            x.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    /// The first 100 000 ranks and scattered keys at seed 1 over the
+    /// benchmark's key space, as drawn when the rank-1 threshold was
+    /// still computed per draw. A sampler change that moves one draw
+    /// moves every workload fed from it (`host-kv`'s script, the open
+    /// loop, `repro kv`): it must be a deliberate, visible change.
+    #[test]
+    fn the_ycsb_stream_is_pinned() {
+        const RANKS: u64 = 0x175c_6beb_60d5_4ff1;
+        const KEYS: u64 = 0x982b_e6d8_0cdd_715b;
+        let z = Zipfian::new(crate::KEYSPACE, YCSB_THETA);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let ranks = digest((0..100_000).map(|_| z.sample(&mut rng)));
+        let keys = KeyDist::Zipfian(z);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let keys = digest((0..100_000).map(|_| keys.sample(&mut rng)));
+        assert_eq!((ranks, keys), (RANKS, KEYS), "{ranks:#018x} {keys:#018x}");
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub fn execute_raw_units(units: u64) {
 /// decorators that fall through to real execution
 /// ([`crate::fault::FaultInjector`] over the OS backend) call this
 /// directly — going through [`execute_raw_units`] would recurse into
-/// the substrate hook.
+/// the substrate hook — and so does [`units_per_us`], which must time
+/// the host whichever thread asks.
 #[inline]
 pub(crate) fn run_raw_loop(units: u64) {
     let mut acc: u64 = units;
@@ -69,28 +70,46 @@ pub fn execute_units(units: u64) {
     execute_raw_units(scaled);
 }
 
+/// Units in one calibration block: ≈ 70 µs on the reference host.
+const CALIBRATION_BLOCK: u64 = 40_000;
+/// Calibration blocks timed; the fastest one is the answer.
+const CALIBRATION_BLOCKS: usize = 12;
+
 /// Calibration: how many raw units a *big* core executes per
 /// microsecond. Measured once per process; used to convert between
 /// work units and (approximate) nanoseconds when sizing workloads.
+///
+/// What it measures is the host: the bare loop (`run_raw_loop`) timed
+/// with [`crate::clock::os_now_ns`], neither of which goes through a
+/// substrate, so the first call may come from a simulated thread
+/// without charging its virtual clock or caching the simulator's
+/// exchange rate for the whole process. It times
+/// `CALIBRATION_BLOCKS` blocks of `CALIBRATION_BLOCK` units and keeps
+/// the fastest: ≈ 1 ms in all.
+///
+/// The blocks are short on purpose. A slow block is not the loop's
+/// cost but a preemption, a migration or a co-tenant on the same
+/// core, and the fastest of several blocks estimates the loop only if
+/// one of them escaped all of that: a short block escapes more often,
+/// and twelve short blocks cost a twentieth of five long ones. Twenty
+/// fresh processes each, run back to back on the reference host (2-CPU
+/// x86-64, shared with other tenants): five 2.7 ms blocks took 18–34
+/// ms and read 321–599 units/µs, 9 of 20 within 10 % of the fastest
+/// reading; twelve 40 000-unit blocks took 0.84–1.72 ms and read
+/// 303–592, 16 of 20 within 10 %. A clock read (≈ 15–30 ns) is noise
+/// against a block.
 pub fn units_per_us() -> f64 {
     static CAL: OnceLock<f64> = OnceLock::new();
     *CAL.get_or_init(|| {
-        // Warm up, then measure a block long enough to dwarf timer cost.
-        execute_raw_units(200_000);
-        let trials = 5;
-        let block: u64 = 2_000_000;
-        let mut best = f64::MAX;
-        for _ in 0..trials {
-            let t0 = crate::clock::now_ns();
-            execute_raw_units(block);
-            let dt = (crate::clock::now_ns() - t0).max(1);
-            let per_us = block as f64 * 1_000.0 / dt as f64;
-            // Keep the *fastest* trial: slow trials are scheduler noise.
-            if (block as f64 / per_us) < best {
-                best = block as f64 / per_us;
-            }
-        }
-        2_000_000.0 / best
+        let fastest_ns = (0..CALIBRATION_BLOCKS)
+            .map(|_| {
+                let t0 = crate::clock::os_now_ns();
+                run_raw_loop(CALIBRATION_BLOCK);
+                crate::clock::os_now_ns() - t0
+            })
+            .fold(u64::MAX, u64::min)
+            .max(1);
+        CALIBRATION_BLOCK as f64 * 1_000.0 / fastest_ns as f64
     })
 }
 
