@@ -34,8 +34,8 @@
 //! ```
 
 use asl_locks::api;
-use asl_locks::shuffle::{FifoPolicy, ShuffleLock};
-use asl_locks::{ClhLock, FifoLock, McsLock, PthreadMutex, RawLock, TicketLock};
+use asl_locks::shuffle::FifoPolicy;
+use asl_locks::{ClhLock, FifoLock, McsLock, PthreadMutex, RawLock, ShuffleLock, TicketLock};
 use asl_runtime::registry::is_big_core;
 
 use crate::epoch;

@@ -23,10 +23,8 @@ use asl_core::epoch::WindowSample;
 use asl_core::wait::WaitOutcome;
 use asl_core::{AslLock, AslSpinLock, ReorderableLock, SpinWait, WaitPolicy};
 use asl_locks::plain::PlainLock;
-use asl_locks::shuffle::{
-    ClassLocalPolicy, FifoPolicy, PreferBigPolicy, ProportionalPolicy, ShuffleLock,
-};
-use asl_locks::{McsLock, RawLock};
+use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, PreferBigPolicy, ProportionalPolicy};
+use asl_locks::{McsLock, RawLock, ShuffleLock};
 use asl_runtime::atomic_model::AtomicAffinity;
 use asl_runtime::stats::percentile;
 use asl_runtime::topology::Topology;
@@ -309,7 +307,8 @@ pub fn sim_ablate(profile: &Profile) -> Vec<Table> {
             Arc::new(AllStandby(ReorderableLock::new(McsLock::new()))),
         ),
         ("dispatch", "plain-mcs", spec("mcs")),
-        // Ordering policy inside one shuffle-queue mechanism.
+        // Ordering policy inside one shuffle queue: the head policy
+        // of `QueueLock`.
         ("policy", "fifo", Arc::new(ShuffleLock::new(FifoPolicy))),
         (
             "policy",
@@ -341,7 +340,7 @@ pub fn sim_ablate(profile: &Profile) -> Vec<Table> {
         ]);
     }
     t.note("dispatch resolves: big cores locking immediately is where the throughput comes from; all-standby is a little above plain FIFO");
-    t.note("policy resolves: prefer-big and proportional buy throughput with the little-core tail, class-local barely reorders");
+    t.note("policy resolves: prefer-big and proportional buy throughput with the little-core tail, class-local barely reorders (the queue's head picks, while it waits for the word)");
     t.note("backoff shows in the little-core tail only (equal throughput): at the max window a little core gets in when the big cores stop, and an exponential prober leaves a free lock unnoticed for longer the longer it has waited");
     t.note("fifo cannot resolve here: the simulator charges no atomics, so mcs / ticket / clh under the reorderable layer are the same schedule until CostModel does");
     vec![t]

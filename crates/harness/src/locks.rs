@@ -60,12 +60,13 @@ use std::sync::{Arc, OnceLock};
 use asl_core::{AslBlockingLock, AslLock, AslRwLock, AslSpinLock};
 use asl_locks::api::{DynLock, DynRwLock};
 use asl_locks::plain::{ExclusiveRw, PlainLock, PlainRwLock, RwTokenWords, TokenWords, WriteHalf};
-use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, ShuffleLock};
+use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy};
 use asl_locks::telemetry;
 use asl_locks::{
     bridge_apply, Adaptive, AsyncPolicy, Bravo, CcSynch, ClhLock, CnaLock, CohortLock,
     DelegatedMutex, FcBan, FlatCombiner, Gcr, MalthusianLock, McsLock, McsStpLock,
-    ProportionalLock, PthreadMutex, RawLock, RawRwLock, RclLock, RwTicketLock, TasLock, TicketLock,
+    ProportionalLock, PthreadMutex, RawLock, RawRwLock, RclLock, RwTicketLock, ShuffleLock,
+    TasLock, TicketLock,
 };
 use asl_runtime::AtomicAffinity;
 
@@ -295,16 +296,16 @@ static FAMILIES: &[Family] = &[
         ("", "spin-then-park MCS, the blocking FIFO strawman")]),
     row("shfl-pb", grammar!(Count, n => LockSpec::ShflPb(n)), Caps::NONE, &[
         ("10", "proportional lock, 10 big grants per little grant")]),
-    row("shfl-local", grammar!(Count, n => LockSpec::ShuffleClassLocal { max_skips: n }), Caps::NONE, &[
+    row("shfl-local", grammar!(Count, n => LockSpec::ShuffleClassLocal { max_skips: n }), Caps::TIMED_STATIC, &[
         ("16", "ShflLock framework, class-local policy (16-skip bound)")]),
-    row("cna", Grammar::Literal(LockSpec::Cna), Caps::NONE, &[
+    row("cna", Grammar::Literal(LockSpec::Cna), Caps::TIMED_STATIC, &[
         ("", "compact NUMA-aware lock on core classes")]),
     row("cohort", Grammar::Literal(LockSpec::Cohort), Caps::NONE, &[
         ("", "lock cohorting (C-BO-MCS) on core classes")]),
-    row("malthusian", Grammar::Literal(LockSpec::Malthusian(None)), Caps::NONE, &[
+    row("malthusian", Grammar::Literal(LockSpec::Malthusian(None)), Caps::TIMED_STATIC, &[
         ("", "Malthusian MCS: culling + reintroduction (any period: malthusian-<n>)")]),
     // A culling period of zero would never reintroduce anyone.
-    row("malthusian-", grammar!(Count, n if n != 0 => LockSpec::Malthusian(Some(n))), Caps::NONE, &[]),
+    row("malthusian-", grammar!(Count, n if n != 0 => LockSpec::Malthusian(Some(n))), Caps::TIMED_STATIC, &[]),
     row("libasl-", grammar!(MaxOrDuration, slo => LockSpec::Asl { substrate: AslSubstrate::Mcs, slo_ns: slo }), Caps::EPOCH, &[
         ("70us", "LibASL, 70us SLO epochs (any SLO: libasl-<dur>)"),
         ("max", "LibASL, maximum reorder window (no epochs)")]),

@@ -472,8 +472,19 @@ pub fn sweep_plan(seed: u64) -> FaultPlan {
 }
 
 /// Locks swept in sim mode; whether a bout holds one to exact FIFO is
-/// its registry row's [`Caps::FIFO`] column.
-pub const SIM_SWEEP_LOCKS: [&str; 5] = ["tas", "ticket", "mcs", "mcs-stp", "gcr-mcs"];
+/// its registry row's [`Caps::FIFO`] column. The head policies ride
+/// along, so stalls, spurious wakes and clock jumps reach their
+/// reordering and their stashes.
+pub const SIM_SWEEP_LOCKS: [&str; 8] = [
+    "tas",
+    "ticket",
+    "mcs",
+    "mcs-stp",
+    "gcr-mcs",
+    "cna",
+    "malthusian",
+    "shfl-local16",
+];
 
 /// Locks swept in OS mode.
 pub const OS_SWEEP_LOCKS: [&str; 9] = [

@@ -9,7 +9,7 @@
 //!   wake-up latency on the critical path.
 
 use std::cell::UnsafeCell;
-use std::ptr;
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::thread::Thread;
 
@@ -126,9 +126,23 @@ impl StpNode {
 }
 
 node_pool!(StpNode);
-crate::pool::node_token! {
-    /// Token proving acquisition of an [`McsStpLock`].
-    StpToken(StpNode)
+
+/// Token proving acquisition of an [`McsStpLock`]: it owns the queue
+/// node, and travels through the facade as its address.
+pub struct StpToken(NonNull<StpNode>);
+
+impl crate::plain::TokenWords for StpToken {
+    #[inline]
+    fn into_words(self) -> (usize, usize) {
+        (self.0.as_ptr() as usize, 0)
+    }
+
+    /// # Safety
+    /// `a` comes from `into_words` on an unreleased token of this lock.
+    #[inline]
+    unsafe fn from_words(a: usize, _b: usize) -> Self {
+        StpToken(NonNull::new_unchecked(a as *mut StpNode))
+    }
 }
 
 /// Spin-then-park MCS lock ("MCS-STP" in the paper's Fig. 8h).

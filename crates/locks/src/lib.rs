@@ -8,15 +8,15 @@
 //! | [`TasLock`] | unfair baseline whose affinity collapses latency (Figs. 1, 4) | [`tas`] |
 //! | [`TicketLock`] | FIFO baseline (Fig. 8a) | [`ticket`] |
 //! | [`BackoffLock`] | what LibASL degenerates to among little cores (§3.4) | [`backoff`] |
-//! | [`McsLock`] | the FIFO queue under the reorderable lock (Figs. 1–10) | [`mcs`] |
+//! | [`McsLock`] | the FIFO queue under the reorderable lock (Figs. 1–10): [`QueueLock`] with the [`Fifo`] head policy | [`mcs`] |
 //! | [`ClhLock`] | alternative FIFO substrate (`repro sim-ablate`, `fifo` group) | [`clh`] |
 //! | [`ProportionalLock`] | SHFL-PB10: static proportional policy (Figs. 5, 8a, 8g, 9, 10) | [`proportional`] |
 //! | [`PthreadMutex`] | glibc-style spin-then-futex blocking mutex (Figs. 8h, 8i) | [`blocking`] |
 //! | [`McsStpLock`] | spin-then-park MCS, the blocking FIFO strawman of Bench-6 | [`blocking`] |
-//! | [`CnaLock`] | compact NUMA-aware lock on core classes (§2.2 NUMA collapse) | [`cna`] |
+//! | [`CnaLock`] | compact NUMA-aware lock on core classes (§2.2 NUMA collapse): `QueueLock<`[`Numa`]`>` | [`mcs`] |
 //! | [`CohortLock`] | lock cohorting on core classes (§2.2 NUMA collapse) | [`cohort`] |
-//! | [`MalthusianLock`] | culling + periodic reintroduction (§2.2 long-term fairness) | [`malthusian`] |
-//! | [`ShuffleLock`] | ShflLock-style framework with pluggable policies (§5; `repro sim-ablate`, `policy` group) | [`shuffle`] |
+//! | [`MalthusianLock`] | culling + periodic reintroduction (§2.2 long-term fairness): `QueueLock<`[`Cull`]`>` | [`mcs`] |
+//! | [`ShuffleLock`] | ShflLock-style framework with pluggable policies (§5; `repro sim-ablate`, `policy` group): `QueueLock<`[`Shuffle`]`<S>>`, the decision functions in [`shuffle`] | [`mcs`] |
 //! | [`FlatCombiner`] | flat-combining delegation: publication-slot engine, a submitter executes (§5 related-work comparator) | [`flatcomb`] |
 //! | [`RclLock`] | RCL-style client/server lock: the same engine, a dedicated (caller-pinnable) server executes (§5) | [`rcl`] |
 //! | [`FcBan`] | usage-fair banning combiner: the same engine with the ban policy — overdrawn threads wait out their overage | [`fcban`] |
@@ -24,6 +24,10 @@
 //! | [`RwTicketLock`] | phase-fair ticket reader-writer lock (read-mostly workloads) | [`rw_ticket`] |
 //! | [`Bravo`] | BRAVO-style reader-bias wrapper: any exclusive lock becomes an rwlock | [`bravo`] |
 //! | [`Adaptive`] | contention-adaptive TAS that morphs to a FIFO queue (Fissile-style); a bare lock like `ticket` and `mcs` — restricted, it is [`Gcr`]`<Adaptive>` | [`adaptive`] |
+//!
+//! The four MCS-family comparators are one queue lock: a lock word in
+//! front of one MCS queue, whose waiting head applies the ordering
+//! policy while the holder runs ([`mcs`]).
 //!
 //! The [`asynclock`] module is the task-parking counterpart of the
 //! zoo: [`AsyncMutex`] (SLO-aware deadline-ordered wakes, the async
@@ -53,7 +57,7 @@
 //!
 //! Robustness is another: [`timed`] defines [`RawTimedLock`]
 //! (deadline-bounded acquisition with per-family back-out protocols,
-//! implemented for TAS, ticket, MCS and `Gcr<L>`), and [`watchdog`]
+//! implemented for TAS, ticket, every `QueueLock<P>` and `Gcr<L>`), and [`watchdog`]
 //! provides the telemetry-fed [`StallWatchdog`] that dumps a
 //! diagnostic snapshot instead of letting a stalled lock hang
 //! silently.
@@ -69,9 +73,10 @@
 //!   Releasing happens on drop (including panic unwind), so the
 //!   forget-to-release and release-wrong-lock bug classes of the token
 //!   APIs cannot occur.
-//! * [`RawLock`] — statically dispatched, token-based. Tokens carry
-//!   queue-node ownership (MCS/CLH) so locks stay allocation-free on
-//!   the hot path. The reorderable lock in `asl-core` composes over
+//! * [`RawLock`] — statically dispatched, token-based. Textbook queue
+//!   locks' tokens carry queue-node ownership (CLH, cohort, `mcs-stp`)
+//!   so locks stay allocation-free on the hot path; a [`QueueLock`]
+//!   holder owns only its lock word, and its token is zero-sized. The reorderable lock in `asl-core` composes over
 //!   any `RawLock + FifoLock`, and every wrapper ([`Gcr`],
 //!   [`Instrumented`]) is written once against it. Documented
 //!   low-level escape hatch.
@@ -117,14 +122,12 @@ pub mod blocking;
 pub mod bravo;
 pub mod ccsynch;
 pub mod clh;
-pub mod cna;
 pub mod cohort;
 pub mod delegation;
 pub mod fcban;
 pub mod flatcomb;
 pub mod futex;
 pub mod gcr;
-pub mod malthusian;
 pub mod mcs;
 pub mod plain;
 mod pool;
@@ -149,7 +152,6 @@ pub use blocking::{McsStpLock, PthreadMutex};
 pub use bravo::Bravo;
 pub use ccsynch::CcSynch;
 pub use clh::ClhLock;
-pub use cna::CnaLock;
 pub use cohort::CohortLock;
 pub use delegation::{
     bridge_apply, BridgeOp, DelegatedMutex, DelegationHandle, DelegationLock, SlotHandle, SlotLock,
@@ -158,13 +160,14 @@ pub use delegation::{
 pub use fcban::FcBan;
 pub use flatcomb::FlatCombiner;
 pub use gcr::{Gcr, GcrConfig};
-pub use malthusian::MalthusianLock;
-pub use mcs::McsLock;
+pub use mcs::{
+    CnaLock, Cull, Fifo, HeadPolicy, MalthusianLock, McsLock, Numa, QueueLock, Shuffle, ShuffleLock,
+};
 pub use plain::{ExclusiveRw, PlainLock, PlainRwLock, PlainRwToken, PlainToken, WriteHalf};
 pub use proportional::ProportionalLock;
 pub use rcl::{RclLock, RclServer};
 pub use rw_ticket::RwTicketLock;
-pub use shuffle::{Candidate, ShuffleLock, ShufflePolicy};
+pub use shuffle::{Candidate, ShufflePolicy};
 pub use tas::TasLock;
 pub use telemetry::{Instrumented, InstrumentedRw, TelemetryCell, TelemetrySnapshot};
 pub use ticket::TicketLock;
@@ -174,8 +177,8 @@ pub use watchdog::{StallReport, StallWatchdog, WatchSample, WatchdogConfig};
 /// A statically dispatched lock.
 ///
 /// `lock` returns a token that must be passed back to `unlock` by the
-/// same thread. Queue locks use the token to carry their queue node;
-/// simple locks use `()`.
+/// same thread. Textbook queue locks use the token to carry their
+/// queue node; simple locks use `()`.
 pub trait RawLock: Send + Sync {
     /// Proof of acquisition, consumed by [`RawLock::unlock`].
     type Token;

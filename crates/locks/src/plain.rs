@@ -560,10 +560,10 @@ impl PlainLock for WriteHalf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shuffle::{ClassLocalPolicy, FifoPolicy, ShuffleLock};
+    use crate::shuffle::{ClassLocalPolicy, FifoPolicy};
     use crate::{
         BackoffLock, ClhLock, CnaLock, CohortLock, MalthusianLock, McsLock, McsStpLock,
-        ProportionalLock, PthreadMutex, TasLock, TicketLock,
+        ProportionalLock, PthreadMutex, ShuffleLock, TasLock, TicketLock,
     };
     use std::sync::Arc;
 

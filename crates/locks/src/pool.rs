@@ -1,24 +1,24 @@
 //! The per-thread queue-node pool under every queue lock, and the
 //! enqueue steps the MCS-style ones share.
 //!
-//! A queue lock's token owns a heap node — for six of the seven queue
-//! locks ([`crate::clh`], [`crate::cna`], [`crate::cohort`],
-//! [`crate::malthusian`], [`crate::shuffle`], `mcs-stp` in
-//! [`crate::blocking`]), which keep the textbook protocol: the node is
-//! taken at `lock` and is the lock's state until `unlock`. Each takes
-//! its nodes from one [`NodePool`] per thread and node type
-//! ([`node_pool!`]; CLH declares its own). The seventh, [`crate::mcs`],
-//! keeps its state in a lock word and draws a node only to *wait*,
-//! pooling it again the moment it has the word. The six stay as they
-//! are on purpose: `malthusian`, `cna`, `shuffle` and `cohort` choose
-//! the next holder *at release*, from the holder's node — that is
-//! their policy — `mcs-stp` is their blocking baseline, and `pthread`
-//! has no queue at all.
+//! Two protocols draw from it. [`crate::mcs`]'s `QueueLock` — `mcs`,
+//! `cna`, `malthusian` and the shuffle locks — keeps its state in a
+//! lock word and draws a node only to *wait*, pooling it again the
+//! moment it has the word. The other three queue locks
+//! ([`crate::clh`], [`crate::cohort`], `mcs-stp` in
+//! [`crate::blocking`]) keep the textbook protocol: the node is taken
+//! at `lock`, the token owns it, and it is the lock's state until
+//! `unlock`. They stay as they are on purpose: `cohort` is a two-level
+//! lock that passes both levels *at release*, `mcs-stp` is the blocking
+//! baseline (a parked head would not fit the lock word's spin), and
+//! CLH's node migrates to the next thread. Each takes its nodes from
+//! one [`NodePool`] per thread and node type ([`node_pool!`]; CLH
+//! declares its own).
 //!
 //! # No store before the RMW
 //!
-//! An uncontended round of the six is two `lock`-prefixed RMWs (one
-//! for CLH), and every plain store still pending when one issues is
+//! An uncontended textbook round is two `lock`-prefixed RMWs (one for
+//! CLH), and every plain store still pending when one issues is
 //! paid there (the rule on [`crate::telemetry::TelemetryCell`]). So
 //! the fast path is one `Cell<*mut T>` — a load and a store out, a
 //! load and a store back, no borrow flag, no length — in front of an
@@ -30,15 +30,16 @@
 //!
 //! # A node lives in one place
 //!
-//! A token, a lock's queue, or exactly one thread's pool owns a node:
+//! A token, a lock's queue or its head policy's stash, or exactly one
+//! thread's pool owns a node:
 //!
 //! * an MCS-family releaser — for [`crate::mcs`], the queue's head as
 //!   it takes the lock word — pools its node after the tail CAS closed
 //!   the queue, or after its successor linked itself and was granted
 //!   (the successor never looks back);
 //! * a timed waiter that *abandons* ([`crate::timed`]) gives its node
-//!   away: it stays queued, in nobody's pool, until the head that
-//!   reaches it adopts it into *its own*;
+//!   away: it stays queued (or stashed), in nobody's pool, until the
+//!   head that reaches it adopts it into *its own*;
 //! * CLH nodes *migrate*: `unlock` pools the predecessor's node (only
 //!   this thread spun on it) and leaves its own queued.
 //!
@@ -99,20 +100,6 @@ pub(crate) fn take_idle<T: QueueNode>(pool: &NodePool<T>) -> NonNull<T> {
 pub(crate) unsafe fn link_behind<T: QueueNode>(pred: *mut T, node: NonNull<T>, waiting: u32) {
     node.as_ref().state().store(waiting, Ordering::Relaxed);
     (*pred).next().store(node.as_ptr(), Ordering::Release);
-}
-
-/// [`link_behind`], then spin until the wait word leaves `waiting`.
-/// Out of line: the uncontended caller keeps its registers.
-///
-/// # Safety
-/// As [`link_behind`].
-#[cold]
-pub(crate) unsafe fn wait_behind<T: QueueNode>(pred: *mut T, node: NonNull<T>, waiting: u32) {
-    link_behind(pred, node, waiting);
-    let mut spin = Spin::new();
-    while node.as_ref().state().load(Ordering::Acquire) == waiting {
-        spin.relax();
-    }
 }
 
 /// `try_lock` on an MCS-style `tail`: swing it from empty to `node`.
@@ -258,28 +245,3 @@ macro_rules! node_pool {
     };
 }
 pub(crate) use node_pool;
-
-/// Declare `$token`, a queue lock's proof of acquisition: it owns one
-/// `$node` and travels through the facade as its address.
-macro_rules! node_token {
-    ($(#[$doc:meta])* $token:ident($node:ty)) => {
-        $(#[$doc])*
-        pub struct $token(::std::ptr::NonNull<$node>);
-
-        impl $crate::plain::TokenWords for $token {
-            #[inline]
-            fn into_words(self) -> (usize, usize) {
-                (self.0.as_ptr() as usize, 0)
-            }
-
-            /// # Safety
-            /// `a` must come from `into_words` on an unreleased token
-            /// of the same lock.
-            #[inline]
-            unsafe fn from_words(a: usize, _b: usize) -> Self {
-                $token(::std::ptr::NonNull::new_unchecked(a as *mut $node))
-            }
-        }
-    };
-}
-pub(crate) use node_token;

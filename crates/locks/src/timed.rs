@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`crate::TasLock`] | nothing published — just stop competing |
 //! | [`crate::TicketLock`] | retract the tail ticket, or deed it to the abandon list the release path drains (the drain-target idiom from [`crate::rw_ticket`]) |
-//! | [`crate::McsLock`] | mid-queue: CAS the queue node `WAITING → ABANDONED`; the head that reaches it adopts and reclaims it. As the queue's head (only the lock word left to wait for): pass headship on without the word |
+//! | [`crate::QueueLock`]`<P>` (`mcs`, `cna`, `malthusian`, shuffle) | mid-queue: CAS the queue node `WAITING → ABANDONED`; the head that reaches it adopts and reclaims it — in the queue, or when a head policy's stash (CNA's secondary queue, the Malthusian passive set) goes back into it, since every grant is the same CAS. As the queue's head (only the lock word left to wait for): pass headship on without the word |
 //! | [`crate::Gcr`]`<L>` | the passive self-rescue path unlinks the waiter; admission rolls back on inner timeout |
 //!
 //! Deadlines are absolute virtual/monotonic nanoseconds (the
@@ -64,8 +64,14 @@ pub trait RawTimedLock: RawLock {
 #[allow(clippy::let_unit_value)]
 mod tests {
     use super::*;
-    use crate::{Gcr, GcrConfig, McsLock, RawLock, TasLock, TicketLock};
+    use crate::shuffle::{
+        Candidate, ClassLocalPolicy, PreferBigPolicy, ProportionalPolicy, ShufflePolicy,
+    };
+    use crate::{
+        CnaLock, Gcr, GcrConfig, MalthusianLock, McsLock, RawLock, ShuffleLock, TasLock, TicketLock,
+    };
     use asl_runtime::clock::{ms, now_ns};
+    use asl_runtime::CoreKind;
     use std::sync::Arc;
 
     /// Timeout while held must return None in bounded time; the lock
@@ -109,6 +115,13 @@ mod tests {
     #[test]
     fn mcs_timeout_then_reacquire() {
         timeout_then_reacquire(McsLock::new());
+    }
+
+    #[test]
+    fn head_policy_timeout_then_reacquire() {
+        timeout_then_reacquire(CnaLock::new());
+        timeout_then_reacquire(MalthusianLock::new());
+        timeout_then_reacquire(ShuffleLock::new(ClassLocalPolicy::new(16)));
     }
 
     #[test]
@@ -262,6 +275,24 @@ mod tests {
         stress(Arc::new(TasLock::new()));
         stress(Arc::new(TicketLock::new()));
         stress(Arc::new(McsLock::new()));
+        stress(Arc::new(CnaLock::new()));
+        stress(Arc::new(MalthusianLock::with_period(2)));
+        stress(Arc::new(ShuffleLock::new(ClassLocalPolicy::new(16))));
+        stress(Arc::new(ShuffleLock::new(PreferBigPolicy::new(32))));
+        stress(Arc::new(ShuffleLock::new(ProportionalPolicy::new(10))));
+        // Always the last candidate, often the tail an arrival is
+        // linking behind: the head moves it all the same, and the
+        // queue stays whole.
+        struct Last;
+        impl ShufflePolicy for Last {
+            fn pick(&self, _releaser: CoreKind, c: &[Candidate]) -> usize {
+                c.len() - 1
+            }
+            fn name(&self) -> &'static str {
+                "last"
+            }
+        }
+        stress(Arc::new(ShuffleLock::new(Last)));
         stress(Arc::new(Gcr::with_config(
             McsLock::new(),
             GcrConfig::fixed(2),
@@ -299,6 +330,9 @@ mod tests {
         churn(Arc::new(TasLock::new()));
         churn(Arc::new(TicketLock::new()));
         churn(Arc::new(McsLock::new()));
+        churn(Arc::new(CnaLock::new()));
+        churn(Arc::new(MalthusianLock::new()));
+        churn(Arc::new(ShuffleLock::new(ClassLocalPolicy::new(16))));
         churn(Arc::new(Gcr::with_config(
             TicketLock::new(),
             GcrConfig::fixed(1),

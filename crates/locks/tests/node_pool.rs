@@ -3,9 +3,10 @@
 //! A thread that holds several locks of one kind at once takes the
 //! pool's slot node first and overflow nodes after; the nodes come back
 //! in whatever order the locks are released, and every one handed out
-//! again must be idle (debug builds assert it in the pool). `McsLock`
-//! is the exception that proves the pool: its holder owns a word, not a
-//! node, so nesting it takes nothing and only a *wait* draws a node —
+//! again must be idle (debug builds assert it in the pool). `QueueLock`
+//! (`McsLock` and its head policies) is the exception that proves the
+//! pool: its holder owns a word, not a node, so nesting it takes
+//! nothing and only a *wait* draws a node —
 //! one, whatever the thread holds — which is pooled again at the
 //! headship pass, by the waiter or by the head that adopts it (the
 //! exact counts are `mcs`'s unit tests', which can see the pool). The
@@ -13,9 +14,10 @@
 //! in debug by the unit suites (`timed`, the crate's `hammer`s) and by
 //! `zoo_smoke`.
 
-use asl_locks::shuffle::{FifoPolicy, ShuffleLock};
+use asl_locks::shuffle::FifoPolicy;
 use asl_locks::{
     ClhLock, CnaLock, CohortLock, MalthusianLock, McsLock, McsStpLock, RawLock, RawTimedLock,
+    ShuffleLock,
 };
 
 /// Three locks of one kind held at once, released out of order, then

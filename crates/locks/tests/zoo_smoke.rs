@@ -7,11 +7,13 @@ use std::cell::UnsafeCell;
 use std::sync::Arc;
 
 use asl_locks::api::DynLock;
-use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, ShuffleLock};
+use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, PreferBigPolicy, ProportionalPolicy};
 use asl_locks::{
     BackoffLock, ClhLock, CnaLock, CohortLock, FlatCombiner, MalthusianLock, McsLock, McsStpLock,
-    ProportionalLock, PthreadMutex, TasLock, TicketLock,
+    ProportionalLock, PthreadMutex, ShuffleLock, TasLock, TicketLock,
 };
+use asl_runtime::registry::{register_on_core, unregister};
+use asl_runtime::topology::{CoreId, Topology};
 
 const THREADS: usize = 4;
 const ITERS: u64 = 10_000;
@@ -69,6 +71,38 @@ fn zoo_mutual_exclusion_through_dyn_guards() {
     ];
     for (name, lock) in zoo {
         hammer(name, lock);
+    }
+}
+
+/// Four big and four little threads, registered on the modeled M1,
+/// under the shuffle policies that read the class: every thread
+/// finishes its rounds (a bounded skip, a due little grant), and none
+/// is lost.
+#[test]
+fn shuffle_policies_with_mixed_classes_terminate() {
+    let topo = Topology::apple_m1();
+    let shuffles = [
+        DynLock::of(ShuffleLock::new(PreferBigPolicy::new(16))),
+        DynLock::of(ShuffleLock::new(ProportionalPolicy::new(10))),
+    ];
+    for lock in shuffles {
+        let counter = RacyCounter(UnsafeCell::new(0));
+        std::thread::scope(|s| {
+            for core in 0..8 {
+                let (lock, topo, counter) = (lock.clone(), &topo, &counter);
+                s.spawn(move || {
+                    register_on_core(topo, CoreId(core));
+                    for _ in 0..ITERS {
+                        let _held = lock.lock();
+                        // SAFETY: we hold the lock under test.
+                        unsafe { *counter.0.get() += 1 };
+                    }
+                    unregister();
+                });
+            }
+        });
+        assert_eq!(unsafe { *counter.0.get() }, 8 * ITERS, "lost updates");
+        assert!(!lock.is_locked(), "left held");
     }
 }
 

@@ -1,20 +1,23 @@
-//! `McsLock`'s lock word, on the simulated machine.
+//! `QueueLock`'s lock word, on the simulated machine, under every head
+//! policy (`mcs`, `cna`, `malthusian`, `shfl-local16`).
 //!
-//! The queue is where threads wait for the word, and three paths exist
+//! The queue is where threads wait for the word, and four paths exist
 //! only because of that split: a *head* whose timed wait expires hands
 //! headship on without the word; a waiter that abandons mid-queue is
-//! adopted by whichever head passes headship over it; an arrival that
-//! finds the word free but somebody queued must queue too. Each runs
-//! here as a script in virtual time — fixed arrival times, strict
-//! virtual-time order (no reschedule slack), one thread a core — with
-//! a mutual-exclusion oracle around every hold and the grant order
-//! asserted exactly.
+//! adopted by whichever head passes headship over it; a waiter that
+//! abandons while a policy holds it out of the queue is adopted when
+//! the stash goes back; an arrival that finds the word free but
+//! somebody queued must queue too. Each runs here as a script in
+//! virtual time — fixed arrival times, strict virtual-time order (no
+//! reschedule slack), one thread a core — with a mutual-exclusion
+//! oracle around every hold and the grant order asserted exactly.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use asl_locks::{McsLock, RawLock, RawTimedLock};
+use asl_locks::shuffle::ClassLocalPolicy;
+use asl_locks::{CnaLock, MalthusianLock, McsLock, RawTimedLock, ShuffleLock};
 use asl_runtime::clock::{busy_wait_ns, now_ns};
 use asl_runtime::Topology;
 use asl_sim::exec::{run_threads, ZooConfig};
@@ -27,8 +30,8 @@ unsafe impl Sync for RacyCounter {}
 /// One lock and what its script observed. A virtual thread must not
 /// panic (it would strand the scheduler's baton), so scripts *note*
 /// and the test asserts once the machine has stopped.
-struct Stage {
-    lock: McsLock,
+struct Stage<L: RawTimedLock> {
+    lock: L,
     inside: AtomicBool,
     overlaps: AtomicU64,
     holds: RacyCounter,
@@ -38,10 +41,10 @@ struct Stage {
     notes: Mutex<Vec<(usize, &'static str, u64)>>,
 }
 
-impl Stage {
-    fn new() -> Self {
+impl<L: RawTimedLock> Stage<L> {
+    fn new(lock: L) -> Self {
         Stage {
-            lock: McsLock::new(),
+            lock,
             inside: AtomicBool::new(false),
             overlaps: AtomicU64::new(0),
             holds: RacyCounter(UnsafeCell::new(0)),
@@ -112,10 +115,36 @@ impl Stage {
     }
 }
 
+/// A failing script names the policy it ran under.
+impl<L: RawTimedLock> Drop for Stage<L> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("under {}", L::NAME);
+        }
+    }
+}
+
+/// Run each script once per head policy: `$script(make)` for a
+/// constructor of each.
+macro_rules! every_policy {
+    ($script:ident) => {
+        $script(McsLock::new);
+        $script(CnaLock::new);
+        $script(MalthusianLock::new);
+        $script(|| ShuffleLock::new(ClassLocalPolicy::new(16)));
+    };
+}
+
 /// `threads` virtual threads, each on a core of its own, started
 /// within 64 ns of zero and stepped in strict virtual-time order.
 fn script(threads: usize, seed: u64, body: impl Fn(usize) + Send + Sync) {
-    let mut cfg = ZooConfig::quick(Topology::symmetric(threads), threads, seed);
+    script_on(Topology::symmetric(threads), seed, body);
+}
+
+/// [`script`] on `topology`, one thread a core.
+fn script_on(topology: Topology, seed: u64, body: impl Fn(usize) + Send + Sync) {
+    let threads = topology.len();
+    let mut cfg = ZooConfig::quick(topology, threads, seed);
     cfg.ncs_units = 0;
     cfg.cost.resched_slack_ns = 0;
     // No charge for a core's first thread: script times are literal.
@@ -125,8 +154,12 @@ fn script(threads: usize, seed: u64, body: impl Fn(usize) + Send + Sync) {
 
 #[test]
 fn a_head_past_its_deadline_hands_headship_on_without_the_word() {
+    every_policy!(head_past_its_deadline);
+}
+
+fn head_past_its_deadline<L: RawTimedLock>(make: impl Fn() -> L) {
     for seed in [1, 2, 3] {
-        let stage = Stage::new();
+        let stage = Stage::new(make());
         script(3, seed, |tid| match tid {
             0 => stage.lock_hold_unlock(0, 10_000),
             // The word is taken and nobody queued: the queue's head
@@ -155,7 +188,11 @@ fn a_head_past_its_deadline_hands_headship_on_without_the_word() {
 
 #[test]
 fn a_lone_head_past_its_deadline_closes_the_queue() {
-    let stage = Stage::new();
+    every_policy!(lone_head_past_its_deadline);
+}
+
+fn lone_head_past_its_deadline<L: RawTimedLock>(make: impl Fn() -> L) {
+    let stage = Stage::new(make());
     script(2, 7, |tid| match tid {
         0 => stage.lock_hold_unlock(0, 10_000),
         _ => {
@@ -181,11 +218,15 @@ fn a_lone_head_past_its_deadline_closes_the_queue() {
 
 #[test]
 fn a_mid_queue_abandon_is_adopted_by_the_next_headship_pass() {
+    every_policy!(mid_queue_abandon);
+}
+
+fn mid_queue_abandon<L: RawTimedLock>(make: impl Fn() -> L) {
     // `live_behind`: whether a live waiter stands behind the abandoned
     // node (headship skips to it) or nobody does (the adopter closes
     // the queue over the abandoned node).
     for live_behind in [false, true] {
-        let stage = Stage::new();
+        let stage = Stage::new(make());
         script(4, 11, |tid| match tid {
             0 => stage.lock_hold_unlock(0, 10_000),
             1 => {
@@ -222,6 +263,58 @@ fn a_mid_queue_abandon_is_adopted_by_the_next_headship_pass() {
     }
 }
 
+/// A policy that takes a waiter out of the queue keeps it in a stash
+/// the head passes on; a timed waiter that gives up there is adopted
+/// when the stash goes back. Five big cores and one little: thread 2
+/// becomes head at 10 µs with the little thread 5 and the big threads
+/// 3 and 4 queued behind it, so CNA moves 5 to its secondary queue
+/// (other class, a successor linked) and Malthusian culls it (two
+/// waiters linked). Thread 5 gives up at 13 µs, stashed; at 13.5 µs
+/// thread 4, the last one queued, takes the word and publishes the
+/// stash as the queue — the grant CAS finds 5 abandoned, adopts it and
+/// closes the queue. The contrast is `mcs`: there thread 5 is head when
+/// thread 2 releases at 12.5 µs, and gets the word in time.
+#[test]
+fn a_stashed_abandon_is_adopted_when_the_stash_goes_back() {
+    stashed_abandon(CnaLock::new(), true);
+    stashed_abandon(MalthusianLock::new(), true);
+    stashed_abandon(McsLock::new(), false);
+}
+
+fn stashed_abandon<L: RawTimedLock>(lock: L, stashes: bool) {
+    let stage = Stage::new(lock);
+    script_on(Topology::custom(5, 1, 1.0), 13, |tid| match tid {
+        0 => stage.lock_hold_unlock(0, 10_000),
+        1 => {
+            busy_wait_ns(1_000);
+            stage.lock_hold_unlock(1, 2_000);
+        }
+        2 => {
+            busy_wait_ns(1_500);
+            stage.lock_hold_unlock(2, 500);
+        }
+        3 | 4 => {
+            busy_wait_ns(tid as u64 * 1_000);
+            stage.lock_hold_unlock(tid, 1_000);
+        }
+        _ => {
+            busy_wait_ns(2_000);
+            stage.timed_attempt(5, 11_000);
+        }
+    });
+    assert_eq!(stage.noted(5, "timed_out"), u64::from(stashes));
+    if stashes {
+        let gave_up = stage.noted(5, "returned");
+        assert!((13_000..13_200).contains(&gave_up), "gave up at {gave_up}");
+    }
+    let (out, next_in) = (stage.noted(3, "began") + 1_000, stage.noted(4, "began"));
+    assert!(
+        (out..out + 50).contains(&next_in),
+        "out {out}, in {next_in}"
+    );
+    assert_eq!(stage.grant_order(), [0, 1, 2, 3, 4]);
+}
+
 /// The release is a store, the head polls every 25 virtual ns: for up
 /// to 25 ns the word reads free while the head has not taken it yet.
 /// An arrival in that gap must queue behind the head — the fast path
@@ -231,10 +324,14 @@ fn a_mid_queue_abandon_is_adopted_by_the_next_headship_pass() {
 /// every one of them is granted last.
 #[test]
 fn an_arrival_between_the_release_and_the_heads_poll_queues_behind_it() {
+    every_policy!(arrival_in_the_gap);
+}
+
+fn arrival_in_the_gap<L: RawTimedLock>(make: impl Fn() -> L) {
     let mut in_the_gap = 0;
     let mut sweep = Vec::new();
     for step in 0..100u64 {
-        let stage = Stage::new();
+        let stage = Stage::new(make());
         script(3, 5, |tid| match tid {
             0 => {
                 let token = stage.lock.lock();

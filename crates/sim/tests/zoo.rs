@@ -9,9 +9,10 @@ use std::sync::Arc;
 
 use asl_core::AslSpinLock;
 use asl_locks::plain::PlainLock;
+use asl_locks::shuffle::ClassLocalPolicy;
 use asl_locks::{
     Adaptive, BackoffLock, ClhLock, CnaLock, CohortLock, MalthusianLock, McsLock, McsStpLock,
-    PthreadMutex, TasLock, TicketLock,
+    PthreadMutex, ShuffleLock, TasLock, TicketLock,
 };
 use asl_runtime::Topology;
 use asl_sim::exec::{run_lock, ZooConfig};
@@ -33,6 +34,10 @@ fn whole_zoo_runs_on_the_simulated_machine() {
         ("cna", Arc::new(CnaLock::new())),
         ("cohort", Arc::new(CohortLock::new())),
         ("malthusian", Arc::new(MalthusianLock::new())),
+        (
+            "shfl-local16",
+            Arc::new(ShuffleLock::new(ClassLocalPolicy::new(16))),
+        ),
         ("adaptive", Arc::new(Adaptive::new())),
         ("pthread", Arc::new(PthreadMutex::new())),
         ("mcs-stp", Arc::new(McsStpLock::new())),
@@ -229,13 +234,15 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
                 0x3c7c_24d0_3e6a_9f6e,
             ],
         ),
+        // Re-pinned when CNA's class scan moved from the releaser to
+        // the waiting head (it orders the grant after next).
         (
             "cna",
             || Arc::new(CnaLock::new()),
             [
-                0x8315_9f86_3c64_05bb,
+                0xb729_f648_57ec_8ea5,
                 0xaadf_10c7_2b9f_21e3,
-                0xf283_8c6c_6abd_2411,
+                0x572f_62fb_9744_a6a1,
             ],
         ),
         (
@@ -247,13 +254,15 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
                 0x12b7_894e_d4c6_6a79,
             ],
         ),
+        // Re-pinned when culling moved from the releaser to the waiting
+        // head (the holder, the head and one more circulate).
         (
             "malthusian",
             || Arc::new(MalthusianLock::new()),
             [
-                0xc462_3f5d_cdea_8084,
-                0x646e_8040_06f5_42b6,
-                0xffff_e20f_7350_c5bb,
+                0x4505_bcd8_acfc_fe45,
+                0x5d45_c241_7c79_684b,
+                0x075b_2769_dc4a_80cc,
             ],
         ),
         (

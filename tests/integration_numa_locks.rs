@@ -9,7 +9,8 @@ use std::time::Duration;
 use libasl::harness::locks::LockSpec;
 use libasl::locks::api::DynLock;
 use libasl::locks::rcl::RclLock;
-use libasl::locks::shuffle::{PreferBigPolicy, ShuffleLock};
+use libasl::locks::shuffle::PreferBigPolicy;
+use libasl::locks::ShuffleLock;
 use libasl::runtime::clock::now_ns;
 use libasl::runtime::registry::register_on_core;
 use libasl::runtime::spawn::run_on_topology_with_stop;

@@ -6,19 +6,21 @@
 //! nothing on any rung of the uncontended acquire ladder (the
 //! `host-acquire` benchmark's nine), and a thread that exits returns
 //! the nodes it pooled — a program that spawns short-lived threads does
-//! not grow by a node per thread per kind of lock. Six kinds free
-//! theirs; a CLH node is never freed (`try_lock` and `is_locked` may
-//! still be looking at it) and goes to the next thread instead.
+//! not grow by a node per thread per kind of lock. Three kinds free
+//! theirs — the one node of every `QueueLock` (`mcs`, `cna`,
+//! `malthusian`, shuffle), cohort's and `mcs-stp`'s; a CLH node is
+//! never freed (`try_lock` and `is_locked` may still be looking at it)
+//! and goes to the next thread instead.
 
 use std::sync::Mutex;
 
 use libasl::harness::locks::LockSpec;
 use libasl::locks::api::Guard;
 use libasl::locks::plain::TokenWords;
-use libasl::locks::shuffle::{FifoPolicy, ShuffleLock};
+use libasl::locks::shuffle::FifoPolicy;
 use libasl::locks::{
     telemetry, ClhLock, CnaLock, CohortLock, MalthusianLock, McsLock, McsStpLock, RawLock,
-    RawTimedLock,
+    RawTimedLock, ShuffleLock,
 };
 use libasl::{epoch, DynLock};
 
@@ -111,18 +113,19 @@ fn a_thread_that_exits_returns_every_node_it_pooled() {
                 track_this_thread();
                 let before = allocations();
                 if touch_locks {
-                    // A free MCS lock is its word: no node, no pool.
+                    // A free queue lock is its word, whatever its head
+                    // policy: no node, no pool.
                     once(&mcs);
-                    assert_eq!(allocations() - before, 0, "uncontended mcs");
+                    once(&cna);
+                    once(&malthusian);
+                    once(&shuffle);
+                    assert_eq!(allocations() - before, 0, "uncontended queue locks");
                     // The node comes with the first *wait*, and is
                     // pooled again when the waiter leaves the queue —
                     // here as a head that timed out without the word.
                     assert!(mcs_held.try_lock_for(1_000).is_none());
                     once(&clh);
-                    once(&cna);
                     once(&cohort);
-                    once(&malthusian);
-                    once(&shuffle);
                     once(&stp);
                 }
                 allocations() - before
@@ -138,9 +141,10 @@ fn a_thread_that_exits_returns_every_node_it_pooled() {
     owed_after(true);
     let (owed, allocated) = owed_after(true);
     assert_eq!(idle_allocated, 0);
-    // A node for each of the other six, and the list of thread-local
+    // A node for each of the three kinds that free theirs (the CLH one
+    // came from the thread before), and the list of thread-local
     // destructors they made the thread register.
-    assert!(allocated >= 6, "{allocated} allocations for six nodes");
+    assert!(allocated >= 3, "{allocated} allocations for three nodes");
     assert_eq!(
         owed, idle_owed,
         "bytes a thread kept of {allocated} allocations"

@@ -121,10 +121,7 @@ proptest! {
         use libasl::locks::shuffle::{Candidate, ProportionalPolicy, ShufflePolicy};
         use libasl::runtime::CoreKind;
         let p = ProportionalPolicy::new(n);
-        let cands = [
-            Candidate { kind: CoreKind::Big, position: 0, eligible: true },
-            Candidate { kind: CoreKind::Little, position: 1, eligible: true },
-        ];
+        let cands = [Candidate { kind: CoreKind::Big }, Candidate { kind: CoreKind::Little }];
         let mut big = 0usize;
         for _ in 0..rounds {
             if p.pick(CoreKind::Big, &cands) == 0 {
@@ -151,10 +148,7 @@ proptest! {
         let p = ClassLocalPolicy::new(max_skips);
         // Front is always Little, a Big (releaser-class) waiter sits
         // behind it: the policy wants to skip every time.
-        let cands = [
-            Candidate { kind: CoreKind::Little, position: 0, eligible: true },
-            Candidate { kind: CoreKind::Big, position: 1, eligible: true },
-        ];
+        let cands = [Candidate { kind: CoreKind::Little }, Candidate { kind: CoreKind::Big }];
         let mut consecutive = 0u32;
         for _ in 0..rounds {
             if p.pick(CoreKind::Big, &cands) == 0 {

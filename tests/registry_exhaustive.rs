@@ -121,10 +121,10 @@ const PINNED: &[(&str, &str, Option<u64>, Option<u64>)] = &[
     ("mcs", "F-t---", None, None),
     ("mcs-stp", "F---B-", None, None),
     ("shfl-pb10", "------", None, None),
-    ("shfl-local16", "------", None, None),
-    ("cna", "------", None, None),
+    ("shfl-local16", "--t---", None, None),
+    ("cna", "--t---", None, None),
     ("cohort", "------", None, None),
-    ("malthusian", "------", None, None),
+    ("malthusian", "--t---", None, None),
     ("libasl-70us", "---E--", Some(70_000), Some(70_000)),
     ("libasl-max", "---E--", None, Some(u64::MAX)),
     ("libasl-clh-70us", "---E--", Some(70_000), Some(70_000)),
