@@ -47,7 +47,8 @@ const DEADLINE_CHECK_EVERY: u64 = 16;
 ///   a *charged* clock read there, so the cadence is part of what
 ///   virtual time means; it cannot follow the host rule, whose
 ///   process-global answer comes from the first asker's affinity mask
-///   (`repro sim-fig8` used to differ under `taskset -c 0`).
+///   (the simulated SLO sweep, today `repro fig8b`, used to differ
+///   under `taskset -c 0`).
 /// * **Host threads:** every poll where a poll is a scheduler yield
 ///   ([`asl_runtime::relax::yields_every_poll`]: an iteration costs a
 ///   quantum there, and skipped checks would stretch windows by whole

@@ -10,10 +10,12 @@
 //! repro all --quick --out results/
 //! repro sim --quick --out simA/    # deterministic-simulator family
 //! repro diff old/BENCH_fig8a.json new/BENCH_fig8a.json   # regression gate
-//! repro diff baselines/BENCH_collapse.json a.json b.json c.json  # median-of-3 gate
+//! repro diff baselines/BENCH_overhead.json a.json b.json c.json  # median-of-3 gate
 //! ```
 //!
-//! Each figure prints aligned text tables; with `--out DIR` every
+//! Every figure except `overhead` and `kv` (host time) runs in
+//! virtual time on a modeled machine, so its tables repeat to the
+//! byte. Each figure prints aligned text tables; with `--out DIR` every
 //! table is also written as `DIR/<table-id>.csv` and every figure's
 //! machine-readable throughput points as `DIR/BENCH_<figure>.json`
 //! (schema: figure id, lock name, threads, ops/s). With `--profile`,
@@ -116,11 +118,10 @@ fn main() {
         Profile::full()
     };
     eprintln!(
-        "profile: {} ({}ms/point, warmup {}ms, pin={}{})",
+        "profile: {} ({}ms/point, warmup {}ms{})",
         if quick { "quick" } else { "full" },
         profile.duration_ms,
         profile.warmup_ms,
-        profile.pin,
         if profile_locks {
             ", lock telemetry on"
         } else {
@@ -161,15 +162,15 @@ fn main() {
     }
 
     for id in &ids {
-        let Some(driver) = figures::find(id) else {
+        if figures::find(id).is_none() {
             eprintln!("unknown figure id: {id} (try `repro list`)");
             failed = true;
             continue;
-        };
+        }
         eprintln!("running {id} ...");
         let t0 = std::time::Instant::now();
         telemetry::clear_registered();
-        let tables = driver(&profile);
+        let tables = figures::run(id, &profile).expect("a registered figure");
         for table in &tables {
             emit(table, &out_dir);
         }
@@ -289,7 +290,7 @@ fn usage() {
          figure ids: fig1 fig4 fig5 fig8a fig8b fig8c fig8d fig8ef fig8g fig8hi\n\
          \u{20}          fig9-kyoto fig9-upscale fig9-lmdb fig10-leveldb fig10-sqlite alt-topology\n\
          \u{20}          sec2-numa sec5-delegation delegation collapse rw adapt overhead kv\n\
-         \u{20}          sim-numa sim-fair sim-oversub sim-fig1 sim-fig8 sim-ablate (or `sim` for the family)\n\
+         \u{20}          sim-numa sim-fair sim-oversub sim-ablate (or `sim` for the family)\n\
          lock names: see `repro locks` (e.g. mcs, ccsynch, fc-ban, gcr-mcs, libasl-70us)"
     );
 }

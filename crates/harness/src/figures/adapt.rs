@@ -24,7 +24,7 @@ use asl_runtime::work::execute_units;
 use asl_runtime::CacheLineArena;
 
 use crate::report::Table;
-use crate::runner::run_timed;
+use crate::runner::run_timed_with_setup;
 
 use super::Profile;
 
@@ -34,8 +34,7 @@ const CS_LINES: usize = 4;
 const CS_UNITS: u64 = 400;
 /// Emulated think time between acquisitions. Zero: the figure wants
 /// the lock near-saturated so the morph point appears as soon as a
-/// second thread exists (including on over-subscribed CI hosts,
-/// where contended streaks otherwise need parallel hardware).
+/// second thread exists.
 const NCS_UNITS: u64 = 0;
 
 /// The `adapt` figure driver.
@@ -61,16 +60,20 @@ pub fn adapt(profile: &Profile) -> Vec<Table> {
         let r = {
             let lock = lock.clone();
             let arena = arena.clone();
-            run_timed(&cfg, move |_| {
-                let t0 = now_ns();
-                let token = lock.lock();
-                arena.rmw(0, CS_LINES);
-                execute_units(CS_UNITS);
-                lock.unlock(token);
-                let latency = now_ns() - t0;
-                execute_units(NCS_UNITS);
-                latency
-            })
+            run_timed_with_setup(
+                &cfg,
+                |_| (),
+                move |_, ()| {
+                    let t0 = now_ns();
+                    let token = lock.lock();
+                    arena.rmw(0, CS_LINES);
+                    execute_units(CS_UNITS);
+                    lock.unlock(token);
+                    let latency = now_ns() - t0;
+                    execute_units(NCS_UNITS);
+                    latency
+                },
+            )
         };
         let snap = lock.telemetry().snapshot();
         let mode = match lock.mode() {
@@ -109,7 +112,6 @@ mod tests {
         let profile = Profile {
             duration_ms: 40,
             warmup_ms: 10,
-            pin: false,
         };
         let tables = adapt(&profile);
         assert_eq!(tables.len(), 1);

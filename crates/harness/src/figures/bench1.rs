@@ -6,19 +6,20 @@
 //! LibASL SLO settings are anchored to the measured MCS P99 (see
 //! `figures` module docs).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
 
+use asl_core::epoch::WindowSample;
 use asl_runtime::clock::now_ns;
-use asl_runtime::spawn::run_on_topology_with_stop;
-use asl_runtime::{AtomicAffinity, CoreKind};
+use asl_runtime::stats::percentile;
+use asl_runtime::{AtomicAffinity, CoreKind, Topology};
 
 use crate::locks::LockSpec;
 use crate::report::{fmt_us, Table};
+use crate::runner::{run_timed_with_setup, RunConfig};
 use crate::scenario::{worker_rng, LengthModel, MicroScenario};
 
 use super::micro::{comparison_row, COMPARISON_COLS};
-use super::{run_micro, Profile};
+use super::{run_micro, Profile, VIRTUAL_NS_PER_MS};
 
 /// Measured MCS P99 on Bench-1 (the anchor all SLOs derive from).
 fn mcs_anchor(profile: &Profile) -> u64 {
@@ -97,6 +98,24 @@ pub fn fig8b(profile: &Profile) -> Vec<Table> {
             "thpt_ops_s",
         ],
     );
+    // Under --profile the recording gate is armed and every little
+    // worker keeps its window trajectory: summarise it per worker.
+    let mut windows = Table::new(
+        "fig8b-window",
+        "reorder-window controller per worker (recorded trajectory)",
+        &[
+            "config",
+            "worker",
+            "class",
+            "ops",
+            "epochs",
+            "misses",
+            "min_window_us",
+            "median_window_us",
+            "final_window_us",
+        ],
+    );
+    let m1 = Topology::apple_m1();
     let hi = anchor * 6;
     let steps = 10usize;
     for i in 0..=steps {
@@ -112,12 +131,45 @@ pub fn fig8b(profile: &Profile) -> Vec<Table> {
             format!("{:.0}", r.throughput),
         ]);
         table.push_sample(&spec.label(), 8, r.throughput);
+        for (w, trace) in r.window_traces.iter().enumerate() {
+            let class = m1.assignment_for_thread(w).kind;
+            let row = [spec.label(), w.to_string(), class.label().to_string()];
+            windows.push_row(window_row(row, r.per_worker_ops[w], trace, slo));
+        }
     }
     table.note(format!(
         "MCS P99 anchor = {}us; below it LibASL falls back to FIFO",
         anchor / 1_000
     ));
-    vec![table]
+    windows.note("big cores never stand by, so their window is never adjusted (-)");
+    windows.note("epochs and misses count the warm-up too; misses = epochs over the SLO");
+    let mut tables = vec![table];
+    if asl_locks::telemetry::profiling() {
+        tables.push(windows);
+    }
+    tables
+}
+
+/// One `fig8b-window` row: a worker's `ops` in the measured window and
+/// its recorded window trajectory, summarised.
+fn window_row(head: [String; 3], ops: u64, trace: &[WindowSample], slo_ns: u64) -> Vec<String> {
+    let mut row = Vec::from(head);
+    row.push(ops.to_string());
+    let Some(last) = trace.last() else {
+        row.extend(std::iter::repeat("-".to_string()).take(5));
+        return row;
+    };
+    let misses = trace.iter().filter(|s| s.latency_ns > slo_ns).count();
+    let mut windows: Vec<u64> = trace.iter().map(|s| s.window_ns).collect();
+    let median = percentile(&mut windows, 50.0); // sorts in place
+    row.extend([
+        trace.len().to_string(),
+        misses.to_string(),
+        fmt_us(windows[0]),
+        fmt_us(median),
+        fmt_us(last.window_ns),
+    ]);
+    row
 }
 
 /// Figure 8c (Bench-3): epochs of mixed lengths at different ratios.
@@ -216,58 +268,49 @@ pub fn fig8d(profile: &Profile) -> Vec<Table> {
     let anchor = mcs_anchor(profile);
     let slo = anchor * 4;
 
-    // Phase schedule (fractions of the total run), mirroring the
-    // paper's 350 ms trace: base, heavy(x128->scaled), base, random,
-    // impossible(x1024->scaled).
-    let total_ms = (profile.duration_ms * 3).max(350);
-    let phases: &[(f64, u64, &str)] = &[
-        (2.0 / 7.0, 1, "base"),
-        (2.0 / 7.0, 3, "long(feasible)"),
-        (1.0 / 7.0, 1, "base"),
-        (1.0 / 7.0, u64::MAX, "random"),
-        (1.0 / 7.0, 32, "impossible"),
-    ];
+    // Phase schedule (sevenths of the run, from virtual time 0),
+    // mirroring the paper's 350 ms trace: base, heavy(x128->scaled),
+    // base, random, impossible(x1024->scaled).
+    let total_ns = 3 * profile.duration_ms * VIRTUAL_NS_PER_MS;
+    let mut sevenths = 0;
+    let phases: Vec<(u64, u64, &str)> = [
+        (2, 1, "base"),
+        (2, 3, "long(feasible)"),
+        (1, 1, "base"),
+        (1, u64::MAX, "random"),
+        (1, 32, "impossible"),
+    ]
+    .into_iter()
+    .map(|(length, mult, name)| {
+        sevenths += length;
+        (total_ns * sevenths / 7, mult, name)
+    })
+    .collect();
+    let mut scenario = MicroScenario::bench1(&LockSpec::asl(Some(slo)));
+    scenario.length = LengthModel::Phased(phases.iter().map(|&(end, m, _)| (end, m)).collect());
 
-    let multiplier = Arc::new(AtomicU64::new(1));
-    let scenario = {
-        let mut s = MicroScenario::bench1(&LockSpec::asl(Some(slo)));
-        s.length = LengthModel::Dynamic(multiplier.clone());
-        Arc::new(s)
+    // Workers: record (end time, latency) per epoch; the whole trace
+    // is the measured window.
+    let cfg = RunConfig {
+        warmup_ns: 0,
+        duration_ns: total_ns,
+        ..profile.config(8)
     };
-
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let t_start = now_ns();
-
-    // Controller: walk the phase schedule.
-    let controller = {
-        let multiplier = multiplier.clone();
-        let stop = stop.clone();
-        let phases: Vec<(f64, u64)> = phases.iter().map(|(f, m, _)| (*f, *m)).collect();
-        std::thread::spawn(move || {
-            for (frac, mult) in phases {
-                multiplier.store(mult, Ordering::Relaxed);
-                std::thread::sleep(std::time::Duration::from_millis(
-                    (total_ms as f64 * frac) as u64,
-                ));
-            }
-            stop.store(true, Ordering::Relaxed);
-        })
-    };
-
-    // Workers: record (timestamp, latency, class) per epoch.
-    let topo = asl_runtime::Topology::apple_m1();
-    let traces: Vec<Vec<(u64, u64, CoreKind)>> =
-        run_on_topology_with_stop(&topo, 8, profile.pin, stop.clone(), |ctx| {
-            asl_core::epoch::reset_thread_epochs();
-            let mut rng = worker_rng(ctx.index);
-            let mut trace = Vec::with_capacity(1 << 14);
-            while !ctx.stopped() {
-                let lat = scenario.run_op(&mut rng);
-                trace.push((now_ns() - t_start, lat, ctx.assignment.kind));
-            }
-            trace
-        });
-    controller.join().unwrap();
+    let traces: Vec<Mutex<Vec<(u64, u64)>>> = (0..8).map(|_| Mutex::default()).collect();
+    run_timed_with_setup(&cfg, worker_rng, |w, rng| {
+        let lat = scenario.run_op(rng);
+        traces[w]
+            .lock()
+            .expect("trace poisoned")
+            .push((now_ns(), lat));
+        lat
+    });
+    let mut all: Vec<(u64, u64, CoreKind)> = Vec::new();
+    for (w, trace) in traces.into_iter().enumerate() {
+        let kind = cfg.topology.assignment_for_thread(w).kind;
+        let trace = trace.into_inner().expect("trace poisoned");
+        all.extend(trace.into_iter().map(|(t, lat)| (t, lat, kind)));
+    }
 
     // Summary per phase.
     let mut summary = Table::new(
@@ -281,26 +324,18 @@ pub fn fig8d(profile: &Profile) -> Vec<Table> {
             "slo_us",
         ],
     );
-    let mut t_edge = 0.0f64;
-    for (frac, mult, name) in phases {
-        let t0 = (t_edge * total_ms as f64 * 1e6) as u64;
-        t_edge += frac;
-        let t1 = (t_edge * total_ms as f64 * 1e6) as u64;
+    let mut t0 = 0;
+    for &(t1, mult, name) in &phases {
         let mut hist = crate::hist::Hist::new();
         let mut viol = 0u64;
-        let mut n = 0u64;
-        for trace in &traces {
-            for &(t, lat, kind) in trace {
-                if kind == CoreKind::Little && t >= t0 && t < t1 {
-                    hist.record(lat);
-                    n += 1;
-                    if lat > slo {
-                        viol += 1;
-                    }
-                }
+        for &(t, lat, kind) in &all {
+            if kind == CoreKind::Little && t >= t0 && t < t1 {
+                hist.record(lat);
+                viol += u64::from(lat > slo);
             }
         }
-        let mult_str = if *mult == u64::MAX {
+        t0 = t1;
+        let mult_str = if mult == u64::MAX {
             "rand".to_string()
         } else {
             format!("{mult}x")
@@ -309,18 +344,18 @@ pub fn fig8d(profile: &Profile) -> Vec<Table> {
             name.to_string(),
             mult_str,
             fmt_us(hist.p99()),
-            format!("{:.1}", 100.0 * viol as f64 / n.max(1) as f64),
+            format!("{:.1}", 100.0 * viol as f64 / hist.count().max(1) as f64),
             format!("{:.1}", slo as f64 / 1_000.0),
         ]);
     }
     summary.note(format!(
-        "SLO = 4x MCS anchor = {}us; trace length {total_ms}ms",
-        slo / 1_000
+        "SLO = 4x MCS anchor = {}us; trace length {:.1}ms",
+        slo / 1_000,
+        total_ns as f64 / 1e6
     ));
 
     // Downsampled trace for plotting.
-    let mut all: Vec<(u64, u64, CoreKind)> = traces.into_iter().flatten().collect();
-    all.sort_unstable_by_key(|&(t, _, _)| t);
+    all.sort_by_key(|&(t, _, _)| t);
     let keep = 1_200usize;
     let step = (all.len() / keep).max(1);
     let mut trace_table = Table::new(
@@ -330,7 +365,7 @@ pub fn fig8d(profile: &Profile) -> Vec<Table> {
     );
     for (t, lat, kind) in all.into_iter().step_by(step) {
         trace_table.push_row(vec![
-            format!("{:.1}", t as f64 / 1e6),
+            format!("{:.3}", t as f64 / 1e6),
             format!("{:.1}", lat as f64 / 1e3),
             kind.label().to_string(),
         ]);

@@ -2,7 +2,7 @@
 //!
 //! The headline chart for the concurrency-restriction layer: sweep
 //! thread counts through and far past the core count ({2, 8, 32, 128}
-//! on the 8-core emulated topology) for representative lock families
+//! on the modeled 8-core M1) for representative lock families
 //! — TAS (unfair spin), ticket (FIFO spin, the worst collapser: every
 //! waiter *must* run in ticket order), MCS (FIFO queue spin), and
 //! LibASL-MAX (reordering) — each bare and behind the `gcr-` wrapper.
@@ -10,9 +10,12 @@
 //! Bare spin locks collapse once runnable threads exceed cores: the
 //! holder loses its quantum to waiters who can do nothing with
 //! theirs, so throughput falls off a cliff while p99 explodes. The
+//! simulator models the quanta (`asl_sim::exec::CostModel`), so the
+//! figure shows the collapse instead of suffering it on the host. The
 //! GCR wrapper admits a bounded set and parks the rest passively, so
 //! its curve stays flat where the bare curve dives — the acceptance
-//! bar is gcr ≥ 2× bare at 128 threads for at least two families.
+//! bar is gcr ≥ 2× bare at 128 threads for every family
+//! (`tests/integration_shapes.rs`).
 //!
 //! `--out` lands the samples in `BENCH_collapse.json`: per
 //! (lock, threads) cell, throughput plus measured p99/p999 full-op
@@ -81,7 +84,7 @@ pub fn collapse(profile: &Profile) -> Vec<Table> {
             }
         }
     }
-    table.note("cores = 8 (emulated M1 topology); 32- and 128-thread cells are oversubscribed");
+    table.note("cores = 8; 32- and 128-thread cells are oversubscribed (50 us scheduling quanta)");
     table.note("gcr- wrappers admit a bounded set into the inner lock and park the rest passively");
     table.note("p99/p999 are full-op latencies (lock + CS + release), measured per op");
     vec![table]

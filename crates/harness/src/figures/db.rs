@@ -87,26 +87,19 @@ pub(crate) fn run_engine_point(
 ) -> crate::runner::RunResult {
     let cfg = profile.config_on(topology, threads);
     let slo = spec.epoch_slo();
-    run_timed_with_setup(
-        &cfg,
-        |ctx| {
-            asl_core::epoch::reset_thread_epochs();
-            worker_rng(ctx.index)
-        },
-        move |_, rng| match slo {
-            Some(slo) => {
-                let (_, lat) = asl_core::epoch::with_epoch_timed(0, slo, || {
-                    engine.run_request(rng);
-                });
-                lat
-            }
-            None => {
-                let t0 = asl_runtime::clock::now_ns();
+    run_timed_with_setup(&cfg, worker_rng, move |_, rng| match slo {
+        Some(slo) => {
+            let (_, lat) = asl_core::epoch::with_epoch_timed(0, slo, || {
                 engine.run_request(rng);
-                asl_runtime::clock::now_ns() - t0
-            }
-        },
-    )
+            });
+            lat
+        }
+        None => {
+            let t0 = asl_runtime::clock::now_ns();
+            engine.run_request(rng);
+            asl_runtime::clock::now_ns() - t0
+        }
+    })
 }
 
 /// [`run_engine_point`] with the engine built fresh from the spec.

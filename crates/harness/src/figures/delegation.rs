@@ -19,14 +19,13 @@
 //! `<lock>@share=hog|min|max` and `<lock>@usage=hog` rows carry
 //! share fractions, not ops/s).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use asl_core::epoch;
 use asl_locks::delegation::{DelegationHandle, DelegationLock};
 use asl_locks::{CcSynch, FcBan, FlatCombiner, RclLock, SlotHandle};
-use asl_runtime::affinity::pin_to_cpu;
-use asl_runtime::registry::register_on_core;
-use asl_runtime::topology::{CoreId, Topology};
+use asl_runtime::topology::Topology;
 use asl_runtime::work::execute_units;
 use asl_runtime::CacheLineArena;
 
@@ -70,52 +69,33 @@ fn hog_usage(per_worker: &[u64]) -> f64 {
     hog as f64 / ((hog + rest).max(1)) as f64
 }
 
-/// Make the calling thread run as `core` of `topo`.
-fn place_on(topo: &Topology, core: CoreId, pin: bool) {
-    register_on_core(topo, core);
-    if pin {
-        if let Some(cpu) = topo.core(core).os_cpu {
-            let _ = pin_to_cpu(cpu);
-        }
-    }
-}
-
 /// Drive a delegation lock natively through the timed runner. Handles
 /// are registered up front in worker order — worker 0, the hog, owns
 /// slot 0, and a slot's place in the executor's scan decides how soon
 /// its owner is back for the next pass, so leaving the order to thread
 /// start-up would move the shares this figure reports. Each worker
-/// takes its handle in `setup` — first moving `core_shift` cores up,
-/// so an RCL server can keep core 0 to itself — and `op` submits
-/// through it (returning the latency to record).
+/// takes its handle in `setup` and `op` submits through it (returning
+/// the latency to record).
 pub(crate) fn drive_delegated<L: DelegationLock>(
     profile: &Profile,
     topo: &Topology,
     lock: &L,
     workers: usize,
-    core_shift: usize,
     op: impl Fn(&L::Handle, usize) -> u64 + Sync,
 ) -> RunResult {
-    let handles: Vec<_> = (0..workers)
-        .map(|_| Mutex::new(Some(lock.try_register().expect("delegation slot"))))
-        .collect();
+    let handles = register(lock, workers);
     run_timed_with_setup(
         &profile.config_on(topo.clone(), workers),
-        |ctx| {
-            if core_shift > 0 {
-                let core = CoreId((ctx.index + core_shift) % topo.len());
-                place_on(topo, core, profile.pin);
-            }
-            let mut handle = handles[ctx.index].lock().expect("handle taken once");
-            handle.take().expect("handle taken once")
-        },
-        |octx, handle| op(handle, octx.thread.index),
+        |w| take(&handles[w]),
+        |w, handle| op(handle, w),
     )
 }
 
-/// [`drive_delegated`] for an RCL lock: a server thread owns (and is
-/// pinned to) big core 0 for the run, the clients shift onto cores
-/// 1.. — the "wastes a precious big core" configuration.
+/// [`drive_delegated`] for an RCL lock: the server is worker 0, on big
+/// core 0 for the run, and serves from its `setup` until the last
+/// client's state drops; the clients are workers 1.. — the "wastes a
+/// precious big core" configuration. `op` and the result see the
+/// clients only, numbered from 0.
 pub(crate) fn drive_rcl<F>(
     profile: &Profile,
     topo: &Topology,
@@ -126,15 +106,50 @@ pub(crate) fn drive_rcl<F>(
 where
     F: Fn(&mut (), u64) + Send + Sync + 'static,
 {
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            place_on(topo, CoreId(0), true);
-            lock.serve();
-        });
-        let out = drive_delegated(profile, topo, lock, clients, 1, op);
-        lock.shutdown();
-        out
-    })
+    /// Stops the server as the last client's state drops.
+    struct LastOut<'a>(&'a AtomicUsize, &'a (dyn Fn() + Sync));
+    impl Drop for LastOut<'_> {
+        fn drop(&mut self) {
+            // Relaxed: a count that publishes nothing; every op a
+            // client published was served before its `apply` returned.
+            if self.0.fetch_sub(1, Ordering::Relaxed) == 1 {
+                (self.1)();
+            }
+        }
+    }
+
+    let handles = register(lock, clients);
+    let left = AtomicUsize::new(clients);
+    let stop = || lock.shutdown();
+    let mut r = run_timed_with_setup(
+        &profile.config_on(topo.clone(), clients + 1),
+        |w| match w {
+            0 => {
+                lock.serve();
+                None
+            }
+            _ => Some((take(&handles[w - 1]), LastOut(&left, &stop))),
+        },
+        // The server's window has closed by the time `serve` returns.
+        |w, client| client.as_ref().map_or(0, |(h, _)| op(h, w - 1)),
+    );
+    r.per_worker_ops.remove(0);
+    r.window_traces.remove(0);
+    r
+}
+
+/// `n` handles of `lock`, claimed in order, each to be taken once.
+fn register<L: DelegationLock>(lock: &L, n: usize) -> Vec<Mutex<Option<L::Handle>>> {
+    (0..n)
+        .map(|_| Mutex::new(Some(lock.try_register().expect("delegation slot"))))
+        .collect()
+}
+
+fn take<H>(slot: &Mutex<Option<H>>) -> H {
+    slot.lock()
+        .expect("handle slot")
+        .take()
+        .expect("handle taken once")
 }
 
 /// The apply function of the delegation locks these figures drive:
@@ -162,9 +177,9 @@ fn run_delegation_lock(
         0
     }
     match name {
-        "flatcomb" => drive_delegated(profile, topo, &FlatCombiner::new((), apply), threads, 0, op),
-        "ccsynch" => drive_delegated(profile, topo, &CcSynch::new((), apply), threads, 0, op),
-        "fc-ban" => drive_delegated(profile, topo, &FcBan::new((), apply), threads, 0, op),
+        "flatcomb" => drive_delegated(profile, topo, &FlatCombiner::new((), apply), threads, op),
+        "ccsynch" => drive_delegated(profile, topo, &CcSynch::new((), apply), threads, op),
+        "fc-ban" => drive_delegated(profile, topo, &FcBan::new((), apply), threads, op),
         // The server owns big core 0 (so at 8 requested threads only
         // 7 clients run).
         "rcl" => {
@@ -188,7 +203,7 @@ fn run_guard_spec(
     let slo = spec.epoch_slo();
     run_timed_with_setup(
         &profile.config_on(topo.clone(), threads),
-        |ctx| section_units(ctx.index),
+        section_units,
         |_, units| {
             let critical = || {
                 let _held = lock.lock();

@@ -10,7 +10,7 @@
 //!   little cores by executing every critical section on a big core,
 //!   at the cost of burning that core at low contention. We compare
 //!   flat combining and a dedicated big-core server (`RclLock::serve`
-//!   pinned to core 0) against MCS and LibASL-MAX at high and low
+//!   on core 0) against MCS and LibASL-MAX at high and low
 //!   contention.
 
 use asl_locks::delegation::DelegationHandle;
@@ -100,7 +100,7 @@ pub fn sec5_delegation(profile: &Profile) -> Vec<Table> {
         let fc = FlatCombiner::new((), delegated_section());
         row(
             "flat-combining".into(),
-            &drive_delegated(profile, &topo, &fc, 8, 0, |h, _| timed_apply(h, ncs)),
+            &drive_delegated(profile, &topo, &fc, 8, |h, _| timed_apply(h, ncs)),
         );
         // A server spinning on big core 0; clients use cores 1..=7
         // (3 big + 4 little).

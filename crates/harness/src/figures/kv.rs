@@ -349,7 +349,6 @@ mod tests {
         Profile {
             duration_ms: 1, // floor kicks in: 10k clients
             warmup_ms: 0,
-            pin: false,
         }
     }
 

@@ -2,13 +2,17 @@
 //!
 //! Each driver regenerates one paper figure (or a group sharing a
 //! workload) as [`Table`]s: the same series the paper plots, in text
-//! form. Absolute values differ from the paper (our substrate is an
-//! emulated AMP, not an Apple M1); the *shape* — who wins, by what
-//! rough factor, where crossovers sit — is the reproduction target.
+//! form. Absolute values differ from the paper (the machine is a
+//! modeled one — the simulator's M1-like topology in virtual time,
+//! through [`crate::runner`] — not an Apple M1); the *shape* — who
+//! wins, by what rough factor, where crossovers sit — is the
+//! reproduction target. `overhead` and `kv` measure the host instead,
+//! and the `sim-*` family drives the simulator's own workload.
 //!
 //! LibASL SLO settings are anchored to the *measured* MCS P99 of the
 //! same workload (the paper picks absolute values hand-tuned to its
-//! hardware; anchoring keeps the comparisons meaningful on any host).
+//! hardware; anchoring keeps the comparisons meaningful on any
+//! machine model).
 
 pub mod adapt;
 pub mod bench1;
@@ -22,23 +26,24 @@ pub mod overhead;
 pub mod rw;
 pub mod sim;
 
-use std::time::Duration;
-
 use asl_runtime::topology::Topology;
 
 use crate::report::Table;
-use crate::runner::{run_timed_with_setup, RunConfig, RunResult};
+use crate::runner::{run_timed_with_setup, take_machines, RunConfig, RunResult, SEED};
 use crate::scenario::{worker_rng, MicroScenario};
+
+/// Virtual nanoseconds a runner window lasts per profile millisecond
+/// (quick: 2.1 ms measured after a 0.7 ms warm-up).
+pub(crate) const VIRTUAL_NS_PER_MS: u64 = 17_500;
 
 /// Measurement effort per data point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Profile {
-    /// Measurement window per point (ms).
+    /// Measurement window per point (ms; the runner simulates 17.5 µs
+    /// of virtual time for each).
     pub duration_ms: u64,
     /// Warmup per point (ms).
     pub warmup_ms: u64,
-    /// Pin threads to physical CPUs.
-    pub pin: bool,
 }
 
 impl Profile {
@@ -47,7 +52,6 @@ impl Profile {
         Profile {
             duration_ms: 120,
             warmup_ms: 40,
-            pin: true,
         }
     }
 
@@ -56,7 +60,6 @@ impl Profile {
         Profile {
             duration_ms: 600,
             warmup_ms: 150,
-            pin: true,
         }
     }
 
@@ -70,15 +73,14 @@ impl Profile {
         RunConfig {
             topology,
             threads,
-            duration: Duration::from_millis(self.duration_ms),
-            warmup: Duration::from_millis(self.warmup_ms),
-            pin: self.pin,
+            duration_ns: self.duration_ms * VIRTUAL_NS_PER_MS,
+            warmup_ns: self.warmup_ms * VIRTUAL_NS_PER_MS,
         }
     }
 }
 
-/// Run a micro-scenario for one data point: workers reset their epoch
-/// state, seed their RNG, then hammer `scenario.run_op`.
+/// Run a micro-scenario for one data point: workers seed their RNG,
+/// then hammer `scenario.run_op`.
 pub fn run_micro(profile: &Profile, scenario: &MicroScenario, threads: usize) -> RunResult {
     run_micro_on(profile, Topology::apple_m1(), scenario, threads)
 }
@@ -91,30 +93,51 @@ pub fn run_micro_on(
     threads: usize,
 ) -> RunResult {
     let cfg = profile.config_on(topology, threads);
-    run_timed_with_setup(
-        &cfg,
-        |ctx| {
-            asl_core::epoch::reset_thread_epochs();
-            worker_rng(ctx.index)
-        },
-        |_octx, rng| scenario.run_op(rng),
-    )
+    run_timed_with_setup(&cfg, worker_rng, |_, rng| scenario.run_op(rng))
 }
 
 /// One-off CLI sweep: run the Bench-1 micro-benchmark under a single
 /// named lock (`repro --lock <name>`); any registry name works, so
 /// every experiment point is addressable from the command line.
 pub fn single_lock(profile: &Profile, spec: &crate::locks::LockSpec) -> Table {
-    let scenario = MicroScenario::bench1(spec);
-    let r = run_micro(profile, &scenario, 8);
-    let mut t = Table::new(
-        &format!("lock-{spec}"),
-        &format!("Bench-1 micro-benchmark under `{spec}` (8 threads, M1-like topology)"),
-        &micro::COMPARISON_COLS,
-    );
-    t.push_row(micro::comparison_row(&spec.label(), &r));
-    t.push_sample(&spec.label(), 8, r.throughput);
+    let [t] = noted(|| {
+        let scenario = MicroScenario::bench1(spec);
+        let r = run_micro(profile, &scenario, 8);
+        let mut t = Table::new(
+            &format!("lock-{spec}"),
+            &format!("Bench-1 micro-benchmark under `{spec}` (8 threads, M1-like topology)"),
+            &micro::COMPARISON_COLS,
+        );
+        t.push_row(micro::comparison_row(&spec.label(), &r));
+        t.push_sample(&spec.label(), 8, r.throughput);
+        [t]
+    });
     t
+}
+
+/// Run figure `id` (`None` if there is no such figure). Every table of
+/// a figure the runner produced gets one note naming how: virtual
+/// time, the machines modeled, the runner's seed and the cost model.
+pub fn run(id: &str, profile: &Profile) -> Option<Vec<Table>> {
+    let driver = find(id)?;
+    Some(noted(|| driver(profile)))
+}
+
+/// `tables()`, each noted with the machines the runner modeled for it.
+fn noted<T: AsMut<[Table]>>(tables: impl FnOnce() -> T) -> T {
+    take_machines();
+    let mut tables = tables();
+    let machines = take_machines();
+    if !machines.is_empty() {
+        let note = format!(
+            "virtual time, modeled {}, seed {SEED}, default cost model (asl_sim::exec::CostModel)",
+            machines.join(" / ")
+        );
+        for t in tables.as_mut() {
+            t.note(note.clone());
+        }
+    }
+    tables
 }
 
 /// A figure-reproduction entry point: profile in, tables out.
@@ -150,8 +173,6 @@ pub fn registry() -> Vec<(&'static str, FigureFn)> {
         ("sim-numa", sim::sim_numa),
         ("sim-fair", sim::sim_fair),
         ("sim-oversub", sim::sim_oversub),
-        ("sim-fig1", sim::sim_fig1),
-        ("sim-fig8", sim::sim_fig8),
         ("sim-ablate", sim::sim_ablate),
     ]
 }
@@ -215,8 +236,6 @@ mod tests {
             "sim-numa",
             "sim-fair",
             "sim-oversub",
-            "sim-fig1",
-            "sim-fig8",
             "sim-ablate",
         ] {
             assert!(has(id), "missing driver for {id}");

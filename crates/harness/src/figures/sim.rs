@@ -1,9 +1,10 @@
 //! `sim-*` — the real lock zoo on a *modeled* machine.
 //!
 //! These figures run the unmodified lock implementations through the
-//! deterministic virtual-time engine ([`asl_sim::exec`]) instead of
-//! real threads. That buys three things the wall-clock figures cannot
-//! offer:
+//! deterministic virtual-time engine's standard workload
+//! ([`asl_sim::exec::run_lock`]: one lock, constant sections) and read
+//! its exact accounting. The paper's own figures run on the same
+//! engine, through [`crate::runner`]; what this family adds:
 //!
 //! * **Machines we don't have** — a 4-socket × 16-core NUMA box
 //!   ([`Topology::numa`]), arbitrary big/little perf ratios — on any
@@ -14,19 +15,17 @@
 //!   figure bit for bit (`BENCH_sim-*.json` is diffable in CI).
 //!
 //! Virtual durations scale with the profile: each configured
-//! wall-clock millisecond buys 2 µs of virtual time, keeping quick
-//! mode CI-fast while full mode runs longer traces.
+//! millisecond buys 2 µs of virtual time, keeping quick mode CI-fast
+//! while full mode runs longer traces.
 
 use std::sync::Arc;
 
-use asl_core::epoch::WindowSample;
 use asl_core::wait::WaitOutcome;
 use asl_core::{AslLock, AslSpinLock, ReorderableLock, SpinWait, WaitPolicy};
 use asl_locks::plain::PlainLock;
 use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, PreferBigPolicy, ProportionalPolicy};
 use asl_locks::{McsLock, RawLock, ShuffleLock};
 use asl_runtime::atomic_model::AtomicAffinity;
-use asl_runtime::stats::percentile;
 use asl_runtime::topology::Topology;
 use asl_sim::exec::{ZooConfig, ZooResult};
 
@@ -39,8 +38,9 @@ use crate::report::{fmt_ops, fmt_us, Table};
 /// changes).
 const SEED: u64 = 42;
 
-/// Virtual nanoseconds simulated per configured wall-clock
-/// millisecond of profile duration.
+/// Virtual nanoseconds simulated per configured millisecond of
+/// profile duration (this family's scale, not the runner's
+/// `VIRTUAL_NS_PER_MS`).
 const VIRT_NS_PER_MS: u64 = 2_000;
 
 fn cfg(profile: &Profile, topology: Topology, threads: usize) -> ZooConfig {
@@ -346,168 +346,6 @@ pub fn sim_ablate(profile: &Profile) -> Vec<Table> {
     vec![t]
 }
 
-/// `sim-fig1` — the paper's Figure-1 shapes on asymmetric modeled
-/// machines: FIFO throughput collapses when little cores join, and
-/// little-core atomic affinity starves big cores.
-pub fn sim_fig1(profile: &Profile) -> Vec<Table> {
-    let amp = || Topology::custom(4, 4, 3.0);
-    let mut t = Table::new(
-        "sim-fig1",
-        "paper Fig.1 shapes on a modeled 4-big/4-little ratio-3 machine (virtual time)",
-        &["config", "threads", "thpt", "big_share_pct", "p99_big_us"],
-    );
-    let mut push = |label: &str, threads: usize, r: &ZooResult| {
-        t.push_sample(label, threads, r.throughput);
-        t.push_row(vec![
-            label.to_string(),
-            threads.to_string(),
-            fmt_ops(r.throughput),
-            format!("{:.1}", pct(r.big_ops, r.total_ops)),
-            fmt_us(r.p99_big),
-        ]);
-    };
-    // Fig 1a: a FIFO lock on 4 big cores, then with 4 little cores
-    // added — adding cores *reduces* throughput.
-    let fifo4 = run_lock(&cfg(profile, amp(), 4), spec_lock(&LockSpec::Ticket));
-    push("fifo-4big", 4, &fifo4);
-    let fifo8 = run_lock(&cfg(profile, amp(), 8), spec_lock(&LockSpec::Ticket));
-    push("fifo-8amp", 8, &fifo8);
-    // Fig 1b: little-core atomic affinity hands the TAS race to
-    // little cores; big-core share and tail collapse.
-    let tas_neutral = run_lock(
-        &cfg(profile, amp(), 8),
-        spec_lock(&LockSpec::Tas(AtomicAffinity::Neutral)),
-    );
-    push("tas-neutral-8amp", 8, &tas_neutral);
-    let tas_little = run_lock(
-        &cfg(profile, amp(), 8),
-        spec_lock(&LockSpec::Tas(AtomicAffinity::little_wins())),
-    );
-    push("tas-little-8amp", 8, &tas_little);
-    t.note("fifo-8amp vs fifo-4big reproduces the Fig.1a collapse; tas-little vs tas-neutral the Fig.1b starvation");
-    vec![t]
-}
-
-/// `sim-fig8` — the paper's Figure-8 SLO sweep with the *real* LibASL
-/// lock: reordering windows grow with the SLO, buying throughput;
-/// little-core P99 stays anchored to the SLO line.
-pub fn sim_fig8(profile: &Profile) -> Vec<Table> {
-    let amp = || Topology::custom(4, 4, 3.0);
-    let mut t = Table::new(
-        "sim-fig8",
-        "paper Fig.8 shape: real LibASL under an SLO sweep (8 threads, virtual time)",
-        &[
-            "config",
-            "thpt",
-            "little_ops",
-            "p99_little_us",
-            "max_wait_little_us",
-        ],
-    );
-    // The window feedback needs many epochs to reach its SLO-specific
-    // plateau — a hit grows the window by 0.19 %, so it doubles in
-    // ~370 epochs from the 10 µs default: run long enough for a few
-    // hundred epochs per thread. Both profiles (~120 and ~540 epochs a
-    // little thread) show the climb; the repo benchmark's `amp-lock`
-    // (~1 350) is where the plateau is held.
-    let slo_cfg = |slo_ns: Option<u64>| {
-        let mut c = cfg(profile, amp(), 8);
-        c.duration_ns = (c.duration_ns * 20).max(4_000_000);
-        // Heavier critical sections than the other sim figures, so the
-        // fully-reordered tail lands *inside* the SLO sweep range and
-        // each SLO point settles on a different window plateau.
-        c.cs_units = 2_000;
-        c.slo_ns = slo_ns;
-        c
-    };
-    let fifo = run_lock(&slo_cfg(None), spec_lock(&LockSpec::Mcs));
-    t.push_sample("mcs", 8, fifo.throughput);
-    t.push_row(vec![
-        "mcs".into(),
-        fmt_ops(fifo.throughput),
-        fifo.little_ops.to_string(),
-        fmt_us(fifo.p99_little),
-        fmt_us(fifo.max_wait_little),
-    ]);
-    // Under --profile the recording gate is armed and every little
-    // thread keeps its window trajectory: summarise it per thread.
-    let mut windows = Table::new(
-        "sim-fig8-window",
-        "reorder-window controller per thread (recorded trajectory, virtual time)",
-        &[
-            "config",
-            "thread",
-            "class",
-            "epochs",
-            "misses",
-            "min_window_us",
-            "median_window_us",
-            "final_window_us",
-        ],
-    );
-    for slo_us in [15u64, 35, 60] {
-        let c = slo_cfg(Some(slo_us * 1_000));
-        let r = run_lock(&c, Arc::new(AslSpinLock::default()));
-        let label = format!("libasl-{slo_us}us");
-        t.push_sample(&label, 8, r.throughput);
-        t.push_row(vec![
-            label.clone(),
-            fmt_ops(r.throughput),
-            r.little_ops.to_string(),
-            fmt_us(r.p99_little),
-            fmt_us(r.max_wait_little),
-        ]);
-        for (tid, trace) in r.window_traces.iter().enumerate() {
-            windows.push_row(window_row(&label, tid, &r, trace, slo_us * 1_000));
-        }
-    }
-    t.note("the lock under test is the unmodified AslSpinLock incl. its SLO window feedback, on the virtual clock");
-    t.note("paper Fig.8b shape: throughput grows with the SLO; the little-core tail tracks the SLO line");
-    windows.note("one row per virtual thread; big cores never stand by, so their window is never adjusted (-)");
-    windows.note("misses = epochs over the SLO; PCT = 99 allows 1 %, the controller aims at 0.75 % (asl_core::epoch)");
-    let mut tables = vec![t];
-    if asl_locks::telemetry::profiling() {
-        tables.push(windows);
-    }
-    tables
-}
-
-/// One `sim-fig8-window` row: thread `tid`'s recorded window
-/// trajectory, summarised.
-fn window_row(
-    config: &str,
-    tid: usize,
-    r: &ZooResult,
-    trace: &[WindowSample],
-    slo_ns: u64,
-) -> Vec<String> {
-    let mut row = vec![
-        config.to_string(),
-        tid.to_string(),
-        if r.thread_is_big[tid] {
-            "big"
-        } else {
-            "little"
-        }
-        .to_string(),
-        r.per_thread_ops[tid].to_string(),
-    ];
-    let Some(last) = trace.last() else {
-        row.extend(std::iter::repeat("-".to_string()).take(4));
-        return row;
-    };
-    let misses = trace.iter().filter(|s| s.latency_ns > slo_ns).count();
-    let mut windows: Vec<u64> = trace.iter().map(|s| s.window_ns).collect();
-    let median = percentile(&mut windows, 50.0); // sorts in place
-    row.extend([
-        misses.to_string(),
-        fmt_us(windows[0]),
-        fmt_us(median),
-        fmt_us(last.window_ns),
-    ]);
-    row
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,7 +354,6 @@ mod tests {
         Profile {
             duration_ms: 60,
             warmup_ms: 10,
-            pin: false,
         }
     }
 
@@ -537,19 +374,6 @@ mod tests {
         let b = sim_fair(&tiny());
         assert_eq!(a[0].samples, b[0].samples);
         assert_eq!(a[0].rows, b[0].rows);
-    }
-
-    #[test]
-    fn sim_fig1_reproduces_the_collapse() {
-        let t = &sim_fig1(&tiny())[0];
-        // Fig 1a: adding little cores must not help FIFO.
-        assert!(ops(t, "fifo-8amp", 8) < ops(t, "fifo-4big", 4));
-        // Fig 1b: little affinity shrinks the big-core share.
-        let share = |label: &str| {
-            let row = t.rows.iter().find(|r| r[0] == label).expect(label);
-            row[3].parse::<f64>().unwrap()
-        };
-        assert!(share("tas-little-8amp") < share("tas-neutral-8amp"));
     }
 
     #[test]

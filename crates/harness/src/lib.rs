@@ -4,10 +4,11 @@
 //!
 //! * [`hist`] — log-linear latency histogram (HDR-style) with
 //!   percentiles, CDFs and merging.
-//! * [`runner`] — timed multi-threaded experiment runner over a
-//!   virtual AMP topology, with warmup/measure phases and per-core-
-//!   class result breakdown (the paper reports Big P99 / Little P99 /
-//!   Overall P99 separately).
+//! * [`runner`] — timed experiment runner on the deterministic
+//!   simulator: virtual threads on a modeled AMP topology, warm-up and
+//!   measurement windows in virtual time, and a per-core-class result
+//!   breakdown (the paper reports Big P99 / Little P99 / Overall P99
+//!   separately).
 //! * [`locks`] — runtime lock selection: every baseline and every
 //!   LibASL configuration as an `Arc<dyn PlainLock>` plus epoch/SLO
 //!   annotation metadata.
@@ -31,7 +32,7 @@ pub mod scenario;
 pub mod torture;
 
 pub use hist::Hist;
-pub use runner::{run_timed, RunConfig, RunResult};
+pub use runner::{run_timed_with_setup, RunConfig, RunResult};
 
 /// Serializes unit tests that touch `asl_locks::telemetry`'s
 /// process-wide state (the recording/profiling gates and the cell

@@ -18,7 +18,6 @@
 //! * `epoch_slo` — when set, each operation runs inside epoch 0 with
 //!   this SLO (the LibASL configurations).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use asl_core::epoch;
@@ -58,13 +57,15 @@ pub enum LengthModel {
         /// Work multiplier of long epochs.
         long_factor: u64,
     },
-    /// Bench-2: a shared multiplier the driver changes at runtime;
+    /// Bench-2: `(end_ns, multiplier)` phases on the clock — an op
+    /// started before `end_ns` (and after the previous phase's end)
+    /// runs `multiplier`× longer; the last phase holds after its end.
     /// `u64::MAX` means "randomize per op in 1..=4" (heterogeneous
     /// but individually SLO-feasible lengths — the paper's random
     /// phase stays within the SLO, so the drawn lengths must remain
     /// feasible; infeasibility is exercised by the explicit
     /// "impossible" phase instead).
-    Dynamic(Arc<AtomicU64>),
+    Phased(Vec<(u64, u64)>),
 }
 
 /// A configured micro-benchmark.
@@ -77,7 +78,7 @@ pub struct MicroScenario {
     pub sections: Vec<CsSpec>,
     /// Emulated per-line cost (see [`CS_UNITS_PER_LINE`]).
     pub cs_units_per_line: u64,
-    /// Emulated work between epochs.
+    /// Emulated work between epochs (mean; each op draws ±25 %).
     pub ncs_units: u64,
     /// Epoch-length model.
     pub length: LengthModel,
@@ -153,12 +154,12 @@ impl MicroScenario {
                     1
                 }
             }
-            LengthModel::Dynamic(m) => {
-                let f = m.load(Ordering::Relaxed);
-                if f == u64::MAX {
-                    rng.gen_range(1..=4)
-                } else {
-                    f.max(1)
+            LengthModel::Phased(phases) => {
+                let now = now_ns();
+                let phase = phases.iter().find(|&&(end, _)| now < end);
+                match phase.or(phases.last()).map_or(1, |&(_, f)| f) {
+                    u64::MAX => rng.gen_range(1..=4),
+                    f => f.max(1),
                 }
             }
         };
@@ -173,7 +174,11 @@ impl MicroScenario {
                 now_ns() - t0
             }
         };
-        execute_units(self.ncs_units);
+        // Think time jittered ±25 %: identical loops over constant
+        // lengths phase-lock in virtual time, and the pattern they lock
+        // into, not the lock, then decides the figure.
+        let span = self.ncs_units / 4;
+        execute_units(rng.gen_range(self.ncs_units - span..=self.ncs_units + span));
         latency
     }
 
@@ -263,14 +268,17 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_multiplier_scales_latency() {
-        let m = Arc::new(AtomicU64::new(1));
-        let mut s = MicroScenario::simple(&LockSpec::Mcs, 2, 0);
-        s.length = LengthModel::Dynamic(m.clone());
-        let mut rng = worker_rng(4);
-        let short: u64 = (0..50).map(|_| s.run_op(&mut rng)).sum();
-        m.store(64, Ordering::Relaxed);
-        let long: u64 = (0..50).map(|_| s.run_op(&mut rng)).sum();
+    fn phase_multiplier_scales_latency() {
+        // Phases are read off the clock; past the schedule's end its
+        // last phase holds.
+        let run = |phases| {
+            let mut s = MicroScenario::simple(&LockSpec::Mcs, 2, 0);
+            s.length = LengthModel::Phased(phases);
+            let mut rng = worker_rng(4);
+            (0..50).map(|_| s.run_op(&mut rng)).sum::<u64>()
+        };
+        let short = run(vec![(u64::MAX, 1)]);
+        let long = run(vec![(1, 64)]);
         assert!(long > short * 4, "short={short} long={long}");
     }
 

@@ -11,7 +11,6 @@ use asl_harness::locks::{listing, registry};
 const TINY: Profile = Profile {
     duration_ms: 10,
     warmup_ms: 2,
-    pin: false,
 };
 
 /// The `(lock, threads)` keys of a committed `baselines/BENCH_*.json`.

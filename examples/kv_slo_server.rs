@@ -1,7 +1,8 @@
 //! A latency-critical KV "server" (the paper's Figure 6 usage model).
 //!
 //! The Kyoto-Cabinet-like engine from `asl-dbsim` handles a 50/50
-//! put/get request mix on an emulated M1. Each request handler is
+//! put/get request mix on a modeled M1, in virtual time (5 ms after
+//! a 1 ms warm-up, on the simulator). Each request handler is
 //! wrapped in an epoch with an SLO — the only integration work LibASL
 //! asks of an application. The example runs the same workload under
 //! MCS and under LibASL at two SLOs, printing the familiar
@@ -15,7 +16,6 @@
 //! Run with: `cargo run --release --example kv_slo_server`
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use libasl::dbsim::kv::{KvConfig, ShardedKv};
 use libasl::dbsim::kyoto::Kyoto;
@@ -39,18 +39,14 @@ fn serve(spec: &LockSpec) -> (f64, f64, f64) {
     let cfg = RunConfig {
         topology: Topology::apple_m1(),
         threads: 8,
-        duration: Duration::from_millis(500),
-        warmup: Duration::from_millis(100),
-        pin: true,
+        duration_ns: 5_000_000,
+        warmup_ns: 1_000_000,
     };
     let slo = spec.epoch_slo();
     let engine2 = engine.clone();
     let r = run_timed_with_setup(
         &cfg,
-        |ctx| {
-            libasl::epoch::reset_thread_epochs();
-            libasl::harness::scenario::worker_rng(ctx.index)
-        },
+        libasl::harness::scenario::worker_rng,
         move |_, rng| {
             let mut run = || engine2.run_request(rng);
             match slo {
@@ -72,7 +68,7 @@ fn serve(spec: &LockSpec) -> (f64, f64, f64) {
 }
 
 fn main() {
-    println!("kyoto-like KV store, 8 threads on emulated M1 (50% put / 50% get)\n");
+    println!("kyoto-like KV store, 8 threads on a modeled M1 (50% put / 50% get, virtual time)\n");
     println!(
         "{:<16} {:>14} {:>16} {:>16}",
         "lock", "ops/s", "overall P99 (us)", "little P99 (us)"

@@ -1,6 +1,7 @@
 //! Bench-6 in miniature: blocking LibASL under core over-subscription.
 //!
-//! Sixteen threads on eight emulated cores. Spinning wastes the CPU
+//! Sixteen threads on eight modeled cores, in virtual time (the
+//! simulator schedules them with quanta). Spinning wastes the CPU
 //! the lock holder needs, so this configuration swaps the MCS lock
 //! for a futex-based mutex and the spinning standby wait for
 //! `nanosleep` back-off — the paper's blocking LibASL. Compare it
@@ -16,7 +17,7 @@ fn main() {
     let profile = Profile::quick();
     let threads = 16; // 2x over-subscription of the 8-core topology
 
-    println!("Bench-1 workload, {threads} threads on 8 emulated cores\n");
+    println!("Bench-1 workload, {threads} threads on 8 modeled cores (virtual time)\n");
     println!(
         "{:<18} {:>12} {:>14} {:>14}",
         "lock", "ops/s", "overall P99 us", "little P99 us"

@@ -15,13 +15,19 @@
 //! SHFL-PB<n> → `ProportionalLock`; LibASL-MAX → `AslSpinLock` outside
 //! any epoch; LibASL-<slo> → `AslSpinLock` with every operation an
 //! epoch; LibASL-OPT → `StaticWindowLock`.
+//!
+//! The `*_table_*` tests hold the `repro` figure drivers themselves to
+//! the same shapes: they read the tables `repro <id> --quick` prints
+//! (the timed runner on the modeled M1, 2.1 ms measured a point).
 
 mod common;
 
 use std::sync::{Arc, OnceLock};
 
 use common::{run, Cell};
+use libasl::harness::figures::{self, Profile};
 use libasl::harness::locks::StaticWindowLock;
+use libasl::harness::report::Table;
 use libasl::locks::plain::PlainLock;
 use libasl::locks::{McsLock, ProportionalLock, TasLock};
 use libasl::runtime::{AtomicAffinity, Topology};
@@ -239,4 +245,89 @@ fn slo_feedback_outperforms_fifo_and_respects_slo_vs_static() {
         r_fb.throughput,
         best_static
     );
+}
+
+// The same shapes, read off the figure drivers' own tables (the
+// `repro` path: modeled M1, virtual time, jittered think time).
+
+/// Figure `id`'s tables at the quick profile: what `repro <id>
+/// --quick` prints.
+fn figure(id: &str) -> Vec<Table> {
+    figures::run(id, &Profile::quick()).expect("a registered figure")
+}
+
+/// The cell in `column` of every row, parsed.
+fn column(t: &Table, column: &str) -> Vec<f64> {
+    let i = t.columns.iter().position(|c| c == column).expect(column);
+    t.rows.iter().map(|r| r[i].parse().expect(column)).collect()
+}
+
+/// The cell in `column` of the row whose first cells are `key`.
+fn cell(t: &Table, key: &[&str], column: &str) -> f64 {
+    let i = t.columns.iter().position(|c| c == column).expect(column);
+    let row = t
+        .rows
+        .iter()
+        .find(|r| r.iter().zip(key).all(|(c, k)| c == k));
+    row.unwrap_or_else(|| panic!("{}: no row {key:?}", t.id))[i]
+        .parse()
+        .expect(column)
+}
+
+#[test]
+fn fig4_table_tas_big_wins_throughput_and_loses_the_tail() {
+    let t = &figure("fig4")[0];
+    let at8 = |col| cell(t, &["8"], col);
+    assert!(at8("tas-big_thpt_ops_s") > at8("mcs_thpt_ops_s"), "{t:?}");
+    assert!(at8("tas-big_p99_us") > at8("mcs_p99_us"), "{t:?}");
+}
+
+#[test]
+fn fig8b_table_throughput_is_monotone_in_the_slo_and_the_little_tail_tracks_it() {
+    let t = &figure("fig8b")[0];
+    let (slo, little, thpt) = (
+        column(t, "slo_us"),
+        column(t, "little_p99_us"),
+        column(t, "thpt_ops_s"),
+    );
+    // Monotone to within 1 %: below the anchor the points fall back to
+    // FIFO and differ by the schedule alone (2 ops at runner seed 2).
+    assert!(thpt.windows(2).all(|w| w[1] >= 0.99 * w[0]), "{thpt:?}");
+    // The sweep ends at 6x the MCS anchor.
+    let anchor = slo[slo.len() - 1] / 6.0;
+    for (slo, little) in slo.iter().zip(&little).filter(|(s, _)| **s >= anchor) {
+        assert!(*little <= 1.1 * slo, "slo {slo} us: little p99 {little} us");
+    }
+}
+
+#[test]
+fn fig8hi_table_blocking_libasl_beats_pthread_oversubscribed() {
+    let t = &figure("fig8hi")[0];
+    let thpt = |lock| cell(t, &[lock], "thpt_ops_s");
+    assert!(thpt("libasl-blk-max") >= thpt("pthread"), "{t:?}");
+}
+
+#[test]
+fn collapse_table_gcr_holds_up_where_every_bare_family_collapses() {
+    let t = &figure("collapse")[0];
+    for family in ["tas", "ticket", "mcs", "libasl-max"] {
+        let thpt = |lock: &str| cell(t, &[lock, "128"], "thpt_ops_s");
+        let (bare, gcr) = (thpt(family), thpt(&format!("gcr-{family}")));
+        assert!(
+            gcr >= 2.0 * bare,
+            "{family} at 128 threads: gcr {gcr} vs bare {bare}"
+        );
+    }
+}
+
+#[test]
+fn alt_topology_table_libasl_beats_mcs_on_every_machine_and_repeats() {
+    let a = figure("alt-topology");
+    let speedup = column(&a[0], "speedup");
+    assert_eq!(speedup.len(), 3);
+    assert!(speedup.iter().all(|&s| s >= 1.3), "{speedup:?}");
+    // A figure is a pure function of its profile: run it again.
+    let b = figure("alt-topology");
+    assert_eq!(a[0].samples, b[0].samples);
+    assert_eq!(a[0].rows, b[0].rows);
 }

@@ -9,9 +9,11 @@
 //! `Instrumented` kept its recording path out of line, the other
 //! inlined it). The delegation family had the same disease one level
 //! down — the publication-slot array written once per lock, and the
-//! warm-up → measure → done loop once per figure that drives them.
+//! warm-up → measure → done loop once per figure that drives them;
+//! and the figures had a real-thread runner beside the simulator.
 //! This grep fails if a twin comes back, if the simulator grows a
-//! second engine again, and if either delegation copy does.
+//! second engine again, if either delegation copy does, and if a
+//! figure spawns OS workers again.
 
 use std::path::Path;
 
@@ -140,19 +142,20 @@ fn delegation_is_written_once() {
         "a published op is executed by the engine's one pending-slot scan: {executes:?}"
     );
 
-    // One measurement loop: the runner owns the phase protocol and
-    // the worker spawn; fig8d's trace loop is the one other spawner.
+    // One measurement loop, in virtual time: the runner steps every
+    // figure's workers on the simulator, and nothing in the harness
+    // spawns OS workers — the one OS thread spawn left is the torture
+    // sweep's `--os` mode, whose point is the host.
     let harness = source_lines("crates/harness/src");
     assert_eq!(
-        files_with(&harness, "const PHASE_MEASURE"),
-        ["runner.rs"],
-        "a figure re-implements the warm-up/measure/done protocol — call \
-         runner::run_timed_with_setup"
+        files_with(&harness, "run_on_topology"),
+        Vec::<String>::new(),
+        "a figure spawns OS workers — call runner::run_timed_with_setup"
     );
     assert_eq!(
-        files_with(&harness, "run_on_topology_with_stop("),
-        ["figures/bench1.rs", "runner.rs"],
-        "a figure spawns its own workers — call runner::run_timed_with_setup"
+        files_with(&harness, "thread::spawn"),
+        ["torture.rs"],
+        "a figure spawns OS workers — call runner::run_timed_with_setup"
     );
 }
 
