@@ -96,17 +96,21 @@ pub struct Sqlite {
 impl Sqlite {
     /// Create with `prefill` rows.
     pub fn new(factory: &dyn LockFactory, prefill: u64) -> Self {
-        let mut rows = Vec::with_capacity(prefill as usize);
-        let mut index = BTreeMap::new();
-        for id in 0..prefill {
-            let row = Row {
+        let rows: Vec<Row> = (0..prefill)
+            .map(|id| Row {
                 id,
                 indexed: id * 3 % (prefill.max(1) * 2),
                 payload: id * 7,
-            };
-            index.insert(row.indexed, rows.len());
-            rows.push(row);
-        }
+            })
+            .collect();
+        // One bulk build. Where an indexed value repeats, the later row
+        // holds it (`BTreeMap::from_iter` keeps a key's last value), as
+        // with `insert`.
+        let index = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.indexed, i))
+            .collect();
         Sqlite {
             state: guarded_slot(factory, "sqlite.state", FileLockState::default()),
             table: guarded_slot(factory, "sqlite.table", TableData { rows, index }),
@@ -396,6 +400,24 @@ mod tests {
     fn prefill_sizes() {
         let db = Sqlite::with_default_size(&factory());
         assert_eq!(db.len(), 10_000);
+    }
+
+    #[test]
+    fn the_prefilled_index_is_the_row_by_row_one() {
+        // 10 000 (the default) has no repeated indexed value; a prefill
+        // divisible by 3 repeats `id·3 mod 2·prefill`, and the later
+        // row must hold the key.
+        for prefill in [10_000, 3, 999] {
+            let db = Sqlite::new(&factory(), prefill);
+            let table = db.table.lock();
+            let mut reference = BTreeMap::new();
+            for (i, row) in table.rows.iter().enumerate() {
+                reference.insert(row.indexed, i);
+            }
+            assert_eq!(table.index, reference, "prefill {prefill}");
+        }
+        let db = Sqlite::new(&factory(), 3);
+        assert_eq!(db.select_point(0).map(|r| r.id), Some(2));
     }
 
     #[test]

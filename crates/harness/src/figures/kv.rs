@@ -333,7 +333,7 @@ fn note_common(t: &mut Table) {
     t.note("latency measured from the scheduled (not actual) start: coordinated-omission-free");
     t.note("zipfian keys (theta=0.99), YCSB-A mix, 50% reads over a prefilled store");
     t.note(format!(
-        "critical section {CS_NS} ns = {} work units at the calibrated {:.0} units/us: the best of twelve ~70 us blocks, most of which escape a preemption, so each cell holds its shard about as long as it asks (five 2.7 ms blocks read 0.54-1.0 of the host's rate and shortened every section by as much)",
+        "critical section {CS_NS} ns = {} work units at the calibrated {:.0} units/us: the best of twelve ~8 us blocks, most of which escape a preemption, so each cell holds its shard about as long as it asks (five 2.7 ms blocks read 0.54-1.0 of the host's rate and shortened every section by as much)",
         asl_runtime::work::units_for_ns(CS_NS),
         asl_runtime::work::units_per_us()
     ));

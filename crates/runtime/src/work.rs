@@ -70,8 +70,8 @@ pub fn execute_units(units: u64) {
     execute_raw_units(scaled);
 }
 
-/// Units in one calibration block: ≈ 70 µs on the reference host.
-const CALIBRATION_BLOCK: u64 = 40_000;
+/// Units in one calibration block: ≈ 8 µs on the reference host.
+const CALIBRATION_BLOCK: u64 = 4_000;
 /// Calibration blocks timed; the fastest one is the answer.
 const CALIBRATION_BLOCKS: usize = 12;
 
@@ -85,19 +85,30 @@ const CALIBRATION_BLOCKS: usize = 12;
 /// without charging its virtual clock or caching the simulator's
 /// exchange rate for the whole process. It times
 /// `CALIBRATION_BLOCKS` blocks of `CALIBRATION_BLOCK` units and keeps
-/// the fastest: ≈ 1 ms in all.
+/// the fastest: ≈ 0.14 ms in all.
 ///
 /// The blocks are short on purpose. A slow block is not the loop's
 /// cost but a preemption, a migration or a co-tenant on the same
 /// core, and the fastest of several blocks estimates the loop only if
-/// one of them escaped all of that: a short block escapes more often,
-/// and twelve short blocks cost a twentieth of five long ones. Twenty
-/// fresh processes each, run back to back on the reference host (2-CPU
-/// x86-64, shared with other tenants): five 2.7 ms blocks took 18–34
-/// ms and read 321–599 units/µs, 9 of 20 within 10 % of the fastest
-/// reading; twelve 40 000-unit blocks took 0.84–1.72 ms and read
-/// 303–592, 16 of 20 within 10 %. A clock read (≈ 15–30 ns) is noise
-/// against a block.
+/// one of them escaped all of that: a short block escapes more often.
+/// Fresh processes on the reference host (2-CPU x86-64, shared with
+/// other tenants), alternated between builds, each reading checked
+/// against the best of five 400 000-unit blocks timed afterwards in
+/// the same process:
+///
+/// | blocks            | processes | took (ms)               | error vs. the long reading   |
+/// |-------------------|-----------|-------------------------|------------------------------|
+/// | 12 × 40 000 units | 40        | 1.03–1.33, median 1.08  | −4.5 … +7.2 %, median 0.0 %  |
+/// | 12 × 4 000 units  | 60        | 0.13–0.20, median 0.14  | −9.5 … +3.4 %, median −1.1 % |
+/// | 8 × 8 000 units   | 20        | 0.16–0.24, median 0.17  | −0.7 … +9.7 %, median 0.0 %  |
+/// | 16 × 2 000 units  | 20        | 0.09–0.18, median 0.11  | −13.7 … +7.7 %, median −1.5 % |
+///
+/// Every reading of the first three shapes is within 10 %. The short
+/// blocks read ≈ 1 % low in the median, and part of that is the
+/// clock: the whole calibration runs inside the process's first
+/// [`crate::clock::CALIBRATION_SPAN_NS`] (1 ms), while
+/// [`crate::clock::os_now_ns`] is still served by the `Instant`
+/// fallback, and one such read (≈ 30 ns) is ≈ 0.4 % of an 8 µs block.
 pub fn units_per_us() -> f64 {
     static CAL: OnceLock<f64> = OnceLock::new();
     *CAL.get_or_init(|| {

@@ -21,6 +21,10 @@
 //! Kyoto 0.47–0.77 % misses (parent: 2.8 %). The seed is fixed, so
 //! the file is deterministic; the claim across seeds at full length
 //! is the benchmark's to make.
+//!
+//! How an engine is built is host work and must move no virtual ns:
+//! the LevelDB and SQLite cells under both locks are pinned by epoch
+//! count and latency digest.
 
 mod common;
 
@@ -28,6 +32,7 @@ use std::sync::Arc;
 
 use common::{run_engine, ThreadEpochs};
 use libasl::dbsim::kyoto::Kyoto;
+use libasl::dbsim::leveldb::LevelDb;
 use libasl::dbsim::sqlite::Sqlite;
 use libasl::locks::plain::PlainLock;
 use libasl::locks::McsLock;
@@ -56,6 +61,43 @@ fn asl() -> Arc<dyn PlainLock> {
 
 fn epochs(threads: &[ThreadEpochs]) -> usize {
     threads.iter().map(|t| t.latencies.len()).sum()
+}
+
+/// FNV-1a over every thread's core class and epoch latencies, in
+/// thread order.
+fn digest(threads: &[ThreadEpochs]) -> u64 {
+    threads
+        .iter()
+        .flat_map(|t| std::iter::once(u64::from(t.big)).chain(t.latencies.iter().copied()))
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// `(cell, epochs, digest)` of the four cells, recorded on the commit
+/// that still kept LevelDB's table in a `BTreeMap` and built SQLite's
+/// index one insert at a time. Same SLOs as `amp-db`.
+const PINNED: [(&str, usize, u64); 4] = [
+    ("leveldb/mcs", 13_321, 5_332_759_363_279_988_423),
+    ("leveldb/libasl-8700ns", 15_151, 6_405_957_613_362_283_434),
+    ("sqlite/mcs", 2_931, 13_590_989_846_072_178_281),
+    ("sqlite/libasl-300us", 3_005, 16_008_622_269_439_024_397),
+];
+
+#[test]
+fn leveldb_and_sqlite_cells_repeat_to_the_virtual_ns() {
+    let cells = [
+        run_engine(&cfg(None), &LevelDb::with_default_size(&mcs)),
+        run_engine(&cfg(Some(8_700)), &LevelDb::with_default_size(&asl)),
+        run_engine(&cfg(None), &Sqlite::with_default_size(&mcs)),
+        run_engine(&cfg(Some(300_000)), &Sqlite::with_default_size(&asl)),
+    ];
+    let got: Vec<_> = PINNED
+        .iter()
+        .zip(&cells)
+        .map(|(&(name, ..), threads)| (name, epochs(threads), digest(threads)))
+        .collect();
+    assert_eq!(got, PINNED);
 }
 
 #[test]
