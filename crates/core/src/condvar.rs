@@ -20,9 +20,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::thread::Thread;
 
+use asl_locks::api::MutexGuard;
 use asl_locks::RawLock;
 
-use crate::mutex::AslMutexGuard;
+use crate::mutex::AslLock;
 use crate::wait::WaitPolicy;
 
 struct Waiter {
@@ -52,11 +53,8 @@ impl AslCondvar {
     /// dispatch path) before returning. May wake spuriously.
     pub fn wait<'a, T, L: RawLock, W: WaitPolicy>(
         &self,
-        guard: AslMutexGuard<'a, T, L, W>,
-    ) -> AslMutexGuard<'a, T, L, W> {
-        // The guard knows its (generic guard-plumbing) mutex; waking
-        // re-locks through it, i.e. through the LibASL dispatch path.
-        let mutex = guard.mutex();
+        guard: MutexGuard<'a, T, AslLock<L, W>>,
+    ) -> MutexGuard<'a, T, AslLock<L, W>> {
         let notified = Arc::new(AtomicBool::new(false));
         self.waiters
             .lock()
@@ -67,22 +65,24 @@ impl AslCondvar {
             });
         // Registering *before* the release closes the notify race:
         // any notification after this point sees us in the queue.
-        drop(guard);
-        while !notified.load(Ordering::Acquire) {
-            // Simulated threads charge a virtual wait instead of an OS
-            // park (the notifier's unpark is then a no-op).
-            asl_runtime::substrate::park_or(std::thread::park);
-        }
-        mutex.lock()
+        // Waking re-locks the guard's lock, i.e. through the LibASL
+        // dispatch path.
+        guard.unlocked(|| {
+            while !notified.load(Ordering::Acquire) {
+                // Simulated threads charge a virtual wait instead of an
+                // OS park (the notifier's unpark is then a no-op).
+                asl_runtime::substrate::park_or(std::thread::park);
+            }
+        })
     }
 
     /// [`AslCondvar::wait`] in a predicate loop: returns once
     /// `condition(&*guard)` is false, with the lock held.
     pub fn wait_while<'a, T, L: RawLock, W: WaitPolicy>(
         &self,
-        mut guard: AslMutexGuard<'a, T, L, W>,
+        mut guard: MutexGuard<'a, T, AslLock<L, W>>,
         mut condition: impl FnMut(&mut T) -> bool,
-    ) -> AslMutexGuard<'a, T, L, W> {
+    ) -> MutexGuard<'a, T, AslLock<L, W>> {
         while condition(&mut guard) {
             guard = self.wait(guard);
         }

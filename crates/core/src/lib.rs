@@ -67,8 +67,7 @@ pub mod wait;
 pub use condvar::AslCondvar;
 pub use config::AslConfig;
 pub use mutex::{
-    AslBlockingLock, AslClhLock, AslLock, AslMutex, AslMutexGuard, AslShflLock, AslSpinLock,
-    AslTicketLock,
+    AslBlockingLock, AslClhLock, AslLock, AslMutex, AslShflLock, AslSpinLock, AslTicketLock,
 };
 pub use reorderable::ReorderableLock;
 pub use rwlock::AslRwLock;

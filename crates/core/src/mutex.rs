@@ -16,9 +16,9 @@
 //! implements [`RawLock`], so the whole guard API of
 //! [`asl_locks::api`] applies to it.
 //!
-//! [`AslMutex`] wraps it in the idiomatic Rust shape — data owned by
-//! the mutex, RAII guard, re-expressed over the generic
-//! [`asl_locks::api::Mutex`] plumbing — which plays the role of the
+//! [`AslMutex`] is the generic [`asl_locks::api::Mutex`] with
+//! [`AslLock`] as its lock type — data owned by the mutex, the same
+//! RAII guard every lock hands out — which plays the role of the
 //! paper's transparent `pthread_mutex_lock` redirection: application
 //! code locks exactly as it would any mutex and gets LibASL behaviour.
 //!
@@ -31,6 +31,7 @@
 //!     *held += 1;
 //! } // released on drop — even on panic
 //! assert_eq!(*counter.lock(), 1);
+//! assert_eq!(counter.raw().stats().snapshot().total(), 2);
 //! ```
 
 use asl_locks::api;
@@ -142,11 +143,6 @@ impl<L: RawLock, W: WaitPolicy> AslLock<L, W> {
     pub fn stats(&self) -> &LockStats {
         self.reorderable.stats()
     }
-
-    /// The inner reorderable lock (for advanced configuration).
-    pub fn reorderable_mut(&mut self) -> &mut ReorderableLock<L, W> {
-        &mut self.reorderable
-    }
 }
 
 /// [`AslLock`] is itself a [`RawLock`], so every guard-API shape
@@ -179,71 +175,12 @@ impl<L: RawLock, W: WaitPolicy> RawLock for AslLock<L, W> {
     const NAME: &'static str = "libasl";
 }
 
-/// A mutual-exclusion container with LibASL ordering.
-///
-/// Drop-in replacement shape for `std::sync::Mutex` (no poisoning —
-/// lock protocols here are panic-agnostic like `parking_lot`),
-/// expressed over the generic guard plumbing of
-/// [`asl_locks::api::Mutex`] with [`AslLock`] as the lock type.
-pub struct AslMutex<T, L: RawLock = McsLock, W: WaitPolicy = SpinWait> {
-    inner: api::Mutex<T, AslLock<L, W>>,
-}
-
-/// RAII guard for [`AslMutex`] — the generic [`api::MutexGuard`] over
-/// an [`AslLock`].
-pub type AslMutexGuard<'a, T, L = McsLock, W = SpinWait> = api::MutexGuard<'a, T, AslLock<L, W>>;
-
-impl<T> AslMutex<T> {
-    /// New mutex over the default reorderable-MCS LibASL lock.
-    pub fn new(value: T) -> Self {
-        Self::with_lock(value, AslSpinLock::default())
-    }
-}
-
-impl<T, L: RawLock, W: WaitPolicy> AslMutex<T, L, W> {
-    /// New mutex over a caller-supplied LibASL lock.
-    pub fn with_lock(value: T, lock: AslLock<L, W>) -> Self {
-        AslMutex {
-            inner: api::Mutex::with_lock(value, lock),
-        }
-    }
-
-    /// Acquire, returning an RAII guard.
-    pub fn lock(&self) -> AslMutexGuard<'_, T, L, W> {
-        self.inner.lock()
-    }
-
-    /// Try to acquire without waiting.
-    pub fn try_lock(&self) -> Option<AslMutexGuard<'_, T, L, W>> {
-        self.inner.try_lock()
-    }
-
-    /// Whether the lock is currently held or queued.
-    pub fn is_locked(&self) -> bool {
-        self.inner.is_locked()
-    }
-
-    /// Acquisition statistics of the underlying LibASL lock.
-    pub fn stats(&self) -> &LockStats {
-        self.inner.raw().stats()
-    }
-
-    /// Consume the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
-    }
-}
-
-impl<T: Default> Default for AslMutex<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
+/// A mutual-exclusion container with LibASL ordering: the generic
+/// [`api::Mutex`] over an [`AslLock`], a drop-in replacement shape for
+/// `std::sync::Mutex` (no poisoning — lock protocols here are
+/// panic-agnostic like `parking_lot`). Acquisition statistics are the
+/// lock's, `raw().stats()`.
+pub type AslMutex<T, L = McsLock, W = SpinWait> = api::Mutex<T, AslLock<L, W>>;
 
 #[cfg(test)]
 mod tests {
@@ -338,7 +275,7 @@ mod tests {
         register_on_core(&t, CoreId(0));
         let m = AslMutex::new(());
         drop(m.lock());
-        let s = m.stats().snapshot();
+        let s = m.raw().stats().snapshot();
         assert_eq!(s.immediate, 1);
         assert_eq!(s.standby_total(), 0);
         unregister();
@@ -351,7 +288,7 @@ mod tests {
         crate::epoch::reset_thread_epochs();
         let m = AslMutex::new(());
         drop(m.lock()); // outside any epoch: max-window standby, free entry
-        let s = m.stats().snapshot();
+        let s = m.raw().stats().snapshot();
         assert_eq!(s.immediate, 0);
         assert_eq!(s.standby_free_entry, 1);
         unregister();
@@ -367,7 +304,7 @@ mod tests {
         crate::epoch::with_epoch(3, u64::MAX, || {
             drop(m.lock());
         });
-        let s = m.stats().snapshot();
+        let s = m.raw().stats().snapshot();
         // Lock was free, so it entered via the free-entry fast path.
         assert_eq!(s.standby_total(), 1);
         unregister();
@@ -384,10 +321,10 @@ mod tests {
 
     #[test]
     fn asl_lock_supports_guards() {
-        use asl_locks::api::GuardedLock;
+        use asl_locks::api::Guard;
         let lock = AslSpinLock::default();
         {
-            let _g = lock.guard();
+            let _g = Guard::new(&lock);
             assert!(lock.is_locked());
         }
         assert!(!lock.is_locked());

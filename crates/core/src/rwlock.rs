@@ -175,7 +175,7 @@ impl<L: RawLock, W: WaitPolicy> RawRwLock for AslRwLock<L, W> {
 #[allow(clippy::let_unit_value)]
 mod tests {
     use super::*;
-    use asl_locks::api::GuardedRwLock;
+    use asl_locks::api::{ReadGuard, WriteGuard};
     use asl_locks::TicketLock;
     use std::sync::Arc;
 
@@ -209,13 +209,13 @@ mod tests {
     fn guard_api_composes() {
         let l = AslRwLock::default();
         {
-            let _r = l.read_guard();
-            let _r2 = l.try_read_guard().expect("reads overlap");
-            assert!(l.try_write_guard().is_none());
+            let _r = ReadGuard::new(&l);
+            let _r2 = ReadGuard::try_new(&l).expect("reads overlap");
+            assert!(WriteGuard::try_new(&l).is_none());
         }
         {
-            let _w = l.write_guard();
-            assert!(l.try_read_guard().is_none());
+            let _w = WriteGuard::new(&l);
+            assert!(ReadGuard::try_new(&l).is_none());
         }
         assert!(!l.is_locked());
     }

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use asl_dbsim::{kyoto::Kyoto, leveldb::LevelDb, lmdb::Lmdb, sqlite::Sqlite, upscale::UpscaleDb};
 use asl_dbsim::{Engine, LockFactory};
-use asl_locks::plain::PlainLock;
 use asl_runtime::{AtomicAffinity, Topology};
 
 use crate::locks::LockSpec;
@@ -21,40 +20,6 @@ use crate::scenario::worker_rng;
 
 use super::micro::{comparison_row, COMPARISON_COLS};
 use super::Profile;
-
-/// A lock-spec-backed factory: every lock an engine asks for is a
-/// fresh instance of the same spec (the paper relinks the whole
-/// binary against one lock library at a time). Reader-writer specs
-/// hand the engines genuine rwlocks through `make_rw`; exclusive
-/// specs degenerate shared guards to exclusive acquisitions. The
-/// labeled variants fold the spec into the engine's lock name
-/// (`kyoto.slot[mcs]`), so `repro --profile` stats tables attribute
-/// contention to both the engine lock and the substrate under it.
-pub(crate) struct SpecFactory(pub(crate) LockSpec);
-
-impl LockFactory for SpecFactory {
-    fn make(&self) -> Arc<dyn PlainLock> {
-        self.0.make_lock()
-    }
-
-    fn make_rw(&self) -> Arc<dyn asl_locks::PlainRwLock> {
-        self.0.make_rw_lock()
-    }
-
-    fn make_labeled(&self, label: &'static str) -> Arc<dyn PlainLock> {
-        asl_locks::telemetry::maybe_instrument(
-            &format!("{label}[{}]", self.0.label()),
-            self.0.make_lock_raw(),
-        )
-    }
-
-    fn make_rw_labeled(&self, label: &'static str) -> Arc<dyn asl_locks::PlainRwLock> {
-        asl_locks::telemetry::maybe_instrument_rw(
-            &format!("{label}[{}]", self.0.label()),
-            self.0.make_rw_lock_raw(),
-        )
-    }
-}
 
 /// Engine constructor used by the drivers.
 type MakeEngine = fn(&dyn LockFactory) -> Arc<dyn Engine>;
@@ -110,7 +75,7 @@ fn run_db_point(
     spec: &LockSpec,
     threads: usize,
 ) -> crate::runner::RunResult {
-    let engine = make(&SpecFactory(spec.clone()));
+    let engine = make(spec);
     run_engine_point(profile, topology, engine, spec, threads)
 }
 
@@ -128,7 +93,7 @@ fn db_trio(
     // The engine's internal lock names: `--profile` stats rows are
     // filed under `<label>[<spec>]`, so the note tells readers which
     // rows belong to this figure's engine.
-    let lock_labels = make(&SpecFactory(LockSpec::Mcs)).lock_labels().join(", ");
+    let lock_labels = make(&LockSpec::Mcs).lock_labels().join(", ");
 
     // Anchor on the measured MCS P99 for this engine.
     let anchor = run_db_point(profile, topo(), make, &LockSpec::Mcs, 8)

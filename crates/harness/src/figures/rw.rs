@@ -25,7 +25,7 @@ use asl_runtime::Topology;
 use crate::locks::LockSpec;
 use crate::report::{fmt_us, Table};
 
-use super::db::{run_engine_point, SpecFactory};
+use super::db::run_engine_point;
 use super::Profile;
 
 /// YCSB read fractions swept (A, B, C).
@@ -50,7 +50,7 @@ fn run_point(
     mix: Mix,
     threads: usize,
 ) -> crate::runner::RunResult {
-    let engine = Arc::new(UpscaleDb::with_mix(&SpecFactory(spec.clone()), mix));
+    let engine = Arc::new(UpscaleDb::with_mix(spec, mix));
     run_engine_point(profile, Topology::apple_m1(), engine, spec, threads)
 }
 
@@ -94,11 +94,9 @@ pub fn rw(profile: &Profile) -> Vec<Table> {
          substrates serialize them (YCSB-B/C = 95%/100% reads)"
             .to_string(),
     );
-    let labels = asl_dbsim::Engine::lock_labels(&UpscaleDb::with_mix(
-        &SpecFactory(LockSpec::Mcs),
-        Mix::ycsb_a(),
-    ))
-    .join(", ");
+    let labels =
+        asl_dbsim::Engine::lock_labels(&UpscaleDb::with_mix(&LockSpec::Mcs, Mix::ycsb_a()))
+            .join(", ");
     table.note(format!(
         "engine locks (telemetry labels under --profile): {labels}"
     ));

@@ -58,6 +58,7 @@ use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 use asl_core::{AslBlockingLock, AslLock, AslRwLock, AslSpinLock};
+use asl_dbsim::LockFactory;
 use asl_locks::api::{DynLock, DynRwLock};
 use asl_locks::plain::{ExclusiveRw, PlainLock, PlainRwLock, RwTokenWords, TokenWords, WriteHalf};
 use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy};
@@ -607,6 +608,34 @@ impl LockSpec {
     /// [`LockSpec::make_rw_lock`] without any telemetry wrapping.
     pub fn make_rw_lock_raw(&self) -> Arc<dyn PlainRwLock> {
         self.build(Erase { rw_site: true }).into_rw()
+    }
+}
+
+/// A spec is an engine's lock factory: every lock the engine asks for
+/// is a fresh instance of the same spec (the paper relinks the whole
+/// binary against one lock library at a time). Reader-writer specs
+/// hand the engines genuine rwlocks; exclusive specs degenerate shared
+/// guards to exclusive acquisitions. The labeled variants fold the
+/// spec into the engine's lock name (`kyoto.slot[mcs]`), so `repro
+/// --profile` stats tables attribute contention to both the engine
+/// lock and the substrate under it.
+impl LockFactory for LockSpec {
+    fn make(&self) -> Arc<dyn PlainLock> {
+        self.make_lock()
+    }
+
+    fn make_rw(&self) -> Arc<dyn PlainRwLock> {
+        self.make_rw_lock()
+    }
+
+    fn make_labeled(&self, label: &'static str) -> Arc<dyn PlainLock> {
+        let name = format!("{label}[{}]", self.label());
+        telemetry::maybe_instrument(&name, self.make_lock_raw())
+    }
+
+    fn make_rw_labeled(&self, label: &'static str) -> Arc<dyn PlainRwLock> {
+        let name = format!("{label}[{}]", self.label());
+        telemetry::maybe_instrument_rw(&name, self.make_rw_lock_raw())
     }
 }
 

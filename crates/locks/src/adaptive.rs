@@ -50,13 +50,13 @@
 //!   `Gcr` sizes itself on the thread that first engages it.
 //!
 //! ```
-//! use asl_locks::api::GuardedLock;
+//! use asl_locks::api::Guard;
 //! use asl_locks::{Adaptive, AdaptiveMode};
 //!
 //! let lock = Adaptive::new();
 //! assert_eq!(lock.mode(), AdaptiveMode::Tas);
 //! {
-//!     let _held = lock.guard();
+//!     let _held = Guard::new(&lock);
 //! }
 //! // Uncontended use never morphs.
 //! assert_eq!(lock.mode(), AdaptiveMode::Tas);

@@ -5,37 +5,42 @@
 //! acquisitions as RAII values from this module instead of threading
 //! tokens by hand — forgetting a `release` (silent deadlock) or
 //! releasing against the wrong lock (queue-node corruption) becomes
-//! impossible by construction:
+//! impossible by construction.
 //!
-//! * [`Guard`] — an acquisition of any borrowed [`RawLock`], released
-//!   on drop. [`GuardedLock::guard`] is blanket-implemented for every
-//!   raw lock.
-//! * [`Mutex`] — a data-carrying mutex generic over its lock
-//!   implementation (`Mutex<T, L: RawLock>`, MCS by default); `lock`
-//!   and `try_lock` return a [`MutexGuard`] that derefs to the data.
-//! * [`DynLock`] — an owned `Arc<dyn PlainLock>`, used wherever the
-//!   paper's evaluation swaps lock implementations by name. It is
-//!   itself a [`RawLock`], so it is *one more lock type parameter* of
-//!   the two shapes above, not a second family: [`DynGuard`] is
-//!   `Guard<'_, DynLock>` and [`DynMutex<T>`](DynMutex) is
-//!   `Mutex<T, DynLock>` (the building block of the database engines'
-//!   guarded slots).
+//! There is one guard per acquisition mode, whoever hands it out:
 //!
-//! Every shape has a reader-writer counterpart with the same
-//! discipline: [`ReadGuard`]/[`WriteGuard`] over a borrowed
-//! [`RawRwLock`], the data-carrying [`RwLock`], and [`DynRwLock`]
-//! (an owned `Arc<dyn PlainRwLock>`, itself a [`RawRwLock`];
-//! [`DynRwMutex<T>`](DynRwMutex) is `RwLock<T, DynRwLock>`). Shared
-//! guards overlap; exclusive guards exclude everyone.
+//! * [`Guard`] — an exclusive acquisition, released on drop.
+//!   `Guard::new(&lock)` takes any borrowed [`RawLock`]; the
+//!   data-carrying [`Mutex`] (`Mutex<T, L: RawLock>`, MCS by default)
+//!   hands out the same `Guard` from `lock` and `try_lock`, with a
+//!   reference to its data in the guard's defaulted third type
+//!   parameter, so that guard derefs to the data ([`MutexGuard`] names
+//!   it).
+//! * [`ReadGuard`] / [`WriteGuard`] — the shared and exclusive
+//!   acquisitions of a [`RawRwLock`], handed out the same way by
+//!   `ReadGuard::new` / `WriteGuard::new` and by the data-carrying
+//!   [`RwLock`]. Shared guards overlap; exclusive guards exclude
+//!   everyone.
+//!
+//! A lock chosen at runtime is one more lock type, not a second
+//! family: [`DynLock`] (an owned `Arc<dyn PlainLock>`) is itself a
+//! [`RawLock`] and [`DynRwLock`] a [`RawRwLock`], so their guards are
+//! `Guard<'_, DynLock>` and so on, and [`DynMutex<T>`](DynMutex) is
+//! `Mutex<T, DynLock>` (the building block of the database engines'
+//! guarded slots).
 //!
 //! ```
-//! use asl_locks::api::{DynLock, Mutex};
+//! use asl_locks::api::{DynLock, Guard, Mutex};
 //! use asl_locks::{McsLock, TasLock};
 //!
 //! // Statically dispatched: pick the lock type as a type parameter.
 //! let counter: Mutex<u64, McsLock> = Mutex::new(0);
 //! *counter.lock() += 1;
 //! assert_eq!(*counter.lock(), 1);
+//!
+//! // A bare lock hands out the same guard, without data.
+//! let bare = McsLock::new();
+//! drop(Guard::new(&bare));
 //!
 //! // Dynamically dispatched: pick the lock at runtime.
 //! let lock = DynLock::of(TasLock::new());
@@ -54,8 +59,8 @@ use std::sync::Arc;
 
 /// Marker making guards `!Send`: a lock must be released by the
 /// thread that acquired it (queue-node tokens are thread-local), so
-/// no guard may migrate to another thread. Guards stay `Sync` —
-/// sharing `&Guard` is harmless.
+/// no guard may migrate to another thread. Guards stay `Sync` where
+/// what they expose is — sharing `&Guard` is harmless.
 type NotSend = PhantomData<*const ()>;
 
 use crate::mcs::McsLock;
@@ -63,85 +68,92 @@ use crate::plain::{PlainLock, PlainRwLock, PlainRwToken, PlainToken};
 use crate::rw_ticket::RwTicketLock;
 use crate::{RawLock, RawRwLock};
 
-/// RAII acquisition of a borrowed [`RawLock`]: the token is captured
-/// at acquisition and passed back to `unlock` on drop.
+/// RAII exclusive acquisition of a borrowed [`RawLock`]: the token is
+/// captured at acquisition and passed back to `unlock` on drop. A
+/// [`Mutex`]'s guard carries a reference to the data in `D` and derefs
+/// to it; a bare lock's carries `()`.
 ///
 /// Guards are `!Send` — locks must be released by the acquiring
 /// thread (queue-node tokens are thread-local):
 ///
-/// ```compile_fail
+/// ```compile_fail,E0277
 /// fn assert_send<T: Send>(_: T) {}
 /// let lock = asl_locks::McsLock::new();
 /// let guard = asl_locks::api::Guard::new(&lock);
 /// assert_send(guard); // must not compile: guards can't cross threads
 /// ```
 #[must_use = "a dropped guard releases the lock immediately"]
-pub struct Guard<'a, L: RawLock> {
+pub struct Guard<'a, L: RawLock, D = ()> {
     lock: &'a L,
     token: Option<L::Token>,
+    data: D,
     _not_send: NotSend,
 }
 
-// SAFETY: a shared &Guard only exposes &L (Sync) and the token is not
-// reachable by reference; the !Send marker is what must not be lost.
+/// The guard [`Mutex::lock`] returns: a [`Guard`] that derefs to the
+/// data.
+pub type MutexGuard<'a, T, L> = Guard<'a, L, &'a UnsafeCell<T>>;
+
+// SAFETY: a shared &Guard only exposes &L (Sync) and, for a container's
+// guard, &T; the token is not reachable by reference. The !Send marker
+// is what must not be lost.
 unsafe impl<L: RawLock> Sync for Guard<'_, L> where L::Token: Sync {}
+unsafe impl<L: RawLock, T: Sync> Sync for Guard<'_, L, &UnsafeCell<T>> where L::Token: Sync {}
 
 impl<'a, L: RawLock> Guard<'a, L> {
     /// Acquire `lock`, blocking until granted.
     #[inline]
     pub fn new(lock: &'a L) -> Self {
-        let token = lock.lock();
-        Guard {
-            lock,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
+        Guard::acquire(lock, ())
     }
 
     /// Try to acquire `lock` without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
     pub fn try_new(lock: &'a L) -> Option<Self> {
+        Guard::try_acquire(lock, ())
+    }
+}
+
+impl<'a, L: RawLock, D> Guard<'a, L, D> {
+    #[inline]
+    fn acquire(lock: &'a L, data: D) -> Self {
+        Guard {
+            token: Some(lock.lock()),
+            lock,
+            data,
+            _not_send: PhantomData,
+        }
+    }
+
+    #[inline]
+    fn try_acquire(lock: &'a L, data: D) -> Option<Self> {
         lock.try_lock().map(|token| Guard {
             lock,
             token: Some(token),
+            data,
             _not_send: PhantomData,
         })
-    }
-
-    /// Adopt a token obtained through the low-level API.
-    ///
-    /// # Safety
-    /// `token` must come from `lock`/`try_lock` on this lock by the
-    /// calling thread and must not have been released.
-    #[inline]
-    pub unsafe fn from_token(lock: &'a L, token: L::Token) -> Self {
-        Guard {
-            lock,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
     }
 
     /// Release now (equivalent to `drop`; reads better at call sites).
     #[inline]
     pub fn unlock(self) {}
+}
 
-    /// Escape hatch: surrender the token without releasing. The caller
-    /// becomes responsible for passing it to [`RawLock::unlock`].
-    #[inline]
-    pub fn into_token(mut self) -> L::Token {
-        self.token.take().expect("guard token already taken")
-    }
-
-    /// The lock this guard holds.
-    #[inline]
-    pub fn lock_ref(&self) -> &'a L {
-        self.lock
+impl<'a, L: RawLock, D: Copy> Guard<'a, L, D> {
+    /// Release the lock, run `f`, and acquire the same lock again
+    /// (what a condition variable's `wait` does around its park). If
+    /// `f` unwinds, no guard is left.
+    pub fn unlocked(self, f: impl FnOnce()) -> Self {
+        let (lock, data) = (self.lock, self.data);
+        drop(self);
+        f();
+        Guard::acquire(lock, data)
     }
 }
 
-impl<L: RawLock> Drop for Guard<'_, L> {
+impl<L: RawLock, D> Drop for Guard<'_, L, D> {
     #[inline]
     fn drop(&mut self) {
         if let Some(token) = self.token.take() {
@@ -150,24 +162,22 @@ impl<L: RawLock> Drop for Guard<'_, L> {
     }
 }
 
-/// Guard-returning acquisition methods, blanket-implemented for every
-/// [`RawLock`].
-pub trait GuardedLock: RawLock + Sized {
-    /// Acquire, returning an RAII guard.
-    #[inline]
-    fn guard(&self) -> Guard<'_, Self> {
-        Guard::new(self)
-    }
-
-    /// Try to acquire without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    fn try_guard(&self) -> Option<Guard<'_, Self>> {
-        Guard::try_new(self)
+impl<L: RawLock, T> Deref for Guard<'_, L, &UnsafeCell<T>> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        // SAFETY: only `Mutex` builds a guard with data, from its own
+        // lock and cell, so guard existence proves exclusive
+        // acquisition of the lock that serializes this cell.
+        unsafe { &*self.data.get() }
     }
 }
 
-impl<L: RawLock> GuardedLock for L {}
+impl<L: RawLock, T> DerefMut for Guard<'_, L, &UnsafeCell<T>> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as for `deref`.
+        unsafe { &mut *self.data.get() }
+    }
+}
 
 /// A mutual-exclusion container generic over its lock implementation.
 ///
@@ -175,6 +185,26 @@ impl<L: RawLock> GuardedLock for L {}
 /// protocols here are panic-agnostic, like `parking_lot`): a panic
 /// inside the critical section releases the lock on unwind and the
 /// next `lock` succeeds normally.
+///
+/// `lock` returns the same [`Guard`] a bare lock hands out. It is
+/// `!Send`:
+///
+/// ```compile_fail,E0277
+/// fn assert_send<T: Send>(_: T) {}
+/// let m: asl_locks::api::Mutex<u64, asl_locks::McsLock> = asl_locks::api::Mutex::new(0);
+/// assert_send(m.lock()); // must not compile: guards can't cross threads
+/// ```
+///
+/// and `Sync` only when the data is (`Cell` is `Send`, so the mutex
+/// itself is `Sync`; its guard hands out `&Cell`):
+///
+/// ```compile_fail,E0277
+/// use std::cell::Cell;
+/// fn assert_sync<T: Sync>(_: &T) {}
+/// let m: asl_locks::api::Mutex<Cell<u32>, asl_locks::McsLock> =
+///     asl_locks::api::Mutex::new(Cell::new(0));
+/// assert_sync(&m.lock()); // must not compile: &guard would share &Cell
+/// ```
 pub struct Mutex<T, L: RawLock = McsLock> {
     lock: L,
     data: UnsafeCell<T>,
@@ -206,23 +236,14 @@ impl<T, L: RawLock> Mutex<T, L> {
     /// Acquire, returning an RAII guard that derefs to the data.
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T, L> {
-        let token = self.lock.lock();
-        MutexGuard {
-            mutex: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
+        Guard::acquire(&self.lock, &self.data)
     }
 
     /// Try to acquire without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T, L>> {
-        self.lock.try_lock().map(|token| MutexGuard {
-            mutex: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        })
+        Guard::try_acquire(&self.lock, &self.data)
     }
 
     /// Whether the lock is currently held or queued.
@@ -265,55 +286,6 @@ impl<T: fmt::Debug, L: RawLock> fmt::Debug for Mutex<T, L> {
     }
 }
 
-/// RAII guard for [`Mutex`]: derefs to the protected data, releases
-/// the lock on drop.
-#[must_use = "a dropped guard releases the lock immediately"]
-pub struct MutexGuard<'a, T, L: RawLock> {
-    mutex: &'a Mutex<T, L>,
-    token: Option<L::Token>,
-    _not_send: NotSend,
-}
-
-// SAFETY: a shared &MutexGuard exposes &T and &Mutex, both fine to
-// share across threads; only Send must stay suppressed.
-unsafe impl<T: Sync, L: RawLock> Sync for MutexGuard<'_, T, L> where L::Token: Sync {}
-
-impl<'a, T, L: RawLock> MutexGuard<'a, T, L> {
-    /// The mutex this guard locks (condvars use this to re-acquire
-    /// after waiting).
-    pub fn mutex(&self) -> &'a Mutex<T, L> {
-        self.mutex
-    }
-
-    /// Release now (equivalent to `drop`).
-    #[inline]
-    pub fn unlock(self) {}
-}
-
-impl<T, L: RawLock> Deref for MutexGuard<'_, T, L> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: guard existence proves exclusive acquisition.
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T, L: RawLock> DerefMut for MutexGuard<'_, T, L> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: guard existence proves exclusive acquisition.
-        unsafe { &mut *self.mutex.data.get() }
-    }
-}
-
-impl<T, L: RawLock> Drop for MutexGuard<'_, T, L> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.mutex.lock.unlock(token);
-        }
-    }
-}
-
 /// An owned, runtime-chosen lock with RAII acquisition.
 ///
 /// Wraps an `Arc<dyn PlainLock>` so call sites that pick their lock
@@ -340,14 +312,14 @@ impl DynLock {
 
     /// Acquire, blocking until granted; released when the guard drops.
     #[inline]
-    pub fn lock(&self) -> DynGuard<'_> {
+    pub fn lock(&self) -> Guard<'_, DynLock> {
         Guard::new(self)
     }
 
     /// Try to acquire without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_lock(&self) -> Option<DynGuard<'_>> {
+    pub fn try_lock(&self) -> Option<Guard<'_, DynLock>> {
         Guard::try_new(self)
     }
 
@@ -360,11 +332,6 @@ impl DynLock {
     /// Implementation name for reports.
     pub fn name(&self) -> &'static str {
         self.inner.lock_name()
-    }
-
-    /// The underlying shared lock object (token-API escape hatch).
-    pub fn plain(&self) -> &Arc<dyn PlainLock> {
-        &self.inner
     }
 }
 
@@ -401,16 +368,10 @@ impl RawLock for DynLock {
     const NAME: &'static str = "dyn";
 }
 
-/// RAII acquisition of a [`DynLock`], released on drop.
-pub type DynGuard<'a> = Guard<'a, DynLock>;
-
 /// A mutual-exclusion container over a runtime-chosen lock: the lock
 /// is an `Arc<dyn PlainLock>` picked at construction (typically from
 /// a `LockSpec` registry name) and handed to [`Mutex::with_lock`].
 pub type DynMutex<T> = Mutex<T, DynLock>;
-
-/// RAII guard for [`DynMutex`]: derefs to the protected data.
-pub type DynMutexGuard<'a, T> = MutexGuard<'a, T, DynLock>;
 
 impl fmt::Debug for DynLock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -427,47 +388,64 @@ impl fmt::Debug for DynLock {
 
 /// RAII shared acquisition of a borrowed [`RawRwLock`]; released on
 /// drop. Multiple `ReadGuard`s may be live at once; none while a
-/// [`WriteGuard`] is.
+/// [`WriteGuard`] is. An [`RwLock`]'s read guard carries a reference
+/// to the data in `D` and derefs to it.
 ///
 /// `!Send` like every guard — release must happen on the acquiring
 /// thread:
 ///
-/// ```compile_fail
+/// ```compile_fail,E0277
 /// fn assert_send<T: Send>(_: T) {}
 /// let lock = asl_locks::RwTicketLock::new();
 /// let guard = asl_locks::api::ReadGuard::new(&lock);
 /// assert_send(guard); // must not compile: guards can't cross threads
 /// ```
 #[must_use = "a dropped guard releases the shared lock immediately"]
-pub struct ReadGuard<'a, L: RawRwLock> {
+pub struct ReadGuard<'a, L: RawRwLock, D = ()> {
     lock: &'a L,
     token: Option<L::ReadToken>,
+    data: D,
     _not_send: NotSend,
 }
 
-// SAFETY: a shared &ReadGuard only exposes &L (Sync); only Send must
-// stay suppressed.
+// SAFETY: a shared &ReadGuard only exposes &L (Sync) and, for a
+// container's guard, &T; only Send must stay suppressed.
 unsafe impl<L: RawRwLock> Sync for ReadGuard<'_, L> where L::ReadToken: Sync {}
+unsafe impl<L: RawRwLock, T: Sync> Sync for ReadGuard<'_, L, &UnsafeCell<T>> where L::ReadToken: Sync
+{}
 
 impl<'a, L: RawRwLock> ReadGuard<'a, L> {
     /// Acquire `lock` shared, blocking until granted.
     #[inline]
     pub fn new(lock: &'a L) -> Self {
-        let token = lock.read();
-        ReadGuard {
-            lock,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
+        ReadGuard::acquire(lock, ())
     }
 
     /// Try to acquire `lock` shared without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
     pub fn try_new(lock: &'a L) -> Option<Self> {
+        ReadGuard::try_acquire(lock, ())
+    }
+}
+
+impl<'a, L: RawRwLock, D> ReadGuard<'a, L, D> {
+    #[inline]
+    fn acquire(lock: &'a L, data: D) -> Self {
+        ReadGuard {
+            token: Some(lock.read()),
+            lock,
+            data,
+            _not_send: PhantomData,
+        }
+    }
+
+    #[inline]
+    fn try_acquire(lock: &'a L, data: D) -> Option<Self> {
         lock.try_read().map(|token| ReadGuard {
             lock,
             token: Some(token),
+            data,
             _not_send: PhantomData,
         })
     }
@@ -475,15 +453,9 @@ impl<'a, L: RawRwLock> ReadGuard<'a, L> {
     /// Release now (equivalent to `drop`; reads better at call sites).
     #[inline]
     pub fn unlock(self) {}
-
-    /// The lock this guard holds shared.
-    #[inline]
-    pub fn lock_ref(&self) -> &'a L {
-        self.lock
-    }
 }
 
-impl<L: RawRwLock> Drop for ReadGuard<'_, L> {
+impl<L: RawRwLock, D> Drop for ReadGuard<'_, L, D> {
     #[inline]
     fn drop(&mut self) {
         if let Some(token) = self.token.take() {
@@ -492,37 +464,66 @@ impl<L: RawRwLock> Drop for ReadGuard<'_, L> {
     }
 }
 
+impl<L: RawRwLock, T> Deref for ReadGuard<'_, L, &UnsafeCell<T>> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        // SAFETY: only `RwLock` builds a guard with data, from its own
+        // lock and cell; a live read guard proves no writer is active,
+        // so shared access to the data is race-free.
+        unsafe { &*self.data.get() }
+    }
+}
+
 /// RAII exclusive acquisition of a borrowed [`RawRwLock`]; released on
-/// drop.
+/// drop. An [`RwLock`]'s write guard carries a reference to the data
+/// in `D` and derefs mutably to it.
 #[must_use = "a dropped guard releases the exclusive lock immediately"]
-pub struct WriteGuard<'a, L: RawRwLock> {
+pub struct WriteGuard<'a, L: RawRwLock, D = ()> {
     lock: &'a L,
     token: Option<L::WriteToken>,
+    data: D,
     _not_send: NotSend,
 }
 
 // SAFETY: as for ReadGuard.
 unsafe impl<L: RawRwLock> Sync for WriteGuard<'_, L> where L::WriteToken: Sync {}
+unsafe impl<L: RawRwLock, T: Sync> Sync for WriteGuard<'_, L, &UnsafeCell<T>> where
+    L::WriteToken: Sync
+{
+}
 
 impl<'a, L: RawRwLock> WriteGuard<'a, L> {
     /// Acquire `lock` exclusive, blocking until granted.
     #[inline]
     pub fn new(lock: &'a L) -> Self {
-        let token = lock.write();
-        WriteGuard {
-            lock,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
+        WriteGuard::acquire(lock, ())
     }
 
     /// Try to acquire `lock` exclusive without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
     pub fn try_new(lock: &'a L) -> Option<Self> {
+        WriteGuard::try_acquire(lock, ())
+    }
+}
+
+impl<'a, L: RawRwLock, D> WriteGuard<'a, L, D> {
+    #[inline]
+    fn acquire(lock: &'a L, data: D) -> Self {
+        WriteGuard {
+            token: Some(lock.write()),
+            lock,
+            data,
+            _not_send: PhantomData,
+        }
+    }
+
+    #[inline]
+    fn try_acquire(lock: &'a L, data: D) -> Option<Self> {
         lock.try_write().map(|token| WriteGuard {
             lock,
             token: Some(token),
+            data,
             _not_send: PhantomData,
         })
     }
@@ -530,15 +531,9 @@ impl<'a, L: RawRwLock> WriteGuard<'a, L> {
     /// Release now (equivalent to `drop`).
     #[inline]
     pub fn unlock(self) {}
-
-    /// The lock this guard holds exclusively.
-    #[inline]
-    pub fn lock_ref(&self) -> &'a L {
-        self.lock
-    }
 }
 
-impl<L: RawRwLock> Drop for WriteGuard<'_, L> {
+impl<L: RawRwLock, D> Drop for WriteGuard<'_, L, D> {
     #[inline]
     fn drop(&mut self) {
         if let Some(token) = self.token.take() {
@@ -547,37 +542,22 @@ impl<L: RawRwLock> Drop for WriteGuard<'_, L> {
     }
 }
 
-/// Guard-returning acquisition methods, blanket-implemented for every
-/// [`RawRwLock`] — the reader-writer analogue of [`GuardedLock`].
-pub trait GuardedRwLock: RawRwLock + Sized {
-    /// Acquire shared, returning an RAII guard.
-    #[inline]
-    fn read_guard(&self) -> ReadGuard<'_, Self> {
-        ReadGuard::new(self)
-    }
-
-    /// Try to acquire shared without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    fn try_read_guard(&self) -> Option<ReadGuard<'_, Self>> {
-        ReadGuard::try_new(self)
-    }
-
-    /// Acquire exclusive, returning an RAII guard.
-    #[inline]
-    fn write_guard(&self) -> WriteGuard<'_, Self> {
-        WriteGuard::new(self)
-    }
-
-    /// Try to acquire exclusive without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    fn try_write_guard(&self) -> Option<WriteGuard<'_, Self>> {
-        WriteGuard::try_new(self)
+impl<L: RawRwLock, T> Deref for WriteGuard<'_, L, &UnsafeCell<T>> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        // SAFETY: only `RwLock` builds a guard with data, from its own
+        // lock and cell, so guard existence proves exclusive
+        // acquisition of the lock that serializes this cell.
+        unsafe { &*self.data.get() }
     }
 }
 
-impl<L: RawRwLock> GuardedRwLock for L {}
+impl<L: RawRwLock, T> DerefMut for WriteGuard<'_, L, &UnsafeCell<T>> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as for `deref`.
+        unsafe { &mut *self.data.get() }
+    }
+}
 
 /// A reader-writer container generic over its lock implementation —
 /// the shared/exclusive counterpart of [`Mutex`].
@@ -595,6 +575,21 @@ impl<L: RawRwLock> GuardedRwLock for L {}
 /// let r1 = cache.read();              // shared...
 /// let r2 = cache.read();              // ...with overlap
 /// assert_eq!(r1.len() + r2.len(), 6);
+/// ```
+///
+/// `read` and `write` return the [`ReadGuard`] and [`WriteGuard`] a
+/// bare rwlock hands out, and both are `!Send`:
+///
+/// ```compile_fail,E0277
+/// fn assert_send<T: Send>(_: T) {}
+/// let l: asl_locks::api::RwLock<u64> = asl_locks::api::RwLock::new(0);
+/// assert_send(l.read()); // must not compile: guards can't cross threads
+/// ```
+///
+/// ```compile_fail,E0277
+/// fn assert_send<T: Send>(_: T) {}
+/// let l: asl_locks::api::RwLock<u64> = asl_locks::api::RwLock::new(0);
+/// assert_send(l.write()); // must not compile: guards can't cross threads
 /// ```
 pub struct RwLock<T, L: RawRwLock = RwTicketLock> {
     lock: L,
@@ -628,46 +623,28 @@ impl<T, L: RawRwLock> RwLock<T, L> {
 
     /// Acquire shared, returning a guard that derefs to the data.
     #[inline]
-    pub fn read(&self) -> RwLockReadGuard<'_, T, L> {
-        let token = self.lock.read();
-        RwLockReadGuard {
-            rwlock: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
+    pub fn read(&self) -> ReadGuard<'_, L, &UnsafeCell<T>> {
+        ReadGuard::acquire(&self.lock, &self.data)
     }
 
     /// Try to acquire shared without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T, L>> {
-        self.lock.try_read().map(|token| RwLockReadGuard {
-            rwlock: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        })
+    pub fn try_read(&self) -> Option<ReadGuard<'_, L, &UnsafeCell<T>>> {
+        ReadGuard::try_acquire(&self.lock, &self.data)
     }
 
     /// Acquire exclusive, returning a guard that derefs mutably.
     #[inline]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T, L> {
-        let token = self.lock.write();
-        RwLockWriteGuard {
-            rwlock: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        }
+    pub fn write(&self) -> WriteGuard<'_, L, &UnsafeCell<T>> {
+        WriteGuard::acquire(&self.lock, &self.data)
     }
 
     /// Try to acquire exclusive without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T, L>> {
-        self.lock.try_write().map(|token| RwLockWriteGuard {
-            rwlock: self,
-            token: Some(token),
-            _not_send: PhantomData,
-        })
+    pub fn try_write(&self) -> Option<WriteGuard<'_, L, &UnsafeCell<T>>> {
+        WriteGuard::try_acquire(&self.lock, &self.data)
     }
 
     /// Whether anyone holds or queues on the lock (either mode).
@@ -707,82 +684,6 @@ impl<T: fmt::Debug, L: RawRwLock> fmt::Debug for RwLock<T, L> {
             None => s.field("data", &format_args!("<locked>")),
         };
         s.finish()
-    }
-}
-
-/// Shared RAII guard for [`RwLock`]: derefs to the protected data.
-#[must_use = "a dropped guard releases the shared lock immediately"]
-pub struct RwLockReadGuard<'a, T, L: RawRwLock> {
-    rwlock: &'a RwLock<T, L>,
-    token: Option<L::ReadToken>,
-    _not_send: NotSend,
-}
-
-// SAFETY: exposes &T / &RwLock only; only Send must stay suppressed.
-unsafe impl<T: Sync, L: RawRwLock> Sync for RwLockReadGuard<'_, T, L> where L::ReadToken: Sync {}
-
-impl<T, L: RawRwLock> RwLockReadGuard<'_, T, L> {
-    /// Release now (equivalent to `drop`).
-    #[inline]
-    pub fn unlock(self) {}
-}
-
-impl<T, L: RawRwLock> Deref for RwLockReadGuard<'_, T, L> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: a live read guard proves no writer is active, so
-        // shared access to the data is race-free.
-        unsafe { &*self.rwlock.data.get() }
-    }
-}
-
-impl<T, L: RawRwLock> Drop for RwLockReadGuard<'_, T, L> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.rwlock.lock.unlock_read(token);
-        }
-    }
-}
-
-/// Exclusive RAII guard for [`RwLock`]: derefs mutably to the data.
-#[must_use = "a dropped guard releases the exclusive lock immediately"]
-pub struct RwLockWriteGuard<'a, T, L: RawRwLock> {
-    rwlock: &'a RwLock<T, L>,
-    token: Option<L::WriteToken>,
-    _not_send: NotSend,
-}
-
-// SAFETY: as for RwLockReadGuard.
-unsafe impl<T: Sync, L: RawRwLock> Sync for RwLockWriteGuard<'_, T, L> where L::WriteToken: Sync {}
-
-impl<T, L: RawRwLock> RwLockWriteGuard<'_, T, L> {
-    /// Release now (equivalent to `drop`).
-    #[inline]
-    pub fn unlock(self) {}
-}
-
-impl<T, L: RawRwLock> Deref for RwLockWriteGuard<'_, T, L> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: guard existence proves exclusive acquisition.
-        unsafe { &*self.rwlock.data.get() }
-    }
-}
-
-impl<T, L: RawRwLock> DerefMut for RwLockWriteGuard<'_, T, L> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: guard existence proves exclusive acquisition.
-        unsafe { &mut *self.rwlock.data.get() }
-    }
-}
-
-impl<T, L: RawRwLock> Drop for RwLockWriteGuard<'_, T, L> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.rwlock.lock.unlock_write(token);
-        }
     }
 }
 
@@ -847,11 +748,6 @@ impl DynRwLock {
     /// Implementation name for reports.
     pub fn name(&self) -> &'static str {
         self.inner.rw_lock_name()
-    }
-
-    /// The underlying shared lock object (token-API escape hatch).
-    pub fn plain(&self) -> &Arc<dyn PlainRwLock> {
-        &self.inner
     }
 }
 
@@ -940,26 +836,49 @@ mod tests {
     use super::*;
     use crate::{ClhLock, TasLock, TicketLock};
 
+    // A `Mutex<u64, _>`'s guard may be shared by reference (the
+    // `compile_fail` doctests on `Mutex` and `RwLock` pin the
+    // negative cases).
+    const _: () = {
+        fn assert_sync<T: Sync>() {}
+        let _ = assert_sync::<MutexGuard<'static, u64, McsLock>>;
+    };
+
     #[test]
     fn raw_guard_releases_on_drop() {
         let lock = McsLock::new();
         {
-            let _g = lock.guard();
+            let _g = Guard::new(&lock);
             assert!(lock.is_locked());
-            assert!(lock.try_guard().is_none());
+            assert!(Guard::try_new(&lock).is_none());
         }
         assert!(!lock.is_locked());
     }
 
     #[test]
-    fn guard_token_escape_hatch_roundtrip() {
-        let lock = McsLock::new();
-        let token = lock.guard().into_token();
-        assert!(lock.is_locked());
-        // SAFETY: token from the guard above, unreleased, same thread.
-        // Dropped in place: re-adopting the token releases the lock.
-        drop(unsafe { Guard::from_token(&lock, token) });
-        assert!(!lock.is_locked());
+    fn a_bare_guard_carries_no_data() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<Guard<'_, McsLock>>(),
+            size_of::<(&McsLock, Option<()>)>()
+        );
+        assert_eq!(
+            size_of::<Guard<'_, DynLock>>(),
+            size_of::<(&DynLock, Option<PlainToken>)>()
+        );
+    }
+
+    #[test]
+    fn unlocked_releases_and_reacquires() {
+        let m: Mutex<u64, McsLock> = Mutex::new(1);
+        let mut seen = 0;
+        let mut g = m
+            .lock()
+            .unlocked(|| seen = *m.try_lock().expect("released inside") + 1);
+        assert!(m.try_lock().is_none(), "held again afterwards");
+        *g += seen;
+        drop(g);
+        assert_eq!(*m.lock(), 3);
     }
 
     #[test]
@@ -999,15 +918,15 @@ mod tests {
     fn rw_guards_share_reads_exclude_writes() {
         let lock = RwTicketLock::new();
         {
-            let r1 = lock.read_guard();
-            let _r2 = lock.try_read_guard().expect("reads overlap");
-            assert!(lock.try_write_guard().is_none(), "reader blocks writer");
+            let r1 = ReadGuard::new(&lock);
+            let _r2 = ReadGuard::try_new(&lock).expect("reads overlap");
+            assert!(WriteGuard::try_new(&lock).is_none(), "reader blocks writer");
             r1.unlock();
         }
         {
-            let _w = lock.write_guard();
-            assert!(lock.try_read_guard().is_none(), "writer blocks reader");
-            assert!(lock.try_write_guard().is_none(), "writer blocks writer");
+            let _w = WriteGuard::new(&lock);
+            assert!(ReadGuard::try_new(&lock).is_none(), "writer blocks reader");
+            assert!(WriteGuard::try_new(&lock).is_none(), "writer blocks writer");
         }
         assert!(!lock.is_locked());
     }

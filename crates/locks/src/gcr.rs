@@ -114,7 +114,7 @@
 //! it reads no clock.
 //!
 //! ```
-//! use asl_locks::api::GuardedLock;
+//! use asl_locks::api::Guard;
 //! use asl_locks::gcr::{Gcr, GcrConfig};
 //! use asl_locks::TicketLock;
 //!
@@ -123,7 +123,7 @@
 //! let lock = Gcr::with_config(TicketLock::new(), GcrConfig::fixed(2));
 //! assert_eq!(lock.limit(), 2);
 //! {
-//!     let _held = lock.guard();
+//!     let _held = Guard::new(&lock);
 //! }
 //! assert_eq!(lock.peak_active(), 1);
 //! assert_eq!(lock.passive_len(), 0);
@@ -1282,7 +1282,7 @@ impl<L: crate::timed::RawTimedLock> crate::timed::RawTimedLock for Gcr<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::GuardedLock;
+    use crate::api::Guard;
     use crate::{McsLock, TicketLock};
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
@@ -1293,7 +1293,7 @@ mod tests {
         assert_eq!(lock.limit(), 2);
         assert_eq!(lock.active(), 0);
         {
-            let _g = lock.guard();
+            let _g = Guard::new(&lock);
             assert!(RawLock::is_locked(&lock));
             assert_eq!(lock.active(), 1);
         }
@@ -1381,11 +1381,11 @@ mod tests {
     /// ticket, so once every ticket is taken the gate is engaged. No
     /// timing involved.
     fn contend(lock: &Arc<Gcr<TicketLock>>) {
-        let held = lock.guard();
+        let held = Guard::new(&**lock);
         let waiters: Vec<_> = (0..ENGAGE_WAITERS)
             .map(|_| {
                 let lock = lock.clone();
-                std::thread::spawn(move || drop(lock.guard()))
+                std::thread::spawn(move || drop(Guard::new(&*lock)))
             })
             .collect();
         while lock.inner().queue_depth() < 1 + u64::from(ENGAGE_WAITERS) {
@@ -1414,7 +1414,7 @@ mod tests {
         // by uncounted (they used to grow K to its ceiling).
         assert!(!lock.engaged(), "an adaptive wrapper starts disengaged");
         for _ in 0..12 {
-            let _held = lock.guard();
+            let _held = Guard::new(&*lock);
             assert_eq!(lock.active(), 0);
         }
         assert!(!lock.engaged());
@@ -1424,10 +1424,10 @@ mod tests {
 
         // One waiter at a time is a hand-off, not a queue.
         {
-            let held = lock.guard();
+            let held = Guard::new(&*lock);
             let one = {
                 let lock = lock.clone();
-                std::thread::spawn(move || drop(lock.guard()))
+                std::thread::spawn(move || drop(Guard::new(&*lock)))
             };
             while lock.inner().queue_depth() < 2 {
                 std::thread::yield_now();
@@ -1446,14 +1446,14 @@ mod tests {
         // passive: counted while it lasts, disengaged at its end.
         for _ in 0..5 {
             assert!(lock.engaged());
-            let held = lock.guard();
+            let held = Guard::new(&*lock);
             assert_eq!(lock.active(), 1);
             drop(held);
             assert_eq!(lock.active(), 0);
         }
         assert!(!lock.engaged(), "an uncontended window disengages");
         assert_eq!(lock.peak_active(), 1);
-        let held = lock.guard();
+        let held = Guard::new(&*lock);
         assert_eq!(lock.active(), 0);
         drop(held);
 

@@ -62,39 +62,34 @@
 //! diagnostic snapshot instead of letting a stalled lock hang
 //! silently.
 //!
-//! Three lock interfaces are provided, layered:
+//! Two lock interfaces are provided:
 //!
-//! * [`api`] — **the recommended surface**: one RAII guard family over
-//!   any lock. [`api::Guard`] for a borrowed [`RawLock`] and
-//!   [`api::Mutex`] for a data-carrying mutex, both generic over the
-//!   lock type — and a lock chosen at runtime is just one more lock
-//!   type, the erased handle [`api::DynLock`] (`api::DynGuard` and
-//!   `api::DynMutex` are aliases of the two, not types of their own).
+//! * **Guards over [`RawLock`]** — the recommended surface, in [`api`].
+//!   [`RawLock`] itself is statically dispatched and token-based:
+//!   textbook queue locks' tokens carry queue-node ownership (CLH,
+//!   cohort, `mcs-stp`) so locks stay allocation-free on the hot path;
+//!   a [`QueueLock`] holder owns only its lock word, and its token is
+//!   zero-sized. The reorderable lock in `asl-core` composes over any
+//!   `RawLock + FifoLock`, and every wrapper ([`Gcr`],
+//!   [`Instrumented`]) is written once against it. Application code
+//!   holds acquisitions as one guard per mode: [`api::Guard`] (handed
+//!   out by `Guard::new(&lock)` and by the data-carrying
+//!   [`api::Mutex`]), and [`api::ReadGuard`]/[`api::WriteGuard`] over
+//!   a [`RawRwLock`] (handed out the same way and by [`api::RwLock`]).
 //!   Releasing happens on drop (including panic unwind), so the
 //!   forget-to-release and release-wrong-lock bug classes of the token
-//!   APIs cannot occur.
-//! * [`RawLock`] — statically dispatched, token-based. Textbook queue
-//!   locks' tokens carry queue-node ownership (CLH, cohort, `mcs-stp`)
-//!   so locks stay allocation-free on the hot path; a [`QueueLock`]
-//!   holder owns only its lock word, and its token is zero-sized. The reorderable lock in `asl-core` composes over
-//!   any `RawLock + FifoLock`, and every wrapper ([`Gcr`],
-//!   [`Instrumented`]) is written once against it. Documented
-//!   low-level escape hatch.
-//! * [`PlainLock`] — object-safe facade (`Arc<dyn PlainLock>`) with a
-//!   two-word opaque token, blanket-implemented for every raw lock
-//!   whose token is word-encodable ([`plain::TokenWords`]) — wrappers
-//!   over a [`api::DynLock`] included, so erasing, wrapping and
-//!   erasing again needs no second implementation of the wrapper. In
-//!   debug builds tokens are tagged with the issuing lock and
-//!   cross-lock releases panic.
-//!
-//! Each layer has a reader-writer counterpart: [`RawRwLock`] (token
-//! interface with separate shared/exclusive tokens), the guard layer
-//! in [`api`] ([`api::ReadGuard`]/[`api::WriteGuard`] and the
-//! data-carrying [`api::RwLock`], over the erased handle
-//! [`api::DynRwLock`] for runtime-chosen rwlocks), and the
-//! object-safe [`PlainRwLock`] facade with the same debug-build
-//! cross-lock release checks.
+//!   calls cannot occur.
+//! * **The erased facade** — [`PlainLock`] / [`PlainRwLock`]
+//!   (`Arc<dyn PlainLock>`) with an opaque two- / three-word token,
+//!   blanket-implemented for every raw lock whose tokens are
+//!   word-encodable ([`plain::TokenWords`]). Its RAII handles
+//!   [`api::DynLock`] / [`api::DynRwLock`] are themselves a `RawLock` /
+//!   `RawRwLock`, so a lock chosen at runtime is one more lock type
+//!   parameter of the guards above (`api::DynMutex` is
+//!   `Mutex<T, DynLock>`), and wrappers over a handle erase again
+//!   without a second implementation of the wrapper. In debug builds
+//!   tokens are tagged with the issuing lock (and mode) and cross-lock
+//!   releases panic.
 //!
 //! ```
 //! use asl_locks::api::{DynLock, Mutex};
@@ -143,8 +138,8 @@ pub mod watchdog;
 
 pub use adaptive::{Adaptive, AdaptiveMode, AdaptiveToken};
 pub use api::{
-    DynGuard, DynLock, DynMutex, DynMutexGuard, DynRwLock, DynRwMutex, Guard, GuardedLock,
-    GuardedRwLock, Mutex, MutexGuard, ReadGuard, RwLock, WriteGuard,
+    DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, Mutex, MutexGuard, ReadGuard, RwLock,
+    WriteGuard,
 };
 pub use asynclock::{AsyncDynMutex, AsyncFifoMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use backoff::BackoffLock;

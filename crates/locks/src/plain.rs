@@ -61,12 +61,6 @@ impl PlainToken {
         }
     }
 
-    /// Payload-free token issued by `lock` (unit-token locks).
-    #[inline]
-    pub fn unit<L>(lock: &L) -> Self {
-        Self::issue(lock, 0, 0)
-    }
-
     /// Decode the payload, asserting (in debug builds) that `lock` is
     /// the lock that issued this token.
     #[inline]

@@ -201,9 +201,8 @@ mod tests {
         // CPU* through its penalty spin and grab the just-freed lock,
         // inverting the bias. The exact, ungated version of this
         // assertion runs on the simulated machine
-        // (`asl_sim::exec` unit test `poll_cost_reflects_atomic_model`
-        // and `tests/integration_shapes.rs`'s little-affinity TAS
-        // cell in `fig1_shape_fifo_and_tas_collapse`).
+        // (`tests/integration_shapes.rs`'s little-affinity TAS cell in
+        // `fig1_shape_fifo_and_tas_collapse`).
         if !asl_runtime::affinity::oversubscribed(4) {
             assert!(b > l * 1.5, "big={b} little={l}: affinity had no effect");
         }

@@ -59,14 +59,14 @@
 //!    off (local intent wins).
 //!
 //! ```
-//! use asl_locks::api::GuardedLock;
+//! use asl_locks::api::Guard;
 //! use asl_locks::telemetry::Instrumented;
 //! use asl_locks::TasLock;
 //!
 //! // `sampled` arms this cell regardless of the global gate.
 //! let lock = Instrumented::sampled(TasLock::new());
 //! {
-//!     let _held = lock.guard(); // records one uncontended acquisition
+//!     let _held = Guard::new(&lock); // records one uncontended acquisition
 //! }
 //! let snap = lock.telemetry().snapshot();
 //! assert_eq!(snap.acquisitions, 1);
@@ -75,7 +75,7 @@
 //! // An un-armed wrapper is a passthrough: no counters move.
 //! let quiet = Instrumented::new(TasLock::new());
 //! {
-//!     let _held = quiet.guard();
+//!     let _held = Guard::new(&quiet);
 //! }
 //! assert_eq!(quiet.telemetry().snapshot().acquisitions, 0);
 //! ```
@@ -1013,7 +1013,7 @@ pub fn maybe_instrument_rw(label: &str, lock: Arc<dyn PlainRwLock>) -> Arc<dyn P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::GuardedLock;
+    use crate::api::{Guard, ReadGuard, WriteGuard};
     use crate::{McsLock, RwTicketLock, TasLock};
     use std::sync::Arc;
 
@@ -1078,7 +1078,7 @@ mod tests {
     fn instrumented_records_uncontended_and_contended() {
         let lock = Arc::new(Instrumented::sampled(McsLock::new()));
         {
-            let _g = lock.guard();
+            let _g = Guard::new(&*lock);
         }
         let s = lock.telemetry().snapshot();
         assert_eq!(s.acquisitions, 1);
@@ -1086,10 +1086,10 @@ mod tests {
         assert!(s.hold_ns > 0, "sampled hold time must accumulate");
 
         // Deterministic contention: hold here, acquire over there.
-        let g = lock.guard();
+        let g = Guard::new(&*lock);
         let l2 = lock.clone();
         let waiter = std::thread::spawn(move || {
-            let _g = l2.guard(); // observes the lock held -> contended
+            let _g = Guard::new(&*l2); // observes the lock held -> contended
         });
         // The waiter can only finish after we release.
         asl_runtime::clock::busy_wait_ns(200_000);
@@ -1109,7 +1109,7 @@ mod tests {
         assert!(!recording(), "tests run with recording off by default");
         let lock = Instrumented::new(McsLock::new());
         {
-            let _g = lock.guard();
+            let _g = Guard::new(&lock);
             assert!(RawLock::is_locked(&lock));
         }
         let t = RawLock::try_lock(&lock).expect("free");
@@ -1120,8 +1120,8 @@ mod tests {
     #[test]
     fn instrumented_try_lock_counts_successes_only() {
         let lock = Instrumented::sampled(TasLock::new());
-        let g = lock.try_guard().expect("free");
-        assert!(lock.try_guard().is_none(), "held: try fails");
+        let g = Guard::try_new(&lock).expect("free");
+        assert!(Guard::try_new(&lock).is_none(), "held: try fails");
         drop(g);
         let s = lock.telemetry().snapshot();
         assert_eq!(s.acquisitions, 1, "failed try_lock is not an acquisition");
@@ -1129,14 +1129,13 @@ mod tests {
 
     #[test]
     fn instrumented_rw_splits_read_write() {
-        use crate::api::GuardedRwLock;
         let lock = InstrumentedRw::sampled(RwTicketLock::new());
         {
-            let _r1 = lock.read_guard();
-            let _r2 = lock.read_guard();
+            let _r1 = ReadGuard::new(&lock);
+            let _r2 = ReadGuard::new(&lock);
         }
         {
-            let _w = lock.write_guard();
+            let _w = WriteGuard::new(&lock);
         }
         assert_eq!(lock.read_telemetry().snapshot().acquisitions, 2);
         assert_eq!(lock.write_telemetry().snapshot().acquisitions, 1);

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use asl_locks::api::{DynLock, GuardedLock};
+use asl_locks::api::{DynLock, Guard};
 use asl_locks::gcr::{Gcr, GcrConfig, PASSIVE_RESCUE_BOUND, SPARE_STREAK};
 use asl_locks::plain::PlainLock;
 use asl_locks::{McsLock, RawLock, RawTimedLock, TasLock, TicketLock};
@@ -54,7 +54,7 @@ where
 {
     let _host = sharing_the_host();
     assert_eq!(lock.limit(), 1, "{name}: scenario needs K=1");
-    drop(lock.guard()); // pre-panic sanity op
+    drop(Guard::new(&*lock)); // pre-panic sanity op
 
     let counter = Arc::new(AtomicU64::new(0));
     let ready = Arc::new(Barrier::new(WAITERS + 1));
@@ -63,14 +63,14 @@ where
             let (lock, counter, ready) = (lock.clone(), counter.clone(), ready.clone());
             std::thread::spawn(move || {
                 ready.wait();
-                let _g = lock.guard();
+                let _g = Guard::new(&*lock);
                 counter.fetch_add(1, Ordering::Relaxed);
             })
         })
         .collect();
 
     let boom = catch_unwind(AssertUnwindSafe(|| {
-        let _g = lock.guard();
+        let _g = Guard::new(&*lock);
         ready.wait();
         // Panic only once every waiter is parked passive, so the
         // unwind release is the only thing that can wake them.
@@ -100,7 +100,7 @@ where
     // A thread that never saw the panic still gets in.
     let fresh = {
         let lock = lock.clone();
-        std::thread::spawn(move || drop(lock.guard()))
+        std::thread::spawn(move || drop(Guard::new(&*lock)))
     };
     fresh.join().expect("fresh thread");
 }
@@ -125,7 +125,7 @@ where
             std::thread::spawn(move || {
                 for op in 0..OPS {
                     let r = catch_unwind(AssertUnwindSafe(|| {
-                        let _g = lock.guard();
+                        let _g = Guard::new(&*lock);
                         if op == POISON {
                             panic!("poisoned op");
                         }
@@ -331,7 +331,7 @@ fn publishers_racing_a_disengaging_holder_are_never_stranded() {
             // once per cycle: that the race is on at all.
             let (mut switches, mut parked, mut was) = (0u64, 0u64, lock.engaged());
             while !stop.load(Ordering::Relaxed) {
-                drop(lock.guard());
+                drop(Guard::new(&*lock));
                 let now = lock.engaged();
                 switches += u64::from(now != was);
                 parked += u64::from(lock.passive_len() > 0);
@@ -347,7 +347,7 @@ fn publishers_racing_a_disengaging_holder_are_never_stranded() {
                 let mut worst = Duration::ZERO;
                 for i in 0..ARRIVALS {
                     let arrived = Instant::now();
-                    let held = lock.guard();
+                    let held = Guard::new(&*lock);
                     worst = worst.max(arrived.elapsed());
                     drop(held);
                     // Arrive in bursts: a streak engages, a gap lets
@@ -411,7 +411,7 @@ fn an_abandoned_slot_is_handed_over_by_a_releaser() {
         let (lock, a_releases, c_done) = (lock.clone(), a_releases.clone(), c_done.clone());
         std::thread::spawn(move || {
             while !c_done.load(Ordering::Relaxed) {
-                drop(lock.guard());
+                drop(Guard::new(&*lock));
                 a_releases.fetch_add(1, Ordering::Relaxed);
                 // "Cycles slowly": the lock is free most of the time.
                 std::thread::sleep(Duration::from_micros(200));
@@ -422,7 +422,7 @@ fn an_abandoned_slot_is_handed_over_by_a_releaser() {
     let c = {
         let (lock, a_releases, c_done) = (lock.clone(), a_releases.clone(), c_done.clone());
         std::thread::spawn(move || {
-            let held = lock.guard();
+            let held = Guard::new(&*lock);
             let seen = (Instant::now(), a_releases.load(Ordering::Relaxed));
             drop(held);
             c_done.store(true, Ordering::Relaxed);

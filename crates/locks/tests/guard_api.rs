@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use asl_locks::api::{DynLock, DynMutex, Guard, GuardedLock, Mutex};
+use asl_locks::api::{DynLock, DynMutex, Guard, Mutex};
 use asl_locks::{ClhLock, McsLock, RawLock, TicketLock};
 
 #[test]
@@ -73,9 +73,9 @@ fn raw_guard_over_any_raw_lock() {
     fn roundtrip<L: RawLock + Default>() {
         let lock = L::default();
         {
-            let _g = lock.guard();
+            let _g = Guard::new(&lock);
             assert!(lock.is_locked());
-            assert!(lock.try_guard().is_none());
+            assert!(Guard::try_new(&lock).is_none());
         }
         assert!(!lock.is_locked());
     }
@@ -85,17 +85,9 @@ fn raw_guard_over_any_raw_lock() {
 }
 
 #[test]
-fn guard_explicit_unlock_and_token_escape() {
+fn guard_explicit_unlock() {
     let lock = McsLock::new();
-    lock.guard().unlock(); // immediate explicit release
-    assert!(!lock.is_locked());
-
-    // Token escape hatch: the guard surrenders its token, the caller
-    // re-adopts it into a new guard.
-    let token = Guard::new(&lock).into_token();
-    assert!(lock.is_locked());
-    // SAFETY: token from the guard above, unreleased, same thread.
-    drop(unsafe { Guard::from_token(&lock, token) });
+    Guard::new(&lock).unlock(); // immediate explicit release
     assert!(!lock.is_locked());
 }
 

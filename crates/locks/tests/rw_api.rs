@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use asl_locks::api::{DynRwLock, DynRwMutex, GuardedRwLock, RwLock};
+use asl_locks::api::{DynRwLock, DynRwMutex, ReadGuard, RwLock, WriteGuard};
 use asl_locks::plain::PlainRwLock;
 use asl_locks::{Bravo, McsLock, RwTicketLock, TasLock, TicketLock};
 use proptest::prelude::*;
@@ -172,15 +172,14 @@ fn panic_in_write_section_releases_static_rwlock() {
 fn raw_rw_guards_compose_over_every_substrate() {
     fn roundtrip<L: asl_locks::RawRwLock>(lock: L) {
         {
-            let _r = lock.read_guard();
-            let _r2 = lock
-                .try_read_guard()
-                .expect("reads overlap or serialize, never fail free");
-            assert!(lock.try_write_guard().is_none());
+            let _r = ReadGuard::new(&lock);
+            let _r2 =
+                ReadGuard::try_new(&lock).expect("reads overlap or serialize, never fail free");
+            assert!(WriteGuard::try_new(&lock).is_none());
         }
         {
-            let _w = lock.write_guard();
-            assert!(lock.try_read_guard().is_none());
+            let _w = WriteGuard::new(&lock);
+            assert!(ReadGuard::try_new(&lock).is_none());
         }
         assert!(!lock.is_locked());
     }

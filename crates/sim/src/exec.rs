@@ -35,7 +35,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use asl_core::epoch::WindowSample;
 use asl_locks::plain::{PlainLock, PlainRwLock};
-use asl_runtime::atomic_model::AtomicAffinity;
 use asl_runtime::stats::percentile;
 use asl_runtime::topology::{CoreId, CoreKind, Topology};
 use asl_runtime::{registry, substrate};
@@ -105,12 +104,10 @@ impl CostModel {
         }
     }
 
-    /// One failed atomic probe by a thread on a `kind` core: the base
-    /// poll stretched by the core's work multiplier, plus the atomic
-    /// model's post-fail penalty for the disfavoured class.
-    pub fn poll_cost_ns(&self, topo: &Topology, kind: CoreKind, affinity: AtomicAffinity) -> u64 {
-        let base = (self.poll_ns as f64 * topo.work_multiplier(kind)) as u64;
-        base + affinity.post_fail_penalty(kind) * self.work_unit_ns
+    /// One failed lock probe by a thread on a `kind` core: the base
+    /// poll stretched by the core's work multiplier.
+    pub fn poll_cost_ns(&self, topo: &Topology, kind: CoreKind) -> u64 {
+        (self.poll_ns as f64 * topo.work_multiplier(kind)) as u64
     }
 
     /// Virtual duration of `units` of emulated work on a `kind` core.
@@ -261,7 +258,6 @@ struct Vthread {
     vtime: u64,
     state: VState,
     core: usize,
-    socket: usize,
     big: bool,
     /// Pre-resolved per-poll charge (poll stretched by core class).
     poll_charge: u64,
@@ -299,8 +295,9 @@ struct Shared {
 /// experiment.
 struct SimMachine {
     cost: CostModel,
-    /// Cores of the modeled machine ([`substrate::core_count`]).
-    cores: usize,
+    /// The modeled machine; its core count is what
+    /// [`substrate::core_count`] answers.
+    topology: Topology,
     shared: Mutex<Shared>,
     cvs: Vec<Condvar>,
 }
@@ -319,12 +316,8 @@ impl SimMachine {
                     vtime: rng.gen_range(0..stagger),
                     state: VState::Ready,
                     core: vc.id.0,
-                    socket: vc.socket,
                     big: vc.kind == CoreKind::Big,
-                    poll_charge: cfg
-                        .cost
-                        .poll_cost_ns(&cfg.topology, vc.kind, AtomicAffinity::Neutral)
-                        .max(1),
+                    poll_charge: cfg.cost.poll_cost_ns(&cfg.topology, vc.kind).max(1),
                     last_ran: 0,
                     ops: 0,
                 }
@@ -332,7 +325,7 @@ impl SimMachine {
             .collect();
         Arc::new(SimMachine {
             cost: cfg.cost.clone(),
-            cores: cfg.topology.len(),
+            topology: cfg.topology.clone(),
             shared: Mutex::new(Shared {
                 th,
                 core_time: vec![0; cfg.topology.len()],
@@ -460,14 +453,15 @@ impl SimMachine {
     fn note_acquire(&self, me: usize, wait_ns: u64) {
         let mut sh = self.shared.lock().expect("sim scheduler poisoned");
         let mut cost = 0;
-        if sh.last_holder != NO_THREAD && sh.last_holder != me {
-            if sh.th[sh.last_holder].socket == sh.th[me].socket {
+        let prev = sh.last_holder;
+        if prev != NO_THREAD && prev != me {
+            let (from, to) = (CoreId(sh.th[prev].core), CoreId(sh.th[me].core));
+            if self.topology.socket_of(from) == self.topology.socket_of(to) {
                 sh.handoffs_local += 1;
-                cost = self.cost.handoff_local_ns;
             } else {
                 sh.handoffs_remote += 1;
-                cost = self.cost.handoff_remote_ns;
             }
+            cost = self.cost.handoff_ns(&self.topology, from, to);
         }
         sh.last_holder = me;
         sh.grants.push(me as u32);
@@ -571,7 +565,7 @@ impl substrate::Substrate for VthreadHandle {
         self.machine.charge_work_units(self.tid, units);
     }
     fn core_count(&self) -> Option<usize> {
-        Some(self.machine.cores)
+        Some(self.machine.topology.len())
     }
 }
 
@@ -844,22 +838,12 @@ mod tests {
     }
 
     #[test]
-    fn poll_cost_reflects_atomic_model() {
+    fn little_core_polls_stretch_by_perf_ratio() {
         let cost = CostModel::default();
         let amp = Topology::custom(4, 4, 2.0);
-        let neutral_big = cost.poll_cost_ns(&amp, CoreKind::Big, AtomicAffinity::Neutral);
-        let neutral_little = cost.poll_cost_ns(&amp, CoreKind::Little, AtomicAffinity::Neutral);
-        // Little polls are stretched by the perf ratio.
-        assert_eq!(neutral_little, 2 * neutral_big);
-        // When little cores win the atomic race, big cores pay the
-        // post-fail penalty on every probe.
-        let little_wins = AtomicAffinity::little_wins();
-        let punished_big = cost.poll_cost_ns(&amp, CoreKind::Big, little_wins);
-        assert!(punished_big > neutral_big);
-        assert_eq!(
-            punished_big - neutral_big,
-            little_wins.post_fail_penalty(CoreKind::Big) * cost.work_unit_ns
-        );
+        let big = cost.poll_cost_ns(&amp, CoreKind::Big);
+        assert_eq!(big, cost.poll_ns);
+        assert_eq!(cost.poll_cost_ns(&amp, CoreKind::Little), 2 * big);
     }
 
     #[test]

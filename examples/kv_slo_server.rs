@@ -20,22 +20,14 @@ use std::sync::Arc;
 use libasl::dbsim::kv::{KvConfig, ShardedKv};
 use libasl::dbsim::kyoto::Kyoto;
 use libasl::dbsim::openloop::{run_open_loop, OpenLoopConfig};
-use libasl::dbsim::{Engine, LockFactory};
+use libasl::dbsim::Engine;
 use libasl::harness::locks::LockSpec;
 use libasl::harness::runner::{run_timed_with_setup, RunConfig};
 use libasl::harness::Hist;
-use libasl::locks::plain::PlainLock;
 use libasl::runtime::Topology;
 
-struct SpecFactory(LockSpec);
-impl LockFactory for SpecFactory {
-    fn make(&self) -> Arc<dyn PlainLock> {
-        self.0.make_lock()
-    }
-}
-
 fn serve(spec: &LockSpec) -> (f64, f64, f64) {
-    let engine = Arc::new(Kyoto::with_default_size(&SpecFactory(spec.clone())));
+    let engine = Arc::new(Kyoto::with_default_size(spec));
     let cfg = RunConfig {
         topology: Topology::apple_m1(),
         threads: 8,

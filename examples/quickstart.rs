@@ -80,7 +80,7 @@ fn main() {
         );
     }
 
-    let s = counter.stats().snapshot();
+    let s = counter.raw().stats().snapshot();
     println!(
         "\nlock paths: {} immediate (big), {} standby-free, {} standby-reordered, {} window-expired",
         s.immediate, s.standby_free_entry, s.standby_observed_free, s.standby_expired

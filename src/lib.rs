@@ -15,12 +15,13 @@
 //!   proportional (SHFL-PB), futex mutex, spin-then-park MCS, plus
 //!   the reader-writer substrates (phase-fair ticket, BRAVO) — and
 //!   the guard-based unified API every layer locks through
-//!   (`asl_locks::api`: one guard family — [`Guard`] and the
-//!   data-carrying `api::Mutex`, [`ReadGuard`]/[`WriteGuard`] and
-//!   `api::RwLock` — generic over the lock type, with the erased
-//!   handles [`DynLock`]/[`DynRwLock`] as the type parameter for locks
-//!   chosen at runtime; [`DynGuard`], [`DynMutex`] and [`DynRwMutex`]
-//!   are aliases) ([`asl_locks`]).
+//!   (`asl_locks::api`: one guard per acquisition mode — [`Guard`],
+//!   [`ReadGuard`] and [`WriteGuard`] — handed out alike by a bare
+//!   lock and by the data-carrying `api::Mutex` / `api::RwLock`,
+//!   generic over the lock type; below them, the erased facade, whose
+//!   handles [`DynLock`]/[`DynRwLock`] are the type parameter for
+//!   locks chosen at runtime, [`DynMutex`] and [`DynRwMutex`] being
+//!   aliases) ([`asl_locks`]).
 //!   Observability is first-class: `asl_locks::telemetry` records
 //!   lock-agnostic acquisition counters ([`TelemetryCell`],
 //!   [`Instrumented`]) and the contention-[`Adaptive`] lock morphs
@@ -127,12 +128,12 @@
 //!
 //! ```
 //! use libasl::locks::{RawLock, TicketLock};
-//! use libasl::{Gcr, GcrConfig, GuardedLock};
+//! use libasl::{Gcr, GcrConfig, Guard};
 //!
 //! // Admit at most 2 threads into the ticket lock's waiter set.
 //! let lock = Gcr::with_config(TicketLock::new(), GcrConfig::fixed(2));
 //! {
-//!     let _held = lock.guard();
+//!     let _held = Guard::new(&lock);
 //!     assert!(lock.is_locked());
 //!     assert_eq!(lock.limit(), 2);
 //! }
@@ -186,10 +187,7 @@ pub use asl_core::epoch;
 pub use asl_core::{
     AslBlockingLock, AslCondvar, AslLock, AslMutex, AslRwLock, AslSpinLock, ReorderableLock,
 };
-pub use asl_locks::api::{
-    DynGuard, DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, GuardedLock, GuardedRwLock,
-    ReadGuard, WriteGuard,
-};
+pub use asl_locks::api::{DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, ReadGuard, WriteGuard};
 pub use asl_locks::{Adaptive, AdaptiveMode, Instrumented, TelemetryCell, TelemetrySnapshot};
 pub use asl_locks::{AsyncDynMutex, AsyncFifoMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use asl_locks::{
@@ -203,7 +201,7 @@ pub use asl_runtime::{
 };
 
 /// The recommended application-facing mutex: LibASL dispatch over a
-/// reorderable MCS lock.
+/// reorderable MCS lock (its statistics are `raw().stats()`).
 pub type Mutex<T> = asl_core::AslMutex<T>;
 
 /// The recommended application-facing reader-writer lock: shared

@@ -11,7 +11,8 @@
 //! down — the publication-slot array written once per lock, and the
 //! warm-up → measure → done loop once per figure that drives them;
 //! and the figures had a real-thread runner beside the simulator.
-//! This grep fails if a twin comes back, if the simulator grows a
+//! This grep fails if a twin comes back, if a container's guard or a
+//! second spelling of a guard does, if the simulator grows a
 //! second engine again, if either delegation copy does, and if a
 //! figure spawns OS workers again.
 
@@ -96,6 +97,57 @@ fn each_wrapper_and_guard_is_written_once() {
         let impls = lines.iter().filter(|(_, l)| l.contains(header)).count();
         assert_eq!(impls, 1, "`{header}` must be implemented exactly once");
     }
+
+    // One guard per acquisition mode: a container hands out the guard a
+    // bare lock does (`Guard<'_, L, D>` carries the data reference), so
+    // no data guard holds a token of its own, and a guard has no
+    // second spelling through an extension trait.
+    let offenders = banned_structs(&lines, |name| {
+        ["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"].contains(&name)
+    });
+    assert!(
+        offenders.is_empty(),
+        "a data guard with its own token and Drop — return Guard / ReadGuard / WriteGuard \
+         with the data in their third type parameter:\n{}",
+        offenders.join("\n")
+    );
+    for needle in ["trait GuardedLock", "trait GuardedRwLock"] {
+        assert_eq!(
+            files_with(&lines, needle),
+            Vec::<String>::new(),
+            "`{needle}` is a second spelling of `Guard::new` / `ReadGuard::new` / `WriteGuard::new`"
+        );
+    }
+
+    // LibASL's mutex is the generic one over `AslLock`, like its rwlock.
+    let core = source_lines("crates/core/src");
+    let offenders = banned_structs(&core, |name| name == "AslMutex");
+    assert!(
+        offenders.is_empty(),
+        "AslMutex is `api::Mutex<T, AslLock<L, W>>`, not a wrapper:\n{}",
+        offenders.join("\n")
+    );
+
+    // A registry spec is itself the engines' lock factory; the frozen
+    // benchmark keeps its own, nothing else wraps a spec to be one.
+    let mut factories: Vec<String> = ["crates", "src", "examples"]
+        .iter()
+        .flat_map(|dir| source_lines(dir))
+        .filter_map(|(file, line)| {
+            let implementor = line.split("LockFactory for ").nth(1)?;
+            let name: String = implementor
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            (name != "LockSpec" && name != "F").then(|| format!("{file}: {}", line.trim()))
+        })
+        .collect();
+    factories.sort();
+    assert!(
+        factories.is_empty(),
+        "a lock factory beside `impl LockFactory for LockSpec` — pass the spec itself:\n{}",
+        factories.join("\n")
+    );
 }
 
 #[test]
