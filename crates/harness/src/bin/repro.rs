@@ -283,14 +283,14 @@ fn list_locks() {
 }
 
 fn usage() {
+    let ids: Vec<&str> = figures::registry().into_iter().map(|(id, _)| id).collect();
+    let ids: Vec<String> = ids.chunks(8).map(|line| line.join(" ")).collect();
     eprintln!(
         "usage: repro [--quick|--full] [--profile] [--out DIR] [--lock NAME]... <figure-id>... | all | list | locks\n\
          \u{20}      repro diff <old.json> <new.json>... [--noise 0.10]   # exit 1 on regression (several new files: median)\n\
          \u{20}      repro torture [--quick] [--seed N] [--sim|--os] [--lock NAME] [--out DIR]   # fault-schedule sweep, exit 1 on oracle failure\n\
-         figure ids: fig1 fig4 fig5 fig8a fig8b fig8c fig8d fig8ef fig8g fig8hi\n\
-         \u{20}          fig9-kyoto fig9-upscale fig9-lmdb fig10-leveldb fig10-sqlite alt-topology\n\
-         \u{20}          sec2-numa sec5-delegation delegation collapse rw adapt overhead kv\n\
-         \u{20}          sim-numa sim-fair sim-oversub sim-ablate (or `sim` for the family)\n\
-         lock names: see `repro locks` (e.g. mcs, ccsynch, fc-ban, gcr-mcs, libasl-70us)"
+         figure ids: {} (`sim` for the sim-* family)\n\
+         lock names: see `repro locks` (e.g. mcs, ccsynch, fc-ban, gcr-mcs, libasl-70us)",
+        ids.join("\n            ")
     );
 }

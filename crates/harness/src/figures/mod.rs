@@ -14,7 +14,6 @@
 //! hardware; anchoring keeps the comparisons meaningful on any
 //! machine model).
 
-pub mod adapt;
 pub mod bench1;
 pub mod collapse;
 pub mod db;
@@ -167,7 +166,6 @@ pub fn registry() -> Vec<(&'static str, FigureFn)> {
         ("delegation", delegation::delegation),
         ("collapse", collapse::collapse),
         ("rw", rw::rw),
-        ("adapt", adapt::adapt),
         ("overhead", overhead::overhead),
         ("kv", kv::kv),
         ("sim-numa", sim::sim_numa),
@@ -210,7 +208,6 @@ mod tests {
         // and the read-mostly extension.
         for id in [
             "rw",
-            "adapt",
             "overhead",
             "kv",
             "fig1",

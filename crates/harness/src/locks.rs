@@ -64,10 +64,9 @@ use asl_locks::plain::{ExclusiveRw, PlainLock, PlainRwLock, RwTokenWords, TokenW
 use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy};
 use asl_locks::telemetry;
 use asl_locks::{
-    bridge_apply, Adaptive, AsyncPolicy, Bravo, CcSynch, ClhLock, CnaLock, CohortLock,
-    DelegatedMutex, FcBan, FlatCombiner, Gcr, MalthusianLock, McsLock, McsStpLock,
-    ProportionalLock, PthreadMutex, RawLock, RawRwLock, RclLock, RwTicketLock, ShuffleLock,
-    TasLock, TicketLock,
+    bridge_apply, AsyncPolicy, Bravo, CcSynch, ClhLock, CnaLock, CohortLock, DelegatedMutex, FcBan,
+    FissileLock, FlatCombiner, Gcr, MalthusianLock, McsLock, McsStpLock, ProportionalLock,
+    PthreadMutex, RawLock, RawRwLock, RclLock, RwTicketLock, ShuffleLock, TasLock, TicketLock,
 };
 use asl_runtime::AtomicAffinity;
 
@@ -164,9 +163,10 @@ pub enum LockSpec {
         /// Epoch SLO in ns; `None` disables epochs (max window).
         slo_ns: Option<u64>,
     },
-    /// Contention-adaptive lock: TAS that morphs to a FIFO queue
-    /// under sustained contention (Fissile-style). A bare lock, as
-    /// `ticket` and `mcs` are; restricted, it is `gcr-adaptive`.
+    /// Contention-adaptive lock: arrivals barge past the MCS queue
+    /// until its head runs out of patience (Fissile-style). A bare
+    /// lock, as `ticket` and `mcs` are; restricted, it is
+    /// `gcr-adaptive`.
     Adaptive,
     /// Flat-combining delegation behind the generic bridge (§5).
     Flatcomb,
@@ -346,9 +346,9 @@ static FAMILIES: &[Family] = &[
     row("libasl-rw-", grammar!(MaxOrDuration, slo => LockSpec::AslRw { slo_ns: slo }), Caps::RW.and(Caps::EPOCH), &[
         ("70us", "reader-writer LibASL, 70us SLO epochs (any SLO: libasl-rw-<dur>)"),
         ("max", "reader-writer LibASL, maximum reorder window")]),
-    // No `F`: FIFO only once morphed; the TAS fast path barges.
-    row("adaptive", Grammar::Literal(LockSpec::Adaptive), Caps::NONE, &[
-        ("", "contention-adaptive: TAS that morphs to a FIFO queue under load (bare; restricted: gcr-adaptive)")]),
+    // No `F`: arrivals barge past the queue until its head is impatient.
+    row("adaptive", Grammar::Literal(LockSpec::Adaptive), Caps::TIMED_STATIC, &[
+        ("", "contention-adaptive: barging until the MCS queue's head is impatient (bare; restricted: gcr-adaptive)")]),
     row("flatcomb", Grammar::Literal(LockSpec::Flatcomb), Caps::DELEGATION, &[
         ("", "flat-combining delegation (publication array) via the op bridge")]),
     row("ccsynch", Grammar::Literal(LockSpec::CcSynch), Caps::DELEGATION, &[
@@ -546,7 +546,7 @@ impl LockSpec {
             },
             LockSpec::AslOpt { window_ns } => sink.raw(StaticWindowLock::new(*window_ns)),
             LockSpec::AslBlocking { .. } => sink.raw(AslBlockingLock::new_blocking()),
-            LockSpec::Adaptive => sink.raw(Adaptive::new()),
+            LockSpec::Adaptive => sink.raw(FissileLock::new()),
             // Delegation locks behind the generic baton bridge: the
             // protected state is the baton word, ops are Lock/Unlock
             // transfers, and the bridge is itself the concrete

@@ -202,7 +202,6 @@ pub fn telemetry_table(figure_id: &str) -> Table {
             "acquisitions",
             "contended",
             "contended_pct",
-            "spin_iters",
             "avg_hold_us",
             "timed_holds",
             "avg_wait_us",
@@ -240,7 +239,6 @@ fn telemetry_row(label: &str, s: &TelemetrySnapshot) -> Vec<String> {
         s.acquisitions.to_string(),
         s.contended.to_string(),
         format!("{:.1}", 100.0 * s.contention_ratio()),
-        s.spin_iters.to_string(),
         format!("{:.2}", s.avg_hold_ns() / 1_000.0),
         s.timed_holds.to_string(),
         format!("{:.2}", s.avg_wait_ns() / 1_000.0),

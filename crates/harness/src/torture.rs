@@ -474,8 +474,8 @@ pub fn sweep_plan(seed: u64) -> FaultPlan {
 /// Locks swept in sim mode; whether a bout holds one to exact FIFO is
 /// its registry row's [`Caps::FIFO`] column. The head policies ride
 /// along, so stalls, spurious wakes and clock jumps reach their
-/// reordering and their stashes.
-pub const SIM_SWEEP_LOCKS: [&str; 8] = [
+/// reordering, their stashes, and `adaptive`'s barging fast path.
+pub const SIM_SWEEP_LOCKS: [&str; 9] = [
     "tas",
     "ticket",
     "mcs",
@@ -484,6 +484,7 @@ pub const SIM_SWEEP_LOCKS: [&str; 8] = [
     "cna",
     "malthusian",
     "shfl-local16",
+    "adaptive",
 ];
 
 /// Locks swept in OS mode.

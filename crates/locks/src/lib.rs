@@ -23,11 +23,12 @@
 //! | [`CcSynch`] | combining-queue delegation, cache-local combiner handoff (§5) | [`ccsynch`] |
 //! | [`RwTicketLock`] | phase-fair ticket reader-writer lock (read-mostly workloads) | [`rw_ticket`] |
 //! | [`Bravo`] | BRAVO-style reader-bias wrapper: any exclusive lock becomes an rwlock | [`bravo`] |
-//! | [`Adaptive`] | contention-adaptive TAS that morphs to a FIFO queue (Fissile-style); a bare lock like `ticket` and `mcs` — restricted, it is [`Gcr`]`<Adaptive>` | [`adaptive`] |
+//! | [`FissileLock`] | `adaptive`: contention-adaptive barging (Fissile Locks) — arrivals take a free word past the queue until its head has waited [`mcs::PATIENCE`] polls: `QueueLock<`[`Impatient`]`>`; a bare lock like `ticket` and `mcs` — restricted, it is `gcr-adaptive` | [`mcs`] |
 //!
-//! The four MCS-family comparators are one queue lock: a lock word in
-//! front of one MCS queue, whose waiting head applies the ordering
-//! policy while the holder runs ([`mcs`]).
+//! The five MCS-family locks are one queue lock: a lock word in front
+//! of one MCS queue, whose waiting head applies the ordering policy
+//! while the holder runs, and closes the fast path when it runs out
+//! of patience ([`mcs`]).
 //!
 //! The [`asynclock`] module is the task-parking counterpart of the
 //! zoo: [`AsyncMutex`] (SLO-aware deadline-ordered wakes, the async
@@ -41,9 +42,7 @@
 //! [`telemetry::Instrumented`] wrapper that records them for *any*
 //! lock (plus its reader-writer counterpart; runtime-chosen locks are
 //! wrapped by the same two types), and the process-wide profiling
-//! registry behind `repro --profile`. The
-//! [`Adaptive`] lock is built on the same signal: it morphs substrate
-//! when its own telemetry shows sustained contention.
+//! registry behind `repro --profile`.
 //!
 //! The delegation family is one mechanism written once:
 //! [`delegation`] holds the publication-slot engine behind
@@ -109,7 +108,6 @@
 //! assert!(!lock.is_locked());
 //! ```
 
-pub mod adaptive;
 pub mod api;
 pub mod asynclock;
 pub mod backoff;
@@ -136,7 +134,6 @@ pub mod ticket;
 pub mod timed;
 pub mod watchdog;
 
-pub use adaptive::{Adaptive, AdaptiveMode, AdaptiveToken};
 pub use api::{
     DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, Mutex, MutexGuard, ReadGuard, RwLock,
     WriteGuard,
@@ -156,7 +153,8 @@ pub use fcban::FcBan;
 pub use flatcomb::FlatCombiner;
 pub use gcr::{Gcr, GcrConfig};
 pub use mcs::{
-    CnaLock, Cull, Fifo, HeadPolicy, MalthusianLock, McsLock, Numa, QueueLock, Shuffle, ShuffleLock,
+    CnaLock, Cull, Fifo, FissileLock, HeadPolicy, Impatient, MalthusianLock, McsLock, Numa,
+    QueueLock, Shuffle, ShuffleLock,
 };
 pub use plain::{ExclusiveRw, PlainLock, PlainRwLock, PlainRwToken, PlainToken, WriteHalf};
 pub use proportional::ProportionalLock;

@@ -9,7 +9,9 @@
 //! Malthusian, ShflLock — are the same queue with an ordering policy,
 //! so they are the same type: [`McsLock`], [`CnaLock`],
 //! [`MalthusianLock`] and [`ShuffleLock`] are `QueueLock` over
-//! [`Fifo`], [`Numa`], [`Cull`] and [`Shuffle`].
+//! [`Fifo`], [`Numa`], [`Cull`] and [`Shuffle`]. So is the
+//! contention-adaptive lock: [`FissileLock`] is `QueueLock` over
+//! [`Impatient`], whose arrivals may barge past the queue.
 //!
 //! ## One RMW, not two
 //!
@@ -27,6 +29,20 @@
 //! while the queue is empty, so queued threads are granted in the
 //! order the queue holds them, and poll exactly as often as when the
 //! grant was the lock.
+//!
+//! ## Barging, bounded by an impatient head
+//!
+//! [`Impatient`] is Fissile Locks' (Dice & Kogan) answer to "TAS or
+//! queue": the fast path stays open while threads are queued, so an
+//! arrival that finds the word free takes it past the queue — a
+//! test-and-set lock while that pays — until the head has failed
+//! [`PATIENCE`] polls of the word. It then raises the policy's
+//! flag, which closes the fast path to everyone while anyone is
+//! queued, and lowers it as it leaves headship, before the grant, so
+//! the next head starts patient. No mode word and no shared counters:
+//! the bypass a head suffers is bounded by its patience, and a flag
+//! seen late over an empty queue strands nobody (`!impatient || tail
+//! == null`).
 //!
 //! ## The policy is the waiting head's
 //!
@@ -59,7 +75,7 @@
 
 use std::cell::{Cell, UnsafeCell};
 use std::ptr::{self, NonNull};
-use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
 
 use asl_runtime::registry::current_core;
 use asl_runtime::CoreKind;
@@ -111,6 +127,15 @@ mod sealed {
         /// Whether [`Sealed::order`] reads the waiters' core class.
         const READS_KIND: bool = false;
 
+        /// The flag a head raises after [`super::PATIENCE`] failed
+        /// polls, if arrivals may barge: while it is down, an arrival
+        /// takes a free word past the queue. `None`: an arrival queues
+        /// whenever anyone is queued.
+        #[inline(always)]
+        fn impatience(&self) -> Option<&AtomicBool> {
+            None
+        }
+
         /// Reorder the queue behind `head`, once per headship: while
         /// the head waits for the word, or, if nobody was linked behind
         /// it until it had the word, just before it passes headship on.
@@ -146,8 +171,9 @@ mod sealed {
 }
 
 /// The ordering policy of a [`QueueLock`]: [`Fifo`], [`Numa`],
-/// [`Cull`] or [`Shuffle`]. Sealed — the policy rewrites the queue in
-/// place, so every one is part of the queue protocol.
+/// [`Cull`], [`Shuffle`] or [`Impatient`]. Sealed — the policy
+/// rewrites the queue in place, so every one is part of the queue
+/// protocol.
 pub trait HeadPolicy: sealed::Sealed + Send + Sync + 'static {}
 
 /// Strict FIFO among queued waiters: `mcs`.
@@ -159,6 +185,30 @@ impl sealed::Sealed for Fifo {
 }
 
 impl HeadPolicy for Fifo {}
+
+/// Failed polls of the word after which a head of a [`FissileLock`]
+/// closes the fast path: about 1.6 µs of a big core's spinning on the
+/// modeled M1 (25 ns a poll), less than one `amp-lock` critical
+/// section.
+pub const PATIENCE: u32 = 64;
+
+/// Fissile-style barging (Dice & Kogan, *Fissile Locks*): FIFO among
+/// queued waiters, but an arrival that finds the word free takes it
+/// unless the head is impatient — it has failed [`PATIENCE`] polls of
+/// the word. `adaptive`.
+#[derive(Default)]
+pub struct Impatient(AtomicBool);
+
+impl sealed::Sealed for Impatient {
+    const NAME: &'static str = "adaptive";
+
+    #[inline(always)]
+    fn impatience(&self) -> Option<&AtomicBool> {
+        Some(&self.0)
+    }
+}
+
+impl HeadPolicy for Impatient {}
 
 /// Head-owned policy state: what the head has taken out of the queue,
 /// and the headships since the stash last went back.
@@ -426,6 +476,9 @@ pub type CnaLock = QueueLock<Numa>;
 pub type MalthusianLock = QueueLock<Cull>;
 /// The ShflLock framework with a pluggable [`ShufflePolicy`].
 pub type ShuffleLock<S> = QueueLock<Shuffle<S>>;
+/// The contention-adaptive lock: arrivals barge until a head is
+/// impatient.
+pub type FissileLock = QueueLock<Impatient>;
 
 impl<P: HeadPolicy + Default> Default for QueueLock<P> {
     fn default() -> Self {
@@ -434,8 +487,8 @@ impl<P: HeadPolicy + Default> Default for QueueLock<P> {
 }
 
 impl<P: HeadPolicy + Default> QueueLock<P> {
-    /// New unlocked lock: `mcs`, `cna`, or `malthusian` with the
-    /// default period.
+    /// New unlocked lock: `mcs`, `cna`, `adaptive`, or `malthusian`
+    /// with the default period.
     pub fn new() -> Self {
         Self::default()
     }
@@ -472,10 +525,15 @@ impl<P: HeadPolicy> QueueLock<P> {
         }
     }
 
-    /// The whole uncontended acquisition: nobody queued, one CAS.
+    /// The whole uncontended acquisition: nobody queued (or a patient
+    /// head, if the policy barges), one CAS.
     #[inline]
     fn take_free(&self) -> bool {
-        self.tail.load(Ordering::Relaxed).is_null() && self.take_word()
+        let barge = self
+            .policy
+            .impatience()
+            .is_some_and(|f| !f.load(Ordering::Relaxed));
+        (barge || self.tail.load(Ordering::Relaxed).is_null()) && self.take_word()
     }
 
     /// `Acquire`, pairing with the `Release` store of `unlock`.
@@ -491,7 +549,9 @@ impl<P: HeadPolicy> QueueLock<P> {
     /// Mid-queue, a waiter gives up by CASing its own node `WAITING →
     /// ABANDONED`: success gives the node away, failure means headship
     /// already landed. A *head* at its deadline looks at the word once
-    /// more and passes headship on, word or no word.
+    /// more and passes headship on, word or no word. A head that failed
+    /// [`PATIENCE`] polls raised the policy's flag, if it has one, and
+    /// lowers it before the grant, so no successor's flag is lost.
     #[cold]
     fn lock_queued(&self, deadline_ns: u64) -> bool {
         let node = take_node();
@@ -517,12 +577,16 @@ impl<P: HeadPolicy> QueueLock<P> {
             // SAFETY: head, with our node.
             unsafe { self.policy.alone(node) };
         }
-        let mut ordered = false;
+        let (mut ordered, mut polls) = (false, 0u32);
         let taken = loop {
             head = head || state.load(acquire) == GRANTED;
             if head {
                 if self.locked.load(Ordering::Relaxed) == 0 && self.take_word() {
                     break true;
+                }
+                polls = polls.saturating_add(1);
+                if polls == PATIENCE {
+                    self.set_impatient(true);
                 }
                 // SAFETY: head, with our node.
                 ordered = ordered || unsafe { self.policy.order(&self.tail, node) };
@@ -536,6 +600,9 @@ impl<P: HeadPolicy> QueueLock<P> {
             }
             spin.relax();
         };
+        if polls >= PATIENCE {
+            self.set_impatient(false);
+        }
         // SAFETY: head, so the node is ours to order behind and pool.
         unsafe {
             if !ordered {
@@ -544,6 +611,14 @@ impl<P: HeadPolicy> QueueLock<P> {
             self.pass_headship(node);
         }
         taken
+    }
+
+    /// Raise or lower the policy's impatience flag, if it has one.
+    #[inline(always)]
+    fn set_impatient(&self, impatient: bool) {
+        if let Some(flag) = self.policy.impatience() {
+            flag.store(impatient, Ordering::Relaxed);
+        }
     }
 
     /// The head leaves the queue: close it behind `node` — or, with a
@@ -834,6 +909,37 @@ mod tests {
             // SAFETY: boxed above, unreachable now.
             unsafe { crate::pool::free(node) };
         }
+    }
+
+    /// A head that fails [`PATIENCE`] polls closes the fast path past
+    /// the queue, and reopens it as it leaves headship — here at its
+    /// deadline, without the word: once the queue has drained, the
+    /// next waiter is barged past as the first was. Fails if the flag
+    /// is never raised, and if it is never lowered.
+    #[test]
+    fn an_impatient_head_reopens_the_fast_path_as_it_leaves() {
+        let lock = FissileLock::new();
+        let impatient = || lock.policy.0.load(Ordering::Relaxed);
+        let held = lock.lock();
+        std::thread::scope(|s| {
+            let head = s.spawn(|| lock.try_lock_for(50_000_000).is_none());
+            while !impatient() && !head.is_finished() {
+                std::thread::yield_now();
+            }
+            assert!(impatient(), "the head never ran out of patience");
+            assert!(head.join().expect("head"), "the deadline passed first");
+        });
+        assert!(!impatient(), "the head left the fast path closed");
+        assert!(lock.tail.load(Ordering::Relaxed).is_null(), "queue drained");
+        lock.unlock(held);
+        // A fresh arrival's node, queued behind a free word: barged.
+        let waiter = crate::pool::boxed(QNode::fresh());
+        lock.tail.store(waiter.as_ptr(), Ordering::Relaxed);
+        let barged = lock.try_lock().expect("a patient queue is barged");
+        lock.unlock(barged);
+        lock.tail.store(ptr::null_mut(), Ordering::Relaxed);
+        // SAFETY: boxed above, unreachable now.
+        unsafe { crate::pool::free(waiter) };
     }
 
     #[test]

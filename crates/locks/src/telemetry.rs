@@ -4,11 +4,10 @@
 //! *observed* conditions, yet historically only the reorderable lock
 //! kept counters — every other lock in the zoo was blind. This module
 //! hoists observability into a first-class, substrate-independent
-//! layer that every lock (and the contention-adaptive
-//! [`crate::Adaptive`] lock built on it) shares:
+//! layer that every lock shares:
 //!
 //! * [`TelemetryCell`] — a cache-padded bundle of relaxed counters:
-//!   acquisitions, contended acquisitions, spin iterations, and
+//!   acquisitions, contended acquisitions, and
 //!   (when sampling is enabled) cumulative wait time and the time of a
 //!   sample of the holds, via `asl_runtime::clock`. Count recording is a
 //!   single relaxed `fetch_add` — or, for a counter only the lock's
@@ -130,8 +129,8 @@ use crate::{RawLock, RawRwLock};
 ///   exclusive side of `Instrumented`/`InstrumentedRw`, `Gcr`: all
 ///   record after the inner acquire). *Not* holder-owned on a shared-read cell
 ///   (`InstrumentedRw::read`: readers overlap), on the delegation
-///   locks' cells (clients record, the combiner holds) or on
-///   `Adaptive`; those call the RMW [`record_acquisition`] /
+///   locks' cells (clients record, the combiner holds); those call
+///   the RMW [`record_acquisition`] /
 ///   [`record_acquired`]. A cell is used one way or the other, never
 ///   both — mixing a plain store with a concurrent `fetch_add` would
 ///   lose updates — which is why the exclusive variants are separate
@@ -143,7 +142,7 @@ use crate::{RawLock, RawRwLock};
 /// * `contended_streak` — written only by `record_acquisition*`, so
 ///   it follows `acquisitions`: load+store in the exclusive variant,
 ///   RMW in the shared one.
-/// * `wait_ns`, `spin_iters` — **RMW**: delegation clients and
+/// * `wait_ns` — **RMW**: delegation clients and
 ///   overlapping readers add to them without holding anything
 ///   exclusively (and they are off the uncontended path anyway).
 /// * `hold_ns`, `hold_start_ns`, `timed_holds` and the sampling
@@ -253,9 +252,6 @@ pub struct TelemetryCell {
     /// The xorshift word the countdown is redrawn from (0: not drawn
     /// from yet, stands for [`JITTER_SEED`]).
     hold_jitter: AtomicU64,
-    /// Spin-loop iterations reported by locks that self-report their
-    /// waiting (e.g. [`crate::Adaptive`]).
-    spin_iters: AtomicU64,
 }
 
 /// One exclusive hold in this many, on average, is timed by
@@ -377,14 +373,6 @@ impl TelemetryCell {
         holder_add(&self.acquisitions, 1);
     }
 
-    /// Add spin-loop iterations observed while waiting.
-    #[inline]
-    pub fn add_spins(&self, n: u64) {
-        if n > 0 {
-            self.spin_iters.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Add nanoseconds spent waiting to acquire.
     #[inline]
     pub fn add_wait_ns(&self, ns: u64) {
@@ -468,7 +456,6 @@ impl TelemetryCell {
         TelemetrySnapshot {
             acquisitions: self.acquisitions.load(Ordering::Relaxed),
             contended: self.contended.load(Ordering::Relaxed),
-            spin_iters: self.spin_iters.load(Ordering::Relaxed),
             hold_ns: self.hold_ns.load(Ordering::Relaxed),
             timed_holds: self.timed_holds.load(Ordering::Relaxed),
             wait_ns: self.wait_ns.load(Ordering::Relaxed),
@@ -479,7 +466,6 @@ impl TelemetryCell {
     pub fn reset(&self) {
         self.acquisitions.store(0, Ordering::Relaxed);
         self.contended.store(0, Ordering::Relaxed);
-        self.spin_iters.store(0, Ordering::Relaxed);
         self.hold_ns.store(0, Ordering::Relaxed);
         self.wait_ns.store(0, Ordering::Relaxed);
         self.hold_start_ns.store(0, Ordering::Relaxed);
@@ -497,8 +483,6 @@ pub struct TelemetrySnapshot {
     pub acquisitions: u64,
     /// Acquisitions that observed the lock held on entry.
     pub contended: u64,
-    /// Spin-loop iterations reported by self-reporting locks.
-    pub spin_iters: u64,
     /// Cumulative time of the *timed* holds (ns; zero unless sampling
     /// was on).
     pub hold_ns: u64,
@@ -537,7 +521,6 @@ impl TelemetrySnapshot {
         TelemetrySnapshot {
             acquisitions: self.acquisitions.saturating_sub(earlier.acquisitions),
             contended: self.contended.saturating_sub(earlier.contended),
-            spin_iters: self.spin_iters.saturating_sub(earlier.spin_iters),
             hold_ns: self.hold_ns.saturating_sub(earlier.hold_ns),
             timed_holds: self.timed_holds.saturating_sub(earlier.timed_holds),
             wait_ns: self.wait_ns.saturating_sub(earlier.wait_ns),
@@ -550,7 +533,6 @@ impl TelemetrySnapshot {
         TelemetrySnapshot {
             acquisitions: self.acquisitions + other.acquisitions,
             contended: self.contended + other.contended,
-            spin_iters: self.spin_iters + other.spin_iters,
             hold_ns: self.hold_ns + other.hold_ns,
             timed_holds: self.timed_holds + other.timed_holds,
             wait_ns: self.wait_ns + other.wait_ns,
@@ -1022,11 +1004,9 @@ mod tests {
         let c = TelemetryCell::new();
         c.record_acquisition(false);
         c.record_acquisition(true);
-        c.add_spins(7);
         let s = c.snapshot();
         assert_eq!(s.acquisitions, 2);
         assert_eq!(s.contended, 1);
-        assert_eq!(s.spin_iters, 7);
         assert_eq!(s.contention_ratio(), 0.5);
         c.reset();
         assert_eq!(c.snapshot(), TelemetrySnapshot::default());
@@ -1221,8 +1201,7 @@ mod tests {
         assert_eq!(c.contended_streak(), 0, "uncontended resets the streak");
         c.record_acquisition(true);
         assert_eq!(c.contended_streak(), 1);
-        // The split API is streak-neutral (self-reporting locks keep
-        // their own streaks — see `Adaptive`).
+        // The split API is streak-neutral.
         c.record_contended();
         c.record_acquired();
         assert_eq!(c.contended_streak(), 1);
@@ -1234,16 +1213,13 @@ mod tests {
     fn snapshot_delta_is_a_window() {
         let c = TelemetryCell::new();
         c.record_acquisition(true);
-        c.add_spins(3);
         let early = c.snapshot();
         c.record_acquisition(false);
         c.record_acquisition(true);
-        c.add_spins(4);
         c.add_wait_ns(100);
         let w = c.snapshot().delta(&early);
         assert_eq!(w.acquisitions, 2);
         assert_eq!(w.contended, 1);
-        assert_eq!(w.spin_iters, 4);
         assert_eq!(w.wait_ns, 100);
         // Saturating: a reset between snapshots cannot underflow.
         c.reset();

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use asl_locks::api::DynLock;
 use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, PreferBigPolicy, ProportionalPolicy};
 use asl_locks::{
-    BackoffLock, ClhLock, CnaLock, CohortLock, FlatCombiner, MalthusianLock, McsLock, McsStpLock,
-    ProportionalLock, PthreadMutex, ShuffleLock, TasLock, TicketLock,
+    BackoffLock, ClhLock, CnaLock, CohortLock, FissileLock, FlatCombiner, MalthusianLock, McsLock,
+    McsStpLock, ProportionalLock, PthreadMutex, ShuffleLock, TasLock, TicketLock,
 };
 use asl_runtime::registry::{register_on_core, unregister};
 use asl_runtime::topology::{CoreId, Topology};
@@ -64,6 +64,7 @@ fn zoo_mutual_exclusion_through_dyn_guards() {
         ),
         ("proportional", DynLock::of(ProportionalLock::new(10))),
         ("malthusian", DynLock::of(MalthusianLock::new())),
+        ("adaptive", DynLock::of(FissileLock::new())),
         // Blocking pair: the glibc-style mutex (futex-backed on
         // Linux, spin-then-yield elsewhere) and spin-then-park MCS.
         ("pthread", DynLock::of(PthreadMutex::new())),

@@ -13,7 +13,9 @@
 //!   at least once per reintroduction period;
 //! * shuffle: `shfl-local16` never skips the front waiter more than 16
 //!   times in a row, and `ProportionalPolicy(10)` grants a waiting
-//!   little core at least once in 11 grants.
+//!   little core at least once in 11 grants;
+//! * `adaptive`: arrivals barge past the queue, but never past one
+//!   head more than `PATIENCE + threads - 1` times in a row.
 //!
 //! Every script ends with the lock free, which it cannot be while a
 //! waiter sits in a policy's side queue: that queue belongs to the
@@ -24,8 +26,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use asl_locks::mcs::PATIENCE;
 use asl_locks::shuffle::{ClassLocalPolicy, ProportionalPolicy};
-use asl_locks::{CnaLock, MalthusianLock, RawLock, ShuffleLock};
+use asl_locks::{CnaLock, FissileLock, MalthusianLock, RawLock, ShuffleLock};
 use asl_runtime::work::execute_units;
 use asl_runtime::{CoreKind, Topology};
 use asl_sim::exec::{run_threads, ZooConfig};
@@ -213,6 +216,39 @@ fn proportional_10_grants_a_waiting_little_core_once_in_11() {
         assert!(
             big_run <= 10,
             "{shape:?}: {big_run} big grants past a waiting little core"
+        );
+    }
+}
+
+/// `adaptive` lets arrivals take a free word past the queue, so it
+/// skips the front waiter — and the head closes that fast path after
+/// [`PATIENCE`] failed polls of the word. The bound is the one the
+/// mechanism is built to: a barger keeps the word for a whole critical
+/// section, so while sections outlast the head's polls (the first
+/// shape: 200 units against a 25–75 ns poll) each skip costs the head
+/// a failed poll and it is impatient by its `PATIENCE`th skip; after
+/// that only arrivals already past the flag, or ahead of a new head's
+/// first poll, can barge — at most one per other thread. The second
+/// shape's sections are shorter than a little core's poll, but it
+/// thinks eight times as long as it holds, so few arrivals meet a
+/// waiting head at all. No front waiter is skipped more than
+/// `PATIENCE + threads - 1` times in a row.
+#[test]
+fn adaptive_barges_until_the_head_is_impatient() {
+    let threads = 8;
+    let bound = PATIENCE as usize + threads - 1;
+    for shape in SHAPES {
+        let grants = script(
+            &FissileLock::new(),
+            Topology::apple_m1(),
+            threads,
+            300,
+            shape,
+        );
+        let skips = max_front_skips(&grants);
+        assert!(
+            (1..=bound).contains(&skips),
+            "{shape:?}: {skips} skips in a row, bound {bound}"
         );
     }
 }

@@ -11,7 +11,7 @@ use asl_core::AslSpinLock;
 use asl_locks::plain::PlainLock;
 use asl_locks::shuffle::ClassLocalPolicy;
 use asl_locks::{
-    Adaptive, BackoffLock, ClhLock, CnaLock, CohortLock, MalthusianLock, McsLock, McsStpLock,
+    BackoffLock, ClhLock, CnaLock, CohortLock, FissileLock, MalthusianLock, McsLock, McsStpLock,
     PthreadMutex, ShuffleLock, TasLock, TicketLock,
 };
 use asl_runtime::Topology;
@@ -38,7 +38,7 @@ fn whole_zoo_runs_on_the_simulated_machine() {
             "shfl-local16",
             Arc::new(ShuffleLock::new(ClassLocalPolicy::new(16))),
         ),
-        ("adaptive", Arc::new(Adaptive::new())),
+        ("adaptive", Arc::new(FissileLock::new())),
         ("pthread", Arc::new(PthreadMutex::new())),
         ("mcs-stp", Arc::new(McsStpLock::new())),
         ("libasl-spin", Arc::new(AslSpinLock::default())),

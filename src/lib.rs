@@ -24,9 +24,10 @@
 //!   aliases) ([`asl_locks`]).
 //!   Observability is first-class: `asl_locks::telemetry` records
 //!   lock-agnostic acquisition counters ([`TelemetryCell`],
-//!   [`Instrumented`]) and the contention-[`Adaptive`] lock morphs
-//!   its substrate (TAS ↔ FIFO queue) from
-//!   that signal. Generic concurrency restriction ([`Gcr`]) wraps
+//!   [`Instrumented`]). The contention-adaptive lock,
+//!   `asl_locks::FissileLock`, is one more policy of the MCS queue
+//!   lock: arrivals barge past the queue until its head runs out of
+//!   patience. Generic concurrency restriction ([`Gcr`]) wraps
 //!   *any* lock in an admission gate that parks surplus waiters
 //!   passively — the collapse-proofing layer behind every
 //!   `gcr-<name>` registry spec (`Gcr<DynLock>`), `gcr-adaptive`
@@ -188,13 +189,13 @@ pub use asl_core::{
     AslBlockingLock, AslCondvar, AslLock, AslMutex, AslRwLock, AslSpinLock, ReorderableLock,
 };
 pub use asl_locks::api::{DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, ReadGuard, WriteGuard};
-pub use asl_locks::{Adaptive, AdaptiveMode, Instrumented, TelemetryCell, TelemetrySnapshot};
 pub use asl_locks::{AsyncDynMutex, AsyncFifoMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use asl_locks::{
     CcSynch, DelegatedMutex, DelegationHandle, DelegationLock, FcBan, FlatCombiner, RclLock,
     RclServer, SlotHandle, SlotLock, SlotsExhausted,
 };
 pub use asl_locks::{Gcr, GcrConfig};
+pub use asl_locks::{Instrumented, TelemetryCell, TelemetrySnapshot};
 pub use asl_runtime::clock;
 pub use asl_runtime::{
     block_on, wait_stats, CoreKind, ExecStats, Executor, JoinHandle, Topology, WaitStats,

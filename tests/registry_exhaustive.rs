@@ -140,7 +140,7 @@ const PINNED: &[(&str, &str, Option<u64>, Option<u64>)] = &[
     ("bravo-libasl", "-R----", None, None),
     ("libasl-rw-70us", "-R-E--", Some(70_000), Some(70_000)),
     ("libasl-rw-max", "-R-E--", None, Some(u64::MAX)),
-    ("adaptive", "------", None, None),
+    ("adaptive", "--t---", None, None),
     ("flatcomb", "-----D", None, None),
     ("ccsynch", "-----D", None, None),
     ("rcl", "-----D", None, None),

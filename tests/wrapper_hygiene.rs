@@ -41,9 +41,9 @@ fn source_lines(dir: &str) -> Vec<(String, String)> {
     lines
 }
 
-/// The `file: line` of every `struct` declaration in `lines` whose
-/// name `banned` rejects.
-fn banned_structs(lines: &[(String, String)], banned: impl Fn(&str) -> bool) -> Vec<String> {
+/// The `file: line` of every `struct` or `enum` declaration in `lines`
+/// whose name `banned` rejects.
+fn banned_types(lines: &[(String, String)], banned: impl Fn(&str) -> bool) -> Vec<String> {
     lines
         .iter()
         .filter_map(|(file, line)| {
@@ -52,7 +52,8 @@ fn banned_structs(lines: &[(String, String)], banned: impl Fn(&str) -> bool) -> 
                 .strip_prefix("pub ")
                 .unwrap_or(line.trim_start());
             let name: String = decl
-                .strip_prefix("struct ")?
+                .strip_prefix("struct ")
+                .or_else(|| decl.strip_prefix("enum "))?
                 .chars()
                 .take_while(|c| c.is_alphanumeric() || *c == '_')
                 .collect();
@@ -80,7 +81,7 @@ fn each_wrapper_and_guard_is_written_once() {
 
     // No struct of its own for the erased forms: they are type
     // aliases of the generic ones, or gone.
-    let offenders = banned_structs(&lines, |name| {
+    let offenders = banned_types(&lines, |name| {
         name == "GcrPlain"
             || name.starts_with("InstrumentedPlain")
             || ["DynGuard", "DynMutexGuard", "DynReadGuard", "DynWriteGuard"].contains(&name)
@@ -102,7 +103,7 @@ fn each_wrapper_and_guard_is_written_once() {
     // bare lock does (`Guard<'_, L, D>` carries the data reference), so
     // no data guard holds a token of its own, and a guard has no
     // second spelling through an extension trait.
-    let offenders = banned_structs(&lines, |name| {
+    let offenders = banned_types(&lines, |name| {
         ["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"].contains(&name)
     });
     assert!(
@@ -121,7 +122,7 @@ fn each_wrapper_and_guard_is_written_once() {
 
     // LibASL's mutex is the generic one over `AslLock`, like its rwlock.
     let core = source_lines("crates/core/src");
-    let offenders = banned_structs(&core, |name| name == "AslMutex");
+    let offenders = banned_types(&core, |name| name == "AslMutex");
     assert!(
         offenders.is_empty(),
         "AslMutex is `api::Mutex<T, AslLock<L, W>>`, not a wrapper:\n{}",
@@ -151,6 +152,24 @@ fn each_wrapper_and_guard_is_written_once() {
 }
 
 #[test]
+fn the_adaptive_lock_is_a_queue_policy() {
+    // `adaptive` is `QueueLock<Impatient>`: arrivals barge past the MCS
+    // queue until its head runs out of patience. A second lock beside
+    // the queue, with a mode word of its own, does not come back.
+    let lines: Vec<_> = ["crates", "src"]
+        .iter()
+        .flat_map(|dir| source_lines(dir))
+        .collect();
+    let offenders = banned_types(&lines, |name| ["Adaptive", "AdaptiveMode"].contains(&name));
+    assert!(
+        offenders.is_empty(),
+        "a contention-adaptive lock of its own — make it a head policy of \
+         asl_locks::mcs::QueueLock instead:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
 fn the_simulator_has_one_engine() {
     let sim = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/sim/src");
     assert!(sim.join("exec.rs").is_file(), "audit is stale");
@@ -168,7 +187,7 @@ fn delegation_is_written_once() {
     // One publication-slot engine: no per-lock shared-state struct,
     // no second server, and one place that executes a published op.
     let locks = source_lines("crates/locks/src");
-    let offenders = banned_structs(&locks, |name| {
+    let offenders = banned_types(&locks, |name| {
         [
             "DedicatedServer",
             "ServerHandle",
