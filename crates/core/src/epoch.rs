@@ -114,7 +114,7 @@ pub struct EpochMeta {
 impl EpochMeta {
     fn fresh() -> Self {
         EpochMeta {
-            window: config::default_window_ns(),
+            window: config::DEFAULT_WINDOW_NS,
             start: 0,
             used: false,
         }

@@ -65,7 +65,6 @@ pub mod stats;
 pub mod wait;
 
 pub use condvar::AslCondvar;
-pub use config::AslConfig;
 pub use mutex::{
     AslBlockingLock, AslClhLock, AslLock, AslMutex, AslShflLock, AslSpinLock, AslTicketLock,
 };

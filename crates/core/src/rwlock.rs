@@ -57,16 +57,6 @@ impl<L: RawLock + FifoLock> AslRwLock<L, SpinWait> {
 }
 
 impl<L: RawLock, W: WaitPolicy> AslRwLock<L, W> {
-    /// Build over an explicit [`AslLock`] (escape hatch for non-FIFO
-    /// substrates or custom standby policies).
-    pub fn with_asl(inner: AslLock<L, W>) -> Self {
-        AslRwLock {
-            readers: AtomicU32::new(0),
-            writer: AtomicBool::new(false),
-            inner,
-        }
-    }
-
     /// The underlying LibASL lock (statistics, configuration).
     pub fn asl(&self) -> &AslLock<L, W> {
         &self.inner

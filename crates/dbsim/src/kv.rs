@@ -2,10 +2,10 @@
 //!
 //! The serving-side counterpart of the thread-per-core engines: a hash
 //! map split into `shards` independent shards, each protected by one
-//! [`AsyncDynMutex`] whose policy comes from the harness lock
-//! registry. A request locks exactly one shard, does a small amount of
-//! emulated work while holding it (index probe + record copy), and
-//! completes. Under Zipfian keys a handful of hot shards carry most of
+//! [`AsyncMutex`] whose [`AsyncPolicy`] comes from the harness lock
+//! registry (`Fifo` for FIFO-ordered specs, `Slo` for LibASL specs).
+//! A request locks exactly one shard, does a small amount of emulated
+//! work while holding it (index probe + record copy), and completes. Under Zipfian keys a handful of hot shards carry most of
 //! the traffic, so the shard lock's *wait-queue policy* — FIFO versus
 //! SLO-aware reordering — is what shapes the service's tail latency.
 //!
@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use asl_locks::{AsyncDynMutex, AsyncPolicy};
+use asl_locks::{AsyncMutex, AsyncPolicy};
 use rand::rngs::SmallRng;
 
 use crate::workload::{KeyDist, Mix, Op};
@@ -92,7 +92,7 @@ type Shard = HashMap<u64, Value, BuildHasherDefault<KeyHasher>>;
 
 /// A sharded KV store; every shard is one async-locked hash map.
 pub struct ShardedKv {
-    shards: Vec<AsyncDynMutex<Shard>>,
+    shards: Vec<AsyncMutex<Shard>>,
     keyspace: u64,
     cs_units: u64,
 }
@@ -107,7 +107,7 @@ impl ShardedKv {
         assert!(cfg.keyspace > 0, "empty key space");
         ShardedKv {
             shards: (0..cfg.shards)
-                .map(|_| AsyncDynMutex::new(cfg.policy, Shard::default()))
+                .map(|_| AsyncMutex::new(cfg.policy, Shard::default()))
                 .collect(),
             keyspace: cfg.keyspace,
             cs_units: cfg.cs_units,

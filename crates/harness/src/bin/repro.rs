@@ -37,7 +37,8 @@ fn main() {
     }
 
     // `repro diff <old.json> <new.json> [--noise F]` is its own
-    // subcommand with its own exit discipline (1 = regression).
+    // subcommand with its own exit discipline (1 = a regressed or
+    // missing cell).
     if args[0] == "diff" {
         run_diff(&args[1..]);
     }
@@ -218,9 +219,10 @@ fn emit(table: &Table, out_dir: &Option<String>) {
 /// `repro diff old.json new.json [new2.json ...] [--noise F]`:
 /// compare per-cell ops/s between a baseline and the per-cell
 /// **median** of one or more new BENCH files; exit 1 iff a cell
-/// regressed by more than the noise bound (default 10%), 2 on usage
-/// errors. Passing several new files is how CI de-noises the gate:
-/// run the figure N times, let the median vote the outlier run out.
+/// regressed by more than the noise bound (default 10%) or is missing
+/// from the new runs, 2 on usage errors and on a figure mismatch.
+/// Passing several new files is how CI de-noises the gate: run the
+/// figure N times, let the median vote the outlier run out.
 fn run_diff(args: &[String]) -> ! {
     const USAGE: &str = "usage: repro diff <old.json> <new.json>... [--noise 0.10]";
     let mut noise = 0.10f64;
@@ -259,7 +261,7 @@ fn run_diff(args: &[String]) -> ! {
                 println!("(new side: per-cell median of {} runs)", paths.len());
             }
             println!("{report}");
-            std::process::exit(if report.regressed() { 1 } else { 0 });
+            std::process::exit(if report.failed() { 1 } else { 0 });
         }
         Err(e) => {
             eprintln!("{e}");
@@ -287,7 +289,7 @@ fn usage() {
     let ids: Vec<String> = ids.chunks(8).map(|line| line.join(" ")).collect();
     eprintln!(
         "usage: repro [--quick|--full] [--profile] [--out DIR] [--lock NAME]... <figure-id>... | all | list | locks\n\
-         \u{20}      repro diff <old.json> <new.json>... [--noise 0.10]   # exit 1 on regression (several new files: median)\n\
+         \u{20}      repro diff <old.json> <new.json>... [--noise 0.10]   # exit 1 on a regressed or missing cell (several new files: median)\n\
          \u{20}      repro torture [--quick] [--seed N] [--sim|--os] [--lock NAME] [--out DIR]   # fault-schedule sweep, exit 1 on oracle failure\n\
          figure ids: {} (`sim` for the sim-* family)\n\
          lock names: see `repro locks` (e.g. mcs, ccsynch, fc-ban, gcr-mcs, libasl-70us)",

@@ -10,11 +10,12 @@
 //! fractions rather than throughput and are skipped.
 //!
 //! Verdicts per cell: within noise, improved (delta > noise, worth a
-//! look but never fatal), or **regressed** (delta < -noise — the only
-//! verdict that makes [`DiffReport::regressed`] true). Cells present
-//! on one side only are reported but don't fail the diff: benches
-//! grow columns over time and a missing cell is a schema change, not
-//! a slowdown.
+//! look but never fatal), **regressed** (delta < -noise) or
+//! **missing** (a baseline cell the new run no longer has). The last
+//! two make [`DiffReport::failed`] true: a gated cell that disappears
+//! is a gate that stopped measuring. A cell only the new run has is
+//! reported but does not fail the diff; a schema change re-records the
+//! baseline. Diffing two different figures is an error, not a diff.
 
 use std::fmt;
 
@@ -91,9 +92,9 @@ pub enum Verdict {
     Within,
     /// Faster by more than the noise bound.
     Improved,
-    /// Slower by more than the noise bound — the failing verdict.
+    /// Slower by more than the noise bound — fails the diff.
     Regressed,
-    /// Present only in the old file.
+    /// Present only in the old file — fails the diff.
     MissingInNew,
     /// Present only in the new file.
     OnlyInNew,
@@ -122,8 +123,7 @@ impl DiffLine {
 /// Full result of comparing two bench files.
 #[derive(Debug, Clone)]
 pub struct DiffReport {
-    pub old_figure: String,
-    pub new_figure: String,
+    pub figure: String,
     pub noise: f64,
     pub lines: Vec<DiffLine>,
     /// Annotation rows (`@`-labelled) skipped on either side.
@@ -131,9 +131,12 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// True iff any cell regressed beyond the noise bound.
-    pub fn regressed(&self) -> bool {
-        self.lines.iter().any(|l| l.verdict == Verdict::Regressed)
+    /// True iff a cell regressed beyond the noise bound or is missing
+    /// from the new run.
+    pub fn failed(&self) -> bool {
+        self.lines
+            .iter()
+            .any(|l| matches!(l.verdict, Verdict::Regressed | Verdict::MissingInNew))
     }
 
     pub fn count(&self, v: Verdict) -> usize {
@@ -145,9 +148,8 @@ impl fmt::Display for DiffReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "diff: {} -> {} (noise bound {:.0}%)",
-            self.old_figure,
-            self.new_figure,
+            "diff: {} (noise bound {:.0}%)",
+            self.figure,
             self.noise * 100.0
         )?;
         let width = self
@@ -200,8 +202,9 @@ fn is_annotation(lock: &str) -> bool {
     lock.contains("@share=") || lock.contains("@usage=")
 }
 
-/// Compare two parsed bench files. `noise` is the relative bound
-/// (0.10 = 10%); a cell regresses when `(new-old)/old < -noise`.
+/// Compare two parsed bench files of one figure (the old file names
+/// it). `noise` is the relative bound (0.10 = 10%); a cell regresses
+/// when `(new-old)/old < -noise`.
 pub fn diff(old: &BenchFile, new: &BenchFile, noise: f64) -> DiffReport {
     let mut lines = Vec::new();
     let mut skipped = 0usize;
@@ -258,8 +261,7 @@ pub fn diff(old: &BenchFile, new: &BenchFile, noise: f64) -> DiffReport {
         }
     }
     DiffReport {
-        old_figure: old.figure.clone(),
-        new_figure: new.figure.clone(),
+        figure: old.figure.clone(),
         noise,
         lines,
         skipped,
@@ -306,13 +308,9 @@ pub fn median_bench(runs: &[BenchFile]) -> BenchFile {
     }
 }
 
-/// Convenience: read, parse, and diff two files on disk.
-pub fn diff_files(old_path: &str, new_path: &str, noise: f64) -> Result<DiffReport, String> {
-    diff_files_median(old_path, &[new_path.to_string()], noise)
-}
-
 /// Diff a baseline against the per-cell median of several new runs
-/// (the `repro diff old.json new1.json new2.json ...` form).
+/// (the `repro diff old.json new1.json new2.json ...` form). A new
+/// file of another figure than the baseline's is an error.
 pub fn diff_files_median(
     old_path: &str,
     new_paths: &[String],
@@ -322,7 +320,14 @@ pub fn diff_files_median(
     let old = parse_bench_json(&read(old_path)?).map_err(|e| format!("{old_path}: {e}"))?;
     let mut runs = Vec::new();
     for p in new_paths {
-        runs.push(parse_bench_json(&read(p)?).map_err(|e| format!("{p}: {e}"))?);
+        let run = parse_bench_json(&read(p)?).map_err(|e| format!("{p}: {e}"))?;
+        if run.figure != old.figure {
+            return Err(format!(
+                "{p}: figure {} is not the baseline's {}",
+                run.figure, old.figure
+            ));
+        }
+        runs.push(run);
     }
     if runs.is_empty() {
         return Err("no new files to diff against".to_string());
@@ -372,7 +377,7 @@ mod tests {
         let old = bench(&[("mcs", 8, 1000.0)]);
         let new = bench(&[("mcs", 8, 950.0)]);
         let r = diff(&old, &new, 0.10);
-        assert!(!r.regressed());
+        assert!(!r.failed());
         assert_eq!(r.lines[0].verdict, Verdict::Within);
     }
 
@@ -381,7 +386,7 @@ mod tests {
         let old = bench(&[("mcs", 8, 1000.0), ("ticket", 8, 1000.0)]);
         let new = bench(&[("mcs", 8, 800.0), ("ticket", 8, 1300.0)]);
         let r = diff(&old, &new, 0.10);
-        assert!(r.regressed());
+        assert!(r.failed());
         assert_eq!(r.lines[0].verdict, Verdict::Regressed);
         assert_eq!(r.lines[1].verdict, Verdict::Improved);
         let shown = r.to_string();
@@ -393,18 +398,46 @@ mod tests {
     fn noise_bound_is_configurable() {
         let old = bench(&[("mcs", 8, 1000.0)]);
         let new = bench(&[("mcs", 8, 800.0)]);
-        assert!(diff(&old, &new, 0.10).regressed());
-        assert!(!diff(&old, &new, 0.25).regressed());
+        assert!(diff(&old, &new, 0.10).failed());
+        assert!(!diff(&old, &new, 0.25).failed());
     }
 
     #[test]
-    fn missing_and_new_cells_reported_not_fatal() {
+    fn a_missing_cell_fails_and_a_new_cell_does_not() {
         let old = bench(&[("mcs", 8, 1000.0), ("gone", 8, 1.0)]);
         let new = bench(&[("mcs", 8, 1000.0), ("added", 8, 2.0)]);
         let r = diff(&old, &new, 0.10);
-        assert!(!r.regressed());
+        assert!(r.failed(), "a baseline cell went missing");
         assert_eq!(r.count(Verdict::MissingInNew), 1);
         assert_eq!(r.count(Verdict::OnlyInNew), 1);
+        assert!(r.to_string().contains("MISS  gone"), "{r}");
+
+        let grown = bench(&[("mcs", 8, 1000.0), ("gone", 8, 1.0), ("added", 8, 2.0)]);
+        let r = diff(&old, &grown, 0.10);
+        assert!(!r.failed(), "a cell only the new run has is informational");
+        assert_eq!(r.count(Verdict::OnlyInNew), 1);
+    }
+
+    #[test]
+    fn a_figure_mismatch_is_an_error() {
+        let dir = std::env::temp_dir();
+        let write = |name: &str, figure: &str| {
+            let path = dir.join(format!("asl-diff-{}-{name}.json", std::process::id()));
+            let text = render_bench_json(figure, &[sample("mcs", 8, 1000.0)]);
+            std::fs::write(&path, text).unwrap();
+            path.to_string_lossy().into_owned()
+        };
+        let old = write("old", "fig8a");
+        let same = write("same", "fig8a");
+        let other = write("other", "fig8b");
+        let r = diff_files_median(&old, std::slice::from_ref(&same), 0.10).expect("one figure");
+        assert!(!r.failed());
+        let err = diff_files_median(&old, &[same.clone(), other.clone()], 0.10)
+            .expect_err("fig8b is not fig8a");
+        assert!(err.contains("fig8b") && err.contains("fig8a"), "{err}");
+        for p in [old, same, other] {
+            std::fs::remove_file(p).unwrap();
+        }
     }
 
     #[test]
@@ -422,7 +455,7 @@ mod tests {
         let r = diff(&old, &new, 0.10);
         assert_eq!(r.skipped, 2, "share rows must not be treated as ops/s");
         assert_eq!(r.lines.len(), 2);
-        assert!(r.regressed(), "@layer cells are real throughput cells");
+        assert!(r.failed(), "@layer cells are real throughput cells");
         let regr: Vec<_> = r
             .lines
             .iter()
@@ -443,14 +476,14 @@ mod tests {
         ];
         let med = median_bench(&runs);
         assert!((med.cells[0].ops_per_sec - 980.0).abs() < f64::EPSILON);
-        assert!(!diff(&baseline, &med, 0.10).regressed());
+        assert!(!diff(&baseline, &med, 0.10).failed());
         // ...but a consistent slowdown across runs still fails.
         let slow = [
             bench(&[("mcs", 8, 500.0)]),
             bench(&[("mcs", 8, 480.0)]),
             bench(&[("mcs", 8, 510.0)]),
         ];
-        assert!(diff(&baseline, &median_bench(&slow), 0.10).regressed());
+        assert!(diff(&baseline, &median_bench(&slow), 0.10).failed());
     }
 
     #[test]
@@ -464,7 +497,7 @@ mod tests {
     fn same_file_diffs_clean() {
         let old = bench(&[("mcs", 2, 10.0), ("mcs", 4, 20.0), ("mcs", 8, 30.0)]);
         let r = diff(&old, &old, 0.10);
-        assert!(!r.regressed());
+        assert!(!r.failed());
         assert_eq!(r.count(Verdict::Within), 3);
     }
 }

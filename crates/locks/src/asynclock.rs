@@ -1,15 +1,18 @@
-//! SLO-aware async mutexes: `lock().await` parks the waiter as a
+//! SLO-aware async mutex: `lock().await` parks the waiter as a
 //! queued [`Waker`], not a blocked OS thread.
 //!
 //! The thread locks in this crate spin or park a *thread* per waiter;
 //! at 10⁵–10⁶ concurrent clients that is the scalability collapse the
 //! serving literature warns about. The async layer keeps one small
 //! wait node per parked *task* instead, and reuses the paper's
-//! SLO-reordering idea for wake ordering:
+//! SLO-reordering idea for wake ordering.
 //!
-//! * [`AsyncMutex<T>`] — deadline-ordered (EDF) wake list. Each
+//! There is one type, [`AsyncMutex<T>`], built with its
+//! [`AsyncPolicy`]:
+//!
+//! * [`AsyncPolicy::Slo`] — deadline-ordered (EDF) wake list. Each
 //!   waiter's deadline is its arrival time plus a reorder window
-//!   bounded by the lock's `slo_ns` (exactly the bound
+//!   bounded by the policy's `slo_ns` (exactly the bound
 //!   `ReorderableLock::lock_reorder` clamps to), so no waiter can be
 //!   overtaken by more than `slo_ns` of later arrivals —
 //!   starvation-free for the same reason the paper's standby queue
@@ -18,14 +21,15 @@
 //!   open-loop service equalizes response times across requests
 //!   rather than lock-arrival times — that is where the p999 win over
 //!   FIFO comes from.
-//! * [`AsyncFifoMutex<T>`] — strict arrival-order baseline (what a
-//!   fair thread mutex would do), for comparison.
-//! * [`AsyncDynMutex<T>`] — policy chosen at runtime
-//!   ([`AsyncPolicy`]), the bridge the harness registry uses to
-//!   resolve `LockSpec` names to async locks.
+//! * [`AsyncPolicy::Fifo`] — strict arrival order (what a fair thread
+//!   mutex would do), the baseline; an explicit deadline is ignored.
 //!
-//! All three hand the lock over *directly*: release marks the chosen
-//! wait node `GRANTED` and wakes it without ever making the lock
+//! The harness registry resolves a `LockSpec` name to a policy
+//! (FIFO-ordered specs to `Fifo`, LibASL specs to `Slo` with their
+//! SLO), so one type serves every async cell.
+//!
+//! Either policy hands the lock over *directly*: release marks the
+//! chosen wait node `GRANTED` and wakes it without ever making the lock
 //! observably free, so there is no barging and wake order is grant
 //! order. Lock futures are cancel-safe — dropping one mid-wait
 //! unlinks its node under the queue lock; dropping one after it was
@@ -34,10 +38,10 @@
 //! panic unwind.
 //!
 //! ```
-//! use asl_locks::asynclock::AsyncMutex;
+//! use asl_locks::asynclock::{AsyncMutex, AsyncPolicy};
 //! use asl_runtime::exec::block_on;
 //!
-//! let hits = AsyncMutex::new(0u64);
+//! let hits = AsyncMutex::new(AsyncPolicy::Slo { slo_ns: 100_000 }, 0u64);
 //! block_on(async {
 //!     *hits.lock().await += 1;
 //!     assert_eq!(*hits.lock().await, 1);
@@ -55,7 +59,7 @@ use std::task::{Context, Poll, Waker};
 
 use asl_runtime::clock;
 
-/// Wake-ordering policy for an [`AsyncDynMutex`].
+/// Wake-ordering policy of an [`AsyncMutex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsyncPolicy {
     /// Strict arrival order (fair FIFO baseline).
@@ -67,6 +71,10 @@ pub enum AsyncPolicy {
         slo_ns: u64,
     },
 }
+
+/// Older name of [`AsyncMutex`], kept for the repo benchmark
+/// (`benchmark/src/host_kv.rs`).
+pub type AsyncDynMutex<T> = AsyncMutex<T>;
 
 /// Waiting in the queue; cancel unlinks, release grants.
 const W_QUEUED: u8 = 0;
@@ -89,24 +97,98 @@ struct Queue {
     waiters: BTreeMap<(u64, u64), (Arc<WaitNode>, Waker)>,
 }
 
-/// The policy-agnostic core: an async lock word plus the wait queue.
-struct RawAsyncLock {
+/// Async mutex whose wake order is its [`AsyncPolicy`] (see the
+/// module docs).
+pub struct AsyncMutex<T> {
     inner: Mutex<Queue>,
     /// Arrival sequence for queue keys (ties and FIFO order).
     seq: AtomicU64,
     policy: AsyncPolicy,
+    data: UnsafeCell<T>,
 }
 
-impl RawAsyncLock {
-    fn new(policy: AsyncPolicy) -> Self {
-        RawAsyncLock {
+// SAFETY: standard mutex reasoning — the protected value moves across
+// threads with the lock (`T: Send`); `&AsyncMutex<T>` only hands out
+// `&T`/`&mut T` under mutual exclusion, and unlike thread locks the
+// guard may be dropped on a different worker thread than the one that
+// acquired it, which is fine because release is just queue-mutex
+// operations.
+unsafe impl<T: Send> Send for AsyncMutex<T> {}
+unsafe impl<T: Send> Sync for AsyncMutex<T> {}
+
+impl<T> AsyncMutex<T> {
+    /// New mutex under the given policy.
+    pub fn new(policy: AsyncPolicy, value: T) -> Self {
+        AsyncMutex {
             inner: Mutex::new(Queue {
                 locked: false,
                 waiters: BTreeMap::new(),
             }),
             seq: AtomicU64::new(0),
             policy,
+            data: UnsafeCell::new(value),
         }
+    }
+
+    /// The wake-ordering policy.
+    pub fn policy(&self) -> AsyncPolicy {
+        self.policy
+    }
+
+    /// Acquire (arrival plus the SLO bound as the deadline under
+    /// `Slo`, arrival order under `Fifo`).
+    pub fn lock(&self) -> AsyncLockFuture<'_, T> {
+        self.lock_inner(None)
+    }
+
+    /// Acquire with an explicit absolute deadline (ns, same clock as
+    /// `asl_runtime::clock`). Under `Slo` the effective deadline is
+    /// still bounded by arrival + `slo_ns`, so a request that is
+    /// already past its deadline goes to the head of the queue but
+    /// cannot push others out by more than the SLO window. Under
+    /// `Fifo` the deadline is ignored (arrival order).
+    pub fn lock_with_deadline(&self, deadline_ns: u64) -> AsyncLockFuture<'_, T> {
+        self.lock_inner(Some(deadline_ns))
+    }
+
+    fn lock_inner(&self, deadline_ns: Option<u64>) -> AsyncLockFuture<'_, T> {
+        AsyncLockFuture {
+            mutex: self,
+            deadline_ns,
+            node: None,
+        }
+    }
+
+    /// Acquire without waiting, if free.
+    pub fn try_lock(&self) -> Option<AsyncGuard<'_, T>> {
+        let mut q = self.inner.lock().unwrap();
+        if q.locked {
+            None
+        } else {
+            q.locked = true;
+            Some(AsyncGuard { mutex: self })
+        }
+    }
+
+    /// Whether the lock is currently held (racy diagnostic).
+    pub fn is_locked(&self) -> bool {
+        self.inner.lock().unwrap().locked
+    }
+
+    /// Number of parked waiters (racy diagnostic).
+    pub fn waiters(&self) -> usize {
+        self.inner.lock().unwrap().waiters.len()
+    }
+
+    /// Consume the mutex, returning the protected value.
+    pub fn into_inner(self) -> T {
+        self.data.into_inner()
+    }
+
+    /// Exclusive access without locking (`&mut self` proves no other
+    /// handle exists).
+    pub fn get_mut(&mut self) -> &mut T {
+        self.data.get_mut()
     }
 
     /// Queue key for a waiter arriving now with an optional explicit
@@ -138,49 +220,36 @@ impl RawAsyncLock {
             q.locked = false;
         }
     }
-
-    fn try_lock(&self) -> bool {
-        let mut q = self.inner.lock().unwrap();
-        if q.locked {
-            false
-        } else {
-            q.locked = true;
-            true
-        }
-    }
-
-    fn is_locked(&self) -> bool {
-        self.inner.lock().unwrap().locked
-    }
-
-    fn waiters(&self) -> usize {
-        self.inner.lock().unwrap().waiters.len()
-    }
 }
 
-/// Future returned by the async lock methods. Cancel-safe: see the
-/// module docs.
-struct RawLockFuture<'a> {
-    raw: &'a RawAsyncLock,
+/// Future returned by [`AsyncMutex::lock`] /
+/// [`AsyncMutex::lock_with_deadline`]. Cancel-safe: see the module
+/// docs.
+#[must_use = "futures do nothing unless awaited"]
+pub struct AsyncLockFuture<'a, T> {
+    mutex: &'a AsyncMutex<T>,
     deadline_ns: Option<u64>,
     /// `Some` once enqueued; the key locates the node for waker
     /// refresh and cancellation.
     node: Option<(Arc<WaitNode>, (u64, u64))>,
 }
 
-impl Future for RawLockFuture<'_> {
-    type Output = ();
+impl<'a, T> Future for AsyncLockFuture<'a, T> {
+    type Output = AsyncGuard<'a, T>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = &mut *self;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        // All fields are `Unpin` (references and plain data, no
+        // self-references), so projection is safe.
+        let this = self.get_mut();
+        let mutex = this.mutex;
         match &this.node {
             None => {
-                let mut q = this.raw.inner.lock().unwrap();
+                let mut q = mutex.inner.lock().unwrap();
                 if !q.locked {
                     q.locked = true;
-                    return Poll::Ready(());
+                    return Poll::Ready(AsyncGuard { mutex });
                 }
-                let key = this.raw.key(this.deadline_ns);
+                let key = mutex.key(this.deadline_ns);
                 let node = Arc::new(WaitNode {
                     state: AtomicU8::new(W_QUEUED),
                 });
@@ -191,10 +260,10 @@ impl Future for RawLockFuture<'_> {
             Some((node, key)) => {
                 // The queue lock orders this read against release's
                 // GRANTED store + removal.
-                let mut q = this.raw.inner.lock().unwrap();
+                let mut q = mutex.inner.lock().unwrap();
                 if node.state.load(Ordering::Acquire) == W_GRANTED {
                     node.state.store(W_CLAIMED, Ordering::Release);
-                    return Poll::Ready(());
+                    return Poll::Ready(AsyncGuard { mutex });
                 }
                 // Spurious poll while still queued: refresh the waker.
                 if let Some(entry) = q.waiters.get_mut(key) {
@@ -206,7 +275,7 @@ impl Future for RawLockFuture<'_> {
     }
 }
 
-impl Drop for RawLockFuture<'_> {
+impl<T> Drop for AsyncLockFuture<'_, T> {
     fn drop(&mut self) {
         let Some((node, key)) = self.node.take() else {
             return; // never enqueued (or completed on first poll)
@@ -216,7 +285,7 @@ impl Drop for RawLockFuture<'_> {
             W_CLAIMED => {}
             // Still queued: unlink so the slot is not leaked.
             W_QUEUED => {
-                let mut q = self.raw.inner.lock().unwrap();
+                let mut q = self.mutex.inner.lock().unwrap();
                 // Re-check under the lock: a concurrent release may
                 // have granted us in the meantime (and removed the
                 // entry). If removal succeeds we were still queued.
@@ -226,304 +295,43 @@ impl Drop for RawLockFuture<'_> {
                     // Granted after our first check: we own the lock
                     // but will never claim it — pass it on.
                     drop(q);
-                    self.raw.unlock();
+                    self.mutex.unlock();
                 }
             }
             // Granted but never polled again: we own the lock; pass
             // it on (or free it) instead of leaking the acquisition.
-            W_GRANTED => self.raw.unlock(),
+            W_GRANTED => self.mutex.unlock(),
             s => unreachable!("wait node state {s}"),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Data-carrying mutexes
-// ---------------------------------------------------------------------------
-
-macro_rules! common_mutex_impl {
-    ($name:ident) => {
-        impl<T> $name<T> {
-            /// Acquire without waiting, if free.
-            pub fn try_lock(&self) -> Option<AsyncGuard<'_, T>> {
-                // `then`, not `then_some`: constructing a guard is
-                // effectful (its drop releases), so it must only
-                // exist when the acquisition succeeded.
-                self.raw.try_lock().then(|| AsyncGuard { mutex: self })
-            }
-
-            /// Whether the lock is currently held (racy diagnostic).
-            pub fn is_locked(&self) -> bool {
-                self.raw.is_locked()
-            }
-
-            /// Number of parked waiters (racy diagnostic).
-            pub fn waiters(&self) -> usize {
-                self.raw.waiters()
-            }
-
-            /// Consume the mutex, returning the protected value.
-            pub fn into_inner(self) -> T {
-                self.data.into_inner()
-            }
-
-            /// Exclusive access without locking (`&mut self` proves
-            /// no other handle exists).
-            pub fn get_mut(&mut self) -> &mut T {
-                self.data.get_mut()
-            }
-        }
-
-        // SAFETY: standard mutex reasoning — the protected value
-        // moves across threads with the lock (`T: Send`); `&$name<T>`
-        // only hands out `&T`/`&mut T` under mutual exclusion, and
-        // unlike thread locks the guard may be dropped on a different
-        // worker thread than the one that acquired it, which is fine
-        // because release is just queue-mutex operations.
-        unsafe impl<T: Send> Send for $name<T> {}
-        unsafe impl<T: Send> Sync for $name<T> {}
-    };
-}
-
-/// SLO-aware async mutex: deadline-ordered wakes with the reorder
-/// window bounded by `slo_ns` (see the module docs).
-pub struct AsyncMutex<T> {
-    raw: RawAsyncLock,
-    data: UnsafeCell<T>,
-}
-
-impl<T> AsyncMutex<T> {
-    /// Default reorder-window bound when none is given: 100µs, the
-    /// same order as the paper's hand-tuned SLOs (Bench-1 uses 70µs).
-    pub const DEFAULT_SLO_NS: u64 = 100_000;
-
-    /// New mutex with the default SLO bound.
-    pub fn new(value: T) -> Self {
-        Self::with_slo(value, Self::DEFAULT_SLO_NS)
-    }
-
-    /// New mutex with an explicit reorder-window bound (ns).
-    pub fn with_slo(value: T, slo_ns: u64) -> Self {
-        AsyncMutex {
-            raw: RawAsyncLock::new(AsyncPolicy::Slo { slo_ns }),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// The reorder-window bound (ns).
-    pub fn slo_ns(&self) -> u64 {
-        match self.raw.policy {
-            AsyncPolicy::Slo { slo_ns } => slo_ns,
-            AsyncPolicy::Fifo => unreachable!("AsyncMutex is always SLO-policied"),
-        }
-    }
-
-    /// Acquire; the waiter's deadline is its arrival time plus the
-    /// SLO bound.
-    pub fn lock(&self) -> AsyncLockFuture<'_, T> {
-        self.lock_inner(None)
-    }
-
-    /// Acquire with an explicit absolute deadline (ns, same clock as
-    /// `asl_runtime::clock`). The effective deadline is still bounded
-    /// by arrival + `slo_ns`, so a request that is already past its
-    /// deadline goes to the head of the queue but cannot push others
-    /// out by more than the SLO window.
-    pub fn lock_with_deadline(&self, deadline_ns: u64) -> AsyncLockFuture<'_, T> {
-        self.lock_inner(Some(deadline_ns))
-    }
-
-    fn lock_inner(&self, deadline_ns: Option<u64>) -> AsyncLockFuture<'_, T> {
-        AsyncLockFuture {
-            fut: RawLockFuture {
-                raw: &self.raw,
-                deadline_ns,
-                node: None,
-            },
-            mutex: self,
-        }
-    }
-}
-
-common_mutex_impl!(AsyncMutex);
-
-/// Strict arrival-order async mutex — the FIFO baseline the SLO-aware
-/// [`AsyncMutex`] is compared against.
-pub struct AsyncFifoMutex<T> {
-    raw: RawAsyncLock,
-    data: UnsafeCell<T>,
-}
-
-impl<T> AsyncFifoMutex<T> {
-    /// New FIFO mutex.
-    pub fn new(value: T) -> Self {
-        AsyncFifoMutex {
-            raw: RawAsyncLock::new(AsyncPolicy::Fifo),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquire in arrival order.
-    pub fn lock(&self) -> AsyncFifoLockFuture<'_, T> {
-        AsyncFifoLockFuture {
-            fut: RawLockFuture {
-                raw: &self.raw,
-                deadline_ns: None,
-                node: None,
-            },
-            mutex: self,
-        }
-    }
-}
-
-common_mutex_impl!(AsyncFifoMutex);
-
-/// Async mutex with the wake-ordering policy chosen at runtime — the
-/// registry bridge (`LockSpec` names resolve to an [`AsyncPolicy`],
-/// FIFO-ordered specs to [`AsyncPolicy::Fifo`], LibASL specs to
-/// [`AsyncPolicy::Slo`] with their SLO).
-pub struct AsyncDynMutex<T> {
-    raw: RawAsyncLock,
-    data: UnsafeCell<T>,
-}
-
-impl<T> AsyncDynMutex<T> {
-    /// New mutex under the given policy.
-    pub fn new(policy: AsyncPolicy, value: T) -> Self {
-        AsyncDynMutex {
-            raw: RawAsyncLock::new(policy),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// The wake-ordering policy.
-    pub fn policy(&self) -> AsyncPolicy {
-        self.raw.policy
-    }
-
-    /// Acquire (arrival-deadline under SLO policy, arrival order
-    /// under FIFO).
-    pub fn lock(&self) -> AsyncDynLockFuture<'_, T> {
-        self.lock_inner(None)
-    }
-
-    /// Acquire with an explicit absolute deadline; under the FIFO
-    /// policy the deadline is ignored (arrival order).
-    pub fn lock_with_deadline(&self, deadline_ns: u64) -> AsyncDynLockFuture<'_, T> {
-        self.lock_inner(Some(deadline_ns))
-    }
-
-    fn lock_inner(&self, deadline_ns: Option<u64>) -> AsyncDynLockFuture<'_, T> {
-        AsyncDynLockFuture {
-            fut: RawLockFuture {
-                raw: &self.raw,
-                deadline_ns,
-                node: None,
-            },
-            mutex: self,
-        }
-    }
-}
-
-common_mutex_impl!(AsyncDynMutex);
-
-// ---------------------------------------------------------------------------
-// Lock futures and the guard
-// ---------------------------------------------------------------------------
-
-macro_rules! lock_future_impl {
-    ($future:ident, $mutex:ident) => {
-        impl<'a, T> Future for $future<'a, T> {
-            type Output = AsyncGuard<'a, T>;
-
-            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-                // All fields are `Unpin` (references and plain data,
-                // no self-references), so projection is safe.
-                let this = self.get_mut();
-                match Pin::new(&mut this.fut).poll(cx) {
-                    Poll::Ready(()) => Poll::Ready(AsyncGuard { mutex: this.mutex }),
-                    Poll::Pending => Poll::Pending,
-                }
-            }
-        }
-    };
-}
-
-/// Future returned by [`AsyncMutex::lock`] /
-/// [`AsyncMutex::lock_with_deadline`].
-#[must_use = "futures do nothing unless awaited"]
-pub struct AsyncLockFuture<'a, T> {
-    fut: RawLockFuture<'a>,
-    mutex: &'a AsyncMutex<T>,
-}
-lock_future_impl!(AsyncLockFuture, AsyncMutex);
-
-/// Future returned by [`AsyncFifoMutex::lock`].
-#[must_use = "futures do nothing unless awaited"]
-pub struct AsyncFifoLockFuture<'a, T> {
-    fut: RawLockFuture<'a>,
-    mutex: &'a AsyncFifoMutex<T>,
-}
-lock_future_impl!(AsyncFifoLockFuture, AsyncFifoMutex);
-
-/// Future returned by [`AsyncDynMutex::lock`] /
-/// [`AsyncDynMutex::lock_with_deadline`].
-#[must_use = "futures do nothing unless awaited"]
-pub struct AsyncDynLockFuture<'a, T> {
-    fut: RawLockFuture<'a>,
-    mutex: &'a AsyncDynMutex<T>,
-}
-lock_future_impl!(AsyncDynLockFuture, AsyncDynMutex);
-
-/// RAII guard over any of the async mutexes: derefs to the protected
-/// value, releases (with a direct handoff to the next waiter) on
-/// drop — including panic unwind.
+/// RAII guard over an [`AsyncMutex`]: derefs to the protected value,
+/// releases (with a direct handoff to the next waiter) on drop —
+/// including panic unwind.
 #[must_use = "the lock releases as soon as the guard drops"]
 pub struct AsyncGuard<'a, T> {
-    mutex: &'a dyn GuardTarget<T>,
+    mutex: &'a AsyncMutex<T>,
 }
-
-/// Internal object-safe view the guard releases through (one guard
-/// type for all three mutexes).
-trait GuardTarget<T> {
-    fn raw(&self) -> &RawAsyncLock;
-    fn data(&self) -> &UnsafeCell<T>;
-}
-
-macro_rules! guard_target_impl {
-    ($name:ident) => {
-        impl<T> GuardTarget<T> for $name<T> {
-            fn raw(&self) -> &RawAsyncLock {
-                &self.raw
-            }
-            fn data(&self) -> &UnsafeCell<T> {
-                &self.data
-            }
-        }
-    };
-}
-guard_target_impl!(AsyncMutex);
-guard_target_impl!(AsyncFifoMutex);
-guard_target_impl!(AsyncDynMutex);
 
 impl<T> Deref for AsyncGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         // SAFETY: the guard proves exclusive acquisition.
-        unsafe { &*self.mutex.data().get() }
+        unsafe { &*self.mutex.data.get() }
     }
 }
 
 impl<T> DerefMut for AsyncGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         // SAFETY: as above, and `&mut self` prevents aliasing.
-        unsafe { &mut *self.mutex.data().get() }
+        unsafe { &mut *self.mutex.data.get() }
     }
 }
 
 impl<T> Drop for AsyncGuard<'_, T> {
     fn drop(&mut self) {
-        self.mutex.raw().unlock();
+        self.mutex.unlock();
     }
 }
 
@@ -541,18 +349,23 @@ mod tests {
 
     #[test]
     fn uncontended_roundtrip() {
-        let m = AsyncMutex::new(1u64);
-        block_on(async {
-            *m.lock().await += 41;
-        });
-        assert_eq!(block_on(async { *m.lock().await }), 42);
-        assert!(!m.is_locked());
-        assert_eq!(m.waiters(), 0);
+        for policy in [AsyncPolicy::Fifo, AsyncPolicy::Slo { slo_ns: 1_000 }] {
+            let m = AsyncMutex::new(policy, 1u64);
+            assert_eq!(m.policy(), policy);
+            block_on(async {
+                *m.lock().await += 40;
+                *m.lock_with_deadline(123).await += 1;
+            });
+            assert_eq!(block_on(async { *m.lock().await }), 42);
+            assert!(!m.is_locked());
+            assert_eq!(m.waiters(), 0);
+            assert_eq!(m.into_inner(), 42);
+        }
     }
 
     #[test]
     fn try_lock_and_introspection() {
-        let m = AsyncFifoMutex::new(5u32);
+        let m = AsyncMutex::new(AsyncPolicy::Fifo, 5u32);
         let g = m.try_lock().expect("free");
         assert!(m.is_locked());
         assert!(m.try_lock().is_none());
@@ -563,7 +376,7 @@ mod tests {
 
     #[test]
     fn get_mut_skips_locking() {
-        let mut m = AsyncMutex::new(3u8);
+        let mut m = AsyncMutex::new(AsyncPolicy::Slo { slo_ns: 100_000 }, 3u8);
         *m.get_mut() += 1;
         assert_eq!(m.into_inner(), 4);
     }
@@ -571,7 +384,7 @@ mod tests {
     #[test]
     fn contended_increments_on_executor() {
         let exec = Executor::new(4);
-        let m = Arc::new(AsyncMutex::new(0u64));
+        let m = Arc::new(AsyncMutex::new(AsyncPolicy::Slo { slo_ns: 100_000 }, 0u64));
         let handles: Vec<_> = (0..64)
             .map(|_| {
                 let m = m.clone();
@@ -586,18 +399,5 @@ mod tests {
             h.join();
         }
         assert_eq!(*m.try_lock().expect("all released"), 6_400);
-    }
-
-    #[test]
-    fn dyn_mutex_both_policies() {
-        for policy in [AsyncPolicy::Fifo, AsyncPolicy::Slo { slo_ns: 1_000 }] {
-            let m = AsyncDynMutex::new(policy, 0u64);
-            assert_eq!(m.policy(), policy);
-            block_on(async {
-                *m.lock().await += 1;
-                *m.lock_with_deadline(123).await += 1;
-            });
-            assert_eq!(m.into_inner(), 2);
-        }
     }
 }

@@ -31,11 +31,11 @@
 //! of patience ([`mcs`]).
 //!
 //! The [`asynclock`] module is the task-parking counterpart of the
-//! zoo: [`AsyncMutex`] (SLO-aware deadline-ordered wakes, the async
-//! analogue of the paper's reorder window), [`AsyncFifoMutex`] (the
-//! arrival-order baseline) and [`AsyncDynMutex`] (policy chosen at
-//! runtime) park waiters as queued wakers instead of blocked
-//! threads — the substrate for connection-per-task serving.
+//! zoo: one [`AsyncMutex`], built with its [`AsyncPolicy`] — SLO-aware
+//! deadline-ordered wakes (the async analogue of the paper's reorder
+//! window) or the arrival-order baseline — parks waiters as queued
+//! wakers instead of blocked threads, the substrate for
+//! connection-per-task serving.
 //!
 //! Observability is a first-class layer: [`telemetry`] provides the
 //! lock-agnostic [`telemetry::TelemetryCell`] counters, the
@@ -138,7 +138,7 @@ pub use api::{
     DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, Mutex, MutexGuard, ReadGuard, RwLock,
     WriteGuard,
 };
-pub use asynclock::{AsyncDynMutex, AsyncFifoMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
+pub use asynclock::{AsyncDynMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use backoff::BackoffLock;
 pub use blocking::{McsStpLock, PthreadMutex};
 pub use bravo::Bravo;

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
-use asl_locks::asynclock::{AsyncDynMutex, AsyncFifoMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
+use asl_locks::asynclock::{AsyncGuard, AsyncMutex, AsyncPolicy};
 use asl_runtime::exec::{block_on, yield_now, Executor};
 
 /// A waker that counts its wakes (for hand-polling).
@@ -42,36 +42,50 @@ fn poll_once<F: Future>(fut: &mut Pin<Box<F>>, waker: &Waker) -> Poll<F::Output>
     fut.as_mut().poll(&mut Context::from_waker(waker))
 }
 
+/// Both wake orders, the SLO one bounded by `slo_ns`: for the tests
+/// whose outcome does not depend on the policy.
+fn both_policies(slo_ns: u64) -> [AsyncPolicy; 2] {
+    [AsyncPolicy::Fifo, AsyncPolicy::Slo { slo_ns }]
+}
+
+/// SLO bound of the tests that do not depend on it: 100 µs, the
+/// order of the paper's hand-tuned SLOs.
+const SLO_NS: u64 = 100_000;
+
 // ---------------------------------------------------------------------------
 // Guard basics
 // ---------------------------------------------------------------------------
 
 #[test]
 fn guard_drop_releases() {
-    let m = AsyncMutex::new(0u64);
-    let (_, w) = counting_waker();
-    let mut f = Box::pin(m.lock());
-    let Poll::Ready(g) = poll_once(&mut f, &w) else {
-        panic!("uncontended lock must complete on first poll");
-    };
-    assert!(m.is_locked());
-    drop(g);
-    assert!(!m.is_locked(), "guard drop must release");
-    // Reacquire through try_lock to prove the lock is genuinely free.
-    assert!(m.try_lock().is_some());
+    for policy in both_policies(SLO_NS) {
+        let m = AsyncMutex::new(policy, 0u64);
+        let (_, w) = counting_waker();
+        let mut f = Box::pin(m.lock());
+        let Poll::Ready(g) = poll_once(&mut f, &w) else {
+            panic!("{policy:?}: uncontended lock must complete on first poll");
+        };
+        assert!(m.is_locked());
+        drop(g);
+        assert!(!m.is_locked(), "{policy:?}: guard drop must release");
+        // Reacquire through try_lock to prove the lock is genuinely free.
+        assert!(m.try_lock().is_some());
+    }
 }
 
 #[test]
 fn guard_releases_on_panic_unwind() {
-    let m = Arc::new(AsyncMutex::new(0u64));
-    let m2 = m.clone();
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let g = m2.try_lock().expect("free");
-        let _hold = g;
-        panic!("unwind with the guard live");
-    }));
-    assert!(r.is_err());
-    assert!(!m.is_locked(), "unwind must release the guard");
+    for policy in both_policies(SLO_NS) {
+        let m = Arc::new(AsyncMutex::new(policy, 0u64));
+        let m2 = m.clone();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let g = m2.try_lock().expect("free");
+            let _hold = g;
+            panic!("unwind with the guard live");
+        }));
+        assert!(r.is_err());
+        assert!(!m.is_locked(), "{policy:?}: unwind must release the guard");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -80,28 +94,34 @@ fn guard_releases_on_panic_unwind() {
 
 #[test]
 fn dropped_pending_future_unlinks_its_slot() {
-    let m = AsyncMutex::new(());
-    let holder = m.try_lock().expect("free");
+    for policy in both_policies(SLO_NS) {
+        let m = AsyncMutex::new(policy, ());
+        let holder = m.try_lock().expect("free");
 
-    let (_, w) = counting_waker();
-    let mut f1 = Box::pin(m.lock());
-    let mut f2 = Box::pin(m.lock());
-    assert!(poll_once(&mut f1, &w).is_pending());
-    assert!(poll_once(&mut f2, &w).is_pending());
-    assert_eq!(m.waiters(), 2);
+        let (_, w) = counting_waker();
+        let mut f1 = Box::pin(m.lock());
+        let mut f2 = Box::pin(m.lock());
+        assert!(poll_once(&mut f1, &w).is_pending());
+        assert!(poll_once(&mut f2, &w).is_pending());
+        assert_eq!(m.waiters(), 2);
 
-    // Cancel f1 mid-wait: its slot must unlink immediately.
-    drop(f1);
-    assert_eq!(m.waiters(), 1, "cancelled waiter must not leak its slot");
+        // Cancel f1 mid-wait: its slot must unlink immediately.
+        drop(f1);
+        assert_eq!(
+            m.waiters(),
+            1,
+            "{policy:?}: cancelled waiter must not leak its slot"
+        );
 
-    // Release: the remaining waiter (f2) gets the handoff.
-    drop(holder);
-    let Poll::Ready(g) = poll_once(&mut f2, &w) else {
-        panic!("surviving waiter must acquire after release");
-    };
-    drop(g);
-    assert!(!m.is_locked());
-    assert_eq!(m.waiters(), 0);
+        // Release: the remaining waiter (f2) gets the handoff.
+        drop(holder);
+        let Poll::Ready(g) = poll_once(&mut f2, &w) else {
+            panic!("{policy:?}: surviving waiter must acquire after release");
+        };
+        drop(g);
+        assert!(!m.is_locked());
+        assert_eq!(m.waiters(), 0);
+    }
 }
 
 #[test]
@@ -109,38 +129,51 @@ fn dropped_granted_future_passes_the_lock_on() {
     // The nasty case: a waiter is *granted* (release chose it) but
     // its future is dropped before being polled again. The drop must
     // pass the lock on — here to the next waiter — not leak it held.
-    let m = AsyncFifoMutex::new(());
-    let holder = m.try_lock().expect("free");
+    for policy in both_policies(SLO_NS) {
+        let m = AsyncMutex::new(policy, ());
+        let holder = m.try_lock().expect("free");
 
-    let (cw1, w1) = counting_waker();
-    let (_, w2) = counting_waker();
-    let mut f1 = Box::pin(m.lock());
-    let mut f2 = Box::pin(m.lock());
-    assert!(poll_once(&mut f1, &w1).is_pending());
-    assert!(poll_once(&mut f2, &w2).is_pending());
+        let (cw1, w1) = counting_waker();
+        let (_, w2) = counting_waker();
+        let mut f1 = Box::pin(m.lock());
+        let mut f2 = Box::pin(m.lock());
+        assert!(poll_once(&mut f1, &w1).is_pending());
+        assert!(poll_once(&mut f2, &w2).is_pending());
 
-    drop(holder); // hands off to f1 (FIFO), wakes w1
-    assert_eq!(cw1.wakes.load(Ordering::SeqCst), 1, "f1 must be woken");
-    drop(f1); // cancelled after grant, before claiming
+        // Hands off to f1 (first in arrival order, and under SLO its
+        // deadline is no later than f2's), wakes w1.
+        drop(holder);
+        assert_eq!(
+            cw1.wakes.load(Ordering::SeqCst),
+            1,
+            "{policy:?}: f1 must be woken"
+        );
+        drop(f1); // cancelled after grant, before claiming
 
-    let Poll::Ready(g) = poll_once(&mut f2, &w2) else {
-        panic!("grant must pass on to the next waiter");
-    };
-    drop(g);
-    assert!(!m.is_locked(), "no leaked acquisition");
+        let Poll::Ready(g) = poll_once(&mut f2, &w2) else {
+            panic!("{policy:?}: grant must pass on to the next waiter");
+        };
+        drop(g);
+        assert!(!m.is_locked(), "{policy:?}: no leaked acquisition");
+    }
 }
 
 #[test]
 fn dropped_granted_future_with_empty_queue_frees_the_lock() {
-    let m = AsyncMutex::new(());
-    let holder = m.try_lock().expect("free");
-    let (_, w) = counting_waker();
-    let mut f = Box::pin(m.lock());
-    assert!(poll_once(&mut f, &w).is_pending());
-    drop(holder); // grants f
-    drop(f); // cancelled; no other waiter
-    assert!(!m.is_locked(), "lock must come free, not stay granted");
-    assert!(m.try_lock().is_some());
+    for policy in both_policies(SLO_NS) {
+        let m = AsyncMutex::new(policy, ());
+        let holder = m.try_lock().expect("free");
+        let (_, w) = counting_waker();
+        let mut f = Box::pin(m.lock());
+        assert!(poll_once(&mut f, &w).is_pending());
+        drop(holder); // grants f
+        drop(f); // cancelled; no other waiter
+        assert!(
+            !m.is_locked(),
+            "{policy:?}: lock must come free, not stay granted"
+        );
+        assert!(m.try_lock().is_some());
+    }
 }
 
 #[test]
@@ -148,46 +181,52 @@ fn cancel_loop_under_contention_never_deadlocks_or_leaks() {
     // The acceptance-criteria loop: repeatedly enqueue waiters, drop
     // some mid-wait at varying positions, release, and verify the
     // survivors still acquire and the queue drains to empty.
-    let m = AsyncDynMutex::new(AsyncPolicy::Slo { slo_ns: 50_000 }, 0u64);
-    for round in 0..200usize {
-        let holder = m.try_lock().expect("free at round start");
-        let (_, w) = counting_waker();
-        let mut waiters: Vec<_> = (0..8).map(|_| Box::pin(m.lock())).collect();
-        for f in &mut waiters {
-            assert!(poll_once(f, &w).is_pending());
-        }
-        assert_eq!(m.waiters(), 8);
-        // Drop a round-dependent subset mid-wait (positions rotate so
-        // head, middle and tail cancellations are all exercised).
-        let mut kept = Vec::new();
-        for (i, f) in waiters.into_iter().enumerate() {
-            if (i + round) % 3 == 0 {
-                drop(f);
-            } else {
-                kept.push(f);
+    for policy in both_policies(50_000) {
+        let m = AsyncMutex::new(policy, 0u64);
+        for round in 0..200usize {
+            let holder = m.try_lock().expect("free at round start");
+            let (_, w) = counting_waker();
+            let mut waiters: Vec<_> = (0..8).map(|_| Box::pin(m.lock())).collect();
+            for f in &mut waiters {
+                assert!(poll_once(f, &w).is_pending());
             }
-        }
-        drop(holder);
-        // Every survivor must acquire exactly once as grants cascade.
-        let mut acquired = 0;
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for f in &mut kept {
-                if let Poll::Ready(mut g) = poll_once(f, &w) {
-                    *g += 1;
-                    drop(g);
-                    acquired += 1;
-                    progressed = true;
+            assert_eq!(m.waiters(), 8);
+            // Drop a round-dependent subset mid-wait (positions rotate so
+            // head, middle and tail cancellations are all exercised).
+            let mut kept = Vec::new();
+            for (i, f) in waiters.into_iter().enumerate() {
+                if (i + round) % 3 == 0 {
+                    drop(f);
+                } else {
+                    kept.push(f);
                 }
             }
+            drop(holder);
+            // Every survivor must acquire exactly once as grants cascade.
+            let mut acquired = 0;
+            let mut progressed = true;
+            while progressed {
+                progressed = false;
+                for f in &mut kept {
+                    if let Poll::Ready(mut g) = poll_once(f, &w) {
+                        *g += 1;
+                        drop(g);
+                        acquired += 1;
+                        progressed = true;
+                    }
+                }
+            }
+            assert_eq!(
+                acquired,
+                kept.len(),
+                "{policy:?} round {round}: all survivors acquire"
+            );
+            drop(kept);
+            assert_eq!(m.waiters(), 0, "{policy:?} round {round}: queue drained");
+            assert!(!m.is_locked(), "{policy:?} round {round}: lock free");
         }
-        assert_eq!(acquired, kept.len(), "round {round}: all survivors acquire");
-        drop(kept);
-        assert_eq!(m.waiters(), 0, "round {round}: queue drained");
-        assert!(!m.is_locked(), "round {round}: lock free");
+        assert!(*m.try_lock().expect("free at end") > 0);
     }
-    assert!(*m.try_lock().expect("free at end") > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,7 +265,12 @@ fn grant_order(m: &AsyncMutex<u64>, deadlines: &[u64]) -> Vec<usize> {
 
 #[test]
 fn slo_mutex_wakes_in_deadline_order() {
-    let m = AsyncMutex::with_slo(0u64, u64::MAX >> 1);
+    let m = AsyncMutex::new(
+        AsyncPolicy::Slo {
+            slo_ns: u64::MAX >> 1,
+        },
+        0u64,
+    );
     // Arrival order 0,1,2,3 with deadlines out of order: grants must
     // follow deadlines (EDF), not arrival.
     let t0 = asl_runtime::clock::now_ns();
@@ -244,7 +288,12 @@ fn slo_mutex_wakes_in_deadline_order() {
 
 #[test]
 fn equal_deadlines_fall_back_to_arrival_order() {
-    let m = AsyncMutex::with_slo(0u64, u64::MAX >> 1);
+    let m = AsyncMutex::new(
+        AsyncPolicy::Slo {
+            slo_ns: u64::MAX >> 1,
+        },
+        0u64,
+    );
     let t0 = asl_runtime::clock::now_ns();
     let d = t0.saturating_add(1_000_000);
     let order = grant_order(&m, &[d, d, d]);
@@ -256,7 +305,7 @@ fn slo_bound_caps_how_early_a_late_deadline_sorts() {
     // A waiter with a huge explicit deadline is still keyed at most
     // arrival + slo_ns ahead: with a tiny SLO bound, deadline
     // differences beyond the bound collapse and arrival order rules.
-    let m = AsyncMutex::with_slo(0u64, 0);
+    let m = AsyncMutex::new(AsyncPolicy::Slo { slo_ns: 0 }, 0u64);
     let t0 = asl_runtime::clock::now_ns();
     let order = grant_order(
         &m,
@@ -271,58 +320,28 @@ fn slo_bound_caps_how_early_a_late_deadline_sorts() {
 }
 
 #[test]
-fn fifo_mutex_wakes_in_arrival_order() {
-    let m = AsyncFifoMutex::new(());
-    let holder = m.try_lock().expect("free");
-    let (_, w) = counting_waker();
-    let mut futs: Vec<_> = (0..4).map(|_| Box::pin(m.lock())).collect();
-    for f in &mut futs {
-        assert!(poll_once(f, &w).is_pending());
-    }
-    drop(holder);
-    for (i, f) in futs.iter_mut().enumerate() {
-        match poll_once(f, &w) {
-            Poll::Ready(g) => drop(g),
-            Poll::Pending => panic!("waiter {i} must be granted in arrival order"),
-        }
-    }
-    assert!(!m.is_locked());
-}
-
-#[test]
 fn dyn_mutex_policy_controls_ordering() {
-    // Same deadline pattern, two policies: SLO reorders, FIFO does not.
+    // Same deadline pattern, two policies: SLO grants in deadline
+    // order, FIFO in arrival order whatever the deadlines.
     let t0 = asl_runtime::clock::now_ns();
-    let deadlines = [t0.saturating_add(2_000_000), t0.saturating_add(1_000_000)];
+    let deadlines = [
+        t0.saturating_add(4_000_000),
+        t0.saturating_add(1_000_000),
+        t0.saturating_add(3_000_000),
+        t0.saturating_add(2_000_000),
+    ];
     for (policy, expect) in [
         (
             AsyncPolicy::Slo {
                 slo_ns: u64::MAX >> 1,
             },
-            vec![1usize, 0],
+            vec![1usize, 3, 2, 0],
         ),
-        (AsyncPolicy::Fifo, vec![0usize, 1]),
+        (AsyncPolicy::Fifo, vec![0usize, 1, 2, 3]),
     ] {
-        let m = AsyncDynMutex::new(policy, ());
-        let holder = m.try_lock().expect("free");
-        let (_, w) = counting_waker();
-        let mut futs: Vec<_> = deadlines
-            .iter()
-            .map(|&d| Box::pin(m.lock_with_deadline(d)))
-            .collect();
-        for f in &mut futs {
-            assert!(poll_once(f, &w).is_pending());
-        }
-        drop(holder);
-        let mut order = Vec::new();
-        while order.len() < futs.len() {
-            let granted = futs
-                .iter_mut()
-                .position(|f| matches!(poll_once(f, &w), Poll::Ready(_)))
-                .expect("one grant per release");
-            order.push(granted);
-        }
-        assert_eq!(order, expect, "{policy:?}");
+        let m = AsyncMutex::new(policy, 0u64);
+        assert_eq!(grant_order(&m, &deadlines), expect, "{policy:?}");
+        assert!(!m.is_locked(), "{policy:?}: the last grant released");
     }
 }
 
@@ -330,19 +349,28 @@ fn dyn_mutex_policy_controls_ordering() {
 fn handoff_is_direct_no_barging() {
     // Between release and the granted waiter's claim, the lock must
     // not be stealable: try_lock fails, is_locked stays true.
-    let m = AsyncMutex::new(());
-    let holder = m.try_lock().expect("free");
-    let (cw, w) = counting_waker();
-    let mut f = Box::pin(m.lock());
-    assert!(poll_once(&mut f, &w).is_pending());
-    drop(holder);
-    assert_eq!(cw.wakes.load(Ordering::SeqCst), 1, "waiter woken");
-    assert!(m.is_locked(), "handoff keeps the lock held");
-    assert!(m.try_lock().is_none(), "no barging past a granted waiter");
-    let Poll::Ready(g) = poll_once(&mut f, &w) else {
-        panic!("granted waiter claims on next poll");
-    };
-    drop(g);
+    for policy in both_policies(SLO_NS) {
+        let m = AsyncMutex::new(policy, ());
+        let holder = m.try_lock().expect("free");
+        let (cw, w) = counting_waker();
+        let mut f = Box::pin(m.lock());
+        assert!(poll_once(&mut f, &w).is_pending());
+        drop(holder);
+        assert_eq!(
+            cw.wakes.load(Ordering::SeqCst),
+            1,
+            "{policy:?}: waiter woken"
+        );
+        assert!(m.is_locked(), "{policy:?}: handoff keeps the lock held");
+        assert!(
+            m.try_lock().is_none(),
+            "{policy:?}: no barging past a granted waiter"
+        );
+        let Poll::Ready(g) = poll_once(&mut f, &w) else {
+            panic!("{policy:?}: granted waiter claims on next poll");
+        };
+        drop(g);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -358,8 +386,6 @@ fn send_sync_bounds() {
     // SAFETY(test): Cell is Send; the wrapper only adds a name.
     unsafe impl Send for SendNotSync {}
     assert_send_sync::<AsyncMutex<SendNotSync>>();
-    assert_send_sync::<AsyncFifoMutex<SendNotSync>>();
-    assert_send_sync::<AsyncDynMutex<SendNotSync>>();
     assert_send_sync::<AsyncMutex<Vec<u64>>>();
     // Guards move between executor workers with their task.
     assert_send::<AsyncGuard<'static, Vec<u64>>>();
@@ -377,27 +403,29 @@ fn oversubscribed_counter_is_exact() {
     // identically on 1-CPU CI and a big machine — no
     // affinity::oversubscribed() gate.
     let exec = Executor::new(2);
-    let m = Arc::new(AsyncMutex::with_slo(0u64, 10_000));
     let tasks: u64 = 256;
     let iters: u64 = 50;
-    let handles: Vec<_> = (0..tasks)
-        .map(|_| {
-            let m = m.clone();
-            exec.spawn(async move {
-                for _ in 0..iters {
-                    let mut g = m.lock().await;
-                    *g += 1;
-                    drop(g);
-                    yield_now().await;
-                }
+    for policy in both_policies(10_000) {
+        let m = Arc::new(AsyncMutex::new(policy, 0u64));
+        let handles: Vec<_> = (0..tasks)
+            .map(|_| {
+                let m = m.clone();
+                exec.spawn(async move {
+                    for _ in 0..iters {
+                        let mut g = m.lock().await;
+                        *g += 1;
+                        drop(g);
+                        yield_now().await;
+                    }
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        h.join();
+            .collect();
+        for h in handles {
+            h.join();
+        }
+        assert_eq!(*block_on(m.lock()), tasks * iters, "{policy:?}");
+        assert_eq!(m.waiters(), 0, "{policy:?}");
     }
-    assert_eq!(*block_on(m.lock()), tasks * iters);
-    assert_eq!(m.waiters(), 0);
 }
 
 #[test]
@@ -405,26 +433,35 @@ fn cancellation_under_executor_contention() {
     // Executor-level cancel-safety: tasks that hold the lock across a
     // yield race with an executor drop that cancels whatever is still
     // queued. Afterwards the lock must be free and reacquirable.
-    let m = Arc::new(AsyncFifoMutex::new(0u64));
-    {
-        let exec = Executor::new(2);
-        let mut handles = Vec::new();
-        for _ in 0..64 {
-            let m = m.clone();
-            handles.push(exec.spawn(async move {
-                let mut g = m.lock().await;
-                *g += 1;
-                yield_now().await; // hold across a suspension point
-                drop(g);
-            }));
+    for policy in both_policies(SLO_NS) {
+        let m = Arc::new(AsyncMutex::new(policy, 0u64));
+        {
+            let exec = Executor::new(2);
+            let mut handles = Vec::new();
+            for _ in 0..64 {
+                let m = m.clone();
+                handles.push(exec.spawn(async move {
+                    let mut g = m.lock().await;
+                    *g += 1;
+                    yield_now().await; // hold across a suspension point
+                    drop(g);
+                }));
+            }
+            // Join half, then drop the executor: unfinished tasks are
+            // cancelled at whatever await point they sit.
+            for h in handles.drain(..32) {
+                h.join();
+            }
         }
-        // Join half, then drop the executor: unfinished tasks are
-        // cancelled at whatever await point they sit.
-        for h in handles.drain(..32) {
-            h.join();
-        }
+        assert!(
+            !m.is_locked(),
+            "{policy:?}: no task may leak the lock through cancel"
+        );
+        assert_eq!(
+            m.waiters(),
+            0,
+            "{policy:?}: no cancelled task may leak a slot"
+        );
+        assert!(*block_on(m.lock()) >= 32);
     }
-    assert!(!m.is_locked(), "no task may leak the lock through cancel");
-    assert_eq!(m.waiters(), 0, "no cancelled task may leak a slot");
-    assert!(*block_on(m.lock()) >= 32);
 }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
-use asl_locks::asynclock::AsyncMutex;
+use asl_locks::asynclock::{AsyncMutex, AsyncPolicy};
 use asl_runtime::fault::{FaultInjector, FaultPlan, FaultState};
 use asl_runtime::relax::Spin;
 
@@ -55,6 +55,9 @@ fn poll_once<F: Future>(fut: &mut Pin<Box<F>>, waker: &Waker) -> Poll<F::Output>
     fut.as_mut().poll(&mut Context::from_waker(waker))
 }
 
+/// The grant window does not depend on the wake order: both run.
+const POLICIES: [AsyncPolicy; 2] = [AsyncPolicy::Fifo, AsyncPolicy::Slo { slo_ns: 100_000 }];
+
 /// A heavy schedule: stalls fire every 4th poll, parks return
 /// spuriously, the coarse clock jumps.
 fn adversarial_state(seed: u64) -> Arc<FaultState> {
@@ -73,41 +76,43 @@ fn drop_in_granted_window_passes_lock_on() {
     let state = adversarial_state(71);
     let _guard = FaultInjector::install_over_os(&state);
 
-    let mutex = AsyncMutex::new(0u32);
-    let (wb, waker_b) = stalled_waker();
-    let (wc, waker_c) = stalled_waker();
+    for policy in POLICIES {
+        let mutex = AsyncMutex::new(policy, 0u32);
+        let (wb, waker_b) = stalled_waker();
+        let (wc, waker_c) = stalled_waker();
 
-    // A takes the lock outright.
-    let mut fut_a = Box::pin(mutex.lock());
-    let Poll::Ready(guard_a) = poll_once(&mut fut_a, &waker_b) else {
-        panic!("uncontended lock must be immediate");
-    };
+        // A takes the lock outright.
+        let mut fut_a = Box::pin(mutex.lock());
+        let Poll::Ready(guard_a) = poll_once(&mut fut_a, &waker_b) else {
+            panic!("uncontended lock must be immediate");
+        };
 
-    // B and C queue behind it.
-    let mut fut_b = Box::pin(mutex.lock());
-    assert!(poll_once(&mut fut_b, &waker_b).is_pending());
-    let mut fut_c = Box::pin(mutex.lock());
-    assert!(poll_once(&mut fut_c, &waker_c).is_pending());
-    assert_eq!(mutex.waiters(), 2);
+        // B and C queue behind it.
+        let mut fut_b = Box::pin(mutex.lock());
+        assert!(poll_once(&mut fut_b, &waker_b).is_pending());
+        let mut fut_c = Box::pin(mutex.lock());
+        assert!(poll_once(&mut fut_c, &waker_c).is_pending());
+        assert_eq!(mutex.waiters(), 2);
 
-    // Release: B is granted and its (stalled) waker runs.
-    drop(guard_a);
-    assert_eq!(wb.wakes.load(Ordering::SeqCst), 1);
-    assert!(mutex.is_locked(), "lock is held by the grant to B");
+        // Release: B is granted and its (stalled) waker runs.
+        drop(guard_a);
+        assert_eq!(wb.wakes.load(Ordering::SeqCst), 1);
+        assert!(mutex.is_locked(), "lock is held by the grant to B");
 
-    // B's task is cancelled inside the W_GRANTED window — it never
-    // polls again. The grant must move on to C, through C's equally
-    // stalled waker.
-    drop(fut_b);
-    assert_eq!(wc.wakes.load(Ordering::SeqCst), 1, "C must be woken");
-    let Poll::Ready(guard_c) = poll_once(&mut fut_c, &waker_c) else {
-        panic!("C was granted; its poll must claim the lock");
-    };
-    assert!(mutex.is_locked());
-    assert_eq!(mutex.waiters(), 0);
+        // B's task is cancelled inside the W_GRANTED window — it never
+        // polls again. The grant must move on to C, through C's equally
+        // stalled waker.
+        drop(fut_b);
+        assert_eq!(wc.wakes.load(Ordering::SeqCst), 1, "C must be woken");
+        let Poll::Ready(guard_c) = poll_once(&mut fut_c, &waker_c) else {
+            panic!("C was granted; its poll must claim the lock");
+        };
+        assert!(mutex.is_locked());
+        assert_eq!(mutex.waiters(), 0);
 
-    drop(guard_c);
-    assert!(!mutex.is_locked(), "no ghost holder after the cancel");
+        drop(guard_c);
+        assert!(!mutex.is_locked(), "no ghost holder after the cancel");
+    }
 
     // The window was genuinely stretched: the injector stalled the
     // wakers' relax polls.
@@ -125,24 +130,30 @@ fn repeated_granted_window_cancels_never_leak() {
     let state = adversarial_state(72);
     let _guard = FaultInjector::install_over_os(&state);
 
-    let mutex = AsyncMutex::new(());
-    for round in 0..100 {
-        let (_w, waker) = stalled_waker();
-        let mut holder = Box::pin(mutex.lock());
-        let Poll::Ready(held) = poll_once(&mut holder, &waker) else {
-            panic!("round {round}: free lock must grant immediately");
-        };
-        let mut waiter = Box::pin(mutex.lock());
-        assert!(poll_once(&mut waiter, &waker).is_pending());
+    for policy in POLICIES {
+        let mutex = AsyncMutex::new(policy, ());
+        for round in 0..100 {
+            let (_w, waker) = stalled_waker();
+            let mut holder = Box::pin(mutex.lock());
+            let Poll::Ready(held) = poll_once(&mut holder, &waker) else {
+                panic!("{policy:?} round {round}: free lock must grant immediately");
+            };
+            let mut waiter = Box::pin(mutex.lock());
+            assert!(poll_once(&mut waiter, &waker).is_pending());
 
-        // Grant lands on `waiter` while it sits unpolled…
-        drop(held);
-        // …and the cancelled future must hand the lock back.
-        drop(waiter);
-        assert!(
-            !mutex.is_locked(),
-            "round {round}: grant leaked to a cancelled future"
-        );
-        assert_eq!(mutex.waiters(), 0, "round {round}: waiter leaked");
+            // Grant lands on `waiter` while it sits unpolled…
+            drop(held);
+            // …and the cancelled future must hand the lock back.
+            drop(waiter);
+            assert!(
+                !mutex.is_locked(),
+                "{policy:?} round {round}: grant leaked to a cancelled future"
+            );
+            assert_eq!(
+                mutex.waiters(),
+                0,
+                "{policy:?} round {round}: waiter leaked"
+            );
+        }
     }
 }

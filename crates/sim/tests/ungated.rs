@@ -74,7 +74,7 @@ fn writers_limit_reader_overlap() {
 /// has no such accidents — the bound is tight and unconditional.
 #[test]
 fn reorderable_starvation_bound_holds_exactly() {
-    let prev = config::current().max_window_ns;
+    let prev = config::max_window_ns();
     // 200 µs window against a 2 ms run: small enough that a starved
     // standby would blow the bound many times over.
     config::set_max_window_ns(200_000);

@@ -32,8 +32,8 @@
 //!   passively — the collapse-proofing layer behind every
 //!   `gcr-<name>` registry spec (`Gcr<DynLock>`), `gcr-adaptive`
 //!   included: restriction is written once. The async
-//!   layer ([`AsyncMutex`], [`AsyncFifoMutex`], [`AsyncDynMutex`])
-//!   parks waiters as queued wakers on the [`runtime`]'s executor
+//!   layer, one [`AsyncMutex`] built with its [`AsyncPolicy`], parks
+//!   waiters as queued wakers on the [`runtime`]'s executor
 //!   ([`Executor`], [`block_on`]) and wakes them FIFO or in SLO-aware
 //!   deadline order. The delegation family ([`FlatCombiner`],
 //!   [`CcSynch`], [`RclLock`], [`FcBan`]) executes submitted ops at a
@@ -161,10 +161,10 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use libasl::{block_on, AsyncMutex, Executor};
+//! use libasl::{block_on, AsyncMutex, AsyncPolicy, Executor};
 //!
 //! let exec = Executor::new(2);
-//! let total = Arc::new(AsyncMutex::new(0u64));
+//! let total = Arc::new(AsyncMutex::new(AsyncPolicy::Fifo, 0u64));
 //! let handles: Vec<_> = (0..8)
 //!     .map(|_| {
 //!         let total = total.clone();
@@ -189,7 +189,7 @@ pub use asl_core::{
     AslBlockingLock, AslCondvar, AslLock, AslMutex, AslRwLock, AslSpinLock, ReorderableLock,
 };
 pub use asl_locks::api::{DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, ReadGuard, WriteGuard};
-pub use asl_locks::{AsyncDynMutex, AsyncFifoMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
+pub use asl_locks::{AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use asl_locks::{
     CcSynch, DelegatedMutex, DelegationHandle, DelegationLock, FcBan, FlatCombiner, RclLock,
     RclServer, SlotHandle, SlotLock, SlotsExhausted,

@@ -16,7 +16,7 @@ use std::time::Duration;
 use libasl::runtime::affinity::{online_cpus, pinned};
 use libasl::runtime::exec::yield_now;
 use libasl::runtime::work::execute_units;
-use libasl::{block_on, wait_stats, AsyncMutex, Executor, JoinHandle};
+use libasl::{block_on, wait_stats, AsyncMutex, AsyncPolicy, Executor, JoinHandle};
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -122,7 +122,7 @@ fn producers_and_workers_lose_no_yielding_task() {
 fn drop_unlinks_a_task_parked_on_an_async_mutex() {
     let _host = sharing_the_host();
     within(60, || {
-        let mutex = Arc::new(AsyncMutex::new(0u64));
+        let mutex = Arc::new(AsyncMutex::new(AsyncPolicy::Slo { slo_ns: 100_000 }, 0u64));
         let guard = block_on(mutex.lock());
         let exec = Executor::new(2);
         let waiter = {

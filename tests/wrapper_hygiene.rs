@@ -13,8 +13,9 @@
 //! and the figures had a real-thread runner beside the simulator.
 //! This grep fails if a twin comes back, if a container's guard or a
 //! second spelling of a guard does, if the simulator grows a
-//! second engine again, if either delegation copy does, and if a
-//! figure spawns OS workers again.
+//! second engine again, if either delegation copy does, if a figure
+//! spawns OS workers again, and if the async mutex splits into
+//! per-policy types again.
 
 use std::path::Path;
 
@@ -166,6 +167,47 @@ fn the_adaptive_lock_is_a_queue_policy() {
         "a contention-adaptive lock of its own — make it a head policy of \
          asl_locks::mcs::QueueLock instead:\n{}",
         offenders.join("\n")
+    );
+}
+
+#[test]
+fn the_async_mutex_is_one_type() {
+    // `AsyncMutex<T>` is built with its `AsyncPolicy`: one queue, one
+    // future, one guard that releases through a direct call. A
+    // fixed-policy twin, a second future or a release through a trait
+    // object does not come back.
+    let lines: Vec<_> = ["crates", "src"]
+        .iter()
+        .flat_map(|dir| source_lines(dir))
+        .collect();
+    let offenders = banned_types(&lines, |name| {
+        ["AsyncFifoMutex", "AsyncDynMutex", "RawAsyncLock"].contains(&name)
+            || (name.ends_with("LockFuture") && name != "AsyncLockFuture")
+    });
+    assert!(
+        offenders.is_empty(),
+        "a second async mutex or lock future — give asl_locks::AsyncMutex \
+         another AsyncPolicy instead:\n{}",
+        offenders.join("\n")
+    );
+    assert_eq!(
+        files_with(&lines, "trait GuardTarget"),
+        Vec::<String>::new(),
+        "AsyncGuard releases through &AsyncMutex, not a trait object"
+    );
+    let mut alias: Vec<_> = lines
+        .iter()
+        .filter(|(_, l)| l.contains("AsyncDynMutex"))
+        .map(|(f, l)| format!("{f}: {}", l.trim()))
+        .collect();
+    alias.sort();
+    assert_eq!(
+        alias,
+        [
+            "locks/src/asynclock.rs: pub type AsyncDynMutex<T> = AsyncMutex<T>;",
+            "locks/src/lib.rs: pub use asynclock::{AsyncDynMutex, AsyncGuard, AsyncMutex, AsyncPolicy};",
+        ],
+        "AsyncDynMutex is only the benchmark's alias of AsyncMutex; spell AsyncMutex"
     );
 }
 
