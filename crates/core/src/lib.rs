@@ -16,8 +16,8 @@
 //!   big cores lock immediately, little cores stand by for the current
 //!   epoch's window (or the default max window outside epochs).
 //!   Generic over its FIFO substrate (`AslLock<L: RawLock + FifoLock>`
-//!   with MCS as the default; [`AslClhLock`], [`AslTicketLock`] and
-//!   [`AslShflLock`] pick the alternatives), and itself a
+//!   with MCS as the default; `AslLock::new(ClhLock::new())` and the
+//!   like pick the alternatives), and itself a
 //!   `RawLock`, so the RAII guard API of `asl_locks::api` applies.
 //!   Acquisitions are held as guards and released on drop — the
 //!   manual `acquire`/`release` pairing of earlier revisions survives
@@ -65,9 +65,7 @@ pub mod stats;
 pub mod wait;
 
 pub use condvar::AslCondvar;
-pub use mutex::{
-    AslBlockingLock, AslClhLock, AslLock, AslMutex, AslShflLock, AslSpinLock, AslTicketLock,
-};
+pub use mutex::{AslBlockingLock, AslLock, AslMutex, AslSpinLock};
 pub use reorderable::ReorderableLock;
 pub use rwlock::AslRwLock;
 pub use stats::{LockStats, LockStatsSnapshot};

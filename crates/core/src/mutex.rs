@@ -11,10 +11,10 @@
 //!
 //! The dispatch layer is generic over its FIFO substrate: any
 //! [`FifoLock`] can sit under the reorderable layer ([`McsLock`] by
-//! default — see [`AslClhLock`], [`AslTicketLock`], [`AslShflLock`]
-//! for the alternatives used in the ablations). [`AslLock`] itself
-//! implements [`RawLock`], so the whole guard API of
-//! [`asl_locks::api`] applies to it.
+//! default; the ablations build it over CLH, ticket and the FIFO
+//! shuffle lock with `AslLock::new(ClhLock::new())` and so on).
+//! [`AslLock`] itself implements [`RawLock`], so the whole guard API
+//! of [`asl_locks::api`] applies to it.
 //!
 //! [`AslMutex`] is the generic [`asl_locks::api::Mutex`] with
 //! [`AslLock`] as its lock type — data owned by the mutex, the same
@@ -35,8 +35,7 @@
 //! ```
 
 use asl_locks::api;
-use asl_locks::shuffle::FifoPolicy;
-use asl_locks::{ClhLock, FifoLock, McsLock, PthreadMutex, RawLock, ShuffleLock, TicketLock};
+use asl_locks::{FifoLock, McsLock, PthreadMutex, RawLock};
 use asl_runtime::registry::is_big_core;
 
 use crate::epoch;
@@ -53,15 +52,6 @@ pub struct AslLock<L: RawLock = McsLock, W: WaitPolicy = SpinWait> {
 /// spinning standby — the configuration used in most of the paper's
 /// evaluation.
 pub type AslSpinLock = AslLock<McsLock, SpinWait>;
-
-/// LibASL over the CLH FIFO substrate (ablation alternative).
-pub type AslClhLock = AslLock<ClhLock, SpinWait>;
-
-/// LibASL over the ticket-lock FIFO substrate (ablation alternative).
-pub type AslTicketLock = AslLock<TicketLock, SpinWait>;
-
-/// LibASL over the shuffle framework in pass-through (FIFO) mode.
-pub type AslShflLock = AslLock<ShuffleLock<FifoPolicy>, SpinWait>;
 
 /// The blocking LibASL lock for over-subscribed systems (Bench-6):
 /// a futex-based mutex underneath, `nanosleep` back-off standby.
@@ -185,6 +175,8 @@ pub type AslMutex<T, L = McsLock, W = SpinWait> = api::Mutex<T, AslLock<L, W>>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asl_locks::shuffle::FifoPolicy;
+    use asl_locks::{ClhLock, ShuffleLock, TicketLock};
     use asl_runtime::registry::{register_on_core, unregister};
     use asl_runtime::topology::{CoreId, Topology};
     use std::sync::Arc;

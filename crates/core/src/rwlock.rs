@@ -57,11 +57,6 @@ impl<L: RawLock + FifoLock> AslRwLock<L, SpinWait> {
 }
 
 impl<L: RawLock, W: WaitPolicy> AslRwLock<L, W> {
-    /// The underlying LibASL lock (statistics, configuration).
-    pub fn asl(&self) -> &AslLock<L, W> {
-        &self.inner
-    }
-
     /// Readers currently registered (heuristic).
     pub fn reader_count(&self) -> u32 {
         self.readers.load(Ordering::Relaxed)
@@ -83,9 +78,48 @@ impl<L: RawLock, W: WaitPolicy> AslRwLock<L, W> {
     }
 }
 
+impl<L: RawLock, W: WaitPolicy> RawLock for AslRwLock<L, W> {
+    type Token = L::Token;
+
+    #[inline]
+    fn lock(&self) -> Self::Token {
+        let token = self.inner.lock();
+        self.writer.store(true, Ordering::SeqCst);
+        let mut spin = asl_runtime::relax::Spin::new();
+        while self.readers.load(Ordering::SeqCst) != 0 {
+            spin.relax();
+        }
+        token
+    }
+
+    #[inline]
+    fn try_lock(&self) -> Option<Self::Token> {
+        let token = self.inner.try_lock()?;
+        self.writer.store(true, Ordering::SeqCst);
+        if self.readers.load(Ordering::SeqCst) != 0 {
+            self.writer.store(false, Ordering::SeqCst);
+            self.inner.unlock(token);
+            return None;
+        }
+        Some(token)
+    }
+
+    #[inline]
+    fn unlock(&self, token: Self::Token) {
+        self.writer.store(false, Ordering::SeqCst);
+        self.inner.unlock(token);
+    }
+
+    #[inline]
+    fn is_locked(&self) -> bool {
+        self.readers.load(Ordering::Relaxed) != 0 || self.inner.is_locked()
+    }
+
+    const NAME: &'static str = "libasl-rw";
+}
+
 impl<L: RawLock, W: WaitPolicy> RawRwLock for AslRwLock<L, W> {
     type ReadToken = ();
-    type WriteToken = L::Token;
 
     #[inline]
     fn read(&self) -> Self::ReadToken {
@@ -118,45 +152,9 @@ impl<L: RawLock, W: WaitPolicy> RawRwLock for AslRwLock<L, W> {
     }
 
     #[inline]
-    fn write(&self) -> Self::WriteToken {
-        let token = self.inner.lock();
-        self.writer.store(true, Ordering::SeqCst);
-        let mut spin = asl_runtime::relax::Spin::new();
-        while self.readers.load(Ordering::SeqCst) != 0 {
-            spin.relax();
-        }
-        token
-    }
-
-    #[inline]
-    fn try_write(&self) -> Option<Self::WriteToken> {
-        let token = self.inner.try_lock()?;
-        self.writer.store(true, Ordering::SeqCst);
-        if self.readers.load(Ordering::SeqCst) != 0 {
-            self.writer.store(false, Ordering::SeqCst);
-            self.inner.unlock(token);
-            return None;
-        }
-        Some(token)
-    }
-
-    #[inline]
-    fn unlock_write(&self, token: Self::WriteToken) {
-        self.writer.store(false, Ordering::SeqCst);
-        self.inner.unlock(token);
-    }
-
-    #[inline]
-    fn is_locked(&self) -> bool {
-        self.readers.load(Ordering::Relaxed) != 0 || self.inner.is_locked()
-    }
-
-    #[inline]
     fn is_write_locked(&self) -> bool {
         self.writer.load(Ordering::Relaxed)
     }
-
-    const NAME: &'static str = "libasl-rw";
 }
 
 #[cfg(test)]
@@ -165,7 +163,7 @@ impl<L: RawLock, W: WaitPolicy> RawRwLock for AslRwLock<L, W> {
 #[allow(clippy::let_unit_value)]
 mod tests {
     use super::*;
-    use asl_locks::api::{ReadGuard, WriteGuard};
+    use asl_locks::api::{Guard, ReadGuard};
     use asl_locks::TicketLock;
     use std::sync::Arc;
 
@@ -175,13 +173,13 @@ mod tests {
         let r1 = l.read();
         let r2 = l.read();
         assert_eq!(l.reader_count(), 2);
-        assert!(l.try_write().is_none(), "readers block writers");
+        assert!(l.try_lock().is_none(), "readers block writers");
         l.unlock_read(r1);
         l.unlock_read(r2);
-        let w = l.try_write().expect("drained batch admits writer");
+        let w = l.try_lock().expect("drained batch admits writer");
         assert!(l.is_write_locked());
         assert!(l.try_read().is_none(), "writer blocks readers");
-        l.unlock_write(w);
+        l.unlock(w);
         assert!(!l.is_locked());
     }
 
@@ -190,8 +188,8 @@ mod tests {
         let l = AslRwLock::new(TicketLock::new());
         let r = l.read();
         l.unlock_read(r);
-        let w = l.write();
-        l.unlock_write(w);
+        let w = l.lock();
+        l.unlock(w);
         assert!(!l.is_locked());
     }
 
@@ -201,10 +199,10 @@ mod tests {
         {
             let _r = ReadGuard::new(&l);
             let _r2 = ReadGuard::try_new(&l).expect("reads overlap");
-            assert!(WriteGuard::try_new(&l).is_none());
+            assert!(Guard::try_new(&l).is_none());
         }
         {
-            let _w = WriteGuard::new(&l);
+            let _w = Guard::new(&l);
             assert!(ReadGuard::try_new(&l).is_none());
         }
         assert!(!l.is_locked());
@@ -227,9 +225,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for n in 0..2_000u64 {
                     if (n + i) % 4 == 0 {
-                        let t = s.lock.write();
+                        let t = s.lock.lock();
                         unsafe { *s.value.get() += 1 };
-                        s.lock.unlock_write(t);
+                        s.lock.unlock(t);
                     } else {
                         let t = s.lock.read();
                         let v = unsafe { std::ptr::read_volatile(s.value.get()) };

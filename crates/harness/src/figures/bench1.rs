@@ -156,7 +156,7 @@ fn window_row(head: [String; 3], ops: u64, trace: &[WindowSample], slo_ns: u64) 
     let mut row = Vec::from(head);
     row.push(ops.to_string());
     let Some(last) = trace.last() else {
-        row.extend(std::iter::repeat("-".to_string()).take(5));
+        row.extend(std::iter::repeat_n("-".to_string(), 5));
         return row;
     };
     let misses = trace.iter().filter(|s| s.latency_ns > slo_ns).count();

@@ -9,7 +9,7 @@
 //! each access layer the workspace offers —
 //!
 //! * **static** — the concrete lock type behind an RAII
-//!   [`Guard`]/[`WriteGuard`] (monomorphized, no vtable);
+//!   [`Guard`] (monomorphized, no vtable; an rwlock's exclusive side);
 //! * **dyn** — the same lock behind [`LockSpec::make_dyn`]'s
 //!   `Arc<dyn PlainLock>` facade (one virtual call + token
 //!   encode/decode per op), which is what the harness and the
@@ -25,9 +25,9 @@
 //! `DIR/BENCH_overhead.json` with one `lock@layer=<layer>` record per
 //! cell, giving CI a machine-readable per-PR latency baseline.
 
-use asl_locks::api::{Guard, WriteGuard};
+use asl_locks::api::Guard;
 use asl_locks::plain::{PlainLock, RwTokenWords, TokenWords};
-use asl_locks::telemetry::{self, Instrumented, InstrumentedRw};
+use asl_locks::telemetry::{self, Instrumented};
 use asl_locks::{RawLock, RawRwLock};
 use asl_runtime::clock::{self, now_ns};
 
@@ -104,22 +104,6 @@ impl Meter {
         }
     }
 
-    /// Statically dispatched write-guard round-trip on a concrete
-    /// [`RawRwLock`] (the write side mirrors what exclusive call
-    /// sites pay).
-    fn rw<L: RawRwLock + 'static>(&self, lock: L, instr: bool) -> Leg {
-        if instr {
-            let lock = InstrumentedRw::new(lock);
-            self.leg(move || {
-                let _g = WriteGuard::new(&lock);
-            })
-        } else {
-            self.leg(move || {
-                let _g = WriteGuard::new(&lock);
-            })
-        }
-    }
-
     /// Concrete [`PlainLock`] round-trip (for the one lock type that
     /// exists only behind the plain facade, the delegation bridge).
     fn plain<P: PlainLock + 'static>(&self, lock: P) -> Leg {
@@ -164,13 +148,13 @@ impl Meter {
 
 /// The statically dispatched leg as a sink of the registry's
 /// constructor walk ([`LockSpec::build`]): whatever concrete lock a
-/// spec builds is measured monomorphized, with no vtable. `instr`
-/// wraps it in a static [`Instrumented`]/[`InstrumentedRw`] (how
-/// `instrumented-<name>` registry entries are measured at this layer;
-/// nesting beyond one wrap measures as one). The delegation bridge,
-/// which exists only behind the plain facade, is measured through its
-/// concrete, non-virtual `PlainLock` impl and has no
-/// static-instrumented combination; a `gcr-<name>` entry's
+/// spec builds is measured monomorphized, with no vtable, an rwlock
+/// on its exclusive side. `instr` wraps it in a static
+/// [`Instrumented`] (how `instrumented-<name>` registry entries are
+/// measured at this layer; nesting beyond one wrap measures as one).
+/// The delegation bridge, which exists only behind the plain facade,
+/// is measured through its concrete, non-virtual `PlainLock` impl and
+/// has no static-instrumented combination; a `gcr-<name>` entry's
 /// static layer is the concrete `Gcr` over the erased inner lock (the
 /// gate cost is what it adds; the inner dispatch is what `dyn_ns`
 /// measures).
@@ -190,13 +174,15 @@ impl LockSink for StaticLeg<'_> {
         self.m.raw(lock, self.instr)
     }
 
+    /// An rwlock is measured on its exclusive side, what exclusive
+    /// call sites pay.
     fn rw<L>(self, lock: L) -> Leg
     where
         L: RawRwLock + 'static,
+        L::Token: TokenWords,
         L::ReadToken: RwTokenWords,
-        L::WriteToken: TokenWords,
     {
-        self.m.rw(lock, self.instr)
+        self.m.raw(lock, self.instr)
     }
 
     fn plain<P: PlainLock + 'static>(self, lock: P) -> Leg {

@@ -60,7 +60,7 @@ use std::sync::{Arc, OnceLock};
 use asl_core::{AslBlockingLock, AslLock, AslRwLock, AslSpinLock};
 use asl_dbsim::LockFactory;
 use asl_locks::api::{DynLock, DynRwLock};
-use asl_locks::plain::{ExclusiveRw, PlainLock, PlainRwLock, RwTokenWords, TokenWords, WriteHalf};
+use asl_locks::plain::{ExclusiveRw, PlainLock, PlainRwLock, RwTokenWords, TokenWords};
 use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy};
 use asl_locks::telemetry;
 use asl_locks::{
@@ -655,8 +655,8 @@ pub(crate) trait LockSink: Sized {
     fn rw<L>(self, lock: L) -> Self::Out
     where
         L: RawRwLock + 'static,
-        L::ReadToken: RwTokenWords,
-        L::WriteToken: TokenWords;
+        L::Token: TokenWords,
+        L::ReadToken: RwTokenWords;
 
     /// An exclusive lock that exists only behind the object-safe
     /// facade: the delegation bridge, whose acquire and release are
@@ -686,11 +686,12 @@ enum Erased {
 }
 
 impl Erased {
-    /// At an exclusive call site an rwlock hands out its write side.
+    /// At an exclusive call site an rwlock is the lock it is: its
+    /// exclusive side.
     fn into_lock(self) -> Arc<dyn PlainLock> {
         match self {
             Erased::Lock(lock) => lock,
-            Erased::Rw(lock) => Arc::new(WriteHalf::new(lock)),
+            Erased::Rw(lock) => lock,
         }
     }
 
@@ -718,8 +719,8 @@ impl LockSink for Erase {
     fn rw<L>(self, lock: L) -> Erased
     where
         L: RawRwLock + 'static,
+        L::Token: TokenWords,
         L::ReadToken: RwTokenWords,
-        L::WriteToken: TokenWords,
     {
         Erased::Rw(Arc::new(lock))
     }

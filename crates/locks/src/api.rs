@@ -10,17 +10,17 @@
 //! There is one guard per acquisition mode, whoever hands it out:
 //!
 //! * [`Guard`] — an exclusive acquisition, released on drop.
-//!   `Guard::new(&lock)` takes any borrowed [`RawLock`]; the
-//!   data-carrying [`Mutex`] (`Mutex<T, L: RawLock>`, MCS by default)
-//!   hands out the same `Guard` from `lock` and `try_lock`, with a
-//!   reference to its data in the guard's defaulted third type
+//!   `Guard::new(&lock)` takes any borrowed [`RawLock`], a
+//!   [`RawRwLock`] included (its exclusive side is its `RawLock`
+//!   side); the data-carrying [`Mutex`] (`Mutex<T, L: RawLock>`, MCS
+//!   by default) hands out the same `Guard` from `lock` and
+//!   `try_lock`, and [`RwLock`] from `write` and `try_write`, with a
+//!   reference to the data in the guard's defaulted third type
 //!   parameter, so that guard derefs to the data ([`MutexGuard`] names
 //!   it).
-//! * [`ReadGuard`] / [`WriteGuard`] — the shared and exclusive
-//!   acquisitions of a [`RawRwLock`], handed out the same way by
-//!   `ReadGuard::new` / `WriteGuard::new` and by the data-carrying
-//!   [`RwLock`]. Shared guards overlap; exclusive guards exclude
-//!   everyone.
+//! * [`ReadGuard`] — a shared acquisition of a [`RawRwLock`], handed
+//!   out the same way by `ReadGuard::new` and by [`RwLock::read`].
+//!   Shared guards overlap; exclusive guards exclude everyone.
 //!
 //! A lock chosen at runtime is one more lock type, not a second
 //! family: [`DynLock`] (an owned `Arc<dyn PlainLock>`) is itself a
@@ -165,9 +165,9 @@ impl<L: RawLock, D> Drop for Guard<'_, L, D> {
 impl<L: RawLock, T> Deref for Guard<'_, L, &UnsafeCell<T>> {
     type Target = T;
     fn deref(&self) -> &T {
-        // SAFETY: only `Mutex` builds a guard with data, from its own
-        // lock and cell, so guard existence proves exclusive
-        // acquisition of the lock that serializes this cell.
+        // SAFETY: only `Mutex` or `RwLock` builds a guard with data,
+        // from its own lock and cell, so guard existence proves
+        // exclusive acquisition of the lock that serializes this cell.
         unsafe { &*self.data.get() }
     }
 }
@@ -388,8 +388,8 @@ impl fmt::Debug for DynLock {
 
 /// RAII shared acquisition of a borrowed [`RawRwLock`]; released on
 /// drop. Multiple `ReadGuard`s may be live at once; none while a
-/// [`WriteGuard`] is. An [`RwLock`]'s read guard carries a reference
-/// to the data in `D` and derefs to it.
+/// [`Guard`] on the same lock is. An [`RwLock`]'s read guard carries a
+/// reference to the data in `D` and derefs to it.
 ///
 /// `!Send` like every guard — release must happen on the acquiring
 /// thread:
@@ -474,91 +474,6 @@ impl<L: RawRwLock, T> Deref for ReadGuard<'_, L, &UnsafeCell<T>> {
     }
 }
 
-/// RAII exclusive acquisition of a borrowed [`RawRwLock`]; released on
-/// drop. An [`RwLock`]'s write guard carries a reference to the data
-/// in `D` and derefs mutably to it.
-#[must_use = "a dropped guard releases the exclusive lock immediately"]
-pub struct WriteGuard<'a, L: RawRwLock, D = ()> {
-    lock: &'a L,
-    token: Option<L::WriteToken>,
-    data: D,
-    _not_send: NotSend,
-}
-
-// SAFETY: as for ReadGuard.
-unsafe impl<L: RawRwLock> Sync for WriteGuard<'_, L> where L::WriteToken: Sync {}
-unsafe impl<L: RawRwLock, T: Sync> Sync for WriteGuard<'_, L, &UnsafeCell<T>> where
-    L::WriteToken: Sync
-{
-}
-
-impl<'a, L: RawRwLock> WriteGuard<'a, L> {
-    /// Acquire `lock` exclusive, blocking until granted.
-    #[inline]
-    pub fn new(lock: &'a L) -> Self {
-        WriteGuard::acquire(lock, ())
-    }
-
-    /// Try to acquire `lock` exclusive without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_new(lock: &'a L) -> Option<Self> {
-        WriteGuard::try_acquire(lock, ())
-    }
-}
-
-impl<'a, L: RawRwLock, D> WriteGuard<'a, L, D> {
-    #[inline]
-    fn acquire(lock: &'a L, data: D) -> Self {
-        WriteGuard {
-            token: Some(lock.write()),
-            lock,
-            data,
-            _not_send: PhantomData,
-        }
-    }
-
-    #[inline]
-    fn try_acquire(lock: &'a L, data: D) -> Option<Self> {
-        lock.try_write().map(|token| WriteGuard {
-            lock,
-            token: Some(token),
-            data,
-            _not_send: PhantomData,
-        })
-    }
-
-    /// Release now (equivalent to `drop`).
-    #[inline]
-    pub fn unlock(self) {}
-}
-
-impl<L: RawRwLock, D> Drop for WriteGuard<'_, L, D> {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.lock.unlock_write(token);
-        }
-    }
-}
-
-impl<L: RawRwLock, T> Deref for WriteGuard<'_, L, &UnsafeCell<T>> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: only `RwLock` builds a guard with data, from its own
-        // lock and cell, so guard existence proves exclusive
-        // acquisition of the lock that serializes this cell.
-        unsafe { &*self.data.get() }
-    }
-}
-
-impl<L: RawRwLock, T> DerefMut for WriteGuard<'_, L, &UnsafeCell<T>> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: as for `deref`.
-        unsafe { &mut *self.data.get() }
-    }
-}
-
 /// A reader-writer container generic over its lock implementation —
 /// the shared/exclusive counterpart of [`Mutex`].
 ///
@@ -577,8 +492,8 @@ impl<L: RawRwLock, T> DerefMut for WriteGuard<'_, L, &UnsafeCell<T>> {
 /// assert_eq!(r1.len() + r2.len(), 6);
 /// ```
 ///
-/// `read` and `write` return the [`ReadGuard`] and [`WriteGuard`] a
-/// bare rwlock hands out, and both are `!Send`:
+/// `read` returns the [`ReadGuard`] a bare rwlock hands out and
+/// `write` the same [`Guard`] as [`Mutex::lock`]; both are `!Send`:
 ///
 /// ```compile_fail,E0277
 /// fn assert_send<T: Send>(_: T) {}
@@ -636,15 +551,15 @@ impl<T, L: RawRwLock> RwLock<T, L> {
 
     /// Acquire exclusive, returning a guard that derefs mutably.
     #[inline]
-    pub fn write(&self) -> WriteGuard<'_, L, &UnsafeCell<T>> {
-        WriteGuard::acquire(&self.lock, &self.data)
+    pub fn write(&self) -> Guard<'_, L, &UnsafeCell<T>> {
+        Guard::acquire(&self.lock, &self.data)
     }
 
     /// Try to acquire exclusive without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_write(&self) -> Option<WriteGuard<'_, L, &UnsafeCell<T>>> {
-        WriteGuard::try_acquire(&self.lock, &self.data)
+    pub fn try_write(&self) -> Option<Guard<'_, L, &UnsafeCell<T>>> {
+        Guard::try_acquire(&self.lock, &self.data)
     }
 
     /// Whether anyone holds or queues on the lock (either mode).
@@ -728,15 +643,15 @@ impl DynRwLock {
 
     /// Acquire exclusive; released when the guard drops.
     #[inline]
-    pub fn write(&self) -> WriteGuard<'_, DynRwLock> {
-        WriteGuard::new(self)
+    pub fn write(&self) -> Guard<'_, DynRwLock> {
+        Guard::new(self)
     }
 
     /// Try to acquire exclusive without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_write(&self) -> Option<WriteGuard<'_, DynRwLock>> {
-        WriteGuard::try_new(self)
+    pub fn try_write(&self) -> Option<Guard<'_, DynRwLock>> {
+        Guard::try_new(self)
     }
 
     /// Heuristic held/queued check (either mode).
@@ -747,16 +662,41 @@ impl DynRwLock {
 
     /// Implementation name for reports.
     pub fn name(&self) -> &'static str {
-        self.inner.rw_lock_name()
+        self.inner.lock_name()
     }
 }
 
 /// The erased rwlock handle is a [`RawRwLock`] whose tokens are the
-/// [`PlainRwToken`]s the object behind it issued (see the exclusive
-/// counterpart on [`DynLock`]).
+/// [`PlainToken`]s and [`PlainRwToken`]s the object behind it issued
+/// (see [`DynLock`]).
+impl RawLock for DynRwLock {
+    type Token = PlainToken;
+
+    #[inline]
+    fn lock(&self) -> PlainToken {
+        self.inner.acquire()
+    }
+
+    #[inline]
+    fn try_lock(&self) -> Option<PlainToken> {
+        self.inner.try_acquire()
+    }
+
+    #[inline]
+    fn unlock(&self, token: PlainToken) {
+        self.inner.release(token);
+    }
+
+    #[inline]
+    fn is_locked(&self) -> bool {
+        self.inner.held()
+    }
+
+    const NAME: &'static str = "dyn-rw";
+}
+
 impl RawRwLock for DynRwLock {
     type ReadToken = PlainRwToken;
-    type WriteToken = PlainRwToken;
 
     #[inline]
     fn read(&self) -> PlainRwToken {
@@ -774,31 +714,9 @@ impl RawRwLock for DynRwLock {
     }
 
     #[inline]
-    fn write(&self) -> PlainRwToken {
-        self.inner.acquire_write()
-    }
-
-    #[inline]
-    fn try_write(&self) -> Option<PlainRwToken> {
-        self.inner.try_acquire_write()
-    }
-
-    #[inline]
-    fn unlock_write(&self, token: PlainRwToken) {
-        self.inner.release_write(token);
-    }
-
-    #[inline]
-    fn is_locked(&self) -> bool {
-        self.inner.held()
-    }
-
-    #[inline]
     fn is_write_locked(&self) -> bool {
         self.inner.write_held()
     }
-
-    const NAME: &'static str = "dyn-rw";
 }
 
 /// A reader-writer container over a runtime-chosen lock (handed to
@@ -920,13 +838,13 @@ mod tests {
         {
             let r1 = ReadGuard::new(&lock);
             let _r2 = ReadGuard::try_new(&lock).expect("reads overlap");
-            assert!(WriteGuard::try_new(&lock).is_none(), "reader blocks writer");
+            assert!(Guard::try_new(&lock).is_none(), "reader blocks writer");
             r1.unlock();
         }
         {
-            let _w = WriteGuard::new(&lock);
+            let _w = Guard::new(&lock);
             assert!(ReadGuard::try_new(&lock).is_none(), "writer blocks reader");
-            assert!(WriteGuard::try_new(&lock).is_none(), "writer blocks writer");
+            assert!(Guard::try_new(&lock).is_none(), "writer blocks writer");
         }
         assert!(!lock.is_locked());
     }

@@ -192,9 +192,60 @@ impl<L: RawLock> Bravo<L> {
     }
 }
 
+impl<L: RawLock> RawLock for Bravo<L> {
+    type Token = L::Token;
+
+    #[inline]
+    fn lock(&self) -> Self::Token {
+        let t = self.inner.lock();
+        if self.rbias.load(Ordering::Relaxed) {
+            self.revoke();
+        }
+        t
+    }
+
+    #[inline]
+    fn try_lock(&self) -> Option<Self::Token> {
+        let t = self.inner.try_lock()?;
+        if self.rbias.load(Ordering::Relaxed) {
+            // Non-blocking revocation: disable the bias, scan once.
+            self.rbias.store(false, Ordering::SeqCst);
+            if self.readers.iter().any(|s| s.0.load(Ordering::SeqCst) != 0) {
+                // Active fast readers: restore the bias and give up.
+                self.rbias.store(true, Ordering::SeqCst);
+                self.inner.unlock(t);
+                return None;
+            }
+        }
+        Some(t)
+    }
+
+    #[inline]
+    fn unlock(&self, token: Self::Token) {
+        self.inner.unlock(token);
+    }
+
+    #[inline]
+    fn is_locked(&self) -> bool {
+        // The table is scanned only under the bias: whoever turned it
+        // off holds `inner` until every published reader has left (or,
+        // in `try_lock`, until it is back on), so with the bias off
+        // and `inner` free no fast reader holds — and a probe of a
+        // write-mostly lock (an armed `Instrumented`'s, once per
+        // acquisition) stays two loads instead of 64 lines.
+        self.inner.is_locked()
+            || (self.rbias.load(Ordering::Relaxed)
+                && self
+                    .readers
+                    .iter()
+                    .any(|s| s.0.load(Ordering::Relaxed) != 0))
+    }
+
+    const NAME: &'static str = "bravo";
+}
+
 impl<L: RawLock> RawRwLock for Bravo<L> {
     type ReadToken = BravoReadToken<L::Token>;
-    type WriteToken = L::Token;
 
     #[inline]
     fn read(&self) -> Self::ReadToken {
@@ -225,60 +276,12 @@ impl<L: RawLock> RawRwLock for Bravo<L> {
     }
 
     #[inline]
-    fn write(&self) -> Self::WriteToken {
-        let t = self.inner.lock();
-        if self.rbias.load(Ordering::Relaxed) {
-            self.revoke();
-        }
-        t
-    }
-
-    #[inline]
-    fn try_write(&self) -> Option<Self::WriteToken> {
-        let t = self.inner.try_lock()?;
-        if self.rbias.load(Ordering::Relaxed) {
-            // Non-blocking revocation: disable the bias, scan once.
-            self.rbias.store(false, Ordering::SeqCst);
-            if self.readers.iter().any(|s| s.0.load(Ordering::SeqCst) != 0) {
-                // Active fast readers: restore the bias and give up.
-                self.rbias.store(true, Ordering::SeqCst);
-                self.inner.unlock(t);
-                return None;
-            }
-        }
-        Some(t)
-    }
-
-    #[inline]
-    fn unlock_write(&self, token: Self::WriteToken) {
-        self.inner.unlock(token);
-    }
-
-    #[inline]
-    fn is_locked(&self) -> bool {
-        // The table is scanned only under the bias: whoever turned it
-        // off holds `inner` until every published reader has left (or,
-        // in `try_write`, until it is back on), so with the bias off
-        // and `inner` free no fast reader holds — and a probe of a
-        // write-mostly lock (an armed `Instrumented`'s, once per
-        // acquisition) stays two loads instead of 64 lines.
-        self.inner.is_locked()
-            || (self.rbias.load(Ordering::Relaxed)
-                && self
-                    .readers
-                    .iter()
-                    .any(|s| s.0.load(Ordering::Relaxed) != 0))
-    }
-
-    #[inline]
     fn is_write_locked(&self) -> bool {
         // Heuristic: the underlying lock is only held across reads on
         // the (serialized) slow path, so "held" approximates "writer
         // or degenerate reader present".
         self.inner.is_locked()
     }
-
-    const NAME: &'static str = "bravo";
 }
 
 #[cfg(test)]
@@ -314,11 +317,11 @@ mod tests {
     #[test]
     fn writer_revokes_bias_and_excludes_readers() {
         let l = Bravo::new(TicketLock::new());
-        let w = l.write();
+        let w = l.lock();
         assert!(!l.reader_biased(), "write revokes the bias");
         assert!(l.try_read().is_none(), "revoked + inner held: no reads");
-        assert!(l.try_write().is_none());
-        l.unlock_write(w);
+        assert!(l.try_lock().is_none());
+        l.unlock(w);
         // Bias stays inhibited right after revocation; reads fall back
         // to the underlying lock but still succeed.
         let r = l.try_read().expect("slow-path read after revocation");
@@ -333,11 +336,11 @@ mod tests {
         assert!(matches!(r, BravoReadToken::Fast(_)));
         assert!(l.is_locked(), "a fast reader holds: the probe scans");
         assert!(!l.is_write_locked());
-        assert!(l.try_write().is_none(), "fast reader blocks try_write");
-        assert!(l.reader_biased(), "failed try_write restores the bias");
+        assert!(l.try_lock().is_none(), "fast reader blocks try_lock");
+        assert!(l.reader_biased(), "failed try_lock restores the bias");
         l.unlock_read(r);
-        let w = l.try_write().expect("drained readers admit writer");
-        l.unlock_write(w);
+        let w = l.try_lock().expect("drained readers admit writer");
+        l.unlock(w);
     }
 
     #[test]
@@ -357,9 +360,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for n in 0..2_000u64 {
                     if (n + i) % 4 == 0 {
-                        let t = s.lock.write();
+                        let t = s.lock.lock();
                         unsafe { *s.value.get() += 1 };
-                        s.lock.unlock_write(t);
+                        s.lock.unlock(t);
                     } else {
                         let t = s.lock.read();
                         // Reads must always observe a torn-free value.

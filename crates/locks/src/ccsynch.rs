@@ -8,7 +8,7 @@
 //! announces its op in the *previous* tail node, and spins on that
 //! node. The current combiner walks only announced nodes — each one a
 //! waiter that actually exists — executing up to a bounded batch
-//! ([`CcSynch::combining_batch`]) of critical sections before handing
+//! ([`CcSynch::with_batch`]) of critical sections before handing
 //! the combiner role to the next waiter *in its own node* (a
 //! cache-local handoff, no shared flag).
 //!
@@ -136,11 +136,6 @@ where
         let dummy = &shared.nodes[0] as *const _ as *mut CcNode<Op, Out>;
         shared.tail.store(dummy, Ordering::Relaxed);
         CcSynch { shared }
-    }
-
-    /// The combining-batch bound (`h`).
-    pub fn combining_batch(&self) -> usize {
-        self.shared.batch
     }
 
     /// Claim a participant node. Call once per thread; the handle

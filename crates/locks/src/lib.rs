@@ -40,9 +40,9 @@
 //! Observability is a first-class layer: [`telemetry`] provides the
 //! lock-agnostic [`telemetry::TelemetryCell`] counters, the
 //! [`telemetry::Instrumented`] wrapper that records them for *any*
-//! lock (plus its reader-writer counterpart; runtime-chosen locks are
-//! wrapped by the same two types), and the process-wide profiling
-//! registry behind `repro --profile`.
+//! lock (plus a read cell beside it for a reader-writer lock;
+//! runtime-chosen locks are wrapped by the same two types), and the
+//! process-wide profiling registry behind `repro --profile`.
 //!
 //! The delegation family is one mechanism written once:
 //! [`delegation`] holds the publication-slot engine behind
@@ -61,7 +61,9 @@
 //! diagnostic snapshot instead of letting a stalled lock hang
 //! silently.
 //!
-//! Two lock interfaces are provided:
+//! Two lock interfaces are provided, and in each a reader-writer lock
+//! is an exclusive lock with a shared side (`RawRwLock: RawLock`,
+//! `PlainRwLock: PlainLock`):
 //!
 //! * **Guards over [`RawLock`]** — the recommended surface, in [`api`].
 //!   [`RawLock`] itself is statically dispatched and token-based:
@@ -71,24 +73,25 @@
 //!   zero-sized. The reorderable lock in `asl-core` composes over any
 //!   `RawLock + FifoLock`, and every wrapper ([`Gcr`],
 //!   [`Instrumented`]) is written once against it. Application code
-//!   holds acquisitions as one guard per mode: [`api::Guard`] (handed
-//!   out by `Guard::new(&lock)` and by the data-carrying
-//!   [`api::Mutex`]), and [`api::ReadGuard`]/[`api::WriteGuard`] over
-//!   a [`RawRwLock`] (handed out the same way and by [`api::RwLock`]).
+//!   holds acquisitions as one guard per mode: [`api::Guard`] for an
+//!   exclusive acquisition of any lock, rwlocks included (handed out
+//!   by `Guard::new(&lock)` and by the data-carrying [`api::Mutex`]
+//!   and [`api::RwLock`]), and [`api::ReadGuard`] for a shared one.
 //!   Releasing happens on drop (including panic unwind), so the
 //!   forget-to-release and release-wrong-lock bug classes of the token
 //!   calls cannot occur.
 //! * **The erased facade** — [`PlainLock`] / [`PlainRwLock`]
-//!   (`Arc<dyn PlainLock>`) with an opaque two- / three-word token,
-//!   blanket-implemented for every raw lock whose tokens are
-//!   word-encodable ([`plain::TokenWords`]). Its RAII handles
-//!   [`api::DynLock`] / [`api::DynRwLock`] are themselves a `RawLock` /
-//!   `RawRwLock`, so a lock chosen at runtime is one more lock type
-//!   parameter of the guards above (`api::DynMutex` is
-//!   `Mutex<T, DynLock>`), and wrappers over a handle erase again
-//!   without a second implementation of the wrapper. In debug builds
-//!   tokens are tagged with the issuing lock (and mode) and cross-lock
-//!   releases panic.
+//!   (`Arc<dyn PlainLock>`) with an opaque two-word token, and a
+//!   three-word one for a shared acquisition, blanket-implemented for
+//!   every raw lock whose tokens are word-encodable
+//!   ([`plain::TokenWords`]). Its RAII handles [`api::DynLock`] /
+//!   [`api::DynRwLock`] are themselves a `RawLock` / `RawRwLock`, so a
+//!   lock chosen at runtime is one more lock type parameter of the
+//!   guards above (`api::DynMutex` is `Mutex<T, DynLock>`), and
+//!   wrappers over a handle erase again without a second
+//!   implementation of the wrapper. In debug builds tokens are tagged
+//!   with the issuing lock and cross-lock releases panic; a shared
+//!   token released through the exclusive path does not compile.
 //!
 //! ```
 //! use asl_locks::api::{DynLock, Mutex};
@@ -136,7 +139,6 @@ pub mod watchdog;
 
 pub use api::{
     DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, Mutex, MutexGuard, ReadGuard, RwLock,
-    WriteGuard,
 };
 pub use asynclock::{AsyncDynMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use backoff::BackoffLock;
@@ -156,7 +158,7 @@ pub use mcs::{
     CnaLock, Cull, Fifo, FissileLock, HeadPolicy, Impatient, MalthusianLock, McsLock, Numa,
     QueueLock, Shuffle, ShuffleLock,
 };
-pub use plain::{ExclusiveRw, PlainLock, PlainRwLock, PlainRwToken, PlainToken, WriteHalf};
+pub use plain::{ExclusiveRw, PlainLock, PlainRwLock, PlainRwToken, PlainToken};
 pub use proportional::ProportionalLock;
 pub use rcl::{RclLock, RclServer};
 pub use rw_ticket::RwTicketLock;
@@ -200,23 +202,24 @@ pub trait RawLock: Send + Sync {
 /// the paper's bounded-reordering guarantee to hold.
 pub trait FifoLock: RawLock {}
 
-/// A statically dispatched reader-writer lock: the shared/exclusive
-/// counterpart of [`RawLock`].
+/// A statically dispatched reader-writer lock: a [`RawLock`] with a
+/// shared side.
 ///
-/// `read` admits any number of concurrent holders; `write` is
-/// exclusive against both readers and other writers. Like [`RawLock`],
-/// acquisitions return tokens that must be passed back to the matching
-/// unlock by the same thread — application code should hold them as
-/// RAII guards from [`api`] ([`api::ReadGuard`], [`api::WriteGuard`],
-/// [`api::RwLock`]) instead of threading tokens by hand.
-pub trait RawRwLock: Send + Sync {
+/// The exclusive side is the [`RawLock`] interface itself — `lock`
+/// excludes both readers and other writers, its token is the lock's
+/// `Token`, and `is_locked` sees holders of either mode — so every
+/// layer written over `RawLock` ([`api::Guard`], [`api::Mutex`],
+/// [`Instrumented`], the facade) serves rwlocks unchanged. `read`
+/// admits any number of concurrent holders. Like
+/// [`RawLock`], acquisitions return tokens that must be passed back to
+/// the matching unlock by the same thread — application code should
+/// hold them as RAII guards from [`api`] ([`api::ReadGuard`],
+/// [`api::Guard`], [`api::RwLock`]) instead of threading tokens by
+/// hand.
+pub trait RawRwLock: RawLock {
     /// Proof of a shared acquisition, consumed by
     /// [`RawRwLock::unlock_read`].
     type ReadToken;
-
-    /// Proof of an exclusive acquisition, consumed by
-    /// [`RawRwLock::unlock_write`].
-    type WriteToken;
 
     /// Acquire shared, blocking until granted. Multiple readers may
     /// hold the lock simultaneously; no writer can.
@@ -229,27 +232,8 @@ pub trait RawRwLock: Send + Sync {
     /// `read`/`try_read` on this lock by the calling thread.
     fn unlock_read(&self, token: Self::ReadToken);
 
-    /// Acquire exclusive, blocking until no reader or other writer
-    /// holds the lock.
-    fn write(&self) -> Self::WriteToken;
-
-    /// Try to acquire exclusive without waiting.
-    fn try_write(&self) -> Option<Self::WriteToken>;
-
-    /// Release an exclusive acquisition. `token` must come from a
-    /// matching `write`/`try_write` on this lock by the calling
-    /// thread.
-    fn unlock_write(&self, token: Self::WriteToken);
-
-    /// Heuristic "is anyone holding or queued (in either mode)" check.
-    /// May be momentarily stale; never used for mutual exclusion.
-    fn is_locked(&self) -> bool;
-
     /// Heuristic "is a writer holding or draining readers" check.
     fn is_write_locked(&self) -> bool;
-
-    /// Short lock name for reports.
-    const NAME: &'static str;
 }
 
 #[cfg(test)]

@@ -21,6 +21,13 @@
 //! on drop. In debug builds every token is tagged with the address of
 //! the issuing lock, and releasing it against a different lock panics
 //! — catching the cross-lock bugs the manual API allows.
+//!
+//! [`PlainRwLock`] is a `PlainLock` with a shared side, erasing
+//! [`RawRwLock`] the same way: its exclusive acquisitions are the
+//! `PlainLock` methods, its shared ones hand out a three-word
+//! [`PlainRwToken`]. An rwlock at an exclusive call site is its
+//! `Arc<dyn PlainRwLock>` upcast to `Arc<dyn PlainLock>`; an exclusive
+//! lock at a reader-writer call site is an [`ExclusiveRw`].
 
 use std::sync::Arc;
 
@@ -198,15 +205,16 @@ where
     }
 }
 
-/// Opaque token for [`PlainRwLock`]: three words of implementation
-/// state (reader-writer tokens need one more word than exclusive ones
-/// — e.g. [`crate::bravo::BravoReadToken`] carries a fast/slow
-/// discriminant next to the underlying lock's two words).
+/// Opaque token for a shared acquisition through [`PlainRwLock`]:
+/// three words of implementation state (read tokens need one more word
+/// than exclusive ones — e.g. [`crate::bravo::BravoReadToken`] carries
+/// a fast/slow discriminant next to the underlying lock's two words).
+/// An exclusive acquisition of an rwlock is a [`PlainToken`], like any
+/// lock's.
 ///
-/// In debug builds the token additionally records the issuing lock
-/// *and the acquisition mode*, so releasing against the wrong lock —
-/// or releasing a read token through the write path — panics instead
-/// of corrupting lock state.
+/// In debug builds the token additionally records the issuing lock, so
+/// releasing against the wrong lock panics instead of corrupting lock
+/// state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlainRwToken {
     a: usize,
@@ -215,9 +223,6 @@ pub struct PlainRwToken {
     /// Address of the issuing lock — debug-build ownership check.
     #[cfg(debug_assertions)]
     issuer: usize,
-    /// Whether this token proves an exclusive acquisition.
-    #[cfg(debug_assertions)]
-    write: bool,
 }
 
 impl PlainRwToken {
@@ -232,13 +237,11 @@ impl PlainRwToken {
             c,
             #[cfg(debug_assertions)]
             issuer: lock as *const L as usize,
-            #[cfg(debug_assertions)]
-            write: false,
         }
     }
 
     /// Decode a shared-mode token, asserting (in debug builds) that
-    /// `lock` issued it in read mode.
+    /// `lock` issued it.
     #[inline]
     pub fn redeem_read<L>(self, lock: &L) -> (usize, usize, usize) {
         #[cfg(debug_assertions)]
@@ -248,35 +251,27 @@ impl PlainRwToken {
         );
         #[cfg(not(debug_assertions))]
         let _ = lock;
-        self.check_mode(false);
         (self.a, self.b, self.c)
     }
 
-    /// An exclusive acquisition seen through the reader-writer
-    /// interface, standing for the given mode: the two payload words
-    /// and the issuer tag travel unchanged, so whoever turns the token
-    /// back with [`PlainRwToken::into_exclusive`] still gets the
-    /// issuing lock's ownership check.
+    /// An exclusive acquisition standing for a shared one: the two
+    /// payload words and the issuer tag travel unchanged, so whoever
+    /// turns the token back with [`PlainRwToken::into_exclusive`] still
+    /// gets the issuing lock's ownership check.
     #[inline]
-    fn from_exclusive(token: PlainToken, write: bool) -> Self {
-        #[cfg(not(debug_assertions))]
-        let _ = write;
+    fn from_exclusive(token: PlainToken) -> Self {
         PlainRwToken {
             a: token.a,
             b: token.b,
             c: 0,
             #[cfg(debug_assertions)]
             issuer: token.issuer,
-            #[cfg(debug_assertions)]
-            write,
         }
     }
 
-    /// Undo [`PlainRwToken::from_exclusive`], asserting (in debug
-    /// builds) that the token stands for the `write` mode.
+    /// Undo [`PlainRwToken::from_exclusive`].
     #[inline]
-    fn into_exclusive(self, write: bool) -> PlainToken {
-        self.check_mode(write);
+    fn into_exclusive(self) -> PlainToken {
         debug_assert_eq!(self.c, 0, "exclusive tokens carry two words");
         PlainToken {
             a: self.a,
@@ -285,24 +280,11 @@ impl PlainRwToken {
             issuer: self.issuer,
         }
     }
-
-    #[inline]
-    fn check_mode(&self, write: bool) {
-        #[cfg(debug_assertions)]
-        if write {
-            assert!(self.write, "read token released through the write path");
-        } else {
-            assert!(!self.write, "write token released through the read path");
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = write;
-    }
 }
 
-/// Read tokens encodable in three machine words — the reader-writer
-/// analogue of [`TokenWords`], pass-through rule included (write
-/// tokens reuse [`TokenWords`] itself: they are just the underlying
-/// exclusive token).
+/// Read tokens encodable in three machine words — the shared-side
+/// analogue of [`TokenWords`], pass-through rule included (an rwlock's
+/// exclusive token is its `Token`, encoded by [`TokenWords`] itself).
 pub trait RwTokenWords: Sized {
     /// Encode into three words.
     fn into_words(self) -> (usize, usize, usize);
@@ -322,7 +304,7 @@ pub trait RwTokenWords: Sized {
     }
 
     /// Undo [`RwTokenWords::erase_read`], asserting (in debug builds)
-    /// that `lock` issued `token` in read mode.
+    /// that `lock` issued `token`.
     ///
     /// # Safety
     /// `token` must come from `erase_read` on an unreleased shared
@@ -353,7 +335,7 @@ impl RwTokenWords for PlainRwToken {
     unsafe fn from_words(a: usize, b: usize, c: usize) -> Self {
         PlainRwToken {
             c,
-            ..Self::from_exclusive(PlainToken::from_words(a, b), false)
+            ..Self::from_exclusive(PlainToken::from_words(a, b))
         }
     }
     #[inline]
@@ -366,56 +348,39 @@ impl RwTokenWords for PlainRwToken {
     }
 }
 
-/// The pass-through rule for an erased *exclusive-mode* token: it is
-/// the exclusive token it was made from.
-impl TokenWords for PlainRwToken {
-    #[inline]
-    fn into_words(self) -> (usize, usize) {
-        (self.a, self.b)
-    }
-    #[inline]
-    unsafe fn from_words(a: usize, b: usize) -> Self {
-        Self::from_exclusive(PlainToken::from_words(a, b), true)
-    }
-    #[inline]
-    fn erase<L>(self, _lock: &L) -> PlainToken {
-        self.into_exclusive(true)
-    }
-    #[inline]
-    unsafe fn restore<L>(token: PlainToken, _lock: &L) -> Self {
-        Self::from_exclusive(token, true)
-    }
-}
-
-/// An object-safe reader-writer lock: dynamic counterpart of
-/// [`RawRwLock`], the same way [`PlainLock`] erases [`RawLock`].
-pub trait PlainRwLock: Send + Sync {
+/// An object-safe reader-writer lock: a [`PlainLock`] with a shared
+/// side, the dynamic counterpart of [`RawRwLock`] as [`PlainLock`] is
+/// of [`RawLock`].
+///
+/// The exclusive side is the [`PlainLock`] methods and their
+/// [`PlainToken`], so an `Arc<dyn PlainRwLock>` serves an exclusive
+/// call site as its upcast `Arc<dyn PlainLock>`. A shared acquisition
+/// hands out a [`PlainRwToken`], and releasing it through the
+/// exclusive path does not compile:
+///
+/// ```compile_fail,E0308
+/// use asl_locks::plain::{PlainLock, PlainRwLock};
+/// let lock = asl_locks::RwTicketLock::new();
+/// let token = lock.acquire_read();
+/// lock.release(token); // must not compile: a shared token is not an exclusive one
+/// ```
+pub trait PlainRwLock: PlainLock {
     /// Acquire shared, blocking until granted.
     fn acquire_read(&self) -> PlainRwToken;
     /// Try to acquire shared without waiting.
     fn try_acquire_read(&self) -> Option<PlainRwToken>;
     /// Release a token from `acquire_read`/`try_acquire_read`.
     fn release_read(&self, token: PlainRwToken);
-    /// Acquire exclusive, blocking until granted.
-    fn acquire_write(&self) -> PlainRwToken;
-    /// Try to acquire exclusive without waiting.
-    fn try_acquire_write(&self) -> Option<PlainRwToken>;
-    /// Release a token from `acquire_write`/`try_acquire_write`.
-    fn release_write(&self, token: PlainRwToken);
-    /// Heuristic held/queued check (either mode).
-    fn held(&self) -> bool;
     /// Heuristic writer-present check.
     fn write_held(&self) -> bool;
-    /// Implementation name for reports.
-    fn rw_lock_name(&self) -> &'static str;
 }
 
 /// Every statically dispatched rwlock with word-encodable tokens is
 /// usable through the dynamic facade.
 impl<L: RawRwLock> PlainRwLock for L
 where
+    L::Token: TokenWords,
     L::ReadToken: RwTokenWords,
-    L::WriteToken: TokenWords,
 {
     #[inline]
     fn acquire_read(&self) -> PlainRwToken {
@@ -433,30 +398,8 @@ where
         RawRwLock::unlock_read(self, unsafe { L::ReadToken::restore_read(token, self) });
     }
     #[inline]
-    fn acquire_write(&self) -> PlainRwToken {
-        PlainRwToken::from_exclusive(RawRwLock::write(self).erase(self), true)
-    }
-    #[inline]
-    fn try_acquire_write(&self) -> Option<PlainRwToken> {
-        RawRwLock::try_write(self).map(|t| PlainRwToken::from_exclusive(t.erase(self), true))
-    }
-    #[inline]
-    fn release_write(&self, token: PlainRwToken) {
-        // SAFETY: as above, for the exclusive mode.
-        RawRwLock::unlock_write(self, unsafe {
-            L::WriteToken::restore(token.into_exclusive(true), self)
-        });
-    }
-    #[inline]
-    fn held(&self) -> bool {
-        RawRwLock::is_locked(self)
-    }
-    #[inline]
     fn write_held(&self) -> bool {
         RawRwLock::is_write_locked(self)
-    }
-    fn rw_lock_name(&self) -> &'static str {
-        L::NAME
     }
 }
 
@@ -479,75 +422,39 @@ impl ExclusiveRw {
     }
 }
 
-// Ownership stays checked through both adapters below: the underlying
-// lock's own `redeem` validates the issuer tag the conversions
-// preserve.
-impl PlainRwLock for ExclusiveRw {
-    fn acquire_read(&self) -> PlainRwToken {
-        PlainRwToken::from_exclusive(self.inner.acquire(), false)
-    }
-    fn try_acquire_read(&self) -> Option<PlainRwToken> {
-        let token = self.inner.try_acquire()?;
-        Some(PlainRwToken::from_exclusive(token, false))
-    }
-    fn release_read(&self, token: PlainRwToken) {
-        self.inner.release(token.into_exclusive(false));
-    }
-    fn acquire_write(&self) -> PlainRwToken {
-        PlainRwToken::from_exclusive(self.inner.acquire(), true)
-    }
-    fn try_acquire_write(&self) -> Option<PlainRwToken> {
-        let token = self.inner.try_acquire()?;
-        Some(PlainRwToken::from_exclusive(token, true))
-    }
-    fn release_write(&self, token: PlainRwToken) {
-        self.inner.release(token.into_exclusive(true));
-    }
-    fn held(&self) -> bool {
-        self.inner.held()
-    }
-    fn write_held(&self) -> bool {
-        self.inner.held()
-    }
-    fn rw_lock_name(&self) -> &'static str {
-        self.inner.lock_name()
-    }
-}
-
-/// A reader-writer lock viewed through the exclusive interface: every
-/// acquisition takes the write side.
-///
-/// The mirror image of [`ExclusiveRw`] — it lets rwlock `LockSpec`s
-/// satisfy exclusive call sites (pure ordering points like a method
-/// or writer lock, and `repro --lock` sweeps).
-pub struct WriteHalf {
-    inner: Arc<dyn PlainRwLock>,
-}
-
-impl WriteHalf {
-    /// View the write side of `inner` as an exclusive lock.
-    pub fn new(inner: Arc<dyn PlainRwLock>) -> Self {
-        WriteHalf { inner }
-    }
-}
-
-impl PlainLock for WriteHalf {
+impl PlainLock for ExclusiveRw {
     fn acquire(&self) -> PlainToken {
-        self.inner.acquire_write().into_exclusive(true)
+        self.inner.acquire()
     }
     fn try_acquire(&self) -> Option<PlainToken> {
-        let token = self.inner.try_acquire_write()?;
-        Some(token.into_exclusive(true))
+        self.inner.try_acquire()
     }
     fn release(&self, token: PlainToken) {
-        self.inner
-            .release_write(PlainRwToken::from_exclusive(token, true));
+        self.inner.release(token);
     }
     fn held(&self) -> bool {
         self.inner.held()
     }
     fn lock_name(&self) -> &'static str {
-        self.inner.rw_lock_name()
+        self.inner.lock_name()
+    }
+}
+
+// Ownership stays checked through the shared side: the underlying
+// lock's own `redeem` validates the issuer tag the conversions
+// preserve.
+impl PlainRwLock for ExclusiveRw {
+    fn acquire_read(&self) -> PlainRwToken {
+        PlainRwToken::from_exclusive(self.inner.acquire())
+    }
+    fn try_acquire_read(&self) -> Option<PlainRwToken> {
+        self.inner.try_acquire().map(PlainRwToken::from_exclusive)
+    }
+    fn release_read(&self, token: PlainRwToken) {
+        self.inner.release(token.into_exclusive());
+    }
+    fn write_held(&self) -> bool {
+        self.inner.held()
     }
 }
 

@@ -20,7 +20,7 @@
 //! We deviate from the textbook PF-T in how a blocked reader decides
 //! it has been granted. PF-T readers watch a 1-bit phase id, which is
 //! only sound while every announced writer phase drains all earlier
-//! readers — an invariant a non-blocking `try_write` back-out cannot
+//! readers — an invariant a non-blocking `try_lock` back-out cannot
 //! keep (a reader sleeping through the aborted phase could wake to a
 //! later writer with an identical phase bit and deadlock against it).
 //! Instead a blocked reader compares its own entry ticket against
@@ -31,7 +31,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::RawRwLock;
+use crate::{RawLock, RawRwLock};
 
 /// Reader count increment: readers are counted above the writer flag
 /// (the rest of the low byte stays reserved).
@@ -89,9 +89,77 @@ impl Default for RwTicketLock {
     }
 }
 
+impl RawLock for RwTicketLock {
+    type Token = ();
+
+    #[inline]
+    fn lock(&self) {
+        // Serialize FIFO among writers.
+        let ticket = self.win.fetch_add(1, Ordering::Relaxed);
+        let mut spin = asl_runtime::relax::Spin::new();
+        while self.wout.load(Ordering::Acquire) != ticket {
+            spin.relax();
+        }
+        // Announce presence (blocking new readers), publish the drain
+        // target (releasing readers below it), wait for exactly those
+        // readers to leave.
+        let entered = self.rin.fetch_add(PRES, Ordering::Acquire) & !WBITS;
+        self.drain_target.store(entered, Ordering::Release);
+        spin.reset();
+        while self.rout.load(Ordering::Acquire) != entered {
+            spin.relax();
+        }
+    }
+
+    #[inline]
+    fn try_lock(&self) -> Option<()> {
+        let ticket = self.wout.load(Ordering::Acquire);
+        // Only take a writer ticket if it would be served immediately.
+        if self
+            .win
+            .compare_exchange(
+                ticket,
+                ticket.wrapping_add(1),
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            )
+            .is_err()
+        {
+            return None;
+        }
+        let entered = self.rin.fetch_add(PRES, Ordering::Acquire) & !WBITS;
+        self.drain_target.store(entered, Ordering::Release);
+        if self.rout.load(Ordering::Acquire) == entered {
+            return Some(());
+        }
+        // Readers still active: back out without waiting. This is
+        // safe precisely because reader grants key off the monotone
+        // drain target, not a phase bit: a reader that slept through
+        // this aborted announcement is below every later writer's
+        // target and can never be confused into waiting for one.
+        self.rin.fetch_and(!WBITS, Ordering::Release);
+        self.wout.fetch_add(1, Ordering::Release);
+        None
+    }
+
+    #[inline]
+    fn unlock(&self, _t: ()) {
+        // Release readers first (clear the presence bits), then retire
+        // the ticket so the next writer may start its own phase.
+        self.rin.fetch_and(!WBITS, Ordering::Release);
+        self.wout.fetch_add(1, Ordering::Release);
+    }
+
+    #[inline]
+    fn is_locked(&self) -> bool {
+        self.reader_count() > 0 || self.writer_queue_depth() > 0
+    }
+
+    const NAME: &'static str = "rw-ticket";
+}
+
 impl RawRwLock for RwTicketLock {
     type ReadToken = ();
-    type WriteToken = ();
 
     #[inline]
     fn read(&self) -> Self::ReadToken {
@@ -144,74 +212,9 @@ impl RawRwLock for RwTicketLock {
     }
 
     #[inline]
-    fn write(&self) -> Self::WriteToken {
-        // Serialize FIFO among writers.
-        let ticket = self.win.fetch_add(1, Ordering::Relaxed);
-        let mut spin = asl_runtime::relax::Spin::new();
-        while self.wout.load(Ordering::Acquire) != ticket {
-            spin.relax();
-        }
-        // Announce presence (blocking new readers), publish the drain
-        // target (releasing readers below it), wait for exactly those
-        // readers to leave.
-        let entered = self.rin.fetch_add(PRES, Ordering::Acquire) & !WBITS;
-        self.drain_target.store(entered, Ordering::Release);
-        spin.reset();
-        while self.rout.load(Ordering::Acquire) != entered {
-            spin.relax();
-        }
-    }
-
-    #[inline]
-    fn try_write(&self) -> Option<Self::WriteToken> {
-        let ticket = self.wout.load(Ordering::Acquire);
-        // Only take a writer ticket if it would be served immediately.
-        if self
-            .win
-            .compare_exchange(
-                ticket,
-                ticket.wrapping_add(1),
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return None;
-        }
-        let entered = self.rin.fetch_add(PRES, Ordering::Acquire) & !WBITS;
-        self.drain_target.store(entered, Ordering::Release);
-        if self.rout.load(Ordering::Acquire) == entered {
-            return Some(());
-        }
-        // Readers still active: back out without waiting. This is
-        // safe precisely because reader grants key off the monotone
-        // drain target, not a phase bit: a reader that slept through
-        // this aborted announcement is below every later writer's
-        // target and can never be confused into waiting for one.
-        self.rin.fetch_and(!WBITS, Ordering::Release);
-        self.wout.fetch_add(1, Ordering::Release);
-        None
-    }
-
-    #[inline]
-    fn unlock_write(&self, _t: ()) {
-        // Release readers first (clear the presence bits), then retire
-        // the ticket so the next writer may start its own phase.
-        self.rin.fetch_and(!WBITS, Ordering::Release);
-        self.wout.fetch_add(1, Ordering::Release);
-    }
-
-    #[inline]
-    fn is_locked(&self) -> bool {
-        self.reader_count() > 0 || self.writer_queue_depth() > 0
-    }
-
-    #[inline]
     fn is_write_locked(&self) -> bool {
         self.writer_queue_depth() > 0
     }
-
-    const NAME: &'static str = "rw-ticket";
 }
 
 #[cfg(test)]
@@ -229,14 +232,14 @@ mod tests {
         let r1 = l.read();
         let r2 = l.read();
         assert_eq!(l.reader_count(), 2);
-        assert!(l.try_write().is_none(), "readers block writers");
+        assert!(l.try_lock().is_none(), "readers block writers");
         l.unlock_read(r1);
         l.unlock_read(r2);
-        let w = l.try_write().expect("drained readers admit a writer");
+        let w = l.try_lock().expect("drained readers admit a writer");
         assert!(l.is_write_locked());
         assert!(l.try_read().is_none(), "writer blocks readers");
-        assert!(l.try_write().is_none(), "writer blocks writers");
-        l.unlock_write(w);
+        assert!(l.try_lock().is_none(), "writer blocks writers");
+        l.unlock(w);
         assert!(!l.is_locked());
     }
 
@@ -268,9 +271,9 @@ mod tests {
             let s = s.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..2_000 {
-                    let t = s.lock.write();
+                    let t = s.lock.lock();
                     unsafe { *s.value.get() += 1 };
-                    s.lock.unlock_write(t);
+                    s.lock.unlock(t);
                 }
             }));
         }
@@ -283,7 +286,7 @@ mod tests {
 
     #[test]
     fn try_write_backout_does_not_strand_blocked_readers() {
-        // Regression: with the phase-bit grant, a failed try_write
+        // Regression: with the phase-bit grant, a failed try_lock
         // consumed a writer ticket without draining readers, so a
         // reader preempted across the aborted phase could wake to a
         // later writer with an identical phase bit and deadlock
@@ -303,15 +306,15 @@ mod tests {
                 }
             }));
         }
-        // Interleave blocking writes with try_write back-outs: every
+        // Interleave blocking writes with try_lock back-outs: every
         // failed try consumes a ticket, which used to flip the phase
         // parity underneath blocked readers.
         for _ in 0..2_000 {
-            if let Some(t) = l.try_write() {
-                l.unlock_write(t);
+            if let Some(t) = l.try_lock() {
+                l.unlock(t);
             }
-            let t = l.write();
-            l.unlock_write(t);
+            let t = l.lock();
+            l.unlock(t);
         }
         stop.store(1, Ordering::Release);
         for h in workers {
@@ -340,8 +343,8 @@ mod tests {
         }
         // The writer must get through even while readers hammer.
         for _ in 0..50 {
-            let t = l.write();
-            l.unlock_write(t);
+            let t = l.lock();
+            l.unlock(t);
         }
         stop.store(1, Ordering::Release);
         for h in readers {

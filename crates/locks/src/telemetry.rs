@@ -15,9 +15,10 @@
 //!   holder-owned rule on [`TelemetryCell`]); the clock is only read
 //!   when [`TelemetryCell::set_sampling`] has turned timing on, so an
 //!   instrumented lock with sampling off costs near zero.
-//! * [`Instrumented`] — wraps any [`RawLock`] and records into a
-//!   cell on every acquisition/release; [`InstrumentedRw`] is the
-//!   reader-writer counterpart (separate read/write cells). The cell
+//! * [`Instrumented`] — wraps any [`RawLock`], an rwlock's exclusive
+//!   side included, and records into a cell on every
+//!   acquisition/release; [`InstrumentedRw`] is an `Instrumented`
+//!   rwlock with a second cell for the shared side. The cell
 //!   storage is a type parameter: inline [`TelemetryCell`]s for a
 //!   statically chosen lock, `Arc<TelemetryCell>`s over the erased
 //!   handle ([`crate::api::DynLock`] / [`crate::api::DynRwLock`]) for
@@ -127,14 +128,14 @@ use crate::{RawLock, RawRwLock};
 ///   through [`record_acquisition_exclusive`] /
 ///   [`record_acquired_exclusive`]** (the reorderable lock, the
 ///   exclusive side of `Instrumented`/`InstrumentedRw`, `Gcr`: all
-///   record after the inner acquire). *Not* holder-owned on a shared-read cell
-///   (`InstrumentedRw::read`: readers overlap), on the delegation
-///   locks' cells (clients record, the combiner holds); those call
-///   the RMW [`record_acquisition`] /
-///   [`record_acquired`]. A cell is used one way or the other, never
-///   both — mixing a plain store with a concurrent `fetch_add` would
-///   lose updates — which is why the exclusive variants are separate
-///   methods with the requirement in their name.
+///   record after the inner acquire). *Not* holder-owned on a
+///   shared-read cell (`InstrumentedRw::read`: readers overlap), on
+///   the delegation locks' cells (clients record, the combiner
+///   holds); those call the RMW [`record_acquisition`]. A cell is
+///   used one way or the other, never both — mixing a plain store
+///   with a concurrent `fetch_add` would lose updates — which is why
+///   the exclusive variants are separate methods with the requirement
+///   in their name.
 /// * `contended` — **RMW always**: [`record_contended`] is called
 ///   *before* blocking (waiters must be visible while they wait), i.e.
 ///   by threads that do not hold the lock, so even a holder's
@@ -208,7 +209,6 @@ use crate::{RawLock, RawRwLock};
 /// start, the `counted` mark.
 ///
 /// [`record_acquisition`]: TelemetryCell::record_acquisition
-/// [`record_acquired`]: TelemetryCell::record_acquired
 /// [`record_contended`]: TelemetryCell::record_contended
 /// [`record_acquisition_exclusive`]: TelemetryCell::record_acquisition_exclusive
 /// [`record_acquired_exclusive`]: TelemetryCell::record_acquired_exclusive
@@ -227,9 +227,9 @@ pub struct TelemetryCell {
     acquisitions: AtomicU64,
     /// Consecutive contended acquisitions (zeroed by any uncontended
     /// one). Maintained by [`TelemetryCell::record_acquisition`] only
-    /// — the split `record_contended`/`record_acquired` API leaves it
-    /// untouched. This is the collapse-onset signal the GCR admission
-    /// controller ([`crate::gcr`]) shrinks on.
+    /// — the split `record_contended`/`record_acquired_exclusive` API
+    /// leaves it untouched. This is the collapse-onset signal the GCR
+    /// admission controller ([`crate::gcr`]) shrinks on.
     contended_streak: AtomicU64,
     /// Holds [`TelemetryCell::sample_hold_start`] still skips before it
     /// times one.
@@ -352,7 +352,7 @@ impl TelemetryCell {
 
     /// Record a contention *observation* before blocking (used by
     /// self-reporting locks so waiters are visible while they still
-    /// wait; pair with [`TelemetryCell::record_acquired`]).
+    /// wait; pair with [`TelemetryCell::record_acquired_exclusive`]).
     #[inline]
     pub fn record_contended(&self) {
         self.contended.fetch_add(1, Ordering::Relaxed);
@@ -360,13 +360,7 @@ impl TelemetryCell {
 
     /// Record a completed acquisition whose contention was already
     /// counted by [`TelemetryCell::record_contended`] (or that was
-    /// uncontended).
-    #[inline]
-    pub fn record_acquired(&self) {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// [`TelemetryCell::record_acquired`] under the same condition as
+    /// uncontended), under the same condition as
     /// [`TelemetryCell::record_acquisition_exclusive`].
     #[inline]
     pub fn record_acquired_exclusive(&self) {
@@ -699,12 +693,13 @@ impl<L: crate::FifoLock, C: Borrow<TelemetryCell> + Send + Sync> crate::FifoLock
 /// cells for the shared and exclusive sides (stored as `C`, as for
 /// [`Instrumented`]).
 ///
-/// Hold time is recorded for the exclusive side only (shared holds
-/// overlap, so a single in-flight slot cannot represent them).
+/// The exclusive side *is* an [`Instrumented`] lock over `L`; the
+/// shared side records into its own cell. Hold time is recorded for
+/// the exclusive side only (shared holds overlap, so a single
+/// in-flight slot cannot represent them).
 pub struct InstrumentedRw<L: RawRwLock, C = TelemetryCell> {
-    inner: L,
+    write: Instrumented<L, C>,
     read: C,
-    write: C,
 }
 
 impl<L: RawRwLock> InstrumentedRw<L> {
@@ -725,7 +720,10 @@ impl<L: RawRwLock, C: Borrow<TelemetryCell>> InstrumentedRw<L, C> {
     /// Wrap `inner`, recording into the given cells (this lock's
     /// alone, as for [`Instrumented`]).
     pub fn with_cells(inner: L, read: C, write: C) -> Self {
-        InstrumentedRw { inner, read, write }
+        InstrumentedRw {
+            write: Instrumented::with_cell(inner, write),
+            read,
+        }
     }
 
     /// Telemetry of the shared (read) side.
@@ -735,12 +733,12 @@ impl<L: RawRwLock, C: Borrow<TelemetryCell>> InstrumentedRw<L, C> {
 
     /// Telemetry of the exclusive (write) side.
     pub fn write_telemetry(&self) -> &TelemetryCell {
-        self.write.borrow()
+        self.write.telemetry()
     }
 
     /// The wrapped rwlock.
     pub fn inner(&self) -> &L {
-        &self.inner
+        self.write.inner()
     }
 }
 
@@ -750,20 +748,45 @@ impl<L: RawRwLock + Default> Default for InstrumentedRw<L> {
     }
 }
 
+impl<L: RawRwLock, C: Borrow<TelemetryCell> + Send + Sync> RawLock for InstrumentedRw<L, C> {
+    type Token = L::Token;
+
+    #[inline]
+    fn lock(&self) -> L::Token {
+        self.write.lock()
+    }
+
+    #[inline]
+    fn try_lock(&self) -> Option<L::Token> {
+        self.write.try_lock()
+    }
+
+    #[inline]
+    fn unlock(&self, token: L::Token) {
+        self.write.unlock(token);
+    }
+
+    #[inline]
+    fn is_locked(&self) -> bool {
+        self.write.is_locked()
+    }
+
+    const NAME: &'static str = "instrumented-rw";
+}
+
 impl<L: RawRwLock, C: Borrow<TelemetryCell> + Send + Sync> RawRwLock for InstrumentedRw<L, C> {
     type ReadToken = L::ReadToken;
-    type WriteToken = L::WriteToken;
 
     #[inline]
     fn read(&self) -> L::ReadToken {
         let cell = self.read_telemetry();
         if !cell.armed() {
-            return self.inner.read();
+            return self.inner().read();
         }
-        let contended = self.inner.is_write_locked();
+        let contended = self.inner().is_write_locked();
         let sampling = cell.sampling();
         let t0 = if sampling && contended { now_ns() } else { 0 };
-        let token = self.inner.read();
+        let token = self.inner().read();
         if t0 != 0 {
             cell.add_wait_ns(now_ns().saturating_sub(t0));
         }
@@ -773,7 +796,7 @@ impl<L: RawRwLock, C: Borrow<TelemetryCell> + Send + Sync> RawRwLock for Instrum
 
     #[inline]
     fn try_read(&self) -> Option<L::ReadToken> {
-        let token = self.inner.try_read()?;
+        let token = self.inner().try_read()?;
         let cell = self.read_telemetry();
         if cell.armed() {
             cell.record_acquisition(false);
@@ -783,55 +806,13 @@ impl<L: RawRwLock, C: Borrow<TelemetryCell> + Send + Sync> RawRwLock for Instrum
 
     #[inline]
     fn unlock_read(&self, token: L::ReadToken) {
-        self.inner.unlock_read(token);
-    }
-
-    #[inline]
-    fn write(&self) -> L::WriteToken {
-        let cell = self.write_telemetry();
-        if !cell.armed() {
-            return self.inner.write();
-        }
-        let contended = self.inner.is_locked();
-        let sampling = cell.sampling();
-        let t0 = if sampling && contended { now_ns() } else { 0 };
-        let token = self.inner.write();
-        if t0 != 0 {
-            cell.add_wait_ns(now_ns().saturating_sub(t0));
-        }
-        cell.record_acquisition_exclusive(contended);
-        cell.sample_hold_start();
-        token
-    }
-
-    #[inline]
-    fn try_write(&self) -> Option<L::WriteToken> {
-        let token = self.inner.try_write()?;
-        let cell = self.write_telemetry();
-        if cell.armed() {
-            cell.record_acquisition_exclusive(false);
-            cell.sample_hold_start();
-        }
-        Some(token)
-    }
-
-    #[inline]
-    fn unlock_write(&self, token: L::WriteToken) {
-        self.write_telemetry().note_hold_end();
-        self.inner.unlock_write(token);
-    }
-
-    #[inline]
-    fn is_locked(&self) -> bool {
-        self.inner.is_locked()
+        self.inner().unlock_read(token);
     }
 
     #[inline]
     fn is_write_locked(&self) -> bool {
-        self.inner.is_write_locked()
+        self.inner().is_write_locked()
     }
-
-    const NAME: &'static str = "instrumented-rw";
 }
 
 // ---------------------------------------------------------------------------
@@ -995,7 +976,7 @@ pub fn maybe_instrument_rw(label: &str, lock: Arc<dyn PlainRwLock>) -> Arc<dyn P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Guard, ReadGuard, WriteGuard};
+    use crate::api::{Guard, ReadGuard};
     use crate::{McsLock, RwTicketLock, TasLock};
     use std::sync::Arc;
 
@@ -1115,7 +1096,7 @@ mod tests {
             let _r2 = ReadGuard::new(&lock);
         }
         {
-            let _w = WriteGuard::new(&lock);
+            let _w = Guard::new(&lock);
         }
         assert_eq!(lock.read_telemetry().snapshot().acquisitions, 2);
         assert_eq!(lock.write_telemetry().snapshot().acquisitions, 1);
@@ -1150,9 +1131,9 @@ mod tests {
         let r2 = lock.try_acquire_read().expect("reads overlap");
         lock.release_read(r);
         lock.release_read(r2);
-        let w = lock.acquire_write();
+        let w = lock.acquire();
         assert!(lock.write_held());
-        lock.release_write(w);
+        lock.release(w);
         assert_eq!(read.snapshot().acquisitions, 2);
         assert_eq!(write.snapshot().acquisitions, 1);
     }
@@ -1203,7 +1184,7 @@ mod tests {
         assert_eq!(c.contended_streak(), 1);
         // The split API is streak-neutral.
         c.record_contended();
-        c.record_acquired();
+        c.record_acquired_exclusive();
         assert_eq!(c.contended_streak(), 1);
         c.reset();
         assert_eq!(c.contended_streak(), 0);

@@ -44,7 +44,6 @@ thread_local! {
     static ASSIGNMENT: Cell<CoreAssignment> = const {
         Cell::new(CoreAssignment::DEFAULT_BIG)
     };
-    static REGISTERED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Register the current thread on `core` of `topology`.
@@ -60,25 +59,18 @@ pub fn register_on_core(topology: &Topology, core: CoreId) -> CoreAssignment {
         multiplier: topology.work_multiplier(vc.kind),
     };
     ASSIGNMENT.with(|c| c.set(a));
-    REGISTERED.with(|c| c.set(true));
     a
 }
 
 /// Remove the current thread's registration (back to default-big).
 pub fn unregister() {
     ASSIGNMENT.with(|c| c.set(CoreAssignment::DEFAULT_BIG));
-    REGISTERED.with(|c| c.set(false));
 }
 
 /// The current thread's assignment.
 #[inline]
 pub fn current_core() -> CoreAssignment {
     ASSIGNMENT.with(|c| c.get())
-}
-
-/// Whether the current thread registered at all.
-pub fn is_registered() -> bool {
-    REGISTERED.with(|c| c.get())
 }
 
 /// Paper Algorithm 3's `is_big_core()`: true when the calling thread
@@ -102,7 +94,6 @@ mod tests {
     fn default_is_big() {
         unregister();
         assert!(is_big_core());
-        assert!(!is_registered());
         assert_eq!(work_multiplier(), 1.0);
     }
 
@@ -112,7 +103,7 @@ mod tests {
         let a = register_on_core(&t, CoreId(5));
         assert_eq!(a.kind, CoreKind::Little);
         assert!(!is_big_core());
-        assert!(is_registered());
+        assert_eq!(current_core().core, CoreId(5));
         assert_eq!(work_multiplier(), t.perf_ratio());
         unregister();
     }

@@ -200,11 +200,6 @@ impl Topology {
         self.cores[id.0].socket
     }
 
-    /// Number of distinct NUMA sockets.
-    pub fn socket_count(&self) -> usize {
-        self.cores.iter().map(|c| c.socket).max().unwrap_or(0) + 1
-    }
-
     /// The work multiplier for a core class: 1.0 for big cores,
     /// `perf_ratio` for little cores.
     pub fn work_multiplier(&self, kind: CoreKind) -> f64 {
@@ -220,14 +215,6 @@ impl Topology {
     /// big cores. Others are bound to different little cores.").
     pub fn assignment_for_thread(&self, i: usize) -> VirtualCore {
         self.cores[i % self.cores.len()]
-    }
-
-    /// Theoretical LibASL-vs-FIFO speedup upper bound on this topology
-    /// when big and little counts are equal (paper footnote 5):
-    /// comparing "big cores always run" against "big and little
-    /// alternate": `(r + 1) / 2` where `r` is the perf ratio.
-    pub fn fifo_speedup_bound(&self) -> f64 {
-        (self.perf_ratio + 1.0) / 2.0
     }
 }
 
@@ -280,9 +267,11 @@ mod tests {
 
     #[test]
     fn speedup_bound_matches_paper() {
-        // Paper footnote 5: ratio 2.6 -> (2.6+1)/2 = 1.8x bound.
+        // Paper footnote 5: ratio 2.6 -> (2.6+1)/2 = 1.8x bound when
+        // big cores always run against big and little alternating.
         let t = Topology::custom(4, 4, 2.6);
-        assert!((t.fifo_speedup_bound() - 1.8).abs() < 1e-9);
+        let bound = (t.work_multiplier(CoreKind::Little) + 1.0) / 2.0;
+        assert!((bound - 1.8).abs() < 1e-9);
     }
 
     #[test]
@@ -294,19 +283,18 @@ mod tests {
     #[test]
     fn classes_are_clusters() {
         let t = Topology::apple_m1();
-        assert_eq!(t.socket_count(), 2);
         assert_eq!(t.socket_of(CoreId(0)), 0);
         assert_eq!(t.socket_of(CoreId(3)), 0);
         assert_eq!(t.socket_of(CoreId(4)), 1);
         assert_eq!(t.socket_of(CoreId(7)), 1);
-        assert_eq!(Topology::symmetric(4).socket_count(), 1);
+        let flat = Topology::symmetric(4);
+        assert!((0..4).all(|i| flat.socket_of(CoreId(i)) == 0));
     }
 
     #[test]
     fn numa_shape() {
         let t = Topology::numa(4, 16);
         assert_eq!(t.len(), 64);
-        assert_eq!(t.socket_count(), 4);
         assert_eq!(t.perf_ratio(), 1.0);
         // Kinds double as the two batching domains: sockets 0-1 big,
         // sockets 2-3 little.

@@ -403,7 +403,7 @@ impl SimMachine {
         for t in 0..sh.th.len() {
             if t != me && sh.th[t].state == VState::Ready {
                 let k = (self.key(&sh, t), sh.th[t].last_ran, t);
-                if best.map_or(true, |b| k < b) {
+                if best.is_none_or(|b| k < b) {
                     best = Some(k);
                 }
             }
@@ -715,10 +715,10 @@ pub fn run_rw(cfg: &ZooConfig, lock: Arc<dyn PlainRwLock>, write_pct: u32) -> Zo
                             break;
                         }
                         if splitmix(tid as u64, iter) % 100 < u64::from(write_pct) {
-                            let token = lock.acquire_write();
+                            let token = lock.acquire();
                             m.note_write(tid);
                             asl_runtime::work::execute_units(cfg.cs_units);
-                            lock.release_write(token);
+                            lock.release(token);
                         } else {
                             let token = lock.acquire_read();
                             m.note_read_enter(tid);

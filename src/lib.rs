@@ -15,10 +15,11 @@
 //!   proportional (SHFL-PB), futex mutex, spin-then-park MCS, plus
 //!   the reader-writer substrates (phase-fair ticket, BRAVO) — and
 //!   the guard-based unified API every layer locks through
-//!   (`asl_locks::api`: one guard per acquisition mode — [`Guard`],
-//!   [`ReadGuard`] and [`WriteGuard`] — handed out alike by a bare
-//!   lock and by the data-carrying `api::Mutex` / `api::RwLock`,
-//!   generic over the lock type; below them, the erased facade, whose
+//!   (`asl_locks::api`: one guard per acquisition mode — [`Guard`]
+//!   exclusive, a reader-writer lock's included, and [`ReadGuard`]
+//!   shared — handed out alike by a bare lock and by the
+//!   data-carrying `api::Mutex` / `api::RwLock`, generic over the lock
+//!   type; below them, the erased facade, whose
 //!   handles [`DynLock`]/[`DynRwLock`] are the type parameter for
 //!   locks chosen at runtime, [`DynMutex`] and [`DynRwMutex`] being
 //!   aliases) ([`asl_locks`]).
@@ -188,7 +189,7 @@ pub use asl_core::epoch;
 pub use asl_core::{
     AslBlockingLock, AslCondvar, AslLock, AslMutex, AslRwLock, AslSpinLock, ReorderableLock,
 };
-pub use asl_locks::api::{DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, ReadGuard, WriteGuard};
+pub use asl_locks::api::{DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, ReadGuard};
 pub use asl_locks::{AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use asl_locks::{
     CcSynch, DelegatedMutex, DelegationHandle, DelegationLock, FcBan, FlatCombiner, RclLock,

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use libasl::clock::{self, now_ns};
 use libasl::locks::telemetry::InstrumentedRw;
-use libasl::locks::{McsLock, RawLock, RawRwLock, RawTimedLock, RwTicketLock};
+use libasl::locks::{McsLock, RawLock, RawTimedLock, RwTicketLock};
 use libasl::runtime::affinity::pin_to_cpu;
 use libasl::runtime::registry::{register_on_core, unregister};
 use libasl::runtime::substrate;
@@ -405,7 +405,7 @@ fn a_sampled_cell_reads_the_clock_twice_per_timed_hold_and_never_otherwise() {
 
         // The write side of an instrumented rwlock.
         let rw = InstrumentedRw::new(DynRwLock::of(RwTicketLock::new()));
-        let acquire = || rw.unlock_write(rw.write());
+        let acquire = || rw.unlock(rw.lock());
         check("rw write", sampling, rw.write_telemetry(), bare, &acquire);
 
         // `instrumented-libasl-60us` and `libasl-60us`'s own cell, from

@@ -14,8 +14,9 @@
 //! This grep fails if a twin comes back, if a container's guard or a
 //! second spelling of a guard does, if the simulator grows a
 //! second engine again, if either delegation copy does, if a figure
-//! spawns OS workers again, and if the async mutex splits into
-//! per-policy types again.
+//! spawns OS workers again, if the async mutex splits into
+//! per-policy types again, and if a reader-writer lock grows a write
+//! path beside the exclusive lock it is.
 
 use std::path::Path;
 
@@ -109,7 +110,7 @@ fn each_wrapper_and_guard_is_written_once() {
     });
     assert!(
         offenders.is_empty(),
-        "a data guard with its own token and Drop — return Guard / ReadGuard / WriteGuard \
+        "a data guard with its own token and Drop — return Guard / ReadGuard \
          with the data in their third type parameter:\n{}",
         offenders.join("\n")
     );
@@ -117,7 +118,7 @@ fn each_wrapper_and_guard_is_written_once() {
         assert_eq!(
             files_with(&lines, needle),
             Vec::<String>::new(),
-            "`{needle}` is a second spelling of `Guard::new` / `ReadGuard::new` / `WriteGuard::new`"
+            "`{needle}` is a second spelling of `Guard::new` / `ReadGuard::new`"
         );
     }
 
@@ -209,6 +210,51 @@ fn the_async_mutex_is_one_type() {
         ],
         "AsyncDynMutex is only the benchmark's alias of AsyncMutex; spell AsyncMutex"
     );
+}
+
+#[test]
+fn an_rwlock_is_a_lock() {
+    // `RawRwLock: RawLock` and `PlainRwLock: PlainLock`: an rwlock's
+    // exclusive side is the lock interface itself, so its exclusive
+    // guard is `Guard`, its write token the lock's `Token`, and an
+    // rwlock at an exclusive call site is the upcast `dyn PlainLock`.
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut dirs: Vec<String> = std::fs::read_dir(&crates)
+        .expect("readable crates dir")
+        .map(|e| {
+            format!(
+                "crates/{}/src",
+                e.expect("dir entry").file_name().to_string_lossy()
+            )
+        })
+        .collect();
+    dirs.push("src".into());
+    let lines: Vec<_> = dirs.iter().flat_map(|dir| source_lines(dir)).collect();
+    let offenders = banned_types(&lines, |name| {
+        ["WriteGuard", "WriteHalf", "RwLockWriteGuard"].contains(&name)
+    });
+    assert!(
+        offenders.is_empty(),
+        "a second exclusive guard or adapter for rwlocks — an rwlock is a RawLock / \
+         PlainLock, take Guard or upcast to dyn PlainLock:\n{}",
+        offenders.join("\n")
+    );
+    for needle in [
+        "fn unlock_write",
+        "fn acquire_write",
+        "fn release_write",
+        "type WriteToken",
+    ] {
+        assert_eq!(
+            files_with(&lines, needle),
+            Vec::<String>::new(),
+            "`{needle}`: an rwlock's exclusive side is its RawLock / PlainLock impl"
+        );
+    }
+    for header in ["trait RawRwLock: RawLock", "trait PlainRwLock: PlainLock"] {
+        let decls = lines.iter().filter(|(_, l)| l.contains(header)).count();
+        assert_eq!(decls, 1, "`{header}` must be declared exactly once");
+    }
 }
 
 #[test]
