@@ -429,14 +429,37 @@ pub fn reset_thread_epochs() {
     });
 }
 
+/// Closes the scoped helpers' epoch if `f` unwinds out of it: back to
+/// the outer epoch (or none), with no controller step — an epoch cut
+/// short by a panic has no latency to judge — and no clock read. On
+/// the normal path it is forgotten before `epoch_end`, so it costs
+/// nothing there.
+struct CloseOnUnwind;
+
+impl Drop for CloseOnUnwind {
+    #[cold]
+    fn drop(&mut self) {
+        HOT.with(|h| {
+            if h.depth.get() == 0 {
+                h.cur.set(-1);
+            } else {
+                h.pop_outer();
+            }
+        });
+    }
+}
+
 /// Scoped helper: run `f` inside epoch `id` with the given SLO.
 /// Returns `f`'s result and the measured latency (ns) — on every core:
 /// where the epoch itself reads no clock (a thread that enters on a
-/// big core) the helper brackets it with two reads of its own.
+/// big core) the helper brackets it with two reads of its own. If `f`
+/// unwinds, the epoch is closed untimed.
 pub fn with_epoch_timed<R>(id: usize, slo_ns: u64, f: impl FnOnce() -> R) -> (R, u64) {
     let bracket = is_big_core().then(now_ns);
     epoch_start(id);
+    let open = CloseOnUnwind;
     let r = f();
+    std::mem::forget(open);
     let measured = epoch_end(id, slo_ns);
     let lat = match bracket {
         Some(t0) => now_ns().saturating_sub(t0),
@@ -446,11 +469,14 @@ pub fn with_epoch_timed<R>(id: usize, slo_ns: u64, f: impl FnOnce() -> R) -> (R,
 }
 
 /// Scoped helper: run `f` inside epoch `id` with the given SLO. Reads
-/// no clock on a big core.
+/// no clock on a big core. If `f` unwinds, the epoch is closed
+/// untimed, so the thread's next lock is outside it again.
 #[inline]
 pub fn with_epoch<R>(id: usize, slo_ns: u64, f: impl FnOnce() -> R) -> R {
     epoch_start(id);
+    let open = CloseOnUnwind;
     let r = f();
+    std::mem::forget(open);
     epoch_end(id, slo_ns);
     r
 }
@@ -612,6 +638,31 @@ mod tests {
                 asl_runtime::clock::busy_wait_ns(300_000);
             });
             assert!(lat >= 300_000, "latency {lat} < busy-wait time");
+        });
+    }
+
+    #[test]
+    fn an_epoch_f_unwinds_out_of_is_closed() {
+        use std::panic::{catch_unwind, resume_unwind};
+        on_little(|| {
+            reset_thread_epochs();
+            let unwound = catch_unwind(|| with_epoch(14, u64::MAX, || resume_unwind(Box::new(()))));
+            assert!(unwound.is_err());
+            assert_eq!(current_epoch_id(), None, "the epoch is closed");
+            assert_eq!(current_window(), None, "outside any epoch again");
+            assert_eq!(
+                epoch_meta(14).window,
+                config::DEFAULT_WINDOW_NS,
+                "no controller step"
+            );
+            // Nested: the outer epoch is the open one again.
+            with_epoch(15, u64::MAX, || {
+                let unwound =
+                    catch_unwind(|| with_epoch_timed(14, u64::MAX, || resume_unwind(Box::new(()))));
+                assert!(unwound.is_err());
+                assert_eq!(current_epoch_id(), Some(15));
+            });
+            assert_eq!(current_epoch_id(), None);
         });
     }
 

@@ -247,14 +247,14 @@ mod tests {
     #[test]
     fn dyn_facade_covers_asl_rwlock() {
         use asl_locks::api::DynRwLock;
-        let l = DynRwLock::of(AslRwLock::default());
+        let l = DynRwLock::new(Arc::new(AslRwLock::default()));
         {
             let _r = l.read();
             let _r2 = l.read();
-            assert!(l.try_write().is_none());
+            assert!(l.try_lock().is_none());
         }
         {
-            let _w = l.write();
+            let _w = l.lock();
             assert!(l.try_read().is_none());
         }
         assert!(!l.is_locked());

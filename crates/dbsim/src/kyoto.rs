@@ -83,11 +83,11 @@ impl Kyoto {
         // Method lock: normal API calls mutate shared method state, so
         // writes dispatch exclusively.
         {
-            let _held = self.method_lock.write();
+            let _held = self.method_lock.lock();
             execute_units(METHOD_UNITS);
         }
 
-        let mut buckets = self.slot_of(key).write();
+        let mut buckets = self.slot_of(key).lock();
         let b = &mut buckets[(key as usize) % BUCKETS_PER_SLOT];
         match b.iter_mut().find(|(k, _)| *k == key) {
             Some((_, v)) => *v = value,

@@ -117,7 +117,7 @@ impl LevelDb {
         table.reverse();
         table.sort_by_key(|&(k, _)| k);
         table.dedup_by_key(|&mut (k, _)| k);
-        let mut current = self.current.write();
+        let mut current = self.current.lock();
         let sequence = current.sequence + 1;
         *current = Arc::new(DbVersion {
             table: Arc::new(table),
@@ -128,7 +128,7 @@ impl LevelDb {
     /// Re-install the current table as a new version (the cheap
     /// compaction tick used as the workload's update operation).
     pub fn bump_version(&self) {
-        let mut current = self.current.write();
+        let mut current = self.current.lock();
         let sequence = current.sequence + 1;
         let table = current.table.clone();
         *current = Arc::new(DbVersion { table, sequence });
@@ -263,7 +263,7 @@ mod tests {
         let a = db.current.read();
         assert_eq!(db.get(1), Some(value_for(1)));
         assert!(
-            db.current.try_write().is_none(),
+            db.current.try_lock().is_none(),
             "pinned snapshots block installs"
         );
         drop(a);

@@ -224,7 +224,7 @@ mod tests {
                 "exclusive substrate: reads serialize"
             );
         }
-        *slot.write() += 1;
+        *slot.lock() += 1;
         assert_eq!(*slot.read(), 2);
 
         // rw-capable factory: shared guards overlap.
@@ -242,7 +242,7 @@ mod tests {
             let a = slot.read();
             let b = slot.try_read().expect("rw substrate: reads overlap");
             assert_eq!(*a + *b, 2);
-            assert!(slot.try_write().is_none());
+            assert!(slot.try_lock().is_none());
         }
         let l = guarded_rw_lock(&RwFactory, "test.lock");
         {

@@ -70,7 +70,7 @@ impl Lmdb {
         // readers keep reading the old root meanwhile.
         execute_units(WRITE_TXN_UNITS);
         // Publish: nested metadata lock (exclusive), swap the root.
-        let mut tree = self.tree.write();
+        let mut tree = self.tree.lock();
         tree.insert(key, value);
         self.version.fetch_add(1, Ordering::Release);
         execute_units(PUBLISH_UNITS);
@@ -181,7 +181,7 @@ mod tests {
         // A concurrent reader still gets in while a snapshot is
         // pinned; a writer's publication would have to wait.
         assert_eq!(db.get(3), Some(value_for(3)));
-        assert!(db.tree.try_write().is_none(), "readers block publication");
+        assert!(db.tree.try_lock().is_none(), "readers block publication");
         drop(pinned);
     }
 }

@@ -80,7 +80,7 @@ impl UpscaleDb {
     /// Insert or update.
     pub fn put(&self, key: u64, value: Value) {
         self.enqueue_dispatch();
-        let mut tree = self.tree.write();
+        let mut tree = self.tree.lock();
         tree.insert(key, value);
         execute_units(PUT_UNITS);
     }

@@ -532,12 +532,8 @@ pub fn schedule_gcr_spurious(seed: u64) -> BoutReport {
     let gcr = Arc::new(Gcr::with_config(
         DynLock::new(lock_for("mcs")),
         GcrConfig {
-            initial_limit: 2,
-            min_limit: 2,
-            max_limit: 2,
             reintroduce_period: 2,
-            ctl_period: 0,
-            ..GcrConfig::default()
+            ..GcrConfig::fixed(2)
         },
     ));
     let cfg = SimBout {

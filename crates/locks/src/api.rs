@@ -14,17 +14,21 @@
 //!   [`RawRwLock`] included (its exclusive side is its `RawLock`
 //!   side); the data-carrying [`Mutex`] (`Mutex<T, L: RawLock>`, MCS
 //!   by default) hands out the same `Guard` from `lock` and
-//!   `try_lock`, and [`RwLock`] from `write` and `try_write`, with a
-//!   reference to the data in the guard's defaulted third type
-//!   parameter, so that guard derefs to the data ([`MutexGuard`] names
-//!   it).
+//!   `try_lock`, with a reference to the data in the guard's defaulted
+//!   third type parameter, so that guard derefs to the data
+//!   ([`MutexGuard`] names it).
 //! * [`ReadGuard`] — a shared acquisition of a [`RawRwLock`], handed
-//!   out the same way by `ReadGuard::new` and by [`RwLock::read`].
-//!   Shared guards overlap; exclusive guards exclude everyone.
+//!   out the same way by `ReadGuard::new` and, over an rwlock, by
+//!   [`Mutex::read`]. Shared guards overlap; exclusive guards exclude
+//!   everyone.
+//!
+//! There is one container: a `Mutex` over a reader-writer lock is the
+//! reader-writer container (`lock` writes, `read` reads).
 //!
 //! A lock chosen at runtime is one more lock type, not a second
 //! family: [`DynLock`] (an owned `Arc<dyn PlainLock>`) is itself a
-//! [`RawLock`] and [`DynRwLock`] a [`RawRwLock`], so their guards are
+//! [`RawLock`], and [`DynRwLock`] — the same handle over an
+//! `Arc<dyn PlainRwLock>` — a [`RawRwLock`], so their guards are
 //! `Guard<'_, DynLock>` and so on, and [`DynMutex<T>`](DynMutex) is
 //! `Mutex<T, DynLock>` (the building block of the database engines'
 //! guarded slots).
@@ -65,7 +69,6 @@ type NotSend = PhantomData<*const ()>;
 
 use crate::mcs::McsLock;
 use crate::plain::{PlainLock, PlainRwLock, PlainRwToken, PlainToken};
-use crate::rw_ticket::RwTicketLock;
 use crate::{RawLock, RawRwLock};
 
 /// RAII exclusive acquisition of a borrowed [`RawLock`]: the token is
@@ -165,7 +168,7 @@ impl<L: RawLock, D> Drop for Guard<'_, L, D> {
 impl<L: RawLock, T> Deref for Guard<'_, L, &UnsafeCell<T>> {
     type Target = T;
     fn deref(&self) -> &T {
-        // SAFETY: only `Mutex` or `RwLock` builds a guard with data,
+        // SAFETY: only `Mutex` builds a guard with data,
         // from its own lock and cell, so guard existence proves
         // exclusive acquisition of the lock that serializes this cell.
         unsafe { &*self.data.get() }
@@ -204,6 +207,21 @@ impl<L: RawLock, T> DerefMut for Guard<'_, L, &UnsafeCell<T>> {
 /// let m: asl_locks::api::Mutex<Cell<u32>, asl_locks::McsLock> =
 ///     asl_locks::api::Mutex::new(Cell::new(0));
 /// assert_sync(&m.lock()); // must not compile: &guard would share &Cell
+/// ```
+///
+/// Over a reader-writer lock ([`RawRwLock`]) the same container is the
+/// reader-writer one, shaped like `std::sync::RwLock`: `lock` is the
+/// exclusive side and [`read`](Mutex::read) the shared one.
+///
+/// ```
+/// use asl_locks::api::Mutex;
+/// use asl_locks::RwTicketLock;
+///
+/// let cache: Mutex<Vec<u32>, RwTicketLock> = Mutex::new(vec![1, 2]);
+/// cache.lock().push(3);               // exclusive
+/// let r1 = cache.read();              // shared...
+/// let r2 = cache.read();              // ...with overlap
+/// assert_eq!(r1.len() + r2.len(), 6);
 /// ```
 pub struct Mutex<T, L: RawLock = McsLock> {
     lock: L,
@@ -268,6 +286,42 @@ impl<T, L: RawLock> Mutex<T, L> {
     }
 }
 
+/// The shared side, over a reader-writer lock.
+impl<T: Sync, L: RawRwLock> Mutex<T, L> {
+    /// Acquire shared, returning a guard that derefs to the data.
+    ///
+    /// Readers hold `&T` at once from many threads, so `read` is
+    /// offered only over data that may be shared (`T: Sync`) — the
+    /// container itself is `Sync` for any `T: Send`:
+    ///
+    /// ```compile_fail,E0599
+    /// use std::cell::Cell;
+    /// let m: asl_locks::api::Mutex<Cell<u32>, asl_locks::RwTicketLock> =
+    ///     asl_locks::api::Mutex::new(Cell::new(0));
+    /// let _r = m.read(); // must not compile: two readers would share &Cell
+    /// ```
+    ///
+    /// The read guard is `!Send` like every guard:
+    ///
+    /// ```compile_fail,E0277
+    /// fn assert_send<T: Send>(_: T) {}
+    /// let m: asl_locks::api::Mutex<u64, asl_locks::RwTicketLock> =
+    ///     asl_locks::api::Mutex::new(0);
+    /// assert_send(m.read()); // must not compile: guards can't cross threads
+    /// ```
+    #[inline]
+    pub fn read(&self) -> ReadGuard<'_, L, &UnsafeCell<T>> {
+        ReadGuard::acquire(&self.lock, &self.data)
+    }
+
+    /// Try to acquire shared without waiting.
+    #[inline]
+    #[must_use = "dropping the returned guard releases the lock again"]
+    pub fn try_read(&self) -> Option<ReadGuard<'_, L, &UnsafeCell<T>>> {
+        ReadGuard::try_acquire(&self.lock, &self.data)
+    }
+}
+
 impl<T: Default, L: RawLock + Default> Default for Mutex<T, L> {
     fn default() -> Self {
         Self::new(T::default())
@@ -288,42 +342,35 @@ impl<T: fmt::Debug, L: RawLock> fmt::Debug for Mutex<T, L> {
 
 /// An owned, runtime-chosen lock with RAII acquisition.
 ///
-/// Wraps an `Arc<dyn PlainLock>` so call sites that pick their lock
-/// implementation at runtime (the database engines, the harness) get
-/// the same drop-safety as the static [`Guard`]. Cloning shares the
-/// same underlying lock.
-#[derive(Clone)]
-pub struct DynLock {
-    inner: Arc<dyn PlainLock>,
+/// Wraps an `Arc<P>` — an `Arc<dyn PlainLock>` by default, an
+/// `Arc<dyn PlainRwLock>` as [`DynRwLock`] — so call sites that pick
+/// their lock implementation at runtime (the database engines, the
+/// harness) get the same drop-safety as the static [`Guard`]. Cloning
+/// shares the same underlying lock.
+pub struct DynLock<P: ?Sized + PlainLock = dyn PlainLock> {
+    inner: Arc<P>,
 }
 
-impl DynLock {
+impl<P: ?Sized + PlainLock> DynLock<P> {
     /// Wrap an existing shared lock object.
-    pub fn new(inner: Arc<dyn PlainLock>) -> Self {
+    pub fn new(inner: Arc<P>) -> Self {
         DynLock { inner }
-    }
-
-    /// Wrap a concrete lock value.
-    pub fn of<L: PlainLock + 'static>(lock: L) -> Self {
-        DynLock {
-            inner: Arc::new(lock),
-        }
     }
 
     /// Acquire, blocking until granted; released when the guard drops.
     #[inline]
-    pub fn lock(&self) -> Guard<'_, DynLock> {
+    pub fn lock(&self) -> Guard<'_, Self> {
         Guard::new(self)
     }
 
     /// Try to acquire without waiting.
     #[inline]
     #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_lock(&self) -> Option<Guard<'_, DynLock>> {
+    pub fn try_lock(&self) -> Option<Guard<'_, Self>> {
         Guard::try_new(self)
     }
 
-    /// Heuristic held/queued check.
+    /// Heuristic held/queued check (either mode).
     #[inline]
     pub fn is_locked(&self) -> bool {
         self.inner.held()
@@ -335,6 +382,25 @@ impl DynLock {
     }
 }
 
+impl DynLock {
+    /// Wrap a concrete lock value. (Only the exclusive handle has it:
+    /// a second `of` would leave `DynLock::of(..)` ambiguous.)
+    pub fn of<L: PlainLock + 'static>(lock: L) -> Self {
+        DynLock {
+            inner: Arc::new(lock),
+        }
+    }
+}
+
+// Written out: a derive would demand `P: Clone`.
+impl<P: ?Sized + PlainLock> Clone for DynLock<P> {
+    fn clone(&self) -> Self {
+        DynLock {
+            inner: Arc::clone(&self.inner),
+        }
+    }
+}
+
 /// The erased handle is a lock like any other: its token is the
 /// [`PlainToken`] the object behind it issued, handed through
 /// untouched. Every layer written once over [`RawLock`] — [`Guard`],
@@ -342,7 +408,7 @@ impl DynLock {
 /// therefore also covers runtime-chosen locks, and a wrapper over a
 /// `DynLock` is itself a [`PlainLock`] again
 /// ([`crate::plain::TokenWords`], the pass-through rule).
-impl RawLock for DynLock {
+impl<P: ?Sized + PlainLock> RawLock for DynLock<P> {
     type Token = PlainToken;
 
     #[inline]
@@ -373,7 +439,7 @@ impl RawLock for DynLock {
 /// a `LockSpec` registry name) and handed to [`Mutex::with_lock`].
 pub type DynMutex<T> = Mutex<T, DynLock>;
 
-impl fmt::Debug for DynLock {
+impl<P: ?Sized + PlainLock> fmt::Debug for DynLock<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DynLock")
             .field("name", &self.name())
@@ -388,7 +454,7 @@ impl fmt::Debug for DynLock {
 
 /// RAII shared acquisition of a borrowed [`RawRwLock`]; released on
 /// drop. Multiple `ReadGuard`s may be live at once; none while a
-/// [`Guard`] on the same lock is. An [`RwLock`]'s read guard carries a
+/// [`Guard`] on the same lock is. [`Mutex::read`]'s guard carries a
 /// reference to the data in `D` and derefs to it.
 ///
 /// `!Send` like every guard — release must happen on the acquiring
@@ -467,167 +533,24 @@ impl<L: RawRwLock, D> Drop for ReadGuard<'_, L, D> {
 impl<L: RawRwLock, T> Deref for ReadGuard<'_, L, &UnsafeCell<T>> {
     type Target = T;
     fn deref(&self) -> &T {
-        // SAFETY: only `RwLock` builds a guard with data, from its own
-        // lock and cell; a live read guard proves no writer is active,
-        // so shared access to the data is race-free.
+        // SAFETY: only `Mutex::read` builds a guard with data, from its
+        // own lock and cell and only for `T: Sync`; a live read guard
+        // proves no writer is active, so shared access is race-free.
         unsafe { &*self.data.get() }
     }
 }
 
-/// A reader-writer container generic over its lock implementation —
-/// the shared/exclusive counterpart of [`Mutex`].
-///
-/// Shaped like `std::sync::RwLock` but without poisoning: a panic
-/// inside a read or write section releases the lock on unwind and the
-/// next acquisition succeeds normally.
-///
-/// ```
-/// use asl_locks::api::RwLock;
-/// use asl_locks::RwTicketLock;
-///
-/// let cache: RwLock<Vec<u32>, RwTicketLock> = RwLock::new(vec![1, 2]);
-/// cache.write().push(3);              // exclusive
-/// let r1 = cache.read();              // shared...
-/// let r2 = cache.read();              // ...with overlap
-/// assert_eq!(r1.len() + r2.len(), 6);
-/// ```
-///
-/// `read` returns the [`ReadGuard`] a bare rwlock hands out and
-/// `write` the same [`Guard`] as [`Mutex::lock`]; both are `!Send`:
-///
-/// ```compile_fail,E0277
-/// fn assert_send<T: Send>(_: T) {}
-/// let l: asl_locks::api::RwLock<u64> = asl_locks::api::RwLock::new(0);
-/// assert_send(l.read()); // must not compile: guards can't cross threads
-/// ```
-///
-/// ```compile_fail,E0277
-/// fn assert_send<T: Send>(_: T) {}
-/// let l: asl_locks::api::RwLock<u64> = asl_locks::api::RwLock::new(0);
-/// assert_send(l.write()); // must not compile: guards can't cross threads
-/// ```
-pub struct RwLock<T, L: RawRwLock = RwTicketLock> {
-    lock: L,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: standard rwlock reasoning — writers get exclusive access
-// from any thread (T: Send) and readers share &T concurrently
-// (T: Sync).
-unsafe impl<T: Send, L: RawRwLock> Send for RwLock<T, L> {}
-unsafe impl<T: Send + Sync, L: RawRwLock> Sync for RwLock<T, L> {}
-
-impl<T, L: RawRwLock + Default> RwLock<T, L> {
-    /// New rwlock over a default-constructed lock.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            lock: L::default(),
-            data: UnsafeCell::new(value),
-        }
-    }
-}
-
-impl<T, L: RawRwLock> RwLock<T, L> {
-    /// New rwlock over a caller-supplied lock instance.
-    pub fn with_lock(value: T, lock: L) -> Self {
-        RwLock {
-            lock,
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquire shared, returning a guard that derefs to the data.
-    #[inline]
-    pub fn read(&self) -> ReadGuard<'_, L, &UnsafeCell<T>> {
-        ReadGuard::acquire(&self.lock, &self.data)
-    }
-
-    /// Try to acquire shared without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_read(&self) -> Option<ReadGuard<'_, L, &UnsafeCell<T>>> {
-        ReadGuard::try_acquire(&self.lock, &self.data)
-    }
-
-    /// Acquire exclusive, returning a guard that derefs mutably.
-    #[inline]
-    pub fn write(&self) -> Guard<'_, L, &UnsafeCell<T>> {
-        Guard::acquire(&self.lock, &self.data)
-    }
-
-    /// Try to acquire exclusive without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_write(&self) -> Option<Guard<'_, L, &UnsafeCell<T>>> {
-        Guard::try_acquire(&self.lock, &self.data)
-    }
-
-    /// Whether anyone holds or queues on the lock (either mode).
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.lock.is_locked()
-    }
-
-    /// The underlying lock (statistics, configuration).
-    pub fn raw(&self) -> &L {
-        &self.lock
-    }
-
-    /// Consume the rwlock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-}
-
-impl<T: Default, L: RawRwLock + Default> Default for RwLock<T, L> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug, L: RawRwLock> fmt::Debug for RwLock<T, L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = f.debug_struct("RwLock");
-        s.field("lock", &L::NAME);
-        match self.try_read() {
-            Some(g) => s.field("data", &&*g),
-            None => s.field("data", &format_args!("<locked>")),
-        };
-        s.finish()
-    }
-}
-
-/// An owned, runtime-chosen reader-writer lock with RAII acquisition
-/// — the shared/exclusive counterpart of [`DynLock`].
-///
-/// Wraps an `Arc<dyn PlainRwLock>`; cloning shares the same lock.
-/// Exclusive locks slot in through
-/// [`crate::plain::ExclusiveRw`] (their "read" mode degenerates to an
-/// exclusive acquisition), which is how call sites can take shared
-/// guards unconditionally and still run under any registry lock.
-#[derive(Clone)]
-pub struct DynRwLock {
-    inner: Arc<dyn PlainRwLock>,
-}
+/// A runtime-chosen reader-writer lock: the erased handle over an
+/// `Arc<dyn PlainRwLock>`. All it adds to [`DynLock`] is the shared
+/// side — `read`/`try_read` and [`RawRwLock`]; its exclusive side is
+/// `lock`/`try_lock`. Build one with `DynRwLock::new(Arc::new(lock))`.
+/// Exclusive locks slot in through [`crate::plain::ExclusiveRw`]
+/// (their "read" mode degenerates to an exclusive acquisition), which
+/// is how call sites can take shared guards unconditionally and still
+/// run under any registry lock.
+pub type DynRwLock = DynLock<dyn PlainRwLock>;
 
 impl DynRwLock {
-    /// Wrap an existing shared rwlock object.
-    pub fn new(inner: Arc<dyn PlainRwLock>) -> Self {
-        DynRwLock { inner }
-    }
-
-    /// Wrap a concrete rwlock value.
-    pub fn of<L: PlainRwLock + 'static>(lock: L) -> Self {
-        DynRwLock {
-            inner: Arc::new(lock),
-        }
-    }
-
     /// Acquire shared; released when the guard drops.
     #[inline]
     pub fn read(&self) -> ReadGuard<'_, DynRwLock> {
@@ -640,61 +563,10 @@ impl DynRwLock {
     pub fn try_read(&self) -> Option<ReadGuard<'_, DynRwLock>> {
         ReadGuard::try_new(self)
     }
-
-    /// Acquire exclusive; released when the guard drops.
-    #[inline]
-    pub fn write(&self) -> Guard<'_, DynRwLock> {
-        Guard::new(self)
-    }
-
-    /// Try to acquire exclusive without waiting.
-    #[inline]
-    #[must_use = "dropping the returned guard releases the lock again"]
-    pub fn try_write(&self) -> Option<Guard<'_, DynRwLock>> {
-        Guard::try_new(self)
-    }
-
-    /// Heuristic held/queued check (either mode).
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.inner.held()
-    }
-
-    /// Implementation name for reports.
-    pub fn name(&self) -> &'static str {
-        self.inner.lock_name()
-    }
 }
 
-/// The erased rwlock handle is a [`RawRwLock`] whose tokens are the
-/// [`PlainToken`]s and [`PlainRwToken`]s the object behind it issued
-/// (see [`DynLock`]).
-impl RawLock for DynRwLock {
-    type Token = PlainToken;
-
-    #[inline]
-    fn lock(&self) -> PlainToken {
-        self.inner.acquire()
-    }
-
-    #[inline]
-    fn try_lock(&self) -> Option<PlainToken> {
-        self.inner.try_acquire()
-    }
-
-    #[inline]
-    fn unlock(&self, token: PlainToken) {
-        self.inner.release(token);
-    }
-
-    #[inline]
-    fn is_locked(&self) -> bool {
-        self.inner.held()
-    }
-
-    const NAME: &'static str = "dyn-rw";
-}
-
+/// The erased rwlock handle's shared tokens are the [`PlainRwToken`]s
+/// the object behind it issued (see [`DynLock`]).
 impl RawRwLock for DynRwLock {
     type ReadToken = PlainRwToken;
 
@@ -719,17 +591,17 @@ impl RawRwLock for DynRwLock {
     }
 }
 
-/// A reader-writer container over a runtime-chosen lock (handed to
-/// [`RwLock::with_lock`]) — the shared/exclusive counterpart of
-/// [`DynMutex`] and the building block of the database engines'
-/// read-mostly guarded slots.
+/// A reader-writer container over a runtime-chosen lock — a [`Mutex`]
+/// whose lock is a [`DynRwLock`], and the building block of the
+/// database engines' read-mostly guarded slots.
 ///
 /// ```
+/// use std::sync::Arc;
 /// use asl_locks::api::{DynRwLock, DynRwMutex};
 /// use asl_locks::RwTicketLock;
 ///
-/// let index = DynRwMutex::with_lock(vec![10, 20], DynRwLock::of(RwTicketLock::new()));
-/// index.write().push(30);              // exclusive
+/// let index = DynRwMutex::with_lock(vec![10, 20], DynRwLock::new(Arc::new(RwTicketLock::new())));
+/// index.lock().push(30);               // exclusive
 /// {
 ///     let a = index.read();            // shared...
 ///     let b = index.read();            // ...concurrently
@@ -738,24 +610,15 @@ impl RawRwLock for DynRwLock {
 /// }
 /// assert!(!index.is_locked());
 /// ```
-pub type DynRwMutex<T> = RwLock<T, DynRwLock>;
-
-impl fmt::Debug for DynRwLock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DynRwLock")
-            .field("name", &self.name())
-            .field("held", &self.is_locked())
-            .finish()
-    }
-}
+pub type DynRwMutex<T> = Mutex<T, DynRwLock>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClhLock, TasLock, TicketLock};
+    use crate::{ClhLock, RwTicketLock, TasLock, TicketLock};
 
     // A `Mutex<u64, _>`'s guard may be shared by reference (the
-    // `compile_fail` doctests on `Mutex` and `RwLock` pin the
+    // `compile_fail` doctests on `Mutex` and `Mutex::read` pin the
     // negative cases).
     const _: () = {
         fn assert_sync<T: Sync>() {}
@@ -850,9 +713,9 @@ mod tests {
     }
 
     #[test]
-    fn static_rwlock_guards_data() {
-        let l: RwLock<Vec<u32>, RwTicketLock> = RwLock::new(vec![1]);
-        l.write().push(2);
+    fn a_mutex_over_an_rwlock_reads_shared() {
+        let l: Mutex<Vec<u32>, RwTicketLock> = Mutex::new(vec![1]);
+        l.lock().push(2);
         {
             let a = l.read();
             let b = l.read();
@@ -868,13 +731,13 @@ mod tests {
         use crate::plain::ExclusiveRw;
 
         // Native rwlock: reads genuinely overlap.
-        let m = DynRwMutex::with_lock(7u64, DynRwLock::of(RwTicketLock::new()));
+        let m = DynRwMutex::with_lock(7u64, DynRwLock::new(Arc::new(RwTicketLock::new())));
         {
             let a = m.read();
             let b = m.read();
             assert_eq!(*a + *b, 14);
         }
-        *m.write() += 1;
+        *m.lock() += 1;
         assert_eq!(*m.read(), 8);
         assert_eq!(m.raw().name(), "rw-ticket");
 
@@ -889,24 +752,24 @@ mod tests {
             assert!(m.try_read().is_none(), "exclusive substrate: no overlap");
             assert_eq!(*a, 7);
         }
-        *m.write() += 1;
+        *m.lock() += 1;
         assert_eq!(*m.read(), 8);
         assert_eq!(m.raw().name(), "mcs");
     }
 
     #[test]
     fn dyn_rw_lock_guards_release_on_drop() {
-        let lock = DynRwLock::of(RwTicketLock::new());
+        let lock = DynRwLock::new(Arc::new(RwTicketLock::new()));
         {
             let _r = lock.read();
             assert!(lock.is_locked());
-            assert!(lock.try_write().is_none());
+            assert!(lock.try_lock().is_none());
         }
         {
-            let _w = lock.write();
+            let _w = lock.lock();
             assert!(lock.try_read().is_none());
         }
         assert!(!lock.is_locked());
-        assert!(lock.try_write().is_some());
+        assert!(lock.try_lock().is_some());
     }
 }

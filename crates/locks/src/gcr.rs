@@ -27,7 +27,8 @@
 //! * an **adaptive controller** grows or shrinks `K` from
 //!   [`TelemetryCell`] signals. Shrink on either collapse signature:
 //!   windowed hold times inflating past the best observed window
-//!   while the contended streak spans it (holders being preempted),
+//!   (by [`INFLATION_PCT`]%) while the contended streak spans it
+//!   ([`SHRINK_STREAK`] acquisitions: holders being preempted),
 //!   or windowed wait time exceeding 4x the windowed hold time
 //!   (queueing — holds can stay perfectly clean while waits explode,
 //!   e.g. behind a reordering lock). Grow, with waiters passive, when
@@ -743,13 +744,6 @@ pub struct GcrConfig {
     /// Controller tick every this many acquisitions; `0` disables the
     /// controller entirely (fixed bound).
     pub ctl_period: u32,
-    /// Shrink only when the cell's consecutive-contended streak is at
-    /// least this long — sustained saturation, not a contention blip.
-    pub shrink_streak: u64,
-    /// Shrink when the windowed mean hold time exceeds the best
-    /// observed window by more than this percentage (hold-time
-    /// inflation = holders being preempted = collapse onset).
-    pub inflation_pct: u32,
 }
 
 impl Default for GcrConfig {
@@ -768,8 +762,6 @@ impl Default for GcrConfig {
             max_limit: 0,
             reintroduce_period: 1024,
             ctl_period: 64,
-            shrink_streak: 64,
-            inflation_pct: 100,
         }
     }
 }
@@ -834,6 +826,16 @@ impl GcrConfig {
 /// controller window's wall time (and waiters sit passive): the gate
 /// is binding, but the lock itself still has headroom.
 pub const GROW_UTIL_PCT: u64 = 85;
+
+/// Shrink on hold inflation only when the cell's consecutive-contended
+/// streak is at least this long — sustained saturation, not a
+/// contention blip.
+pub const SHRINK_STREAK: u64 = 64;
+
+/// Holds are inflated when the windowed mean hold time exceeds the
+/// best observed window by more than this percentage (hold-time
+/// inflation = holders being preempted = collapse onset).
+pub const INFLATION_PCT: u64 = 100;
 
 /// Controller bookkeeping, mutated only while the wrapped lock is
 /// held (release-path ticks), so plain fields suffice.
@@ -947,7 +949,7 @@ impl Controller {
         }
         let limit = gate.limit();
         let inflated = st.baseline_hold > 0.0
-            && avg_hold > st.baseline_hold * (1.0 + self.cfg.inflation_pct as f64 / 100.0);
+            && avg_hold > st.baseline_hold * (1.0 + INFLATION_PCT as f64 / 100.0);
         // Queueing: time spent waiting inside the wrapped lock dwarfs
         // time spent holding it. Holds can stay perfectly clean while
         // this happens — a reordering lock hands off to runnable
@@ -957,7 +959,7 @@ impl Controller {
         // 4x) is the hysteresis that keeps the two rules from
         // fighting.
         let queueing = w.wait_ns > w.hold_ns.saturating_mul(4);
-        if ((inflated && cell.contended_streak() >= self.cfg.shrink_streak) || queueing)
+        if ((inflated && cell.contended_streak() >= SHRINK_STREAK) || queueing)
             && limit > self.cfg.min_limit
         {
             // Collapse onset: holds inflating under back-to-back
@@ -1559,9 +1561,9 @@ mod tests {
 
     #[test]
     fn controller_shrinks_on_inflated_contended_holds() {
-        // Zero inflation tolerance + tiny streak requirement: any
-        // window whose mean hold exceeds the best window while two
-        // acquisitions ran back-to-back contended must shrink.
+        // A window whose mean hold is 20x the best window's clears the
+        // 2x inflation tolerance; two threads hammering the lock keep
+        // the contended streak past SHRINK_STREAK, so it must shrink.
         let lock = Arc::new(Gcr::with_config(
             McsLock::new(),
             GcrConfig {
@@ -1569,8 +1571,6 @@ mod tests {
                 min_limit: 1,
                 max_limit: 4,
                 ctl_period: 8,
-                shrink_streak: 2,
-                inflation_pct: 0,
                 reintroduce_period: 64,
             },
         ));

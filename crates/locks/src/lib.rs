@@ -75,8 +75,9 @@
 //!   [`Instrumented`]) is written once against it. Application code
 //!   holds acquisitions as one guard per mode: [`api::Guard`] for an
 //!   exclusive acquisition of any lock, rwlocks included (handed out
-//!   by `Guard::new(&lock)` and by the data-carrying [`api::Mutex`]
-//!   and [`api::RwLock`]), and [`api::ReadGuard`] for a shared one.
+//!   by `Guard::new(&lock)` and by the data-carrying [`api::Mutex`]),
+//!   and [`api::ReadGuard`] for a shared one (a `Mutex` over an rwlock
+//!   hands it out from `read`: there is no second container).
 //!   Releasing happens on drop (including panic unwind), so the
 //!   forget-to-release and release-wrong-lock bug classes of the token
 //!   calls cannot occur.
@@ -84,10 +85,12 @@
 //!   (`Arc<dyn PlainLock>`) with an opaque two-word token, and a
 //!   three-word one for a shared acquisition, blanket-implemented for
 //!   every raw lock whose tokens are word-encodable
-//!   ([`plain::TokenWords`]). Its RAII handles [`api::DynLock`] /
-//!   [`api::DynRwLock`] are themselves a `RawLock` / `RawRwLock`, so a
-//!   lock chosen at runtime is one more lock type parameter of the
-//!   guards above (`api::DynMutex` is `Mutex<T, DynLock>`), and
+//!   ([`plain::TokenWords`]). Its RAII handle [`api::DynLock`] wraps
+//!   either object — [`api::DynRwLock`] is `DynLock<dyn PlainRwLock>`
+//!   — and is itself a `RawLock` / `RawRwLock`, so a lock chosen at
+//!   runtime is one more lock type parameter of the guards above
+//!   (`api::DynMutex` is `Mutex<T, DynLock>`, `api::DynRwMutex`
+//!   `Mutex<T, DynRwLock>`), and
 //!   wrappers over a handle erase again without a second
 //!   implementation of the wrapper. In debug builds tokens are tagged
 //!   with the issuing lock and cross-lock releases panic; a shared
@@ -137,9 +140,7 @@ pub mod ticket;
 pub mod timed;
 pub mod watchdog;
 
-pub use api::{
-    DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, Mutex, MutexGuard, ReadGuard, RwLock,
-};
+pub use api::{DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, Mutex, MutexGuard, ReadGuard};
 pub use asynclock::{AsyncDynMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use backoff::BackoffLock;
 pub use blocking::{McsStpLock, PthreadMutex};
@@ -214,8 +215,8 @@ pub trait FifoLock: RawLock {}
 /// [`RawLock`], acquisitions return tokens that must be passed back to
 /// the matching unlock by the same thread — application code should
 /// hold them as RAII guards from [`api`] ([`api::ReadGuard`],
-/// [`api::Guard`], [`api::RwLock`]) instead of threading tokens by
-/// hand.
+/// [`api::Guard`], [`api::Mutex::read`]) instead of threading tokens
+/// by hand.
 pub trait RawRwLock: RawLock {
     /// Proof of a shared acquisition, consumed by
     /// [`RawRwLock::unlock_read`].

@@ -1123,7 +1123,7 @@ mod tests {
         let read = Arc::new(TelemetryCell::sampled());
         let write = Arc::new(TelemetryCell::sampled());
         let lock: Arc<dyn PlainRwLock> = Arc::new(InstrumentedRw::with_cells(
-            DynRwLock::of(RwTicketLock::new()),
+            DynRwLock::new(Arc::new(RwTicketLock::new())),
             read.clone(),
             write.clone(),
         ));

@@ -320,7 +320,6 @@ fn publishers_racing_a_disengaging_holder_are_never_stranded() {
             // Every exit past a parked waiter admits it: a wait that
             // is not stranded lasts one holder cycle.
             reintroduce_period: 1,
-            ..GcrConfig::default()
         },
     ));
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));

@@ -2,7 +2,7 @@
 //! substrate:
 //!
 //! * readers never overlap a writer; writers are mutually exclusive;
-//! * `try_read`/`try_write` guards release on drop;
+//! * `try_read`/`try_lock` guards release on drop;
 //! * a panic inside a read section releases without poisoning;
 //! * (debug builds) cross-lock release is caught by the token
 //!   ownership tags (cross-*mode* release does not compile: the
@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use asl_locks::api::{DynRwLock, DynRwMutex, Guard, ReadGuard, RwLock};
+use asl_locks::api::{DynRwLock, DynRwMutex, Guard, Mutex, ReadGuard};
 use asl_locks::plain::PlainRwLock;
 use asl_locks::{Bravo, McsLock, RwTicketLock, TasLock, TicketLock};
 use proptest::prelude::*;
@@ -114,21 +114,15 @@ fn try_guards_release_on_drop() {
             let r = lock
                 .try_read()
                 .unwrap_or_else(|| panic!("{name}: free try_read"));
-            assert!(
-                lock.try_write().is_none(),
-                "{name}: reader blocks try_write"
-            );
+            assert!(lock.try_lock().is_none(), "{name}: reader blocks try_lock");
             drop(r);
         }
         {
             let w = lock
-                .try_write()
-                .unwrap_or_else(|| panic!("{name}: free try_write"));
+                .try_lock()
+                .unwrap_or_else(|| panic!("{name}: free try_lock"));
             assert!(lock.try_read().is_none(), "{name}: writer blocks try_read");
-            assert!(
-                lock.try_write().is_none(),
-                "{name}: writer blocks try_write"
-            );
+            assert!(lock.try_lock().is_none(), "{name}: writer blocks try_lock");
             drop(w);
         }
         assert!(!lock.is_locked(), "{name}: try guards released on drop");
@@ -139,7 +133,7 @@ fn try_guards_release_on_drop() {
 fn panic_in_read_section_releases_without_poisoning() {
     let m = Arc::new(DynRwMutex::with_lock(
         vec![1u64],
-        DynRwLock::of(RwTicketLock::new()),
+        DynRwLock::new(Arc::new(RwTicketLock::new())),
     ));
     let m2 = m.clone();
     let joined = std::thread::spawn(move || {
@@ -151,16 +145,16 @@ fn panic_in_read_section_releases_without_poisoning() {
     assert!(joined.is_err());
     // No poisoning: both modes acquire normally afterwards.
     assert!(!m.is_locked());
-    m.write().push(2);
+    m.lock().push(2);
     assert_eq!(&*m.read(), &[1, 2]);
 }
 
 #[test]
 fn panic_in_write_section_releases_static_rwlock() {
-    let m = Arc::new(RwLock::<u64, RwTicketLock>::new(0));
+    let m = Arc::new(Mutex::<u64, RwTicketLock>::new(0));
     let m2 = m.clone();
     let joined = std::thread::spawn(move || {
-        *m2.write() += 1;
+        *m2.lock() += 1;
         panic!("unwind with a write guard held");
     })
     .join();

@@ -259,8 +259,6 @@ struct Vthread {
     state: VState,
     core: usize,
     big: bool,
-    /// Pre-resolved per-poll charge (poll stretched by core class).
-    poll_charge: u64,
     /// Virtual time of the last on-core execution: the scheduler's
     /// tie-break. Threads parked behind the same quantum-expiry key
     /// rotate least-recently-run first, so every co-resident of a core
@@ -317,7 +315,6 @@ impl SimMachine {
                     state: VState::Ready,
                     core: vc.id.0,
                     big: vc.kind == CoreKind::Big,
-                    poll_charge: cfg.cost.poll_cost_ns(&cfg.topology, vc.kind).max(1),
                     last_ran: 0,
                     ops: 0,
                 }
@@ -433,14 +430,6 @@ impl SimMachine {
         self.step(me, self.cost.clock_read_ns, true)
     }
 
-    fn poll(&self, me: usize) {
-        let charge = {
-            let sh = self.shared.lock().expect("sim scheduler poisoned");
-            sh.th[me].poll_charge
-        };
-        self.step(me, charge, true);
-    }
-
     fn charge_work_units(&self, me: usize, units: u64) {
         // Units arrive pre-scaled by the registry multiplier
         // (execute_units), so convert straight to virtual ns.
@@ -542,6 +531,9 @@ impl SimMachine {
 struct VthreadHandle {
     machine: Arc<SimMachine>,
     tid: usize,
+    /// Per-poll charge, resolved once (poll stretched by core class):
+    /// a failed probe takes the engine lock once, in `step`.
+    poll_charge: u64,
 }
 
 impl substrate::Substrate for VthreadHandle {
@@ -549,7 +541,7 @@ impl substrate::Substrate for VthreadHandle {
         self.machine.clock(self.tid)
     }
     fn relax(&self) {
-        self.machine.poll(self.tid);
+        self.machine.step(self.tid, self.poll_charge, true);
     }
     fn busy_wait_ns(&self, ns: u64) {
         self.machine.step(self.tid, ns, true);
@@ -591,6 +583,7 @@ fn with_vthread(
     let handle: Arc<dyn substrate::Substrate> = Arc::new(VthreadHandle {
         machine: machine.clone(),
         tid,
+        poll_charge: cfg.cost.poll_cost_ns(&cfg.topology, vc.kind).max(1),
     });
     // Fault schedules decorate the vthread handle, never stack on it:
     // the injector *is* the installed substrate (install refuses

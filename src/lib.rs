@@ -17,11 +17,12 @@
 //!   the guard-based unified API every layer locks through
 //!   (`asl_locks::api`: one guard per acquisition mode — [`Guard`]
 //!   exclusive, a reader-writer lock's included, and [`ReadGuard`]
-//!   shared — handed out alike by a bare lock and by the
-//!   data-carrying `api::Mutex` / `api::RwLock`, generic over the lock
-//!   type; below them, the erased facade, whose
-//!   handles [`DynLock`]/[`DynRwLock`] are the type parameter for
-//!   locks chosen at runtime, [`DynMutex`] and [`DynRwMutex`] being
+//!   shared — handed out alike by a bare lock and by the one
+//!   data-carrying container `api::Mutex`, generic over the lock type,
+//!   which over a reader-writer lock also reads; below them, the
+//!   erased facade, whose one handle [`DynLock`] — [`DynRwLock`] is
+//!   `DynLock<dyn PlainRwLock>` — is the type parameter for locks
+//!   chosen at runtime, [`DynMutex`] and [`DynRwMutex`] being
 //!   aliases) ([`asl_locks`]).
 //!   Observability is first-class: `asl_locks::telemetry` records
 //!   lock-agnostic acquisition counters ([`TelemetryCell`],
@@ -142,14 +143,15 @@
 //! assert!(!lock.is_locked());
 //! ```
 //!
-//! Read-mostly state goes behind the reader-writer shapes — shared
-//! guards overlap, exclusive guards exclude everyone:
+//! Read-mostly state goes behind a reader-writer lock — the same
+//! container over a lock with a shared side: shared guards overlap,
+//! exclusive guards exclude everyone:
 //!
 //! ```
 //! use libasl::RwLock;
 //!
 //! let catalog: RwLock<Vec<&str>> = RwLock::new(vec!["a"]);
-//! catalog.write().push("b");        // exclusive
+//! catalog.lock().push("b");         // exclusive
 //! let r1 = catalog.read();          // shared...
 //! let r2 = catalog.read();          // ...concurrently
 //! assert_eq!(r1.len() + r2.len(), 4);
@@ -207,5 +209,6 @@ pub use asl_runtime::{
 pub type Mutex<T> = asl_core::AslMutex<T>;
 
 /// The recommended application-facing reader-writer lock: shared
-/// reads batched over a LibASL writer substrate.
-pub type RwLock<T> = asl_locks::api::RwLock<T, asl_core::AslRwLock>;
+/// reads batched over a LibASL writer substrate. It is the mutex
+/// container over an rwlock: `lock` writes, `read` reads.
+pub type RwLock<T> = asl_locks::api::Mutex<T, asl_core::AslRwLock>;

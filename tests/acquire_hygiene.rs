@@ -404,7 +404,7 @@ fn a_sampled_cell_reads_the_clock_twice_per_timed_hold_and_never_otherwise() {
         check("try_lock", sampling, lock.telemetry(), bare, &acquire);
 
         // The write side of an instrumented rwlock.
-        let rw = InstrumentedRw::new(DynRwLock::of(RwTicketLock::new()));
+        let rw = InstrumentedRw::new(DynRwLock::new(Arc::new(RwTicketLock::new())));
         let acquire = || rw.unlock(rw.lock());
         check("rw write", sampling, rw.write_telemetry(), bare, &acquire);
 

@@ -58,12 +58,12 @@ fn exercise(name: &str) -> LockSpec {
             Some(_) => panic!("{name}: exclusive spec reads must serialize"),
             None => panic!("{name}: rw spec reads must overlap"),
         }
-        assert!(lock.try_write().is_none(), "{name}: reader excludes writer");
+        assert!(lock.try_lock().is_none(), "{name}: reader excludes writer");
     }
     {
-        let _w = lock.write();
+        let _w = lock.lock();
         assert!(lock.is_locked(), "{name}");
-        assert!(lock.try_write().is_none(), "{name}: writer excludes writer");
+        assert!(lock.try_lock().is_none(), "{name}: writer excludes writer");
         assert!(lock.try_read().is_none(), "{name}: writer excludes reader");
     }
     // A read after the writer still works (possibly without overlap —

@@ -1,7 +1,8 @@
 //! Every-wrapper-once audit.
 //!
-//! The erased handle (`DynLock`, `DynRwLock`) is a `RawLock` /
-//! `RawRwLock` like any other, so every layer above the zoo exists
+//! The erased handle (`DynLock`, and `DynRwLock` — the same handle
+//! over `dyn PlainRwLock`) is a `RawLock` / `RawRwLock` like any
+//! other, so every layer above the zoo exists
 //! once, generic over its lock, and covers runtime-chosen locks by
 //! taking the handle as its type parameter. Before that, each layer
 //! had a hand-written twin over `Arc<dyn PlainLock>` — and the twins
@@ -15,8 +16,9 @@
 //! second spelling of a guard does, if the simulator grows a
 //! second engine again, if either delegation copy does, if a figure
 //! spawns OS workers again, if the async mutex splits into
-//! per-policy types again, and if a reader-writer lock grows a write
-//! path beside the exclusive lock it is.
+//! per-policy types again, if a reader-writer lock grows a write
+//! path beside the exclusive lock it is, and if the reader-writer
+//! container or erased handle splits from the exclusive one again.
 
 use std::path::Path;
 
@@ -255,6 +257,33 @@ fn an_rwlock_is_a_lock() {
         let decls = lines.iter().filter(|(_, l)| l.contains(header)).count();
         assert_eq!(decls, 1, "`{header}` must be declared exactly once");
     }
+}
+
+#[test]
+fn the_rw_container_is_the_mutex() {
+    // `Mutex<T, L>` over a `RawRwLock` is the reader-writer container
+    // (`lock` writes, `read` reads), and `DynRwLock` is
+    // `DynLock<dyn PlainRwLock>`: neither has a struct of its own, and
+    // the erased handle implements `RawLock` once.
+    let lines: Vec<_> = ["crates", "src"]
+        .iter()
+        .flat_map(|dir| source_lines(dir))
+        .collect();
+    let offenders = banned_types(&lines, |name| ["RwLock", "DynRwLock"].contains(&name));
+    assert!(
+        offenders.is_empty(),
+        "a reader-writer container or handle of its own — use api::Mutex over the \
+         rwlock, or DynLock<dyn PlainRwLock>:\n{}",
+        offenders.join("\n")
+    );
+    let impls = lines
+        .iter()
+        .filter(|(_, l)| l.contains("RawLock for DynLock") || l.contains("RawLock for DynRwLock"))
+        .count();
+    assert_eq!(
+        impls, 1,
+        "the erased handle implements RawLock once, generic over its object"
+    );
 }
 
 #[test]
