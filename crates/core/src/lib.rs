@@ -31,9 +31,9 @@
 //! * [`profile`] — the paper's profiling tool: sweep an SLO range and
 //!   emit the latency-throughput curve for applications without a
 //!   predefined SLO. Profile points carry the lock-agnostic
-//!   `asl_locks::telemetry::TelemetrySnapshot`, the same shared
-//!   format [`LockStats`] embeds — ASL path counters are a thin layer
-//!   over the zoo-wide telemetry subsystem, not a private scheme.
+//!   `asl_locks::telemetry::TelemetrySnapshot` of the `instrumented-`
+//!   wrapper, as every lock's do; [`LockStats`] adds only the three
+//!   standby-path counters a big core's bare acquire never touches.
 //!
 //! ## Quick start
 //!

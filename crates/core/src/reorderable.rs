@@ -73,34 +73,14 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
         self.max_window_ns
     }
 
-    /// Acquire without standing by (paper `lock_immediately`).
-    ///
-    /// Sampling off and the lock free, this is the inner lock's own
-    /// acquire between three loads (is it held, is the cell sampling —
-    /// twice) and **one store**, the holder-owned acquisition count:
-    /// the `libasl_max` rung of `host-acquire`, ~1 ns over `dyn_mcs`.
+    /// Acquire without standing by (paper `lock_immediately`): the
+    /// inner lock's own acquire, nothing around it — the `libasl_max`
+    /// rung of `host-acquire` is `dyn_mcs` plus the core-class check.
+    /// Generic counts (acquisitions, contention, wait and hold times)
+    /// are the `instrumented-` wrapper's, as for every other lock.
     #[inline]
     pub fn lock_immediately(&self) -> L::Token {
-        let contended = self.inner.is_locked();
-        let t0 = if self.stats.telemetry.sampling() && contended {
-            now_ns()
-        } else {
-            0
-        };
-        let token = self.inner.lock();
-        // Holder from here on: the acquisition count is holder-owned
-        // (see `TelemetryCell`), bumped without an RMW now that the
-        // lock serialises its writers — and it is the only store of
-        // this path: the immediate count is derived from it
-        // (`LockStats`).
-        if t0 != 0 {
-            self.stats
-                .telemetry
-                .add_wait_ns(now_ns().saturating_sub(t0));
-        }
-        self.stats.telemetry.record_acquisition_exclusive(contended);
-        self.stats.telemetry.sample_hold_start();
-        token
+        self.inner.lock()
     }
 
     /// Acquire as a standby competitor with the given reorder window
@@ -110,46 +90,29 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
     /// and spends them sparingly; a precise read here is one
     /// cycle-counter read, ~30 cycles, where the host has a trusted
     /// counter and a `clock_gettime` where not — see
-    /// [`asl_runtime::clock`]): with sampling off — the production
-    /// configuration — this path reads the precise clock **at most
-    /// once per acquisition**: the timestamp anchoring the
-    /// reorder-window deadline, taken only when there is a window to
-    /// honour. Deadline checks inside the standby wait ride
+    /// [`asl_runtime::clock`]): **at most one precise read per
+    /// acquisition**, the timestamp anchoring the reorder-window
+    /// deadline, taken only when there is a window to honour. Deadline
+    /// checks inside the standby wait ride
     /// [`asl_runtime::clock::coarse_now_ns`]'s amortized cache. The
-    /// free-entry fast path reads no clock at all (and stores twice
-    /// between the inner lock's RMWs: its path counter and the
-    /// acquisition count, both holder-owned). When sampling is
-    /// on — the gear that explicitly buys timing with clock reads —
-    /// an acquisition that found the lock held brackets its wait with
-    /// precise reads (the coarse cache is not refreshed while blocked
-    /// inside `inner.lock()`, so a coarse end-read could miss the
-    /// entire queue wait), and either path brackets one hold in
-    /// [`asl_locks::telemetry::HOLD_SAMPLE_STRIDE`] with two more.
+    /// free-entry fast path reads no clock at all and stores once
+    /// after the inner lock's RMW: its path counter, holder-owned.
     #[inline]
     pub fn lock_reorder(&self, window_ns: u64) -> L::Token {
         use std::sync::atomic::Ordering::Relaxed;
         // Starvation-freedom: never honour more than the bound.
         let window = window_ns.min(self.max_window_ns);
         if !self.inner.is_locked() {
-            // Found free: no wait to time (another thread can still
-            // slip in before inner.lock(); that rare queue wait goes
-            // untimed, as it does on the immediate path).
             let token = self.inner.lock();
             holder_add(&self.stats.standby_free_entry, 1);
-            self.stats.telemetry.record_acquisition_exclusive(false);
-            self.stats.telemetry.sample_hold_start();
             return token;
         }
-        // Held on entry: a contended acquisition whichever way the
-        // window plays out. Observations are visible before blocking
-        // — so these writers do not hold the lock, and `contended` and
-        // the two standby counters below keep their RMWs.
-        self.stats.telemetry.record_contended();
-        let sampling = self.stats.telemetry.sampling();
-        // The single precise clock read of this acquisition.
-        let t0 = if window > 0 || sampling { now_ns() } else { 0 };
+        // Held on entry. These counters are bumped before the inner
+        // lock is taken — by writers that do not hold it — so they
+        // keep their RMWs.
         if window > 0 {
-            let deadline = t0.saturating_add(window);
+            // The single precise clock read of this acquisition.
+            let deadline = now_ns().saturating_add(window);
             match self
                 .waiter
                 .standby_wait(deadline, &|| !self.inner.is_locked())
@@ -164,26 +127,13 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
         } else {
             self.stats.standby_expired.fetch_add(1, Relaxed);
         }
-        let token = self.inner.lock();
-        if sampling && t0 != 0 {
-            // Precise end-read, sampling-gated: blocking in
-            // inner.lock() never refreshes this thread's coarse
-            // cache, so a coarse read here could predate t0 and
-            // record a ~0 wait for an arbitrarily long queue wait.
-            self.stats
-                .telemetry
-                .add_wait_ns(now_ns().saturating_sub(t0));
-        }
-        self.stats.telemetry.record_acquired_exclusive();
-        self.stats.telemetry.sample_hold_start();
-        token
+        self.inner.lock()
     }
 
     /// Release (paper `unlock`: delegates to the underlying lock,
     /// whose handover logic is untouched).
     #[inline]
     pub fn unlock(&self, token: L::Token) {
-        self.stats.telemetry.note_hold_end();
         self.inner.unlock(token)
     }
 
@@ -200,7 +150,7 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
         self.inner.is_locked()
     }
 
-    /// Acquisition-path statistics for this lock.
+    /// Standby-path counters for this lock.
     pub fn stats(&self) -> &LockStats {
         &self.stats
     }
@@ -225,7 +175,8 @@ mod tests {
         assert!(l.is_locked());
         l.unlock(t);
         assert!(!l.is_locked());
-        assert_eq!(l.stats().snapshot().immediate, 1);
+        // The inner lock's own acquire: no standby path is counted.
+        assert_eq!(l.stats().snapshot(), Default::default());
     }
 
     #[test]
@@ -365,10 +316,8 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(unsafe { *s.value.get() }, 40_000);
-        let snap = s.lock.stats().snapshot();
-        assert_eq!(snap.total(), 40_000);
-        // The shared telemetry layer counts every acquisition too.
-        assert_eq!(snap.telemetry.acquisitions, 40_000);
-        assert!(snap.telemetry.contended <= snap.telemetry.acquisitions);
+        // Every `lock_reorder` call took exactly one standby path; the
+        // `lock_immediately` calls took none.
+        assert_eq!(s.lock.stats().snapshot().standby_total(), 20_000);
     }
 }

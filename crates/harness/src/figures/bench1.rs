@@ -14,7 +14,7 @@ use asl_runtime::stats::percentile;
 use asl_runtime::{AtomicAffinity, CoreKind, Topology};
 
 use crate::locks::LockSpec;
-use crate::report::{fmt_us, Table};
+use crate::report::{fmt_p99, fmt_us, Table};
 use crate::runner::{run_timed_with_setup, RunConfig};
 use crate::scenario::{worker_rng, LengthModel, MicroScenario};
 
@@ -125,9 +125,9 @@ pub fn fig8b(profile: &Profile) -> Vec<Table> {
         let r = run_micro(profile, &scenario, 8);
         table.push_row(vec![
             format!("{:.1}", slo as f64 / 1_000.0),
-            fmt_us(r.big.p99()),
-            fmt_us(r.little.p99()),
-            fmt_us(r.overall.p99()),
+            fmt_p99(&r.big),
+            fmt_p99(&r.little),
+            fmt_p99(&r.overall),
             format!("{:.0}", r.throughput),
         ]);
         table.push_sample(&spec.label(), 8, r.throughput);
@@ -241,8 +241,8 @@ pub fn fig8c(profile: &Profile) -> Vec<Table> {
             format!("{:.0}", r_asl.throughput),
             format!("{:.2}", r_asl.throughput / r_mcs.throughput.max(1.0)),
             format!("{:.2}", opt_best / r_mcs.throughput.max(1.0)),
-            fmt_us(r_asl.little.p99()),
-            fmt_us(r_asl.overall.p99()),
+            fmt_p99(&r_asl.little),
+            fmt_p99(&r_asl.overall),
         ]);
         table.push_sample(
             &format!("{}@long={long_pct}", LockSpec::Mcs.label()),
@@ -343,7 +343,7 @@ pub fn fig8d(profile: &Profile) -> Vec<Table> {
         summary.push_row(vec![
             name.to_string(),
             mult_str,
-            fmt_us(hist.p99()),
+            fmt_p99(&hist),
             format!("{:.1}", 100.0 * viol as f64 / hist.count().max(1) as f64),
             format!("{:.1}", slo as f64 / 1_000.0),
         ]);
@@ -432,9 +432,9 @@ pub fn fig8hi(profile: &Profile) -> Vec<Table> {
         let r = run_micro(profile, &scenario, threads);
         t8i.push_row(vec![
             format!("{:.1}", slo as f64 / 1_000.0),
-            fmt_us(r.big.p99()),
-            fmt_us(r.little.p99()),
-            fmt_us(r.overall.p99()),
+            fmt_p99(&r.big),
+            fmt_p99(&r.little),
+            fmt_p99(&r.overall),
             format!("{:.0}", r.throughput),
         ]);
     }

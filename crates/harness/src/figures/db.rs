@@ -14,7 +14,7 @@ use asl_dbsim::{Engine, LockFactory};
 use asl_runtime::{AtomicAffinity, Topology};
 
 use crate::locks::LockSpec;
-use crate::report::{fmt_us, Table};
+use crate::report::{fmt_p99, Table};
 use crate::runner::run_timed_with_setup;
 use crate::scenario::worker_rng;
 
@@ -152,9 +152,9 @@ fn db_trio(
         let r = run_db_point(profile, topo(), make, &spec, 8);
         sweep.push_row(vec![
             format!("{:.1}", slo as f64 / 1_000.0),
-            fmt_us(r.big.p99()),
-            fmt_us(r.little.p99()),
-            fmt_us(r.overall.p99()),
+            fmt_p99(&r.big),
+            fmt_p99(&r.little),
+            fmt_p99(&r.overall),
             format!("{:.0}", r.throughput),
         ]);
         sweep.push_sample(&spec.label(), 8, r.throughput);
@@ -276,7 +276,7 @@ pub fn alt_topology(profile: &Profile) -> Vec<Table> {
             format!("{:.0}", mcs.throughput),
             format!("{:.0}", asl.throughput),
             format!("{:.2}", asl.throughput / mcs.throughput.max(1.0)),
-            fmt_us(asl.little.p99()),
+            fmt_p99(&asl.little),
         ]);
     }
     table.note("SLO = 3x measured MCS P99 per topology (paper reports 34-94% gains)");

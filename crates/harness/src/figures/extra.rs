@@ -20,7 +20,7 @@ use asl_runtime::topology::Topology;
 use asl_runtime::work::execute_units;
 
 use crate::locks::LockSpec;
-use crate::report::{fmt_ops, fmt_us, Table};
+use crate::report::{fmt_ops, fmt_p99, Table};
 use crate::runner::RunResult;
 use crate::scenario::{MicroScenario, FIG1_LINES, FIG1_NCS_UNITS};
 
@@ -56,7 +56,7 @@ pub fn sec2_numa(profile: &Profile) -> Vec<Table> {
             let scenario = MicroScenario::simple(spec, FIG1_LINES, FIG1_NCS_UNITS);
             let r = run_micro(profile, &scenario, threads);
             row.push(format!("{:.0}", r.throughput));
-            row.push(fmt_us(r.overall.p99()));
+            row.push(fmt_p99(&r.overall));
         }
         table.push_row(row);
     }
@@ -90,7 +90,7 @@ pub fn sec5_delegation(profile: &Profile) -> Vec<Table> {
                 structure,
                 fmt_ops(r.throughput),
                 format!("{:.0}", r.throughput),
-                fmt_us(r.overall.p99()),
+                fmt_p99(&r.overall),
             ]);
         };
         // The section runs on the *executor's* core: a big-core

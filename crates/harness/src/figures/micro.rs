@@ -3,7 +3,7 @@
 use asl_runtime::AtomicAffinity;
 
 use crate::locks::LockSpec;
-use crate::report::{fmt_ops, fmt_us, Table};
+use crate::report::{fmt_ops, fmt_p99, Table};
 use crate::scenario::{MicroScenario, FIG1_LINES, FIG1_NCS_UNITS, FIG4_LINES, FIG8G_LINES};
 
 use super::{run_micro, Profile};
@@ -32,7 +32,7 @@ fn scalability_scan(
             let scenario = MicroScenario::simple(spec, lines, ncs_units);
             let r = run_micro(profile, &scenario, threads);
             row.push(format!("{:.0}", r.throughput));
-            row.push(fmt_us(r.overall.p99()));
+            row.push(fmt_p99(&r.overall));
             table.push_sample(&spec.label(), threads, r.throughput);
         }
         table.push_row(row);
@@ -86,7 +86,7 @@ pub fn fig5(profile: &Profile) -> Vec<Table> {
         table.push_row(vec![
             n.to_string(),
             format!("{:.0}", r.throughput),
-            fmt_us(r.overall.p99()),
+            fmt_p99(&r.overall),
         ]);
         table.push_sample(&spec.label(), 8, r.throughput);
     }
@@ -182,9 +182,9 @@ pub fn comparison_row(label: &str, r: &crate::runner::RunResult) -> Vec<String> 
         label.to_string(),
         fmt_ops(r.throughput),
         format!("{:.0}", r.throughput),
-        fmt_us(r.big.p99()),
-        fmt_us(r.little.p99()),
-        fmt_us(r.overall.p99()),
+        fmt_p99(&r.big),
+        fmt_p99(&r.little),
+        fmt_p99(&r.overall),
     ]
 }
 

@@ -23,7 +23,7 @@ use asl_dbsim::workload::Mix;
 use asl_runtime::Topology;
 
 use crate::locks::LockSpec;
-use crate::report::{fmt_us, Table};
+use crate::report::{fmt_p99, Table};
 
 use super::db::run_engine_point;
 use super::Profile;
@@ -78,8 +78,8 @@ pub fn rw(profile: &Profile) -> Vec<Table> {
                     format!("{frac:.2}"),
                     threads.to_string(),
                     format!("{:.0}", r.throughput),
-                    fmt_us(r.overall.p99()),
-                    fmt_us(r.little.p99()),
+                    fmt_p99(&r.overall),
+                    fmt_p99(&r.little),
                 ]);
                 table.push_sample(
                     &format!("{}@rf={frac:.2}", spec.label()),

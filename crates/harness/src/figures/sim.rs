@@ -31,7 +31,7 @@ use asl_sim::exec::{ZooConfig, ZooResult};
 
 use super::Profile;
 use crate::locks::LockSpec;
-use crate::report::{fmt_ops, fmt_us, Table};
+use crate::report::{fmt_ops, fmt_tail_us, Table};
 
 /// Schedule seed shared by every sim figure: fixed, so `--out` files
 /// are byte-identical across runs (change it and every trace legally
@@ -161,8 +161,8 @@ fn fair_row(label: &str, r: &ZooResult) -> Vec<String> {
         r.little_ops.to_string(),
         format!("{:.1}", pct(r.little_ops, r.total_ops)),
         r.max_class_batch.to_string(),
-        fmt_us(r.p99_big),
-        fmt_us(r.p99_little),
+        fmt_tail_us(r.big_ops, r.p99_big),
+        fmt_tail_us(r.little_ops, r.p99_little),
     ]
 }
 
@@ -198,7 +198,7 @@ pub fn sim_oversub(profile: &Profile) -> Vec<Table> {
                 threads.to_string(),
                 r.total_ops.to_string(),
                 fmt_ops(r.throughput),
-                fmt_us(r.p99_overall),
+                fmt_tail_us(r.total_ops, r.p99_overall),
             ]);
         }
     }
@@ -334,9 +334,9 @@ pub fn sim_ablate(profile: &Profile) -> Vec<Table> {
             config.to_string(),
             fmt_ops(r.throughput),
             format!("{:.1}", pct(r.little_ops, r.total_ops)),
-            fmt_us(r.p99_big),
-            fmt_us(r.p99_little),
-            fmt_us(r.max_wait_little),
+            fmt_tail_us(r.big_ops, r.p99_big),
+            fmt_tail_us(r.little_ops, r.p99_little),
+            fmt_tail_us(r.little_ops, r.max_wait_little),
         ]);
     }
     t.note("dispatch resolves: big cores locking immediately is where the throughput comes from; all-standby is a little above plain FIFO");

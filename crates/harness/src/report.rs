@@ -10,6 +10,8 @@
 
 use asl_locks::telemetry::{self, TelemetrySnapshot};
 
+use crate::hist::Hist;
+
 /// One machine-readable throughput measurement backing a table row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchSample {
@@ -261,9 +263,35 @@ pub fn fmt_us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1_000.0)
 }
 
+/// A latency statistic over `samples` samples, in microseconds: `—`
+/// over none. A class that completed nothing has no tail, and a `0.0`
+/// would read as the best one in its table.
+pub fn fmt_tail_us(samples: u64, ns: u64) -> String {
+    if samples == 0 {
+        "—".to_string()
+    } else {
+        fmt_us(ns)
+    }
+}
+
+/// The P99 of `h` as a table cell ([`fmt_tail_us`]).
+pub fn fmt_p99(h: &Hist) -> String {
+    fmt_tail_us(h.count(), h.p99())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_empty_class_is_not_a_zero() {
+        let mut h = Hist::new();
+        assert_eq!(fmt_p99(&h), "—");
+        h.record(0);
+        assert_eq!(fmt_p99(&h), "0.0", "a real zero-wait sample");
+        assert_eq!(fmt_tail_us(0, 1_500), "—");
+        assert_eq!(fmt_tail_us(1, 1_500), "1.5");
+    }
 
     #[test]
     fn table_renders() {

@@ -14,8 +14,9 @@
 //!   counts compared with the exact totals.
 //! * A layer charges a caller only for machinery that is doing
 //!   something for it: an uncontended `Gcr`, an epoch on a big core and
-//!   a timed acquire of a free lock read no clock at all. Counted
-//!   exactly, under a substrate whose clock ticks once per read.
+//!   a timed acquire of a free lock read no clock at all, and a
+//!   big-core LibASL round is the bare lock. Counted exactly, under a
+//!   substrate whose clock ticks once per read.
 //! * The floor under all of them: an uncontended `McsLock` round is one
 //!   CAS and one store — no node, no pool, no clock, no allocation —
 //!   and a big-core epoch around it adds two thread-local stores.
@@ -233,6 +234,28 @@ fn an_uncontended_mcs_round_in_a_big_core_epoch_touches_nothing() {
 }
 
 #[test]
+fn a_big_core_libasl_round_is_the_bare_lock() {
+    // Paper Algorithm 3: a big core's `asl_mutex_lock` is the FIFO
+    // lock's own acquire — no clock read, no counter of the
+    // reorderable layer's, with or without an epoch around it.
+    let ticking = Arc::new(Ticking(AtomicU64::new(0)));
+    let _installed = substrate::install(ticking.clone());
+    register_on_core(&Topology::apple_m1(), CoreId(0));
+    epoch::reset_thread_epochs();
+    let asl = AslSpinLock::default();
+    let reads = ticking.reads_in(|| {
+        for _ in 0..10_000 {
+            asl.unlock(asl.lock());
+            epoch::with_epoch(3, 60_000, || asl.unlock(asl.lock()));
+        }
+    });
+    assert_eq!(reads, 0, "clock reads");
+    assert_eq!(asl.stats().snapshot(), Default::default());
+    assert!(!asl.is_locked());
+    unregister();
+}
+
+#[test]
 fn an_epoch_reads_the_clock_only_where_its_window_is_used() {
     let ticking = Arc::new(Ticking(AtomicU64::new(0)));
     let _installed = substrate::install(ticking.clone());
@@ -408,27 +431,22 @@ fn a_sampled_cell_reads_the_clock_twice_per_timed_hold_and_never_otherwise() {
         let acquire = || rw.unlock(rw.lock());
         check("rw write", sampling, rw.write_telemetry(), bare, &acquire);
 
-        // `instrumented-libasl-60us` and `libasl-60us`'s own cell, from
-        // a big core (the immediate path) and from a little core inside
-        // an epoch (the standby path, free entry).
+        // `instrumented-libasl-60us`, from a big core (the immediate
+        // path, which is the inner lock's own and counts nothing) and
+        // from a little core inside an epoch (the standby path, free
+        // entry).
         for (core, round) in [(CoreId(0), bare), (CoreId(5), in_epoch)] {
             register_on_core(&m1, core);
             epoch::reset_thread_epochs();
-            let lock = Instrumented::new(DynLock::of(AslSpinLock::default()));
+            let asl = Arc::new(AslSpinLock::default());
+            let lock = Instrumented::new(DynLock::new(asl.clone()));
             let what = format!("instrumented-libasl-60us on {core:?}");
             let acquire = || lock.unlock(lock.lock());
             check(&what, sampling, lock.telemetry(), round, &acquire);
-            let asl = AslSpinLock::default();
-            let what = format!("libasl-60us on {core:?}");
-            let acquire = || asl.unlock(asl.lock());
-            check(&what, sampling, asl.stats().telemetry(), round, &acquire);
             let paths = asl.stats().snapshot();
-            let taken = if core == CoreId(0) {
-                paths.immediate
-            } else {
-                paths.standby_free_entry
-            };
-            assert_eq!(taken, HOLDS, "{what}: {paths:?}");
+            let standby = if core == CoreId(0) { 0 } else { HOLDS };
+            assert_eq!(paths.standby_total(), standby, "{what}: {paths:?}");
+            assert_eq!(paths.standby_free_entry, standby, "{what}: {paths:?}");
         }
         unregister();
     }
@@ -486,21 +504,26 @@ fn holder_owned_counters_lose_no_update() {
         let timed = timed_holds_of(TOTAL);
         assert!((TOTAL / 17..=TOTAL / 15).contains(&timed), "{timed}");
 
-        // `libasl-max`, as the registry builds it; unregistered threads
-        // count as big cores and take the immediate path.
+        // `instrumented-libasl-max`, as the registry builds it under
+        // profiling; unregistered threads count as big cores and take
+        // the immediate path, which is the inner lock's own and counts
+        // no standby path.
         let asl = Arc::new(AslSpinLock::default());
-        hammer(&DynLock::new(asl.clone()), || (), |acquire| acquire());
-        let s = asl.stats().snapshot();
-        assert_eq!(s.telemetry.acquisitions, TOTAL, "libasl-max: {s:?}");
-        assert_eq!(s.immediate, TOTAL, "libasl-max: {s:?}");
-        assert_eq!(s.total(), s.telemetry.acquisitions);
-        assert!(s.telemetry.contended <= s.telemetry.acquisitions);
-        assert_eq!(asl.stats().telemetry().hold_started_ns(), 0);
+        let cell = Arc::new(TelemetryCell::sampled());
+        let lock = Instrumented::with_cell(DynLock::new(asl.clone()), cell.clone());
+        hammer(&DynLock::of(lock), || (), |acquire| acquire());
+        let s = cell.snapshot();
+        assert_eq!(s.acquisitions, TOTAL, "instrumented-libasl-max: {s:?}");
+        assert!(s.contended <= s.acquisitions);
+        assert_eq!(s.timed_holds, timed, "instrumented-libasl-max: {s:?}");
+        assert_eq!(cell.hold_started_ns(), 0);
+        let paths = asl.stats().snapshot();
+        assert_eq!(paths.standby_total(), 0, "libasl-max: {paths:?}");
 
         // `libasl-60us`: little cores inside epochs take the standby
-        // paths; sampling on, so the hold slot is exercised too.
+        // paths, one per acquisition — the holder-owned free-entry
+        // count among them.
         let asl = Arc::new(AslSpinLock::default());
-        asl.stats().telemetry().set_sampling(true);
         let m1 = Topology::apple_m1();
         hammer(
             &DynLock::new(asl.clone()),
@@ -509,14 +532,8 @@ fn holder_owned_counters_lose_no_update() {
             },
             |acquire| epoch::with_epoch(3, 60_000, acquire),
         );
-        let s = asl.stats().snapshot();
-        assert_eq!(s.telemetry.acquisitions, TOTAL, "libasl-60us: {s:?}");
-        assert_eq!(s.immediate, 0, "libasl-60us: {s:?}");
-        assert_eq!(s.standby_total(), s.telemetry.acquisitions, "{s:?}");
-        assert!(s.telemetry.contended <= s.telemetry.acquisitions);
-        assert!(s.telemetry.hold_ns > 0, "sampled holds accumulate");
-        assert_eq!(s.telemetry.timed_holds, timed, "libasl-60us: {s:?}");
-        assert_eq!(asl.stats().telemetry().hold_started_ns(), 0);
+        let paths = asl.stats().snapshot();
+        assert_eq!(paths.standby_total(), TOTAL, "libasl-60us: {paths:?}");
 
         // `instrumented-mcs` as built under profiling: a sampling cell.
         let cell = Arc::new(TelemetryCell::sampled());
