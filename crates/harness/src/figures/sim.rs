@@ -1,10 +1,12 @@
 //! `sim-*` — the real lock zoo on a *modeled* machine.
 //!
 //! These figures run the unmodified lock implementations through the
-//! deterministic virtual-time engine's standard workload
-//! ([`asl_sim::exec::run_lock`]: one lock, constant sections) and read
-//! its exact accounting. The paper's own figures run on the same
-//! engine, through [`crate::runner`]; what this family adds:
+//! simulator's standard workload ([`asl_sim::zoo::run_lock`]: one
+//! lock, constant sections, a cache-line hand-off charged on every
+//! grant that changes hands) and read its exact accounting. The
+//! paper's own figures run on the same engine through
+//! [`crate::runner`], which charges no hand-off; what this family
+//! adds:
 //!
 //! * **Machines we don't have** — a 4-socket × 16-core NUMA box
 //!   ([`Topology::numa`]), arbitrary big/little perf ratios — on any
@@ -27,7 +29,8 @@ use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, PreferBigPolicy, Proporti
 use asl_locks::{McsLock, RawLock, ShuffleLock};
 use asl_runtime::atomic_model::AtomicAffinity;
 use asl_runtime::topology::Topology;
-use asl_sim::exec::{ZooConfig, ZooResult};
+use asl_sim::exec::ZooConfig;
+use asl_sim::zoo::{run_lock, ZooResult};
 
 use super::Profile;
 use crate::locks::LockSpec;
@@ -49,13 +52,6 @@ fn cfg(profile: &Profile, topology: Topology, threads: usize) -> ZooConfig {
     c.cs_units = 600;
     c.ncs_units = 600;
     c
-}
-
-/// One simulated cell, on a helper thread pinned to one CPU (see
-/// [`asl_runtime::affinity::pinned`]); the lock is built by the
-/// caller, outside the pin.
-fn run_lock(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> ZooResult {
-    asl_runtime::affinity::pinned(0, || asl_sim::exec::run_lock(cfg, lock))
 }
 
 fn spec_lock(spec: &LockSpec) -> Arc<dyn PlainLock> {

@@ -18,11 +18,9 @@
 //! may serve from it), `op` runs one operation against it.
 
 use std::cell::RefCell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use asl_core::epoch::{take_window_trace, WindowSample};
-use asl_runtime::affinity::pinned;
 use asl_runtime::clock::now_ns;
 use asl_runtime::registry::is_big_core;
 use asl_runtime::topology::Topology;
@@ -115,44 +113,29 @@ where
     });
     let end = cfg.warmup_ns + cfg.duration_ns;
     let outs: Mutex<Vec<Option<WorkerOut>>> = Mutex::new((0..cfg.threads).map(|_| None).collect());
-    let panicked = Mutex::new(None);
     let zoo = ZooConfig::quick(cfg.topology.clone(), cfg.threads, SEED);
-    pinned(0, || {
-        run_threads(&zoo, |w| {
-            // A virtual thread that unwinds strands the simulator's
-            // baton: catch the panic here and rethrow it once the
-            // machine has stopped.
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut state = setup(w);
-                let (mut ops, mut hist) = (0, Hist::new());
-                loop {
-                    let start = now_ns();
-                    if start >= end {
-                        break;
-                    }
-                    let latency = op(w, &mut state);
-                    if start >= cfg.warmup_ns {
-                        ops += 1;
-                        hist.record(latency);
-                    }
-                }
-                drop(state);
-                WorkerOut {
-                    big: is_big_core(),
-                    ops,
-                    hist,
-                    trace: take_window_trace(),
-                }
-            }));
-            match run {
-                Ok(out) => outs.lock().expect("collector poisoned")[w] = Some(out),
-                Err(panic) => *panicked.lock().expect("collector poisoned") = Some(panic),
+    run_threads(&zoo, |w| {
+        let mut state = setup(w);
+        let (mut ops, mut hist) = (0, Hist::new());
+        loop {
+            let start = now_ns();
+            if start >= end {
+                break;
             }
-        })
+            let latency = op(w, &mut state);
+            if start >= cfg.warmup_ns {
+                ops += 1;
+                hist.record(latency);
+            }
+        }
+        drop(state);
+        outs.lock().expect("collector poisoned")[w] = Some(WorkerOut {
+            big: is_big_core(),
+            ops,
+            hist,
+            trace: take_window_trace(),
+        });
     });
-    if let Some(panic) = panicked.into_inner().expect("collector poisoned") {
-        resume_unwind(panic);
-    }
 
     let outs: Vec<WorkerOut> = outs
         .into_inner()
@@ -191,6 +174,7 @@ where
 mod tests {
     use super::*;
     use asl_runtime::work::execute_units;
+    use std::panic::catch_unwind;
 
     const WINDOW_NS: u64 = 400_000;
 

@@ -52,7 +52,7 @@ use asl_locks::{DynLock, PlainLock};
 use asl_runtime::clock::{self, ms};
 use asl_runtime::fault::{FaultInjector, FaultPlan, FaultState};
 use asl_runtime::topology::Topology;
-use asl_sim::exec::ZooConfig;
+use asl_sim::exec::{run_threads, ZooConfig};
 
 use crate::locks::{Caps, LockSpec};
 
@@ -226,13 +226,6 @@ impl BoutShared {
             format!("counter={count} expected={expected} overlaps={viol}"),
         )
     }
-}
-
-/// [`asl_sim::exec::run_threads`] on a helper thread pinned to one CPU
-/// (see [`asl_runtime::affinity::pinned`]): same virtual result, a
-/// steadier and shorter wall time.
-fn run_threads(zc: &ZooConfig, body: impl Fn(usize) + Send + Sync) -> u64 {
-    asl_runtime::affinity::pinned(0, || asl_sim::exec::run_threads(zc, body))
 }
 
 /// Parameters for one sim bout.

@@ -34,12 +34,8 @@ pub fn pin_to_cpu(os_cpu: usize) -> bool {
 /// inherit the pin; the caller's own affinity is untouched. With fewer
 /// CPUs it pins to the last one there is, and where pinning is refused
 /// `f` runs unpinned: placement only steadies host-time numbers, it
-/// never changes a result.
-///
-/// This is how the simulator should be run. Its engine steps exactly
-/// one virtual thread at a time, so a second CPU adds nothing but a
-/// cross-CPU wake-up to every baton pass — the same cell takes 0.9 s
-/// pinned and 0.9–5 s unpinned on the 2-CPU reference host.
+/// never changes a result. The simulator's engine runs itself this way
+/// (`asl_sim::exec::run_threads`).
 pub fn pinned<R: Send>(nth: usize, f: impl FnOnce() -> R + Send) -> R {
     // Process-wide decisions that are taken once, from the affinity
     // mask of whichever thread asks first, are taken here from the

@@ -1,10 +1,11 @@
-//! Cooperative virtual-time execution of the **real** lock zoo.
+//! The modeled machine: cooperative virtual-time execution of the
+//! **real** lock zoo.
 //!
-//! This module *models* no lock policy: it executes the unmodified
-//! lock implementations —
-//! anything [`PlainLock`] or [`PlainRwLock`], i.e. the whole
-//! `asl-locks`/`asl-core` zoo including `AslLock`'s SLO feedback —
-//! against a modeled machine:
+//! This module *models* no lock policy and runs no workload: it is a
+//! machine, [`run_threads`], that executes whatever per-thread body it
+//! is given — the unmodified lock implementations included, anything
+//! [`PlainLock`] or [`PlainRwLock`], i.e. the whole
+//! `asl-locks`/`asl-core` zoo with `AslLock`'s SLO feedback:
 //!
 //! * Each simulated thread is an OS thread with an installed
 //!   [`asl_runtime::substrate`] backend. The engine steps **exactly
@@ -15,9 +16,10 @@
 //! * Every substrate hook (clock read, failed spin probe, emulated
 //!   work, park, sleep) *charges* the calling virtual thread on its
 //!   virtual clock using a [`CostModel`] derived from the
-//!   [`Topology`]: little cores stretch work by `perf_ratio`,
-//!   cross-socket lock handoffs pay a remote cache-line transfer,
-//!   parking pays a syscall-shaped penalty.
+//!   [`Topology`]: little cores stretch work by `perf_ratio`, parking
+//!   pays a syscall-shaped penalty. The engine charges nothing a hook
+//!   does not report; the cache-line hand-off of a lock is a charge of
+//!   the zoo driver ([`crate::zoo::run_lock`]), not of the machine.
 //! * Cores are resources: two virtual threads bound to the same core
 //!   (oversubscription — [`Topology::assignment_for_thread`] wraps)
 //!   serialize on the core's clock and pay [`CostModel::switch_ns`]
@@ -31,13 +33,13 @@
 //! one waiter. Causality skew between threads is therefore bounded by
 //! the slack plus one charge — small against every modeled effect.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use asl_core::epoch::WindowSample;
+#[cfg(doc)]
 use asl_locks::plain::{PlainLock, PlainRwLock};
-use asl_runtime::stats::percentile;
 use asl_runtime::topology::{CoreId, CoreKind, Topology};
-use asl_runtime::{registry, substrate};
+use asl_runtime::{affinity, registry, substrate};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,10 +61,10 @@ pub struct CostModel {
     /// One unit of emulated work
     /// ([`asl_runtime::work::execute_raw_units`]) on a big core.
     pub work_unit_ns: u64,
-    /// Lock handoff between cores of the same socket (local
-    /// cache-line transfer).
+    /// Lock handoff between cores of the same socket (local cache-line
+    /// transfer): a [`crate::zoo::run_lock`] charge, not an engine one.
     pub handoff_local_ns: u64,
-    /// Lock handoff across sockets (remote cache-line transfer).
+    /// Lock handoff across sockets (remote cache-line transfer), ditto.
     pub handoff_remote_ns: u64,
     /// One park → wake round trip (futex / `thread::park`).
     pub park_ns: u64,
@@ -116,8 +118,12 @@ impl CostModel {
     }
 }
 
-/// One simulated zoo experiment: N threads cycling *non-critical
-/// section → acquire → critical section → release* on one lock.
+/// One simulated experiment. The machine reads `topology`, `threads`,
+/// `seed`, `cost` and `fault` (and `ncs_units`, which sizes the seeded
+/// start stagger); `cs_units`, `ncs_units`, `duration_ns` and `slo_ns`
+/// are the workload of [`crate::zoo::run_lock`]: N threads cycling
+/// *non-critical section → acquire → critical section → release* on
+/// one lock.
 #[derive(Debug, Clone)]
 pub struct ZooConfig {
     /// The modeled machine — same [`Topology`] real-thread runs use.
@@ -167,84 +173,6 @@ impl ZooConfig {
     }
 }
 
-/// Outcome of [`run_lock`]. Every field is a deterministic function
-/// of the [`ZooConfig`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZooResult {
-    /// Completed acquisitions.
-    pub total_ops: u64,
-    /// Acquisitions by big-core threads.
-    pub big_ops: u64,
-    /// Acquisitions by little-core threads.
-    pub little_ops: u64,
-    /// Acquisitions per thread (exact long-term fairness counts).
-    pub per_thread_ops: Vec<u64>,
-    /// Whether each thread ran on a big core.
-    pub thread_is_big: Vec<bool>,
-    /// Ops per *virtual* second.
-    pub throughput: f64,
-    /// Exact acquire-latency percentiles (virtual ns) by class.
-    pub p50_big: u64,
-    /// P99, big-core threads.
-    pub p99_big: u64,
-    /// P50, little-core threads.
-    pub p50_little: u64,
-    /// P99, little-core threads.
-    pub p99_little: u64,
-    /// P99 across all threads.
-    pub p99_overall: u64,
-    /// Worst acquire latency seen by a big-core thread.
-    pub max_wait_big: u64,
-    /// Worst acquire latency seen by a little-core thread.
-    pub max_wait_little: u64,
-    /// Lock handoffs that stayed within a socket.
-    pub handoffs_local: u64,
-    /// Lock handoffs that crossed sockets.
-    pub handoffs_remote: u64,
-    /// Holder thread id per acquisition, in grant order (exact
-    /// short-term fairness trace).
-    pub grants: Vec<u32>,
-    /// Longest run of consecutive grants within one core class.
-    pub max_class_batch: u64,
-    /// Final virtual time (max over threads).
-    pub virtual_ns: u64,
-    /// Each thread's reorder-window trajectory
-    /// ([`asl_core::epoch::take_window_trace`]): one sample per
-    /// little-core epoch that ended while
-    /// `asl_locks::telemetry::recording` was on, else empty.
-    pub window_traces: Vec<Vec<WindowSample>>,
-}
-
-impl ZooResult {
-    /// Fraction of handoffs that crossed sockets.
-    pub fn remote_fraction(&self) -> f64 {
-        let total = self.handoffs_local + self.handoffs_remote;
-        if total == 0 {
-            0.0
-        } else {
-            self.handoffs_remote as f64 / total as f64
-        }
-    }
-}
-
-/// Outcome of [`run_rw`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZooRwResult {
-    /// Completed read-side acquisitions.
-    pub total_reads: u64,
-    /// Completed write-side acquisitions.
-    pub total_writes: u64,
-    /// Operations per thread.
-    pub per_thread_ops: Vec<u64>,
-    /// Exact maximum number of read guards held concurrently (in
-    /// virtual time) at any point.
-    pub max_concurrent_readers: u64,
-    /// Ops per virtual second.
-    pub throughput: f64,
-    /// Final virtual time.
-    pub virtual_ns: u64,
-}
-
 const NO_THREAD: usize = usize::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,7 +186,6 @@ struct Vthread {
     vtime: u64,
     state: VState,
     core: usize,
-    big: bool,
     /// Virtual time of the last on-core execution: the scheduler's
     /// tie-break. Threads parked behind the same quantum-expiry key
     /// rotate least-recently-run first, so every co-resident of a core
@@ -266,7 +193,6 @@ struct Vthread {
     /// ping-pong and starve the rest — a preempted lock *holder* among
     /// the starved then livelocks the whole machine).
     last_ran: u64,
-    ops: u64,
 }
 
 struct Shared {
@@ -274,24 +200,11 @@ struct Shared {
     core_time: Vec<u64>,
     core_last: Vec<usize>,
     core_since: Vec<u64>,
-    last_holder: usize,
-    handoffs_local: u64,
-    handoffs_remote: u64,
-    grants: Vec<u32>,
-    lat_big: Vec<u64>,
-    lat_little: Vec<u64>,
-    max_wait_big: u64,
-    max_wait_little: u64,
-    readers_now: u64,
-    readers_max: u64,
-    reads: u64,
-    writes: u64,
-    window_traces: Vec<Vec<WindowSample>>,
 }
 
 /// The cooperative scheduler shared by all virtual threads of one
 /// experiment.
-struct SimMachine {
+pub(crate) struct SimMachine {
     cost: CostModel,
     /// The modeled machine; its core count is what
     /// [`substrate::core_count`] answers.
@@ -314,9 +227,7 @@ impl SimMachine {
                     vtime: rng.gen_range(0..stagger),
                     state: VState::Ready,
                     core: vc.id.0,
-                    big: vc.kind == CoreKind::Big,
                     last_ran: 0,
-                    ops: 0,
                 }
             })
             .collect();
@@ -328,19 +239,6 @@ impl SimMachine {
                 core_time: vec![0; cfg.topology.len()],
                 core_last: vec![NO_THREAD; cfg.topology.len()],
                 core_since: vec![0; cfg.topology.len()],
-                last_holder: NO_THREAD,
-                handoffs_local: 0,
-                handoffs_remote: 0,
-                grants: Vec::new(),
-                lat_big: Vec::new(),
-                lat_little: Vec::new(),
-                max_wait_big: 0,
-                max_wait_little: 0,
-                readers_now: 0,
-                readers_max: 0,
-                reads: 0,
-                writes: 0,
-                window_traces: vec![Vec::new(); cfg.threads],
             }),
             cvs: (0..cfg.threads).map(|_| Condvar::new()).collect(),
         })
@@ -392,24 +290,39 @@ impl SimMachine {
         }
     }
 
-    /// Hand the baton to the runnable thread with the smallest key if
-    /// it undercuts ours by more than the slack band; block until the
-    /// baton comes back.
-    fn reschedule(&self, mut sh: MutexGuard<'_, Shared>, me: usize) {
+    /// The ready thread with the smallest key (then least recently
+    /// run, then lowest id), and its key. Every step runs this scan:
+    /// an iterator `min()` over the key tuples cost `repro sim` ~25 %
+    /// more user time than the loop.
+    fn earliest_ready(&self, sh: &Shared) -> Option<(u64, usize)> {
         let mut best: Option<(u64, u64, usize)> = None;
-        for t in 0..sh.th.len() {
-            if t != me && sh.th[t].state == VState::Ready {
-                let k = (self.key(&sh, t), sh.th[t].last_ran, t);
+        for (t, th) in sh.th.iter().enumerate() {
+            if th.state == VState::Ready {
+                let k = (self.key(sh, t), th.last_ran, t);
                 if best.is_none_or(|b| k < b) {
                     best = Some(k);
                 }
             }
         }
-        if let Some((bk, _, bt)) = best {
+        best.map(|(k, _, t)| (k, t))
+    }
+
+    /// Give the baton to the earliest ready thread, if there is one.
+    fn pass_baton(&self, sh: &mut Shared) {
+        if let Some((_, next)) = self.earliest_ready(sh) {
+            sh.th[next].state = VState::Running;
+            self.cvs[next].notify_one();
+        }
+    }
+
+    /// Hand the baton to the runnable thread with the smallest key if
+    /// it undercuts ours (`me` runs) by more than the slack band; block
+    /// until the baton comes back.
+    fn reschedule(&self, mut sh: MutexGuard<'_, Shared>, me: usize) {
+        if let Some((bk, _)) = self.earliest_ready(&sh) {
             if bk.saturating_add(self.cost.resched_slack_ns) < self.key(&sh, me) {
                 sh.th[me].state = VState::Ready;
-                sh.th[bt].state = VState::Running;
-                self.cvs[bt].notify_one();
+                self.pass_baton(&mut sh);
                 while sh.th[me].state != VState::Running {
                     sh = self.cvs[me].wait(sh).expect("sim scheduler poisoned");
                 }
@@ -418,7 +331,7 @@ impl SimMachine {
     }
 
     /// One yield point: charge, maybe switch, return the new vtime.
-    fn step(&self, me: usize, ns: u64, on_core: bool) -> u64 {
+    pub(crate) fn step(&self, me: usize, ns: u64, on_core: bool) -> u64 {
         let mut sh = self.shared.lock().expect("sim scheduler poisoned");
         self.advance(&mut sh, me, ns, on_core);
         let v = sh.th[me].vtime;
@@ -426,68 +339,10 @@ impl SimMachine {
         v
     }
 
-    fn clock(&self, me: usize) -> u64 {
+    /// One clock read by `me`, charged and answered on the machine
+    /// itself (under any fault decorator).
+    pub(crate) fn clock(&self, me: usize) -> u64 {
         self.step(me, self.cost.clock_read_ns, true)
-    }
-
-    fn charge_work_units(&self, me: usize, units: u64) {
-        // Units arrive pre-scaled by the registry multiplier
-        // (execute_units), so convert straight to virtual ns.
-        self.step(me, units.saturating_mul(self.cost.work_unit_ns), true);
-    }
-
-    /// Record a critical-section entry: the cache-line handoff from
-    /// the previous holder (local vs remote by socket), the grant
-    /// trace, and the acquire latency.
-    fn note_acquire(&self, me: usize, wait_ns: u64) {
-        let mut sh = self.shared.lock().expect("sim scheduler poisoned");
-        let mut cost = 0;
-        let prev = sh.last_holder;
-        if prev != NO_THREAD && prev != me {
-            let (from, to) = (CoreId(sh.th[prev].core), CoreId(sh.th[me].core));
-            if self.topology.socket_of(from) == self.topology.socket_of(to) {
-                sh.handoffs_local += 1;
-            } else {
-                sh.handoffs_remote += 1;
-            }
-            cost = self.cost.handoff_ns(&self.topology, from, to);
-        }
-        sh.last_holder = me;
-        sh.grants.push(me as u32);
-        sh.th[me].ops += 1;
-        if sh.th[me].big {
-            sh.lat_big.push(wait_ns);
-            sh.max_wait_big = sh.max_wait_big.max(wait_ns);
-        } else {
-            sh.lat_little.push(wait_ns);
-            sh.max_wait_little = sh.max_wait_little.max(wait_ns);
-        }
-        if cost > 0 {
-            self.advance(&mut sh, me, cost, true);
-        }
-        self.reschedule(sh, me);
-    }
-
-    fn note_read_enter(&self, me: usize) {
-        let mut sh = self.shared.lock().expect("sim scheduler poisoned");
-        sh.th[me].ops += 1;
-        sh.reads += 1;
-        sh.readers_now += 1;
-        sh.readers_max = sh.readers_max.max(sh.readers_now);
-        self.reschedule(sh, me);
-    }
-
-    fn note_read_exit(&self, me: usize) {
-        let mut sh = self.shared.lock().expect("sim scheduler poisoned");
-        sh.readers_now -= 1;
-        self.reschedule(sh, me);
-    }
-
-    fn note_write(&self, me: usize) {
-        let mut sh = self.shared.lock().expect("sim scheduler poisoned");
-        sh.th[me].ops += 1;
-        sh.writes += 1;
-        self.reschedule(sh, me);
     }
 
     /// Block until the scheduler grants this thread the baton.
@@ -506,23 +361,7 @@ impl SimMachine {
         if sh.core_last[core] == me {
             sh.core_last[core] = NO_THREAD;
         }
-        let next = (0..sh.th.len())
-            .filter(|&t| sh.th[t].state == VState::Ready)
-            .min_by_key(|&t| (self.key(&sh, t), sh.th[t].last_ran, t));
-        if let Some(n) = next {
-            sh.th[n].state = VState::Running;
-            self.cvs[n].notify_one();
-        }
-    }
-
-    /// Hand the baton to the globally earliest thread (run start).
-    fn begin(&self) {
-        let mut sh = self.shared.lock().expect("sim scheduler poisoned");
-        let first = (0..sh.th.len())
-            .min_by_key(|&t| (self.key(&sh, t), sh.th[t].last_ran, t))
-            .expect("at least one thread");
-        sh.th[first].state = VState::Running;
-        self.cvs[first].notify_one();
+        self.pass_baton(&mut sh);
     }
 }
 
@@ -554,30 +393,24 @@ impl substrate::Substrate for VthreadHandle {
         self.machine.step(self.tid, park, false);
     }
     fn charge_work_units(&self, units: u64) {
-        self.machine.charge_work_units(self.tid, units);
+        // Units arrive pre-scaled by the registry multiplier
+        // (execute_units), so convert straight to virtual ns.
+        let ns = units.saturating_mul(self.machine.cost.work_unit_ns);
+        self.machine.step(self.tid, ns, true);
     }
     fn core_count(&self) -> Option<usize> {
         Some(self.machine.topology.len())
     }
 }
 
-/// Deterministic per-(thread, iteration) coin for read/write mixes.
-fn splitmix(tid: u64, iter: u64) -> u64 {
-    let mut z = tid
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(iter)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn with_vthread(
+/// Run `body` as virtual thread `tid`, and hand the baton on for good
+/// when it returns or unwinds (the payload comes back as the `Err`).
+fn with_vthread<R>(
     machine: &Arc<SimMachine>,
     cfg: &ZooConfig,
     tid: usize,
-    body: impl FnOnce(&Arc<SimMachine>),
-) {
+    body: impl FnOnce(&SimMachine) -> R,
+) -> std::thread::Result<R> {
     let vc = cfg.topology.assignment_for_thread(tid);
     registry::register_on_core(&cfg.topology, vc.id);
     let handle: Arc<dyn substrate::Substrate> = Arc::new(VthreadHandle {
@@ -598,206 +431,62 @@ fn with_vthread(
     let _sub = substrate::install(handle);
     machine.wait_start(tid);
     asl_core::epoch::reset_thread_epochs();
-    body(machine);
+    let out = catch_unwind(AssertUnwindSafe(|| body(machine)));
     machine.finish(tid);
     registry::unregister();
+    out
 }
 
-/// Run an arbitrary per-thread body on the modeled machine: the
-/// custom-workload escape hatch behind the torture harness.
+/// [`run_threads`] with the machine in hand (for the zoo driver's own
+/// charges) and each thread's result, in thread order, beside the
+/// final virtual time.
+pub(crate) fn run_machine<R, F>(cfg: &ZooConfig, body: F) -> (u64, Vec<R>)
+where
+    R: Send,
+    F: Fn(&SimMachine, usize) -> R + Sync,
+{
+    affinity::pinned(0, || {
+        let machine = SimMachine::new(cfg);
+        let outs = std::thread::scope(|s| {
+            let body = &body;
+            let threads: Vec<_> = (0..cfg.threads)
+                .map(|tid| {
+                    let machine = machine.clone();
+                    s.spawn(move || with_vthread(&machine, cfg, tid, |m| body(m, tid)))
+                })
+                .collect();
+            // Every thread starts Ready: the run starts at the earliest.
+            machine.pass_baton(&mut machine.shared.lock().expect("sim scheduler poisoned"));
+            threads
+                .into_iter()
+                .map(|t| t.join().and_then(|out| out))
+                .collect::<std::thread::Result<Vec<R>>>()
+        })
+        .unwrap_or_else(|panic| resume_unwind(panic));
+        let sh = machine.shared.lock().expect("sim scheduler poisoned");
+        (sh.th.iter().map(|t| t.vtime).max().unwrap_or(0), outs)
+    })
+}
+
+/// Run `body(tid)` as each virtual thread `tid` of the modeled
+/// machine: the one entry point into the engine. Everything inside —
+/// lock calls, clock reads, emulated work — runs in deterministic
+/// virtual time under the thread's substrate (and the fault injector,
+/// when [`ZooConfig::fault`] is set); the body decides its own loop.
+/// A body that panics hands the baton on: the others run to their end
+/// and the lowest-numbered thread's payload is rethrown here (one that
+/// panics holding a lock still leaves its waiters spinning).
 ///
-/// Each closure call runs as virtual thread `tid` with the substrate
-/// installed (and the fault injector, when [`ZooConfig::fault`] is
-/// set), so everything inside — lock calls, clock reads, emulated
-/// work — executes in deterministic virtual time. Unlike
-/// [`run_lock`], the body decides its own loop/termination (the
-/// duration field is ignored); it must not panic (a vthread that
-/// unwinds strands the baton — catch panics inside the body).
-///
-/// Returns the machine's final virtual time (max over threads).
+/// The machine runs pinned to one host CPU ([`affinity::pinned`]). It
+/// steps one virtual thread at a time, so a second CPU adds nothing
+/// but a cross-CPU wake-up to every baton pass: the same cell takes
+/// 0.9 s pinned and 0.9–5 s unpinned on a 2-CPU host. Returns the final
+/// virtual time (max over threads).
 pub fn run_threads<F>(cfg: &ZooConfig, body: F) -> u64
 where
     F: Fn(usize) + Send + Sync,
 {
-    let machine = SimMachine::new(cfg);
-    std::thread::scope(|s| {
-        let body = &body;
-        for tid in 0..cfg.threads {
-            let machine = machine.clone();
-            s.spawn(move || {
-                with_vthread(&machine, cfg, tid, |_m| body(tid));
-            });
-        }
-        machine.begin();
-    });
-    let sh = machine.shared.lock().expect("sim scheduler poisoned");
-    sh.th.iter().map(|t| t.vtime).max().unwrap_or(0)
-}
-
-/// Run the standard contended-counter workload on `lock`: `threads`
-/// virtual threads cycling NCS → acquire → CS → release until
-/// `duration_ns` of virtual time has passed.
-///
-/// Fully deterministic: the same config and lock type produce the
-/// same [`ZooResult`], grant trace included.
-///
-/// ```
-/// use std::sync::Arc;
-/// use asl_runtime::Topology;
-/// use asl_sim::exec::{run_lock, ZooConfig};
-///
-/// let cfg = ZooConfig::quick(Topology::apple_m1(), 4, 11);
-/// let a = run_lock(&cfg, Arc::new(asl_locks::McsLock::new()));
-/// let b = run_lock(&cfg, Arc::new(asl_locks::McsLock::new()));
-/// assert!(a.total_ops > 0);
-/// assert_eq!(a.grants, b.grants); // same seed ⇒ identical schedule
-/// ```
-pub fn run_lock(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> ZooResult {
-    let machine = SimMachine::new(cfg);
-    std::thread::scope(|s| {
-        for tid in 0..cfg.threads {
-            let machine = machine.clone();
-            let lock = lock.clone();
-            s.spawn(move || {
-                with_vthread(&machine, cfg, tid, |m| {
-                    loop {
-                        if m.clock(tid) >= cfg.duration_ns {
-                            break;
-                        }
-                        if cfg.slo_ns.is_some() {
-                            asl_core::epoch::epoch_start(SIM_EPOCH_ID);
-                        }
-                        let t0 = m.clock(tid);
-                        let token = lock.acquire();
-                        let t1 = m.clock(tid);
-                        m.note_acquire(tid, t1.saturating_sub(t0));
-                        asl_runtime::work::execute_units(cfg.cs_units);
-                        lock.release(token);
-                        if let Some(slo) = cfg.slo_ns {
-                            asl_core::epoch::epoch_end(SIM_EPOCH_ID, slo);
-                        }
-                        asl_runtime::work::execute_units(cfg.ncs_units);
-                    }
-                    m.shared
-                        .lock()
-                        .expect("sim scheduler poisoned")
-                        .window_traces[tid] = asl_core::epoch::take_window_trace();
-                });
-            });
-        }
-        machine.begin();
-    });
-    zoo_result(cfg, &machine)
-}
-
-/// Like [`run_lock`] for reader-writer locks: each operation is a
-/// write with probability `write_pct`% (deterministic per thread and
-/// iteration), otherwise a read. Reader overlap is tracked exactly in
-/// virtual time.
-pub fn run_rw(cfg: &ZooConfig, lock: Arc<dyn PlainRwLock>, write_pct: u32) -> ZooRwResult {
-    let machine = SimMachine::new(cfg);
-    std::thread::scope(|s| {
-        for tid in 0..cfg.threads {
-            let machine = machine.clone();
-            let lock = lock.clone();
-            s.spawn(move || {
-                with_vthread(&machine, cfg, tid, |m| {
-                    let mut iter = 0u64;
-                    loop {
-                        if m.clock(tid) >= cfg.duration_ns {
-                            break;
-                        }
-                        if splitmix(tid as u64, iter) % 100 < u64::from(write_pct) {
-                            let token = lock.acquire();
-                            m.note_write(tid);
-                            asl_runtime::work::execute_units(cfg.cs_units);
-                            lock.release(token);
-                        } else {
-                            let token = lock.acquire_read();
-                            m.note_read_enter(tid);
-                            asl_runtime::work::execute_units(cfg.cs_units);
-                            m.note_read_exit(tid);
-                            lock.release_read(token);
-                        }
-                        asl_runtime::work::execute_units(cfg.ncs_units);
-                        iter += 1;
-                    }
-                });
-            });
-        }
-        machine.begin();
-    });
-    let sh = machine.shared.lock().expect("sim scheduler poisoned");
-    let per_thread_ops: Vec<u64> = sh.th.iter().map(|t| t.ops).collect();
-    let total = sh.reads + sh.writes;
-    ZooRwResult {
-        total_reads: sh.reads,
-        total_writes: sh.writes,
-        per_thread_ops,
-        max_concurrent_readers: sh.readers_max,
-        throughput: total as f64 / (cfg.duration_ns as f64 / 1e9),
-        virtual_ns: sh.th.iter().map(|t| t.vtime).max().unwrap_or(0),
-    }
-}
-
-fn zoo_result(cfg: &ZooConfig, machine: &SimMachine) -> ZooResult {
-    let mut sh = machine.shared.lock().expect("sim scheduler poisoned");
-    let per_thread_ops: Vec<u64> = sh.th.iter().map(|t| t.ops).collect();
-    let thread_is_big: Vec<bool> = sh.th.iter().map(|t| t.big).collect();
-    let big_ops: u64 = per_thread_ops
-        .iter()
-        .zip(&thread_is_big)
-        .filter(|(_, &b)| b)
-        .map(|(o, _)| o)
-        .sum();
-    let total_ops: u64 = per_thread_ops.iter().sum();
-
-    // Longest run of consecutive grants within one class.
-    let mut max_batch = 0u64;
-    let mut run = 0u64;
-    let mut run_class: Option<bool> = None;
-    for &g in &sh.grants {
-        let class = thread_is_big[g as usize];
-        if run_class == Some(class) {
-            run += 1;
-        } else {
-            run_class = Some(class);
-            run = 1;
-        }
-        max_batch = max_batch.max(run);
-    }
-
-    let virtual_ns = sh.th.iter().map(|t| t.vtime).max().unwrap_or(0);
-    let mut overall: Vec<u64> = sh
-        .lat_big
-        .iter()
-        .chain(sh.lat_little.iter())
-        .copied()
-        .collect();
-    let p99_overall = percentile(&mut overall, 99.0);
-    let grants = std::mem::take(&mut sh.grants);
-    let window_traces = std::mem::take(&mut sh.window_traces);
-    ZooResult {
-        total_ops,
-        big_ops,
-        little_ops: total_ops - big_ops,
-        per_thread_ops,
-        thread_is_big,
-        throughput: total_ops as f64 / (cfg.duration_ns as f64 / 1e9),
-        p50_big: percentile(&mut sh.lat_big, 50.0),
-        p99_big: percentile(&mut sh.lat_big, 99.0),
-        p50_little: percentile(&mut sh.lat_little, 50.0),
-        p99_little: percentile(&mut sh.lat_little, 99.0),
-        p99_overall,
-        max_wait_big: sh.max_wait_big,
-        max_wait_little: sh.max_wait_little,
-        handoffs_local: sh.handoffs_local,
-        handoffs_remote: sh.handoffs_remote,
-        grants,
-        max_class_batch: max_batch,
-        virtual_ns,
-        window_traces,
-    }
+    run_machine(cfg, |_, tid| body(tid)).0
 }
 
 #[cfg(test)]
@@ -837,11 +526,5 @@ mod tests {
         let big = cost.poll_cost_ns(&amp, CoreKind::Big);
         assert_eq!(big, cost.poll_ns);
         assert_eq!(cost.poll_cost_ns(&amp, CoreKind::Little), 2 * big);
-    }
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        assert_eq!(splitmix(3, 17), splitmix(3, 17));
-        assert_ne!(splitmix(3, 17), splitmix(3, 18));
     }
 }

@@ -18,7 +18,7 @@ use asl_sim::exec::{run_threads, ZooConfig};
 fn a_simulated_first_caller_calibrates_the_host_and_charges_no_virtual_time() {
     // (gap between two back-to-back clock reads, gap across the call,
     // the calibration), recorded inside and asserted after the machine
-    // has stopped: a vthread that panics strands the simulator.
+    // has stopped.
     let seen = Mutex::new(None);
     run_threads(&ZooConfig::quick(Topology::symmetric(1), 1, 7), |_| {
         let a = now_ns();

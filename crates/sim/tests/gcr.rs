@@ -32,7 +32,8 @@ use asl_locks::gcr::{Gcr, GcrConfig};
 use asl_locks::{McsLock, RawLock};
 use asl_runtime::work::execute_units;
 use asl_runtime::Topology;
-use asl_sim::exec::{run_lock, run_threads, ZooConfig};
+use asl_sim::exec::{run_threads, ZooConfig};
+use asl_sim::zoo::run_lock;
 
 /// 12 virtual threads on the 8-core model: oversubscribed, the
 /// regime GCR exists for.

@@ -27,9 +27,9 @@ use asl_sim::exec::{run_threads, ZooConfig};
 struct RacyCounter(UnsafeCell<u64>);
 unsafe impl Sync for RacyCounter {}
 
-/// One lock and what its script observed. A virtual thread must not
-/// panic (it would strand the scheduler's baton), so scripts *note*
-/// and the test asserts once the machine has stopped.
+/// One lock and what its script observed. A virtual thread that
+/// panics while it holds the lock leaves the others spinning on it, so
+/// scripts *note* and the test asserts once the machine has stopped.
 struct Stage<L: RawTimedLock> {
     lock: L,
     inside: AtomicBool,

@@ -14,7 +14,8 @@ use asl_locks::telemetry::{Instrumented, TelemetryCell, HOLD_SAMPLE_STRIDE};
 use asl_locks::{McsLock, RawLock};
 use asl_runtime::work::execute_units;
 use asl_runtime::Topology;
-use asl_sim::exec::{run_lock, run_threads, ZooConfig};
+use asl_sim::exec::{run_threads, ZooConfig};
+use asl_sim::zoo::run_lock;
 
 /// The reference and the mutant: an MCS lock that times every
 /// `stride`-th hold, counted from the first. `stride` 1 is the census

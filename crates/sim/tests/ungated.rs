@@ -13,12 +13,79 @@
 //! * `tests/integration_asl.rs` — the reorder-window starvation bound
 //!   of the LibASL lock.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use asl_core::{config, AslSpinLock};
+use asl_locks::plain::PlainRwLock;
 use asl_locks::RwTicketLock;
-use asl_runtime::Topology;
-use asl_sim::exec::{run_lock, run_rw, ZooConfig};
+use asl_runtime::work::execute_units;
+use asl_runtime::{now_ns, Topology};
+use asl_sim::exec::{run_threads, ZooConfig};
+use asl_sim::zoo::run_lock;
+
+/// Outcome of [`rw_mix`].
+#[derive(Debug, Clone, PartialEq)]
+struct RwMix {
+    total_reads: u64,
+    total_writes: u64,
+    per_thread_ops: Vec<u64>,
+    /// Exact maximum number of read guards held concurrently (in
+    /// virtual time) at any point.
+    max_concurrent_readers: u64,
+    virtual_ns: u64,
+}
+
+/// Deterministic per-(thread, iteration) coin for read/write mixes.
+fn splitmix(tid: u64, iter: u64) -> u64 {
+    let mut z = tid
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(iter)
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `cfg.threads` virtual threads cycling *operation → NCS* until
+/// `cfg.duration_ns`, each operation a write with probability `write_pct`%
+/// (deterministic per thread and iteration), otherwise a read. The
+/// reader counts are plain atomics and still exact: the engine runs
+/// one virtual thread at a time.
+fn rw_mix(cfg: &ZooConfig, lock: Arc<dyn PlainRwLock>, write_pct: u32) -> RwMix {
+    let (reads, writes) = (AtomicU64::new(0), AtomicU64::new(0));
+    let (readers_now, readers_max) = (AtomicU64::new(0), AtomicU64::new(0));
+    let ops: Vec<AtomicU64> = (0..cfg.threads).map(|_| AtomicU64::new(0)).collect();
+    let virtual_ns = run_threads(cfg, |tid| {
+        let mut iter = 0u64;
+        while now_ns() < cfg.duration_ns {
+            if splitmix(tid as u64, iter) % 100 < u64::from(write_pct) {
+                let token = lock.acquire();
+                writes.fetch_add(1, Ordering::Relaxed);
+                execute_units(cfg.cs_units);
+                lock.release(token);
+            } else {
+                let token = lock.acquire_read();
+                reads.fetch_add(1, Ordering::Relaxed);
+                let now = readers_now.fetch_add(1, Ordering::Relaxed) + 1;
+                readers_max.fetch_max(now, Ordering::Relaxed);
+                execute_units(cfg.cs_units);
+                readers_now.fetch_sub(1, Ordering::Relaxed);
+                lock.release_read(token);
+            }
+            ops[tid].fetch_add(1, Ordering::Relaxed);
+            execute_units(cfg.ncs_units);
+            iter += 1;
+        }
+    });
+    RwMix {
+        total_reads: reads.into_inner(),
+        total_writes: writes.into_inner(),
+        per_thread_ops: ops.into_iter().map(AtomicU64::into_inner).collect(),
+        max_concurrent_readers: readers_max.into_inner(),
+        virtual_ns,
+    }
+}
 
 /// A parallel read-only run overlaps its readers — exactly, in
 /// virtual time, regardless of how many CPUs the host has.
@@ -33,7 +100,7 @@ fn read_only_run_overlaps_readers_exactly() {
     // their virtual life inside the lock.
     cfg.cs_units = 5_000;
     cfg.ncs_units = 500;
-    let r = run_rw(&cfg, Arc::new(RwTicketLock::new()), 0);
+    let r = rw_mix(&cfg, Arc::new(RwTicketLock::new()), 0);
     assert_eq!(r.total_writes, 0);
     assert!(r.total_reads > 0);
     assert!(
@@ -48,7 +115,7 @@ fn read_only_run_overlaps_readers_exactly() {
         "all four readers should overlap in virtual time"
     );
     // And the whole thing is reproducible, not a lucky interleaving.
-    let again = run_rw(&cfg, Arc::new(RwTicketLock::new()), 0);
+    let again = rw_mix(&cfg, Arc::new(RwTicketLock::new()), 0);
     assert_eq!(r, again);
 }
 
@@ -59,7 +126,7 @@ fn writers_limit_reader_overlap() {
     let mut cfg = ZooConfig::quick(Topology::symmetric(4), 4, 42);
     cfg.cs_units = 5_000;
     cfg.ncs_units = 500;
-    let mixed = run_rw(&cfg, Arc::new(RwTicketLock::new()), 50);
+    let mixed = rw_mix(&cfg, Arc::new(RwTicketLock::new()), 50);
     assert!(mixed.total_writes > 0 && mixed.total_reads > 0);
     assert!(mixed.max_concurrent_readers <= 4);
 }

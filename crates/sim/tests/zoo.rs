@@ -15,7 +15,8 @@ use asl_locks::{
     PthreadMutex, ShuffleLock, TasLock, TicketLock,
 };
 use asl_runtime::Topology;
-use asl_sim::exec::{run_lock, ZooConfig};
+use asl_sim::exec::ZooConfig;
+use asl_sim::zoo::run_lock;
 
 fn quick(topology: Topology, threads: usize) -> ZooConfig {
     ZooConfig::quick(topology, threads, 42)
@@ -196,7 +197,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
 
     /// FNV-1a over the grant trace, the operation count and the final
     /// virtual time.
-    fn digest(r: &asl_sim::exec::ZooResult) -> u64 {
+    fn digest(r: &asl_sim::zoo::ZooResult) -> u64 {
         let words = [r.total_ops, r.virtual_ns];
         let trace = r.grants.iter().map(|&g| u64::from(g));
         words

@@ -1,0 +1,85 @@
+//! The whole [`ZooResult`] of the simulator's standard workload, pinned.
+//!
+//! `zoo.rs` pins the grant order under faults; this pins every other
+//! field too — the per-class latency cells, the max waits, the hand-off
+//! counts derived from the grant trace, the final virtual time (which
+//! carries the hand-off charge) and the length of every window trace —
+//! on a fault-free two-socket machine. A digest that moves is a change
+//! of behaviour or of accounting.
+//!
+//! A binary of its own: it turns window-trace recording on, a
+//! process-wide flag that would otherwise flip under `zoo.rs`'s
+//! determinism checks.
+
+use std::sync::Arc;
+
+use asl_core::AslSpinLock;
+use asl_locks::plain::PlainLock;
+use asl_locks::McsLock;
+use asl_runtime::Topology;
+use asl_sim::exec::ZooConfig;
+use asl_sim::zoo::{run_lock, ZooResult};
+
+/// FNV-1a over every field of `r`, window traces by length.
+fn digest(r: &ZooResult) -> u64 {
+    let words = [
+        r.total_ops,
+        r.big_ops,
+        r.little_ops,
+        r.throughput.to_bits(),
+        r.p50_big,
+        r.p99_big,
+        r.p50_little,
+        r.p99_little,
+        r.p99_overall,
+        r.max_wait_big,
+        r.max_wait_little,
+        r.handoffs_local,
+        r.handoffs_remote,
+        r.max_class_batch,
+        r.virtual_ns,
+    ];
+    let per_thread = r
+        .per_thread_ops
+        .iter()
+        .zip(&r.thread_is_big)
+        .flat_map(|(&ops, &big)| [ops, u64::from(big)]);
+    let grants = r.grants.iter().map(|&g| u64::from(g));
+    let traces = r.window_traces.iter().map(|t| t.len() as u64);
+    words
+        .into_iter()
+        .chain(per_thread)
+        .chain(grants)
+        .chain(traces)
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn the_whole_result_is_pinned() {
+    asl_locks::telemetry::set_recording(true);
+    let mcs = ZooConfig::quick(Topology::numa(2, 4), 8, 42);
+    let slo = ZooConfig {
+        slo_ns: Some(50_000),
+        ..mcs.clone()
+    };
+    let cells: [(&str, ZooConfig, Arc<dyn PlainLock>, u64); 2] = [
+        ("mcs", mcs, Arc::new(McsLock::new()), 0xd429_1ccb_570e_2740),
+        (
+            "libasl-spin",
+            slo,
+            Arc::new(AslSpinLock::default()),
+            0x439a_af18_d025_459d,
+        ),
+    ];
+    for (name, cfg, lock, pinned) in cells {
+        let r = run_lock(&cfg, lock);
+        assert_eq!(digest(&r), pinned, "{name}: {r:?}");
+        // The SLO cell's little threads record a trajectory, so the
+        // digest covers a non-empty trace.
+        let traced = r.window_traces.iter().filter(|t| !t.is_empty()).count();
+        assert_eq!(traced, if cfg.slo_ns.is_some() { 4 } else { 0 }, "{name}");
+    }
+    asl_locks::telemetry::set_recording(false);
+}

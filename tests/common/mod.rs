@@ -3,7 +3,7 @@
 //! acquire → critical section → release* on one **real** lock — with
 //! jittered section lengths.
 //!
-//! This is [`libasl::sim::exec::run_lock`]'s loop, rebuilt on
+//! This is [`libasl::sim::zoo::run_lock`]'s loop, rebuilt on
 //! [`run_threads`] for one reason: `run_lock` (the `repro sim-*`
 //! figures' workload, byte-pinned per seed) runs constant-length
 //! sections, and identical threads looping over constant lengths
@@ -11,7 +11,9 @@
 //! into then depends on the seeded start stagger. Every section here
 //! is drawn uniformly from ±[`JITTER_PCT`]% around its configured
 //! length, per thread and per operation, from the config's seed, so a
-//! cell is still a pure function of its [`ZooConfig`].
+//! cell is still a pure function of its [`ZooConfig`]. Unlike
+//! `run_lock`, it charges no cache-line hand-off: a grant costs what
+//! the lock's own substrate calls cost, as in the paper figures.
 //!
 //! [`run_engine`] is the same loop with a `dbsim` engine request as
 //! the epoch body instead of one lock round-trip.
@@ -23,7 +25,6 @@ use std::sync::{Arc, Mutex};
 
 use libasl::dbsim::Engine;
 use libasl::locks::plain::PlainLock;
-use libasl::runtime::affinity::pinned;
 use libasl::runtime::stats::percentile;
 use libasl::runtime::work::execute_units;
 use libasl::runtime::{is_big_core, now_ns};
@@ -61,34 +62,30 @@ fn jittered(rng: &mut SmallRng, units: u64) -> u64 {
     rng.gen_range(units - span..=units + span)
 }
 
-/// Run `cfg`'s workload on `lock`, on a helper thread pinned to one
-/// CPU (the engine steps one virtual thread at a time; a second CPU
-/// only adds a cross-CPU wake-up to every baton pass). With
-/// `cfg.slo_ns` set, every operation is an epoch with that SLO, so
-/// LibASL's window feedback runs live on the virtual clock.
+/// Run `cfg`'s workload on `lock`. With `cfg.slo_ns` set, every
+/// operation is an epoch with that SLO, so LibASL's window feedback
+/// runs live on the virtual clock.
 pub fn run(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> Cell {
     // Acquire latencies by class: [little, big].
     let waits: Mutex<[Vec<u64>; 2]> = Mutex::new([Vec::new(), Vec::new()]);
-    pinned(0, || {
-        run_threads(cfg, |tid| {
-            let mut rng = thread_rng(cfg, tid);
-            let mut mine = Vec::new();
-            while now_ns() < cfg.duration_ns {
-                let mut op = || {
-                    let t0 = now_ns();
-                    let token = lock.acquire();
-                    mine.push(now_ns() - t0);
-                    execute_units(jittered(&mut rng, cfg.cs_units));
-                    lock.release(token);
-                };
-                match cfg.slo_ns {
-                    Some(slo) => libasl::epoch::with_epoch(SIM_EPOCH_ID, slo, op),
-                    None => op(),
-                }
-                execute_units(jittered(&mut rng, cfg.ncs_units));
+    run_threads(cfg, |tid| {
+        let mut rng = thread_rng(cfg, tid);
+        let mut mine = Vec::new();
+        while now_ns() < cfg.duration_ns {
+            let mut op = || {
+                let t0 = now_ns();
+                let token = lock.acquire();
+                mine.push(now_ns() - t0);
+                execute_units(jittered(&mut rng, cfg.cs_units));
+                lock.release(token);
+            };
+            match cfg.slo_ns {
+                Some(slo) => libasl::epoch::with_epoch(SIM_EPOCH_ID, slo, op),
+                None => op(),
             }
-            waits.lock().expect("collector poisoned")[usize::from(is_big_core())].extend(mine);
-        })
+            execute_units(jittered(&mut rng, cfg.ncs_units));
+        }
+        waits.lock().expect("collector poisoned")[usize::from(is_big_core())].extend(mine);
     });
     let [mut little, mut big] = waits.into_inner().expect("collector poisoned");
     let mut all: Vec<u64> = big.iter().chain(&little).copied().collect();
@@ -123,34 +120,32 @@ impl ThreadEpochs {
 
 /// Run `engine` under `cfg`: every virtual thread loops *request →
 /// think* (`cfg.ncs_units`, jittered) until `cfg.duration_ns`, each
-/// request an epoch with `cfg.slo_ns` when that is set. Same pinning
-/// and seeding as [`run`]; one entry per thread, in thread order.
+/// request an epoch with `cfg.slo_ns` when that is set. Same seeding
+/// as [`run`]; one entry per thread, in thread order.
 pub fn run_engine(cfg: &ZooConfig, engine: &dyn Engine) -> Vec<ThreadEpochs> {
     let outs: Mutex<Vec<(usize, ThreadEpochs)>> = Mutex::new(Vec::new());
-    pinned(0, || {
-        run_threads(cfg, |tid| {
-            let mut rng = thread_rng(cfg, tid);
-            let mut latencies = Vec::new();
-            loop {
-                let t0 = now_ns();
-                if t0 >= cfg.duration_ns {
-                    break;
-                }
-                match cfg.slo_ns {
-                    Some(slo) => libasl::epoch::with_epoch(SIM_EPOCH_ID, slo, || {
-                        engine.run_request(&mut rng)
-                    }),
-                    None => engine.run_request(&mut rng),
-                }
-                latencies.push(now_ns() - t0);
-                execute_units(jittered(&mut rng, cfg.ncs_units));
+    run_threads(cfg, |tid| {
+        let mut rng = thread_rng(cfg, tid);
+        let mut latencies = Vec::new();
+        loop {
+            let t0 = now_ns();
+            if t0 >= cfg.duration_ns {
+                break;
             }
-            let out = ThreadEpochs {
-                big: is_big_core(),
-                latencies,
-            };
-            outs.lock().expect("collector poisoned").push((tid, out));
-        })
+            match cfg.slo_ns {
+                Some(slo) => {
+                    libasl::epoch::with_epoch(SIM_EPOCH_ID, slo, || engine.run_request(&mut rng))
+                }
+                None => engine.run_request(&mut rng),
+            }
+            latencies.push(now_ns() - t0);
+            execute_units(jittered(&mut rng, cfg.ncs_units));
+        }
+        let out = ThreadEpochs {
+            big: is_big_core(),
+            latencies,
+        };
+        outs.lock().expect("collector poisoned").push((tid, out));
     });
     let mut outs = outs.into_inner().expect("collector poisoned");
     outs.sort_by_key(|(tid, _)| *tid);

@@ -300,6 +300,31 @@ fn the_simulator_has_one_engine() {
 }
 
 #[test]
+fn the_engine_is_only_a_machine() {
+    // The engine runs bodies; workloads and their statistics are
+    // drivers over it (`asl_sim::zoo`), so nothing the machine does
+    // differs by who called it.
+    let exec = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/sim/src/exec.rs"),
+    )
+    .expect("crates/sim/src/exec.rs");
+    for workload in [
+        "fn run_lock",
+        "fn run_rw",
+        "ZooResult",
+        "fn note_",
+        "grants:",
+        "window_traces",
+    ] {
+        assert!(
+            !exec.contains(workload),
+            "crates/sim/src/exec.rs has `{workload}`: a workload belongs in a driver over \
+             run_threads (crates/sim/src/zoo.rs), not in the engine"
+        );
+    }
+}
+
+#[test]
 fn delegation_is_written_once() {
     // One publication-slot engine: no per-lock shared-state struct,
     // no second server, and one place that executes a published op.
