@@ -24,21 +24,18 @@
 //!   passive, the *oldest* passive waiter is force-admitted (the LIFO
 //!   keeps recently-run, cache-warm threads circulating; the tail
 //!   pull bounds starvation);
-//! * an **adaptive controller** grows or shrinks `K` from
-//!   [`TelemetryCell`] signals. Shrink on either collapse signature:
-//!   windowed hold times inflating past the best observed window
-//!   (by [`INFLATION_PCT`]%) while the contended streak spans it
-//!   ([`SHRINK_STREAK`] acquisitions: holders being preempted),
-//!   or windowed wait time exceeding 4x the windowed hold time
+//! * an **adaptive controller** reads one saturation signal, a
+//!   window's [`TelemetryCell`] wait and hold totals, and takes the
+//!   first of three rules that applies: **shrink** `K` by one when
+//!   waiting inside the wrapped lock overtakes holding it 4:1
 //!   (queueing — holds can stay perfectly clean while waits explode,
-//!   e.g. behind a reordering lock). Grow, with waiters passive, when
-//!   a window runs fully uncontended *or* when the wrapped lock was
-//!   busy under [`GROW_UTIL_PCT`]% of the window's wall time and
-//!   waits are still below holds — the gate is binding but the lock
-//!   still has headroom. The wait/hold band (grow below 1x, shrink
-//!   above 4x) is the hysteresis that keeps the two rules from
-//!   fighting. An uncontended window with *nobody* passive switches
-//!   the whole mechanism off (below).
+//!   e.g. behind a reordering lock); **disengage** after a window in
+//!   which nobody met anybody and nobody is passive (below); **grow**
+//!   `K` by one when waiters sit passive, waiting is still under
+//!   holding and the wrapped lock was busy under [`GROW_UTIL_PCT`]% of
+//!   the window's wall time — the gate is binding but the lock still
+//!   has headroom. The wait/hold band (grow below 1x, shrink above 4x)
+//!   is the hysteresis that keeps the two moves from fighting.
 //!
 //! Admission accounting is per-acquisition: a slot is held from
 //! `lock()` to `unlock()`, never across the caller's think time. A
@@ -359,19 +356,20 @@ impl Gate {
         }
     }
 
-    /// One CAS attempt loop below the limit. Every successful
-    /// admission goes through a bounded compare-exchange (never a
-    /// blind `fetch_add`), which is what makes the peak bound exact.
-    fn try_enter(&self) -> bool {
+    /// Take one admission slot if the admitted set is under `bound`.
+    /// Every admission goes through this bounded compare-exchange loop
+    /// (never a blind `fetch_add`), which is what makes the peak bound
+    /// exact.
+    fn reserve(&self, bound: u32) -> bool {
         let mut spin = asl_runtime::relax::Spin::new();
         loop {
             let a = self.active.load(Ordering::Relaxed);
-            if a >= self.limit.load(Ordering::Relaxed) {
+            if a >= bound {
                 return false;
             }
             match self
                 .active
-                .compare_exchange_weak(a, a + 1, Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange_weak(a, a + 1, Ordering::AcqRel, Ordering::Relaxed)
             {
                 Ok(_) => {
                     self.note_peak(a + 1);
@@ -384,10 +382,18 @@ impl Gate {
         }
     }
 
-    /// Non-blocking admission attempt.
+    /// Non-blocking admission below the limit.
     #[inline]
-    fn try_admit(&self) -> bool {
-        self.try_enter()
+    fn try_enter(&self) -> bool {
+        self.reserve(self.limit())
+    }
+
+    /// Give back a slot that admitted nobody to the lock (a failed
+    /// `try_lock`, a timed-out inner wait): no release happened, so
+    /// unlike [`Gate::exit`] it counts no handover and no spare exit.
+    #[inline]
+    fn cancel(&self) {
+        self.active.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Get past the gate: uncounted if it is disengaged, else into the
@@ -632,31 +638,7 @@ impl Gate {
         self.list_lock.lock();
         // Reserve the slot before popping, so a node is never removed
         // without an admission to hand it.
-        let mut spin = asl_runtime::relax::Spin::new();
-        let reserved = loop {
-            let a = self.active.load(Ordering::Relaxed);
-            let bound = if forced {
-                self.limit.load(Ordering::Relaxed).saturating_add(1)
-            } else {
-                self.limit.load(Ordering::Relaxed)
-            };
-            if a >= bound {
-                break false;
-            }
-            match self
-                .active
-                .compare_exchange_weak(a, a + 1, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    self.note_peak(a + 1);
-                    break true;
-                }
-                Err(_) => {
-                    spin.relax();
-                }
-            }
-        };
-        if !reserved {
+        if !self.reserve(self.limit().saturating_add(u32::from(forced))) {
             self.list_lock.unlock(());
             return false;
         }
@@ -827,24 +809,11 @@ impl GcrConfig {
 /// is binding, but the lock itself still has headroom.
 pub const GROW_UTIL_PCT: u64 = 85;
 
-/// Shrink on hold inflation only when the cell's consecutive-contended
-/// streak is at least this long — sustained saturation, not a
-/// contention blip.
-pub const SHRINK_STREAK: u64 = 64;
-
-/// Holds are inflated when the windowed mean hold time exceeds the
-/// best observed window by more than this percentage (hold-time
-/// inflation = holders being preempted = collapse onset).
-pub const INFLATION_PCT: u64 = 100;
-
 /// Controller bookkeeping, mutated only while the wrapped lock is
 /// held (release-path ticks), so plain fields suffice.
 struct CtlState {
     since_tick: u32,
     last: TelemetrySnapshot,
-    /// Best (lowest) windowed mean hold time observed — the
-    /// uninflated reference the shrink signal compares against.
-    baseline_hold: f64,
     /// Wall-clock stamp of the previous tick; `0` until the first
     /// tick completes, so the first window never computes utilization
     /// against an unbounded interval.
@@ -880,7 +849,6 @@ impl Controller {
             state: UnsafeCell::new(CtlState {
                 since_tick: 0,
                 last: TelemetrySnapshot::default(),
-                baseline_hold: 0.0,
                 window_start_ns: 0,
             }),
             grows: AtomicU64::new(0),
@@ -894,8 +862,7 @@ impl Controller {
     /// compute and store the same numbers — and every one has the
     /// window reopened, because what the cell counted while nobody was
     /// sampling must not be read as one. `K` as the controller last
-    /// left it and the hold baseline carry over from earlier
-    /// engagements.
+    /// left it carries over from earlier engagements.
     fn on_engage(&self, gate: &Gate) {
         if gate.limit() == 0 || self.max_limit.load(Ordering::Relaxed) == 0 {
             let (initial, max) = self.cfg.sized(asl_runtime::substrate::core_count());
@@ -939,32 +906,14 @@ impl Controller {
         let snap = cell.snapshot();
         let w = snap.delta(&st.last);
         st.last = snap;
-        // Every tick closed one timed hold (the counted path takes a
-        // census), so the window holds exactly `ctl_period` of them —
-        // `w.timed_holds`; `w.acquisitions` also counts the untimed
-        // holds of threads that came in uncounted across an engagement.
-        let avg_hold = w.avg_hold_ns();
-        if avg_hold > 0.0 && (st.baseline_hold == 0.0 || avg_hold < st.baseline_hold) {
-            st.baseline_hold = avg_hold;
-        }
         let limit = gate.limit();
-        let inflated = st.baseline_hold > 0.0
-            && avg_hold > st.baseline_hold * (1.0 + INFLATION_PCT as f64 / 100.0);
-        // Queueing: time spent waiting inside the wrapped lock dwarfs
-        // time spent holding it. Holds can stay perfectly clean while
-        // this happens — a reordering lock hands off to runnable
-        // threads precisely to keep holds short under oversubscription
-        // — so it is a shrink signal of its own, not a variant of
-        // hold inflation. The 4x band (grow below 1x, shrink above
-        // 4x) is the hysteresis that keeps the two rules from
-        // fighting.
-        let queueing = w.wait_ns > w.hold_ns.saturating_mul(4);
-        if ((inflated && cell.contended_streak() >= SHRINK_STREAK) || queueing)
-            && limit > self.cfg.min_limit
-        {
-            // Collapse onset: holds inflating under back-to-back
-            // contention means admitted threads are preempting each
-            // other. Fewer runnable waiters, shorter holds.
+        if w.wait_ns > w.hold_ns.saturating_mul(4) && limit > self.cfg.min_limit {
+            // Queueing: time spent waiting inside the wrapped lock
+            // dwarfs time spent holding it — too many admitted threads
+            // for the lock to serve. Holds can stay perfectly clean
+            // while this happens (a reordering lock hands off to
+            // runnable threads precisely to keep holds short under
+            // oversubscription), so waits, not holds, are the signal.
             gate.set_limit(limit - 1);
             self.shrinks.fetch_add(1, Ordering::Relaxed);
         } else if w.contended == 0 && gate.passive_len() == 0 {
@@ -973,26 +922,23 @@ impl Controller {
             // it (a publisher racing this keeps the gate engaged).
             gate.disengage();
         } else if limit < self.max_limit.load(Ordering::Relaxed)
-            && (w.contended == 0
-                || (!inflated
-                    && gate.passive_len() > 0
-                    && wall_ns > 0
-                    && w.wait_ns < w.hold_ns
-                    && w.hold_ns.saturating_mul(100) < wall_ns.saturating_mul(GROW_UTIL_PCT)))
+            && gate.passive_len() > 0
+            && wall_ns > 0
+            && w.wait_ns < w.hold_ns
+            && w.hold_ns.saturating_mul(100) < wall_ns.saturating_mul(GROW_UTIL_PCT)
         {
-            // Two "restriction is not binding tightly enough" shapes,
-            // both with threads parked passive: the admitted set ran
-            // a whole window uncontended, or the wrapped lock was busy
+            // The restriction binds tighter than the lock needs:
+            // threads sit passive while the wrapped lock was busy
             // under GROW_UTIL_PCT of the window's wall time AND
-            // waiting inside it had not overtaken holding. The latter
-            // pair is what think-heavy circulation looks like: each
-            // admitted thread only wants the lock a fraction of the
-            // time, so throughput scales with K until the lock
-            // saturates. The wait < hold guard matters on an
-            // oversubscribed host: wall-time utilization stays low
-            // exactly when waiters burn the CPU the holder needs, so
-            // utilization alone would grow straight into the collapse
-            // the gate exists to prevent.
+            // waiting inside it had not overtaken holding. That is
+            // what think-heavy circulation looks like: each admitted
+            // thread only wants the lock a fraction of the time, so
+            // throughput scales with K until the lock saturates. The
+            // wait < hold guard matters on an oversubscribed host:
+            // wall-time utilization stays low exactly when waiters
+            // burn the CPU the holder needs, so utilization alone
+            // would grow straight into the collapse the gate exists
+            // to prevent.
             gate.set_limit(limit + 1);
             self.grows.fetch_add(1, Ordering::Relaxed);
             gate.fill();
@@ -1220,7 +1166,7 @@ impl<L: RawLock> RawLock for Gcr<L> {
             self.cell.record_acquisition_exclusive(false);
             return Some(token);
         }
-        if !self.gate.try_admit() {
+        if !self.gate.try_enter() {
             return None;
         }
         match self.inner.try_lock() {
@@ -1229,7 +1175,7 @@ impl<L: RawLock> RawLock for Gcr<L> {
                 Some(token)
             }
             None => {
-                self.gate.exit();
+                self.gate.cancel();
                 None
             }
         }
@@ -1274,7 +1220,7 @@ impl<L: crate::timed::RawTimedLock> crate::timed::RawTimedLock for Gcr<L> {
                 Some(token)
             }
             None => {
-                self.gate.exit();
+                self.gate.cancel();
                 None
             }
         }
@@ -1471,7 +1417,7 @@ mod tests {
     #[test]
     fn disengaging_and_publishing_see_each_other() {
         let gate = Arc::new(Gate::build(1, u32::MAX, true));
-        assert!(gate.try_admit(), "the one slot, held throughout");
+        assert!(gate.try_enter(), "the one slot, held throughout");
 
         // Publisher first: parked before the holder looks.
         let parked = {
@@ -1559,73 +1505,59 @@ mod tests {
         );
     }
 
+    /// A `try_lock` that gets a slot but finds the inner lock taken
+    /// gives the slot back without a release having happened, so it is
+    /// no handover: with a waiter parked and `reintroduce_period: 2`,
+    /// one real release plus one such failure must not fire the pulse.
+    /// (The parked waiter could retract on its own only after a
+    /// [`PASSIVE_RESCUE_BOUND`] timeout, far longer than the few steps
+    /// between the release and the failed try.)
     #[test]
-    fn controller_shrinks_on_inflated_contended_holds() {
-        // A window whose mean hold is 20x the best window's clears the
-        // 2x inflation tolerance; two threads hammering the lock keep
-        // the contended streak past SHRINK_STREAK, so it must shrink.
+    fn a_failed_try_lock_is_not_a_handover() {
         let lock = Arc::new(Gcr::with_config(
-            McsLock::new(),
+            TicketLock::new(),
             GcrConfig {
-                initial_limit: 4,
-                min_limit: 1,
-                max_limit: 4,
-                ctl_period: 8,
-                reintroduce_period: 64,
+                reintroduce_period: 2,
+                ..GcrConfig::fixed(2)
             },
         ));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let phase = Arc::new(AtomicU64::new(0));
-        // The bound as the first holder after a shrink found it. Read
-        // under the lock, where no controller tick can intervene (ticks
-        // run on the release path); from outside, the controller may
-        // have grown back by the time anyone looks.
-        let limit_after_shrink = Arc::new(AtomicU32::new(u32::MAX));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let lock = lock.clone();
-                let stop = stop.clone();
-                let phase = phase.clone();
-                let limit_after_shrink = limit_after_shrink.clone();
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let t = lock.lock();
-                        if lock.shrinks() > 0 {
-                            limit_after_shrink.fetch_min(lock.limit(), Ordering::Relaxed);
-                        }
-                        // Phase 0: short holds (establish baseline).
-                        // Phase 1: 20x longer holds (inflation).
-                        let ns = if phase.load(Ordering::Relaxed) == 0 {
-                            5_000
-                        } else {
-                            100_000
-                        };
-                        asl_runtime::clock::busy_wait_ns(ns);
-                        lock.unlock(t);
-                    }
-                })
+        let held = Guard::new(&*lock);
+        // The second slot: admitted, waiting inside the ticket queue,
+        // holding the lock until told to let go.
+        let (go, release) = std::sync::mpsc::channel::<()>();
+        let (holding, has_it) = std::sync::mpsc::channel();
+        let second = {
+            let lock = lock.clone();
+            std::thread::spawn(move || {
+                let _g = Guard::new(&*lock);
+                holding.send(()).unwrap();
+                release.recv().unwrap();
             })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        phase.store(1, Ordering::Relaxed);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while limit_after_shrink.load(Ordering::Relaxed) == u32::MAX
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        while lock.inner().queue_depth() < 2 {
+            std::thread::yield_now();
         }
-        stop.store(true, Ordering::Relaxed);
-        for w in workers {
-            w.join().unwrap();
+        // The gate is full: a third arrival parks passive.
+        let parked = {
+            let lock = lock.clone();
+            std::thread::spawn(move || drop(Guard::new(&*lock)))
+        };
+        while lock.passive_len() == 0 {
+            std::thread::yield_now();
         }
-        assert!(
-            lock.shrinks() >= 1,
-            "controller never shrank under inflated contended holds \
-             (limit={}, snapshot={:?})",
-            lock.limit(),
-            lock.telemetry().snapshot()
-        );
-        assert!(limit_after_shrink.load(Ordering::Relaxed) < 4);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+
+        drop(held); // handover 1 of 2
+        has_it.recv().unwrap();
+        assert_eq!(lock.active(), 1, "a slot is free for a try");
+        assert!(lock.try_lock().is_none(), "the second thread holds it");
+        assert_eq!(lock.reintroduced(), 0, "no release, no handover");
+        assert_eq!(lock.active(), 1, "the try gave its slot back");
+
+        go.send(()).unwrap(); // handover 2 of 2: the pulse is due
+        second.join().unwrap();
+        parked.join().unwrap();
+        assert_eq!((lock.active(), lock.passive_len()), (0, 0));
     }
 
     #[test]
@@ -1692,14 +1624,14 @@ mod tests {
     #[test]
     fn gate_standalone_admits_and_fills() {
         let gate = Gate::build(2, 64, true);
-        assert!(gate.try_admit());
-        assert!(gate.try_admit());
-        assert!(!gate.try_admit(), "limit reached");
+        assert!(gate.try_enter());
+        assert!(gate.try_enter());
+        assert!(!gate.try_enter(), "limit reached");
         gate.exit();
-        assert!(gate.try_admit());
+        assert!(gate.try_enter());
         gate.set_limit(3);
-        assert!(gate.try_admit());
-        assert!(!gate.try_admit());
+        assert!(gate.try_enter());
+        assert!(!gate.try_enter());
         gate.exit();
         gate.exit();
         gate.exit();

@@ -125,24 +125,18 @@ use crate::{RawLock, RawRwLock};
 /// Per counter:
 ///
 /// * `acquisitions` — holder-owned **on exclusive locks that record
-///   through [`record_acquisition_exclusive`] /
-///   [`record_acquired_exclusive`]** (the reorderable lock, the
-///   exclusive side of `Instrumented`/`InstrumentedRw`, `Gcr`: all
-///   record after the inner acquire). *Not* holder-owned on a
-///   shared-read cell (`InstrumentedRw::read`: readers overlap), on
-///   the delegation locks' cells (clients record, the combiner
-///   holds); those call the RMW [`record_acquisition`]. A cell is
+///   through [`record_acquisition_exclusive`]** (the exclusive side of
+///   `Instrumented`/`InstrumentedRw`, `Gcr`: both record after the
+///   inner acquire). *Not* holder-owned on a shared-read cell
+///   (`InstrumentedRw::read`: readers overlap), on the delegation
+///   locks' cells (clients record, the combiner holds); those call
+///   the RMW [`record_acquisition`]. A cell is
 ///   used one way or the other, never both — mixing a plain store
 ///   with a concurrent `fetch_add` would lose updates — which is why
-///   the exclusive variants are separate methods with the requirement
-///   in their name.
-/// * `contended` — **RMW always**: [`record_contended`] is called
-///   *before* blocking (waiters must be visible while they wait), i.e.
-///   by threads that do not hold the lock, so even a holder's
-///   increment can race one.
-/// * `contended_streak` — written only by `record_acquisition*`, so
-///   it follows `acquisitions`: load+store in the exclusive variant,
-///   RMW in the shared one.
+///   the exclusive variant is a separate method with the requirement
+///   in its name.
+/// * `contended` — **RMW** in both variants: it is bumped only off
+///   the uncontended path, where the RMW costs nothing that shows.
 /// * `wait_ns` — **RMW**: delegation clients and
 ///   overlapping readers add to them without holding anything
 ///   exclusively (and they are off the uncontended path anyway).
@@ -209,9 +203,7 @@ use crate::{RawLock, RawRwLock};
 /// start, the `counted` mark.
 ///
 /// [`record_acquisition`]: TelemetryCell::record_acquisition
-/// [`record_contended`]: TelemetryCell::record_contended
 /// [`record_acquisition_exclusive`]: TelemetryCell::record_acquisition_exclusive
-/// [`record_acquired_exclusive`]: TelemetryCell::record_acquired_exclusive
 /// [`note_hold_start`]: TelemetryCell::note_hold_start
 /// [`sample_hold_start`]: TelemetryCell::sample_hold_start
 /// [`note_hold_end`]: TelemetryCell::note_hold_end
@@ -225,12 +217,6 @@ pub struct TelemetryCell {
     /// Successful acquisitions (lock + try_lock-success + write side
     /// of rw locks; read acquisitions on a read cell).
     acquisitions: AtomicU64,
-    /// Consecutive contended acquisitions (zeroed by any uncontended
-    /// one). Maintained by [`TelemetryCell::record_acquisition`] only
-    /// — the split `record_contended`/`record_acquired_exclusive` API
-    /// leaves it untouched. This is the collapse-onset signal the GCR
-    /// admission controller ([`crate::gcr`]) shrinks on.
-    contended_streak: AtomicU64,
     /// Holds [`TelemetryCell::sample_hold_start`] still skips before it
     /// times one.
     hold_countdown: AtomicU64,
@@ -313,17 +299,13 @@ impl TelemetryCell {
     }
 
     /// Record one successful acquisition (`contended` = the lock was
-    /// observed held or queued on entry). Also advances (or resets)
-    /// the consecutive-contended streak. Safe from any thread: every
+    /// observed held or queued on entry). Safe from any thread: every
     /// write is an RMW.
     #[inline]
     pub fn record_acquisition(&self, contended: bool) {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         if contended {
             self.contended.fetch_add(1, Ordering::Relaxed);
-            self.contended_streak.fetch_add(1, Ordering::Relaxed);
-        } else if self.contended_streak.load(Ordering::Relaxed) != 0 {
-            self.contended_streak.store(0, Ordering::Relaxed);
         }
     }
 
@@ -336,35 +318,7 @@ impl TelemetryCell {
         holder_add(&self.acquisitions, 1);
         if contended {
             self.contended.fetch_add(1, Ordering::Relaxed);
-            holder_add(&self.contended_streak, 1);
-        } else if self.contended_streak.load(Ordering::Relaxed) != 0 {
-            self.contended_streak.store(0, Ordering::Relaxed);
         }
-    }
-
-    /// Consecutive contended acquisitions, as of now (reset by any
-    /// uncontended acquisition recorded through
-    /// [`TelemetryCell::record_acquisition`]).
-    #[inline]
-    pub fn contended_streak(&self) -> u64 {
-        self.contended_streak.load(Ordering::Relaxed)
-    }
-
-    /// Record a contention *observation* before blocking (used by
-    /// self-reporting locks so waiters are visible while they still
-    /// wait; pair with [`TelemetryCell::record_acquired_exclusive`]).
-    #[inline]
-    pub fn record_contended(&self) {
-        self.contended.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a completed acquisition whose contention was already
-    /// counted by [`TelemetryCell::record_contended`] (or that was
-    /// uncontended), under the same condition as
-    /// [`TelemetryCell::record_acquisition_exclusive`].
-    #[inline]
-    pub fn record_acquired_exclusive(&self) {
-        holder_add(&self.acquisitions, 1);
     }
 
     /// Add nanoseconds spent waiting to acquire.
@@ -466,7 +420,6 @@ impl TelemetryCell {
         self.timed_holds.store(0, Ordering::Relaxed);
         self.hold_countdown.store(0, Ordering::Relaxed);
         self.hold_jitter.store(0, Ordering::Relaxed);
-        self.contended_streak.store(0, Ordering::Relaxed);
     }
 }
 
@@ -509,8 +462,8 @@ impl TelemetrySnapshot {
     /// Component-wise saturating difference: the activity *window*
     /// between an `earlier` snapshot and this one. Feedback loops
     /// (the GCR admission controller) tick on windows, not lifetime
-    /// totals, so hold-time inflation in the last window is not
-    /// averaged away by a long calm history.
+    /// totals, so queueing in the last window is not averaged away by
+    /// a long calm history.
     pub fn delta(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
         TelemetrySnapshot {
             acquisitions: self.acquisitions.saturating_sub(earlier.acquisitions),
@@ -1169,25 +1122,6 @@ mod tests {
         let labels: Vec<String> = snapshots().into_iter().map(|(l, _)| l).collect();
         assert!(labels.iter().any(|l| l == "trunc-test-before"));
         assert!(!labels.iter().any(|l| l == "trunc-test-after"));
-    }
-
-    #[test]
-    fn contended_streak_advances_and_resets() {
-        let c = TelemetryCell::new();
-        assert_eq!(c.contended_streak(), 0);
-        c.record_acquisition(true);
-        c.record_acquisition(true);
-        assert_eq!(c.contended_streak(), 2);
-        c.record_acquisition(false);
-        assert_eq!(c.contended_streak(), 0, "uncontended resets the streak");
-        c.record_acquisition(true);
-        assert_eq!(c.contended_streak(), 1);
-        // The split API is streak-neutral.
-        c.record_contended();
-        c.record_acquired_exclusive();
-        assert_eq!(c.contended_streak(), 1);
-        c.reset();
-        assert_eq!(c.contended_streak(), 0);
     }
 
     #[test]

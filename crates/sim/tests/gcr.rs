@@ -20,6 +20,8 @@
 //!   is contended; from then on counted admissions obey the bound, and
 //!   the threads the switch caught in flight, uncounted, drain within
 //!   one pass of the inner queue;
+//! * **queueing shrink** — waiting that overtakes holding 4:1 steps
+//!   the adaptive `K` down, by an exact count;
 //! * **host independence** — a default `K` is sized by the thread that
 //!   engages, from the *modeled* machine, so a simulated cell reads
 //!   the same on any host.
@@ -237,4 +239,28 @@ fn a_default_k_is_sized_from_the_modeled_machine() {
         let initial = i64::from(lock.limit()) - lock.grows() as i64 + lock.shrinks() as i64;
         assert_eq!(initial, i64::from(cores));
     }
+}
+
+/// The controller's shrink rule, pinned in virtual time: 16 threads
+/// with no think time on the M1 model keep every admitted thread but
+/// the holder queued inside the inner MCS lock, so a window's waiting
+/// overtakes its holding 4:1 at the default `K` of 8 and the
+/// controller steps `K` down until it no longer does. The counts are
+/// a pure function of the code and the seed: a change to any rule of
+/// the controller, or to what feeds it, moves them.
+#[test]
+fn waiting_four_times_holding_shrinks_k() {
+    let lock = Arc::new(Gcr::new(DynLock::of(McsLock::new())));
+    let cfg = ZooConfig {
+        ncs_units: 0,
+        duration_ns: 3_000_000,
+        ..ZooConfig::quick(Topology::apple_m1(), 16, 1)
+    };
+    let r = run_lock(&cfg, lock.clone());
+    assert!(r.total_ops > 0);
+    assert!(lock.engaged(), "16 threads on one lock");
+    let moves = (lock.grows(), lock.shrinks(), lock.limit());
+    assert!(lock.shrinks() >= 1, "queueing never shrank K: {moves:?}");
+    assert_eq!(moves, (0, 4, 4), "(grows, shrinks, K) moved");
+    assert_eq!(r.total_ops, 1_197);
 }
