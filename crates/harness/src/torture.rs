@@ -10,46 +10,51 @@
 //!   grant order, wait times, fault counters — is a pure function of
 //!   the seed, so the report is byte-identical across runs and a
 //!   failing schedule replays exactly from `--seed`.
-//! * **OS bouts** run on real threads with the injector installed
-//!   over the OS substrate, plus a
-//!   [`StallWatchdog`] as a
-//!   liveness oracle. Timings are wall-clock and the report is *not*
-//!   expected to be byte-stable; the oracles still are.
+//! * **OS bouts** run the same tortured op on real threads with the
+//!   injector installed over the OS substrate. Timings are wall-clock
+//!   and the report is *not* expected to be byte-stable; the oracles
+//!   still are.
 //!
 //! Oracles checked per bout:
 //!
-//! * **mutual-exclusion** — an `UnsafeCell<u64>` counter incremented
-//!   in every critical section must end at `threads × ops`, and an
+//! * **mutual-exclusion** — a holder-owned counter (a relaxed load and
+//!   store, so overlapping holders lose an update) bumped in every
+//!   critical section must equal the number of grants recorded, and an
 //!   atomic in-CS gauge must never observe two holders.
 //! * **completion / no-lost-wakeup** — every thread finishes its op
-//!   quota (OS bouts bound this with a wall-clock timeout; a sim bout
-//!   that loses a wakeup hangs the baton scheduler and fails loudly).
+//!   quota. Parks are bounded on both backends (the simulator charges
+//!   `park_ns` and returns; under the injector an OS park is a 1 ms
+//!   `park_timeout`), so a lost wakeup shows up as lateness, not a
+//!   hang. A sim deadlock spins in virtual time without bound; an OS
+//!   deadlock fails `no-lost-wakeup` at the bout's wall-clock timeout.
 //! * **fifo** (sim, FIFO locks only) — grant order must equal arrival
 //!   order. Arrival indices are taken with no substrate call between
 //!   the `fetch_add` and the enqueue, so on the serialized virtual
 //!   machine arrival order *is* queue order and the check is exact.
 //! * **bounded-starvation** (sim) — max wait may not exceed the mean
 //!   wait by more than a per-schedule factor.
-//! * **watchdog-silent** (OS) — the stall watchdog must not fire:
-//!   injected stalls are microseconds, far under its bounds.
+//! * **bounded-stall** (OS) — judged after the bout from the grant
+//!   record: no hold over 500 ms, and no gap over 2 s between
+//!   consecutive grants, counting the bout's start to its first grant
+//!   and its last grant to its end, so a wedged bout fails it too.
+//!   Injected stalls are microseconds, far under both bounds.
 //!
 //! Three named schedules reproduce the hand-analyzed adversarial
 //! cases as exact tests (see `tests/torture_schedules.rs`):
 //! [`schedule_holder_preemption`], [`schedule_gcr_spurious`],
 //! [`schedule_panic_delegated`].
 
-use std::cell::UnsafeCell;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use asl_locks::ccsynch::CcSynch;
 use asl_locks::gcr::{Gcr, GcrConfig};
-use asl_locks::watchdog::{StallWatchdog, WatchSample, WatchdogConfig};
+use asl_locks::telemetry::holder_add;
 use asl_locks::{DynLock, PlainLock};
-use asl_runtime::clock::{self, ms};
+use asl_runtime::clock;
 use asl_runtime::fault::{FaultInjector, FaultPlan, FaultState};
 use asl_runtime::topology::Topology;
 use asl_sim::exec::{run_threads, ZooConfig};
@@ -151,6 +156,48 @@ struct Grant {
     tid: u32,
     arrival: u64,
     wait_ns: u64,
+    /// Host-clock stamps of the grant and of the hold's end, for the
+    /// `bounded-stall` oracle. `Instant`, not the substrate clock: a
+    /// substrate read here would move every sim bout's virtual time.
+    granted: Instant,
+    released: Instant,
+}
+
+/// `bounded-stall`'s hold bound.
+const HOLD_BOUND: Duration = Duration::from_millis(500);
+/// `bounded-stall`'s bound on the gap between consecutive grants.
+const GAP_BOUND: Duration = Duration::from_secs(2);
+
+/// The `bounded-stall` oracle over a bout's grant record: no hold
+/// longer than [`HOLD_BOUND`], and no gap longer than [`GAP_BOUND`]
+/// between consecutive grants, the bout's `start` and `end` counting as
+/// grants — so a bout that wedges after its last grant fails too.
+fn stall_oracle(grants: &[Grant], start: Instant, end: Instant) -> Oracle {
+    let max_hold = grants
+        .iter()
+        .map(|g| g.released.saturating_duration_since(g.granted))
+        .max()
+        .unwrap_or_default();
+    let stamps: Vec<Instant> = std::iter::once(start)
+        .chain(grants.iter().map(|g| g.granted))
+        .chain(std::iter::once(end))
+        .collect();
+    let max_gap = stamps
+        .windows(2)
+        .map(|w| w[1].saturating_duration_since(w[0]))
+        .max()
+        .unwrap_or_default();
+    Oracle::new(
+        "bounded-stall",
+        max_hold <= HOLD_BOUND && max_gap <= GAP_BOUND,
+        format!(
+            "max_hold_us={} (bound {}) max_grant_gap_us={} (bound {})",
+            max_hold.as_micros(),
+            HOLD_BOUND.as_micros(),
+            max_gap.as_micros(),
+            GAP_BOUND.as_micros()
+        ),
+    )
 }
 
 fn fnv_fold(mut h: u64, word: u64) -> u64 {
@@ -174,22 +221,19 @@ fn grant_digest(grants: &[Grant]) -> u64 {
 /// Shared per-bout instrumentation: the ME counter/gauge, the arrival
 /// ticket, and the grant trace.
 struct BoutShared {
-    counter: UnsafeCell<u64>,
+    /// Holder-owned ([`holder_add`]): two holders that overlap lose an
+    /// update, which the mutual-exclusion oracle sees.
+    counter: AtomicU64,
     in_cs: AtomicU64,
     me_violations: AtomicU64,
     arrivals: AtomicU64,
     grants: Mutex<Vec<Grant>>,
 }
 
-// SAFETY: `counter` is only written while holding the lock under
-// torture — that exclusion is exactly what the bout verifies, and the
-// atomic gauge independently detects any overlap.
-unsafe impl Sync for BoutShared {}
-
 impl BoutShared {
     fn new() -> Self {
         BoutShared {
-            counter: UnsafeCell::new(0),
+            counter: AtomicU64::new(0),
             in_cs: AtomicU64::new(0),
             me_violations: AtomicU64::new(0),
             arrivals: AtomicU64::new(0),
@@ -202,23 +246,29 @@ impl BoutShared {
         let t0 = clock::now_ns();
         let arrival = self.arrivals.fetch_add(1, Ordering::SeqCst);
         let token = lock.acquire();
+        let granted = Instant::now();
         let wait_ns = clock::now_ns().saturating_sub(t0);
         if self.in_cs.fetch_add(1, Ordering::SeqCst) != 0 {
             self.me_violations.fetch_add(1, Ordering::SeqCst);
         }
-        // SAFETY: inside the critical section (see Sync impl).
-        unsafe { *self.counter.get() += 1 };
+        holder_add(&self.counter, 1);
         self.grants.lock().unwrap().push(Grant {
             tid: tid as u32,
             arrival,
             wait_ns,
+            granted,
+            released: Instant::now(),
         });
         self.in_cs.fetch_sub(1, Ordering::SeqCst);
         lock.release(token);
     }
 
-    fn me_oracle(&self, expected: u64) -> Oracle {
-        let count = unsafe { *self.counter.get() };
+    /// Mutual exclusion against the grants recorded, not a quota, so a
+    /// wedged bout fails liveness alone (a leaked worker that is still
+    /// running can move the counter between the two reads).
+    fn me_oracle(&self, grants: &[Grant]) -> Oracle {
+        let expected = grants.len() as u64;
+        let count = self.counter.load(Ordering::Relaxed);
         let viol = self.me_violations.load(Ordering::SeqCst);
         Oracle::new(
             "mutual-exclusion",
@@ -266,7 +316,7 @@ pub fn sim_bout(
     let grants = shared.grants.lock().unwrap().clone();
     let expected = cfg.threads as u64 * cfg.ops;
     let mut oracles = vec![
-        shared.me_oracle(expected),
+        shared.me_oracle(&grants),
         Oracle::new(
             "completion",
             grants.len() as u64 == expected,
@@ -328,7 +378,7 @@ pub struct OsBout {
 }
 
 /// Run one bout on real threads with the injector over the OS
-/// substrate and a stall watchdog as the liveness oracle.
+/// substrate, judged for stalls from its grant record.
 pub fn os_bout(
     title: &str,
     lock_label: &str,
@@ -337,90 +387,46 @@ pub fn os_bout(
 ) -> BoutReport {
     let state = FaultState::new(cfg.plan.clone());
     let shared = Arc::new(BoutShared::new());
-    let acquisitions = Arc::new(AtomicU64::new(0));
-    let hold_started = Arc::new(AtomicU64::new(0));
-    let waiting = Arc::new(AtomicU64::new(0));
 
-    let dog = StallWatchdog::new(WatchdogConfig {
-        hold_bound_ns: ms(500),
-        wait_bound_ns: ms(2000),
-        poll: Duration::from_millis(20),
-    });
-    {
-        let (a, h, w) = (acquisitions.clone(), hold_started.clone(), waiting.clone());
-        dog.watch(format!("torture/{lock_label}"), move || WatchSample {
-            acquisitions: a.load(Ordering::Relaxed),
-            hold_started_ns: h.load(Ordering::Relaxed),
-            waiters: w.load(Ordering::Relaxed),
-            admitted: String::new(),
-        });
-    }
-
-    let (done_tx, done_rx) = std::sync::mpsc::channel::<usize>();
-    let mut handles = Vec::new();
-    for tid in 0..cfg.threads {
-        let lock = lock.clone();
-        let state = state.clone();
-        let shared = shared.clone();
-        let (acq, hold, waitg) = (acquisitions.clone(), hold_started.clone(), waiting.clone());
-        let done = done_tx.clone();
-        let ops = cfg.ops;
-        handles.push(std::thread::spawn(move || {
-            let _guard = FaultInjector::install_over_os(&state);
-            for _ in 0..ops {
-                waitg.fetch_add(1, Ordering::Relaxed);
-                let t0 = clock::now_ns();
-                let arrival = shared.arrivals.fetch_add(1, Ordering::SeqCst);
-                let token = lock.acquire();
-                waitg.fetch_sub(1, Ordering::Relaxed);
-                hold.store(clock::now_ns().max(1), Ordering::Relaxed);
-                if shared.in_cs.fetch_add(1, Ordering::SeqCst) != 0 {
-                    shared.me_violations.fetch_add(1, Ordering::SeqCst);
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let start = Instant::now();
+    let handles: Vec<_> = (0..cfg.threads)
+        .map(|tid| {
+            let (lock, state, shared) = (lock.clone(), state.clone(), shared.clone());
+            let (done, ops) = (done_tx.clone(), cfg.ops);
+            std::thread::spawn(move || {
+                let _guard = FaultInjector::install_over_os(&state);
+                for _ in 0..ops {
+                    shared.op(lock.as_ref(), tid);
                 }
-                // SAFETY: inside the critical section.
-                unsafe { *shared.counter.get() += 1 };
-                shared.grants.lock().unwrap().push(Grant {
-                    tid: tid as u32,
-                    arrival,
-                    wait_ns: clock::now_ns().saturating_sub(t0),
-                });
-                shared.in_cs.fetch_sub(1, Ordering::SeqCst);
-                hold.store(0, Ordering::Relaxed);
-                acq.fetch_add(1, Ordering::Relaxed);
-                lock.release(token);
-            }
-            let _ = done.send(tid);
-        }));
-    }
+                let _ = done.send(());
+            })
+        })
+        .collect();
     drop(done_tx);
 
-    let deadline = std::time::Instant::now() + cfg.timeout;
+    let deadline = start + cfg.timeout;
     let mut finished = 0usize;
-    while finished < cfg.threads {
-        let left = deadline.saturating_duration_since(std::time::Instant::now());
-        match done_rx.recv_timeout(left) {
-            Ok(_) => finished += 1,
-            Err(_) => break,
-        }
+    while finished < cfg.threads
+        && done_rx
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            .is_ok()
+    {
+        finished += 1;
     }
+    let end = Instant::now();
     let completed = finished == cfg.threads;
     if completed {
         for h in handles {
             let _ = h.join();
         }
-    } else {
-        // A wedged bout: leak the stuck workers rather than hang the
-        // runner — the failed oracle is the deliverable.
-        for h in handles {
-            drop(h);
-        }
     }
+    // A wedged bout drops its handles unjoined: the stuck workers leak
+    // rather than hang the runner — the failed oracle is the deliverable.
 
-    let expected = cfg.threads as u64 * cfg.ops;
-    let stalls = dog.stalls();
-    let reports = dog.take_reports();
+    let grants = shared.grants.lock().unwrap().clone();
     let oracles = vec![
-        shared.me_oracle(if completed { expected } else { 0 }),
+        shared.me_oracle(&grants),
         Oracle::new(
             "no-lost-wakeup",
             completed,
@@ -429,18 +435,7 @@ pub fn os_bout(
                 cfg.threads, cfg.timeout
             ),
         ),
-        Oracle::new(
-            "watchdog-silent",
-            stalls == 0,
-            format!(
-                "stall_reports={stalls}{}",
-                if reports.is_empty() {
-                    String::new()
-                } else {
-                    format!(" first=[{}]", reports[0].render())
-                }
-            ),
-        ),
+        stall_oracle(&grants, start, end),
     ];
 
     BoutReport {
@@ -545,10 +540,10 @@ pub fn schedule_gcr_spurious(seed: u64) -> BoutReport {
     );
     let peak = gcr.peak_active();
     let reintroduced = gcr.reintroduced();
-    // Force-admits deliberately overshoot the bound by one at a time.
+    // A forced reintroduction may overshoot the bound by exactly one.
     report.oracles.push(Oracle::new(
         "admission-bound",
-        peak <= gcr.limit() + 2,
+        peak <= gcr.limit() + 1,
         format!("peak_active={peak} limit={}", gcr.limit()),
     ));
     report.oracles.push(Oracle::new(
@@ -855,6 +850,113 @@ mod tests {
         };
         let r = os_bout("os/tas", "tas", lock_for("tas"), &cfg);
         assert!(r.passed(), "oracles failed:\n{}", r.render());
+        let names: Vec<&str> = r.oracles.iter().map(|o| o.name).collect();
+        assert_eq!(
+            names,
+            ["mutual-exclusion", "no-lost-wakeup", "bounded-stall"]
+        );
+    }
+
+    /// A lock that grants `quota` acquisitions, then holds every later
+    /// arrival until `open` — a lost wakeup the test can undo.
+    struct Wedging {
+        inner: Arc<dyn PlainLock>,
+        quota: Mutex<u64>,
+        open: std::sync::Condvar,
+    }
+
+    impl PlainLock for Wedging {
+        fn acquire(&self) -> asl_locks::PlainToken {
+            let mut quota = self.quota.lock().unwrap();
+            if *quota > 0 {
+                *quota -= 1;
+            } else {
+                drop(self.open.wait_while(quota, |q| *q == 0).unwrap());
+            }
+            self.inner.acquire()
+        }
+        fn try_acquire(&self) -> Option<asl_locks::PlainToken> {
+            None
+        }
+        fn release(&self, token: asl_locks::PlainToken) {
+            self.inner.release(token)
+        }
+        fn held(&self) -> bool {
+            self.inner.held()
+        }
+        fn lock_name(&self) -> &'static str {
+            "wedging"
+        }
+    }
+
+    #[test]
+    fn a_wedged_os_bout_fails_liveness_not_mutual_exclusion() {
+        let lock = Arc::new(Wedging {
+            inner: lock_for("tas"),
+            quota: Mutex::new(20),
+            open: std::sync::Condvar::new(),
+        });
+        let cfg = OsBout {
+            threads: 3,
+            ops: 50,
+            plan: FaultPlan::quiet(1),
+            timeout: Duration::from_millis(300),
+        };
+        let r = os_bout("os/wedging", "wedging", lock.clone(), &cfg);
+        let verdict = |name: &str| r.oracles.iter().find(|o| o.name == name).unwrap().pass;
+        assert!(verdict("mutual-exclusion"), "{}", r.render());
+        assert!(!verdict("no-lost-wakeup"), "{}", r.render());
+        // Let the leaked workers finish.
+        *lock.quota.lock().unwrap() = u64::MAX;
+        lock.open.notify_all();
+    }
+
+    /// A synthetic grant record, one grant per `(granted_ms, held_ms)`
+    /// after `base`.
+    fn record(base: Instant, grants: &[(u64, u64)]) -> Vec<Grant> {
+        grants
+            .iter()
+            .map(|&(at, held)| {
+                let granted = base + Duration::from_millis(at);
+                Grant {
+                    tid: 0,
+                    arrival: 0,
+                    wait_ns: 0,
+                    granted,
+                    released: granted + Duration::from_millis(held),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bounded_stall_passes_a_clean_record() {
+        let t0 = Instant::now();
+        let grants = record(t0, &[(10, 450), (1_900, 1), (3_800, 480)]);
+        let o = stall_oracle(&grants, t0, t0 + Duration::from_millis(5_700));
+        assert!(o.pass, "{}", o.detail);
+        assert_eq!(
+            o.detail,
+            "max_hold_us=480000 (bound 500000) max_grant_gap_us=1900000 (bound 2000000)"
+        );
+    }
+
+    #[test]
+    fn bounded_stall_fails_a_long_hold_a_long_gap_and_a_wedged_tail() {
+        let t0 = Instant::now();
+        // (case, grants, bout end in ms)
+        for (case, grants, end_ms) in [
+            ("a 600 ms hold", &[(0, 1), (100, 600), (800, 1)][..], 900),
+            (
+                "a 2.5 s gap between grants",
+                &[(0, 1), (2_500, 1)][..],
+                2_600,
+            ),
+            ("a wedged tail", &[(0, 1), (10, 1)][..], 2_500),
+        ] {
+            let o = stall_oracle(&record(t0, grants), t0, t0 + Duration::from_millis(end_ms));
+            assert!(!o.pass, "{case} passed: {}", o.detail);
+        }
     }
 
     #[test]

@@ -56,10 +56,7 @@
 //!
 //! Robustness is another: [`timed`] defines [`RawTimedLock`]
 //! (deadline-bounded acquisition with per-family back-out protocols,
-//! implemented for TAS, ticket, every `QueueLock<P>` and `Gcr<L>`), and [`watchdog`]
-//! provides the telemetry-fed [`StallWatchdog`] that dumps a
-//! diagnostic snapshot instead of letting a stalled lock hang
-//! silently.
+//! implemented for TAS, ticket, every `QueueLock<P>` and `Gcr<L>`).
 //!
 //! Two lock interfaces are provided, and in each a reader-writer lock
 //! is an exclusive lock with a shared side (`RawRwLock: RawLock`,
@@ -138,7 +135,6 @@ pub mod tas;
 pub mod telemetry;
 pub mod ticket;
 pub mod timed;
-pub mod watchdog;
 
 pub use api::{DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, Mutex, MutexGuard, ReadGuard};
 pub use asynclock::{AsyncDynMutex, AsyncGuard, AsyncMutex, AsyncPolicy};
@@ -168,7 +164,6 @@ pub use tas::TasLock;
 pub use telemetry::{Instrumented, InstrumentedRw, TelemetryCell, TelemetrySnapshot};
 pub use ticket::TicketLock;
 pub use timed::RawTimedLock;
-pub use watchdog::{StallReport, StallWatchdog, WatchSample, WatchdogConfig};
 
 /// A statically dispatched lock.
 ///

@@ -330,7 +330,7 @@ impl TelemetryCell {
     /// Time this exclusive hold (sampling only; call while holding
     /// the lock): the census entry point, for a caller whose controller
     /// reads a mean over a window it counts itself (`Gcr`'s counted
-    /// path) or a watch that must see every hold.
+    /// path).
     #[inline]
     pub fn note_hold_start(&self) {
         if self.sampling() {
@@ -384,16 +384,12 @@ impl TelemetryCell {
     }
 
     /// Timestamp ([`now_ns`] timeline) at which the in-flight *timed*
-    /// hold began, or 0 when none is open (or sampling is off). The
-    /// [`crate::watchdog::StallWatchdog`]'s signal: `now - start` is
-    /// how long the current holder has been inside the critical
-    /// section, readable from *outside* the lock without touching the
-    /// accumulated `hold_ns` (which only advances on release —
-    /// exactly the counter a stalled holder never reaches). A cell fed
-    /// through [`TelemetryCell::note_hold_start`] shows every hold; one
-    /// under an [`Instrumented`] lock (any `sample_hold_start` caller)
-    /// about one in [`HOLD_SAMPLE_STRIDE`] — a stalled holder of one of
-    /// the others reads 0 here and is the watchdog's `NoProgress` case.
+    /// hold began, or 0 when none is open (or sampling is off).
+    /// [`Instrumented`]'s `unlock` reads it to tell a timed hold, which
+    /// leaves through [`TelemetryCell::note_hold_end`], from an untimed
+    /// one. A cell fed through [`TelemetryCell::note_hold_start`] shows
+    /// every hold; one under an [`Instrumented`] lock (any
+    /// `sample_hold_start` caller) about one in [`HOLD_SAMPLE_STRIDE`].
     #[inline]
     pub fn hold_started_ns(&self) -> u64 {
         self.hold_start_ns.load(Ordering::Relaxed)
