@@ -4,19 +4,23 @@
 //!
 //! * `PCT` — the percentile the SLO refers to (paper line 9:
 //!   `#define PCT 99`; "other percentiles are also supported").
-//! * `MAX_WINDOW` — the upper bound on any reorder window, which makes
-//!   the reorderable lock starvation-free and serves as the default
-//!   window outside epochs (the paper's evaluation uses 100 ms).
+//! * [`MAX_WINDOW_NS`] — the upper bound on any reorder window, which
+//!   makes the LibASL lock starvation-free and serves as the default
+//!   window outside epochs (the paper's evaluation uses 100 ms). A lock
+//!   can lower its own bound (`AslLock::set_max_window_ns`), never
+//!   raise it.
 //! * [`DEFAULT_WINDOW_NS`] — the initial window for fresh epochs ("we
 //!   give a default size …; they will quickly adjust themselves").
 //!
 //! The window controller ([`crate::epoch`]) is scale-free: Algorithm
 //! 2's growth `unit` and its floor have no counterpart here.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 static PCT: AtomicU8 = AtomicU8::new(99);
-static MAX_WINDOW_NS: AtomicU64 = AtomicU64::new(100_000_000); // 100 ms
+
+/// Maximum reorder window (ns): 100 ms.
+pub const MAX_WINDOW_NS: u64 = 100_000_000;
 
 /// Initial reorder window for a fresh epoch (ns): 10 µs.
 pub const DEFAULT_WINDOW_NS: u64 = 10_000;
@@ -32,17 +36,6 @@ pub fn pct() -> u8 {
     PCT.load(Ordering::Relaxed)
 }
 
-/// Set the maximum reorder window (ns); must be positive.
-pub fn set_max_window_ns(ns: u64) {
-    assert!(ns > 0);
-    MAX_WINDOW_NS.store(ns, Ordering::Relaxed);
-}
-
-/// Maximum reorder window (ns).
-pub fn max_window_ns() -> u64 {
-    MAX_WINDOW_NS.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,7 +43,7 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         assert_eq!(pct(), 99);
-        assert_eq!(max_window_ns(), 100_000_000);
+        assert_eq!(MAX_WINDOW_NS, 100_000_000);
     }
 
     #[test]

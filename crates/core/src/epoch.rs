@@ -141,7 +141,7 @@ fn next_window(window: u64, missed: bool) -> u64 {
     let p = AIM_PCT * (100 - u64::from(config::pct()));
     let step = window.saturating_mul(p) / (MISS_CUT * (10_000 - p));
     let grown = window.saturating_add(step.max(1));
-    grown.min(config::max_window_ns())
+    grown.min(config::MAX_WINDOW_NS)
 }
 
 /// One little-core `epoch_end`, as [`take_window_trace`] returns it.
@@ -398,8 +398,8 @@ pub fn epoch_meta(id: usize) -> EpochMeta {
     })
 }
 
-/// Overwrite the reorder window of epoch `id` (used by LibASL-OPT
-/// experiments that pin a static window, and by tests).
+/// Overwrite the reorder window of epoch `id` on this thread (a test
+/// hook: it seeds a window without running the controller).
 pub fn set_epoch_window(id: usize, window_ns: u64) {
     assert!(id < MAX_EPOCHS);
     let set = |m: &mut EpochMeta| {
@@ -525,7 +525,7 @@ mod tests {
     fn window_clamped_to_max() {
         on_little(|| {
             reset_thread_epochs();
-            let max = config::max_window_ns();
+            let max = config::MAX_WINDOW_NS;
             set_epoch_window(3, max);
             epoch_start(3);
             epoch_end(3, u64::MAX);

@@ -3,25 +3,25 @@
 //! The paper's contribution (PPoPP 2022), reproduced, with two
 //! measured and documented departures ([`wait`], [`epoch`]):
 //!
-//! * [`ReorderableLock`] (paper Algorithm 1) — exposes *bounded
-//!   reordering* atop any underlying lock: `lock_immediately` enqueues
-//!   now; `lock_reorder(window)` first stands by, probing the lock on
-//!   every poll, and only enqueues when the lock looks free or the
-//!   window expires.
+//! * [`AslLock`] / [`AslMutex`] (paper Algorithms 1 and 3) — the
+//!   LibASL lock. Bounded reordering atop any underlying lock:
+//!   `lock_reorder(window)` stands by, probing the lock on every poll,
+//!   and only enqueues when the lock looks free or the window expires.
+//!   The dispatch over it: big cores lock immediately, little cores
+//!   stand by for the current epoch's window (or the lock's maximum
+//!   window outside epochs — LibASL-OPT is the same lock with that
+//!   bound lowered to its static window). Generic over its FIFO
+//!   substrate (`AslLock<L: RawLock + FifoLock>` with MCS as the
+//!   default; `AslLock::new(ClhLock::new())` and the like pick the
+//!   alternatives), and itself a `RawLock`, so the RAII guard API of
+//!   `asl_locks::api` applies. Acquisitions are held as guards and
+//!   released on drop — the manual `acquire`/`release` pairing of
+//!   earlier revisions survives only as the documented low-level
+//!   escape hatch.
 //! * [`epoch`] (after Algorithm 2) — per-thread epoch metadata and the
 //!   SLO feedback loop, a scale-free percentile tracker: a miss cuts a
 //!   quarter of a little core's reorder window, a hit adds 0.19 % (at
 //!   PCT = 99), so misses settle just under the `(100-PCT)%` allowed.
-//! * [`AslLock`] / [`AslMutex`] (Algorithm 3) — the dispatch layer:
-//!   big cores lock immediately, little cores stand by for the current
-//!   epoch's window (or the default max window outside epochs).
-//!   Generic over its FIFO substrate (`AslLock<L: RawLock + FifoLock>`
-//!   with MCS as the default; `AslLock::new(ClhLock::new())` and the
-//!   like pick the alternatives), and itself a
-//!   `RawLock`, so the RAII guard API of `asl_locks::api` applies.
-//!   Acquisitions are held as guards and released on drop — the
-//!   manual `acquire`/`release` pairing of earlier revisions survives
-//!   only as the documented low-level escape hatch.
 //! * [`AslRwLock`] — reader-writer locking with LibASL ordering:
 //!   reacquisition-based reader batching over an [`AslLock`] writer
 //!   substrate, so SLO-aware reordering composes with shared access
@@ -59,14 +59,12 @@ pub mod config;
 pub mod epoch;
 pub mod mutex;
 pub mod profile;
-pub mod reorderable;
 pub mod rwlock;
 pub mod stats;
 pub mod wait;
 
 pub use condvar::AslCondvar;
 pub use mutex::{AslBlockingLock, AslLock, AslMutex, AslSpinLock};
-pub use reorderable::ReorderableLock;
 pub use rwlock::AslRwLock;
 pub use stats::{LockStats, LockStatsSnapshot};
 pub use wait::{SleepWait, SpinWait, WaitPolicy};

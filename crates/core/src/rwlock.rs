@@ -3,7 +3,7 @@
 //!
 //! The paper's reorderable lock orders *exclusive* waiters to hit
 //! latency SLOs on asymmetric cores. [`AslRwLock`] extends that to
-//! shared access without touching the reorderable layer itself:
+//! shared access without touching the LibASL lock itself:
 //!
 //! * **Writers** take the underlying [`AslLock`] — big cores lock
 //!   immediately, little cores stand by for the epoch's reorder

@@ -1,20 +1,20 @@
 //! Per-lock standby-path statistics.
 //!
-//! [`LockStats`] counts which route each `lock_reorder` acquisition
-//! took through the reorderable layer. Tests use the split to verify
+//! [`LockStats`] counts which route each `AslLock::lock_reorder`
+//! acquisition took. Tests use the split to verify
 //! that reordering actually happens; the harness reports it alongside
 //! throughput so figure shapes can be explained ("little cores mostly
 //! waited out their windows at this contention level").
 //!
-//! Nothing here counts a `lock_immediately` acquisition: a big core's
-//! acquire is the inner lock's own (paper Algorithm 3). A LibASL lock's
+//! Nothing here counts a big core's acquisition: it is the inner
+//! lock's own (paper Algorithm 3). A LibASL lock's
 //! generic counts — acquisitions, contended, wait and hold time — come
 //! from the `instrumented-` wrapper (`asl_locks::telemetry::Instrumented`),
 //! as every other lock's do.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live standby-path counters (one per [`crate::ReorderableLock`]).
+/// Live standby-path counters (one per [`crate::AslLock`]).
 ///
 /// Atomic-ordering audit: every counter here is a pure statistic —
 /// incremented on the acquire path, read only by
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// tests that compare counters across threads first join those
 /// threads (which supplies the cross-counter happens-before).
 /// `standby_free_entry` is holder-owned in the sense of
-/// `asl_locks::telemetry::TelemetryCell`'s rule — the reorderable lock
+/// `asl_locks::telemetry::TelemetryCell`'s rule — the LibASL lock
 /// bumps it with a load and a store once it holds the inner lock; the
 /// other two are bumped before the inner lock is taken and keep their
 /// `fetch_add`.

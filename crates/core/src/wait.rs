@@ -107,34 +107,20 @@ impl WaitPolicy for SpinWait {
     }
 }
 
-/// `nanosleep`-based waiting with doubling sleep durations.
-#[derive(Debug, Clone, Copy)]
-pub struct SleepWait {
-    /// First sleep duration (ns).
-    pub min_sleep_ns: u64,
-    /// Sleep-duration cap (ns).
-    pub max_sleep_ns: u64,
-}
+/// First sleep of a [`SleepWait`] (ns): 1 µs.
+const MIN_SLEEP_NS: u64 = 1_000;
 
-impl SleepWait {
-    /// Paper-style defaults: 1 µs first sleep, 1 ms cap.
-    pub fn new() -> Self {
-        SleepWait {
-            min_sleep_ns: 1_000,
-            max_sleep_ns: 1_000_000,
-        }
-    }
-}
+/// A [`SleepWait`]'s sleep-duration cap (ns): 1 ms.
+const MAX_SLEEP_NS: u64 = 1_000_000;
 
-impl Default for SleepWait {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// `nanosleep`-based waiting with doubling sleep durations, from 1 µs
+/// up to a 1 ms cap.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SleepWait;
 
 impl WaitPolicy for SleepWait {
     fn standby_wait(&self, deadline_ns: u64, is_free: &dyn Fn() -> bool) -> WaitOutcome {
-        let mut sleep = self.min_sleep_ns;
+        let mut sleep = MIN_SLEEP_NS;
         loop {
             // Precise clock on purpose: each iteration is separated by
             // a >= 1us nanosleep, which both amortizes the read and
@@ -149,7 +135,7 @@ impl WaitPolicy for SleepWait {
             }
             let remaining = deadline_ns - now;
             nanosleep_ns(sleep.min(remaining));
-            sleep = (sleep * 2).min(self.max_sleep_ns);
+            sleep = (sleep * 2).min(MAX_SLEEP_NS);
         }
     }
 }
@@ -193,19 +179,18 @@ mod tests {
     #[test]
     fn sleep_wait_expires_and_frees() {
         let t0 = now_ns();
-        let out = SleepWait::new().standby_wait(t0 + 3_000_000, &|| false);
+        let out = SleepWait.standby_wait(t0 + 3_000_000, &|| false);
         assert_eq!(out, WaitOutcome::WindowExpired);
         assert!(now_ns() - t0 >= 3_000_000);
 
         let flag = AtomicBool::new(true);
-        let out =
-            SleepWait::new().standby_wait(now_ns() + 50_000_000, &|| flag.load(Ordering::Relaxed));
+        let out = SleepWait.standby_wait(now_ns() + 50_000_000, &|| flag.load(Ordering::Relaxed));
         assert_eq!(out, WaitOutcome::ObservedFree);
     }
 
     #[test]
     fn sleep_wait_zero_window_expires_immediately() {
-        let out = SleepWait::new().standby_wait(0, &|| false);
+        let out = SleepWait.standby_wait(0, &|| false);
         assert_eq!(out, WaitOutcome::WindowExpired);
     }
 }

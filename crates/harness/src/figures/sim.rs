@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use asl_core::wait::WaitOutcome;
-use asl_core::{AslLock, AslSpinLock, ReorderableLock, SpinWait, WaitPolicy};
+use asl_core::{AslLock, AslSpinLock, SpinWait, WaitPolicy};
 use asl_locks::plain::PlainLock;
 use asl_locks::shuffle::{ClassLocalPolicy, FifoPolicy, PreferBigPolicy, ProportionalPolicy};
 use asl_locks::{McsLock, RawLock, ShuffleLock};
@@ -237,12 +237,12 @@ impl WaitPolicy for ExponentialProbeWait {
 
 /// `libasl-max` without Algorithm 3's dispatch: big cores stand by for
 /// the maximum window too, instead of enqueueing immediately.
-struct AllStandby(ReorderableLock<McsLock>);
+struct AllStandby(AslSpinLock);
 
 impl RawLock for AllStandby {
     type Token = <McsLock as RawLock>::Token;
     fn lock(&self) -> Self::Token {
-        self.0.lock_reorder(self.0.max_window_ns())
+        self.0.lock_reorder(u64::MAX)
     }
     fn try_lock(&self) -> Option<Self::Token> {
         self.0.try_lock()
@@ -291,7 +291,7 @@ pub fn sim_ablate(profile: &Profile) -> Vec<Table> {
             "exponential (paper)",
             Arc::new(AslLock::with_waiter(McsLock::new(), ExponentialProbeWait)),
         ),
-        // Which FIFO lock sits under the reorderable layer.
+        // Which FIFO lock sits under the LibASL lock.
         ("fifo", "mcs", spec("libasl-max")),
         ("fifo", "ticket", spec("libasl-ticket-max")),
         ("fifo", "clh", spec("libasl-clh-max")),
@@ -300,7 +300,7 @@ pub fn sim_ablate(profile: &Profile) -> Vec<Table> {
         (
             "dispatch",
             "all-standby",
-            Arc::new(AllStandby(ReorderableLock::new(McsLock::new()))),
+            Arc::new(AllStandby(AslSpinLock::default())),
         ),
         ("dispatch", "plain-mcs", spec("mcs")),
         // Ordering policy inside one shuffle queue: the head policy

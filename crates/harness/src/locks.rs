@@ -71,9 +71,7 @@ use asl_locks::{
 use asl_runtime::AtomicAffinity;
 
 mod caps;
-mod static_window;
 pub use caps::Caps;
-pub use static_window::StaticWindowLock;
 
 /// FIFO substrate under the LibASL dispatch layer (one type parameter
 /// at the `AslLock` level, one `libasl-…` row each).
@@ -138,7 +136,7 @@ pub enum LockSpec {
     /// LibASL with an SLO-annotated epoch (`None` = no epoch =
     /// LibASL-MAX, maximum reordering) over a chosen FIFO substrate.
     Asl {
-        /// FIFO lock under the reorderable layer (MCS by default).
+        /// FIFO lock under the LibASL lock (MCS by default).
         substrate: AslSubstrate,
         /// Epoch SLO in ns; `None` disables epochs (max window).
         slo_ns: Option<u64>,
@@ -544,7 +542,13 @@ impl LockSpec {
                 AslSubstrate::Ticket => sink.raw(AslLock::new(TicketLock::new())),
                 AslSubstrate::ShflFifo => sink.raw(AslLock::new(ShuffleLock::new(FifoPolicy))),
             },
-            LockSpec::AslOpt { window_ns } => sink.raw(StaticWindowLock::new(*window_ns)),
+            // No epoch is opened around it, so a little core stands by
+            // for the lock's bound: the static window.
+            LockSpec::AslOpt { window_ns } => {
+                let mut lock = AslSpinLock::default();
+                lock.set_max_window_ns(*window_ns);
+                sink.raw(lock)
+            }
             LockSpec::AslBlocking { .. } => sink.raw(AslBlockingLock::new_blocking()),
             LockSpec::Adaptive => sink.raw(FissileLock::new()),
             // Delegation locks behind the generic baton bridge: the
@@ -877,5 +881,21 @@ mod tests {
         );
         assert_eq!(Caps::NONE.to_string(), "------");
         assert_eq!(Caps::FIFO.and(Caps::TIMED_STATIC).to_string(), "F-t---");
+    }
+
+    #[test]
+    fn a_zero_static_window_builds_locks_and_unlocks() {
+        // `libasl-opt-0ns` is a LibASL lock whose bound is 0: a little
+        // core's standby is FIFO entry, with no window to wait out.
+        let spec: LockSpec = "libasl-opt-0ns".parse().expect("a registry name");
+        assert_eq!(spec, LockSpec::AslOpt { window_ns: 0 });
+        let topo = asl_runtime::Topology::apple_m1();
+        asl_runtime::registry::register_on_core(&topo, asl_runtime::topology::CoreId(5));
+        let lock = spec.make_lock_raw();
+        let token = lock.acquire();
+        assert!(lock.held());
+        lock.release(token);
+        assert!(!lock.held());
+        asl_runtime::registry::unregister();
     }
 }

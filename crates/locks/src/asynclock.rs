@@ -13,7 +13,7 @@
 //! * [`AsyncPolicy::Slo`] — deadline-ordered (EDF) wake list. Each
 //!   waiter's deadline is its arrival time plus a reorder window
 //!   bounded by the policy's `slo_ns` (exactly the bound
-//!   `ReorderableLock::lock_reorder` clamps to), so no waiter can be
+//!   `AslLock::lock_reorder` clamps to), so no waiter can be
 //!   overtaken by more than `slo_ns` of later arrivals —
 //!   starvation-free for the same reason the paper's standby queue
 //!   is. [`AsyncMutex::lock_with_deadline`] lets a request carry its
@@ -194,7 +194,7 @@ impl<T> AsyncMutex<T> {
     /// Queue key for a waiter arriving now with an optional explicit
     /// deadline. The window is always bounded by the policy's
     /// `slo_ns` — the same starvation-freedom clamp as
-    /// `ReorderableLock::lock_reorder`.
+    /// `AslLock::lock_reorder`.
     fn key(&self, deadline_ns: Option<u64>) -> (u64, u64) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         match self.policy {

@@ -194,7 +194,7 @@ use crate::{RawLock, RawRwLock};
 /// | [`crate::McsLock`] (`static_mcs`, `dyn_mcs`, `timed_mcs`) | 1 | the release; no node, no pool |
 /// | [`Instrumented`], gate off (`instr_off_mcs`) | 0 | five loads, three branches and a second erased call each way: 0.3 ns |
 /// | [`crate::Gcr`], disengaged (`gcr_mcs`) | 1 | `acquisitions` |
-/// | the reorderable lock, immediate path (`libasl_max`) | 0 | the inner lock's own acquire |
+/// | the LibASL lock on a big core (`libasl_max`) | 0 | the inner lock's own acquire |
 /// | the same, free entry on a little core | 1 | `standby_free_entry` |
 /// | an epoch on a big core (`libasl_epoch`) | 2 | the open epoch's id, set and cleared, inline |
 ///

@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use asl_core::{config, AslSpinLock};
+use asl_core::AslSpinLock;
 use asl_locks::plain::PlainRwLock;
 use asl_locks::RwTicketLock;
 use asl_runtime::work::execute_units;
@@ -141,16 +141,15 @@ fn writers_limit_reader_overlap() {
 /// has no such accidents — the bound is tight and unconditional.
 #[test]
 fn reorderable_starvation_bound_holds_exactly() {
-    let prev = config::max_window_ns();
     // 200 µs window against a 2 ms run: small enough that a starved
     // standby would blow the bound many times over.
-    config::set_max_window_ns(200_000);
+    let mut lock = AslSpinLock::default();
+    lock.set_max_window_ns(200_000);
     let mut cfg = ZooConfig::quick(Topology::custom(4, 4, 3.0), 8, 42);
     cfg.duration_ns = 2_000_000;
     cfg.cs_units = 300;
     cfg.ncs_units = 300;
-    let r = run_lock(&cfg, Arc::new(AslSpinLock::default()));
-    config::set_max_window_ns(prev);
+    let r = run_lock(&cfg, Arc::new(lock));
 
     assert!(r.little_ops > 0, "little cores acquired at least once");
     // Bound: the 200 µs reorder window, plus draining a full FIFO

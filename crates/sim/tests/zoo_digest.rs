@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use asl_core::AslSpinLock;
+use asl_core::{AslBlockingLock, AslSpinLock};
 use asl_locks::plain::PlainLock;
 use asl_locks::McsLock;
 use asl_runtime::Topology;
@@ -64,18 +64,27 @@ fn the_whole_result_is_pinned() {
         slo_ns: Some(50_000),
         ..mcs.clone()
     };
-    let cells: [(&str, ZooConfig, Arc<dyn PlainLock>, u64); 2] = [
+    let cells: [(&str, ZooConfig, Arc<dyn PlainLock>, u64); 3] = [
         ("mcs", mcs, Arc::new(McsLock::new()), 0xd429_1ccb_570e_2740),
         (
             "libasl-spin",
-            slo,
+            slo.clone(),
             Arc::new(AslSpinLock::default()),
             0x439a_af18_d025_459d,
+        ),
+        // The futex mutex under the `SleepWait` standby: the blocking
+        // configuration's park and `nanosleep` paths.
+        (
+            "libasl-blk",
+            slo,
+            Arc::new(AslBlockingLock::new_blocking()),
+            0x6263_74dd_9f8d_7192,
         ),
     ];
     for (name, cfg, lock, pinned) in cells {
         let r = run_lock(&cfg, lock);
-        assert_eq!(digest(&r), pinned, "{name}: {r:?}");
+        let d = digest(&r);
+        assert_eq!(d, pinned, "{name}: digest {d:#x} of {r:?}");
         // The SLO cell's little threads record a trajectory, so the
         // digest covers a non-empty trace.
         let traced = r.window_traces.iter().filter(|t| !t.is_empty()).count();

@@ -50,8 +50,9 @@
 //!   [`DelegatedMutex`], which wraps a guard's critical section in
 //!   two delegated baton-transfer ops (the section itself runs on
 //!   the caller).
-//! * [`core`] — LibASL itself: reorderable lock, epoch/SLO feedback,
-//!   the [`Mutex`] dispatch ([`asl_core`]).
+//! * [`core`] — LibASL itself: the one [`AslLock`] (bounded
+//!   reordering and the asymmetry-aware dispatch), epoch/SLO feedback,
+//!   the [`Mutex`] over it ([`asl_core`]).
 //! * [`sim`] — the deterministic virtual-time engine that runs the
 //!   real lock zoo on a modeled machine ([`asl_sim`]).
 //! * [`dbsim`] — the five miniature storage engines of the paper's
@@ -188,9 +189,7 @@ pub use asl_runtime as runtime;
 pub use asl_sim as sim;
 
 pub use asl_core::epoch;
-pub use asl_core::{
-    AslBlockingLock, AslCondvar, AslLock, AslMutex, AslRwLock, AslSpinLock, ReorderableLock,
-};
+pub use asl_core::{AslBlockingLock, AslCondvar, AslLock, AslMutex, AslRwLock, AslSpinLock};
 pub use asl_locks::api::{DynLock, DynMutex, DynRwLock, DynRwMutex, Guard, ReadGuard};
 pub use asl_locks::{AsyncGuard, AsyncMutex, AsyncPolicy};
 pub use asl_locks::{
@@ -204,8 +203,8 @@ pub use asl_runtime::{
     block_on, wait_stats, CoreKind, ExecStats, Executor, JoinHandle, Topology, WaitStats,
 };
 
-/// The recommended application-facing mutex: LibASL dispatch over a
-/// reorderable MCS lock (its statistics are `raw().stats()`).
+/// The recommended application-facing mutex: the LibASL lock over MCS
+/// (its statistics are `raw().stats()`).
 pub type Mutex<T> = asl_core::AslMutex<T>;
 
 /// The recommended application-facing reader-writer lock: shared

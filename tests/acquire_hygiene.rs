@@ -236,8 +236,8 @@ fn an_uncontended_mcs_round_in_a_big_core_epoch_touches_nothing() {
 #[test]
 fn a_big_core_libasl_round_is_the_bare_lock() {
     // Paper Algorithm 3: a big core's `asl_mutex_lock` is the FIFO
-    // lock's own acquire — no clock read, no counter of the
-    // reorderable layer's, with or without an epoch around it.
+    // lock's own acquire — no clock read, no standby-path counter,
+    // with or without an epoch around it.
     let ticking = Arc::new(Ticking(AtomicU64::new(0)));
     let _installed = substrate::install(ticking.clone());
     register_on_core(&Topology::apple_m1(), CoreId(0));

@@ -174,10 +174,13 @@ fn nested_epochs_inner_priority() {
 
 #[test]
 fn config_pct_affects_growth_unit() {
-    // Runs in its own process would be cleaner, but serializing via a
-    // lock keeps the global PCT change contained.
-    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _g = GUARD.lock().unwrap();
+    /// Puts PCT back to the paper's 99 even when an assert fails.
+    struct RestorePct;
+    impl Drop for RestorePct {
+        fn drop(&mut self) {
+            config::set_pct(99);
+        }
+    }
 
     let topo = Topology::apple_m1();
     let (stop, stopper) = timed_stop(50);
@@ -185,6 +188,7 @@ fn config_pct_affects_growth_unit() {
         if ctx.assignment.kind != CoreKind::Little || ctx.index != 4 {
             return;
         }
+        let _restore = RestorePct;
         config::set_pct(95);
         epoch::reset_thread_epochs();
         epoch::set_epoch_window(3, 100_000);
@@ -195,7 +199,6 @@ fn config_pct_affects_growth_unit() {
         // 375 / (4 x 9 625) of the window (PCT = 99: 75 / 39 700).
         epoch::with_epoch(3, u64::MAX, || ());
         assert_eq!(epoch::epoch_meta(3).window, 75_000 + 75_000 * 375 / 38_500);
-        config::set_pct(99);
     });
     stopper.join().unwrap();
 }
@@ -206,8 +209,9 @@ fn reorderable_lock_starvation_bound_holds_under_load() {
     // within (roughly) max_window + queue drain time even under
     // constant big-core pressure.
     let topo = Topology::custom(4, 4, 3.0);
-    config::set_max_window_ns(5_000_000); // 5 ms bound for the test
-    let lock = Arc::new(AslSpinLock::default());
+    let mut lock = AslSpinLock::default();
+    lock.set_max_window_ns(5_000_000); // 5 ms bound for the test
+    let lock = Arc::new(lock);
     let little_max_wait = Arc::new(AtomicU64::new(0));
     let (stop, stopper) = timed_stop(400);
     {
@@ -229,7 +233,6 @@ fn reorderable_lock_starvation_bound_holds_under_load() {
     }
     stopper.join().unwrap();
     let worst = little_max_wait.load(Ordering::Relaxed);
-    config::set_max_window_ns(100_000_000); // restore default
     assert!(worst > 0, "little cores acquired at least once");
     // The wall-clock bound (max window + queue drain) only holds when
     // the 8 threads truly run in parallel; oversubscribed, a waiter

@@ -14,7 +14,8 @@
 //! `McsLock`; TAS with an atomic-affinity bias → `TasLock`;
 //! SHFL-PB<n> → `ProportionalLock`; LibASL-MAX → `AslSpinLock` outside
 //! any epoch; LibASL-<slo> → `AslSpinLock` with every operation an
-//! epoch; LibASL-OPT → `StaticWindowLock`.
+//! epoch; LibASL-OPT → `AslSpinLock` with its bound lowered to the
+//! static window (`LockSpec::AslOpt`).
 //!
 //! The `*_table_*` tests hold the `repro` figure drivers themselves to
 //! the same shapes: they read the tables `repro <id> --quick` prints
@@ -26,7 +27,7 @@ use std::sync::{Arc, OnceLock};
 
 use common::{run, Cell};
 use libasl::harness::figures::{self, Profile};
-use libasl::harness::locks::StaticWindowLock;
+use libasl::harness::locks::LockSpec;
 use libasl::harness::report::Table;
 use libasl::locks::plain::PlainLock;
 use libasl::locks::{McsLock, ProportionalLock, TasLock};
@@ -232,7 +233,7 @@ fn slo_feedback_outperforms_fifo_and_respects_slo_vs_static() {
     // Offline-optimal static window search (the paper's LibASL-OPT).
     let mut best_static = 0.0f64;
     for w in [5_000u64, 10_000, 20_000, 40_000, 80_000, 160_000] {
-        let r = run(&cfg(8), Arc::new(StaticWindowLock::new(w)));
+        let r = run(&cfg(8), LockSpec::AslOpt { window_ns: w }.make_lock_raw());
         if r.p99_little <= slo * 12 / 10 {
             best_static = best_static.max(r.throughput);
         }

@@ -7,7 +7,7 @@ mod ticking;
 use std::sync::Arc;
 
 use libasl::dbsim::LockFactory;
-use libasl::harness::locks::StaticWindowLock;
+use libasl::harness::locks::LockSpec;
 use libasl::harness::Hist;
 use libasl::locks::plain::PlainLock;
 use libasl::runtime::Topology;
@@ -189,7 +189,7 @@ proptest! {
         // and a hit never shrinks it.
         use libasl::epoch;
         use libasl::runtime::topology::CoreId;
-        let max_window = libasl::core::config::max_window_ns();
+        let max_window = libasl::core::config::MAX_WINDOW_NS;
         libasl::runtime::register_on_core(&Topology::apple_m1(), CoreId(5));
         epoch::reset_thread_epochs();
         epoch::set_epoch_window(1, initial.min(max_window));
@@ -214,7 +214,7 @@ fn static_window_cell(seed: u64, window_ns: u64) -> common::Cell {
         duration_ns: 2_000_000,
         ..ZooConfig::quick(Topology::custom(4, 4, 3.0), 8, seed)
     };
-    common::run(&cfg, Arc::new(StaticWindowLock::new(window_ns)))
+    common::run(&cfg, LockSpec::AslOpt { window_ns }.make_lock_raw())
 }
 
 // Each case steps real locks through a few hundred acquisitions on the
@@ -273,7 +273,7 @@ proptest! {
     /// and that no second row claims it.
     #[test]
     fn lockspec_names_roundtrip(row in 0usize..1_000, n in 0u64..120_000_000, inner in 0usize..1_000) {
-        use libasl::harness::locks::{families, registry, LockSpec};
+        use libasl::harness::locks::{families, registry};
         let family = &families()[row % families().len()];
         let inner = registry()[inner % registry().len()].spec.to_string();
         let spellings = [String::new(), n.to_string(), format!("{n}ns"), format!("{n}us"), "max".into(), inner];
@@ -332,7 +332,7 @@ impl EpochModel {
             w - w / 4
         } else {
             // PCT = 99: a hit adds 75 / 39 700 of the window, at least 1.
-            (w + (w * 75 / 39_700).max(1)).min(libasl::core::config::max_window_ns())
+            (w + (w * 75 / 39_700).max(1)).min(libasl::core::config::MAX_WINDOW_NS)
         };
         (id, latency)
     }

@@ -81,7 +81,7 @@ fn raw_spin_loop_hints_only_in_allowlisted_files() {
 // sparingly; our convention after the overhaul is that *spin waiter
 // loops never read the precise clock* — deadline checks ride
 // `asl_runtime::clock::coarse_now_ns`'s amortized per-thread cache —
-// and `ReorderableLock::lock_reorder` anchors everything on a single
+// and `AslLock::lock_reorder` anchors everything on a single
 // precise read per acquisition. A stray `now_ns()` in those regions
 // silently reintroduces a clock read per spin iteration, so these
 // grep-style audits pin the source down.
@@ -135,7 +135,7 @@ fn lock_reorder_precise_clock_budget() {
     // nothing (wait and hold times are the `instrumented-` wrapper's).
     // The free-entry path reads none, and the waiter loop itself —
     // audited separately above — performs zero precise reads.
-    let src = non_test_source("crates/core/src/reorderable.rs");
+    let src = non_test_source("crates/core/src/mutex.rs");
     let start = src
         .find("pub fn lock_reorder")
         .expect("lock_reorder not found — hygiene audit is stale");

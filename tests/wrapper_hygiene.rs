@@ -17,8 +17,9 @@
 //! second engine again, if either delegation copy does, if a figure
 //! spawns OS workers again, if the async mutex splits into
 //! per-policy types again, if a reader-writer lock grows a write
-//! path beside the exclusive lock it is, and if the reader-writer
-//! container or erased handle splits from the exclusive one again.
+//! path beside the exclusive lock it is, if the reader-writer
+//! container or erased handle splits from the exclusive one again, and
+//! if LibASL splits into a reorderable layer and its dispatchers again.
 
 use std::path::Path;
 
@@ -378,5 +379,40 @@ fn no_environment_variable_knobs() {
     assert!(
         readers.is_empty(),
         "{readers:?} read the environment — behaviour is set by arguments, not ambient state"
+    );
+}
+
+#[test]
+fn libasl_is_one_lock() {
+    // `AslLock` is the paper's lock: Algorithm 1's standby path and
+    // Algorithm 3's dispatch on one type, and LibASL-OPT is that lock
+    // with its bound lowered to the static window. A reorderable layer
+    // beside it, a static-window twin or a process-wide bound that
+    // code can move does not come back.
+    let lines: Vec<_> = ["crates", "src"]
+        .iter()
+        .flat_map(|dir| source_lines(dir))
+        .collect();
+    let offenders = banned_types(&lines, |name| {
+        ["ReorderableLock", "StaticWindowLock"].contains(&name)
+    });
+    assert!(
+        offenders.is_empty(),
+        "a second LibASL lock type — put the path on asl_core::AslLock:\n{}",
+        offenders.join("\n")
+    );
+    let setters: Vec<_> = lines
+        .iter()
+        .filter(|(f, l)| {
+            f == "core/src/config.rs"
+                && (l.contains("fn set_max_window") || l.contains("static MAX_WINDOW"))
+        })
+        .map(|(f, l)| format!("{f}: {}", l.trim()))
+        .collect();
+    assert!(
+        setters.is_empty(),
+        "the window bound is config::MAX_WINDOW_NS, a constant; a lock lowers its own \
+         with AslLock::set_max_window_ns:\n{}",
+        setters.join("\n")
     );
 }
