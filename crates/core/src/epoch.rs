@@ -138,7 +138,7 @@ fn next_window(window: u64, missed: bool) -> u64 {
         return window - window / MISS_CUT;
     }
     // Aim p, in 1/10 000: p · window / MISS_CUT = (1 − p) · step.
-    let p = AIM_PCT * (100 - u64::from(config::pct()));
+    let p = AIM_PCT * (100 - u64::from(config::PCT));
     let step = window.saturating_mul(p) / (MISS_CUT * (10_000 - p));
     let grown = window.saturating_add(step.max(1));
     grown.min(config::MAX_WINDOW_NS)
@@ -669,7 +669,7 @@ mod tests {
     #[test]
     fn steps_are_fractions_of_the_window_at_every_scale() {
         // The same two ratios at 1 µs and at 10 ms; only the hit step
-        // depends on PCT (pure function: no global is touched).
+        // depends on PCT.
         for scale in [1_000u64, 10_000_000] {
             assert_eq!(next_window(4 * scale, true), 3 * scale);
             let step = next_window(4 * scale, false) - 4 * scale;

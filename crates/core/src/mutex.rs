@@ -140,9 +140,10 @@ impl<L: RawLock, W: WaitPolicy> AslLock<L, W> {
     /// counter and a `clock_gettime` where not — see
     /// [`asl_runtime::clock`]): **at most one precise read per
     /// acquisition**, the timestamp anchoring the reorder-window
-    /// deadline, taken only when there is a window to honour. Deadline
-    /// checks inside the standby wait ride
-    /// [`asl_runtime::clock::coarse_now_ns`]'s amortized cache. The
+    /// deadline, taken only when there is a window to honour. The
+    /// standby wait checks that deadline through an
+    /// [`asl_runtime::clock::Deadline`]: on a spinning host thread one
+    /// more read per 16 polls, on every poll in virtual time. The
     /// free-entry fast path reads no clock at all and stores once
     /// after the inner lock's RMW: its path counter, holder-owned.
     #[inline]

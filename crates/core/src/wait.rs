@@ -5,7 +5,10 @@
 //! orthogonal to the reorderable protocol:
 //!
 //! * [`SpinWait`] — busy-wait, probing the lock on **every** poll, so
-//!   a free lock is entered within one poll of being freed.
+//!   a free lock is entered within one poll of being freed; the window
+//!   is checked through an [`asl_runtime::clock::Deadline`], which
+//!   reads the clock once per 16 polls on a spinning host thread and
+//!   on every poll in virtual time.
 //! * [`SleepWait`] — the blocking version (§3.2 footnote 3 / Bench-6):
 //!   `nanosleep` between probes with doubling sleep times, for
 //!   over-subscribed systems where spinning steals the holder's CPU.
@@ -25,42 +28,7 @@
 //! exponential prober as its comparator, so the departure stays
 //! measurable.
 
-use asl_runtime::clock::{coarse_now_ns, coarse_resync, nanosleep_ns, now_ns};
-
-/// Spin iterations between a host thread's deadline checks.
-///
-/// The reorder window "is not a strict order constraint" (paper §3.3),
-/// so instead of reading the clock every iteration a standby
-/// competitor consults the amortized [`coarse_now_ns`] once per
-/// `DEADLINE_CHECK_EVERY` iterations. The coarse clock never runs
-/// ahead of the precise one, so a window can only be honoured slightly
-/// long — by that many iterations plus the coarse clock's read-count
-/// staleness, which bounds wall time only while iterations are
-/// nanosecond-scale spins: whenever a poll yields to the scheduler the
-/// loop [`coarse_resync`]s the cache, keeping the overrun to one yield
-/// plus a handful of spins even on oversubscribed multi-core hosts.
-const DEADLINE_CHECK_EVERY: u64 = 16;
-
-/// Resolved deadline-check cadence.
-///
-/// * **Under an installed substrate: every poll.** A deadline check is
-///   a *charged* clock read there, so the cadence is part of what
-///   virtual time means; it cannot follow the host rule, whose
-///   process-global answer comes from the first asker's affinity mask
-///   (the simulated SLO sweep, today `repro fig8b`, used to differ
-///   under `taskset -c 0`).
-/// * **Host threads:** every poll where a poll is a scheduler yield
-///   ([`asl_runtime::relax::yields_every_poll`]: an iteration costs a
-///   quantum there, and skipped checks would stretch windows by whole
-///   quanta to save a TLS read); elsewhere [`DEADLINE_CHECK_EVERY`].
-#[inline]
-fn deadline_check_every() -> u64 {
-    if asl_runtime::substrate::installed_here() || asl_runtime::relax::yields_every_poll() {
-        1
-    } else {
-        DEADLINE_CHECK_EVERY
-    }
-}
+use asl_runtime::clock::{nanosleep_ns, now_ns, Deadline};
 
 /// Outcome of a standby wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,22 +54,17 @@ pub struct SpinWait;
 impl WaitPolicy for SpinWait {
     #[inline]
     fn standby_wait(&self, deadline_ns: u64, is_free: &dyn Fn() -> bool) -> WaitOutcome {
-        let check_every = deadline_check_every();
+        // The reorder window "is not a strict order constraint" (paper
+        // §3.3): the deadline is checked on the clock's wait-loop
+        // cadence, first on entry, so an expired window is never
+        // probed.
+        let mut deadline = Deadline::new(deadline_ns);
         let mut spin = asl_runtime::relax::Spin::new();
-        for poll in 0u64.. {
-            // Amortized deadline check (including on entry, so a
-            // zero/expired window returns without probing).
-            if poll % check_every == 0 && coarse_now_ns() >= deadline_ns {
-                break;
-            }
+        while !deadline.passed() {
             if is_free() {
                 return WaitOutcome::ObservedFree;
             }
-            if spin.relax() {
-                // A yield passed an unknown amount of wall time:
-                // stale cached readings would blow the overrun bound.
-                coarse_resync();
-            }
+            spin.relax();
         }
         WaitOutcome::WindowExpired
     }
@@ -122,10 +85,9 @@ impl WaitPolicy for SleepWait {
     fn standby_wait(&self, deadline_ns: u64, is_free: &dyn Fn() -> bool) -> WaitOutcome {
         let mut sleep = MIN_SLEEP_NS;
         loop {
-            // Precise clock on purpose: each iteration is separated by
-            // a >= 1us nanosleep, which both amortizes the read and
-            // invalidates the coarse cache's staleness bound (the
-            // cache has no timer — it would return pre-sleep values).
+            // A read per iteration, not a `Deadline`: each iteration
+            // is a >= 1 µs nanosleep, which amortizes the read, and
+            // the remaining time sizes the next sleep.
             let now = now_ns();
             if now >= deadline_ns {
                 return WaitOutcome::WindowExpired;

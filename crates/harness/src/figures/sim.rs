@@ -217,10 +217,9 @@ impl WaitPolicy for ExponentialProbeWait {
         let mut spin = asl_runtime::relax::Spin::new();
         let mut next_probe = 1u64;
         for poll in 1u64.. {
-            // A deadline check on every poll — `SpinWait`'s cadence
-            // under a substrate, the only place this policy runs (the
-            // coarse clock is the virtual clock there, nothing cached).
-            if asl_runtime::clock::coarse_now_ns() >= deadline_ns {
+            // A clock read on every poll — `SpinWait`'s cadence under
+            // a substrate, the only place this policy runs.
+            if asl_runtime::clock::now_ns() >= deadline_ns {
                 break;
             }
             if poll == next_probe {

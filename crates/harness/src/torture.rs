@@ -451,7 +451,7 @@ pub fn os_bout(
 }
 
 /// The default mixed schedule for registry sweeps: periodic
-/// holder/waker stalls, spurious park returns, and coarse clock
+/// holder/waker stalls, spurious park returns, and forward clock
 /// jumps — no planned panics (token-based paths would leak tokens).
 pub fn sweep_plan(seed: u64) -> FaultPlan {
     FaultPlan::stalls(seed, 64, 20_000)

@@ -200,7 +200,7 @@ impl<T> AsyncMutex<T> {
         match self.policy {
             AsyncPolicy::Fifo => (0, seq),
             AsyncPolicy::Slo { slo_ns } => {
-                let bound = clock::coarse_now_ns().saturating_add(slo_ns);
+                let bound = clock::now_ns().saturating_add(slo_ns);
                 (deadline_ns.unwrap_or(bound).min(bound), seq)
             }
         }

@@ -578,6 +578,7 @@ impl<P: HeadPolicy> QueueLock<P> {
             unsafe { self.policy.alone(node) };
         }
         let (mut ordered, mut polls) = (false, 0u32);
+        let mut deadline = asl_runtime::clock::Deadline::new(deadline_ns);
         let taken = loop {
             head = head || state.load(acquire) == GRANTED;
             if head {
@@ -591,7 +592,7 @@ impl<P: HeadPolicy> QueueLock<P> {
                 // SAFETY: head, with our node.
                 ordered = ordered || unsafe { self.policy.order(&self.tail, node) };
             }
-            if deadline_ns != u64::MAX && asl_runtime::clock::coarse_now_ns() >= deadline_ns {
+            if deadline.passed() {
                 let abandon = || state.compare_exchange(WAITING, ABANDONED, acq_rel, acquire);
                 if !head && abandon().is_ok() {
                     return false;

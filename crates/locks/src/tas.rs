@@ -105,18 +105,19 @@ impl RawLock for TasLock {
 
 impl crate::timed::RawTimedLock for TasLock {
     /// TAS publishes nothing while waiting, so the back-out is free:
-    /// stop competing when the coarse clock passes the deadline. The
-    /// timed path skips the affinity penalty — it models a waiter
-    /// with somewhere else to be, not a class-biased competitor.
+    /// stop competing once the deadline has passed. The timed path
+    /// skips the affinity penalty — it models a waiter with somewhere
+    /// else to be, not a class-biased competitor.
     fn try_lock_until(&self, deadline_ns: u64) -> Option<()> {
         if !self.locked.swap(true, Ordering::Acquire) {
             return Some(());
         }
+        let mut deadline = asl_runtime::clock::Deadline::new(deadline_ns);
         let mut spin = asl_runtime::relax::Spin::new();
         loop {
             // Local spin until free or expired (TTAS with a deadline).
             while self.locked.load(Ordering::Relaxed) {
-                if asl_runtime::clock::coarse_now_ns() >= deadline_ns {
+                if deadline.passed() {
                     return None;
                 }
                 spin.relax();

@@ -162,12 +162,13 @@ impl crate::timed::RawTimedLock for TicketLock {
         if self.serving.load(Ordering::Acquire) == ticket {
             return Some(());
         }
+        let mut deadline = asl_runtime::clock::Deadline::new(deadline_ns);
         let mut spin = asl_runtime::relax::Spin::new();
         loop {
             if self.serving.load(Ordering::Acquire) == ticket {
                 return Some(());
             }
-            if asl_runtime::clock::coarse_now_ns() >= deadline_ns {
+            if deadline.passed() {
                 break;
             }
             spin.relax();

@@ -17,9 +17,10 @@
 //! Deadlines are absolute virtual/monotonic nanoseconds (the
 //! [`asl_runtime::clock`] timeline, so the simulator and the fault
 //! injector both steer them). Wait loops check the deadline through
-//! the *coarse* clock — a timed spin must not pay a `clock_gettime`
-//! per probe — so expirations can be observed a few polls late, never
-//! early. A timed acquire of a *free* lock reads no clock at all
+//! an [`asl_runtime::clock::Deadline`] — a timed spin on a host thread
+//! reads the clock once per 16 polls, not once per probe — so
+//! expirations can be observed up to 15 polls late, never early. A
+//! timed acquire of a *free* lock reads no clock at all
 //! ([`RawTimedLock::try_lock_for`] tries first and anchors its
 //! deadline only if that fails): on the uncontended path it costs what
 //! `try_lock` costs — for MCS that *is* `lock`'s fast path, a load of

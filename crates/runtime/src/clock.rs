@@ -29,7 +29,7 @@
 //! that would otherwise mix the two prices).
 //!
 //! Contract (both sources): nanoseconds since the first read of the
-//! process; **per-thread monotonic**; `coarse_now_ns() <= now_ns()`.
+//! process; **per-thread monotonic**.
 //! Across threads a timestamp handed over through a Release/Acquire
 //! pair can read later than the receiver's next reading by at most
 //! [`CROSS_THREAD_SLACK_NS`] (`rdtsc` is not a serialising instruction
@@ -38,18 +38,18 @@
 //! trails the counter's timeline by the width of the anchor read), so
 //! every cross-thread consumer subtracts with `saturating_sub`.
 //!
-//! ## Precise vs. amortized reads
+//! ## Deadlines in wait loops
 //!
-//! [`now_ns`] is the precise clock — one counter read per call. That
-//! is cheap enough for once-per-acquisition timestamps but not for
-//! per-spin-iteration deadline checks: a standby competitor polling a
+//! [`now_ns`] is the one clock — one counter read per call. That is
+//! cheap enough for once-per-acquisition timestamps but not for a
+//! deadline check on every poll: a standby competitor polling a
 //! reorder window would spend as many cycles reading the clock as
-//! probing the lock. [`coarse_now_ns`] amortizes the cost with a
-//! per-thread cache refreshed every [`COARSE_REFRESH_EVERY`] reads —
-//! no background ticker thread (the reference host has one CPU), just
-//! a counter and a cached value in TLS. Wait loops read the coarse
-//! clock; anything that anchors a measurement or a deadline reads the
-//! precise one, once.
+//! probing the lock. Every wait loop with a deadline therefore checks
+//! it through a [`Deadline`], which reads [`now_ns`] on its first
+//! check and then once every 16 checks on a spinning host thread — on
+//! every check under an installed substrate or where every poll
+//! yields. Anything that anchors a measurement or a deadline reads
+//! [`now_ns`] itself, once.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -295,9 +295,8 @@ pub fn fallback_now_ns() -> u64 {
 }
 
 /// Monotonic nanoseconds since process start. Cheap enough to call in
-/// lock hot paths (see the module docs for what one read costs), but
-/// see [`coarse_now_ns`] for the amortized variant wait loops should
-/// use.
+/// lock hot paths (see the module docs for what one read costs); wait
+/// loops check their deadlines through a [`Deadline`] instead.
 ///
 /// On a thread with an installed [`crate::substrate`] backend this is
 /// the *virtual* clock instead — see the substrate module's clock
@@ -325,101 +324,64 @@ pub fn os_now_ns() -> u64 {
     host_now_ns()
 }
 
-/// How many [`coarse_now_ns`] reads share one precise clock read on a
-/// machine where spinning is cheap.
-///
-/// Chosen so a spin loop checking its deadline through the coarse
-/// clock pays 1/32 of a precise read per check on top of the cache's
-/// own TLS bookkeeping (~2 ns a check on the reference host) while
-/// the staleness bound below stays tight enough for reorder-window
-/// slack (the paper's windows are tens of microseconds; 31 cached
-/// reads of a sub-microsecond loop are noise against that). The
-/// constant was picked when every precise read was a ~30 ns
-/// `clock_gettime`; with the cycle counter serving, a precise read is
-/// ~15 ns, so the cache now saves a polling loop roughly half of what
-/// it used to per check. It is kept: the staleness side of the trade
-/// has not moved, and hosts on the fallback still pay the old price.
-///
-/// On hosts where every wait-loop poll is a scheduler yield
-/// ([`crate::relax::yields_every_poll`], e.g. 1-CPU CI containers)
-/// the cache refreshes on *every* read instead: there a poll costs a
-/// scheduling quantum, so K stale reads would stretch a window by K
-/// quanta while saving nothing worth having.
-pub const COARSE_REFRESH_EVERY: u32 = 32;
+/// Checks a spinning host thread's [`Deadline`] makes per clock read.
+/// A read is ~15 ns with the cycle counter serving (~30 ns on the
+/// fallback); one read per 16 polls keeps a spin loop's clock cost to
+/// about a nanosecond a poll, and the overrun to at most 15 polls —
+/// noise against reorder windows of tens of microseconds.
+const DEADLINE_CHECK_EVERY: u32 = 16;
 
-/// Resolved per process: [`COARSE_REFRESH_EVERY`], or 1 when waiting
-/// yields on every poll.
+/// An absolute [`now_ns`] deadline as a wait loop checks it: call
+/// [`Deadline::passed`] once per poll.
 ///
-/// Host threads only: under an installed substrate [`coarse_now_ns`]
-/// returns the substrate's clock before it gets here, so this
-/// process-global, host-dependent answer never reaches virtual time.
-fn refresh_every() -> u32 {
-    static EVERY: OnceLock<u32> = OnceLock::new();
-    *EVERY.get_or_init(|| {
-        if crate::relax::yields_every_poll() {
-            1
-        } else {
-            COARSE_REFRESH_EVERY
-        }
-    })
+/// When a check reads the clock:
+///
+/// * **The first check always does,** so a deadline already past is
+///   seen before the loop probes anything.
+/// * **Under an installed substrate: every check.** A clock read is
+///   charged there, so the cadence is part of what virtual time means;
+///   it cannot follow the host rule below, whose process-global answer
+///   comes from the first asker's affinity mask.
+/// * **Host threads: every check** where every poll is a scheduler
+///   yield ([`crate::relax::yields_every_poll`]: a poll costs a
+///   quantum there, and skipped reads would stretch a deadline by
+///   whole quanta to save nothing worth having), **else every
+///   16th.**
+///
+/// A check compares a fresh reading, so a deadline never passes
+/// early; it passes at most 15 polls late. `u64::MAX` never passes
+/// and reads nothing.
+#[derive(Debug)]
+pub struct Deadline {
+    at_ns: u64,
+    /// Checks left before the next clock read.
+    skip: u32,
 }
 
-thread_local! {
-    /// (reads remaining before refresh, cached precise timestamp).
-    static COARSE: Cell<(u32, u64)> = const { Cell::new((0, 0)) };
-}
-
-/// Amortized monotonic nanoseconds since process start.
-///
-/// Returns a cached [`now_ns`] value, re-reading the precise clock
-/// once every [`COARSE_REFRESH_EVERY`] calls on the calling thread
-/// (every call on hosts where wait loops yield per poll — see
-/// [`COARSE_REFRESH_EVERY`]).
-///
-/// # Staleness contract
-///
-/// * **Never ahead:** the returned value is a past precise reading,
-///   so `coarse_now_ns() <= now_ns()` always holds. Deadline checks
-///   of the form `coarse_now_ns() >= deadline` therefore never fire
-///   *early* — a window can only be honoured slightly long, never
-///   cut short.
-/// * **Bounded behind:** the value was read from the precise clock at
-///   most [`COARSE_REFRESH_EVERY`] − 1 coarse reads ago *on this
-///   thread*; the wall-clock staleness is bounded by however long
-///   those reads took (for a spin loop checking every N iterations,
-///   at most ~K·N loop iterations' worth of drift). A thread that
-///   stops calling stops refreshing — the cache has no timer — so do
-///   not use the coarse clock across blocking sleeps; take a fresh
-///   [`now_ns`] instead.
-/// * **Per-thread monotonic:** refreshes come from the monotonic
-///   precise clock, so consecutive coarse reads on one thread never
-///   go backwards.
-#[inline]
-pub fn coarse_now_ns() -> u64 {
-    // Virtual time has no cheaper clock to amortize: the coarse clock
-    // collapses onto the precise (virtual) one, staleness 0.
-    if let Some(t) = crate::substrate::with_current(|s| s.now_ns()) {
-        return t;
+impl Deadline {
+    /// A deadline at `at_ns` on the [`now_ns`] timeline.
+    #[inline]
+    pub const fn new(at_ns: u64) -> Self {
+        Deadline { at_ns, skip: 0 }
     }
-    COARSE.with(|c| {
-        let (left, cached) = c.get();
-        if left == 0 {
-            let fresh = now_ns();
-            c.set((refresh_every() - 1, fresh));
-            fresh
-        } else {
-            c.set((left - 1, cached));
-            cached
-        }
-    })
-}
 
-/// Drop this thread's coarse-clock cache so the next
-/// [`coarse_now_ns`] re-reads the precise clock (call after blocking
-/// sleeps, where the staleness bound above does not hold).
-#[inline]
-pub fn coarse_resync() {
-    COARSE.with(|c| c.set((0, c.get().1)));
+    /// Whether this check reads the clock and finds the deadline
+    /// passed; a check that does not read returns `false` (see the
+    /// type docs for which checks read).
+    #[inline]
+    pub fn passed(&mut self) -> bool {
+        if self.at_ns == u64::MAX {
+            return false;
+        }
+        if self.skip > 0 {
+            self.skip -= 1;
+            return false;
+        }
+        if !crate::substrate::installed_here() && !crate::relax::yields_every_poll() {
+            self.skip = DEADLINE_CHECK_EVERY - 1;
+        }
+        now_ns() >= self.at_ns
+    }
 }
 
 /// Busy-wait for approximately `ns` nanoseconds (spinning, with
@@ -533,74 +495,58 @@ mod tests {
         assert_eq!(ms(2), 2_000_000);
     }
 
-    #[test]
-    fn coarse_never_ahead_of_precise() {
-        coarse_resync();
-        for _ in 0..10 * COARSE_REFRESH_EVERY {
-            let c = coarse_now_ns();
-            let p = now_ns();
-            assert!(c <= p, "coarse {c} ran ahead of precise {p}");
-        }
+    /// Checks of `d` until one passes, up to `limit`.
+    fn checks_until_passed(d: &mut Deadline, limit: u32) -> Option<u32> {
+        (1..=limit).find(|_| d.passed())
     }
 
     #[test]
-    fn coarse_monotonic_per_thread() {
-        coarse_resync();
-        let mut last = 0u64;
-        for _ in 0..10 * COARSE_REFRESH_EVERY {
-            let c = coarse_now_ns();
-            assert!(c >= last, "coarse went backwards: {last} -> {c}");
-            last = c;
-        }
+    fn a_past_deadline_passes_on_the_first_check() {
+        let now = now_ns();
+        assert!(Deadline::new(now).passed());
+        assert!(Deadline::new(0).passed());
     }
 
     #[test]
-    fn coarse_refreshes_within_interval() {
-        // After a refresh, the next K-1 reads may repeat the cached
-        // value; the K-th read must be a fresh precise reading, so a
-        // full interval of reads straddling a known delay must observe
-        // the delay.
-        coarse_resync();
-        let before = coarse_now_ns(); // fresh read (cache was dropped)
-        busy_wait_ns(100_000); // 100us: far above clock granularity
-        let mut after = 0u64;
-        for _ in 0..COARSE_REFRESH_EVERY {
-            after = coarse_now_ns();
-        }
-        assert!(
-            after >= before + 100_000,
-            "a full read interval never refreshed: {before} -> {after}"
-        );
+    fn a_deadline_at_the_end_of_time_never_passes() {
+        let mut d = Deadline::new(u64::MAX);
+        assert_eq!(checks_until_passed(&mut d, 10 * DEADLINE_CHECK_EVERY), None);
     }
 
     #[test]
-    fn coarse_staleness_bounded_by_interval() {
-        // The cached value is at most K-1 coarse reads old: bracket
-        // every coarse read with precise reads K calls apart and check
-        // the returned value never predates the bracket start.
-        coarse_resync();
-        for _ in 0..50 {
-            let bracket_start = now_ns();
-            let mut c = 0u64;
-            for _ in 0..COARSE_REFRESH_EVERY {
-                c = coarse_now_ns();
+    fn a_deadline_crossed_between_checks_is_seen_within_the_cadence() {
+        // On the next check where polls yield, within 16 where they
+        // spin.
+        let late = if crate::relax::yields_every_poll() {
+            1
+        } else {
+            DEADLINE_CHECK_EVERY
+        };
+        for _ in 0..5 {
+            let at = now_ns().saturating_add(1_000_000);
+            let mut d = Deadline::new(at);
+            if d.passed() {
+                // Preempted past it before the first check.
+                assert!(now_ns() >= at);
+                continue;
             }
-            // K coarse reads contain >= 1 refresh, and refreshes are
-            // precise readings taken after `bracket_start`.
+            busy_wait_ns(2_000_000);
+            let seen = checks_until_passed(&mut d, 10 * DEADLINE_CHECK_EVERY);
             assert!(
-                c >= bracket_start,
-                "staleness exceeded one refresh interval: {c} < {bracket_start}"
+                seen.is_some_and(|n| n <= late),
+                "crossed deadline seen after {seen:?} checks, cadence {late}"
             );
         }
     }
 
     #[test]
-    fn coarse_resync_forces_fresh_read() {
-        coarse_resync();
-        let a = coarse_now_ns();
-        busy_wait_ns(50_000);
-        coarse_resync();
-        let b = coarse_now_ns();
-        assert!(b >= a + 50_000, "resync did not re-read: {a} -> {b}");
+    fn a_deadline_never_passes_early() {
+        for window in [0u64, 1_000, 20_000, 200_000] {
+            let at = now_ns().saturating_add(window);
+            let mut d = Deadline::new(at);
+            while !d.passed() {}
+            let now = now_ns();
+            assert!(now >= at, "passed at {now}, deadline {at}");
+        }
     }
 }

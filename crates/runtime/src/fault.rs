@@ -6,7 +6,7 @@
 //! that break locking protocols live: a holder preempted mid-handover
 //! is a *stall at a poll boundary*, a lost-wakeup bug is exposed by a
 //! *spurious park return*, a reorder-window miscalculation by a
-//! *coarse-clock jump*. [`FaultInjector`] is a substrate decorator
+//! *forward clock jump*. [`FaultInjector`] is a substrate decorator
 //! that injects those faults into the **unmodified** lock
 //! implementations, driven by a replayable [`FaultPlan`].
 //!

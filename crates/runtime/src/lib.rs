@@ -37,7 +37,7 @@
 //!   modeled machine, deterministically.
 //! * [`fault`] decorates either substrate backend with seeded,
 //!   replayable fault injection — lock-holder stalls at poll/park/wake
-//!   boundaries, spurious park returns, coarse-clock jumps, planned
+//!   boundaries, spurious park returns, forward clock jumps, planned
 //!   critical-section panics — so the torture harness can drive the
 //!   unmodified locks through their liveness obligations.
 //!
@@ -60,7 +60,7 @@ pub mod work;
 
 pub use atomic_model::AtomicAffinity;
 pub use cacheline::CacheLineArena;
-pub use clock::{coarse_now_ns, now_ns};
+pub use clock::now_ns;
 pub use exec::{block_on, wait_stats, ExecStats, Executor, JoinHandle, WaitStats};
 pub use fault::{FaultInjector, FaultPlan, FaultState, FaultStats};
 pub use registry::{current_core, is_big_core, register_on_core, CoreAssignment};

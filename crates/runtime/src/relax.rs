@@ -9,7 +9,9 @@
 //! the paper's spinning setup while staying livelock-free. On a
 //! single-CPU machine (notably CI containers) every poll yields:
 //! pure spinning there makes each lock hand-off cost a full scheduler
-//! quantum.
+//! quantum. A loop that also waits for a deadline checks it once per
+//! poll through [`crate::clock::Deadline`], which reads the clock on
+//! the cadence [`yields_every_poll`] picks.
 
 use std::sync::OnceLock;
 
@@ -25,8 +27,9 @@ const YIELD_CADENCE: u32 = 64;
 /// yield (single-CPU hosts, notably CI containers). Wait-loop tuning
 /// keys off this: when a poll already costs a yield, per-poll
 /// bookkeeping like a clock read is noise, so amortizations that
-/// trade *accuracy* for per-poll cycles (e.g. the coarse clock's
-/// cached deadline checks) should collapse to their precise form.
+/// trade *accuracy* for per-poll cycles (a [`crate::clock::Deadline`]
+/// reading the clock once per 16 checks) collapse to their precise
+/// form.
 ///
 /// Resolved once per process, from the affinity mask of whichever
 /// thread asks first: a first caller that is pinned to one CPU answers
@@ -46,10 +49,6 @@ pub fn yields_every_poll() -> bool {
             .map(|n| n.get() <= 1)
             .unwrap_or(true)
     })
-}
-
-fn single_cpu() -> bool {
-    yields_every_poll()
 }
 
 /// Per-wait-site spin state. Create one per waiting episode; call
@@ -76,7 +75,7 @@ impl Spin {
     /// time.
     #[inline]
     pub fn new() -> Self {
-        if single_cpu() {
+        if yields_every_poll() {
             Spin {
                 spins: 0,
                 limit: 0,
@@ -94,34 +93,23 @@ impl Spin {
     /// One unit of waiting: a `spin_loop` hint while in the spin
     /// phase, then mostly-spinning with a periodic scheduler yield
     /// (every poll on a single-CPU machine).
-    ///
-    /// Returns whether this poll yielded to the scheduler. A yield
-    /// can cost a whole scheduling quantum, so time-aware wait loops
-    /// should treat a `true` return as "an unknown amount of wall
-    /// time just passed" — e.g. drop any cached clock reading
-    /// ([`crate::clock::coarse_resync`]) before the next deadline
-    /// check. Callers that don't track time can ignore the return.
     #[inline]
-    pub fn relax(&mut self) -> bool {
+    pub fn relax(&mut self) {
         if crate::substrate::any_installed()
             && crate::substrate::with_current(|s| s.relax()).is_some()
         {
             // Simulated poll: virtual time advanced and the scheduler
-            // may have run another virtual thread — report it like a
-            // yield so deadline loops drop cached clock readings.
-            return true;
+            // may have run another virtual thread.
+            return;
         }
         self.spins += 1;
         if self.spins <= self.limit {
             std::hint::spin_loop();
-            false
         } else if self.spins - self.limit >= self.cadence {
             self.spins = self.limit;
             std::thread::yield_now();
-            true
         } else {
             std::hint::spin_loop();
-            false
         }
     }
 

@@ -2,8 +2,8 @@
 //! virtual time on demand.
 //!
 //! Every lock-visible platform interaction in this workspace —
-//! reading the clock ([`crate::clock::now_ns`] /
-//! [`crate::clock::coarse_now_ns`]), spin-yielding
+//! reading the clock ([`crate::clock::now_ns`], and through it every
+//! [`crate::clock::Deadline`] check), spin-yielding
 //! ([`crate::relax::Spin`]), busy-waiting and sleeping, executing
 //! emulated work ([`crate::work`]), and parking/waking blocked
 //! threads — funnels through this module. Two backends implement it:
@@ -23,13 +23,13 @@
 //! # The virtual-time clock contract
 //!
 //! When a substrate is installed on the calling thread,
-//! [`crate::clock::now_ns`] and [`crate::clock::coarse_now_ns`] both
-//! return the substrate's notion of *virtual* nanoseconds. Virtual
-//! time is per-thread monotonic, starts near zero, and advances only
-//! when the thread is *charged* for an operation (a clock read, a
-//! failed lock probe, emulated work, a park). The coarse clock's
-//! staleness allowance collapses to zero: in virtual time there is no
-//! cheaper clock to amortize, so both clocks agree exactly.
+//! [`crate::clock::now_ns`] returns the substrate's notion of
+//! *virtual* nanoseconds. Virtual time is per-thread monotonic, starts
+//! near zero, and advances only when the thread is *charged* for an
+//! operation (a clock read, a failed lock probe, emulated work, a
+//! park). A [`crate::clock::Deadline`] reads it on every check: a read
+//! is charged, so how often a wait loop reads is part of what virtual
+//! time means, and it must not follow a host-dependent cadence.
 //!
 //! # Example
 //!
@@ -289,8 +289,8 @@ mod tests {
         });
         let _g = install(sub);
         assert_eq!(crate::clock::now_ns(), 42);
-        // Coarse clock agrees exactly with the precise one in virtual
-        // time (no staleness allowance).
-        assert_eq!(crate::clock::coarse_now_ns(), 43);
+        // A deadline check is one read of the same clock.
+        assert!(crate::clock::Deadline::new(43).passed());
+        assert_eq!(crate::clock::now_ns(), 44);
     }
 }

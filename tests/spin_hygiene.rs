@@ -78,13 +78,14 @@ fn raw_spin_loop_hints_only_in_allowlisted_files() {
 // Clock hygiene: the hot-path latency overhaul's invariants.
 //
 // The paper budgets ~45 cycles per `clock_gettime` and spends them
-// sparingly; our convention after the overhaul is that *spin waiter
-// loops never read the precise clock* — deadline checks ride
-// `asl_runtime::clock::coarse_now_ns`'s amortized per-thread cache —
-// and `AslLock::lock_reorder` anchors everything on a single
-// precise read per acquisition. A stray `now_ns()` in those regions
-// silently reintroduces a clock read per spin iteration, so these
-// grep-style audits pin the source down.
+// sparingly; our convention after the overhaul is that *wait loops
+// never read the clock themselves* — every deadline check goes
+// through `asl_runtime::clock::Deadline`, which reads once per 16
+// polls on a spinning host thread — and `AslLock::lock_reorder`
+// anchors everything on a single precise read per acquisition. A
+// stray `now_ns()` in those regions silently reintroduces a clock
+// read per spin iteration, so these grep-style audits pin the source
+// down.
 // ---------------------------------------------------------------------------
 
 /// The file's code before its `#[cfg(test)]` module.
@@ -109,21 +110,45 @@ fn block_after<'a>(src: &'a str, needle: &str) -> &'a str {
     }
 }
 
-/// Occurrences of precise `now_ns(` calls (excluding `coarse_now_ns(`).
+/// Occurrences of precise `now_ns(` calls.
 fn precise_clock_reads(src: &str) -> usize {
-    src.matches("now_ns(").count() - src.matches("coarse_now_ns(").count()
+    src.matches("now_ns(").count()
 }
 
+/// Every deadline wait loop: (file, the `impl` holding the loop).
+const DEADLINE_LOOPS: &[(&str, &str)] = &[
+    ("crates/core/src/wait.rs", "impl WaitPolicy for SpinWait"),
+    (
+        "crates/locks/src/mcs.rs",
+        "impl<P: HeadPolicy> QueueLock<P>",
+    ),
+    (
+        "crates/locks/src/tas.rs",
+        "impl crate::timed::RawTimedLock for TasLock",
+    ),
+    (
+        "crates/locks/src/ticket.rs",
+        "impl crate::timed::RawTimedLock for TicketLock",
+    ),
+];
+
 #[test]
-fn spin_wait_policies_read_only_the_coarse_clock() {
-    let src = non_test_source("crates/core/src/wait.rs");
-    let body = block_after(&src, "impl WaitPolicy for SpinWait");
-    assert_eq!(
-        precise_clock_reads(body),
-        0,
-        "SpinWait's waiter loop must check deadlines via coarse_now_ns \
-         (a precise now_ns per iteration is the regression this audit exists for):\n{body}"
-    );
+fn wait_loops_check_deadlines_only_through_deadline() {
+    for &(rel, needle) in DEADLINE_LOOPS {
+        let src = non_test_source(rel);
+        let body = block_after(&src, needle);
+        assert_eq!(
+            precise_clock_reads(body),
+            0,
+            "{rel}: a wait loop must check its deadline through clock::Deadline \
+             (a precise now_ns per iteration is the regression this audit exists for):\n{body}"
+        );
+        assert_eq!(
+            body.matches("Deadline::new(").count(),
+            1,
+            "{rel}: the wait loop's deadline is one clock::Deadline:\n{body}"
+        );
+    }
 }
 
 #[test]
@@ -161,12 +186,12 @@ fn deadline_arithmetic_is_saturating() {
     // `now + window` style sums wrap for huge windows and turn an
     // effectively-infinite deadline into an already-expired one
     // (clock::busy_wait_ns regressed on this once). This grep catches
-    // the *direct-sum* form — a `now_ns()` (or `coarse_now_ns()`)
-    // read and a `+` on the same line — across every non-test source
-    // in the workspace. Sums over a timestamp saved in an earlier
-    // statement (e.g. bravo.rs's inhibit deadline, fixed to
-    // saturating_add in the same overhaul) are beyond a line grep;
-    // those need review, and this audit makes no claim about them.
+    // the *direct-sum* form — a `now_ns()` read and a `+` on the
+    // same line — across every non-test source in the workspace.
+    // Sums over a timestamp saved in an earlier statement (e.g.
+    // bravo.rs's inhibit deadline, fixed to saturating_add in the same
+    // overhaul) are beyond a line grep; those need review, and this
+    // audit makes no claim about them.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
     for dir in ["crates", "src", "examples"] {

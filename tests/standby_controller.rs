@@ -7,18 +7,21 @@
 //!   not timidly far under, at every SLO scale;
 //! * the **spinning standby** (`libasl::core::SpinWait`) under a
 //!   counting substrate must notice a freed lock within one poll, and
-//!   its deadline cadence must not depend on the host.
+//!   its deadline cadence must not depend on the host — nor may the
+//!   timed acquires' (`TicketLock`, `McsLock`), which check their
+//!   deadlines through the same `clock::Deadline`.
 //!
 //! Everything runs on a test thread with an installed
 //! [`Substrate`] whose clock the test sets, so every number below is
 //! exact and the file runs in milliseconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use libasl::core::wait::WaitOutcome;
-use libasl::core::{config, SpinWait, WaitPolicy};
+use libasl::core::{SpinWait, WaitPolicy};
 use libasl::epoch;
+use libasl::locks::{McsLock, RawTimedLock, TicketLock};
 use libasl::runtime::registry::unregister;
 use libasl::runtime::substrate::{self, Substrate};
 use libasl::runtime::topology::CoreId;
@@ -72,15 +75,6 @@ fn scripted_on<R>(core: usize, f: impl FnOnce(&Scripted) -> R) -> R {
     r
 }
 
-/// `PCT` is process-global; the controller tests take this lock so
-/// the one that changes it cannot race the others.
-static PCT: Mutex<()> = Mutex::new(());
-
-fn pct_lock() -> MutexGuard<'static, ()> {
-    // A failed sibling poisons nothing worth protecting.
-    PCT.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 const EPOCH: usize = 5;
 
 /// One epoch of exactly `latency` scripted ns against `slo`.
@@ -124,7 +118,6 @@ fn stationary(sub: &Scripted, slo: u64, seed: u64) -> Stationary {
 
 #[test]
 fn miss_share_sits_under_the_target_at_every_slo_scale() {
-    let _pct = pct_lock();
     // 9 µs is the scale the old rule failed at: its 100 ns growth
     // floor was 3x the 1 % unit of a ~3 µs window (3.9 % misses here).
     for (slo, seed) in [(9_000u64, 1u64), (60_000, 2), (300_000, 3)] {
@@ -147,21 +140,7 @@ fn miss_share_sits_under_the_target_at_every_slo_scale() {
 }
 
 #[test]
-fn miss_share_follows_pct() {
-    let _pct = pct_lock();
-    config::set_pct(90);
-    let s = scripted_on(5, |sub| stationary(sub, 60_000, 4));
-    config::set_pct(99);
-    assert!(
-        s.miss_share > 0.03 && s.miss_share <= 0.10,
-        "PCT = 90 allows 10 %: {:.2} % missed",
-        100.0 * s.miss_share
-    );
-}
-
-#[test]
 fn a_collapsed_window_recovers_within_a_stated_number_of_hits() {
-    let _pct = pct_lock();
     let slo = 60_000;
     scripted_on(5, |sub| {
         let steady = stationary(sub, slo, 5).median_window;
@@ -194,7 +173,6 @@ fn a_collapsed_window_recovers_within_a_stated_number_of_hits() {
 
 #[test]
 fn a_big_core_never_adjusts() {
-    let _pct = pct_lock();
     scripted_on(0, |sub| {
         epoch::set_epoch_window(EPOCH, 4_096);
         for i in 0..1_000u64 {
@@ -267,4 +245,36 @@ fn the_deadline_cadence_under_a_substrate_is_every_poll() {
             "(polls, clock reads) with yields_every_poll() = {host_rule}"
         );
     });
+}
+
+/// A timed acquire of `lock`, held by this thread, with a deadline
+/// exactly `n` polls away. Returns (polls, clock reads) it cost.
+fn timed_on_held<L: RawTimedLock>(lock: &L, n: u64) -> (u64, u64) {
+    scripted_on(5, |sub| {
+        let token = lock.lock();
+        assert!(lock.try_lock_until(n * POLL_NS).is_none(), "held");
+        lock.unlock(token);
+        (
+            sub.polls.load(Ordering::Relaxed),
+            sub.clock_reads.load(Ordering::Relaxed),
+        )
+    })
+}
+
+#[test]
+fn the_timed_acquires_check_their_deadline_on_every_poll_under_a_substrate() {
+    // The same rule as the standby's: a deadline `n` polls away costs
+    // `n + 1` clock reads whatever `yields_every_poll()` answered.
+    let host_rule = libasl::runtime::relax::yields_every_poll();
+    let n = 40;
+    assert_eq!(
+        timed_on_held(&TicketLock::new(), n),
+        (n, n + 1),
+        "ticket: (polls, clock reads) with yields_every_poll() = {host_rule}"
+    );
+    assert_eq!(
+        timed_on_held(&McsLock::new(), n),
+        (n, n + 1),
+        "mcs: (polls, clock reads) with yields_every_poll() = {host_rule}"
+    );
 }
