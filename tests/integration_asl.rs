@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use libasl::core::config;
 use libasl::epoch;
 use libasl::locks::RawLock;
 use libasl::runtime::spawn::run_on_topology_with_stop;
@@ -167,6 +168,32 @@ fn nested_epochs_inner_priority() {
         assert_eq!(epoch::current_window(), Some(111), "outer restored");
         epoch::epoch_end(1, u64::MAX);
         assert_eq!(epoch::current_window(), None);
+    });
+    stopper.join().unwrap();
+}
+
+#[test]
+fn config_pct_affects_growth_unit() {
+    let topo = Topology::apple_m1();
+    let (stop, stopper) = timed_stop(50);
+    run_on_topology_with_stop(&topo, 8, false, stop, |ctx| {
+        if ctx.assignment.kind != CoreKind::Little || ctx.index != 4 {
+            return;
+        }
+        epoch::reset_thread_epochs();
+        epoch::set_epoch_window(3, 100_000);
+        epoch::epoch_start(3);
+        epoch::epoch_end(3, 0); // miss: a quarter off, whatever PCT is
+        assert_eq!(epoch::epoch_meta(3).window, 75_000);
+        // Hit: the step aims at 0.75 x (100 - PCT) % misses, i.e.
+        // p / (4 x (10 000 - p)) of the window with p = 75 x (100 - PCT)
+        // (PCT = 99: 75 / 39 700).
+        let p = 75 * (100 - u64::from(config::PCT));
+        epoch::with_epoch(3, u64::MAX, || ());
+        assert_eq!(
+            epoch::epoch_meta(3).window,
+            75_000 + 75_000 * p / (4 * (10_000 - p))
+        );
     });
     stopper.join().unwrap();
 }

@@ -262,7 +262,7 @@ fn timed_on_held<L: RawTimedLock>(lock: &L, n: u64) -> (u64, u64) {
 }
 
 #[test]
-fn the_timed_acquires_check_their_deadline_on_every_poll_under_a_substrate() {
+fn the_ticket_timed_acquire_checks_its_deadline_on_every_poll_under_a_substrate() {
     // The same rule as the standby's: a deadline `n` polls away costs
     // `n + 1` clock reads whatever `yields_every_poll()` answered.
     let host_rule = libasl::runtime::relax::yields_every_poll();
@@ -272,6 +272,13 @@ fn the_timed_acquires_check_their_deadline_on_every_poll_under_a_substrate() {
         (n, n + 1),
         "ticket: (polls, clock reads) with yields_every_poll() = {host_rule}"
     );
+}
+
+#[test]
+fn the_mcs_timed_acquire_checks_its_deadline_on_every_poll_under_a_substrate() {
+    // As for the ticket lock: `n + 1` clock reads for `n` polls.
+    let host_rule = libasl::runtime::relax::yields_every_poll();
+    let n = 40;
     assert_eq!(
         timed_on_held(&McsLock::new(), n),
         (n, n + 1),
