@@ -116,12 +116,7 @@ impl KeyDist {
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
         match self {
             KeyDist::Uniform { n } => rng.gen_range(0..*n),
-            KeyDist::Zipfian(z) => {
-                // Scatter ranks across the key space so popular keys
-                // do not cluster in one hash slot.
-                let rank = z.sample(rng);
-                rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % z.n()
-            }
+            KeyDist::Zipfian(z) => scatter(z.sample(rng), z.n()),
         }
     }
 
@@ -130,6 +125,26 @@ impl KeyDist {
         match self {
             KeyDist::Uniform { n } => *n,
             KeyDist::Zipfian(z) => z.n(),
+        }
+    }
+}
+
+/// Where rank `rank` of `0..n` lands in the key space, so popular keys
+/// do not cluster in one hash slot: a bijection of `0..n`.
+///
+/// Multiplying by an odd constant permutes `0..2^k`, so the map walks
+/// that permutation over the next power of two from `rank` until it
+/// lands inside `0..n` (cycle walking; under two steps on average).
+/// When `n` is a power of two the first step lands, and the map is
+/// `rank · FIB mod n`.
+fn scatter(rank: u64, n: u64) -> u64 {
+    const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mask = n.next_power_of_two() - 1;
+    let mut key = rank;
+    loop {
+        key = key.wrapping_mul(FIB) & mask;
+        if key < n {
+            return key;
         }
     }
 }
@@ -259,6 +274,28 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let keys = digest((0..100_000).map(|_| keys.sample(&mut rng)));
         assert_eq!((ranks, keys), (RANKS, KEYS), "{ranks:#018x} {keys:#018x}");
+    }
+
+    /// `n` ranks reach `n` distinct keys, whatever `n` is; over the
+    /// benchmark's power-of-two key space the map is the plain
+    /// multiplicative one every pinned stream was drawn with.
+    #[test]
+    fn the_scatter_is_a_bijection() {
+        for n in [1, 3, 10, 1_000, 100_000, 1 << 16] {
+            let mut keys: Vec<u64> = (0..n).map(|rank| scatter(rank, n)).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len() as u64, n, "{n} ranks reach {} keys", keys.len());
+            assert!(keys.iter().all(|&k| k < n));
+        }
+        let n = crate::KEYSPACE;
+        assert_eq!(n, 1 << 16);
+        for rank in 0..n {
+            assert_eq!(
+                scatter(rank, n),
+                rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % n
+            );
+        }
     }
 
     #[test]

@@ -12,26 +12,21 @@ use asl_runtime::work::execute_raw_units;
 
 use crate::RawLock;
 
+/// First back-off after a lost swap, in raw work units.
+const MIN_BACKOFF_UNITS: u64 = 64;
+/// Ceiling the back-off doubles up to, in raw work units.
+const MAX_BACKOFF_UNITS: u64 = 8_192;
+
 /// TTAS lock with binary exponential back-off between attempts.
 pub struct BackoffLock {
     locked: AtomicBool,
-    min_units: u64,
-    max_units: u64,
 }
 
 impl BackoffLock {
-    /// Default back-off bounds (64 .. 8192 raw units).
+    /// An unlocked lock.
     pub fn new() -> Self {
-        Self::with_bounds(64, 8192)
-    }
-
-    /// Custom back-off bounds.
-    pub fn with_bounds(min_units: u64, max_units: u64) -> Self {
-        assert!(min_units > 0 && max_units >= min_units);
         BackoffLock {
             locked: AtomicBool::new(false),
-            min_units,
-            max_units,
         }
     }
 }
@@ -47,13 +42,13 @@ impl RawLock for BackoffLock {
 
     #[inline]
     fn lock(&self) {
-        let mut backoff = self.min_units;
+        let mut backoff = MIN_BACKOFF_UNITS;
         loop {
             if !self.locked.swap(true, Ordering::Acquire) {
                 return;
             }
             execute_raw_units(backoff);
-            backoff = (backoff * 2).min(self.max_units);
+            backoff = (backoff * 2).min(MAX_BACKOFF_UNITS);
             let mut spin = asl_runtime::relax::Spin::new();
             while self.locked.load(Ordering::Relaxed) {
                 spin.relax();
@@ -91,17 +86,5 @@ mod tests {
         assert!(l.try_lock().is_none());
         l.unlock(());
         assert!(!l.is_locked());
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_zero_min() {
-        let _ = BackoffLock::with_bounds(0, 10);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_inverted_bounds() {
-        let _ = BackoffLock::with_bounds(100, 10);
     }
 }

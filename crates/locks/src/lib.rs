@@ -312,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_blocking_locks_progress() {
+    fn blocking_locks_progress_with_four_threads_per_cpu() {
         // 4x more threads than cores: blocking locks must still finish.
         let n = 4 * asl_runtime::affinity::online_cpus().min(8);
         assert_eq!(

@@ -171,9 +171,6 @@ impl RawLock for ProportionalLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asl_runtime::topology::Topology;
-    use asl_runtime::CoreKind;
-    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     #[test]
@@ -190,53 +187,6 @@ mod tests {
     #[test]
     fn proportion_accessor() {
         assert_eq!(ProportionalLock::new(7).proportion(), 7);
-    }
-
-    #[test]
-    fn grants_follow_proportion_under_saturation() {
-        // Equal-speed classes so the admission policy, not core speed,
-        // determines the share. With n=4 and both classes saturating,
-        // big should get ~4x the grants of little.
-        let topo = Topology::custom(2, 2, 1.0);
-        let lock = Arc::new(ProportionalLock::new(4));
-        let big_ops = Arc::new(AtomicU64::new(0));
-        let little_ops = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-        let s2 = stop.clone();
-        let stopper = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(200));
-            s2.store(true, Ordering::Relaxed);
-        });
-        {
-            let lock = lock.clone();
-            let big_ops = big_ops.clone();
-            let little_ops = little_ops.clone();
-            asl_runtime::spawn::run_on_topology_with_stop(&topo, 4, false, stop, move |ctx| {
-                let ctr = if ctx.assignment.kind == CoreKind::Big {
-                    &big_ops
-                } else {
-                    &little_ops
-                };
-                while !ctx.stopped() {
-                    lock.lock();
-                    asl_runtime::work::execute_raw_units(500);
-                    lock.unlock(());
-                    ctr.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-        stopper.join().unwrap();
-        let b = big_ops.load(Ordering::Relaxed) as f64;
-        let l = little_ops.load(Ordering::Relaxed) as f64;
-        assert!(
-            b > 0.0 && l > 0.0,
-            "both classes must progress (no starvation)"
-        );
-        let ratio = b / l;
-        assert!(
-            ratio > 2.0 && ratio < 8.0,
-            "expected ~4x big share, got {ratio:.2} (big={b} little={l})"
-        );
     }
 
     #[test]

@@ -133,10 +133,6 @@ impl crate::timed::RawTimedLock for TasLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asl_runtime::topology::{CoreId, Topology};
-    use asl_runtime::{run_on_topology, CoreKind};
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
 
     #[test]
     fn basic_lock_unlock() {
@@ -156,111 +152,5 @@ mod tests {
         l.unlock(());
         assert!(l.try_lock().is_some());
         l.unlock(());
-    }
-
-    #[test]
-    fn affinity_biases_acquisition_share() {
-        // 2 big + 2 little hammer the lock; with BigWins affinity the
-        // big class should take a clear majority of acquisitions.
-        let topo = Topology::custom(2, 2, 1.0); // equal speed: isolate the affinity effect
-        let lock = Arc::new(TasLock::with_affinity(AtomicAffinity::BigWins {
-            penalty_units: 2_000,
-        }));
-        let big_ops = Arc::new(AtomicU64::new(0));
-        let little_ops = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let s2 = stop.clone();
-        let stopper = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(150));
-            s2.store(true, Ordering::Relaxed);
-        });
-        {
-            let lock = lock.clone();
-            let big_ops = big_ops.clone();
-            let little_ops = little_ops.clone();
-            asl_runtime::spawn::run_on_topology_with_stop(&topo, 4, false, stop, move |ctx| {
-                let ctr = if ctx.assignment.kind == CoreKind::Big {
-                    &big_ops
-                } else {
-                    &little_ops
-                };
-                while !ctx.stopped() {
-                    lock.lock();
-                    // Short critical section.
-                    execute_raw_units(200);
-                    lock.unlock(());
-                    ctr.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-        stopper.join().unwrap();
-        let b = big_ops.load(Ordering::Relaxed) as f64;
-        let l = little_ops.load(Ordering::Relaxed) as f64;
-        assert!(b + l > 0.0, "no acquisitions at all");
-        // The share itself is a wall-clock scheduling observation: on
-        // an oversubscribed host the penalized class can *keep the
-        // CPU* through its penalty spin and grab the just-freed lock,
-        // inverting the bias. The exact, ungated version of this
-        // assertion runs on the simulated machine
-        // (`tests/integration_shapes.rs`'s little-affinity TAS cell in
-        // `fig1_shape_fifo_and_tas_collapse`).
-        if !asl_runtime::affinity::oversubscribed(4) {
-            assert!(b > l * 1.5, "big={b} little={l}: affinity had no effect");
-        }
-    }
-
-    #[test]
-    fn neutral_affinity_roughly_fair_classes() {
-        let topo = Topology::custom(2, 2, 1.0);
-        let lock = Arc::new(TasLock::new());
-        let counts = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let s2 = stop.clone();
-        let stopper = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            s2.store(true, Ordering::Relaxed);
-        });
-        {
-            let lock = lock.clone();
-            let counts = counts.clone();
-            asl_runtime::spawn::run_on_topology_with_stop(&topo, 4, false, stop, move |ctx| {
-                let idx = (ctx.assignment.kind == CoreKind::Little) as usize;
-                while !ctx.stopped() {
-                    lock.lock();
-                    execute_raw_units(200);
-                    lock.unlock(());
-                    counts[idx].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-        stopper.join().unwrap();
-        let b = counts[0].load(Ordering::Relaxed) as f64;
-        let l = counts[1].load(Ordering::Relaxed) as f64;
-        // Equal-speed neutral TAS should not be wildly skewed — but
-        // only when the 4 threads actually run in parallel; a
-        // preemption-driven schedule makes any unfair lock arbitrarily
-        // skewed, so the ratio check needs real cores.
-        assert!(b > 0.0 && l > 0.0);
-        if !asl_runtime::affinity::oversubscribed(4) {
-            let ratio = b.max(l) / b.min(l);
-            assert!(
-                ratio < 20.0,
-                "unexpectedly extreme skew: big={b} little={l}"
-            );
-        }
-    }
-
-    #[test]
-    fn registered_little_thread_pays_penalty_only_with_bias() {
-        let topo = Topology::custom(1, 1, 1.0);
-        let _ = run_on_topology(&topo, 2, false, |ctx| {
-            let l = TasLock::with_affinity(AtomicAffinity::little_wins());
-            let pen = l.affinity().post_fail_penalty(ctx.assignment.kind);
-            match ctx.assignment.kind {
-                CoreKind::Big => assert!(pen > 0),
-                CoreKind::Little => assert_eq!(pen, 0),
-            }
-        });
-        let _ = Topology::custom(1, 1, 1.0).core(CoreId(0));
     }
 }

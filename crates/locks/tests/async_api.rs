@@ -3,9 +3,10 @@
 //!
 //! Most tests here hand-poll lock futures with counting wakers, so
 //! ordering and cancellation are verified *deterministically* — no
-//! sleeps, no reliance on scheduler timing, and therefore no gating
-//! on `affinity::oversubscribed()`. The executor-driven tests assert
-//! only schedule-independent outcomes (final counts, completion).
+//! sleeps, no reliance on scheduler timing, and therefore nothing that
+//! holds only on a host with a CPU per thread. The executor-driven
+//! tests assert only schedule-independent outcomes (final counts,
+//! completion).
 
 use std::future::Future;
 use std::pin::Pin;
@@ -397,11 +398,10 @@ fn send_sync_bounds() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn oversubscribed_counter_is_exact() {
+fn more_tasks_than_cpus_count_exactly() {
     // Deliberately more tasks than any host has cores, on a 2-worker
     // pool: the final count is schedule-independent, so this passes
-    // identically on 1-CPU CI and a big machine — no
-    // affinity::oversubscribed() gate.
+    // identically on 1-CPU CI and a big machine.
     let exec = Executor::new(2);
     let tasks: u64 = 256;
     let iters: u64 = 50;

@@ -10,7 +10,8 @@
 //!
 //! Concurrency assertions are scheduling-independent (pure mutual
 //! exclusion); the reader-overlap observation, which needs real
-//! parallelism, is gated on `affinity::oversubscribed`.
+//! parallelism, is asserted exactly on the simulator instead
+//! (`crates/sim/tests/ungated.rs`).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;

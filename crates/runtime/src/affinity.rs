@@ -1,30 +1,29 @@
-//! Best-effort physical CPU pinning.
+//! Best-effort physical CPU pinning, and the CPUs a process may use.
 //!
-//! The paper binds threads to cores for stable results (a standard
-//! evaluation practice it cites from many lock papers). On Linux we
-//! use `sched_setaffinity(2)` directly; on other platforms pinning is
-//! a no-op and the emulation still works (virtual-core identity is
-//! what drives behaviour, not the physical placement).
+//! On Linux pinning uses `sched_setaffinity(2)` directly; elsewhere it
+//! is a no-op. Placement only steadies host-time numbers: virtual-core
+//! identity ([`crate::registry`]) is what drives behaviour, not the
+//! physical CPU a thread runs on.
 
 /// Pin the calling thread to the given OS CPU. Returns `true` on
 /// success, `false` when pinning is unsupported or fails (e.g. the
 /// CPU does not exist inside a restricted cgroup).
-pub fn pin_to_cpu(os_cpu: usize) -> bool {
+pub fn pin_to_cpu(cpu: usize) -> bool {
     #[cfg(target_os = "linux")]
     {
-        if os_cpu >= libc::CPU_SETSIZE as usize {
+        if cpu >= libc::CPU_SETSIZE as usize {
             return false;
         }
         unsafe {
             let mut set: libc::cpu_set_t = std::mem::zeroed();
             libc::CPU_ZERO(&mut set);
-            libc::CPU_SET(os_cpu, &mut set);
+            libc::CPU_SET(cpu, &mut set);
             libc::sched_setaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &set) == 0
         }
     }
     #[cfg(not(target_os = "linux"))]
     {
-        let _ = os_cpu;
+        let _ = cpu;
         false
     }
 }
@@ -88,15 +87,6 @@ pub fn process_cpus() -> usize {
         }
     }
     online_cpus()
-}
-
-/// True when running `threads` busy threads exceeds the CPUs available
-/// to this process. Under oversubscription, wall-clock timing and
-/// short-run fairness of spinning locks are dominated by the OS
-/// scheduler (a preempted holder stalls everyone for a quantum), so
-/// tests gate their timing/fairness assertions on this.
-pub fn oversubscribed(threads: usize) -> bool {
-    threads > online_cpus()
 }
 
 #[cfg(test)]

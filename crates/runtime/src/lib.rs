@@ -8,9 +8,12 @@
 //!   each either [`CoreKind::Big`] or [`CoreKind::Little`], and a
 //!   `perf_ratio` — how many times slower a little core executes the
 //!   same work.
-//! * [`registry`] binds OS threads to virtual cores. Thread-locals make
+//! * [`registry`] binds a thread to a virtual core. Thread-locals make
 //!   `is_big_core()` a few-nanosecond lookup, exactly like the paper's
-//!   "get the core id and look up a pre-defined table".
+//!   "get the core id and look up a pre-defined table". Threads run on
+//!   a modeled machine through `asl_sim::exec::run_threads`, which
+//!   registers each of its virtual threads; a test whose point is real
+//!   concurrency registers its own OS threads.
 //! * [`work`] executes *emulated work*: a calibrated spin loop whose
 //!   iteration count is multiplied by `perf_ratio` when the calling
 //!   thread is registered on a little core. Every critical- and
@@ -22,8 +25,8 @@
 //! * [`atomic_model`] models the asymmetric success rate of atomic
 //!   operations (paper §2.2): a configurable penalty that the
 //!   disadvantaged core class pays between failed lock attempts.
-//! * [`affinity`] optionally pins threads to distinct physical CPUs for
-//!   stable measurements (the paper pins threads too).
+//! * [`affinity`] pins a thread to one physical CPU — the simulator's
+//!   engine runs that way — and counts the CPUs a process may use.
 //! * [`exec`] is a minimal no-dependency async executor (multi-worker
 //!   run queue, spin-then-park `block_on`, one allocation and no
 //!   system call per task that never waits) — the task substrate for
@@ -52,7 +55,6 @@ pub mod exec;
 pub mod fault;
 pub mod registry;
 pub mod relax;
-pub mod spawn;
 pub mod stats;
 pub mod substrate;
 pub mod topology;
@@ -65,7 +67,6 @@ pub use exec::{block_on, wait_stats, ExecStats, Executor, JoinHandle, WaitStats}
 pub use fault::{FaultInjector, FaultPlan, FaultState, FaultStats};
 pub use registry::{current_core, is_big_core, register_on_core, CoreAssignment};
 pub use relax::Spin;
-pub use spawn::{run_on_topology, ThreadCtx};
 pub use substrate::Substrate;
 pub use topology::{CoreId, CoreKind, Topology};
 pub use work::{execute_raw_units, execute_units, units_per_us};

@@ -2,8 +2,8 @@
 //!
 //! A [`Topology`] is the static description of the machine being
 //! emulated: which virtual cores exist, whether each is big or little,
-//! how much slower little cores are, and (optionally) which physical
-//! OS CPU each virtual core should be pinned to.
+//! how much slower little cores are, and which socket (cluster) each
+//! core sits in.
 
 /// The class of a core in an asymmetric multicore processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,8 +40,6 @@ pub struct VirtualCore {
     /// Firestorm/Icestorm complexes each share an L2), so cross-class
     /// traffic is also cross-socket traffic.
     pub socket: usize,
-    /// Physical CPU to pin threads of this core to, if pinning is on.
-    pub os_cpu: Option<usize>,
 }
 
 /// A virtual asymmetric multicore processor.
@@ -77,7 +75,6 @@ impl Topology {
                 // Each class is its own cluster: big cores socket 0,
                 // little cores socket 1.
                 socket: usize::from(i >= big),
-                os_cpu: Some(i),
             })
             .collect();
         Topology {
@@ -113,7 +110,6 @@ impl Topology {
                         CoreKind::Little
                     },
                     socket,
-                    os_cpu: Some(i),
                 }
             })
             .collect();

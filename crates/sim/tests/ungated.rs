@@ -1,17 +1,13 @@
-//! Exact, always-on versions of assertions the real-thread suites can
-//! only make conditionally.
+//! Exact, always-on assertions of properties real threads show only
+//! when the host has a CPU per thread: on a small host the OS scheduler
+//! can preempt a waiter (blowing the starvation bound) or serialize
+//! readers (hiding their overlap). On the simulated machine parallelism
+//! is a modeling fact, not an OS accident, so both are asserted
+//! *exactly* and unconditionally here:
 //!
-//! Two tier-1 properties used to hide behind
-//! `affinity::oversubscribed()` gates, because on a small CI host the
-//! OS scheduler can preempt a waiter (blowing the starvation bound) or
-//! serialize readers (hiding their overlap). On the simulated machine
-//! parallelism is a modeling fact, not an OS accident, so both
-//! properties are asserted *exactly* and unconditionally here:
-//!
-//! * `crates/locks/tests/rw_api.rs` — read-side overlap of a
-//!   reader-writer lock.
-//! * `tests/integration_asl.rs` — the reorder-window starvation bound
-//!   of the LibASL lock.
+//! * read-side overlap of a reader-writer lock (`rw_api.rs` keeps the
+//!   real-thread mutual-exclusion half);
+//! * the reorder-window starvation bound of the LibASL lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,9 +86,7 @@ fn rw_mix(cfg: &ZooConfig, lock: Arc<dyn PlainRwLock>, write_pct: u32) -> RwMix 
 /// A parallel read-only run overlaps its readers — exactly, in
 /// virtual time, regardless of how many CPUs the host has.
 ///
-/// Replaces the `!oversubscribed() && write_pct == 0` gate in
-/// `rw_api.rs`, which could only ever claim `max_readers >= 2` on a
-/// big-enough machine.
+/// On OS threads a small host may serialize the readers.
 #[test]
 fn read_only_run_overlaps_readers_exactly() {
     let mut cfg = ZooConfig::quick(Topology::symmetric(4), 4, 42);
@@ -135,10 +129,10 @@ fn writers_limit_reader_overlap() {
 /// acquire latency stays within its reorder window plus queue-drain
 /// slack, under constant big-core pressure.
 ///
-/// Replaces the `!oversubscribed(8)` gate in `integration_asl.rs`:
-/// there, a preempted waiter can sit out arbitrarily many OS quanta,
-/// so the wall-clock bound only holds on a big machine. Virtual time
-/// has no such accidents — the bound is tight and unconditional.
+/// On OS threads a preempted waiter can sit out arbitrarily many
+/// scheduler quanta, so the wall-clock bound only holds on a big
+/// machine. Virtual time has no such accidents — the bound is tight
+/// and unconditional.
 #[test]
 fn reorderable_starvation_bound_holds_exactly() {
     // 200 µs window against a 2 ms run: small enough that a starved

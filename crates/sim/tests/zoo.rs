@@ -3,7 +3,7 @@
 //! Every test here runs *unmodified* `asl-locks`/`asl-core` lock
 //! implementations through the cooperative virtual-time engine
 //! ([`asl_sim::exec`]) and asserts exact, deterministic properties —
-//! no wall-clock noise, no `oversubscribed()` gates.
+//! no wall-clock noise, no gates on the host's CPU count.
 
 use std::sync::Arc;
 
@@ -12,9 +12,9 @@ use asl_locks::plain::PlainLock;
 use asl_locks::shuffle::ClassLocalPolicy;
 use asl_locks::{
     BackoffLock, ClhLock, CnaLock, CohortLock, FissileLock, MalthusianLock, McsLock, McsStpLock,
-    PthreadMutex, ShuffleLock, TasLock, TicketLock,
+    ProportionalLock, PthreadMutex, ShuffleLock, TasLock, TicketLock,
 };
-use asl_runtime::Topology;
+use asl_runtime::{AtomicAffinity, Topology};
 use asl_sim::exec::ZooConfig;
 use asl_sim::zoo::run_lock;
 
@@ -166,6 +166,66 @@ fn parking_beats_spinning_when_oversubscribed() {
     );
 }
 
+/// Two big and two little cores of equal speed contend for one lock for
+/// a virtual millisecond, so the lock's policy alone sets the class
+/// split.
+fn equal_speed_hammer(cs_units: u64, ncs_units: u64) -> ZooConfig {
+    let mut cfg = quick(Topology::custom(2, 2, 1.0), 4);
+    cfg.cs_units = cs_units;
+    cfg.ncs_units = ncs_units;
+    cfg.duration_ns = 1_000_000;
+    cfg
+}
+
+/// A big-affinity TAS makes a little core pay a penalty after each
+/// failed attempt, so the big class takes a clear majority of the
+/// acquisitions. The think time matches the section: a TAS releaser
+/// whose think time fits in the scheduler's reschedule slack
+/// (`CostModel::resched_slack_ns`, plus the lead its polling waiters
+/// have built up) re-takes the lock before any waiter runs.
+#[test]
+fn affinity_biases_acquisition_share() {
+    let lock = TasLock::with_affinity(AtomicAffinity::BigWins {
+        penalty_units: 2_000,
+    });
+    let r = run_lock(&equal_speed_hammer(2_000, 2_000), Arc::new(lock));
+    assert!(
+        r.big_ops * 2 > r.little_ops * 3,
+        "big {} little {}: affinity had no effect",
+        r.big_ops,
+        r.little_ops
+    );
+}
+
+/// A neutral TAS between equal-speed classes does not pick a class.
+#[test]
+fn neutral_affinity_roughly_fair_classes() {
+    let r = run_lock(&equal_speed_hammer(2_000, 2_000), Arc::new(TasLock::new()));
+    let (big, little) = (r.big_ops, r.little_ops);
+    assert!(big > 0 && little > 0);
+    assert!(
+        big.max(little) * 2 < big.min(little) * 3,
+        "skewed classes: big {big} little {little}"
+    );
+}
+
+/// SHFL-PB4 with both classes saturating (no think time) grants the big
+/// class four acquisitions for each little one.
+#[test]
+fn grants_follow_proportion_under_saturation() {
+    let r = run_lock(
+        &equal_speed_hammer(500, 0),
+        Arc::new(ProportionalLock::new(4)),
+    );
+    let ratio = r.big_ops as f64 / r.little_ops as f64;
+    assert!(
+        (3.5..4.5).contains(&ratio),
+        "expected 4x big share, got {ratio:.2} (big {} little {})",
+        r.big_ops,
+        r.little_ops
+    );
+}
+
 /// The full LibASL stack — epochs, the SLO window feedback, the
 /// reorderable queue — ticks in virtual time and stays deterministic.
 #[test]
@@ -192,7 +252,6 @@ fn libasl_slo_feedback_runs_in_virtual_time() {
 /// schedules).
 #[test]
 fn queue_lock_grant_order_is_pinned_under_faults() {
-    use asl_locks::ProportionalLock;
     use asl_runtime::fault::{FaultPlan, FaultState};
 
     /// FNV-1a over the grant trace, the operation count and the final

@@ -11,7 +11,9 @@
 //! A second phase serves the *same policy lineup* through the async
 //! path: the sharded KV store from `asl_dbsim::kv`, one async task per
 //! simulated client, under open-loop Poisson traffic — thread-per-core
-//! epochs and task-per-connection shard locks side by side.
+//! epochs and task-per-connection shard locks side by side. That phase
+//! runs the executor's worker threads on the host, so it reports host
+//! time and its numbers vary from run to run.
 //!
 //! Run with: `cargo run --release --example kv_slo_server`
 
@@ -100,7 +102,8 @@ fn main() {
     // ---- Async path: the same policies as shard locks of an
     // open-loop KV service (task-per-connection serving model).
     println!(
-        "\nasync sharded KV service, 50k simulated clients at 250k req/s (4 shards, 4 workers)\n"
+        "\nasync sharded KV service, 50k simulated clients at 250k req/s (4 shards, 4 workers,\n\
+         host time: the executor's worker threads run on this machine's CPUs)\n"
     );
     println!(
         "{:<16} {:>14} {:>12} {:>12}",

@@ -27,6 +27,7 @@ fn main() {
     // infeasible and LibASL just behaves like MCS).
     let mcs = run_micro(&profile, &MicroScenario::bench1(&LockSpec::Mcs), 8);
     let anchor = mcs.overall.p99().max(1_000);
+    println!("clock: virtual time on the simulator, 8 threads on a modeled M1\n");
     println!(
         "baseline MCS: {:.0} ops/s, P99 {:.1} us",
         mcs.throughput,

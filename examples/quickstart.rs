@@ -1,23 +1,24 @@
-//! Quickstart: LibASL as a drop-in mutex on an emulated Apple M1.
+//! Quickstart: LibASL as a drop-in mutex on a modeled Apple M1.
 //!
-//! Eight worker threads (4 big, 4 little) hammer one shared counter.
-//! Each increment runs inside an epoch with a 200 µs SLO — LibASL
-//! lets big cores overtake little cores exactly as much as that SLO
-//! allows, then prints the per-class acquisition shares and tail
-//! latencies.
+//! Eight workers (4 big, 4 little) hammer one shared counter. Each
+//! increment runs inside an epoch with a 200 µs SLO — LibASL lets big
+//! cores overtake little cores exactly as much as that SLO allows.
+//! The example prints the per-class acquisition shares, worst epoch
+//! latencies and the paths the lock took.
+//!
+//! The workers run in virtual time on the simulator
+//! (`asl_harness::runner`): big and little cores really run at once
+//! whatever the host has, and every run prints the same numbers.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use libasl::epoch;
-use libasl::runtime::clock::now_ns;
-use libasl::runtime::spawn::run_on_topology_with_stop;
+use libasl::harness::runner::{run_timed_with_setup, RunConfig};
 use libasl::runtime::work::execute_units;
-use libasl::{CoreKind, Mutex, Topology};
+use libasl::{Mutex, Topology};
 
 const SLO_NS: u64 = 200_000; // 200 µs, P99
+const RUN_NS: u64 = 10_000_000; // 10 virtual ms
 
 fn main() {
     let topology = Topology::apple_m1();
@@ -28,58 +29,51 @@ fn main() {
         topology.little_count(),
         topology.perf_ratio()
     );
+    println!(
+        "clock: virtual time on the simulator, {} ms",
+        RUN_NS / 1_000_000
+    );
 
-    let counter = Arc::new(Mutex::new(0u64));
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // Stop the experiment after one second.
-    let stopper = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_secs(1));
-            stop.store(true, Ordering::Relaxed);
-        })
+    let counter = Mutex::new(0u64);
+    let cfg = RunConfig {
+        topology,
+        threads: 8,
+        duration_ns: RUN_NS,
+        // No warm-up: every increment counts, so the lock's path
+        // counters below add up to the class totals.
+        warmup_ns: 0,
     };
-
-    let counter2 = counter.clone();
-    let results = run_on_topology_with_stop(&topology, 8, true, stop, move |ctx| {
-        let mut ops = 0u64;
-        let mut worst = 0u64;
-        while !ctx.stopped() {
+    let r = run_timed_with_setup(
+        &cfg,
+        |_| (),
+        |_, ()| {
             // One latency-critical request: epoch 0, 200 µs SLO.
             let (_, latency) = epoch::with_epoch_timed(0, SLO_NS, || {
-                let mut guard = counter2.lock();
+                let mut guard = counter.lock();
                 *guard += 1;
                 // Some work while holding the lock (slower on littles).
                 execute_units(300);
             });
-            worst = worst.max(latency);
-            ops += 1;
             execute_units(500); // think time between requests
-        }
-        (ctx.assignment.kind, ops, worst)
-    });
-    stopper.join().unwrap();
+            latency
+        },
+    );
 
-    let total: u64 = results.iter().map(|(_, ops, _)| ops).sum();
     println!(
-        "\ntotal increments: {total} (counter = {})",
+        "\ntotal increments: {} (counter = {})",
+        r.total_ops,
         *counter.lock()
     );
-    let mut big_ops = 0;
-    for kind in [CoreKind::Big, CoreKind::Little] {
-        let class: Vec<_> = results.iter().filter(|(k, _, _)| *k == kind).collect();
-        let ops: u64 = class.iter().map(|(_, o, _)| o).sum();
-        let worst = class.iter().map(|(_, _, w)| *w).max().unwrap_or(0);
-        if kind == CoreKind::Big {
-            big_ops = ops;
-        }
+    for (class, ops, hist) in [
+        ("big", r.big_ops, &r.big),
+        ("little", r.little_ops, &r.little),
+    ] {
         println!(
             "  {:>6}: {:>9} ops ({:>4.1}%), worst epoch latency {:.1} us (SLO {} us)",
-            kind.label(),
+            class,
             ops,
-            100.0 * ops as f64 / total as f64,
-            worst as f64 / 1_000.0,
+            100.0 * ops as f64 / r.total_ops as f64,
+            hist.max() as f64 / 1_000.0,
             SLO_NS / 1_000,
         );
     }
@@ -89,9 +83,8 @@ fn main() {
     // class's operations.
     let s = counter.raw().stats().snapshot();
     println!(
-        "\nlock paths: {big_ops} immediate (big), {} standby-free, {} standby-reordered, {} window-expired",
-        s.standby_free_entry, s.standby_observed_free, s.standby_expired
+        "\nlock paths: {} immediate (big), {} standby-free, {} standby-reordered, {} window-expired",
+        r.big_ops, s.standby_free_entry, s.standby_observed_free, s.standby_expired
     );
-    let _ = now_ns();
     println!("done.");
 }

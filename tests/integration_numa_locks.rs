@@ -2,21 +2,18 @@
 //! (CNA, cohort, Malthusian, shuffle framework, delegation) driven
 //! through the public facade.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use libasl::harness::locks::LockSpec;
-use libasl::locks::api::DynLock;
 use libasl::locks::rcl::RclLock;
 use libasl::locks::shuffle::PreferBigPolicy;
 use libasl::locks::ShuffleLock;
 use libasl::runtime::clock::now_ns;
 use libasl::runtime::registry::register_on_core;
-use libasl::runtime::spawn::run_on_topology_with_stop;
 use libasl::runtime::topology::CoreId;
 use libasl::runtime::work::execute_units;
-use libasl::runtime::CoreKind;
+use libasl::sim::exec::ZooConfig;
+use libasl::sim::zoo::run_lock;
 use libasl::Topology;
 
 /// Non-atomic counter whose correctness requires mutual exclusion.
@@ -35,27 +32,24 @@ impl RacyCounter {
     }
 }
 
-/// Hammer one lock spec from all 8 cores of an emulated M1.
+/// Hammer one lock spec from all 8 cores of an emulated M1, one OS
+/// thread per core.
 fn hammer_spec(spec: &LockSpec, iters: u64) {
     let topo = Topology::apple_m1();
     let lock = spec.make_dyn();
-    let counter = Arc::new(RacyCounter::default());
-    let mut handles = vec![];
-    for i in 0..8usize {
-        let topo = topo.clone();
-        let lock = lock.clone();
-        let counter = counter.clone();
-        handles.push(std::thread::spawn(move || {
-            register_on_core(&topo, CoreId(i));
-            for _ in 0..iters {
-                let _held = lock.lock();
-                counter.bump();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    let counter = RacyCounter::default();
+    std::thread::scope(|s| {
+        for core in 0..topo.len() {
+            let (topo, lock, counter) = (&topo, &lock, &counter);
+            s.spawn(move || {
+                register_on_core(topo, CoreId(core));
+                for _ in 0..iters {
+                    let _held = lock.lock();
+                    counter.bump();
+                }
+            });
+        }
+    });
     assert_eq!(counter.get(), 8 * iters, "{} lost updates", spec.label());
     assert!(!lock.is_locked(), "{} left held", spec.label());
 }
@@ -85,41 +79,16 @@ fn prefer_big_policy_skews_acquisition_share() {
     // Equal-speed classes so the *policy*, not core speed, sets the
     // share: prefer-big with a generous skip bound must give big
     // cores clearly more than half the acquisitions, without
-    // starving little cores.
-    let topo = Topology::custom(2, 2, 1.0);
-    let lock = DynLock::of(ShuffleLock::new(PreferBigPolicy::new(64)));
-    let big_ops = Arc::new(AtomicU64::new(0));
-    let little_ops = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let stopper = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(300));
-            stop.store(true, Ordering::Relaxed);
-        })
+    // starving little cores. Two big and two little virtual threads
+    // hammer the lock back to back for a virtual millisecond.
+    let cfg = ZooConfig {
+        cs_units: 400,
+        ncs_units: 0,
+        duration_ns: 1_000_000,
+        ..ZooConfig::quick(Topology::custom(2, 2, 1.0), 4, 42)
     };
-    {
-        let lock = lock.clone();
-        let big_ops = big_ops.clone();
-        let little_ops = little_ops.clone();
-        run_on_topology_with_stop(&topo, 4, false, stop, move |ctx| {
-            let ctr = if ctx.assignment.kind == CoreKind::Big {
-                &big_ops
-            } else {
-                &little_ops
-            };
-            while !ctx.stopped() {
-                {
-                    let _held = lock.lock();
-                    execute_units(400);
-                }
-                ctr.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-    }
-    stopper.join().unwrap();
-    let b = big_ops.load(Ordering::Relaxed) as f64;
-    let l = little_ops.load(Ordering::Relaxed) as f64;
+    let r = run_lock(&cfg, Arc::new(ShuffleLock::new(PreferBigPolicy::new(64))));
+    let (b, l) = (r.big_ops as f64, r.little_ops as f64);
     assert!(l > 0.0, "little cores starved outright");
     let share = b / (b + l);
     assert!(

@@ -15,7 +15,8 @@
 //! This grep fails if a twin comes back, if a container's guard or a
 //! second spelling of a guard does, if the simulator grows a
 //! second engine again, if either delegation copy does, if a figure
-//! spawns OS workers again, if the async mutex splits into
+//! spawns OS workers again, if anything but the simulator binds
+//! threads to virtual cores, if the async mutex splits into
 //! per-policy types again, if a reader-writer lock grows a write
 //! path beside the exclusive lock it is, if the reader-writer
 //! container or erased handle splits from the exclusive one again, and
@@ -362,14 +363,44 @@ fn delegation_is_written_once() {
     // sweep's `--os` mode, whose point is the host.
     let harness = source_lines("crates/harness/src");
     assert_eq!(
-        files_with(&harness, "run_on_topology"),
-        Vec::<String>::new(),
-        "a figure spawns OS workers — call runner::run_timed_with_setup"
-    );
-    assert_eq!(
         files_with(&harness, "thread::spawn"),
         ["torture.rs"],
         "a figure spawns OS workers — call runner::run_timed_with_setup"
+    );
+}
+
+#[test]
+fn threads_run_on_a_modeled_machine_through_the_simulator() {
+    // One way to run threads on a modeled machine: the simulator's
+    // engine registers each virtual thread on its core, and no program
+    // code binds OS threads to virtual cores beside it. A test whose
+    // point is real concurrency registers its own threads inline.
+    let lines: Vec<_> = ["crates", "src", "examples"]
+        .iter()
+        .flat_map(|dir| {
+            source_lines(dir)
+                .into_iter()
+                .map(move |(file, line)| (format!("{dir}/{file}"), line))
+        })
+        .collect();
+    let offenders: Vec<_> = lines
+        .iter()
+        .filter(|(file, line)| {
+            let code = line.trim_start();
+            !file.contains("/tests/")
+                && file != "crates/sim/src/exec.rs"
+                && !code.starts_with("//")
+                && code.contains("register_on_core(")
+                && !code.contains("fn register_on_core(")
+        })
+        .map(|(file, line)| format!("{file}: {}", line.trim()))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "only the simulator's engine (crates/sim/src/exec.rs) calls register_on_core — \
+         run threads on a modeled machine through asl_sim::exec::run_threads \
+         (or asl_harness::runner::run_timed_with_setup):\n{}",
+        offenders.join("\n")
     );
 }
 
