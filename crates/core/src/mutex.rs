@@ -135,17 +135,22 @@ impl<L: RawLock, W: WaitPolicy> AslLock<L, W> {
     /// in nanoseconds (paper `lock_reorder`).
     ///
     /// Clock budget (the paper allots ~45 cycles per `clock_gettime`
-    /// and spends them sparingly; a precise read here is one
-    /// cycle-counter read, ~30 cycles, where the host has a trusted
-    /// counter and a `clock_gettime` where not — see
-    /// [`asl_runtime::clock`]): **at most one precise read per
-    /// acquisition**, the timestamp anchoring the reorder-window
-    /// deadline, taken only when there is a window to honour. The
-    /// standby wait checks that deadline through an
-    /// [`asl_runtime::clock::Deadline`]: on a spinning host thread one
-    /// more read per 16 polls, on every poll in virtual time. The
-    /// free-entry fast path reads no clock at all and stores once
-    /// after the inner lock's RMW: its path counter, holder-owned.
+    /// and spends them sparingly; a read here is one cycle-counter
+    /// read, ~30 cycles, where the host has a trusted counter and a
+    /// `clock_gettime` where not — see [`asl_runtime::clock`]): one
+    /// read anchoring the reorder-window deadline, taken only when
+    /// there is a window to honour, plus the reads of the
+    /// [`asl_runtime::clock::Deadline`] the standby wait checks it
+    /// through — the first two polls (so the first re-reads the clock
+    /// right after the anchor), then one per 16 polls, and every poll
+    /// of the last few that can reach the deadline. A window of `n`
+    /// polls at a steady poll cost and free reads therefore takes
+    /// `2 + ⌈(n − 1) / 16⌉` reads after the anchor (40 polls: 5), on
+    /// the host and in virtual time alike — a charged read, as in the
+    /// simulator, can add a few near the end — and where every host
+    /// poll yields, `n + 1`. The free-entry fast path reads no clock
+    /// at all and stores once after the inner lock's RMW: its path
+    /// counter, holder-owned.
     #[inline]
     pub fn lock_reorder(&self, window_ns: u64) -> L::Token {
         use std::sync::atomic::Ordering::Relaxed;
@@ -160,7 +165,7 @@ impl<L: RawLock, W: WaitPolicy> AslLock<L, W> {
         // lock is taken — by writers that do not hold it — so they
         // keep their RMWs.
         if window > 0 {
-            // The single precise clock read of this acquisition.
+            // The anchor: the one clock read outside the deadline's.
             let deadline = now_ns().saturating_add(window);
             match self
                 .waiter

@@ -7,8 +7,10 @@
 //! * [`SpinWait`] — busy-wait, probing the lock on **every** poll, so
 //!   a free lock is entered within one poll of being freed; the window
 //!   is checked through an [`asl_runtime::clock::Deadline`], which
-//!   reads the clock once per 16 polls on a spinning host thread and
-//!   on every poll in virtual time.
+//!   reads the clock on its first two polls, then once per 16 polls
+//!   until the window is less than 16 polls from its end, then only
+//!   on the polls that can reach it — on the host and in virtual time
+//!   alike (on every poll where every poll yields).
 //! * [`SleepWait`] — the blocking version (§3.2 footnote 3 / Bench-6):
 //!   `nanosleep` between probes with doubling sleep times, for
 //!   over-subscribed systems where spinning steals the holder's CPU.

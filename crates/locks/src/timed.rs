@@ -17,9 +17,11 @@
 //! Deadlines are absolute virtual/monotonic nanoseconds (the
 //! [`asl_runtime::clock`] timeline, so the simulator and the fault
 //! injector both steer them). Wait loops check the deadline through
-//! an [`asl_runtime::clock::Deadline`] — a timed spin on a host thread
-//! reads the clock once per 16 polls, not once per probe — so
-//! expirations can be observed up to 15 polls late, never early. A
+//! an [`asl_runtime::clock::Deadline`] — a timed spin reads the clock
+//! at most once per 16 polls until the deadline is near, not once per
+//! probe — so expirations are observed on the first poll at or after
+//! the deadline while polls cost what they did, up to 15 polls late
+//! when they get slower, never early. A
 //! timed acquire of a *free* lock reads no clock at all
 //! ([`RawTimedLock::try_lock_for`] tries first and anchors its
 //! deadline only if that fails): on the uncontended path it costs what

@@ -45,11 +45,13 @@
 //! deadline check on every poll: a standby competitor polling a
 //! reorder window would spend as many cycles reading the clock as
 //! probing the lock. Every wait loop with a deadline therefore checks
-//! it through a [`Deadline`], which reads [`now_ns`] on its first
-//! check and then once every 16 checks on a spinning host thread — on
-//! every check under an installed substrate or where every poll
-//! yields. Anything that anchors a measurement or a deadline reads
-//! [`now_ns`] itself, once.
+//! it through a [`Deadline`], which reads [`now_ns`] on its first two
+//! checks and then paces itself: it skips the checks its last two
+//! readings say cannot reach the deadline, at most 15 in a row, so it
+//! reads once per 16 polls far from the deadline and on every poll
+//! close to it (and on every check where every poll yields). Anything
+//! that anchors a measurement or a deadline reads [`now_ns`] itself,
+//! once.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -324,45 +326,64 @@ pub fn os_now_ns() -> u64 {
     host_now_ns()
 }
 
-/// Checks a spinning host thread's [`Deadline`] makes per clock read.
-/// A read is ~15 ns with the cycle counter serving (~30 ns on the
-/// fallback); one read per 16 polls keeps a spin loop's clock cost to
-/// about a nanosecond a poll, and the overrun to at most 15 polls —
-/// noise against reorder windows of tens of microseconds.
-const DEADLINE_CHECK_EVERY: u32 = 16;
+/// Most checks a [`Deadline`] skips between two clock reads. A read
+/// is ~15 ns with the cycle counter serving (~30 ns on the fallback);
+/// one read per 16 polls keeps a spin loop's clock cost to about a
+/// nanosecond a poll, and the overrun, should polls suddenly get
+/// slower, to at most 15 polls — noise against reorder windows of
+/// tens of microseconds.
+const DEADLINE_MAX_SKIP: u32 = 15;
 
 /// An absolute [`now_ns`] deadline as a wait loop checks it: call
 /// [`Deadline::passed`] once per poll.
 ///
-/// When a check reads the clock:
+/// When a check reads the clock — one rule for simulated and host
+/// threads alike:
 ///
-/// * **The first check always does,** so a deadline already past is
-///   seen before the loop probes anything.
-/// * **Under an installed substrate: every check.** A clock read is
-///   charged there, so the cadence is part of what virtual time means;
-///   it cannot follow the host rule below, whose process-global answer
-///   comes from the first asker's affinity mask.
-/// * **Host threads: every check** where every poll is a scheduler
-///   yield ([`crate::relax::yields_every_poll`]: a poll costs a
-///   quantum there, and skipped reads would stretch a deadline by
-///   whole quanta to save nothing worth having), **else every
-///   16th.**
+/// * **The first two checks always do,** so a deadline already past
+///   is seen before the loop probes anything, and the second reading
+///   gives the first estimate of what one check costs.
+/// * **After each later reading** the deadline divides the time since
+///   the reading before by the checks in between, and skips the
+///   checks which at that cost cannot reach it — at most 15. Far from
+///   the deadline that is one read per 16 checks; close to it, one per
+///   check.
+/// * **Host threads where every poll is a scheduler yield**
+///   ([`crate::relax::yields_every_poll`]: a poll costs a quantum
+///   there, and skipped reads would stretch a deadline by whole quanta
+///   to save nothing worth having) read on every check. Under an
+///   installed substrate that process-global answer, which comes from
+///   the first asker's affinity mask, is never consulted: a clock read
+///   is charged there, so the cadence is part of what virtual time
+///   means.
 ///
 /// A check compares a fresh reading, so a deadline never passes
-/// early; it passes at most 15 polls late. `u64::MAX` never passes
-/// and reads nothing.
+/// early. Under a steady poll cost it passes on the first check at or
+/// after it (a clock read that is itself charged only makes the
+/// estimate larger, so the reads come sooner); when polls get slower,
+/// at most 15 checks late. `u64::MAX` never passes and reads nothing.
 #[derive(Debug)]
 pub struct Deadline {
     at_ns: u64,
     /// Checks left before the next clock read.
     skip: u32,
+    /// Checks from the last reading to the next one; 0 before the
+    /// first.
+    span: u32,
+    /// The last reading.
+    last_ns: u64,
 }
 
 impl Deadline {
     /// A deadline at `at_ns` on the [`now_ns`] timeline.
     #[inline]
     pub const fn new(at_ns: u64) -> Self {
-        Deadline { at_ns, skip: 0 }
+        Deadline {
+            at_ns,
+            skip: 0,
+            span: 0,
+            last_ns: 0,
+        }
     }
 
     /// Whether this check reads the clock and finds the deadline
@@ -377,10 +398,25 @@ impl Deadline {
             self.skip -= 1;
             return false;
         }
-        if !crate::substrate::installed_here() && !crate::relax::yields_every_poll() {
-            self.skip = DEADLINE_CHECK_EVERY - 1;
+        let now = now_ns();
+        if now >= self.at_ns {
+            return true;
         }
-        now_ns() >= self.at_ns
+        if self.span > 0
+            && (crate::substrate::installed_here() || !crate::relax::yields_every_poll())
+        {
+            // `j` more checks at `gap / span` each stay short of the
+            // deadline while `j * gap < remaining * span`; a clock that
+            // did not move between the readings bounds nothing.
+            let gap = now.saturating_sub(self.last_ns);
+            let short = (self.at_ns - now).saturating_mul(u64::from(self.span)) - 1;
+            self.skip = short.checked_div(gap).map_or(DEADLINE_MAX_SKIP, |j| {
+                j.min(u64::from(DEADLINE_MAX_SKIP)) as u32
+            });
+        }
+        self.last_ns = now;
+        self.span = self.skip + 1;
+        false
     }
 }
 
@@ -500,41 +536,151 @@ mod tests {
         (1..=limit).find(|_| d.passed())
     }
 
+    /// A clock the test moves; a read is free and counted.
+    #[derive(Default)]
+    struct Scripted {
+        now: AtomicU64,
+        reads: AtomicU64,
+    }
+
+    impl crate::substrate::Substrate for Scripted {
+        fn now_ns(&self) -> u64 {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.now.load(Ordering::Relaxed)
+        }
+        fn relax(&self) {}
+        fn busy_wait_ns(&self, _: u64) {}
+        fn sleep_ns(&self, _: u64) {}
+        fn park(&self) {}
+        fn charge_work_units(&self, _: u64) {}
+    }
+
+    /// How a wait loop under the scripted clock spent a deadline.
+    #[derive(Debug, PartialEq)]
+    struct Spent {
+        /// Polls made, one after each check that did not pass, so the
+        /// check that passed is `polls + 1`.
+        polls: u64,
+        /// Clock reads among the checks.
+        reads: u64,
+        /// The first check at or after the deadline (1-based).
+        due: u64,
+    }
+
+    /// Check a deadline at `at_ns` with the clock at 0, each poll moving
+    /// it by `cost(clock reads so far)` ns, until the deadline passes.
+    /// The check that passes is asserted not to be early.
+    fn spend(at_ns: u64, cost: impl Fn(u64) -> u64) -> Spent {
+        let sub = std::sync::Arc::new(Scripted::default());
+        let _installed = crate::substrate::install(sub.clone());
+        let mut d = Deadline::new(at_ns);
+        let (mut check, mut due) = (0, None);
+        loop {
+            check += 1;
+            let now = sub.now.load(Ordering::Relaxed);
+            if now >= at_ns {
+                due.get_or_insert(check);
+            }
+            if d.passed() {
+                assert!(now >= at_ns, "passed at {now}, deadline {at_ns}");
+                break;
+            }
+            assert!(check < 1_000_000, "deadline {at_ns} never passed");
+            let reads = sub.reads.load(Ordering::Relaxed);
+            sub.now.fetch_add(cost(reads), Ordering::Relaxed);
+        }
+        Spent {
+            polls: check - 1,
+            reads: sub.reads.load(Ordering::Relaxed),
+            due: due.expect("the check that passed was due"),
+        }
+    }
+
+    #[test]
+    fn a_deadline_n_steady_polls_away_passes_after_poll_n_with_pinned_reads() {
+        // Two reads to estimate the cost of a poll, then one per 16
+        // checks until the deadline is less than 16 polls away, then
+        // the one that lands on it: 2 + ⌈(n − 1) / 16⌉.
+        const POLL_NS: u64 = 25;
+        for (n, reads) in [(1, 2), (2, 3), (17, 3), (40, 5), (1_000, 65)] {
+            let spent = spend(n * POLL_NS, |_| POLL_NS);
+            assert_eq!(
+                spent,
+                Spent {
+                    polls: n,
+                    reads,
+                    due: n + 1
+                },
+                "a deadline {n} polls away"
+            );
+        }
+    }
+
+    #[test]
+    fn a_deadline_is_at_most_15_checks_late_when_polls_get_10x_slower() {
+        // The estimate from the first two readings says 25 ns a poll;
+        // every poll after the second reading costs 250.
+        for at in (0..=5_000).step_by(7) {
+            let spent = spend(at, |reads| if reads < 2 { 25 } else { 250 });
+            let (passed, due) = (spent.polls + 1, spent.due);
+            assert!(
+                passed - due <= 15,
+                "deadline {at}: due at check {due}, passed at {passed}"
+            );
+        }
+    }
+
     #[test]
     fn a_past_deadline_passes_on_the_first_check() {
         let now = now_ns();
         assert!(Deadline::new(now).passed());
         assert!(Deadline::new(0).passed());
+        // The first check reads the clock.
+        assert_eq!(
+            spend(0, |_| 1),
+            Spent {
+                polls: 0,
+                reads: 1,
+                due: 1
+            }
+        );
     }
 
     #[test]
     fn a_deadline_at_the_end_of_time_never_passes() {
         let mut d = Deadline::new(u64::MAX);
-        assert_eq!(checks_until_passed(&mut d, 10 * DEADLINE_CHECK_EVERY), None);
+        assert_eq!(checks_until_passed(&mut d, 1_000), None);
+        // Nor does it read the clock.
+        let sub = std::sync::Arc::new(Scripted::default());
+        let _installed = crate::substrate::install(sub.clone());
+        let mut d = Deadline::new(u64::MAX);
+        assert_eq!(checks_until_passed(&mut d, 1_000), None);
+        assert_eq!(sub.reads.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn a_deadline_crossed_between_checks_is_seen_within_the_cadence() {
-        // On the next check where polls yield, within 16 where they
-        // spin.
+        // Two quick checks far from the deadline leave a spinning host
+        // thread 15 checks to skip; where every poll yields it reads on
+        // the next check all the same.
         let late = if crate::relax::yields_every_poll() {
             1
         } else {
-            DEADLINE_CHECK_EVERY
+            DEADLINE_MAX_SKIP + 1
         };
         for _ in 0..5 {
             let at = now_ns().saturating_add(1_000_000);
             let mut d = Deadline::new(at);
-            if d.passed() {
-                // Preempted past it before the first check.
+            if d.passed() || d.passed() {
+                // Preempted past it before the second check.
                 assert!(now_ns() >= at);
                 continue;
             }
             busy_wait_ns(2_000_000);
-            let seen = checks_until_passed(&mut d, 10 * DEADLINE_CHECK_EVERY);
+            let seen = checks_until_passed(&mut d, 1_000);
             assert!(
                 seen.is_some_and(|n| n <= late),
-                "crossed deadline seen after {seen:?} checks, cadence {late}"
+                "crossed deadline seen after {seen:?} checks, at most {late} allowed"
             );
         }
     }

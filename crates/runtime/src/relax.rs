@@ -10,8 +10,10 @@
 //! single-CPU machine (notably CI containers) every poll yields:
 //! pure spinning there makes each lock hand-off cost a full scheduler
 //! quantum. A loop that also waits for a deadline checks it once per
-//! poll through [`crate::clock::Deadline`], which reads the clock on
-//! the cadence [`yields_every_poll`] picks.
+//! poll through [`crate::clock::Deadline`], which paces its clock
+//! reads by the time a poll takes — at most one per 16 polls far from
+//! the deadline — except on a host thread where
+//! [`yields_every_poll`], which reads on every poll.
 
 use std::sync::OnceLock;
 
@@ -28,8 +30,8 @@ const YIELD_CADENCE: u32 = 64;
 /// keys off this: when a poll already costs a yield, per-poll
 /// bookkeeping like a clock read is noise, so amortizations that
 /// trade *accuracy* for per-poll cycles (a [`crate::clock::Deadline`]
-/// reading the clock once per 16 checks) collapse to their precise
-/// form.
+/// skipping up to 15 checks between clock reads) collapse to their
+/// precise form.
 ///
 /// Resolved once per process, from the affinity mask of whichever
 /// thread asks first: a first caller that is pinned to one CPU answers

@@ -27,9 +27,10 @@
 //! *virtual* nanoseconds. Virtual time is per-thread monotonic, starts
 //! near zero, and advances only when the thread is *charged* for an
 //! operation (a clock read, a failed lock probe, emulated work, a
-//! park). A [`crate::clock::Deadline`] reads it on every check: a read
-//! is charged, so how often a wait loop reads is part of what virtual
-//! time means, and it must not follow a host-dependent cadence.
+//! park). A [`crate::clock::Deadline`] paces its reads of it by the
+//! virtual time its checks take: a read is charged, so how often a
+//! wait loop reads is part of what virtual time means, and it must not
+//! follow a host-dependent cadence.
 //!
 //! # Example
 //!

@@ -70,7 +70,7 @@ fn the_whole_result_is_pinned() {
             "libasl-spin",
             slo.clone(),
             Arc::new(AslSpinLock::default()),
-            0x439a_af18_d025_459d,
+            0xb210_8f9f_a02e_c378,
         ),
         // The futex mutex under the `SleepWait` standby: the blocking
         // configuration's park and `nanosleep` paths.

@@ -17,8 +17,9 @@
 //! `amp-db` workload at a fifth of its length, so a cell is ~3 000
 //! SQLite requests or ~800 counted little-core Kyoto epochs and one
 //! seed is one draw: over seeds 1–8, 11 and 42 SQLite read
-//! 0.961–1.077x `mcs` (seven of ten at or over 1; parent: 0.87x) and
-//! Kyoto 0.47–0.77 % misses (parent: 2.8 %). The seed is fixed, so
+//! 0.966–1.096x `mcs` (eight of ten at or over 1; 0.87x under the
+//! old exponential prober) and Kyoto 0.50–0.79 % misses (2.8 % under
+//! the old controller). The seed is fixed, so
 //! the file is deterministic; the claim across seeds at full length
 //! is the benchmark's to make.
 //!
@@ -79,9 +80,9 @@ fn digest(threads: &[ThreadEpochs]) -> u64 {
 /// index one insert at a time. Same SLOs as `amp-db`.
 const PINNED: [(&str, usize, u64); 4] = [
     ("leveldb/mcs", 13_321, 5_332_759_363_279_988_423),
-    ("leveldb/libasl-8700ns", 15_151, 6_405_957_613_362_283_434),
+    ("leveldb/libasl-8700ns", 15_496, 15_073_991_892_649_767_009),
     ("sqlite/mcs", 2_931, 13_590_989_846_072_178_281),
-    ("sqlite/libasl-300us", 3_005, 16_008_622_269_439_024_397),
+    ("sqlite/libasl-300us", 2_984, 5_933_869_758_493_696_414),
 ];
 
 #[test]

@@ -80,9 +80,9 @@ fn raw_spin_loop_hints_only_in_allowlisted_files() {
 // The paper budgets ~45 cycles per `clock_gettime` and spends them
 // sparingly; our convention after the overhaul is that *wait loops
 // never read the clock themselves* — every deadline check goes
-// through `asl_runtime::clock::Deadline`, which reads once per 16
-// polls on a spinning host thread — and `AslLock::lock_reorder`
-// anchors everything on a single precise read per acquisition. A
+// through `asl_runtime::clock::Deadline`, which reads at most once
+// per 16 polls until the deadline is near — and `AslLock::lock_reorder`
+// anchors everything on a single read per acquisition. A
 // stray `now_ns()` in those regions silently reintroduces a clock
 // read per spin iteration, so these grep-style audits pin the source
 // down.

@@ -7,7 +7,7 @@
 //!   not timidly far under, at every SLO scale;
 //! * the **spinning standby** (`libasl::core::SpinWait`) under a
 //!   counting substrate must notice a freed lock within one poll, and
-//!   its deadline cadence must not depend on the host — nor may the
+//!   its deadline's reads must not depend on the host — nor may the
 //!   timed acquires' (`TicketLock`, `McsLock`), which check their
 //!   deadlines through the same `clock::Deadline`.
 //!
@@ -223,25 +223,30 @@ fn an_expired_window_costs_one_clock_read_and_no_probe() {
     });
 }
 
+/// Polls and clock reads a deadline exactly 40 polls away costs under
+/// the scripted clock: reads on the first two checks, then one per 16
+/// polls, then the one that lands on the deadline.
+const WINDOW_POLLS: u64 = 40;
+const WINDOW_COST: (u64, u64) = (WINDOW_POLLS, 5);
+
 #[test]
-fn the_deadline_cadence_under_a_substrate_is_every_poll() {
+fn the_standby_deadline_cadence_under_a_substrate_is_host_independent() {
     // A deadline check is a charged clock read in the simulator, so
     // how often one happens must not follow the host-thread rule —
     // `relax::yields_every_poll()`, answered once per process from the
-    // first asker's affinity mask: 1 on a one-CPU host, 16 elsewhere.
-    // Whichever this process answered, a window of exactly `n` polls
-    // costs `n + 1` clock reads and ends on the poll it expires at.
+    // first asker's affinity mask: a read on every check on a one-CPU
+    // host. Whichever this process answered, a window of exactly `n`
+    // polls costs the same reads and ends on the poll it expires at.
     let host_rule = libasl::runtime::relax::yields_every_poll();
     scripted_on(5, |sub| {
-        let n = 40;
-        let out = SpinWait.standby_wait(n * POLL_NS, &|| false);
+        let out = SpinWait.standby_wait(WINDOW_POLLS * POLL_NS, &|| false);
         assert_eq!(out, WaitOutcome::WindowExpired);
         assert_eq!(
             (
                 sub.polls.load(Ordering::Relaxed),
                 sub.clock_reads.load(Ordering::Relaxed)
             ),
-            (n, n + 1),
+            WINDOW_COST,
             "(polls, clock reads) with yields_every_poll() = {host_rule}"
         );
     });
@@ -262,26 +267,23 @@ fn timed_on_held<L: RawTimedLock>(lock: &L, n: u64) -> (u64, u64) {
 }
 
 #[test]
-fn the_ticket_timed_acquire_checks_its_deadline_on_every_poll_under_a_substrate() {
-    // The same rule as the standby's: a deadline `n` polls away costs
-    // `n + 1` clock reads whatever `yields_every_poll()` answered.
+fn the_ticket_timed_acquire_paces_its_deadline_like_the_standby() {
+    // The same rule as the standby's, whatever `yields_every_poll()`
+    // answered.
     let host_rule = libasl::runtime::relax::yields_every_poll();
-    let n = 40;
     assert_eq!(
-        timed_on_held(&TicketLock::new(), n),
-        (n, n + 1),
+        timed_on_held(&TicketLock::new(), WINDOW_POLLS),
+        WINDOW_COST,
         "ticket: (polls, clock reads) with yields_every_poll() = {host_rule}"
     );
 }
 
 #[test]
-fn the_mcs_timed_acquire_checks_its_deadline_on_every_poll_under_a_substrate() {
-    // As for the ticket lock: `n + 1` clock reads for `n` polls.
+fn the_mcs_timed_acquire_paces_its_deadline_like_the_standby() {
     let host_rule = libasl::runtime::relax::yields_every_poll();
-    let n = 40;
     assert_eq!(
-        timed_on_held(&McsLock::new(), n),
-        (n, n + 1),
+        timed_on_held(&McsLock::new(), WINDOW_POLLS),
+        WINDOW_COST,
         "mcs: (polls, clock reads) with yields_every_poll() = {host_rule}"
     );
 }
