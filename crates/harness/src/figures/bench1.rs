@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 use asl_core::epoch::WindowSample;
 use asl_runtime::clock::now_ns;
-use asl_runtime::stats::percentile;
+use asl_runtime::stats::Samples;
 use asl_runtime::{AtomicAffinity, CoreKind, Topology};
 
 use crate::locks::LockSpec;
@@ -25,7 +25,7 @@ use super::{run_micro, Profile, VIRTUAL_NS_PER_MS};
 fn mcs_anchor(profile: &Profile) -> u64 {
     let scenario = MicroScenario::bench1(&LockSpec::Mcs);
     let r = run_micro(profile, &scenario, 8);
-    r.overall.p99().max(1_000)
+    r.overall.percentile(99.0).max(1_000)
 }
 
 /// Figure 8a: Bench-1 comparison bars across all competitors.
@@ -43,7 +43,7 @@ pub fn fig8a(profile: &Profile) -> Vec<Table> {
     for w in [anchor / 4, anchor / 2, anchor, anchor * 2] {
         let scenario = MicroScenario::bench1(&LockSpec::AslOpt { window_ns: w });
         let r = run_micro(profile, &scenario, 8);
-        let p99 = r.overall.p99();
+        let p99 = r.overall.percentile(99.0);
         if p99 <= slo_b && best.map(|(_, t, _)| r.throughput > t).unwrap_or(true) {
             best = Some((w, r.throughput, p99));
         }
@@ -160,13 +160,12 @@ fn window_row(head: [String; 3], ops: u64, trace: &[WindowSample], slo_ns: u64) 
         return row;
     };
     let misses = trace.iter().filter(|s| s.latency_ns > slo_ns).count();
-    let mut windows: Vec<u64> = trace.iter().map(|s| s.window_ns).collect();
-    let median = percentile(&mut windows, 50.0); // sorts in place
+    let windows = Samples::from(trace.iter().map(|s| s.window_ns).collect::<Vec<_>>());
     row.extend([
         trace.len().to_string(),
         misses.to_string(),
-        fmt_us(windows[0]),
-        fmt_us(median),
+        fmt_us(windows.percentile(0.0)),
+        fmt_us(windows.percentile(50.0)),
         fmt_us(last.window_ns),
     ]);
     row
@@ -183,7 +182,10 @@ pub fn fig8c(profile: &Profile) -> Vec<Table> {
             long_ratio: 1.0,
             long_factor: LONG_FACTOR,
         };
-        run_micro(profile, &scenario, 8).overall.p99().max(1_000)
+        run_micro(profile, &scenario, 8)
+            .overall
+            .percentile(99.0)
+            .max(1_000)
     };
 
     let mut table = Table::new(
@@ -223,7 +225,7 @@ pub fn fig8c(profile: &Profile) -> Vec<Table> {
             let mut opt = MicroScenario::bench1(&LockSpec::AslOpt { window_ns: w });
             opt.length = mix.clone();
             let r = run_micro(profile, &opt, 8);
-            let p99 = r.overall.p99();
+            let p99 = r.overall.percentile(99.0);
             if p99 <= slo && r.throughput > opt_best {
                 opt_best = r.throughput;
             }
@@ -326,14 +328,13 @@ pub fn fig8d(profile: &Profile) -> Vec<Table> {
     );
     let mut t0 = 0;
     for &(t1, mult, name) in &phases {
-        let mut hist = crate::hist::Hist::new();
-        let mut viol = 0u64;
-        for &(t, lat, kind) in &all {
-            if kind == CoreKind::Little && t >= t0 && t < t1 {
-                hist.record(lat);
-                viol += u64::from(lat > slo);
-            }
-        }
+        let little: Vec<u64> = all
+            .iter()
+            .filter(|&&(t, _, kind)| kind == CoreKind::Little && t >= t0 && t < t1)
+            .map(|&(_, lat, _)| lat)
+            .collect();
+        let viol = little.iter().filter(|&&lat| lat > slo).count();
+        let little = Samples::from(little);
         t0 = t1;
         let mult_str = if mult == u64::MAX {
             "rand".to_string()
@@ -343,8 +344,8 @@ pub fn fig8d(profile: &Profile) -> Vec<Table> {
         summary.push_row(vec![
             name.to_string(),
             mult_str,
-            fmt_p99(&hist),
-            format!("{:.1}", 100.0 * viol as f64 / hist.count().max(1) as f64),
+            fmt_p99(&little),
+            format!("{:.1}", 100.0 * viol as f64 / little.len().max(1) as f64),
             format!("{:.1}", slo as f64 / 1_000.0),
         ]);
     }
@@ -383,7 +384,7 @@ pub fn fig8hi(profile: &Profile) -> Vec<Table> {
         let scenario = MicroScenario::bench1(&LockSpec::Pthread);
         run_micro(profile, &scenario, threads)
             .overall
-            .p99()
+            .percentile(99.0)
             .max(1_000)
     };
 

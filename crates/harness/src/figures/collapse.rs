@@ -71,7 +71,7 @@ pub fn collapse(profile: &Profile) -> Vec<Table> {
                 let scenario = MicroScenario::simple(&spec, FIG1_LINES, THINK_UNITS);
                 let out = run_micro(profile, &scenario, threads);
                 let thpt = out.throughput;
-                let (p99, p999) = (out.overall.p99(), out.overall.p999());
+                let (p99, p999) = (out.overall.percentile(99.0), out.overall.percentile(99.9));
                 table.push_row(vec![
                     spec.label(),
                     threads.to_string(),

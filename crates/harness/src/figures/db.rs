@@ -98,7 +98,7 @@ fn db_trio(
     // Anchor on the measured MCS P99 for this engine.
     let anchor = run_db_point(profile, topo(), make, &LockSpec::Mcs, 8)
         .overall
-        .p99()
+        .percentile(99.0)
         .max(1_000);
     let slo_lo = anchor * 3 / 2;
     let slo_hi = anchor * 3;
@@ -173,13 +173,13 @@ fn db_trio(
         let v = slo_hi * 3 / 2 * i / grid;
         cdf.push_row(vec![
             format!("{:.1}", v as f64 / 1_000.0),
-            format!("{:.3}", r.overall.fraction_below(v)),
-            format!("{:.3}", r.little.fraction_below(v)),
+            format!("{:.3}", r.overall.fraction_at_or_below(v)),
+            format!("{:.3}", r.little.fraction_at_or_below(v)),
         ]);
     }
     cdf.note(format!(
         "little P99 = {}us vs SLO {}us; half-SLO boundary per paper Fig. 9c",
-        r.little.p99() / 1_000,
+        r.little.percentile(99.0) / 1_000,
         slo_hi / 1_000
     ));
 
@@ -263,7 +263,7 @@ pub fn alt_topology(profile: &Profile) -> Vec<Table> {
     ] {
         let name = topo.name();
         let mcs = run_db_point(profile, topo.clone(), make_upscale, &LockSpec::Mcs, 8);
-        let anchor = mcs.overall.p99().max(1_000);
+        let anchor = mcs.overall.percentile(99.0).max(1_000);
         let asl = run_db_point(
             profile,
             topo,

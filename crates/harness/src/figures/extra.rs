@@ -25,6 +25,7 @@ use crate::runner::RunResult;
 use crate::scenario::{MicroScenario, FIG1_LINES, FIG1_NCS_UNITS};
 
 use super::delegation::{delegated_section, drive_delegated, drive_rcl, BASE_UNITS};
+use super::micro::scalability_scan;
 use super::{run_micro, Profile};
 
 /// §2.2: the NUMA-lock lineup on the Figure-1 workload. All the
@@ -39,28 +40,15 @@ pub fn sec2_numa(profile: &Profile) -> Vec<Table> {
         LockSpec::ShuffleClassLocal { max_skips: 16 },
         LockSpec::asl(None),
     ];
-    let mut cols: Vec<String> = vec!["threads".into()];
-    for s in &specs {
-        cols.push(format!("{}_thpt_ops_s", s.label()));
-        cols.push(format!("{}_p99_us", s.label()));
-    }
-    let col_refs: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(
+    let mut table = scalability_scan(
+        profile,
         "sec2-numa",
         "NUMA-aware and long-term-fair locks collapse on AMP (§2.2 claim)",
-        &col_refs,
+        &specs,
+        FIG1_LINES,
+        FIG1_NCS_UNITS,
     );
-    for threads in 1..=8usize {
-        let mut row = vec![threads.to_string()];
-        for spec in &specs {
-            let scenario = MicroScenario::simple(spec, FIG1_LINES, FIG1_NCS_UNITS);
-            let r = run_micro(profile, &scenario, threads);
-            row.push(format!("{:.0}", r.throughput));
-            row.push(fmt_p99(&r.overall));
-        }
-        table.push_row(row);
-    }
-    table.note("Figure-1 workload (RMW 4 lines); big/little classes play the NUMA nodes");
+    table.note("Figure-1 workload; big/little classes play the NUMA nodes");
     vec![table]
 }
 

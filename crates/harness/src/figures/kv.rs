@@ -30,12 +30,12 @@ use asl_dbsim::openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 use asl_dbsim::workload::{KeyDist, Mix, Zipfian, YCSB_THETA};
 use asl_runtime::affinity::{online_cpus, pinned};
 use asl_runtime::clock::now_ns;
+use asl_runtime::stats::Samples;
 use asl_runtime::{wait_stats, Executor, JoinHandle};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use super::Profile;
-use crate::hist::Hist;
 use crate::locks::LockSpec;
 use crate::report::{fmt_ops, fmt_us, Table};
 
@@ -98,8 +98,8 @@ fn base_cfg(profile: &Profile, seed_salt: u64) -> OpenLoopConfig {
 }
 
 /// One measured cell: build the store for `spec`, drive it open-loop,
-/// reduce latencies to a histogram.
-fn run_cell(spec: &LockSpec, shards: usize, cfg: &OpenLoopConfig) -> (OpenLoopReport, Hist) {
+/// and sort its request latencies into a record.
+fn run_cell(spec: &LockSpec, shards: usize, cfg: &OpenLoopConfig) -> (OpenLoopReport, Samples) {
     let kv = Arc::new(ShardedKv::new(KvConfig {
         shards,
         policy: spec.async_policy(),
@@ -108,12 +108,9 @@ fn run_cell(spec: &LockSpec, shards: usize, cfg: &OpenLoopConfig) -> (OpenLoopRe
     }));
     // Fill every key so the 50% read half of the mix hits.
     kv.prefill(1);
-    let report = run_open_loop(kv, cfg);
-    let mut hist = Hist::new();
-    for &l in &report.latencies_ns {
-        hist.record(l);
-    }
-    (report, hist)
+    let mut report = run_open_loop(kv, cfg);
+    let latencies = Samples::from(std::mem::take(&mut report.latencies_ns));
+    (report, latencies)
 }
 
 const COLS: [&str; 8] = [
@@ -208,7 +205,7 @@ fn push_cell(
     rate: f64,
     cfg: &OpenLoopConfig,
 ) {
-    let (report, hist) = run_cell(spec, shards, cfg);
+    let (report, lat) = run_cell(spec, shards, cfg);
     let arrival_tag = match cfg.process {
         ArrivalProcess::Poisson => String::new(),
         p => format!(",arrival={}", p.label()),
@@ -224,8 +221,8 @@ fn push_cell(
         &label,
         cfg.workers,
         report.throughput,
-        hist.p99(),
-        hist.p999(),
+        lat.percentile(99.0),
+        lat.percentile(99.9),
     );
     t.push_row(vec![
         spec.label(),
@@ -233,9 +230,9 @@ fn push_cell(
         fmt_ops(rate),
         report.completed.to_string(),
         fmt_ops(report.throughput),
-        fmt_us(hist.percentile(50.0)),
-        fmt_us(hist.p99()),
-        fmt_us(hist.p999()),
+        fmt_us(lat.percentile(50.0)),
+        fmt_us(lat.percentile(99.0)),
+        fmt_us(lat.percentile(99.9)),
     ]);
     let e = report.exec;
     let counts = [

@@ -8,10 +8,10 @@ use crate::scenario::{MicroScenario, FIG1_LINES, FIG1_NCS_UNITS, FIG4_LINES, FIG
 
 use super::{run_micro, Profile};
 
-/// Scalability scan shared by Figures 1, 4, 8e/8f: thread counts
-/// 1..=8 (big cores first), reporting throughput and overall P99 per
-/// lock.
-fn scalability_scan(
+/// Scalability scan shared by Figures 1, 4, 8e/8f and `sec2-numa`:
+/// thread counts 1..=8 (big cores first), reporting throughput and
+/// overall P99 per lock.
+pub(super) fn scalability_scan(
     profile: &Profile,
     id: &str,
     title: &str,
@@ -102,7 +102,7 @@ pub fn fig8ef(profile: &Profile) -> Vec<Table> {
     let anchor = {
         let scenario = MicroScenario::simple(&LockSpec::Mcs, FIG4_LINES, FIG1_NCS_UNITS);
         let r = run_micro(profile, &scenario, 8);
-        r.overall.p99().max(1_000)
+        r.overall.percentile(99.0).max(1_000)
     };
     let slo_tight = anchor; // ~ the FIFO tail: barely feasible
     let slo_loose = anchor * 4;

@@ -2,8 +2,6 @@
 //!
 //! Everything needed to regenerate the paper's evaluation:
 //!
-//! * [`hist`] — log-linear latency histogram (HDR-style) with
-//!   percentiles, CDFs and merging.
 //! * [`runner`] — timed experiment runner on the deterministic
 //!   simulator: virtual threads on a modeled AMP topology, warm-up and
 //!   measurement windows in virtual time, and a per-core-class result
@@ -24,14 +22,12 @@
 
 pub mod diff;
 pub mod figures;
-pub mod hist;
 pub mod locks;
 pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod torture;
 
-pub use hist::Hist;
 pub use runner::{run_timed_with_setup, RunConfig, RunResult};
 
 /// Serializes unit tests that touch `asl_locks::telemetry`'s

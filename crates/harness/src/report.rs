@@ -9,8 +9,7 @@
 //! `repro --profile`.
 
 use asl_locks::telemetry::{self, TelemetrySnapshot};
-
-use crate::hist::Hist;
+use asl_runtime::stats::Samples;
 
 /// One machine-readable throughput measurement backing a table row.
 #[derive(Debug, Clone, PartialEq)]
@@ -274,9 +273,9 @@ pub fn fmt_tail_us(samples: u64, ns: u64) -> String {
     }
 }
 
-/// The P99 of `h` as a table cell ([`fmt_tail_us`]).
-pub fn fmt_p99(h: &Hist) -> String {
-    fmt_tail_us(h.count(), h.p99())
+/// The P99 of `s` as a table cell ([`fmt_tail_us`]).
+pub fn fmt_p99(s: &Samples) -> String {
+    fmt_tail_us(s.len(), s.percentile(99.0))
 }
 
 #[cfg(test)]
@@ -285,10 +284,9 @@ mod tests {
 
     #[test]
     fn an_empty_class_is_not_a_zero() {
-        let mut h = Hist::new();
-        assert_eq!(fmt_p99(&h), "—");
-        h.record(0);
-        assert_eq!(fmt_p99(&h), "0.0", "a real zero-wait sample");
+        assert_eq!(fmt_p99(&Samples::default()), "—");
+        let zero = Samples::from(vec![0]);
+        assert_eq!(fmt_p99(&zero), "0.0", "a real zero-wait sample");
         assert_eq!(fmt_tail_us(0, 1_500), "—");
         assert_eq!(fmt_tail_us(1, 1_500), "1.5");
     }

@@ -23,10 +23,9 @@ use std::sync::Mutex;
 use asl_core::epoch::{take_window_trace, WindowSample};
 use asl_runtime::clock::now_ns;
 use asl_runtime::registry::is_big_core;
+use asl_runtime::stats::Samples;
 use asl_runtime::topology::Topology;
 use asl_sim::exec::{run_threads, ZooConfig};
-
-use crate::hist::Hist;
 
 /// Schedule seed of every run: the simulator's seeded start stagger.
 pub(crate) const SEED: u64 = 1;
@@ -50,12 +49,12 @@ pub struct RunResult {
     pub total_ops: u64,
     /// Operations per virtual second.
     pub throughput: f64,
-    /// Latency across all workers.
-    pub overall: Hist,
-    /// Latency of workers on big cores.
-    pub big: Hist,
-    /// Latency of workers on little cores.
-    pub little: Hist,
+    /// Latency of every measured op, across all workers.
+    pub overall: Samples,
+    /// Latency of the ops of workers on big cores.
+    pub big: Samples,
+    /// Latency of the ops of workers on little cores.
+    pub little: Samples,
     /// Ops completed by big-core workers.
     pub big_ops: u64,
     /// Ops completed by little-core workers.
@@ -100,8 +99,7 @@ where
 {
     struct WorkerOut {
         big: bool,
-        ops: u64,
-        hist: Hist,
+        latencies: Vec<u64>,
         trace: Vec<WindowSample>,
     }
 
@@ -116,7 +114,7 @@ where
     let zoo = ZooConfig::quick(cfg.topology.clone(), cfg.threads, SEED);
     run_threads(&zoo, |w| {
         let mut state = setup(w);
-        let (mut ops, mut hist) = (0, Hist::new());
+        let mut latencies = Vec::new();
         loop {
             let start = now_ns();
             if start >= end {
@@ -124,15 +122,13 @@ where
             }
             let latency = op(w, &mut state);
             if start >= cfg.warmup_ns {
-                ops += 1;
-                hist.record(latency);
+                latencies.push(latency);
             }
         }
         drop(state);
         outs.lock().expect("collector poisoned")[w] = Some(WorkerOut {
             big: is_big_core(),
-            ops,
-            hist,
+            latencies,
             trace: take_window_trace(),
         });
     });
@@ -143,28 +139,23 @@ where
         .into_iter()
         .map(|o| o.expect("every worker reports"))
         .collect();
-    let (mut overall, mut big, mut little) = (Hist::new(), Hist::new(), Hist::new());
-    let (mut big_ops, mut little_ops) = (0u64, 0u64);
-    for o in &outs {
-        overall.merge(&o.hist);
-        if o.big {
-            big.merge(&o.hist);
-            big_ops += o.ops;
-        } else {
-            little.merge(&o.hist);
-            little_ops += o.ops;
-        }
-    }
+    let class = |big: bool| -> Vec<u64> {
+        let outs = outs.iter().filter(|o| o.big == big);
+        outs.flat_map(|o| o.latencies.iter().copied()).collect()
+    };
+    let (big, little) = (class(true), class(false));
+    let overall: Vec<u64> = big.iter().chain(&little).copied().collect();
+    let (big_ops, little_ops) = (big.len() as u64, little.len() as u64);
     let total_ops = big_ops + little_ops;
     RunResult {
         total_ops,
         throughput: total_ops as f64 * 1e9 / cfg.duration_ns.max(1) as f64,
-        overall,
-        big,
-        little,
+        overall: overall.into(),
+        big: big.into(),
+        little: little.into(),
         big_ops,
         little_ops,
-        per_worker_ops: outs.iter().map(|o| o.ops).collect(),
+        per_worker_ops: outs.iter().map(|o| o.latencies.len() as u64).collect(),
         window_traces: outs.into_iter().map(|o| o.trace).collect(),
         telemetry: asl_locks::telemetry::snapshots(),
     }
@@ -204,11 +195,11 @@ mod tests {
         let r = run_timed_with_setup(&cfg(8), |_| (), |_, ()| timed_work(UNITS));
         let ratio = Topology::apple_m1().perf_ratio() as u64;
         assert_eq!(
-            (r.big.min(), r.big.max()),
+            (r.big.percentile(0.0), r.big.max()),
             (UNITS + clock_ns, UNITS + clock_ns)
         );
         let little = ratio * UNITS + clock_ns;
-        assert_eq!((r.little.min(), r.little.max()), (little, little));
+        assert_eq!((r.little.percentile(0.0), r.little.max()), (little, little));
 
         // A worker's cycle is the op plus its three clock reads (the
         // runner's window check and the op's two): every worker of a
@@ -219,9 +210,51 @@ mod tests {
             assert!(ops.abs_diff(WINDOW_NS / cycle) <= 1, "worker {w}: {ops}");
         }
         assert_eq!(r.total_ops, r.big_ops + r.little_ops);
-        assert_eq!(r.overall.count(), r.total_ops);
+        assert_eq!(r.overall.len(), r.total_ops);
         assert_eq!(r.per_worker_ops.iter().sum::<u64>(), r.total_ops);
         assert_eq!(r.throughput, r.total_ops as f64 * 1e9 / WINDOW_NS as f64);
+    }
+
+    #[test]
+    fn tails_are_the_exact_nearest_rank_of_what_the_ops_returned() {
+        // Ops of drawn lengths, each logging the latency it returns, by
+        // class. With no warm-up every op the runner starts is
+        // measured, so each record must hold exactly the logged values
+        // and read the nearest-rank percentile of them, not a bucket's
+        // bound.
+        use crate::scenario::worker_rng;
+        use rand::Rng;
+        let nearest_rank = |mut v: Vec<u64>, p: f64| {
+            v.sort_unstable();
+            v[((p / 100.0 * v.len() as f64).ceil() as usize).max(1) - 1]
+        };
+        let logged = Mutex::new([Vec::new(), Vec::new()]);
+        let cfg = RunConfig {
+            warmup_ns: 0,
+            ..cfg(8)
+        };
+        let r = run_timed_with_setup(&cfg, worker_rng, |_, rng| {
+            let lat = timed_work(rng.gen_range(100..3_000));
+            logged.lock().unwrap()[usize::from(is_big_core())].push(lat);
+            lat
+        });
+        let [little, big] = logged.into_inner().unwrap();
+        let all: Vec<u64> = big.iter().chain(&little).copied().collect();
+        assert_eq!(r.overall.len(), all.len() as u64);
+        let classes = [
+            ("overall", &r.overall, all),
+            ("big", &r.big, big),
+            ("little", &r.little, little),
+        ];
+        for (class, record, logged) in classes {
+            for p in [50.0, 99.0, 99.9] {
+                assert_eq!(
+                    record.percentile(p),
+                    nearest_rank(logged.clone(), p),
+                    "{class} p{p}"
+                );
+            }
+        }
     }
 
     #[test]

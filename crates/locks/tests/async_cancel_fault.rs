@@ -59,7 +59,7 @@ fn poll_once<F: Future>(fut: &mut Pin<Box<F>>, waker: &Waker) -> Poll<F::Output>
 const POLICIES: [AsyncPolicy; 2] = [AsyncPolicy::Fifo, AsyncPolicy::Slo { slo_ns: 100_000 }];
 
 /// A heavy schedule: stalls fire every 4th poll, parks return
-/// spuriously, the coarse clock jumps.
+/// spuriously, the clock jumps forward on ~1 read in 8.
 fn adversarial_state(seed: u64) -> Arc<FaultState> {
     FaultState::new(
         FaultPlan::stalls(seed, 4, 2_000)

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use asl_core::epoch::{take_window_trace, with_epoch, WindowSample};
 use asl_locks::plain::PlainLock;
-use asl_runtime::stats::percentile;
+use asl_runtime::stats::Samples;
 use asl_runtime::topology::CoreKind;
 use asl_runtime::work::execute_units;
 
@@ -137,16 +137,17 @@ pub fn run_lock(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> ZooResult {
         .map(|t| topo.assignment_for_thread(t).kind == CoreKind::Big)
         .collect();
     let per_thread_ops: Vec<u64> = logs.iter().map(|(w, _)| w.len() as u64).collect();
-    let class_waits = |big: bool| -> Vec<u64> {
-        logs.iter()
-            .zip(&thread_is_big)
-            .filter(|(_, &b)| b == big)
-            .flat_map(|((w, _), _)| w.iter().copied())
-            .collect()
+    let waits = |class: Option<bool>| -> Samples {
+        let logs = logs.iter().zip(&thread_is_big);
+        let logs = logs.filter(|&(_, &big)| class.is_none() || class == Some(big));
+        Samples::from(
+            logs.flat_map(|((w, _), _)| w.iter().copied())
+                .collect::<Vec<_>>(),
+        )
     };
-    let (mut lat_big, mut lat_little) = (class_waits(true), class_waits(false));
-    let big_ops = lat_big.len() as u64;
-    let total_ops = big_ops + lat_little.len() as u64;
+    let (lat_big, lat_little, overall) = (waits(Some(true)), waits(Some(false)), waits(None));
+    let big_ops = lat_big.len();
+    let total_ops = overall.len();
 
     let handoffs = grants.windows(2).filter(|p| p[0] != p[1]);
     let crosses = |p: &&[u32]| topo.socket_of(core(p[0])) != topo.socket_of(core(p[1]));
@@ -159,7 +160,6 @@ pub fn run_lock(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> ZooResult {
         .max()
         .unwrap_or(0);
 
-    let mut overall: Vec<u64> = lat_big.iter().chain(&lat_little).copied().collect();
     ZooResult {
         total_ops,
         big_ops,
@@ -167,13 +167,13 @@ pub fn run_lock(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> ZooResult {
         per_thread_ops,
         thread_is_big,
         throughput: total_ops as f64 / (cfg.duration_ns as f64 / 1e9),
-        p50_big: percentile(&mut lat_big, 50.0),
-        p99_big: percentile(&mut lat_big, 99.0),
-        p50_little: percentile(&mut lat_little, 50.0),
-        p99_little: percentile(&mut lat_little, 99.0),
-        p99_overall: percentile(&mut overall, 99.0),
-        max_wait_big: lat_big.iter().copied().max().unwrap_or(0),
-        max_wait_little: lat_little.iter().copied().max().unwrap_or(0),
+        p50_big: lat_big.percentile(50.0),
+        p99_big: lat_big.percentile(99.0),
+        p50_little: lat_little.percentile(50.0),
+        p99_little: lat_little.percentile(99.0),
+        p99_overall: overall.percentile(99.0),
+        max_wait_big: lat_big.max(),
+        max_wait_little: lat_little.max(),
         handoffs_local,
         handoffs_remote,
         grants,

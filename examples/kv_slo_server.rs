@@ -25,7 +25,7 @@ use libasl::dbsim::openloop::{run_open_loop, OpenLoopConfig};
 use libasl::dbsim::Engine;
 use libasl::harness::locks::LockSpec;
 use libasl::harness::runner::{run_timed_with_setup, RunConfig};
-use libasl::harness::Hist;
+use libasl::runtime::stats::Samples;
 use libasl::runtime::Topology;
 
 fn serve(spec: &LockSpec) -> (f64, f64, f64) {
@@ -56,8 +56,8 @@ fn serve(spec: &LockSpec) -> (f64, f64, f64) {
     );
     (
         r.throughput,
-        r.overall.p99() as f64 / 1_000.0,
-        r.little.p99() as f64 / 1_000.0,
+        r.overall.percentile(99.0) as f64 / 1_000.0,
+        r.little.percentile(99.0) as f64 / 1_000.0,
     )
 }
 
@@ -143,13 +143,10 @@ fn serve_async(spec: &LockSpec) -> (f64, f64, f64) {
             ..OpenLoopConfig::default()
         },
     );
-    let mut hist = Hist::new();
-    for &l in &report.latencies_ns {
-        hist.record(l);
-    }
+    let latencies = Samples::from(report.latencies_ns);
     (
         report.throughput,
-        hist.p99() as f64 / 1_000.0,
-        hist.p999() as f64 / 1_000.0,
+        latencies.percentile(99.0) as f64 / 1_000.0,
+        latencies.percentile(99.9) as f64 / 1_000.0,
     )
 }

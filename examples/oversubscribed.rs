@@ -29,7 +29,7 @@ fn main() {
         &MicroScenario::bench1(&LockSpec::Pthread),
         threads,
     );
-    let anchor = pthread.overall.p99().max(1_000);
+    let anchor = pthread.overall.percentile(99.0).max(1_000);
     print_row("pthread", &pthread);
 
     let stp = run_micro(&profile, &MicroScenario::bench1(&LockSpec::McsStp), threads);
@@ -58,7 +58,7 @@ fn print_row(label: &str, r: &libasl::harness::runner::RunResult) {
         "{:<18} {:>12.0} {:>14.1} {:>14.1}",
         label,
         r.throughput,
-        r.overall.p99() as f64 / 1_000.0,
-        r.little.p99() as f64 / 1_000.0
+        r.overall.percentile(99.0) as f64 / 1_000.0,
+        r.little.percentile(99.0) as f64 / 1_000.0
     );
 }

@@ -26,7 +26,7 @@ fn main() {
     // Anchor the range on the FIFO tail (below it, SLOs are
     // infeasible and LibASL just behaves like MCS).
     let mcs = run_micro(&profile, &MicroScenario::bench1(&LockSpec::Mcs), 8);
-    let anchor = mcs.overall.p99().max(1_000);
+    let anchor = mcs.overall.percentile(99.0).max(1_000);
     println!("clock: virtual time on the simulator, 8 threads on a modeled M1\n");
     println!(
         "baseline MCS: {:.0} ops/s, P99 {:.1} us",
@@ -48,7 +48,7 @@ fn main() {
         );
         ProfileSample {
             throughput: r.throughput,
-            p99_ns: r.overall.p99(),
+            p99_ns: r.overall.percentile(99.0),
             telemetry,
         }
     });

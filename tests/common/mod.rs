@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 
 use libasl::dbsim::Engine;
 use libasl::locks::plain::PlainLock;
-use libasl::runtime::stats::percentile;
+use libasl::runtime::stats::Samples;
 use libasl::runtime::work::execute_units;
 use libasl::runtime::{is_big_core, now_ns};
 use libasl::sim::exec::{run_threads, ZooConfig, SIM_EPOCH_ID};
@@ -87,15 +87,16 @@ pub fn run(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> Cell {
         }
         waits.lock().expect("collector poisoned")[usize::from(is_big_core())].extend(mine);
     });
-    let [mut little, mut big] = waits.into_inner().expect("collector poisoned");
-    let mut all: Vec<u64> = big.iter().chain(&little).copied().collect();
+    let [little, big] = waits.into_inner().expect("collector poisoned");
+    let all = Samples::from(big.iter().chain(&little).copied().collect::<Vec<_>>());
+    let (big, little) = (Samples::from(big), Samples::from(little));
     Cell {
         throughput: all.len() as f64 / (cfg.duration_ns as f64 / 1e9),
-        big_ops: big.len() as u64,
-        little_ops: little.len() as u64,
-        p99_big: percentile(&mut big, 99.0),
-        p99_little: percentile(&mut little, 99.0),
-        p99_overall: percentile(&mut all, 99.0),
+        big_ops: big.len(),
+        little_ops: little.len(),
+        p99_big: big.percentile(99.0),
+        p99_little: little.percentile(99.0),
+        p99_overall: all.percentile(99.0),
     }
 }
 

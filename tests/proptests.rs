@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use libasl::dbsim::LockFactory;
 use libasl::harness::locks::LockSpec;
-use libasl::harness::Hist;
 use libasl::locks::plain::PlainLock;
+use libasl::runtime::stats::Samples;
 use libasl::runtime::Topology;
 use libasl::sim::ZooConfig;
 use proptest::prelude::*;
@@ -18,7 +18,7 @@ fn mcs_factory() -> impl LockFactory {
     || -> Arc<dyn PlainLock> { Arc::new(libasl::locks::McsLock::new()) }
 }
 
-/// Naive exact percentile for cross-checking the histogram.
+/// Naive exact percentile: the oracle for the latency record.
 fn exact_percentile(values: &mut [u64], p: f64) -> u64 {
     values.sort_unstable();
     let rank = ((p / 100.0) * values.len() as f64).ceil().max(1.0) as usize;
@@ -29,51 +29,43 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn hist_percentiles_match_exact_within_bucket_error(
-        mut values in prop::collection::vec(1u64..1_000_000_000, 1..500),
-        p in 1.0f64..100.0,
+    fn samples_percentile_is_nearest_rank(
+        mut values in prop::collection::vec(0u64..1_000_000_000, 1..500),
+        tenths in 0u32..1_001,
     ) {
-        let mut h = Hist::new();
-        for &v in &values {
-            h.record(v);
-        }
-        let approx = h.percentile(p) as f64;
-        let exact = exact_percentile(&mut values, p) as f64;
-        // Log-linear buckets with 32 sub-buckets: <= ~3.5% relative
-        // error (plus nothing for exact small values).
-        let err = (approx - exact).abs() / exact.max(1.0);
-        prop_assert!(err < 0.04, "p{p:.1}: approx {approx} vs exact {exact} (err {err:.4})");
+        let p = f64::from(tenths) / 10.0;
+        let s = Samples::from(values.clone());
+        prop_assert_eq!(s.percentile(p), exact_percentile(&mut values, p));
+        prop_assert_eq!(s.max(), *values.last().unwrap());
     }
 
     #[test]
-    fn hist_merge_is_sum(
+    fn samples_from_two_halves_in_either_order_are_one_record(
         a in prop::collection::vec(1u64..1_000_000, 0..200),
         b in prop::collection::vec(1u64..1_000_000, 0..200),
     ) {
-        let mut ha = Hist::new();
-        let mut hb = Hist::new();
-        let mut hall = Hist::new();
-        for &v in &a { ha.record(v); hall.record(v); }
-        for &v in &b { hb.record(v); hall.record(v); }
-        ha.merge(&hb);
-        prop_assert_eq!(ha.count(), hall.count());
-        prop_assert_eq!(ha.min(), hall.min());
-        prop_assert_eq!(ha.max(), hall.max());
-        prop_assert_eq!(ha.percentile(99.0), hall.percentile(99.0));
+        let ab = Samples::from(a.iter().chain(&b).copied().collect::<Vec<_>>());
+        let ba = Samples::from(b.iter().chain(&a).copied().collect::<Vec<_>>());
+        prop_assert_eq!(ab.len(), (a.len() + b.len()) as u64);
+        prop_assert_eq!(ab.percentile(99.0), ba.percentile(99.0));
+        prop_assert_eq!(ab, ba);
     }
 
     #[test]
-    fn hist_cdf_is_monotone(values in prop::collection::vec(1u64..1_000_000_000, 1..300)) {
-        let mut h = Hist::new();
-        for &v in &values { h.record(v); }
-        let cdf = h.cdf();
-        prop_assert!(!cdf.is_empty());
-        let mut prev = (0u64, 0.0f64);
-        for (v, f) in cdf {
-            prop_assert!(v >= prev.0 && f >= prev.1);
-            prev = (v, f);
+    fn samples_fraction_at_or_below_is_monotone_and_ends_at_one(
+        values in prop::collection::vec(1u64..1_000_000_000, 1..300),
+    ) {
+        let s = Samples::from(values.clone());
+        let max = s.max();
+        let mut prev = 0.0f64;
+        for i in 0..=64u64 {
+            let f = s.fraction_at_or_below(max / 64 * i);
+            let below = values.iter().filter(|&&v| v <= max / 64 * i).count();
+            prop_assert_eq!(f, below as f64 / values.len() as f64);
+            prop_assert!(f >= prev);
+            prev = f;
         }
-        prop_assert!((prev.1 - 1.0).abs() < 1e-9);
+        prop_assert_eq!(s.fraction_at_or_below(max), 1.0);
     }
 
     #[test]
