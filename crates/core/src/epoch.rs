@@ -58,9 +58,9 @@
 //! start sit in const-initialised `Cell`s, and the 128-entry table and
 //! the nesting stack behind them are touched only when a thread
 //! changes epoch id or nests. **On a little core only**, add two
-//! [`now_ns`] reads (one cycle-counter read each where the host has a
-//! trusted one — see [`asl_runtime::clock`]; 16 virtual ns the pair on
-//! the modeled machine, `core.epoch_vns`) and the two stores of the
+//! [`now_ns`] reads (one `clock_gettime` each — see
+//! [`asl_runtime::clock`]; 16 virtual ns the pair on the modeled
+//! machine, `core.epoch_vns`) and the two stores of the
 //! entry they produce (start, then window).
 //!
 //! The store count is the point, not a detail. `epoch_start` used to

@@ -135,10 +135,9 @@ impl<L: RawLock, W: WaitPolicy> AslLock<L, W> {
     /// in nanoseconds (paper `lock_reorder`).
     ///
     /// Clock budget (the paper allots ~45 cycles per `clock_gettime`
-    /// and spends them sparingly; a read here is one cycle-counter
-    /// read, ~30 cycles, where the host has a trusted counter and a
-    /// `clock_gettime` where not — see [`asl_runtime::clock`]): one
-    /// read anchoring the reorder-window deadline, taken only when
+    /// and spends them sparingly; a read here is one `clock_gettime`,
+    /// see [`asl_runtime::clock`]): one read anchoring the
+    /// reorder-window deadline, taken only when
     /// there is a window to honour, plus the reads of the
     /// [`asl_runtime::clock::Deadline`] the standby wait checks it
     /// through — the first two polls (so the first re-reads the clock

@@ -143,7 +143,7 @@ fn push_join_row(t: &mut Table, profile: &Profile, placement: &str, worker_cpu: 
     kv.prefill(1);
     let exec = pinned(worker_cpu, || Executor::new(1));
     // The counters are the joining thread's own: read them on it.
-    let (mut burst_ns, parks, spin_hits) = pinned(0, || {
+    let (burst_ns, parks, spin_hits) = pinned(0, || {
         let mut rng = SmallRng::seed_from_u64(0x0A51_0300);
         let dist = KeyDist::Zipfian(Zipfian::new(kv.keyspace(), YCSB_THETA));
         let mix = Mix::ycsb_a();
@@ -167,13 +167,13 @@ fn push_join_row(t: &mut Table, profile: &Profile, placement: &str, worker_cpu: 
         let parks = after.parks - before.parks;
         (burst_ns, parks, after.spin_hits - before.spin_hits)
     });
-    burst_ns.sort_unstable();
-    let joins = burst_ns.len() as u64 * JOIN_BURST;
+    let bursts = Samples::from(burst_ns);
+    let joins = bursts.len() * JOIN_BURST;
     let per_join = |count: u64| format!("{:.4}", count as f64 / joins as f64);
     t.push_row(vec![
         placement.into(),
-        burst_ns.len().to_string(),
-        (burst_ns[burst_ns.len() / 2] / JOIN_BURST).to_string(),
+        bursts.len().to_string(),
+        (bursts.percentile(50.0) / JOIN_BURST).to_string(),
         per_join(parks),
         per_join(spin_hits),
     ]);

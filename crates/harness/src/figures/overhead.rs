@@ -29,11 +29,11 @@ use asl_locks::api::Guard;
 use asl_locks::plain::{PlainLock, RwTokenWords, TokenWords};
 use asl_locks::telemetry::{self, Instrumented};
 use asl_locks::{RawLock, RawRwLock};
-use asl_runtime::clock::{self, now_ns};
+use asl_runtime::clock::now_ns;
 
 use super::Profile;
 use crate::locks::{registry, LockSink, LockSpec};
-use crate::report::{host_clock_note, Table};
+use crate::report::Table;
 
 /// The access layers measured, in column order (also the `@layer=`
 /// suffixes in `BENCH_overhead.json`).
@@ -205,16 +205,9 @@ fn static_leg(spec: &LockSpec, m: &Meter) -> Leg {
 /// Build the overhead table for an explicit spec list (unit tests use
 /// a short list; the figure driver passes the whole registry).
 pub(crate) fn overhead_table(m: &Meter, specs: &[LockSpec]) -> Table {
-    // The instr-on, `gcr-` and `libasl-` cells contain clock reads, and
-    // a young process serves them from the fallback clock at twice the
-    // price: every row is measured on the clock the header names.
-    clock::settle();
     let mut t = Table::new(
         "overhead",
-        &format!(
-            "uncontended acquire+release latency (ns/op, 1 thread) per access layer; {}",
-            host_clock_note()
-        ),
+        "uncontended acquire+release latency (ns/op, 1 thread) per access layer",
         &[
             "lock",
             "static_ns",

@@ -181,10 +181,10 @@ mod tests {
     fn mcs_abandon_chain_is_adopted() {
         let l = Arc::new(McsLock::new());
         let held = l.lock();
-        let settle = || std::thread::sleep(std::time::Duration::from_millis(5));
+        let pause = || std::thread::sleep(std::time::Duration::from_millis(5));
         let live = |l: Arc<McsLock>| {
             let waiter = std::thread::spawn(move || l.unlock(l.lock()));
-            settle();
+            pause();
             waiter
         };
         // An untimed head in front, so the three behind it are queued
@@ -195,7 +195,7 @@ mod tests {
                 let l = l.clone();
                 let a = std::thread::spawn(move || assert!(l.try_lock_for(ms(20)).is_none()));
                 // Order the enqueues.
-                settle();
+                pause();
                 a
             })
             .collect();

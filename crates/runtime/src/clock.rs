@@ -5,42 +5,26 @@
 //! monotonic nanosecond counter anchored at process start, plus
 //! busy-wait and nanosleep helpers used by the lock implementations.
 //!
-//! ## Where the host reading comes from
+//! ## The host clock
 //!
-//! One rule, applied once per process, with no way to set it from
-//! outside: on x86-64 Linux, when the kernel itself runs its clock
-//! off the TSC (`current_clocksource` is `tsc` — it has checked that
-//! the counter is invariant and synchronised across CPUs), [`now_ns`]
-//! is one `rdtsc`, a multiply and a shift (~15 ns on the reference
-//! host). Everywhere else — another architecture or OS, a kernel that
-//! distrusts the counter, a calibration that came out implausible —
-//! it is the single fallback: `Instant::elapsed`, i.e. one vDSO
-//! `clock_gettime` plus 128-bit nanosecond arithmetic (~30 ns).
-//! [`source`] says which one is serving.
+//! One source on every platform, with no way to set it from outside:
+//! the time elapsed since one process-origin [`Instant`], which the
+//! process's first read takes. A read is one vDSO `clock_gettime` plus
+//! `Instant::elapsed`'s nanosecond arithmetic: 34–45 ns on the
+//! reference host (2-CPU x86-64 container), and ≈ 0.6 µs for a
+//! process's first read, which also takes the origin.
 //!
-//! The counter's rate is measured against the fallback, without
-//! spinning: the first read takes an anchor pair (counter, fallback
-//! ns), reads keep being served by the fallback, and the first read
-//! at least [`CALIBRATION_SPAN_NS`] later takes a second pair, derives
-//! a fixed-point ns-per-tick multiplier from the two and switches the
-//! process over *at that anchor*, so the timeline continues where the
-//! fallback left it. A process younger than the span therefore still
-//! reads the fallback ([`settle`] waits that out, for measurements
-//! that would otherwise mix the two prices).
-//!
-//! Contract (both sources): nanoseconds since the first read of the
-//! process; **per-thread monotonic**.
-//! Across threads a timestamp handed over through a Release/Acquire
-//! pair can read later than the receiver's next reading by at most
-//! [`CROSS_THREAD_SLACK_NS`] (`rdtsc` is not a serialising instruction
-//! and may execute ahead of the acquiring load; around the one-time
-//! switch a thread may also serve one last fallback reading, which
-//! trails the counter's timeline by the width of the anchor read), so
-//! every cross-thread consumer subtracts with `saturating_sub`.
+//! Contract: nanoseconds since the first read of the process,
+//! monotonic on every thread. `Instant` is the OS's monotonic clock,
+//! so a timestamp handed to another thread through a Release/Acquire
+//! pair does not read later than the receiver's next reading; the
+//! cross-thread consumers still subtract with `saturating_sub`, so a
+//! platform whose monotonic clock is not synchronised across CPUs
+//! costs a latency sample, never a wrapped one.
 //!
 //! ## Deadlines in wait loops
 //!
-//! [`now_ns`] is the one clock — one counter read per call. That is
+//! [`now_ns`] is the one clock — one `clock_gettime` per call. That is
 //! cheap enough for once-per-acquisition timestamps but not for a
 //! deadline check on every poll: a standby competitor polling a
 //! reorder window would spend as many cycles reading the clock as
@@ -53,247 +37,15 @@
 //! that anchors a measurement or a deadline reads [`now_ns`] itself,
 //! once.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Least distance between the two anchor pairs the counter's rate is
-/// derived from. An anchor read is good to a few tens of nanoseconds,
-/// so 1 ms puts the rate within ~0.01 % — and the switch happens on
-/// whichever read first finds the span elapsed, never by waiting.
-pub const CALIBRATION_SPAN_NS: u64 = 1_000_000;
-
-/// Most by which a timestamp received from another thread (through a
-/// Release/Acquire pair) can exceed the receiver's own next reading;
-/// see the module docs for where the slack comes from.
-pub const CROSS_THREAD_SLACK_NS: u64 = 1_000;
-
-/// The hardware cycle counter, where this build can read one.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-mod counter {
-    /// Whether the kernel keeps its own time with this counter — the
-    /// only evidence taken that it is invariant and synchronised.
-    pub fn trusted() -> bool {
-        std::fs::read_to_string("/sys/devices/system/clocksource/clocksource0/current_clocksource")
-            .is_ok_and(|s| s.trim() == "tsc")
-    }
-
-    #[inline(always)]
-    pub fn read() -> u64 {
-        // SAFETY: `rdtsc` has no memory operands and no preconditions
-        // beyond being permitted in user mode, which a kernel serving
-        // `clock_gettime` from the vDSO off the TSC relies on too
-        // (`trusted` gates every call).
-        unsafe { core::arch::x86_64::_rdtsc() }
-    }
-}
-
-#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-mod counter {
-    pub fn trusted() -> bool {
-        false
-    }
-
-    pub fn read() -> u64 {
-        0
-    }
-}
-
-/// `HOST.source`: the fallback is serving and the counter may yet take over.
-const PENDING: u8 = 0;
-/// `HOST.source`: the counter is serving (the calibration fields are set).
-const COUNTER: u8 = 1;
-/// `HOST.source`: the fallback is serving for good.
-const FALLBACK: u8 = 2;
-
-/// Which clock serves, and the counter's calibration. One static, so
-/// position-independent code reaches all of it through one address.
-struct HostClock {
-    source: AtomicU8,
-    /// The anchor the counter's timeline starts from, and its rate as
-    /// a 32.32 fixed-point count of nanoseconds per tick. Written
-    /// once, before the Release store of `COUNTER` into `source`;
-    /// readers load `source` with Acquire first.
-    base_ticks: AtomicU64,
-    base_ns: AtomicU64,
-    ns_per_tick_q32: AtomicU64,
-}
-
-static HOST: HostClock = HostClock {
-    source: AtomicU8::new(PENDING),
-    base_ticks: AtomicU64::new(0),
-    base_ns: AtomicU64::new(0),
-    ns_per_tick_q32: AtomicU64::new(0),
-};
-/// Claimed by the one thread that takes the second anchor.
-static SWITCHING: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    /// The last fallback reading this thread returned while the source
-    /// was still pending. Counter readings are clamped to it, which is
-    /// what makes the switch monotonic on every thread whatever a
-    /// preemption between two instructions does to the timing.
-    static FALLBACK_FLOOR: Cell<u64> = const { Cell::new(0) };
-}
-
-/// An anchor pair: a counter reading and the fallback's nanoseconds at
-/// (just after) it.
-type Anchor = (u64, u64);
-
-/// Process origin of the timeline, plus the first calibration anchor
-/// when the counter is a candidate.
-struct Origin {
-    instant: Instant,
-    first: Option<Anchor>,
-}
-
-impl Origin {
-    #[inline]
-    fn elapsed_ns(&self) -> u64 {
-        self.instant.elapsed().as_nanos() as u64
-    }
-
-    /// Read the counter, then the fallback, keeping the tightest of a
-    /// few attempts; `None` if something (an interrupt, a preemption)
-    /// got between the two reads every time. Taking the counter
-    /// *first* biases the counter's timeline ahead of the fallback's,
-    /// never behind.
-    fn anchor(&self) -> Option<Anchor> {
-        /// ~0.1–0.25 µs: several undisturbed read pairs wide.
-        const MAX_BRACKET_TICKS: u64 = 500;
-        (0..4)
-            .map(|_| {
-                let before = counter::read();
-                let ns = self.elapsed_ns();
-                (counter::read().wrapping_sub(before), (before, ns))
-            })
-            .filter(|(width, _)| *width <= MAX_BRACKET_TICKS)
-            .min_by_key(|(width, _)| *width)
-            .map(|(_, anchor)| anchor)
-    }
-}
-
-fn origin() -> &'static Origin {
-    static ORIGIN: OnceLock<Origin> = OnceLock::new();
-    ORIGIN.get_or_init(|| {
-        let trusted = counter::trusted();
-        let mut origin = Origin {
-            instant: Instant::now(),
-            first: None,
-        };
-        if trusted {
-            origin.first = origin.anchor();
-        }
-        if origin.first.is_none() {
-            HOST.source.store(FALLBACK, Ordering::Relaxed);
-        }
-        origin
-    })
-}
-
-#[inline]
-fn ticks_to_ns(ticks: u64, ns_per_tick_q32: u64) -> u64 {
-    ((u128::from(ticks) * u128::from(ns_per_tick_q32)) >> 32) as u64
-}
-
-/// The host clock behind [`now_ns`] and [`os_now_ns`].
+/// The host clock behind [`now_ns`] and [`os_now_ns`]: nanoseconds
+/// since the process origin, which the first call takes.
 #[inline]
 fn host_now_ns() -> u64 {
-    if HOST.source.load(Ordering::Acquire) == COUNTER {
-        // Saturating: another CPU's counter may trail the anchoring
-        // CPU's by a few ticks right after the switch.
-        let ticks = counter::read().saturating_sub(HOST.base_ticks.load(Ordering::Relaxed));
-        let ns = HOST.base_ns.load(Ordering::Relaxed)
-            + ticks_to_ns(ticks, HOST.ns_per_tick_q32.load(Ordering::Relaxed));
-        return ns.max(FALLBACK_FLOOR.with(Cell::get));
-    }
-    fallback_or_switch()
-}
-
-/// Serve one reading from the fallback; while the source is pending,
-/// also see whether this read is the one that can switch it.
-#[cold]
-#[inline(never)]
-fn fallback_or_switch() -> u64 {
-    let origin = origin();
-    let ns = origin.elapsed_ns();
-    if HOST.source.load(Ordering::Relaxed) == PENDING {
-        if let Some(first) = origin.first {
-            if ns.saturating_sub(first.1) >= CALIBRATION_SPAN_NS {
-                switch_to_counter(origin, first);
-            }
-        }
-        FALLBACK_FLOOR.with(|f| f.set(ns));
-    }
-    ns
-}
-
-/// Take the second anchor and move the process onto the counter — or,
-/// if the rate it implies is not a clock's, onto the fallback for
-/// good. A disturbed anchor read leaves the source pending for the
-/// next read to retry.
-fn switch_to_counter(origin: &Origin, (ticks0, ns0): Anchor) {
-    if SWITCHING.swap(true, Ordering::Acquire) {
-        return;
-    }
-    let Some((ticks1, ns1)) = origin.anchor() else {
-        SWITCHING.store(false, Ordering::Release);
-        return;
-    };
-    let ticks = ticks1.wrapping_sub(ticks0);
-    let q32 = (u128::from(ns1 - ns0) << 32) / u128::from(ticks.max(1));
-    // 50 MHz to 20 GHz.
-    if ((1u128 << 32) / 20..=(20u128 << 32)).contains(&q32) {
-        HOST.base_ticks.store(ticks1, Ordering::Relaxed);
-        HOST.base_ns.store(ns1, Ordering::Relaxed);
-        HOST.ns_per_tick_q32.store(q32 as u64, Ordering::Relaxed);
-        HOST.source.store(COUNTER, Ordering::Release);
-    } else {
-        HOST.source.store(FALLBACK, Ordering::Relaxed);
-    }
-}
-
-/// Which host clock is serving [`now_ns`] right now: `"tsc"` (the
-/// cycle counter) or `"os"` (the fallback). A process reads `"os"`
-/// until its calibration span has elapsed, and for good where the
-/// counter is not trusted; it never goes back from `"tsc"`.
-pub fn source() -> &'static str {
-    if HOST.source.load(Ordering::Relaxed) == COUNTER {
-        "tsc"
-    } else {
-        "os"
-    }
-}
-
-/// The calibrated counter rate in ticks per nanosecond (GHz), once
-/// [`source`] is `"tsc"`.
-pub fn ticks_per_ns() -> Option<f64> {
-    (HOST.source.load(Ordering::Acquire) == COUNTER)
-        .then(|| (1u64 << 32) as f64 / HOST.ns_per_tick_q32.load(Ordering::Relaxed) as f64)
-}
-
-/// Read the clock until this process's source is decided — at once
-/// where the counter is not a candidate, within a few
-/// [`CALIBRATION_SPAN_NS`] where it is. For measurements whose cells
-/// contain clock reads (the `overhead` figure, the clock's own tests):
-/// they should not straddle the switch and mix two prices. Nothing on
-/// a lock path calls this.
-pub fn settle() {
-    let t0 = Instant::now();
-    while HOST.source.load(Ordering::Relaxed) == PENDING
-        && t0.elapsed().as_nanos() < 20 * u128::from(CALIBRATION_SPAN_NS)
-    {
-        host_now_ns();
-    }
-}
-
-/// The fallback reading itself (`Instant` since the process origin),
-/// whichever source is serving — the reference the counter's timeline
-/// is checked against, and the clock of every host [`source`] calls
-/// `"os"`.
-pub fn fallback_now_ns() -> u64 {
-    origin().elapsed_ns()
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// Monotonic nanoseconds since process start. Cheap enough to call in
@@ -327,11 +79,10 @@ pub fn os_now_ns() -> u64 {
 }
 
 /// Most checks a [`Deadline`] skips between two clock reads. A read
-/// is ~15 ns with the cycle counter serving (~30 ns on the fallback);
-/// one read per 16 polls keeps a spin loop's clock cost to about a
-/// nanosecond a poll, and the overrun, should polls suddenly get
-/// slower, to at most 15 polls — noise against reorder windows of
-/// tens of microseconds.
+/// is 34–45 ns on the reference host; one read per 16 polls keeps a
+/// spin loop's clock cost to two or three nanoseconds a poll, and the
+/// overrun, should polls suddenly get slower, to at most 15 polls —
+/// noise against reorder windows of tens of microseconds.
 const DEADLINE_MAX_SKIP: u32 = 15;
 
 /// An absolute [`now_ns`] deadline as a wait loop checks it: call
@@ -474,40 +225,13 @@ pub const fn ms(n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn monotonic() {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn ticks_scale_by_the_q32_rate() {
-        // 2.1 GHz: 1/2.1 ns per tick.
-        let q32 = ((1u128 << 32) * 10 / 21) as u64;
-        assert_eq!(ticks_to_ns(0, q32), 0);
-        assert_eq!(ticks_to_ns(2_100, q32), 999);
-        // A year of ticks neither overflows nor drifts by a tenth of a
-        // second (the rate is good to 2^-32 ns per tick).
-        let year_ticks = 2_100_000_000u64 * 86_400 * 365;
-        let year_ns = 1_000_000_000u64 * 86_400 * 365;
-        assert!(ticks_to_ns(year_ticks, q32).abs_diff(year_ns) < 100_000_000);
-    }
-
-    #[test]
-    fn the_source_is_decided_within_a_few_spans() {
-        // Where the counter is trusted it takes over, elsewhere the
-        // fallback stays.
-        settle();
-        assert_eq!(source() == "tsc", counter::trusted());
-        assert_eq!(ticks_per_ns().is_some(), counter::trusted());
-        if let Some(rate) = ticks_per_ns() {
-            assert!((0.05..=20.0).contains(&rate), "implausible rate {rate}");
-        }
-        // Whichever serves, the two timelines share an origin.
-        let (c, f) = (now_ns(), fallback_now_ns());
-        assert!(c.abs_diff(f) <= f / 1_000 + CROSS_THREAD_SLACK_NS);
     }
 
     #[test]

@@ -85,7 +85,7 @@ const CALIBRATION_BLOCKS: usize = 12;
 /// without charging its virtual clock or caching the simulator's
 /// exchange rate for the whole process. It times
 /// `CALIBRATION_BLOCKS` blocks of `CALIBRATION_BLOCK` units and keeps
-/// the fastest: ≈ 0.14 ms in all.
+/// the fastest: ≈ 0.10 ms in all.
 ///
 /// The blocks are short on purpose. A slow block is not the loop's
 /// cost but a preemption, a migration or a co-tenant on the same
@@ -105,10 +105,8 @@ const CALIBRATION_BLOCKS: usize = 12;
 ///
 /// Every reading of the first three shapes is within 10 %. The short
 /// blocks read ≈ 1 % low in the median, and part of that is the
-/// clock: the whole calibration runs inside the process's first
-/// [`crate::clock::CALIBRATION_SPAN_NS`] (1 ms), while
-/// [`crate::clock::os_now_ns`] is still served by the `Instant`
-/// fallback, and one such read (≈ 30 ns) is ≈ 0.4 % of an 8 µs block.
+/// clock: one [`crate::clock::os_now_ns`] read (≈ 35 ns) is ≈ 0.4 %
+/// of an 8 µs block.
 pub fn units_per_us() -> f64 {
     static CAL: OnceLock<f64> = OnceLock::new();
     *CAL.get_or_init(|| {

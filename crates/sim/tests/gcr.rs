@@ -24,14 +24,18 @@
 //!   the adaptive `K` down, by an exact count;
 //! * **host independence** — a default `K` is sized by the thread that
 //!   engages, from the *modeled* machine, so a simulated cell reads
-//!   the same on any host.
+//!   the same on any host;
+//! * **abandoned-slot hand-over** — a slot a departing thread leaves
+//!   behind reaches a parked waiter within `SPARE_STREAK + 2` releases
+//!   of the threads still cycling, counted exactly.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use asl_locks::api::DynLock;
-use asl_locks::gcr::{Gcr, GcrConfig};
+use asl_locks::api::{DynLock, Guard};
+use asl_locks::gcr::{Gcr, GcrConfig, PASSIVE_RESCUE_BOUND, SPARE_STREAK};
 use asl_locks::{McsLock, RawLock};
+use asl_runtime::clock::{busy_wait_ns, nanosleep_ns, now_ns};
 use asl_runtime::work::execute_units;
 use asl_runtime::Topology;
 use asl_sim::exec::{run_threads, ZooConfig};
@@ -263,4 +267,76 @@ fn waiting_four_times_holding_shrinks_k() {
     assert!(lock.shrinks() >= 1, "queueing never shrank K: {moves:?}");
     assert_eq!(moves, (0, 4, 4), "(grows, shrinks, K) moved");
     assert_eq!(r.total_ops, 1_197);
+}
+
+/// A slot abandoned by a departing thread is handed over while others
+/// still release. K = 2: B holds, A is admitted behind it, C finds the
+/// gate full and parks. B leaves for good. From then on every release
+/// of A sees a slot besides its own free with C parked, and on OS
+/// threads the `SPARE_STREAK`-th unparks C. A simulated park is a
+/// bounded virtual wait (`CostModel::park_ns`), after which C re-checks
+/// for headroom itself, so here it gets in right behind A's first
+/// release. Either way C holds the lock within `SPARE_STREAK + 2`
+/// releases of A, long before its 50 ms timer. The script is one
+/// schedule, so the count and the wait are exact.
+#[test]
+fn an_abandoned_slot_is_handed_over_by_a_releaser() {
+    const B: usize = 0;
+    const A: usize = 1;
+    let lock = Gcr::with_config(
+        McsLock::new(),
+        GcrConfig {
+            // No fairness pulse: only the hand-over can admit C.
+            reintroduce_period: u32::MAX,
+            ..GcrConfig::fixed(2)
+        },
+    );
+    let wait_for = |cond: &dyn Fn() -> bool| {
+        while !cond() {
+            busy_wait_ns(1_000);
+        }
+    };
+    let a_releases = AtomicU64::new(0);
+    let c_done = AtomicBool::new(false);
+    // When B left; when C got in, and A's releases by then.
+    let b_left = AtomicU64::new(0);
+    let c_in = Mutex::new(None);
+    run_threads(&cfg(3), |tid| match tid {
+        B => {
+            let held = lock.lock();
+            wait_for(&|| lock.passive_len() == 1);
+            lock.unlock(held);
+            b_left.store(now_ns(), Ordering::Relaxed);
+        }
+        A => {
+            // Arrive behind B.
+            busy_wait_ns(1_000);
+            while !c_done.load(Ordering::Relaxed) {
+                drop(Guard::new(&lock));
+                a_releases.fetch_add(1, Ordering::Relaxed);
+                // "Cycles slowly": the lock is free most of the time.
+                nanosleep_ns(200_000);
+            }
+        }
+        _ => {
+            wait_for(&|| lock.active() == 2);
+            let held = Guard::new(&lock);
+            *c_in.lock().unwrap() = Some((now_ns(), a_releases.load(Ordering::Relaxed)));
+            drop(held);
+            c_done.store(true, Ordering::Relaxed);
+        }
+    });
+    let (c_in, a_had_released) = c_in.into_inner().unwrap().expect("C got in");
+    let waited = c_in - b_left.load(Ordering::Relaxed);
+    assert!(
+        a_had_released <= u64::from(SPARE_STREAK) + 2,
+        "C got in only after {a_had_released} releases of A"
+    );
+    assert!(
+        u128::from(waited) < PASSIVE_RESCUE_BOUND.as_nanos(),
+        "C waited {waited} virtual ns: that is its own timer, not a releaser"
+    );
+    assert_eq!((a_had_released, waited), (1, 2_677), "the schedule moved");
+    assert_eq!((lock.active(), lock.passive_len()), (0, 0));
+    assert!(lock.peak_active() <= 2, "hand-over admitted over K");
 }

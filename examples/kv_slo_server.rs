@@ -24,11 +24,14 @@ use libasl::dbsim::kyoto::Kyoto;
 use libasl::dbsim::openloop::{run_open_loop, OpenLoopConfig};
 use libasl::dbsim::Engine;
 use libasl::harness::locks::LockSpec;
+use libasl::harness::report::fmt_p99;
 use libasl::harness::runner::{run_timed_with_setup, RunConfig};
 use libasl::runtime::stats::Samples;
 use libasl::runtime::Topology;
 
-fn serve(spec: &LockSpec) -> (f64, f64, f64) {
+/// Run the Kyoto-like engine under `spec`; returns ops/s and the
+/// latency samples of all requests and of the little cores' alone.
+fn serve(spec: &LockSpec) -> (f64, Samples, Samples) {
     let engine = Arc::new(Kyoto::with_default_size(spec));
     let cfg = RunConfig {
         topology: Topology::apple_m1(),
@@ -54,11 +57,7 @@ fn serve(spec: &LockSpec) -> (f64, f64, f64) {
             }
         },
     );
-    (
-        r.throughput,
-        r.overall.percentile(99.0) as f64 / 1_000.0,
-        r.little.percentile(99.0) as f64 / 1_000.0,
-    )
+    (r.throughput, r.overall, r.little)
 }
 
 fn main() {
@@ -69,31 +68,40 @@ fn main() {
     );
 
     // Baseline: FIFO MCS.
-    let (thpt, p99, lp99) = serve(&LockSpec::Mcs);
-    println!("{:<16} {:>14.0} {:>16.1} {:>16.1}", "mcs", thpt, p99, lp99);
-    let anchor = (p99 * 1_000.0) as u64;
+    let (thpt, all, little) = serve(&LockSpec::Mcs);
+    println!(
+        "{:<16} {:>14.0} {:>16} {:>16}",
+        "mcs",
+        thpt,
+        fmt_p99(&all),
+        fmt_p99(&little)
+    );
+    let anchor = all.percentile(99.0);
 
     // LibASL at a tight and a loose SLO (anchored on the MCS tail).
     for (label, slo) in [
         ("libasl (tight)", anchor * 3 / 2),
         ("libasl (loose)", anchor * 4),
     ] {
-        let (thpt, p99, lp99) = serve(&LockSpec::asl(Some(slo)));
+        let (thpt, all, little) = serve(&LockSpec::asl(Some(slo)));
         println!(
-            "{:<16} {:>14.0} {:>16.1} {:>16.1}   (SLO {} us)",
+            "{:<16} {:>14.0} {:>16} {:>16}   (SLO {} us)",
             label,
             thpt,
-            p99,
-            lp99,
+            fmt_p99(&all),
+            fmt_p99(&little),
             slo / 1_000
         );
     }
 
     // LibASL-MAX: throughput first, latency unconstrained.
-    let (thpt, p99, lp99) = serve(&LockSpec::asl(None));
+    let (thpt, all, little) = serve(&LockSpec::asl(None));
     println!(
-        "{:<16} {:>14.0} {:>16.1} {:>16.1}",
-        "libasl-max", thpt, p99, lp99
+        "{:<16} {:>14.0} {:>16} {:>16}",
+        "libasl-max",
+        thpt,
+        fmt_p99(&all),
+        fmt_p99(&little)
     );
 
     println!("\nexpected shape: LibASL trades little-core tail latency (up to its SLO)");
