@@ -53,8 +53,8 @@
 //!    and two more per acquisition that waited; any other hold pays a
 //!    holder-owned countdown store. Reference host, `instrumented-mcs`
 //!    over the two-RMW MCS of the time: 63 ns a round with every hold
-//!    bracketed, 23 sampled, 15 gate off; over the lock-word MCS, 12
-//!    sampled and 8 off.
+//!    bracketed, 23 sampled, 15 gate off; over the lock-word MCS with
+//!    34 ns clock reads, 13.4 sampled and 9.7 off.
 //!    A cell with sampling on is armed even when the global gate is
 //!    off (local intent wins).
 //!
@@ -243,11 +243,12 @@ pub struct TelemetryCell {
 /// One exclusive hold in this many, on average, is timed by
 /// [`TelemetryCell::sample_hold_start`]: after a timed hold it skips a
 /// number of holds drawn uniformly from `0..=2 * (STRIDE - 1)`. Drawn,
-/// not fixed — a fixed stride aliases with periodic work (at 16,
+/// not fixed — a fixed stride aliases with periodic work (at 32,
 /// SQLite's every-1000th scan is timed eight times too often or never)
 /// — and from a constant seed by the holder alone, so which holds are
-/// timed is a pure function of the grant order.
-pub const HOLD_SAMPLE_STRIDE: u64 = 16;
+/// timed is a pure function of the grant order. 32 because a timed hold
+/// costs two host clock reads of ≈ 34 ns, ≈ 2 ns a hold spread over 32.
+pub const HOLD_SAMPLE_STRIDE: u64 = 32;
 
 /// First state of every cell's jitter word (any non-zero constant).
 const JITTER_SEED: u64 = 0x9e37_79b9_7f4a_7c15;

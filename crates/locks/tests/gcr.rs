@@ -11,12 +11,14 @@
 //! slot (and any due wakeup) to the passive set exactly like a clean
 //! one.
 //!
-//! **The engage/disengage protocol**, at the end of the file: a waiter
-//! never parks behind a gate that stopped counting, so no wait lasts
-//! until the 50 ms `PASSIVE_RESCUE_BOUND` timer. The bound is
-//! wall-clock, far under that timer and far over anything but a lost
-//! wake-up. (The releaser's hand-over of an abandoned slot is counted
-//! exactly on the simulator, in `asl-sim`'s `tests/gcr.rs`.)
+//! **The engage/disengage protocol and the releaser's wake-up**, at
+//! the end of the file: a waiter never parks behind a gate that
+//! stopped counting, and a slot a thread left behind reaches a parked
+//! waiter through the threads still releasing, not through the 50 ms
+//! `PASSIVE_RESCUE_BOUND` timer. Both bounds are wall-clock, far under
+//! that timer and far over anything but a lost wake-up. (How many
+//! releases the hand-over takes is counted exactly on the simulator,
+//! in `asl-sim`'s `tests/gcr.rs`.)
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,9 +32,9 @@ use asl_locks::{McsLock, RawLock, RawTimedLock, TasLock, TicketLock};
 
 const WAITERS: usize = 3;
 
-/// The test that bounds a wait in wall-clock time needs the CPUs to
-/// itself (a dozen spinning threads of the panic tests on two CPUs
-/// stretch a hand-over past any bound): it holds this for writing,
+/// The two tests that bound a wait in wall-clock time need the CPUs to
+/// themselves (a dozen spinning threads of the panic tests on two CPUs
+/// stretch a hand-over past any bound): they hold this for writing,
 /// every other test for reading.
 static HOST: RwLock<()> = RwLock::new(());
 
@@ -376,6 +378,67 @@ fn publishers_racing_a_disengaging_holder_are_never_stranded() {
     );
     assert_eq!(lock.active(), 0, "admission count out of balance");
     assert_eq!(lock.passive_len(), 0, "passive node leaked");
+}
+
+/// A slot abandoned by a departing thread reaches a parked waiter
+/// through a releaser's wake-up. K = 2: B holds, A is admitted behind
+/// it, C finds the gate full and parks. B leaves for good. From then
+/// on every release of A sees a slot besides its own free with C
+/// parked, and the `SPARE_STREAK`-th unparks C: 2.4 ms of A's cycles
+/// on the reference host. A lost wake-up leaves C to its own 50 ms
+/// timer, so C must hold the lock within `WOKEN`. Only the time is
+/// checked; the count of releases is exact on the simulator.
+#[test]
+fn a_releaser_wakes_the_waiter_an_abandoned_slot_is_for() {
+    const WOKEN: Duration = Duration::from_millis(10);
+    let _host = alone_on_the_host();
+    let lock = Arc::new(Gcr::with_config(
+        McsLock::new(),
+        GcrConfig {
+            // No fairness pulse: only the hand-over can admit C.
+            reintroduce_period: u32::MAX,
+            ..GcrConfig::fixed(2)
+        },
+    ));
+    let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !cond() {
+            assert!(Instant::now() < deadline, "never saw: {what}");
+            std::thread::yield_now();
+        }
+    };
+    let c_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+
+    let b_hold = lock.lock();
+    let a = {
+        let (lock, c_done) = (lock.clone(), c_done.clone());
+        std::thread::spawn(move || {
+            while !c_done.load(Ordering::Relaxed) {
+                drop(Guard::new(&*lock));
+                // "Cycles slowly": the lock is free most of the time.
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        })
+    };
+    wait_for("A admitted behind B", &|| lock.active() == 2);
+    let c = {
+        let (lock, c_done) = (lock.clone(), c_done.clone());
+        std::thread::spawn(move || {
+            drop(Guard::new(&*lock));
+            let c_in = Instant::now();
+            c_done.store(true, Ordering::Relaxed);
+            c_in
+        })
+    };
+    wait_for("C parked", &|| lock.passive_len() == 1);
+    lock.unlock(b_hold);
+    let b_left = Instant::now();
+
+    let waited = c.join().expect("C").duration_since(b_left);
+    a.join().expect("A");
+    assert!(waited < WOKEN, "C waited {waited:?}: no releaser woke it");
+    assert_eq!((lock.active(), lock.passive_len()), (0, 0));
+    assert!(lock.peak_active() <= 2, "hand-over admitted over K");
 }
 
 /// The timed acquire lives on the static type: `Gcr<McsLock>` backs

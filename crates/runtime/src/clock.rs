@@ -15,12 +15,12 @@
 //! process's first read, which also takes the origin.
 //!
 //! Contract: nanoseconds since the first read of the process,
-//! monotonic on every thread. `Instant` is the OS's monotonic clock,
-//! so a timestamp handed to another thread through a Release/Acquire
-//! pair does not read later than the receiver's next reading; the
-//! cross-thread consumers still subtract with `saturating_sub`, so a
-//! platform whose monotonic clock is not synchronised across CPUs
-//! costs a latency sample, never a wrapped one.
+//! monotonic on every thread. A timestamp handed to another thread
+//! through a Release/Acquire pair reads at most a microsecond later
+//! than the receiver's next reading (`Instant` is the OS's monotonic
+//! clock, which keeps its CPUs in step), and the cross-thread
+//! consumers subtract with `saturating_sub`, so a lead costs a latency
+//! sample, never a wrapped one.
 //!
 //! ## Deadlines in wait loops
 //!

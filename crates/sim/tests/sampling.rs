@@ -19,8 +19,8 @@ use asl_sim::zoo::run_lock;
 
 /// The reference and the mutant: an MCS lock that times every
 /// `stride`-th hold, counted from the first. `stride` 1 is the census
-/// the sample estimates; `stride` 16 is `sample_hold_start` with its
-/// jitter taken out.
+/// the sample estimates; `stride` [`HOLD_SAMPLE_STRIDE`] is
+/// `sample_hold_start` with its jitter taken out.
 struct EveryNth {
     inner: McsLock,
     cell: TelemetryCell,
@@ -104,7 +104,7 @@ fn the_sampled_mean_is_the_census_mean_and_a_fixed_stride_is_not() {
     let off = s.avg_hold_ns() / truth - 1.0;
     assert!(off.abs() < 0.05, "sampled mean {:.1}% off", off * 100.0);
 
-    // The mutant: the same sample size on a fixed stride. 16 and 1000
+    // The mutant: the same sample size on a fixed stride. 32 and 1000
     // share a factor of 8, so a strided timer meets the long hold
     // either never (here: it times even grants, the long ones are odd)
     // and reports the short hold as the mean, 8 % under, or — had the

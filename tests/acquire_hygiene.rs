@@ -21,14 +21,15 @@
 //!   and a big-core epoch around it adds two thread-local stores.
 //! * Profiling times a sample of the holds, not each: with sampling on,
 //!   an uncontended acquisition reads the clock twice if its hold is
-//!   one of the timed — about one in sixteen — and not at all if not.
+//!   one of the timed — about one in `HOLD_SAMPLE_STRIDE` — and not at
+//!   all if not.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use libasl::clock::{self, now_ns};
-use libasl::locks::telemetry::InstrumentedRw;
+use libasl::locks::telemetry::{InstrumentedRw, HOLD_SAMPLE_STRIDE};
 use libasl::locks::{McsLock, RawLock, RawTimedLock, RwTicketLock};
 use libasl::runtime::affinity::pin_to_cpu;
 use libasl::runtime::registry::{register_on_core, unregister};
@@ -143,11 +144,13 @@ fn a_timestamp_handed_to_another_thread_is_not_from_its_future() {
         }
     }
     let worst_lead = receiver.join().expect("receiver panicked");
-    // No slack: `Instant` is the OS's monotonic clock, one timeline for
-    // every CPU. On the 2-CPU x86-64 reference host 25 runs of this
-    // test (release and debug, plain and on one CPU) read 0 every time.
-    assert_eq!(
-        worst_lead, 0,
+    // `Instant` is the OS's monotonic clock; where it is not kept in
+    // step across CPUs a receiver may read a little behind the sender
+    // (its consumers subtract with `saturating_sub`), but never by a
+    // microsecond.
+    const SLACK_NS: u64 = 1_000;
+    assert!(
+        worst_lead <= SLACK_NS,
         "a handed-over timestamp led the receiver's clock by {worst_lead} ns"
     );
 }
@@ -391,7 +394,9 @@ fn a_sampled_cell_reads_the_clock_twice_per_timed_hold_and_never_otherwise() {
         assert_eq!(reads, 2 * s.timed_holds, "{what}: {s:?}");
         if sampling {
             assert_eq!(s.acquisitions, HOLDS, "{what}: {s:?}");
-            assert!((900..=1_100).contains(&s.timed_holds), "{what}: {s:?}");
+            let expected = HOLDS / HOLD_SAMPLE_STRIDE;
+            let band = expected * 9 / 10..=expected * 11 / 10;
+            assert!(band.contains(&s.timed_holds), "{what}: {s:?}");
             assert!(s.hold_ns > 0 && s.wait_ns == 0, "{what}: {s:?}");
         } else {
             assert_eq!((s.timed_holds, s.hold_ns), (0, 0), "{what}: {s:?}");
@@ -491,7 +496,8 @@ fn timed_holds_of(holds: u64) -> u64 {
 fn holder_owned_counters_lose_no_update() {
     within(300, || {
         let timed = timed_holds_of(TOTAL);
-        assert!((TOTAL / 17..=TOTAL / 15).contains(&timed), "{timed}");
+        let band = TOTAL / (HOLD_SAMPLE_STRIDE + 1)..=TOTAL / (HOLD_SAMPLE_STRIDE - 1);
+        assert!(band.contains(&timed), "{timed}");
 
         // `instrumented-libasl-max`, as the registry builds it under
         // profiling; unregistered threads count as big cores and take
