@@ -19,8 +19,9 @@
 //!
 //! `--out` lands the samples in `BENCH_collapse.json`: per
 //! (lock, threads) cell, throughput plus measured p99/p999 full-op
-//! latency. This figure is the CI perf gate (`repro diff
-//! baselines/BENCH_collapse.json ...`), so keep its cells cheap.
+//! latency. Every cell is virtual time, so CI holds the file to the
+//! byte against `baselines/sim/` (the `sim-determinism` job, which
+//! runs it three times), so keep its cells cheap.
 
 use crate::locks::LockSpec;
 use crate::report::{fmt_ops, Table};

@@ -4,9 +4,9 @@
 //! simulator's standard workload ([`asl_sim::zoo::run_lock`]: one
 //! lock, constant sections, a cache-line hand-off charged on every
 //! grant that changes hands) and read its exact accounting. The
-//! paper's own figures run on the same engine through
-//! [`crate::runner`], which charges no hand-off; what this family
-//! adds:
+//! paper's own figures run the same timed loop
+//! ([`asl_sim::zoo::run_timed`]) through [`crate::runner`], with
+//! their own ops and no hand-off; what this family adds:
 //!
 //! * **Machines we don't have** — a 4-socket × 16-core NUMA box
 //!   ([`Topology::numa`]), arbitrary big/little perf ratios — on any
@@ -34,7 +34,7 @@ use asl_sim::zoo::{run_lock, ZooResult};
 
 use super::Profile;
 use crate::locks::LockSpec;
-use crate::report::{fmt_ops, fmt_tail_us, Table};
+use crate::report::{fmt_ops, fmt_p99, fmt_tail_us, Table};
 
 /// Schedule seed shared by every sim figure: fixed, so `--out` files
 /// are byte-identical across runs (change it and every trace legally
@@ -52,10 +52,6 @@ fn cfg(profile: &Profile, topology: Topology, threads: usize) -> ZooConfig {
     c.cs_units = 600;
     c.ncs_units = 600;
     c
-}
-
-fn spec_lock(spec: &LockSpec) -> Arc<dyn PlainLock> {
-    spec.make_lock_raw()
 }
 
 /// Percentage helper for class shares.
@@ -92,12 +88,12 @@ pub fn sim_numa(profile: &Profile) -> Vec<Table> {
         LockSpec::Cohort,
         LockSpec::Malthusian(None),
     ] {
-        let r = run_lock(&cfg(profile, topo(), 64), spec_lock(&spec));
-        t.push_sample(&spec.label(), 64, r.throughput);
+        let r = run_lock(&cfg(profile, topo(), 64), spec.make_lock_raw());
+        t.push_sample(&spec.label(), 64, r.run.throughput);
         t.push_row(vec![
             spec.label(),
-            r.total_ops.to_string(),
-            fmt_ops(r.throughput),
+            r.run.total_ops.to_string(),
+            fmt_ops(r.run.throughput),
             r.handoffs_local.to_string(),
             r.handoffs_remote.to_string(),
             format!("{:.1}", 100.0 * r.remote_fraction()),
@@ -134,8 +130,8 @@ pub fn sim_fair(profile: &Profile) -> Vec<Table> {
         LockSpec::ShflPb(10),
     ];
     for spec in &specs {
-        let r = run_lock(&cfg(profile, Topology::apple_m1(), 8), spec_lock(spec));
-        t.push_sample(&spec.label(), 8, r.throughput);
+        let r = run_lock(&cfg(profile, Topology::apple_m1(), 8), spec.make_lock_raw());
+        t.push_sample(&spec.label(), 8, r.run.throughput);
         t.push_row(fair_row(&spec.label(), &r));
     }
     // LibASL with an SLO: the workload wraps every op in an epoch, so
@@ -143,7 +139,7 @@ pub fn sim_fair(profile: &Profile) -> Vec<Table> {
     let mut asl = cfg(profile, Topology::apple_m1(), 8);
     asl.slo_ns = Some(60_000);
     let r = run_lock(&asl, Arc::new(AslSpinLock::default()));
-    t.push_sample("libasl-60us", 8, r.throughput);
+    t.push_sample("libasl-60us", 8, r.run.throughput);
     t.push_row(fair_row("libasl-60us", &r));
     t.note("long-term fairness = per-class op shares; short-term = longest same-class grant run");
     t.note("counts are exact (full grant trace), not sampled");
@@ -151,14 +147,15 @@ pub fn sim_fair(profile: &Profile) -> Vec<Table> {
 }
 
 fn fair_row(label: &str, r: &ZooResult) -> Vec<String> {
+    let run = &r.run;
     vec![
         label.to_string(),
-        r.big_ops.to_string(),
-        r.little_ops.to_string(),
-        format!("{:.1}", pct(r.little_ops, r.total_ops)),
+        run.big_ops.to_string(),
+        run.little_ops.to_string(),
+        format!("{:.1}", pct(run.little_ops, run.total_ops)),
         r.max_class_batch.to_string(),
-        fmt_tail_us(r.big_ops, r.p99_big),
-        fmt_tail_us(r.little_ops, r.p99_little),
+        fmt_p99(&run.big),
+        fmt_p99(&run.little),
     ]
 }
 
@@ -187,14 +184,14 @@ pub fn sim_oversub(profile: &Profile) -> Vec<Table> {
             // quanta per core to show: run an order of magnitude
             // longer than the other sim figures.
             c.duration_ns = (c.duration_ns * 10).max(1_000_000);
-            let r = run_lock(&c, spec_lock(&spec));
+            let r = run_lock(&c, spec.make_lock_raw()).run;
             t.push_sample(&spec.label(), threads, r.throughput);
             t.push_row(vec![
                 spec.label(),
                 threads.to_string(),
                 r.total_ops.to_string(),
                 fmt_ops(r.throughput),
-                fmt_tail_us(r.total_ops, r.p99_overall),
+                fmt_p99(&r.overall),
             ]);
         }
     }
@@ -276,7 +273,7 @@ pub fn sim_ablate(profile: &Profile) -> Vec<Table> {
     let mut c = cfg(profile, Topology::apple_m1(), 8);
     c.duration_ns = (c.duration_ns * 10).max(2_000_000);
     c.cs_units = 2_000;
-    let spec = |name: &str| spec_lock(&name.parse().expect("a registry name"));
+    let spec = |name: &str| LockSpec::make_lock_raw(&name.parse().expect("a registry name"));
     let cells: Vec<(&str, &str, Arc<dyn PlainLock>)> = vec![
         // How a standby competitor probes (the max window, so every
         // little-core acquisition is a standby wait).
@@ -322,16 +319,16 @@ pub fn sim_ablate(profile: &Profile) -> Vec<Table> {
         ),
     ];
     for (group, config, lock) in cells {
-        let r = run_lock(&c, lock);
+        let r = run_lock(&c, lock).run;
         t.push_sample(&format!("{group}/{config}"), 8, r.throughput);
         t.push_row(vec![
             group.to_string(),
             config.to_string(),
             fmt_ops(r.throughput),
             format!("{:.1}", pct(r.little_ops, r.total_ops)),
-            fmt_tail_us(r.big_ops, r.p99_big),
-            fmt_tail_us(r.little_ops, r.p99_little),
-            fmt_tail_us(r.little_ops, r.max_wait_little),
+            fmt_p99(&r.big),
+            fmt_p99(&r.little),
+            fmt_tail_us(r.little_ops, r.little.max()),
         ]);
     }
     t.note("dispatch resolves: big cores locking immediately is where the throughput comes from; all-standby is a little above plain FIFO");

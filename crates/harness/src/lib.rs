@@ -2,11 +2,11 @@
 //!
 //! Everything needed to regenerate the paper's evaluation:
 //!
-//! * [`runner`] — timed experiment runner on the deterministic
-//!   simulator: virtual threads on a modeled AMP topology, warm-up and
-//!   measurement windows in virtual time, and a per-core-class result
-//!   breakdown (the paper reports Big P99 / Little P99 / Overall P99
-//!   separately).
+//! * [`runner`] — the timed experiment runner: the simulator's one
+//!   timed loop (`asl_sim::zoo::run_timed`) at a fixed seed, virtual
+//!   threads on a modeled AMP topology, warm-up and measurement windows
+//!   in virtual time, and a per-core-class result breakdown (the paper
+//!   reports Big P99 / Little P99 / Overall P99 separately).
 //! * [`locks`] — runtime lock selection: every baseline and every
 //!   LibASL configuration as an `Arc<dyn PlainLock>` plus epoch/SLO
 //!   annotation metadata.

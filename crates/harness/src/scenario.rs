@@ -190,14 +190,6 @@ impl MicroScenario {
             execute_units(cs.lines as u64 * self.cs_units_per_line * factor);
         } // critical section ends when `_held` drops
     }
-
-    /// Total emulated critical-section units per epoch (big-core).
-    pub fn cs_units_total(&self) -> u64 {
-        self.sections
-            .iter()
-            .map(|s| s.lines as u64 * self.cs_units_per_line)
-            .sum()
-    }
 }
 
 /// Deterministic per-worker RNG.
@@ -228,7 +220,8 @@ mod tests {
         let lat = s.run_op(&mut rng);
         assert!(lat > 0);
         assert!(s.arena.total() >= 4, "rmw must touch the arena");
-        assert_eq!(s.cs_units_total(), 4 * CS_UNITS_PER_LINE);
+        let units: u64 = s.sections.iter().map(|c| c.lines as u64).sum();
+        assert_eq!(units * s.cs_units_per_line, 4 * CS_UNITS_PER_LINE);
     }
 
     #[test]

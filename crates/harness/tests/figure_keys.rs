@@ -1,6 +1,7 @@
-//! The figures that drive the delegation family and the collapse gate
-//! run on the shared timed runner; what they *emit* is pinned here to
-//! the committed baselines, so a change to the drivers cannot rename,
+//! The figures that drive the delegation family and the collapse
+//! figure run on the shared timed runner; what they *emit* is pinned
+//! here to the committed references (`baselines/sim/`, which CI also
+//! byte-diffs whole), so a change to the drivers cannot rename,
 //! drop or reorder a cell `repro diff` keys on. Tiny profile: the
 //! values are meaningless, the keys are the test.
 
@@ -13,9 +14,9 @@ const TINY: Profile = Profile {
     warmup_ms: 2,
 };
 
-/// The `(lock, threads)` keys of a committed `baselines/BENCH_*.json`.
+/// The `(lock, threads)` keys of a committed `baselines/sim/BENCH_*.json`.
 fn baseline_keys(file: &str) -> Vec<(String, usize)> {
-    let path = format!("{}/../../baselines/{file}", env!("CARGO_MANIFEST_DIR"));
+    let path = format!("{}/../../baselines/sim/{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let bench = parse_bench_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
     bench

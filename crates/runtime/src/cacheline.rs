@@ -69,16 +69,6 @@ impl CacheLineArena {
         }
     }
 
-    /// Atomic variant for unprotected (lock-free) accesses in tests.
-    pub fn rmw_atomic(&self, offset: usize, k: usize) {
-        let n = self.lines.len();
-        for i in 0..k {
-            self.lines[(offset + i) % n]
-                .value
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Sum of all line counters (test/verification helper).
     pub fn total(&self) -> u64 {
         self.lines
@@ -127,24 +117,6 @@ mod tests {
         assert_eq!(a.total(), 4);
         assert_eq!(a.line(0), 1);
         assert_eq!(a.line(2), 1);
-    }
-
-    #[test]
-    fn atomic_rmw_safe_without_lock() {
-        let a = std::sync::Arc::new(CacheLineArena::new(2));
-        let mut handles = vec![];
-        for _ in 0..4 {
-            let a = a.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    a.rmw_atomic(0, 2);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(a.total(), 4 * 1000 * 2);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   virtual clock using a [`CostModel`] derived from the
 //!   [`Topology`]: little cores stretch work by `perf_ratio`, parking
 //!   pays a syscall-shaped penalty. The engine charges nothing a hook
-//!   does not report; the cache-line hand-off of a lock is a charge of
-//!   the zoo driver ([`crate::zoo::run_lock`]), not of the machine.
+//!   does not report, and a body reaches the machine only through the
+//!   substrate: the cache-line hand-off of a lock is a `busy_wait_ns`
+//!   of the zoo driver ([`crate::zoo::run_lock`]), not an engine charge.
 //! * Cores are resources: two virtual threads bound to the same core
 //!   (oversubscription — [`Topology::assignment_for_thread`] wraps)
 //!   serialize on the core's clock and pay [`CostModel::switch_ns`]
@@ -111,16 +112,12 @@ impl CostModel {
     pub fn poll_cost_ns(&self, topo: &Topology, kind: CoreKind) -> u64 {
         (self.poll_ns as f64 * topo.work_multiplier(kind)) as u64
     }
-
-    /// Virtual duration of `units` of emulated work on a `kind` core.
-    pub fn work_ns(&self, topo: &Topology, kind: CoreKind, units: u64) -> u64 {
-        ((units * self.work_unit_ns) as f64 * topo.work_multiplier(kind)) as u64
-    }
 }
 
 /// One simulated experiment. The machine reads `topology`, `threads`,
 /// `seed`, `cost` and `fault` (and `ncs_units`, which sizes the seeded
-/// start stagger); `cs_units`, `ncs_units`, `duration_ns` and `slo_ns`
+/// start stagger); `duration_ns` ends the loop of
+/// [`crate::zoo::run_timed`], and `cs_units`, `ncs_units` and `slo_ns`
 /// are the workload of [`crate::zoo::run_lock`]: N threads cycling
 /// *non-critical section → acquire → critical section → release* on
 /// one lock.
@@ -137,7 +134,8 @@ pub struct ZooConfig {
     pub cs_units: u64,
     /// Non-critical-section length in work units.
     pub ncs_units: u64,
-    /// Virtual run length (ns).
+    /// The end of [`crate::zoo::run_timed`]'s loop (virtual ns): no
+    /// operation starts at or after it. Warm-up included.
     pub duration_ns: u64,
     /// Schedule seed (staggers thread start times).
     pub seed: u64,
@@ -204,7 +202,7 @@ struct Shared {
 
 /// The cooperative scheduler shared by all virtual threads of one
 /// experiment.
-pub(crate) struct SimMachine {
+struct SimMachine {
     cost: CostModel,
     /// The modeled machine; its core count is what
     /// [`substrate::core_count`] answers.
@@ -331,18 +329,12 @@ impl SimMachine {
     }
 
     /// One yield point: charge, maybe switch, return the new vtime.
-    pub(crate) fn step(&self, me: usize, ns: u64, on_core: bool) -> u64 {
+    fn step(&self, me: usize, ns: u64, on_core: bool) -> u64 {
         let mut sh = self.shared.lock().expect("sim scheduler poisoned");
         self.advance(&mut sh, me, ns, on_core);
         let v = sh.th[me].vtime;
         self.reschedule(sh, me);
         v
-    }
-
-    /// One clock read by `me`, charged and answered on the machine
-    /// itself (under any fault decorator).
-    pub(crate) fn clock(&self, me: usize) -> u64 {
-        self.step(me, self.cost.clock_read_ns, true)
     }
 
     /// Block until the scheduler grants this thread the baton.
@@ -377,7 +369,8 @@ struct VthreadHandle {
 
 impl substrate::Substrate for VthreadHandle {
     fn now_ns(&self) -> u64 {
-        self.machine.clock(self.tid)
+        self.machine
+            .step(self.tid, self.machine.cost.clock_read_ns, true)
     }
     fn relax(&self) {
         self.machine.step(self.tid, self.poll_charge, true);
@@ -403,14 +396,15 @@ impl substrate::Substrate for VthreadHandle {
     }
 }
 
-/// Run `body` as virtual thread `tid`, and hand the baton on for good
-/// when it returns or unwinds (the payload comes back as the `Err`).
-fn with_vthread<R>(
+/// Run `body(tid)` as virtual thread `tid`, and hand the baton on for
+/// good when it returns or unwinds (the payload comes back as the
+/// `Err`).
+fn with_vthread(
     machine: &Arc<SimMachine>,
     cfg: &ZooConfig,
     tid: usize,
-    body: impl FnOnce(&SimMachine) -> R,
-) -> std::thread::Result<R> {
+    body: &(impl Fn(usize) + Sync),
+) -> std::thread::Result<()> {
     let vc = cfg.topology.assignment_for_thread(tid);
     registry::register_on_core(&cfg.topology, vc.id);
     let handle: Arc<dyn substrate::Substrate> = Arc::new(VthreadHandle {
@@ -431,41 +425,10 @@ fn with_vthread<R>(
     let _sub = substrate::install(handle);
     machine.wait_start(tid);
     asl_core::epoch::reset_thread_epochs();
-    let out = catch_unwind(AssertUnwindSafe(|| body(machine)));
+    let out = catch_unwind(AssertUnwindSafe(|| body(tid)));
     machine.finish(tid);
     registry::unregister();
     out
-}
-
-/// [`run_threads`] with the machine in hand (for the zoo driver's own
-/// charges) and each thread's result, in thread order, beside the
-/// final virtual time.
-pub(crate) fn run_machine<R, F>(cfg: &ZooConfig, body: F) -> (u64, Vec<R>)
-where
-    R: Send,
-    F: Fn(&SimMachine, usize) -> R + Sync,
-{
-    affinity::pinned(0, || {
-        let machine = SimMachine::new(cfg);
-        let outs = std::thread::scope(|s| {
-            let body = &body;
-            let threads: Vec<_> = (0..cfg.threads)
-                .map(|tid| {
-                    let machine = machine.clone();
-                    s.spawn(move || with_vthread(&machine, cfg, tid, |m| body(m, tid)))
-                })
-                .collect();
-            // Every thread starts Ready: the run starts at the earliest.
-            machine.pass_baton(&mut machine.shared.lock().expect("sim scheduler poisoned"));
-            threads
-                .into_iter()
-                .map(|t| t.join().and_then(|out| out))
-                .collect::<std::thread::Result<Vec<R>>>()
-        })
-        .unwrap_or_else(|panic| resume_unwind(panic));
-        let sh = machine.shared.lock().expect("sim scheduler poisoned");
-        (sh.th.iter().map(|t| t.vtime).max().unwrap_or(0), outs)
-    })
 }
 
 /// Run `body(tid)` as each virtual thread `tid` of the modeled
@@ -486,7 +449,26 @@ pub fn run_threads<F>(cfg: &ZooConfig, body: F) -> u64
 where
     F: Fn(usize) + Send + Sync,
 {
-    run_machine(cfg, |_, tid| body(tid)).0
+    affinity::pinned(0, || {
+        let machine = SimMachine::new(cfg);
+        std::thread::scope(|s| {
+            let body = &body;
+            let threads: Vec<_> = (0..cfg.threads)
+                .map(|tid| {
+                    let machine = machine.clone();
+                    s.spawn(move || with_vthread(&machine, cfg, tid, body))
+                })
+                .collect();
+            // Every thread starts Ready: the run starts at the earliest.
+            machine.pass_baton(&mut machine.shared.lock().expect("sim scheduler poisoned"));
+            threads
+                .into_iter()
+                .try_for_each(|t| t.join().and_then(|out| out))
+        })
+        .unwrap_or_else(|panic| resume_unwind(panic));
+        let sh = machine.shared.lock().expect("sim scheduler poisoned");
+        sh.th.iter().map(|t| t.vtime).max().unwrap_or(0)
+    })
 }
 
 #[cfg(test)]
@@ -507,16 +489,6 @@ mod tests {
             cost.handoff_remote_ns
         );
         assert!(cost.handoff_remote_ns > cost.handoff_local_ns);
-    }
-
-    #[test]
-    fn little_core_work_stretches_by_perf_ratio() {
-        let cost = CostModel::default();
-        let amp = Topology::custom(4, 4, 3.0);
-        let big = cost.work_ns(&amp, CoreKind::Big, 1_000);
-        let little = cost.work_ns(&amp, CoreKind::Little, 1_000);
-        assert_eq!(big, 1_000 * cost.work_unit_ns);
-        assert_eq!(little, 3 * big);
     }
 
     #[test]

@@ -67,10 +67,10 @@ fn gcr(limit: u32, reintroduce_period: u32) -> Arc<Gcr<DynLock>> {
 fn admitted_set_bound_holds_exactly_in_virtual_time() {
     let lock = gcr(3, u32::MAX);
     let a = run_lock(&cfg(THREADS), lock.clone());
-    assert!(a.total_ops > 0, "no progress under restriction");
+    assert!(a.run.total_ops > 0, "no progress under restriction");
     assert_eq!(
-        a.total_ops,
-        a.per_thread_ops.iter().sum::<u64>(),
+        a.run.total_ops,
+        a.run.per_worker_ops.iter().sum::<u64>(),
         "per-thread counts out of sync"
     );
     assert!(
@@ -102,11 +102,11 @@ fn reintroduction_bounds_passive_starvation() {
         fair.reintroduced() > 0,
         "the small period must actually pulse"
     );
-    for (tid, &ops) in r.per_thread_ops.iter().enumerate() {
+    for (tid, &ops) in r.run.per_worker_ops.iter().enumerate() {
         assert!(
             ops > 0,
             "thread {tid} starved despite reintroduction: {:?}",
-            r.per_thread_ops
+            r.run.per_worker_ops
         );
     }
     // K+1 is the hard ceiling once forced admissions run.
@@ -131,13 +131,13 @@ fn reintroduction_bounds_passive_starvation() {
 fn no_lost_wakeups_at_k1() {
     let lock = gcr(1, 4);
     let r = run_lock(&cfg(8), lock.clone());
-    assert!(r.total_ops > 0);
-    assert_eq!(r.total_ops, r.per_thread_ops.iter().sum::<u64>());
-    for (tid, &ops) in r.per_thread_ops.iter().enumerate() {
+    assert!(r.run.total_ops > 0);
+    assert_eq!(r.run.total_ops, r.run.per_worker_ops.iter().sum::<u64>());
+    for (tid, &ops) in r.run.per_worker_ops.iter().enumerate() {
         assert!(
             ops > 0,
             "thread {tid} never ran at K=1: {:?} (lost wakeup?)",
-            r.per_thread_ops
+            r.run.per_worker_ops
         );
     }
     assert_eq!(lock.peak_active().max(1), lock.peak_active());
@@ -236,7 +236,7 @@ fn a_default_k_is_sized_from_the_modeled_machine() {
             "built on the host"
         );
         let r = run_lock(&ZooConfig::quick(topology, 16, 1), lock.clone());
-        assert!(r.total_ops > 0);
+        assert!(r.run.total_ops > 0);
         assert!(lock.engaged(), "16 threads on one lock");
         assert_eq!(lock.max_limit(), 2 * cores);
         // The controller moves K one step per decision.
@@ -261,12 +261,12 @@ fn waiting_four_times_holding_shrinks_k() {
         ..ZooConfig::quick(Topology::apple_m1(), 16, 1)
     };
     let r = run_lock(&cfg, lock.clone());
-    assert!(r.total_ops > 0);
+    assert!(r.run.total_ops > 0);
     assert!(lock.engaged(), "16 threads on one lock");
     let moves = (lock.grows(), lock.shrinks(), lock.limit());
     assert!(lock.shrinks() >= 1, "queueing never shrank K: {moves:?}");
     assert_eq!(moves, (0, 4, 4), "(grows, shrinks, K) moved");
-    assert_eq!(r.total_ops, 1_197);
+    assert_eq!(r.run.total_ops, 1_197);
 }
 
 /// A slot abandoned by a departing thread admits the waiter parked for

@@ -126,7 +126,7 @@ fn one_seed_times_the_same_holds_twice() {
         let lock = Instrumented::with_cell(DynLock::of(McsLock::new()), cell.clone());
         let cfg = ZooConfig::quick(Topology::apple_m1(), 6, 42);
         let result = run_lock(&cfg, Arc::new(lock));
-        (cell.snapshot(), result.grants, result.virtual_ns)
+        (cell.snapshot(), result.grants, result.run.virtual_ns)
     };
     let (a, b) = (run(), run());
     assert!(a.0.timed_holds > 0 && a.0.hold_ns > 0 && a.0.wait_ns > 0);

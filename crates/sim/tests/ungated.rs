@@ -145,14 +145,14 @@ fn reorderable_starvation_bound_holds_exactly() {
     cfg.ncs_units = 300;
     let r = run_lock(&cfg, Arc::new(lock));
 
-    assert!(r.little_ops > 0, "little cores acquired at least once");
+    assert!(r.run.little_ops > 0, "little cores acquired at least once");
     // Bound: the 200 µs reorder window, plus draining a full FIFO
     // queue of 8 threads' critical sections (ratio-3 stretch, handoff
     // and preemption charges included) — comfortably under 3x the
     // window on this machine, and *exact*: same seed, same worst wait.
     assert!(
-        r.max_wait_little < 600_000,
+        r.run.little.max() < 600_000,
         "worst little-core wait {}ns exceeds the starvation bound",
-        r.max_wait_little
+        r.run.little.max()
     );
 }

@@ -47,19 +47,19 @@ fn whole_zoo_runs_on_the_simulated_machine() {
     assert!(zoo.len() >= 8, "acceptance floor: eight zoo locks");
     for (name, lock) in zoo {
         let r = run_lock(&quick(Topology::apple_m1(), 4), lock);
-        assert!(r.total_ops > 0, "{name}: no progress in virtual time");
+        assert!(r.run.total_ops > 0, "{name}: no progress in virtual time");
         assert_eq!(
-            r.total_ops,
+            r.run.total_ops,
             r.grants.len() as u64,
             "{name}: grant trace out of sync"
         );
         assert_eq!(
-            r.total_ops,
-            r.per_thread_ops.iter().sum::<u64>(),
+            r.run.total_ops,
+            r.run.per_worker_ops.iter().sum::<u64>(),
             "{name}: per-thread counts out of sync"
         );
         assert!(
-            r.virtual_ns >= 300_000,
+            r.run.virtual_ns >= 300_000,
             "{name}: virtual clock stopped early"
         );
     }
@@ -96,7 +96,7 @@ fn cna_and_cohort_batch_within_sockets_on_numa() {
     let cna = run_lock(&cfg(), Arc::new(CnaLock::new()));
     let cohort = run_lock(&cfg(), Arc::new(CohortLock::new()));
 
-    assert!(mcs.total_ops > 0 && cna.total_ops > 0 && cohort.total_ops > 0);
+    assert!(mcs.run.total_ops > 0 && cna.run.total_ops > 0 && cohort.run.total_ops > 0);
     for (name, r) in [("cna", &cna), ("cohort", &cohort)] {
         assert!(
             r.max_class_batch > mcs.max_class_batch,
@@ -112,8 +112,8 @@ fn cna_and_cohort_batch_within_sockets_on_numa() {
         );
     }
     // Long-term fairness is preserved: both classes keep progressing.
-    assert!(cna.big_ops > 0 && cna.little_ops > 0);
-    assert!(cohort.big_ops > 0 && cohort.little_ops > 0);
+    assert!(cna.run.big_ops > 0 && cna.run.little_ops > 0);
+    assert!(cohort.run.big_ops > 0 && cohort.run.little_ops > 0);
 }
 
 /// Satellite: the cost model, observed end to end through the engine.
@@ -133,8 +133,8 @@ fn little_core_slowdown_stretches_critical_sections() {
     let mut cfg = quick(Topology::custom(1, 1, 3.0), 2);
     cfg.duration_ns = 600_000;
     let r = run_lock(&cfg, Arc::new(TicketLock::new()));
-    let (big, little) = (r.per_thread_ops[0], r.per_thread_ops[1]);
-    assert!(r.thread_is_big[0] && !r.thread_is_big[1]);
+    let (big, little) = (r.run.per_worker_ops[0], r.run.per_worker_ops[1]);
+    assert_eq!((r.run.big_ops, r.run.little_ops), (big, little));
     assert!(little > 0, "little thread must not starve under FIFO");
     // FIFO handover couples the two threads (the big core waits out
     // the little core's stretched CS), so the ops ratio lands between
@@ -159,10 +159,10 @@ fn parking_beats_spinning_when_oversubscribed() {
     let spin = run_lock(&cfg(), Arc::new(McsLock::new()));
     let park = run_lock(&cfg(), Arc::new(McsStpLock::new()));
     assert!(
-        park.total_ops > spin.total_ops,
+        park.run.total_ops > spin.run.total_ops,
         "parking {} ops must beat spinning {} ops at 3x oversubscription",
-        park.total_ops,
-        spin.total_ops
+        park.run.total_ops,
+        spin.run.total_ops
     );
 }
 
@@ -190,10 +190,10 @@ fn affinity_biases_acquisition_share() {
     });
     let r = run_lock(&equal_speed_hammer(2_000, 2_000), Arc::new(lock));
     assert!(
-        r.big_ops * 2 > r.little_ops * 3,
+        r.run.big_ops * 2 > r.run.little_ops * 3,
         "big {} little {}: affinity had no effect",
-        r.big_ops,
-        r.little_ops
+        r.run.big_ops,
+        r.run.little_ops
     );
 }
 
@@ -201,7 +201,7 @@ fn affinity_biases_acquisition_share() {
 #[test]
 fn neutral_affinity_roughly_fair_classes() {
     let r = run_lock(&equal_speed_hammer(2_000, 2_000), Arc::new(TasLock::new()));
-    let (big, little) = (r.big_ops, r.little_ops);
+    let (big, little) = (r.run.big_ops, r.run.little_ops);
     assert!(big > 0 && little > 0);
     assert!(
         big.max(little) * 2 < big.min(little) * 3,
@@ -217,12 +217,12 @@ fn grants_follow_proportion_under_saturation() {
         &equal_speed_hammer(500, 0),
         Arc::new(ProportionalLock::new(4)),
     );
-    let ratio = r.big_ops as f64 / r.little_ops as f64;
+    let ratio = r.run.big_ops as f64 / r.run.little_ops as f64;
     assert!(
         (3.5..4.5).contains(&ratio),
         "expected 4x big share, got {ratio:.2} (big {} little {})",
-        r.big_ops,
-        r.little_ops
+        r.run.big_ops,
+        r.run.little_ops
     );
 }
 
@@ -235,9 +235,9 @@ fn libasl_slo_feedback_runs_in_virtual_time() {
     cfg.slo_ns = Some(50_000);
     let a = run_lock(&cfg, Arc::new(AslSpinLock::default()));
     let b = run_lock(&cfg, Arc::new(AslSpinLock::default()));
-    assert!(a.total_ops > 0);
+    assert!(a.run.total_ops > 0);
     assert!(
-        a.big_ops > 0 && a.little_ops > 0,
+        a.run.big_ops > 0 && a.run.little_ops > 0,
         "both classes must progress under an achievable SLO"
     );
     assert_eq!(a, b, "SLO feedback must be deterministic in virtual time");
@@ -249,7 +249,8 @@ fn libasl_slo_feedback_runs_in_virtual_time() {
 /// difference in these digests is a behaviour change. Pinned from the
 /// commit before that change, under the three fault schedules the
 /// torture harness pins (its sweep plan and its two token-lock
-/// schedules).
+/// schedules). The loop's own clock reads go through the decorated
+/// clock too, so the first plan's clock jumps also fire on them.
 #[test]
 fn queue_lock_grant_order_is_pinned_under_faults() {
     use asl_runtime::fault::{FaultPlan, FaultState};
@@ -257,7 +258,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
     /// FNV-1a over the grant trace, the operation count and the final
     /// virtual time.
     fn digest(r: &asl_sim::zoo::ZooResult) -> u64 {
-        let words = [r.total_ops, r.virtual_ns];
+        let words = [r.run.total_ops, r.run.virtual_ns];
         let trace = r.grants.iter().map(|&g| u64::from(g));
         words
             .into_iter()
@@ -280,7 +281,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
             "mcs",
             || Arc::new(McsLock::new()),
             [
-                0xdbae_44c9_30c5_607e,
+                0x63b1_36d5_9165_8b44,
                 0x8195_c9a2_5c7d_5870,
                 0x3c7c_24d0_3e6a_9f6e,
             ],
@@ -289,7 +290,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
             "clh",
             || Arc::new(ClhLock::new()),
             [
-                0xdbae_44c9_30c5_607e,
+                0x63b1_36d5_9165_8b44,
                 0x8195_c9a2_5c7d_5870,
                 0x3c7c_24d0_3e6a_9f6e,
             ],
@@ -300,7 +301,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
             "cna",
             || Arc::new(CnaLock::new()),
             [
-                0xb729_f648_57ec_8ea5,
+                0xd4f8_35ef_590e_f6ff,
                 0xaadf_10c7_2b9f_21e3,
                 0x572f_62fb_9744_a6a1,
             ],
@@ -309,7 +310,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
             "cohort",
             || Arc::new(CohortLock::new()),
             [
-                0xc1c2_1725_d6e9_c669,
+                0x0f71_3b27_8e95_61f4,
                 0xaadf_10c7_2b9f_21e3,
                 0x12b7_894e_d4c6_6a79,
             ],
@@ -320,7 +321,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
             "malthusian",
             || Arc::new(MalthusianLock::new()),
             [
-                0x4505_bcd8_acfc_fe45,
+                0x68ac_dde1_7025_1aec,
                 0x5d45_c241_7c79_684b,
                 0x075b_2769_dc4a_80cc,
             ],
@@ -329,7 +330,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
             "shfl-pb10",
             || Arc::new(ProportionalLock::new(10)),
             [
-                0x7833_4149_9882_1336,
+                0xdb3d_6078_4dc1_8bd6,
                 0x9581_682f_b5e3_f281,
                 0x3052_483b_97df_482a,
             ],
@@ -338,7 +339,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
             "mcs-stp",
             || Arc::new(McsStpLock::new()),
             [
-                0x9822_759f_2833_f09f,
+                0x296c_156e_a58c_5521,
                 0x3718_9677_4bca_17d0,
                 0x6ab0_dcd3_d83d_0ebb,
             ],
@@ -350,7 +351,7 @@ fn queue_lock_grant_order_is_pinned_under_faults() {
             cfg.seed = plan.seed;
             cfg.fault = Some(FaultState::new(plan));
             let r = run_lock(&cfg, make());
-            assert!(r.total_ops > 0, "{name}: no progress");
+            assert!(r.run.total_ops > 0, "{name}: no progress");
             digest(&r)
         });
         assert_eq!(got, pinned, "{name}: grant digests {got:#x?}");

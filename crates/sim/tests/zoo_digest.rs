@@ -16,36 +16,40 @@ use std::sync::Arc;
 use asl_core::{AslBlockingLock, AslSpinLock};
 use asl_locks::plain::PlainLock;
 use asl_locks::McsLock;
+use asl_runtime::topology::CoreKind;
 use asl_runtime::Topology;
 use asl_sim::exec::ZooConfig;
 use asl_sim::zoo::{run_lock, ZooResult};
 
-/// FNV-1a over every field of `r`, window traces by length.
-fn digest(r: &ZooResult) -> u64 {
+/// FNV-1a over every field of `r`, window traces by length, in a
+/// fixed order (the pins are over these words); `big[t]` is thread
+/// `t`'s class.
+fn digest(r: &ZooResult, big: &[bool]) -> u64 {
+    let run = &r.run;
     let words = [
-        r.total_ops,
-        r.big_ops,
-        r.little_ops,
-        r.throughput.to_bits(),
-        r.p50_big,
-        r.p99_big,
-        r.p50_little,
-        r.p99_little,
-        r.p99_overall,
-        r.max_wait_big,
-        r.max_wait_little,
+        run.total_ops,
+        run.big_ops,
+        run.little_ops,
+        run.throughput.to_bits(),
+        run.big.percentile(50.0),
+        run.big.percentile(99.0),
+        run.little.percentile(50.0),
+        run.little.percentile(99.0),
+        run.overall.percentile(99.0),
+        run.big.max(),
+        run.little.max(),
         r.handoffs_local,
         r.handoffs_remote,
         r.max_class_batch,
-        r.virtual_ns,
+        run.virtual_ns,
     ];
-    let per_thread = r
-        .per_thread_ops
+    let per_thread = run
+        .per_worker_ops
         .iter()
-        .zip(&r.thread_is_big)
+        .zip(big)
         .flat_map(|(&ops, &big)| [ops, u64::from(big)]);
     let grants = r.grants.iter().map(|&g| u64::from(g));
-    let traces = r.window_traces.iter().map(|t| t.len() as u64);
+    let traces = run.window_traces.iter().map(|t| t.len() as u64);
     words
         .into_iter()
         .chain(per_thread)
@@ -70,7 +74,7 @@ fn the_whole_result_is_pinned() {
             "libasl-spin",
             slo.clone(),
             Arc::new(AslSpinLock::default()),
-            0xb210_8f9f_a02e_c378,
+            0x9660_6da6_526d_3c13,
         ),
         // The futex mutex under the `SleepWait` standby: the blocking
         // configuration's park and `nanosleep` paths.
@@ -78,16 +82,19 @@ fn the_whole_result_is_pinned() {
             "libasl-blk",
             slo,
             Arc::new(AslBlockingLock::new_blocking()),
-            0x6263_74dd_9f8d_7192,
+            0xf156_3437_b1f7_25c7,
         ),
     ];
     for (name, cfg, lock, pinned) in cells {
         let r = run_lock(&cfg, lock);
-        let d = digest(&r);
+        let big: Vec<bool> = (0..cfg.threads)
+            .map(|t| cfg.topology.assignment_for_thread(t).kind == CoreKind::Big)
+            .collect();
+        let d = digest(&r, &big);
         assert_eq!(d, pinned, "{name}: digest {d:#x} of {r:?}");
         // The SLO cell's little threads record a trajectory, so the
         // digest covers a non-empty trace.
-        let traced = r.window_traces.iter().filter(|t| !t.is_empty()).count();
+        let traced = r.run.window_traces.iter().filter(|t| !t.is_empty()).count();
         assert_eq!(traced, if cfg.slo_ns.is_some() { 4 } else { 0 }, "{name}");
     }
     asl_locks::telemetry::set_recording(false);

@@ -3,8 +3,8 @@
 //! acquire → critical section → release* on one **real** lock — with
 //! jittered section lengths.
 //!
-//! This is [`libasl::sim::zoo::run_lock`]'s loop, rebuilt on
-//! [`run_threads`] for one reason: `run_lock` (the `repro sim-*`
+//! This is [`libasl::sim::zoo::run_lock`]'s op on the same loop
+//! ([`run_timed`]), rebuilt for one reason: `run_lock` (the `repro sim-*`
 //! figures' workload, byte-pinned per seed) runs constant-length
 //! sections, and identical threads looping over constant lengths
 //! phase-lock in a noise-free simulator — which pattern they lock
@@ -25,32 +25,15 @@ use std::sync::{Arc, Mutex};
 
 use libasl::dbsim::Engine;
 use libasl::locks::plain::PlainLock;
-use libasl::runtime::stats::Samples;
 use libasl::runtime::work::execute_units;
 use libasl::runtime::{is_big_core, now_ns};
 use libasl::sim::exec::{run_threads, ZooConfig, SIM_EPOCH_ID};
+use libasl::sim::zoo::{run_timed, RunResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Half-width of the uniform section-length jitter, in percent.
 const JITTER_PCT: u64 = 25;
-
-/// What one simulated cell measured (virtual time throughout).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cell {
-    /// Acquisitions per virtual second.
-    pub throughput: f64,
-    /// Acquisitions by big-core threads.
-    pub big_ops: u64,
-    /// Acquisitions by little-core threads.
-    pub little_ops: u64,
-    /// P99 acquire latency of big-core threads (ns).
-    pub p99_big: u64,
-    /// P99 acquire latency of little-core threads (ns).
-    pub p99_little: u64,
-    /// P99 acquire latency across all threads (ns).
-    pub p99_overall: u64,
-}
 
 /// Virtual thread `tid`'s generator: a pure function of the cell's seed.
 fn thread_rng(cfg: &ZooConfig, tid: usize) -> SmallRng {
@@ -62,42 +45,28 @@ fn jittered(rng: &mut SmallRng, units: u64) -> u64 {
     rng.gen_range(units - span..=units + span)
 }
 
-/// Run `cfg`'s workload on `lock`. With `cfg.slo_ns` set, every
+/// Run `cfg`'s workload on `lock`: [`run_timed`] with no warm-up,
+/// each op's latency its acquire wait. With `cfg.slo_ns` set, every
 /// operation is an epoch with that SLO, so LibASL's window feedback
 /// runs live on the virtual clock.
-pub fn run(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> Cell {
-    // Acquire latencies by class: [little, big].
-    let waits: Mutex<[Vec<u64>; 2]> = Mutex::new([Vec::new(), Vec::new()]);
-    run_threads(cfg, |tid| {
-        let mut rng = thread_rng(cfg, tid);
-        let mut mine = Vec::new();
-        while now_ns() < cfg.duration_ns {
-            let mut op = || {
-                let t0 = now_ns();
-                let token = lock.acquire();
-                mine.push(now_ns() - t0);
-                execute_units(jittered(&mut rng, cfg.cs_units));
-                lock.release(token);
-            };
-            match cfg.slo_ns {
-                Some(slo) => libasl::epoch::with_epoch(SIM_EPOCH_ID, slo, op),
-                None => op(),
-            }
-            execute_units(jittered(&mut rng, cfg.ncs_units));
-        }
-        waits.lock().expect("collector poisoned")[usize::from(is_big_core())].extend(mine);
-    });
-    let [little, big] = waits.into_inner().expect("collector poisoned");
-    let all = Samples::from(big.iter().chain(&little).copied().collect::<Vec<_>>());
-    let (big, little) = (Samples::from(big), Samples::from(little));
-    Cell {
-        throughput: all.len() as f64 / (cfg.duration_ns as f64 / 1e9),
-        big_ops: big.len(),
-        little_ops: little.len(),
-        p99_big: big.percentile(99.0),
-        p99_little: little.percentile(99.0),
-        p99_overall: all.percentile(99.0),
-    }
+pub fn run(cfg: &ZooConfig, lock: Arc<dyn PlainLock>) -> RunResult {
+    let rng = |tid| thread_rng(cfg, tid);
+    run_timed(cfg, 0, rng, |_, rng| {
+        let mut op = || {
+            let t0 = now_ns();
+            let token = lock.acquire();
+            let wait = now_ns() - t0;
+            execute_units(jittered(rng, cfg.cs_units));
+            lock.release(token);
+            wait
+        };
+        let wait = match cfg.slo_ns {
+            Some(slo) => libasl::epoch::with_epoch(SIM_EPOCH_ID, slo, op),
+            None => op(),
+        };
+        execute_units(jittered(rng, cfg.ncs_units));
+        wait
+    })
 }
 
 /// Epoch latencies (virtual ns, in order) of one thread of

@@ -50,7 +50,7 @@ fn contended(slo_ns: Option<u64>) -> ZooConfig {
 
 /// The big class's share of the acquisitions.
 fn big_share(r: &ZooResult) -> f64 {
-    r.big_ops as f64 / r.total_ops as f64
+    r.run.big_ops as f64 / r.run.total_ops as f64
 }
 
 #[test]
@@ -59,7 +59,7 @@ fn big_cores_win_more_acquisitions_under_contention() {
     // more critical sections than little cores.
     let lock = Arc::new(AslSpinLock::default());
     let r = run_lock(&contended(None), lock.clone());
-    let (b, l) = (r.big_ops, r.little_ops);
+    let (b, l) = (r.run.big_ops, r.run.little_ops);
     assert!(
         l > 0,
         "no starvation: little cores must progress (bound = max window)"

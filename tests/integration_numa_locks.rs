@@ -88,7 +88,7 @@ fn prefer_big_policy_skews_acquisition_share() {
         ..ZooConfig::quick(Topology::custom(2, 2, 1.0), 4, 42)
     };
     let r = run_lock(&cfg, Arc::new(ShuffleLock::new(PreferBigPolicy::new(64))));
-    let (b, l) = (r.big_ops as f64, r.little_ops as f64);
+    let (b, l) = (r.run.big_ops as f64, r.run.little_ops as f64);
     assert!(l > 0.0, "little cores starved outright");
     let share = b / (b + l);
     assert!(

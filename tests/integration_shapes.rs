@@ -25,14 +25,14 @@ mod common;
 
 use std::sync::{Arc, OnceLock};
 
-use common::{run, Cell};
+use common::run;
 use libasl::harness::figures::{self, Profile};
 use libasl::harness::locks::LockSpec;
 use libasl::harness::report::Table;
 use libasl::locks::plain::PlainLock;
 use libasl::locks::{McsLock, ProportionalLock, TasLock};
 use libasl::runtime::{AtomicAffinity, Topology};
-use libasl::sim::ZooConfig;
+use libasl::sim::{RunResult, ZooConfig};
 use libasl::AslSpinLock;
 
 const PERF_RATIO: f64 = 3.0;
@@ -68,20 +68,20 @@ fn tas(affinity: AtomicAffinity) -> Arc<dyn PlainLock> {
 // Cells several shapes compare against, run once.
 
 /// FIFO on the four big cores alone.
-fn fifo4() -> &'static Cell {
-    static CELL: OnceLock<Cell> = OnceLock::new();
+fn fifo4() -> &'static RunResult {
+    static CELL: OnceLock<RunResult> = OnceLock::new();
     CELL.get_or_init(|| run(&cfg(4), mcs()))
 }
 
 /// FIFO on all eight cores.
-fn fifo8() -> &'static Cell {
-    static CELL: OnceLock<Cell> = OnceLock::new();
+fn fifo8() -> &'static RunResult {
+    static CELL: OnceLock<RunResult> = OnceLock::new();
     CELL.get_or_init(|| run(&cfg(8), mcs()))
 }
 
 /// LibASL-MAX on all eight cores.
-fn asl_max8() -> &'static Cell {
-    static CELL: OnceLock<Cell> = OnceLock::new();
+fn asl_max8() -> &'static RunResult {
+    static CELL: OnceLock<RunResult> = OnceLock::new();
     CELL.get_or_init(|| run(&cfg(8), asl()))
 }
 
@@ -99,10 +99,10 @@ fn fig1_shape_fifo_and_tas_collapse() {
         "little-affinity TAS should not beat FIFO (paper: 35% worse)"
     );
     assert!(
-        t8.p99_big > f8.p99_overall * 2,
+        t8.big.percentile(99.0) > f8.overall.percentile(99.0) * 2,
         "TAS latency collapse: {} vs FIFO {}",
-        t8.p99_big,
-        f8.p99_overall
+        t8.big.percentile(99.0),
+        f8.overall.percentile(99.0)
     );
 }
 
@@ -117,7 +117,7 @@ fn fig4_shape_big_affinity_tas_beats_mcs_on_throughput_only() {
         f8.throughput
     );
     assert!(
-        t8.p99_little > f8.p99_little * 2,
+        t8.little.percentile(99.0) > f8.little.percentile(99.0) * 2,
         "but little-core tail collapses"
     );
 }
@@ -137,9 +137,9 @@ fn fig5_shape_proportion_sweep_is_a_tradeoff_curve() {
         );
         last_thpt = r.throughput;
         if n == 0 {
-            first_tail = r.p99_little;
+            first_tail = r.little.percentile(99.0);
         }
-        last_tail = r.p99_little;
+        last_tail = r.little.percentile(99.0);
     }
     assert!(last_tail > first_tail, "tail must grow with the proportion");
 }
@@ -158,9 +158,9 @@ fn fig8b_shape_throughput_monotone_in_slo_and_tail_tracks_slo() {
         prev = r.throughput;
         // Feedback keeps the little tail near (not wildly past) the SLO.
         assert!(
-            r.p99_little <= slo.saturating_mul(14) / 10 + 10_000,
+            r.little.percentile(99.0) <= slo.saturating_mul(14) / 10 + 10_000,
             "slo={slo}: little P99 {} too far past SLO",
-            r.p99_little
+            r.little.percentile(99.0)
         );
     }
 }
@@ -234,7 +234,7 @@ fn slo_feedback_outperforms_fifo_and_respects_slo_vs_static() {
     let mut best_static = 0.0f64;
     for w in [5_000u64, 10_000, 20_000, 40_000, 80_000, 160_000] {
         let r = run(&cfg(8), LockSpec::AslOpt { window_ns: w }.make_lock_raw());
-        if r.p99_little <= slo * 12 / 10 {
+        if r.little.percentile(99.0) <= slo * 12 / 10 {
             best_static = best_static.max(r.throughput);
         }
     }

@@ -11,7 +11,7 @@ use libasl::harness::locks::LockSpec;
 use libasl::locks::plain::PlainLock;
 use libasl::runtime::stats::Samples;
 use libasl::runtime::Topology;
-use libasl::sim::ZooConfig;
+use libasl::sim::{RunResult, ZooConfig};
 use proptest::prelude::*;
 
 fn mcs_factory() -> impl LockFactory {
@@ -199,7 +199,7 @@ proptest! {
 /// The modeled 4-big / 4-little machine under a LibASL-OPT lock with
 /// a static reorder window (`common::run`: the real lock, stepped in
 /// virtual time, jittered sections).
-fn static_window_cell(seed: u64, window_ns: u64) -> common::Cell {
+fn static_window_cell(seed: u64, window_ns: u64) -> RunResult {
     let cfg = ZooConfig {
         cs_units: 2_000,
         ncs_units: 1_000,

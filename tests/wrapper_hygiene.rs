@@ -305,7 +305,8 @@ fn the_simulator_has_one_engine() {
 fn the_engine_is_only_a_machine() {
     // The engine runs bodies; workloads and their statistics are
     // drivers over it (`asl_sim::zoo`), so nothing the machine does
-    // differs by who called it.
+    // differs by who called it, and the timed loop's record is one
+    // type.
     let exec = std::fs::read_to_string(
         Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/sim/src/exec.rs"),
     )
@@ -324,6 +325,21 @@ fn the_engine_is_only_a_machine() {
              run_threads (crates/sim/src/zoo.rs), not in the engine"
         );
     }
+    // No body holds the machine: run_threads is the only way in, and a
+    // body's charges go through its substrate.
+    for handle in ["pub(crate)", "run_machine"] {
+        assert!(
+            !exec.contains(handle),
+            "crates/sim/src/exec.rs has `{handle}`: a body reaches the machine only through \
+             the substrate, and run_threads is the one way into the engine"
+        );
+    }
+    let records = banned_types(&source_lines("crates"), |name| name == "RunResult");
+    assert_eq!(
+        records.len(),
+        1,
+        "one timed-run record, asl_sim::zoo::RunResult: {records:?}"
+    );
 }
 
 #[test]
