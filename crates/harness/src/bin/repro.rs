@@ -9,8 +9,6 @@
 //! repro fig1 --profile       # + per-lock telemetry stats tables
 //! repro all --quick --out results/
 //! repro sim --quick --out simA/    # deterministic-simulator family
-//! repro diff old/BENCH_fig8a.json new/BENCH_fig8a.json   # regression gate
-//! repro diff baselines/BENCH_overhead.json a.json b.json c.json  # median-of-3 gate
 //! ```
 //!
 //! Every figure except `overhead` and `kv` (host time) runs in
@@ -34,13 +32,6 @@ fn main() {
     if args.is_empty() {
         usage();
         std::process::exit(2);
-    }
-
-    // `repro diff <old.json> <new.json> [--noise F]` is its own
-    // subcommand with its own exit discipline (1 = a regressed or
-    // missing cell).
-    if args[0] == "diff" {
-        run_diff(&args[1..]);
     }
 
     // `repro torture [--quick] [--seed N] [--sim|--os] [--lock NAME]
@@ -216,60 +207,6 @@ fn emit(table: &Table, out_dir: &Option<String>) {
     }
 }
 
-/// `repro diff old.json new.json [new2.json ...] [--noise F]`:
-/// compare per-cell ops/s between a baseline and the per-cell
-/// **median** of one or more new BENCH files; exit 1 iff a cell
-/// regressed by more than the noise bound (default 10%) or is missing
-/// from the new runs, 2 on usage errors and on a figure mismatch.
-/// Passing several new files is how CI de-noises the gate: run the
-/// figure N times, let the median vote the outlier run out.
-fn run_diff(args: &[String]) -> ! {
-    const USAGE: &str = "usage: repro diff <old.json> <new.json>... [--noise 0.10]";
-    let mut noise = 0.10f64;
-    let mut paths: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--noise" => {
-                i += 1;
-                noise = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n: &f64| (0.0..10.0).contains(n))
-                    .unwrap_or_else(|| {
-                        eprintln!("--noise requires a fraction, e.g. 0.10");
-                        std::process::exit(2);
-                    });
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown diff flag: {other}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-            _ => paths.push(args[i].clone()),
-        }
-        i += 1;
-    }
-    if paths.len() < 2 {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
-    let old_path = paths.remove(0);
-    match asl_harness::diff::diff_files_median(&old_path, &paths, noise) {
-        Ok(report) => {
-            if paths.len() > 1 {
-                println!("(new side: per-cell median of {} runs)", paths.len());
-            }
-            println!("{report}");
-            std::process::exit(if report.failed() { 1 } else { 0 });
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn list_locks() {
     print!("{}", listing());
     println!(
@@ -289,7 +226,6 @@ fn usage() {
     let ids: Vec<String> = ids.chunks(8).map(|line| line.join(" ")).collect();
     eprintln!(
         "usage: repro [--quick|--full] [--profile] [--out DIR] [--lock NAME]... <figure-id>... | all | list | locks\n\
-         \u{20}      repro diff <old.json> <new.json>... [--noise 0.10]   # exit 1 on a regressed or missing cell (several new files: median)\n\
          \u{20}      repro torture [--quick] [--seed N] [--sim|--os] [--lock NAME] [--out DIR]   # fault-schedule sweep, exit 1 on oracle failure\n\
          figure ids: {} (`sim` for the sim-* family)\n\
          lock names: see `repro locks` (e.g. mcs, ccsynch, fc-ban, gcr-mcs, libasl-70us)",

@@ -18,7 +18,7 @@ use crate::report::{fmt_p99, fmt_us, Table};
 use crate::runner::{run_timed_with_setup, RunConfig};
 use crate::scenario::{worker_rng, LengthModel, MicroScenario};
 
-use super::micro::{comparison_row, COMPARISON_COLS};
+use super::micro::{comparison_row, slo_sweep_row, COMPARISON_COLS, SLO_SWEEP_COLS};
 use super::{run_micro, Profile, VIRTUAL_NS_PER_MS};
 
 /// Measured MCS P99 on Bench-1 (the anchor all SLOs derive from).
@@ -87,17 +87,7 @@ pub fn fig8a(profile: &Profile) -> Vec<Table> {
 /// Figure 8b: Bench-1 under an SLO sweep.
 pub fn fig8b(profile: &Profile) -> Vec<Table> {
     let anchor = mcs_anchor(profile);
-    let mut table = Table::new(
-        "fig8b",
-        "Bench-1 with variant SLOs",
-        &[
-            "slo_us",
-            "big_p99_us",
-            "little_p99_us",
-            "overall_p99_us",
-            "thpt_ops_s",
-        ],
-    );
+    let mut table = Table::new("fig8b", "Bench-1 with variant SLOs", &SLO_SWEEP_COLS);
     // Under --profile the recording gate is armed and every little
     // worker keeps its window trajectory: summarise it per worker.
     let mut windows = Table::new(
@@ -123,13 +113,7 @@ pub fn fig8b(profile: &Profile) -> Vec<Table> {
         let spec = LockSpec::asl(Some(slo));
         let scenario = MicroScenario::bench1(&spec);
         let r = run_micro(profile, &scenario, 8);
-        table.push_row(vec![
-            format!("{:.1}", slo as f64 / 1_000.0),
-            fmt_p99(&r.big),
-            fmt_p99(&r.little),
-            fmt_p99(&r.overall),
-            format!("{:.0}", r.throughput),
-        ]);
+        table.push_row(slo_sweep_row(slo, &r));
         table.push_sample(&spec.label(), 8, r.throughput);
         for (w, trace) in r.window_traces.iter().enumerate() {
             let class = m1.assignment_for_thread(w).kind;
@@ -416,28 +400,12 @@ pub fn fig8hi(profile: &Profile) -> Vec<Table> {
         anchor / 1_000
     ));
 
-    let mut t8i = Table::new(
-        "fig8i",
-        "Bench-6 with variant SLOs",
-        &[
-            "slo_us",
-            "big_p99_us",
-            "little_p99_us",
-            "overall_p99_us",
-            "thpt_ops_s",
-        ],
-    );
+    let mut t8i = Table::new("fig8i", "Bench-6 with variant SLOs", &SLO_SWEEP_COLS);
     for i in 0..=6u64 {
         let slo = anchor * i / 2; // 0 .. 3x anchor
         let scenario = MicroScenario::bench1(&LockSpec::AslBlocking { slo_ns: Some(slo) });
         let r = run_micro(profile, &scenario, threads);
-        t8i.push_row(vec![
-            format!("{:.1}", slo as f64 / 1_000.0),
-            fmt_p99(&r.big),
-            fmt_p99(&r.little),
-            fmt_p99(&r.overall),
-            format!("{:.0}", r.throughput),
-        ]);
+        t8i.push_row(slo_sweep_row(slo, &r));
     }
     vec![t8h, t8i]
 }

@@ -18,7 +18,7 @@ use crate::report::{fmt_p99, Table};
 use crate::runner::run_timed_with_setup;
 use crate::scenario::worker_rng;
 
-use super::micro::{comparison_row, COMPARISON_COLS};
+use super::micro::{comparison_row, slo_sweep_row, COMPARISON_COLS, SLO_SWEEP_COLS};
 use super::Profile;
 
 /// Engine constructor used by the drivers.
@@ -137,26 +137,14 @@ fn db_trio(
     let mut sweep = Table::new(
         &format!("{id}b"),
         &format!("{name}: variant SLOs"),
-        &[
-            "slo_us",
-            "big_p99_us",
-            "little_p99_us",
-            "overall_p99_us",
-            "thpt_ops_s",
-        ],
+        &SLO_SWEEP_COLS,
     );
     let steps = 8u64;
     for i in 0..=steps {
         let slo = anchor * 4 * i / steps;
         let spec = LockSpec::asl(Some(slo));
         let r = run_db_point(profile, topo(), make, &spec, 8);
-        sweep.push_row(vec![
-            format!("{:.1}", slo as f64 / 1_000.0),
-            fmt_p99(&r.big),
-            fmt_p99(&r.little),
-            fmt_p99(&r.overall),
-            format!("{:.0}", r.throughput),
-        ]);
+        sweep.push_row(slo_sweep_row(slo, &r));
         sweep.push_sample(&spec.label(), 8, r.throughput);
     }
 

@@ -197,3 +197,25 @@ pub const COMPARISON_COLS: [&str; 6] = [
     "little_p99_us",
     "overall_p99_us",
 ];
+
+/// Render an SLO-sweep row: the SLO the run was given, then the
+/// class tails and the throughput (shared with bench1/db figure
+/// drivers).
+pub(crate) fn slo_sweep_row(slo_ns: u64, r: &crate::runner::RunResult) -> Vec<String> {
+    vec![
+        format!("{:.1}", slo_ns as f64 / 1_000.0),
+        fmt_p99(&r.big),
+        fmt_p99(&r.little),
+        fmt_p99(&r.overall),
+        format!("{:.0}", r.throughput),
+    ]
+}
+
+/// Column set matching [`slo_sweep_row`].
+pub(crate) const SLO_SWEEP_COLS: [&str; 5] = [
+    "slo_us",
+    "big_p99_us",
+    "little_p99_us",
+    "overall_p99_us",
+    "thpt_ops_s",
+];

@@ -23,7 +23,8 @@
 //!
 //! `repro overhead --out DIR` additionally emits
 //! `DIR/BENCH_overhead.json` with one `lock@layer=<layer>` record per
-//! cell, giving CI a machine-readable per-PR latency baseline.
+//! cell; CI holds three such files to within-run layer ratios
+//! (`baselines/overhead_ratios.py`).
 
 use asl_locks::api::Guard;
 use asl_locks::plain::{PlainLock, RwTokenWords, TokenWords};
@@ -229,8 +230,11 @@ pub(crate) fn overhead_table(m: &Meter, specs: &[LockSpec]) -> Table {
         let mut dyn_leg = m.dyn_spec(spec);
         // Already-instrumented registry entries are measured as
         // themselves, not re-wrapped — a nested
-        // Instrumented(Instrumented(..)) would pay two cells and make
-        // that row incomparable to the rest of the baseline.
+        // Instrumented(Instrumented(..)) would pay two cells. That
+        // avoids nesting at the top only: a `gcr-<name>` spec builds
+        // its inner lock through `make_dyn`, which under profiling
+        // wraps it in a cell of its own, so a gcr row's instr-on leg
+        // pays two cells (see the table note).
         let ispec = if matches!(spec, LockSpec::Instrumented(_)) {
             spec.clone()
         } else {
@@ -282,6 +286,8 @@ pub(crate) fn overhead_table(m: &Meter, specs: &[LockSpec]) -> Table {
     telemetry::set_recording(was_recording);
     t.note("single-threaded, best-of-reps batch means; instr_off_delta = instr-off minus dyn (target: within noise)");
     t.note("layers: static guard / dyn facade / instrumented-<name> with profiling off / with profiling on");
+    t.note("gcr-<name> instr_on also pays the inner lock's own profiling cell: the gate builds its inner lock through the profiled factory");
+    t.note("rcl: each op is a round trip to its server thread, so its columns follow where the host schedules that thread (instr_off/dyn swings run to run on several CPUs, holds near 1 on one)");
     t
 }
 

@@ -20,7 +20,6 @@
 //! The `repro` binary ties it together:
 //! `repro fig8a`, `repro all --quick`, `repro list`.
 
-pub mod diff;
 pub mod figures;
 pub mod locks;
 pub mod report;

@@ -789,22 +789,17 @@ pub fn run_torture(args: &[String]) -> i32 {
     }
 
     let mut all_pass = true;
-    if opts.sim {
-        let bouts = run_sim_sweep(&opts);
-        let text = render_run("sim", opts.seed, &bouts);
-        let path = opts.out.join("TORTURE_sim.txt");
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("torture: cannot write {}: {e}", path.display());
-            return 2;
+    let sweeps = [
+        (opts.sim, "sim", run_sim_sweep as fn(&_) -> _),
+        (opts.os, "os", run_os_sweep),
+    ];
+    for (on, side, sweep) in sweeps {
+        if !on {
+            continue;
         }
-        print!("{text}");
-        println!("wrote {}", path.display());
-        all_pass &= bouts.iter().all(BoutReport::passed);
-    }
-    if opts.os {
-        let bouts = run_os_sweep(&opts);
-        let text = render_run("os", opts.seed, &bouts);
-        let path = opts.out.join("TORTURE_os.txt");
+        let bouts = sweep(&opts);
+        let text = render_run(side, opts.seed, &bouts);
+        let path = opts.out.join(format!("TORTURE_{side}.txt"));
         if let Err(e) = std::fs::write(&path, &text) {
             eprintln!("torture: cannot write {}: {e}", path.display());
             return 2;

@@ -2,10 +2,10 @@
 //! figure run on the shared timed runner; what they *emit* is pinned
 //! here to the committed references (`baselines/sim/`, which CI also
 //! byte-diffs whole), so a change to the drivers cannot rename,
-//! drop or reorder a cell `repro diff` keys on. Tiny profile: the
-//! values are meaningless, the keys are the test.
+//! drop or reorder a `(lock, threads)` cell of their
+//! `BENCH_<figure>.json`. Tiny profile: the values are meaningless,
+//! the keys are the test.
 
-use asl_harness::diff::parse_bench_json;
 use asl_harness::figures::{find, Profile};
 use asl_harness::locks::{listing, registry};
 
@@ -14,16 +14,23 @@ const TINY: Profile = Profile {
     warmup_ms: 2,
 };
 
-/// The `(lock, threads)` keys of a committed `baselines/sim/BENCH_*.json`.
+/// The `(lock, threads)` keys of a committed `baselines/sim/BENCH_*.json`,
+/// read off its result lines as `report::render_bench_json` writes them
+/// (`{"lock": "<name>", "threads": <n>, ...`; names carry no quotes).
 fn baseline_keys(file: &str) -> Vec<(String, usize)> {
     let path = format!("{}/../../baselines/sim/{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let bench = parse_bench_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    bench
-        .cells
-        .into_iter()
-        .map(|c| (c.lock, c.threads))
-        .collect()
+    let keys: Vec<(String, usize)> = text
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("{\"lock\": \""))
+        .map(|rest| {
+            let (lock, rest) = rest.split_once("\", \"threads\": ").expect(path.as_str());
+            let threads = rest.split(',').next().and_then(|n| n.parse().ok());
+            (lock.to_string(), threads.expect(path.as_str()))
+        })
+        .collect();
+    assert!(!keys.is_empty(), "{path}: no result lines");
+    keys
 }
 
 #[test]

@@ -314,19 +314,7 @@ impl FaultInjector {
 
     /// Inject one stall of `plan.stall_ns`.
     fn stall(&self) {
-        let ns = self.state.plan.stall_ns;
-        match &self.inner {
-            Some(s) => s.busy_wait_ns(ns),
-            None => {
-                // Model the stalled thread as preempted (off-core), so
-                // yield rather than burn the CPU other threads need to
-                // make the progress the stall is meant to expose.
-                let end = crate::clock::os_now_ns().saturating_add(ns);
-                while crate::clock::os_now_ns() < end {
-                    std::thread::yield_now();
-                }
-            }
-        }
+        self.busy_wait_ns(self.state.plan.stall_ns);
     }
 }
 
@@ -363,6 +351,10 @@ impl Substrate for FaultInjector {
         match &self.inner {
             Some(s) => s.busy_wait_ns(ns),
             None => {
+                // Model the waiting (or stalled) thread as preempted
+                // (off-core), so yield rather than burn the CPU other
+                // threads need to make the progress a stall is meant
+                // to expose.
                 let end = crate::clock::os_now_ns().saturating_add(ns);
                 while crate::clock::os_now_ns() < end {
                     std::thread::yield_now();

@@ -29,10 +29,16 @@
 //!   once oversubscribed.
 //!
 //! The scheduler always runs the runnable thread with the smallest
-//! virtual key (ties broken by thread id), with a small slack band
+//! virtual key (ties broken by thread id), with a slack band
 //! ([`CostModel::resched_slack_ns`]) to batch consecutive probes of
 //! one waiter. Causality skew between threads is therefore bounded by
-//! the slack plus one charge — small against every modeled effect.
+//! the slack plus one charge. That bound is not small against every
+//! modeled effect: the db engines' critical sections run a few hundred
+//! virtual ns, about the default 400 ns band, and measured at slack 0
+//! the `fig10-leveldb` and `fig9-kyoto` verdicts change (ROADMAP's
+//! slack finding). A test-and-set releaser whose think time is shorter
+//! than the band re-takes its own lock before any waiter runs, so a
+//! short-think TAS cell reads as one thread's monopoly.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -75,8 +81,12 @@ pub struct CostModel {
     /// that co-resident threads are waiting for.
     pub quantum_ns: u64,
     /// Reschedule hysteresis: the running thread keeps the baton while
-    /// it is within this band of the minimum virtual key. Purely a
-    /// simulation-speed knob; bounds inter-thread causality skew.
+    /// it is within this band of the minimum virtual key. It buys
+    /// simulation speed (fewer kernel hand-offs between host threads)
+    /// at the price of inter-thread causality skew up to the band, and
+    /// that skew moves results: it decides the `fig10-leveldb` and
+    /// `fig9-kyoto` verdicts and lets a short-think TAS releaser
+    /// re-take its own lock (see the module doc).
     pub resched_slack_ns: u64,
 }
 
