@@ -1,11 +1,14 @@
 //! Sharded in-memory KV service over async SLO-aware locks.
 //!
-//! The serving-side counterpart of the thread-per-core engines: a hash
-//! map split into `shards` independent shards, each protected by one
-//! [`AsyncMutex`] whose [`AsyncPolicy`] comes from the harness lock
-//! registry (`Fifo` for FIFO-ordered specs, `Slo` for LibASL specs).
-//! A request locks exactly one shard, does a small amount of emulated
-//! work while holding it (index probe + record copy), and completes. Under Zipfian keys a handful of hot shards carry most of
+//! The serving-side counterpart of the thread-per-core engines: a
+//! record array over the key space, dealt out to `shards` independent
+//! shards. Each shard is one [`AsyncMutex`] whose [`AsyncPolicy`] comes
+//! from the harness lock registry (`Fifo` for FIFO-ordered specs, `Slo`
+//! for LibASL specs).
+//!
+//! A request locks exactly one shard and does a small amount of
+//! emulated work while holding it (index probe + record copy). Then it
+//! completes. Under Zipfian keys a handful of hot shards carry most of
 //! the traffic, so the shard lock's *wait-queue policy* — FIFO versus
 //! SLO-aware reordering — is what shapes the service's tail latency.
 //!
@@ -13,9 +16,6 @@
 //! (scheduled arrival + SLO), so an SLO-aware shard lock grants in
 //! earliest-deadline order within its reorder window, exactly the
 //! paper's lock semantics lifted into the async layer.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use asl_locks::{AsyncMutex, AsyncPolicy};
 use rand::rngs::SmallRng;
@@ -30,7 +30,8 @@ pub struct KvConfig {
     pub shards: usize,
     /// Wait-queue policy of every shard lock.
     pub policy: AsyncPolicy,
-    /// Total key space (keys hash across shards).
+    /// Total key space: the store holds one 17-byte slot per key, so
+    /// this sets its memory (1.1 MB for the default 2^16 keys).
     pub keyspace: u64,
     /// Emulated work units executed while holding the shard lock
     /// (models index probe + record copy inside the critical section).
@@ -48,49 +49,11 @@ impl Default for KvConfig {
     }
 }
 
-/// Fibonacci multiplier (2^64 / golden ratio): `shard_of` scatters
-/// keys with it and [`KeyHasher`] hashes them with it.
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+/// One shard's records: slot `key / shards` holds `key`'s record, if
+/// it has one.
+type Shard = Vec<Option<Value>>;
 
-/// The shard maps' hasher: one multiply, for `u64` keys only.
-///
-/// The product is rotated before the table sees it. A table indexes
-/// its buckets with the hash's low bits, and those bits of `key · FIB`
-/// are exactly what [`ShardedKv::shard_of`] reduces `% shards`: with a
-/// power-of-two shard count every key of one shard has the same low
-/// bits, so the unrotated product would put a shard's keys in
-/// 1/`shards` of its buckets. Rotating left by 22 brings bits 42..63 —
-/// the well-mixed end that Fibonacci hashing takes its index from —
-/// down to the bucket mask of every table up to 2^22 buckets; over
-/// `KEYSPACE` one shard's keys then cover ≥ 95 % of their hashes'
-/// 4 096 low-12-bit values for 1, 4, 7 or 16 shards (a random hash
-/// covers 63 % at 16). The default SipHash is keyed against keys
-/// crafted to collide, which costs several times the multiply; this
-/// store's keys come from its own workload generators, not from
-/// outside the program.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("shard maps are keyed by u64");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key.wrapping_mul(FIB).rotate_left(22);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One shard's records.
-type Shard = HashMap<u64, Value, BuildHasherDefault<KeyHasher>>;
-
-/// A sharded KV store; every shard is one async-locked hash map.
+/// A sharded KV store; every shard is one async-locked slot array.
 pub struct ShardedKv {
     shards: Vec<AsyncMutex<Shard>>,
     keyspace: u64,
@@ -105,9 +68,10 @@ impl ShardedKv {
     pub fn new(cfg: KvConfig) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.keyspace > 0, "empty key space");
+        let slots = cfg.keyspace.div_ceil(cfg.shards as u64) as usize;
         ShardedKv {
             shards: (0..cfg.shards)
-                .map(|_| AsyncMutex::new(cfg.policy, Shard::default()))
+                .map(|_| AsyncMutex::new(cfg.policy, vec![None; slots]))
                 .collect(),
             keyspace: cfg.keyspace,
             cs_units: cfg.cs_units,
@@ -124,39 +88,37 @@ impl ShardedKv {
         self.keyspace
     }
 
-    /// The shard a key lives on. Keys are scattered with a Fibonacci
-    /// multiplier so Zipfian rank order does not map hot ranks onto
-    /// one shard by accident of layout — hotness still concentrates
-    /// (that is the point), but via the key distribution, not aliasing.
+    /// The shard a key lives on: keys are dealt out in turn, `key %
+    /// shards`. [`crate::workload::KeyDist`] already scatters Zipfian
+    /// ranks over the key space, so hotness concentrates through the
+    /// key distribution, not through an accident of layout.
     pub fn shard_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(FIB) % self.shards.len() as u64) as usize
+        self.locate(key).0
+    }
+
+    /// A key's shard and its slot there, `key / shards`.
+    fn locate(&self, key: u64) -> (usize, usize) {
+        let shards = self.shards.len() as u64;
+        ((key % shards) as usize, (key / shards) as usize)
     }
 
     /// Synchronously pre-populate every `fill_every`-th key so reads
     /// hit.
     ///
-    /// Must run before any traffic: it takes every shard's guard once,
-    /// with `try_lock` (panicking if one is held), and keeps them all
-    /// for the whole fill instead of locking per key. Before the first
-    /// insert each shard reserves its share of the keys — their count
-    /// over the shard count, rounded up; the Fibonacci scatter of
-    /// [`ShardedKv::shard_of`] deals keys out about evenly — so a map
-    /// is sized once for what it will hold instead of rehashing as it
-    /// grows.
+    /// Must run before any traffic: it takes each shard's guard once,
+    /// with `try_lock` (panicking if one is held), and writes that
+    /// shard's slots in order under it.
     pub fn prefill(&self, fill_every: u64) {
         let step = fill_every.max(1);
-        let keys = self.keyspace.div_ceil(step);
-        let share = keys.div_ceil(self.shards.len() as u64) as usize;
-        let mut guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| shard.try_lock().expect("prefill must run before traffic"))
-            .collect();
-        for guard in &mut guards {
-            guard.reserve(share);
-        }
-        for key in (0..self.keyspace).step_by(step as usize) {
-            guards[self.shard_of(key)].insert(key, value_for(key));
+        let shards = self.shards.len();
+        for (first, shard) in self.shards.iter().enumerate() {
+            let mut slots = shard.try_lock().expect("prefill must run before traffic");
+            let keys = (first as u64..self.keyspace).step_by(shards);
+            for (key, slot) in keys.zip(slots.iter_mut()) {
+                if key % step == 0 {
+                    *slot = Some(value_for(key));
+                }
+            }
         }
     }
 
@@ -166,8 +128,17 @@ impl ShardedKv {
     /// driver derived from the request's *scheduled* arrival; SLO-aware
     /// shard locks use it to order their wait queue, FIFO shards ignore
     /// it. Returns `true` for updates and for reads that hit.
+    ///
+    /// # Panics
+    /// Panics if `key` is outside the key space.
     pub async fn request(&self, op: Op, key: u64, deadline_ns: Option<u64>) -> bool {
-        let shard = &self.shards[self.shard_of(key)];
+        assert!(
+            key < self.keyspace,
+            "key {key} is outside the key space 0..{}",
+            self.keyspace
+        );
+        let (shard, slot) = self.locate(key);
+        let shard = &self.shards[shard];
         let mut guard = match deadline_ns {
             Some(d) => shard.lock_with_deadline(d).await,
             None => shard.lock().await,
@@ -176,9 +147,9 @@ impl ShardedKv {
             asl_runtime::work::execute_units(self.cs_units);
         }
         match op {
-            Op::Read => guard.get(&key).is_some(),
+            Op::Read => guard[slot].is_some(),
             Op::Update => {
-                guard.insert(key, value_for(key));
+                guard[slot] = Some(value_for(key));
                 true
             }
         }
@@ -188,7 +159,7 @@ impl ShardedKv {
     pub async fn len(&self) -> usize {
         let mut total = 0;
         for shard in &self.shards {
-            total += shard.lock().await.len();
+            total += shard.lock().await.iter().flatten().count();
         }
         total
     }
@@ -292,26 +263,50 @@ mod tests {
     }
 
     #[test]
-    fn one_shards_keys_spread_over_its_buckets() {
-        use std::hash::BuildHasher;
-        let hash = BuildHasherDefault::<KeyHasher>::default();
+    fn every_key_has_its_own_slot() {
         for shards in [1, 4, 7, 16] {
-            let kv = ShardedKv::new(KvConfig {
-                shards,
-                ..KvConfig::default()
-            });
-            for shard in 0..shards {
-                let mut seen = [false; 4_096];
-                for key in (0..crate::KEYSPACE).filter(|&k| kv.shard_of(k) == shard) {
-                    seen[(hash.hash_one(key) & 4_095) as usize] = true;
+            for keyspace in [64, 1_000, 1 << 16] {
+                let kv = ShardedKv::new(KvConfig {
+                    shards,
+                    keyspace,
+                    ..KvConfig::default()
+                });
+                let slots = keyspace.div_ceil(shards as u64) as usize;
+                let mut taken = vec![vec![false; slots]; shards];
+                for key in 0..keyspace {
+                    let (shard, slot) = kv.locate(key);
+                    assert!(
+                        !std::mem::replace(&mut taken[shard][slot], true),
+                        "{shards} shards, {keyspace} keys: key {key} reuses ({shard}, {slot})"
+                    );
                 }
-                let covered = seen.iter().filter(|&&s| s).count();
-                assert!(
-                    covered * 10 >= 4_096 * 9,
-                    "{shards} shards: shard {shard}'s keys hit {covered} of 4096 low-bit values"
-                );
             }
         }
+    }
+
+    /// The host-kv benchmark's four shards carry the same keys as when
+    /// a key's shard was `key · FIB % shards` (FIB ≡ 1 mod 4).
+    #[test]
+    fn four_shards_route_as_the_fibonacci_scatter_did() {
+        const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+        let kv = ShardedKv::new(KvConfig {
+            shards: 4,
+            ..KvConfig::default()
+        });
+        for key in 0..crate::KEYSPACE {
+            assert_eq!(kv.shard_of(key), (key.wrapping_mul(FIB) % 4) as usize);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "key 64 is outside the key space 0..64")]
+    fn a_key_past_the_key_space_panics() {
+        let kv = ShardedKv::new(KvConfig {
+            keyspace: 64,
+            cs_units: 0,
+            ..KvConfig::default()
+        });
+        block_on(kv.request(Op::Read, 64, None));
     }
 
     #[test]
